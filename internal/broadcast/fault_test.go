@@ -9,7 +9,7 @@ import (
 	"tnnbcast/internal/rtree"
 )
 
-func buildFaultChannel(t *testing.T, n int, offset int64) *Channel {
+func buildFaultChannel(t testing.TB, n int, offset int64) *Channel {
 	t.Helper()
 	p := DefaultParams()
 	cfg := rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()}
@@ -138,6 +138,61 @@ func TestFaultStationaryRate(t *testing.T) {
 	}
 }
 
+// lostForward is the reference Gilbert–Elliott evaluation: draw the state
+// at the block boundary and iterate the chain forward to t. lost must
+// agree with it at every slot.
+func (ff *FaultFeed) lostForward(t int64) bool {
+	if ff.model.Burst <= 1 {
+		return u01(ff.hash(t, saltLoss)) < ff.model.Loss
+	}
+	b := t - floorMod(t, geBlock)
+	bad := u01(ff.hash(b, saltGEInit)) < ff.model.Loss
+	for s := b + 1; s <= t; s++ {
+		u := u01(ff.hash(s, saltGEStep))
+		if bad {
+			bad = u >= ff.pBG
+		} else {
+			bad = u < ff.pGB
+		}
+	}
+	return bad
+}
+
+// TestFaultLostMatchesForward: the backward scan of lost is the same
+// function of (seed, slot) as the forward iteration, over 10⁶ slots
+// (negative ones included) per model. The models cover the typical
+// bursty channel, Loss >= 0.5 (pGB > pBG, and pGB > 1), pGB == pBG where
+// no slot ever forces the state, Burst near 1, and Burst >= 100, where
+// forcing slots are rare and the scan runs to the block boundary.
+func TestFaultLostMatchesForward(t *testing.T) {
+	ch := buildFaultChannel(t, 100, 0)
+	const span = 1_000_000
+	for _, m := range []FaultModel{
+		{Loss: 0.01, Burst: 8, Seed: 1},
+		{Loss: 0.6, Burst: 3, Seed: 2},
+		{Loss: 0.9, Burst: 1.05, Seed: 3},
+		{Loss: 0.5, Burst: 2, Seed: 4},
+		{Loss: 0.01, Burst: 1.001, Seed: 5},
+		{Loss: 0.05, Burst: 150, Seed: 6},
+		{Loss: 0.3, Burst: 400, Seed: 7},
+	} {
+		ff := NewFaultFeed(ch, m)
+		var lost int
+		for slot := int64(-span / 2); slot < span/2; slot++ {
+			got, want := ff.lost(slot), ff.lostForward(slot)
+			if got != want {
+				t.Fatalf("model %+v: slot %d: lost = %v, forward iteration = %v", m, slot, got, want)
+			}
+			if got {
+				lost++
+			}
+		}
+		if lost == 0 || lost == span {
+			t.Errorf("model %+v: degenerate pattern, %d of %d slots lost", m, lost, span)
+		}
+	}
+}
+
 // TestFaultFeedSchedulePassthrough: faults hit receptions only. Schedule
 // truth — page descriptors, arrival times, the index — is what the
 // transmitter put on air and passes through untouched, which is exactly
@@ -244,5 +299,24 @@ func TestDeriveFaultSeed(t *testing.T) {
 		if s != DeriveFaultSeed(12345, chID) {
 			t.Fatal("DeriveFaultSeed is not stable")
 		}
+	}
+}
+
+// BenchmarkFaultLostBurst times the Gilbert–Elliott loss evaluation on
+// the session workload's channel model, 1% loss in bursts of 8: one op is
+// 64 slot evaluations, spread over every position within a block.
+func BenchmarkFaultLostBurst(b *testing.B) {
+	ff := NewFaultFeed(buildFaultChannel(b, 100, 0), FaultModel{Loss: 0.01, Burst: 8, Seed: 1})
+	var lost int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := int64(0); k < 64; k++ {
+			if ff.lost((int64(i)*64 + k) * 7919) {
+				lost++
+			}
+		}
+	}
+	if b.N >= 100_000 && lost == 0 {
+		b.Fatal("no slot lost")
 	}
 }

@@ -132,6 +132,11 @@ type Result struct {
 // distance. The incumbent (s0, r0, d) — the pair that defined the search
 // range — seeds the bound; candidates si with dis(p,si) >= d cannot improve
 // it and skip the inner loop.
+//
+// Every screen below only skips pairs the full comparison t < d would
+// reject anyway, and d only shrinks during the scan, so the pairs are
+// still compared in row-major order with the same float ops: the answer,
+// tie-breaking included, is that of the plain nested loop.
 func join(p geom.Point, incumbent Pair, haveIncumbent bool, ss, rs *pointBuf) (Pair, bool) {
 	best := incumbent
 	ok := haveIncumbent
@@ -139,46 +144,61 @@ func join(p geom.Point, incumbent Pair, haveIncumbent bool, ss, rs *pointBuf) (P
 	if ok {
 		d = best.Dist
 	}
-	// The parallel coordinate slices are always the same length; pinning
-	// the y slices to len(x) lets the compiler drop the inner-loop bounds
-	// checks (same float ops, same order).
+	boxes := rs.blocks()
 	ssx, rsx := ss.x, rs.x
 	ssy, rsy := ss.y[:len(ssx)], rs.y[:len(rsx)]
 	for i := range ssx {
 		six, siy := ssx[i], ssy[i]
-		// An outer Chebyshev screen first: dps is at least the larger
-		// coordinate gap (same subtractions), so a gap at or past d skips
-		// the hypot along with the inner loop.
-		if max(math.Abs(p.X-six), math.Abs(p.Y-siy)) >= d {
+		dps, far := sDist(p, six, siy, d)
+		if far {
 			continue
 		}
-		// dps is both the skip bound and the fixed term of every inner
-		// transitive distance dis(p,si) + dis(si,rj) — hoisting it halves
-		// the hypot calls of the join without moving a single float op
-		// (TransDist is exactly this sum, in this order).
-		dps := math.Hypot(p.X-six, p.Y-siy)
-		if dps >= d {
-			continue
-		}
-		for j := range rsx {
-			// Chebyshev screen: hypot(dx,dy) >= max(|dx|,|dy|) holds in
-			// floating point (hypot never rounds below its larger leg),
-			// and rounding is monotone, so dps+max >= d implies the full
-			// dps+hypot >= d — the pair would be discarded anyway. The
-			// screen eliminates most hypot calls of the O(|S|·|R|) join
-			// without changing a single comparison outcome.
-			m := max(math.Abs(six-rsx[j]), math.Abs(siy-rsy[j]))
-			if dps+m >= d {
+		for b := range boxes {
+			// Block screen: dps+gap <= dps+max(|dx|,|dy|) for every rj in
+			// the run, so a run at or past d fails every per-point screen.
+			if dps+boxes[b].gap(six, siy) >= d {
 				continue
 			}
-			if t := dps + math.Hypot(six-rsx[j], siy-rsy[j]); t < d {
-				d = t
-				best = Pair{S: ss.entry(i), R: rs.entry(j), Dist: t}
-				ok = true
+			lo := b * joinBlock
+			hi := min(lo+joinBlock, len(rsx))
+			// Sub-slicing the run (y pinned to len(x)) keeps the inner
+			// loop free of bounds checks.
+			bx := rsx[lo:hi]
+			by := rsy[lo:hi][:len(bx)]
+			for j := range bx {
+				// Chebyshev screen: hypot(dx,dy) >= max(|dx|,|dy|) holds in
+				// floating point (hypot never rounds below its larger leg),
+				// and rounding is monotone, so dps+max >= d implies the full
+				// dps+hypot >= d — the pair would be discarded anyway.
+				m := max(math.Abs(six-bx[j]), math.Abs(siy-by[j]))
+				if dps+m >= d {
+					continue
+				}
+				if t := dps + math.Hypot(six-bx[j], siy-by[j]); t < d {
+					d = t
+					best = Pair{S: ss.entry(i), R: rs.entry(lo + j), Dist: t}
+					ok = true
+				}
 			}
 		}
 	}
 	return best, ok
+}
+
+// sDist returns dps = dis(p, si) for si = (x, y), the fixed term of every
+// transitive distance dis(p,si) + dis(si,rj) of the join's inner loop
+// (geom.TransDist is exactly this sum, in this order), and reports far
+// when dps >= d, so no pair through si can beat the bound d. An outer
+// Chebyshev screen runs first: dps is at least the larger coordinate gap
+// (same subtractions), so a gap at or past d skips the hypot.
+//
+//tnn:noalloc
+func sDist(p geom.Point, x, y, d float64) (dps float64, far bool) {
+	if max(math.Abs(p.X-x), math.Abs(p.Y-y)) >= d {
+		return 0, true
+	}
+	dps = math.Hypot(p.X-x, p.Y-y)
+	return dps, dps >= d
 }
 
 // DoubleNN is the Double-NN-Search algorithm (Algorithm 1): issue the two

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/geom"
 )
 
@@ -20,6 +21,20 @@ func TestQuerySteadyStateAllocs(t *testing.T) {
 	te := makeEnv(t, ptsS, ptsR, testRegion, 7919, 104729)
 	qs := uniformPts(rng, 32, testRegion)
 
+	// The lossy path: distributed indexes behind bursty FaultFeeds, so
+	// loss recovery, the fault evaluation and the join's block bounds are
+	// held to the same budget.
+	params := broadcast.DefaultParams()
+	spec := broadcast.IndexSpec{Scheme: broadcast.SchemeDistributed}
+	faults := broadcast.FaultModel{Loss: 0.01, Burst: 8, Seed: 3}
+	lossy := Env{
+		ChS: broadcast.NewFaultFeed(broadcast.NewChannel(broadcast.BuildIndex(te.treeS, params, spec), 7919),
+			faults.WithSeed(broadcast.DeriveFaultSeed(faults.Seed, 0))),
+		ChR: broadcast.NewFaultFeed(broadcast.NewChannel(broadcast.BuildIndex(te.treeR, params, spec), 104729),
+			faults.WithSeed(broadcast.DeriveFaultSeed(faults.Seed, 1))),
+		Region: testRegion,
+	}
+
 	// The per-query allocation budget. Zero in the common case; a small
 	// slack absorbs rare buffer growth when a later query point needs a
 	// deeper traversal than any before it.
@@ -29,13 +44,16 @@ func TestQuerySteadyStateAllocs(t *testing.T) {
 		name string
 		run  func(Env, geom.Point, Options) Result
 		ann  ANNConfig
+		env  Env
 	}{
-		{"DoubleNN", DoubleNN, ANNConfig{}},
-		{"WindowBased", WindowBased, ANNConfig{}},
-		{"HybridNN", HybridNN, ANNConfig{}},
-		{"ApproximateTNN", ApproximateTNN, ANNConfig{}},
-		{"DoubleNN/ANN", DoubleNN, UniformANN(FactorWindowDouble)},
-		{"HybridNN/ANN", HybridNN, UniformANN(FactorHybrid)},
+		{"DoubleNN", DoubleNN, ANNConfig{}, te.env},
+		{"WindowBased", WindowBased, ANNConfig{}, te.env},
+		{"HybridNN", HybridNN, ANNConfig{}, te.env},
+		{"ApproximateTNN", ApproximateTNN, ANNConfig{}, te.env},
+		{"DoubleNN/ANN", DoubleNN, UniformANN(FactorWindowDouble), te.env},
+		{"HybridNN/ANN", HybridNN, UniformANN(FactorHybrid), te.env},
+		{"DoubleNN/lossy", DoubleNN, ANNConfig{}, lossy},
+		{"ApproximateTNN/lossy", ApproximateTNN, ANNConfig{}, lossy},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -44,12 +62,16 @@ func TestQuerySteadyStateAllocs(t *testing.T) {
 			// Warm the scratch buffers over the whole query set so
 			// AllocsPerRun measures the steady state, not first-touch
 			// growth.
+			var lost int64
 			for _, q := range qs {
-				c.run(te.env, q, opt)
+				lost += c.run(c.env, q, opt).Metrics.Lost
+			}
+			if c.env == lossy && lost == 0 {
+				t.Fatalf("%s: no reception faulted over %d queries", c.name, len(qs))
 			}
 			i := 0
 			allocs := testing.AllocsPerRun(64, func() {
-				c.run(te.env, qs[i%len(qs)], opt)
+				c.run(c.env, qs[i%len(qs)], opt)
 				i++
 			})
 			if allocs > budget {

@@ -53,6 +53,13 @@ const (
 // registers/L1 (ISSUE: 4–8 candidates per call).
 const batchCap = 8
 
+// joinBlock is the run length of the join's block screen: the R-side
+// candidates are cut into runs of joinBlock consecutive points, and a run
+// whose bounding box is already too far from si is skipped whole. Range-
+// search leaves are appended in broadcast order, so a run is spatially
+// compact and its box small.
+const joinBlock = 16
+
 // pointBuf is a pointer-free SoA buffer of data points (the seen/found
 // sets of the searches): parallel x/y/id slices the GC never scans, bulk-
 // appendable straight from the rtree.Flat leaf arrays. Capacity is
@@ -60,6 +67,43 @@ const batchCap = 8
 type pointBuf struct {
 	x, y []float64
 	id   []int32
+	// box holds the joinBlock run bounds of the last blocks call; only
+	// the joins read it.
+	box []blockBox
+}
+
+// blockBox is the bounding box of one joinBlock run of a pointBuf.
+type blockBox struct{ x0, x1, y0, y1 float64 }
+
+// gap is a lower bound, in floating point, of the Chebyshev screen
+// max(|x-rx|, |y-ry|) of every point (rx, ry) in the box's run. Float
+// subtraction rounds monotonically, so for x < x0 <= rx the computed
+// x0-x is at most the computed |x-rx|; the other three sides are alike,
+// and the 0 covers an x, y inside the box.
+//
+//tnn:noalloc
+func (bx *blockBox) gap(x, y float64) float64 {
+	return max(bx.x0-x, x-bx.x1, bx.y0-y, y-bx.y1, 0)
+}
+
+// blocks recomputes the bounding boxes of the buffer's joinBlock runs
+// over its current contents and returns them. The boxes keep their
+// capacity with the buffer, so a warmed scratch stays allocation-free.
+func (b *pointBuf) blocks() []blockBox {
+	xs := b.x
+	ys := b.y[:len(xs)]
+	box := b.box[:0]
+	for lo := 0; lo < len(xs); lo += joinBlock {
+		hi := min(lo+joinBlock, len(xs))
+		bx := blockBox{xs[lo], xs[lo], ys[lo], ys[lo]}
+		for j := lo + 1; j < hi; j++ {
+			bx.x0, bx.x1 = min(bx.x0, xs[j]), max(bx.x1, xs[j])
+			bx.y0, bx.y1 = min(bx.y0, ys[j]), max(bx.y1, ys[j])
+		}
+		box = append(box, bx)
+	}
+	b.box = box
+	return box
 }
 
 // reset empties the buffer, retaining capacity.

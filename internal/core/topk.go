@@ -252,48 +252,7 @@ func TopKTNN(env Env, p geom.Point, k int, opt Options) TopKResult {
 		return TopKResult{Metrics: client.Collect(rxS, rxR), Err: cerr}
 	}
 
-	// k-bounded join over the SoA found buffers: keep the k best pairs in
-	// a max-heap. Entries are only materialized on a heap insert.
-	var h pairHeap
-	kth := math.Inf(1)
-	fs, fr := &qs.found, &qr.found
-	for i := range fs.x {
-		// Outer Chebyshev screen: dps >= the gap, so a gap at or past the
-		// k-th distance skips the hypot and the whole inner loop.
-		if max(math.Abs(p.X-fs.x[i]), math.Abs(p.Y-fs.y[i])) >= kth {
-			continue
-		}
-		dps := math.Hypot(p.X-fs.x[i], p.Y-fs.y[i])
-		if dps >= kth {
-			continue
-		}
-		for j := range fr.x {
-			// Chebyshev screen once the heap is full, as in join():
-			// hypot never rounds below its larger leg and rounding is
-			// monotone, so pairs this bound already excludes are exactly
-			// the pairs the full distance would exclude.
-			if len(h) == k {
-				m := max(math.Abs(fs.x[i]-fr.x[j]), math.Abs(fs.y[i]-fr.y[j]))
-				if dps+m >= kth {
-					continue
-				}
-			}
-			t := dps + math.Hypot(fs.x[i]-fr.x[j], fs.y[i]-fr.y[j])
-			if len(h) < k {
-				h.push(Pair{S: fs.entry(i), R: fr.entry(j), Dist: t})
-				if len(h) == k {
-					kth = h[0].Dist
-				}
-			} else if t < kth {
-				h[0] = Pair{S: fs.entry(i), R: fr.entry(j), Dist: t}
-				h.fixTop()
-				kth = h[0].Dist
-			}
-		}
-	}
-	pairs := make([]Pair, len(h))
-	copy(pairs, h)
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Dist < pairs[j].Dist })
+	pairs := joinTopK(p, &qs.found, &qr.found, k)
 	if len(pairs) == 0 {
 		return TopKResult{Metrics: client.Collect(rxS, rxR)}
 	}
@@ -322,6 +281,53 @@ func TopKTNN(env Env, p geom.Point, k int, opt Options) TopKResult {
 		Radius:  d,
 		Err:     err,
 	}
+}
+
+// joinTopK is the k-bounded join over the SoA found buffers: the k best
+// pairs of ss × rs by transitive distance, in ascending order (fewer when
+// there are fewer pairs). A max-heap keeps the k best; entries are only
+// materialized on a heap insert. The screens are join's, against the k-th
+// distance, and the block and per-point screens run only once the heap is
+// full, since until then every pair is kept.
+func joinTopK(p geom.Point, ss, rs *pointBuf, k int) []Pair {
+	var h pairHeap
+	kth := math.Inf(1)
+	boxes := rs.blocks()
+	for i := range ss.x {
+		six, siy := ss.x[i], ss.y[i]
+		dps, far := sDist(p, six, siy, kth)
+		if far {
+			continue
+		}
+		for b := range boxes {
+			if len(h) == k && dps+boxes[b].gap(six, siy) >= kth {
+				continue
+			}
+			for j := b * joinBlock; j < min((b+1)*joinBlock, len(rs.x)); j++ {
+				if len(h) == k {
+					m := max(math.Abs(six-rs.x[j]), math.Abs(siy-rs.y[j]))
+					if dps+m >= kth {
+						continue
+					}
+				}
+				t := dps + math.Hypot(six-rs.x[j], siy-rs.y[j])
+				if len(h) < k {
+					h.push(Pair{S: ss.entry(i), R: rs.entry(j), Dist: t})
+					if len(h) == k {
+						kth = h[0].Dist
+					}
+				} else if t < kth {
+					h[0] = Pair{S: ss.entry(i), R: rs.entry(j), Dist: t}
+					h.fixTop()
+					kth = h[0].Dist
+				}
+			}
+		}
+	}
+	pairs := make([]Pair, len(h))
+	copy(pairs, h)
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Dist < pairs[j].Dist })
+	return pairs
 }
 
 // channelErr tags and returns the first escalation of an (S, R) search
