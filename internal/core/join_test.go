@@ -246,9 +246,6 @@ func sessionJoinInputs() []joinInput {
 // join equals the nested loop, and the inputs have the shape the benchmark
 // claims (a few hundred × about a thousand candidates on average).
 func TestJoinSessionInputs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the CITY and POST broadcasts")
-	}
 	var nS, nR int
 	for i, in := range sessionJoinInputs() {
 		got, gotOK := join(in.p, in.inc, in.hasInc, &in.ss, &in.rs)
