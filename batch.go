@@ -5,8 +5,9 @@ package tnnbcast
 // QueryBatch put that property in the API. All clients of one session run
 // against the SAME broadcast cycles — the System's channels with their
 // configured phases — each with its own query point, algorithm, issue
-// slot, and options, advanced together in global slot order by
-// internal/session's event loop.
+// slot, and options. internal/session's workers run the clients one at a
+// time to completion; clients share only the broadcast, so the order in
+// which they run cannot change what any of them receives.
 //
 // Determinism guarantees:
 //
@@ -14,12 +15,11 @@ package tnnbcast
 //     per client with the same arguments, regardless of batch size, batch
 //     composition, or worker count (clients share only the immutable
 //     broadcast, so they cannot perturb each other).
-//   - With WithBatchWorkers(1) the slot-level interleaving is
-//     deterministic as well: one global event loop, equal-slot ties
-//     resolved by client admission index. With more workers, clients are
-//     sharded round-robin and each shard's loop is internally
-//     deterministic, but the shards execute concurrently — Results are
-//     unaffected, only the cross-shard step order varies.
+//   - With WithBatchWorkers(1) the execution order is deterministic as
+//     well: clients run one after another in admission order. With more
+//     workers, each worker takes the next unstarted client as it finishes
+//     one, so the client→worker assignment varies between runs — Results
+//     are unaffected.
 //
 // When batch beats sequential: in broadcast time, always — N overlapped
 // clients complete within roughly one access-time span instead of N of
@@ -53,9 +53,9 @@ type batchConfig struct {
 }
 
 // WithBatchWorkers sets how many goroutines the session fans its clients
-// across: any n <= 0 selects GOMAXPROCS (the default), and 1 forces the
-// strictly sequential global event loop. Per-client Results are identical
-// for every value.
+// across: any n <= 0 selects GOMAXPROCS (the default), and 1 runs the
+// clients one after another in admission order. Per-client Results are
+// identical for every value.
 func WithBatchWorkers(n int) BatchOption {
 	return func(c *batchConfig) { c.workers = n }
 }
@@ -80,11 +80,10 @@ func (sys *System) NewSession(opts ...BatchOption) *Session {
 }
 
 // Add admits one client and returns its index — the position of its
-// Result in the slice Run returns, and its tie-break rank in the slot-
-// ordered event loop. It validates like Do: an unregistered Algorithm
-// panics with *UnknownAlgorithmError, and a negative issue slot (sessions
-// share one timeline starting at slot 0) panics with *InvalidIssueError
-// (Add's legacy signature has no error result).
+// Result in the slice Run returns. It validates like Do: an unregistered
+// Algorithm panics with *UnknownAlgorithmError, and a negative issue slot
+// (sessions share one timeline starting at slot 0) panics with
+// *InvalidIssueError (Add's legacy signature has no error result).
 func (s *Session) Add(p Point, algo Algorithm, opts ...QueryOption) int {
 	if !validAlgorithm(algo) {
 		panic(&UnknownAlgorithmError{Algo: algo})

@@ -10,7 +10,7 @@ import (
 // outlive the call that was lent it. A Scratch is single-owner by
 // contract ("must not be shared between concurrent queries"); the two
 // sanctioned owners are the method receiver that holds it for reuse
-// (a session worker's arena, a QueryExec) and sync.Pool hand-off.
+// (a session worker, a QueryExec) and sync.Pool hand-off.
 // Everything else — package-level variables, fields of foreign structs,
 // containers not rooted at the receiver — turns buffer reuse into
 // cross-query aliasing, which the scratch-reuse audits can only catch

@@ -7,9 +7,11 @@
 // per-channel Receiver with doze/wake accounting, an arrival-time-ordered
 // candidate queue (the paper's MBR_queue — ordering by arrival instead of
 // distance avoids backtracking on the linear medium), and a lockstep
-// scheduler that advances several search processes in global broadcast
-// order, which is what "simultaneously accessing multiple channels" means
-// operationally.
+// scheduler that advances ONE client's search processes in global
+// broadcast order, which is what "simultaneously accessing multiple
+// channels" means operationally. Separate clients share nothing but the
+// broadcast, so no scheduler orders them against each other: the session
+// engine runs each client's query to completion on its own.
 //
 //tnn:deterministic
 package client

@@ -1,10 +1,5 @@
 package client
 
-import (
-	"math/bits"
-	"slices"
-)
-
 // Process is one stepwise search running on one channel. The lockstep
 // scheduler drives processes in global broadcast-time order, which models a
 // client whose radios on all channels share one timeline.
@@ -40,10 +35,7 @@ func RunParallel(procs ...Process) {
 // relied upon — within one query the S-channel process is always passed
 // before the R-channel process, so equal-slot races resolve in channel
 // order, identically on every run. Callers composing processes from
-// several sources (several queries, several clients) must therefore pass
-// them in a canonical order; when the set is assembled dynamically, use
-// Sched, whose explicit registration keys make the tie-break independent
-// of insertion order.
+// several sources must therefore pass them in a canonical order.
 func StepEarliest(procs ...Process) bool {
 	bestIdx := -1
 	var bestSlot int64
@@ -79,370 +71,4 @@ func RunSequential(procs ...Process) {
 			p.Step()
 		}
 	}
-}
-
-// calEntry is one registered process with its cached next-action slot.
-// The process itself lives in the scheduler's registry; the entry carries
-// only its index, keeping calendar buckets pointer-free — appends and
-// cascades move plain words with no write barriers, and the GC never
-// scans the wheels.
-type calEntry struct {
-	slot int64
-	key  int64
-	idx  int32
-}
-
-// The calendar geometry: 256 buckets per level, one slot per level-0
-// bucket, each higher level 256× coarser. Eight levels cover every
-// non-negative int64 slot, so there is no overflow list.
-const (
-	calBits   = 8
-	calSlots  = 1 << calBits
-	calMask   = calSlots - 1
-	calLevels = 8
-)
-
-// calLevel is one wheel: 256 buckets plus an occupancy bitmap so the
-// cursor can jump over empty buckets in O(1) instead of scanning slot by
-// slot (broadcast timelines are sparse — a client may doze for most of a
-// cycle between actions).
-type calLevel struct {
-	occ    [calSlots / 64]uint64
-	bucket [calSlots][]calEntry
-}
-
-// Sched is a slot-ordered multi-process scheduler for dynamically
-// assembled process sets — many clients sharing one broadcast timeline.
-// Unlike StepEarliest, whose equal-slot tie-break is the argument position,
-// Sched resolves ties by an EXPLICIT per-process key supplied at Add time
-// (client index, channel number, …), so the step sequence is a pure
-// function of the registered (key, process) set: permuting the Add order
-// changes nothing.
-//
-// Implementation: a hierarchical slot calendar (timing wheel), not a heap.
-// The broadcast timeline is monotone — a stepped process never wants to
-// act before the slot it just acted at — so the dispatch cursor only moves
-// forward, and an entry can be filed under its slot's bucket in O(1):
-// level l holds entries 256^l .. 256^(l+1)-1 slots ahead of the cursor,
-// each level is a 256-bucket wheel with an occupancy bitmap, and entries
-// cascade one level down as the cursor enters their super-bucket. Insert
-// and pop are O(1) amortized (each entry cascades through at most
-// log256(horizon) ≤ 8 levels), versus the heap's O(log n) pointer-chasing
-// sift per step — the difference between scheduler-bound and compute-bound
-// once n is tens of thousands of concurrent clients. Equal-slot ties cost
-// one key sort of the colliding bucket when it becomes current; colliding
-// slots are exactly the shared fan-out moments where many clients download
-// the same page.
-//
-// Contract: stepping one registered process must not change another's
-// Peek result, and a stepped process's next Peek slot must not be EARLIER
-// than the slot it acted at (time moves forward; every broadcast search
-// satisfies this because receivers only doze forward). A process that
-// reports an earlier slot anyway is treated as due at the current slot.
-// Independent clients satisfy the isolation contract trivially (they share
-// only the immutable broadcast); processes that mutate each other — such
-// as the two redirecting searches inside one Hybrid-NN query — must be
-// wrapped in a single composite Process before registration.
-type Sched struct {
-	cur    int64      // current dispatch slot
-	n      int        // registered, not-yet-finished processes
-	now    []calEntry // entries due at cur, sorted by ascending key
-	nowIdx int        // next unconsumed entry in now
-	maxLvl int        // highest level in use (bounds Reset's sweep)
-	procs  []Process  // registry; calEntry.idx points here
-	free   []int32    // recycled registry slots
-	level  [calLevels]*calLevel
-}
-
-// Add registers p under the given tie-break key. A process that is already
-// done is not enqueued. Keys should be unique; processes registered under
-// equal keys dispatch in an unspecified (but deterministic for a fixed Add
-// order) sequence, which is exactly the instability Sched exists to avoid.
-// Add may be called while a Run is in progress — streaming admission —
-// and schedules the process relative to the current dispatch slot.
-func (s *Sched) Add(key int64, p Process) {
-	slot, done := p.Peek()
-	if done {
-		return
-	}
-	s.n++
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-		s.procs[idx] = p
-	} else {
-		idx = int32(len(s.procs))
-		s.procs = append(s.procs, p)
-	}
-	s.schedule(calEntry{slot: slot, key: key, idx: idx})
-}
-
-// release drops a finished process from the registry and recycles its slot.
-func (s *Sched) release(idx int32) {
-	s.procs[idx] = nil
-	s.free = append(s.free, idx)
-}
-
-// Len returns the number of processes still scheduled.
-func (s *Sched) Len() int { return s.n }
-
-// schedule files e under its slot: into the sorted current-slot run when
-// the slot is due, else into bucket (slot>>8l)&255 of the level at which
-// slot and the cursor first differ — the level whose wheel the cursor is
-// currently sweeping through e's super-block, so e's bucket is always
-// ahead of the cursor position at that level and is found by the bitmap
-// scan before the cursor leaves the block.
-func (s *Sched) schedule(e calEntry) {
-	if e.slot <= s.cur {
-		s.insertNow(e)
-		return
-	}
-	l := (bits.Len64(uint64(e.slot^s.cur)) - 1) / calBits
-	lv := s.level[l]
-	if lv == nil {
-		lv = new(calLevel)
-		s.level[l] = lv
-		if l > s.maxLvl {
-			s.maxLvl = l
-		}
-	}
-	b := int(uint64(e.slot)>>(uint(l)*calBits)) & calMask
-	lv.bucket[b] = append(lv.bucket[b], e)
-	lv.occ[b>>6] |= 1 << (b & 63)
-}
-
-// cmpEntryKey is the one key comparator both the current-slot insertion
-// (insertNow) and the bucket dispatch sort (sortByKey) use — the
-// equal-slot order must come from a single definition.
-func cmpEntryKey(a, b calEntry) int {
-	switch {
-	case a.key < b.key:
-		return -1
-	case a.key > b.key:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// insertNow splices e into the unconsumed portion of the current-slot run,
-// keeping it sorted by key — the (slot, key) dispatch order for late
-// arrivals at the slot being dispatched.
-func (s *Sched) insertNow(e calEntry) {
-	i, _ := slices.BinarySearchFunc(s.now[s.nowIdx:], e, cmpEntryKey)
-	i += s.nowIdx
-	s.now = append(s.now, calEntry{})
-	copy(s.now[i+1:], s.now[i:])
-	s.now[i] = e
-}
-
-// sortByKey orders a colliding bucket by ascending key — one sort per
-// slot that several processes share. Buckets are small outside extreme
-// fan-out moments, so a branch-predictable insertion sort without a
-// comparator closure beats the generic sort; big buckets fall back to it.
-func sortByKey(e []calEntry) {
-	if len(e) <= 1 {
-		return
-	}
-	// Colliding entries were themselves dispatched in key order at their
-	// previous slot, so buckets usually arrive already sorted — an O(n)
-	// check dodges the sort entirely.
-	sorted := true
-	for i := 1; i < len(e); i++ {
-		if e[i-1].key > e[i].key {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return
-	}
-	if len(e) > 48 {
-		slices.SortFunc(e, cmpEntryKey)
-		return
-	}
-	for i := 1; i < len(e); i++ {
-		v := e[i]
-		j := i - 1
-		for j >= 0 && e[j].key > v.key {
-			e[j+1] = e[j]
-			j--
-		}
-		e[j+1] = v
-	}
-}
-
-// nextSet returns the lowest set bit position >= from in the bitmap, or
-// ok == false when none remains.
-func nextSet(occ *[calSlots / 64]uint64, from int) (int, bool) {
-	if from >= calSlots {
-		return 0, false
-	}
-	w := from >> 6
-	word := occ[w] &^ ((1 << (uint(from) & 63)) - 1)
-	for {
-		if word != 0 {
-			return w<<6 + bits.TrailingZeros64(word), true
-		}
-		w++
-		if w >= len(occ) {
-			return 0, false
-		}
-		word = occ[w]
-	}
-}
-
-// refill advances the cursor to the next occupied slot and loads its
-// entries into the current-slot run. Higher-level buckets cascade down as
-// the cursor enters their span. It reports false when no entry remains.
-func (s *Sched) refill() bool {
-	if s.n == 0 {
-		return false
-	}
-	for {
-		// A cascade below may have filed entries due exactly at the (new)
-		// cursor slot into the current-slot run; they precede anything a
-		// bucket scan could find.
-		if s.nowIdx < len(s.now) {
-			return true
-		}
-		// Level 0 next: the next occupied slot within the cursor's
-		// 256-slot block is the global minimum (higher levels only hold
-		// farther slots).
-		if lv := s.level[0]; lv != nil {
-			pos := int(uint64(s.cur)) & calMask
-			if b, ok := nextSet(&lv.occ, pos+1); ok {
-				old := s.now
-				s.now = lv.bucket[b]
-				lv.bucket[b] = old[:0]
-				lv.occ[b>>6] &^= 1 << (b & 63)
-				s.nowIdx = 0
-				s.cur = (s.cur &^ calMask) | int64(b)
-				sortByKey(s.now)
-				return true
-			}
-		}
-		// The cursor's block is exhausted: cascade the next occupied
-		// super-bucket of the lowest level that has one.
-		cascaded := false
-		for l := 1; l <= s.maxLvl; l++ {
-			lv := s.level[l]
-			if lv == nil {
-				continue
-			}
-			shift := uint(l) * calBits
-			pos := int(uint64(s.cur)>>shift) & calMask
-			b, ok := nextSet(&lv.occ, pos+1)
-			if !ok {
-				continue
-			}
-			// Jump the cursor to the super-bucket's first slot and
-			// re-file its entries: each lands at a level below l (its
-			// distance is now under 256^l), or in the current-slot run.
-			s.cur = (s.cur &^ (int64(1)<<(shift+calBits) - 1)) | int64(b)<<shift
-			ents := lv.bucket[b]
-			lv.bucket[b] = nil
-			lv.occ[b>>6] &^= 1 << (b & 63)
-			for _, e := range ents {
-				s.schedule(e)
-			}
-			lv.bucket[b] = ents[:0]
-			cascaded = true
-			break
-		}
-		if !cascaded {
-			return false // n > 0 implies unreachable; defensive
-		}
-	}
-}
-
-// head returns the entry to dispatch next, refilling the current-slot run
-// as needed, or nil when every process is done.
-func (s *Sched) head() *calEntry {
-	for {
-		if s.nowIdx < len(s.now) {
-			return &s.now[s.nowIdx]
-		}
-		if !s.refill() {
-			return nil
-		}
-	}
-}
-
-// PeekSlot returns the slot of the next dispatch — the scheduler's current
-// position on the shared timeline — without stepping. ok is false when
-// every process is done. Streaming admission uses this to admit clients
-// the moment the timeline reaches their issue slot.
-func (s *Sched) PeekSlot() (slot int64, ok bool) {
-	if s.head() == nil {
-		return 0, false
-	}
-	return s.cur, true
-}
-
-// StepEarliest advances by one step the scheduled process with the
-// smallest (slot, key) and reschedules it at its new next-action slot. It
-// returns the stepped process (with its registration key) and whether that
-// step finished it — the hook a session needs to emit the client's result
-// and recycle its state the moment it completes. ok is false (no step
-// taken) when every process is done.
-func (s *Sched) StepEarliest() (p Process, key int64, finished, ok bool) {
-	e := s.head()
-	if e == nil {
-		return nil, 0, false, false
-	}
-	p = s.procs[e.idx]
-	p.Step()
-	slot, done := p.Peek()
-	if done {
-		s.n--
-		s.nowIdx++
-		s.release(e.idx)
-		return p, e.key, true, true
-	}
-	if slot <= s.cur {
-		// Still due at the current slot (a zero-air-time action such as a
-		// prune): it keeps the head position — its key is the smallest
-		// among the remaining current-slot entries.
-		return p, e.key, false, true
-	}
-	s.nowIdx++
-	s.schedule(calEntry{slot: slot, key: e.key, idx: e.idx})
-	return p, e.key, false, true
-}
-
-// Run drives the scheduled processes until all are done.
-func (s *Sched) Run() {
-	for {
-		if _, _, _, ok := s.StepEarliest(); !ok {
-			return
-		}
-	}
-}
-
-// Reset empties the scheduler, retaining the backing storage (buckets,
-// levels, current-slot run, registry) for reuse. Entries are pointer-free;
-// only the registry needs clearing so finished processes are released.
-func (s *Sched) Reset() {
-	s.now = s.now[:0]
-	s.nowIdx = 0
-	for l := 0; l <= s.maxLvl; l++ {
-		lv := s.level[l]
-		if lv == nil {
-			continue
-		}
-		for w := range lv.occ {
-			for lv.occ[w] != 0 {
-				b := w<<6 + bits.TrailingZeros64(lv.occ[w])
-				lv.occ[w] &^= 1 << (b & 63)
-				lv.bucket[b] = lv.bucket[b][:0]
-			}
-		}
-	}
-	clear(s.procs)
-	s.procs = s.procs[:0]
-	s.free = s.free[:0]
-	s.cur = 0
-	s.n = 0
 }

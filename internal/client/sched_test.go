@@ -2,14 +2,13 @@ package client
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 )
 
 // scriptProc is a fake Process acting at a fixed sequence of slots,
 // recording each step into a shared log. Equal slots across processes are
-// the interesting case: they exercise the schedulers' tie-breaks.
+// the interesting case: they exercise the scheduler's tie-break.
 type scriptProc struct {
 	name  string
 	slots []int64
@@ -39,288 +38,5 @@ func TestStepEarliestTieBreak(t *testing.T) {
 	want := []string{"a@5", "a@5", "b@5", "b@7", "a@9", "b@9"}
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("step sequence %v, want %v", log, want)
-	}
-}
-
-// TestSchedPermutationInvariance is the regression test for the latent
-// tie-break nondeterminism: StepEarliest resolves equal slots by argument
-// position, so assembling the same process set in a different order used
-// to yield a different step interleaving. Sched keys the tie-break
-// explicitly; the step sequence must be identical under every permutation
-// of the Add order.
-func TestSchedPermutationInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-
-	// Slot scripts with plenty of deliberate collisions.
-	mkProcs := func(log *[]string) []*scriptProc {
-		scripts := [][]int64{
-			{3, 3, 8, 12, 12},
-			{3, 5, 8, 12},
-			{1, 3, 8, 9, 12, 12},
-			{3, 8, 8, 12},
-			{2, 3, 8, 12, 15},
-		}
-		ps := make([]*scriptProc, len(scripts))
-		for i, s := range scripts {
-			ps[i] = &scriptProc{name: fmt.Sprintf("p%d", i), slots: s, log: log}
-		}
-		return ps
-	}
-
-	runPermuted := func(order []int) []string {
-		var log []string
-		ps := mkProcs(&log)
-		var sched Sched
-		for _, i := range order {
-			sched.Add(int64(i), ps[i]) // key = process identity, not insertion order
-		}
-		sched.Run()
-		return log
-	}
-
-	base := runPermuted([]int{0, 1, 2, 3, 4})
-	for trial := 0; trial < 20; trial++ {
-		order := rng.Perm(5)
-		got := runPermuted(order)
-		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("Add order %v changed the step sequence:\n got %v\nwant %v",
-				order, got, base)
-		}
-	}
-
-	// And the keyed sequence matches StepEarliest's canonical-order run,
-	// so Sched is a drop-in for correctly ordered argument lists.
-	var log []string
-	ps := mkProcs(&log)
-	procs := make([]Process, len(ps))
-	for i, p := range ps {
-		procs[i] = p
-	}
-	RunParallel(procs...)
-	if !reflect.DeepEqual(log, base) {
-		t.Fatalf("Sched sequence diverges from canonical StepEarliest order:\n got %v\nwant %v",
-			base, log)
-	}
-}
-
-// TestSchedSkipsDoneAndDrains covers Add of already-done processes and the
-// empty scheduler.
-func TestSchedSkipsDoneAndDrains(t *testing.T) {
-	var log []string
-	done := &scriptProc{name: "done", slots: nil, log: &log}
-	live := &scriptProc{name: "live", slots: []int64{4}, log: &log}
-	var s Sched
-	s.Add(0, done)
-	s.Add(1, live)
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d after adding one done and one live process", s.Len())
-	}
-	s.Run()
-	if _, _, _, ok := s.StepEarliest(); ok {
-		t.Fatal("StepEarliest on drained scheduler reported a step")
-	}
-	if !reflect.DeepEqual(log, []string{"live@4"}) {
-		t.Fatalf("log = %v", log)
-	}
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after Reset", s.Len())
-	}
-}
-
-// heapRef is a trivially correct min-scan scheduler used as the
-// differential oracle for the slot-calendar implementation: dispatch by
-// smallest (slot, key) under the same monotone clock — a process whose
-// next slot lies behind the dispatch clock (a late streaming admission)
-// is due immediately.
-type heapRef struct {
-	cur int64
-	h   []struct {
-		slot, key int64
-		p         Process
-	}
-}
-
-func (r *heapRef) add(key int64, p Process) {
-	slot, done := p.Peek()
-	if done {
-		return
-	}
-	slot = max(slot, r.cur)
-	r.h = append(r.h, struct {
-		slot, key int64
-		p         Process
-	}{slot, key, p})
-}
-
-func (r *heapRef) minSlot() (int64, bool) {
-	best := false
-	var slot int64
-	for i := range r.h {
-		if !best || r.h[i].slot < slot {
-			slot, best = r.h[i].slot, true
-		}
-	}
-	return slot, best
-}
-
-func (r *heapRef) step() (int64, bool) {
-	best := -1
-	for i := range r.h {
-		if best == -1 || r.h[i].slot < r.h[best].slot ||
-			(r.h[i].slot == r.h[best].slot && r.h[i].key < r.h[best].key) {
-			best = i
-		}
-	}
-	if best == -1 {
-		return 0, false
-	}
-	key := r.h[best].key
-	r.cur = r.h[best].slot
-	r.h[best].p.Step()
-	slot, done := r.h[best].p.Peek()
-	if done {
-		r.h = append(r.h[:best], r.h[best+1:]...)
-	} else {
-		r.h[best].slot = max(slot, r.cur)
-	}
-	return key, true
-}
-
-// TestSchedMatchesReference drives random monotone slot scripts — big
-// level-crossing jumps, dense equal-slot collisions, repeated zero-advance
-// actions, streaming mid-run Adds — through the calendar scheduler and the
-// reference min-scan scheduler and requires the identical step sequence,
-// including the keys StepEarliest reports.
-func TestSchedMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(271828))
-	jump := func() int64 {
-		switch rng.Intn(6) {
-		case 0:
-			return 0 // stay on the slot (zero-air-time action)
-		case 1:
-			return int64(rng.Intn(4)) // dense neighborhood
-		case 2:
-			return int64(rng.Intn(300)) // crosses level-0 blocks
-		case 3:
-			return int64(rng.Intn(70000)) // level 1
-		case 4:
-			return int64(rng.Intn(20_000_000)) // level 2-3
-		default:
-			return int64(rng.Intn(40))
-		}
-	}
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(30)
-		scripts := make([][]int64, n)
-		for i := range scripts {
-			slot := int64(rng.Intn(1000))
-			steps := rng.Intn(40)
-			scripts[i] = make([]int64, steps)
-			for j := range scripts[i] {
-				scripts[i][j] = slot
-				slot += jump()
-			}
-		}
-		// Late arrivals: admit the second half of the processes only when
-		// the dispatch slot passes their first action slot, like the
-		// session engine's streaming admission does.
-		lateFrom := n / 2
-
-		var calLog, refLog []string
-		mk := func(log *[]string) []*scriptProc {
-			ps := make([]*scriptProc, n)
-			for i := range ps {
-				ps[i] = &scriptProc{name: fmt.Sprintf("p%d", i), slots: scripts[i], log: log}
-			}
-			return ps
-		}
-
-		ps := mk(&calLog)
-		var s Sched
-		for i := 0; i < lateFrom; i++ {
-			s.Add(int64(i), ps[i])
-		}
-		pending := lateFrom
-		for {
-			for pending < n {
-				slot, ok := s.PeekSlot()
-				first := int64(0)
-				if len(scripts[pending]) > 0 {
-					first = scripts[pending][0]
-				}
-				if !ok || slot >= first {
-					s.Add(int64(pending), ps[pending])
-					pending++
-					continue
-				}
-				break
-			}
-			if _, _, _, ok := s.StepEarliest(); !ok {
-				if pending == n {
-					break
-				}
-			}
-		}
-
-		// Reference run with the same admission policy.
-		rs := mk(&refLog)
-		var ref heapRef
-		for i := 0; i < lateFrom; i++ {
-			ref.add(int64(i), rs[i])
-		}
-		pending = lateFrom
-		for {
-			for pending < n {
-				// Mirror PeekSlot: admission observes the NEXT dispatch
-				// slot, and a late process enters the timeline there.
-				slot, okRef := ref.minSlot()
-				if okRef {
-					ref.cur = max(ref.cur, slot)
-				}
-				first := int64(0)
-				if len(scripts[pending]) > 0 {
-					first = scripts[pending][0]
-				}
-				if !okRef || slot >= first {
-					ref.add(int64(pending), rs[pending])
-					pending++
-					continue
-				}
-				break
-			}
-			if _, ok := ref.step(); !ok {
-				if pending == n {
-					break
-				}
-			}
-		}
-
-		if !reflect.DeepEqual(calLog, refLog) {
-			t.Fatalf("trial %d: calendar dispatch diverges from reference\n cal %v\n ref %v",
-				trial, calLog, refLog)
-		}
-	}
-}
-
-// TestSchedLevelCrossing pins the wheel mechanics directly: entries that
-// land in high levels (far-future slots) must dispatch in exact slot
-// order after cascading down, including an entry sitting just across a
-// 256-block boundary from the cursor.
-func TestSchedLevelCrossing(t *testing.T) {
-	var log []string
-	mk := func(name string, slots ...int64) *scriptProc {
-		return &scriptProc{name: name, slots: slots, log: &log}
-	}
-	var s Sched
-	s.Add(3, mk("far", 1<<40))
-	s.Add(2, mk("mid", 70000, 70001))
-	s.Add(1, mk("edge", 255, 256)) // crosses the first level-0 block
-	s.Add(0, mk("near", 250, 511))
-	s.Run()
-	want := []string{"near@250", "edge@255", "edge@256", "near@511",
-		"mid@70000", "mid@70001", "far@1099511627776"}
-	if !reflect.DeepEqual(log, want) {
-		t.Fatalf("dispatch order %v, want %v", log, want)
 	}
 }

@@ -1,18 +1,15 @@
 package core
 
-// This file makes one TNN query a RESUMABLE process. The four algorithm
-// functions in algorithms.go used to drive their searches to completion in
-// one call, which welds a query to its own private event loop — fine for a
-// single client, useless for a session where thousands of clients share
-// one broadcast timeline and must interleave at slot granularity.
-// QueryExec is the same estimate–filter execution unrolled into an
-// explicit state machine: Peek reports the next slot at which the query
-// wants to act, Step performs exactly one action. A query driven by the
-// trivial peek/step loop performs the identical sequence of receiver
-// operations as the old monolithic functions — the golden metrics prove it
-// bit-for-bit — and a query driven by a multi-client scheduler interleaves
-// with other clients without changing its own trajectory, because clients
-// share only the immutable broadcast programs.
+// This file makes one TNN query a RESUMABLE process. QueryExec is the
+// estimate–filter execution unrolled into an explicit state machine: Peek
+// reports the next slot at which the query wants to act, Step performs
+// exactly one action. Every driver — core.Run, the session engine's
+// workers, the streaming Cursor — runs it with the same trivial
+// peek/step loop, which performs the identical sequence of receiver
+// operations as the monolithic algorithm functions (the golden metrics
+// prove it bit-for-bit). Because clients share only the immutable
+// broadcast programs, one query's trajectory never depends on which other
+// queries ran before it or beside it.
 
 import (
 	"fmt"
@@ -111,13 +108,13 @@ const (
 )
 
 // QueryExec is one TNN query as a stepwise process. It implements
-// client.Process, so a single query can be driven by RunParallel and a
-// whole session of queries by client.Sched. Obtain one with Reset; when
-// Peek reports done, Result holds the outcome.
+// client.Process, so it can be driven by the lockstep scheduler or any
+// peek/step loop. Obtain one with Reset; when Peek reports done, Result
+// holds the outcome.
 //
 // A QueryExec holds its Options.Scratch for the lifetime of the query, so
-// concurrently live executions (a session) need one Scratch each — unlike
-// sequential queries, which can recycle a single scratch.
+// concurrently live executions need one Scratch each; queries run one
+// after another (a session worker) can recycle a single scratch.
 type QueryExec struct {
 	env  Env
 	p    geom.Point

@@ -26,11 +26,9 @@ package experiments
 // where the entire population is concurrently live. With Window = w > 0
 // the clients ARRIVE over w cycles (sorted issue slots with uniformly
 // random gaps): a live population whose concurrency is set by arrival
-// rate × per-client lifetime, not by N. The second shape is the one the
-// engine's streaming admission targets, and it is mandatory above
-// SeqBaselineCap clients — a million always-concurrent clients is a
-// memory wall by construction, a million arriving clients is an evening
-// of traffic.
+// rate × per-client lifetime, not by N. The second shape is a live
+// arrival process — a million arriving clients is an evening of traffic —
+// and the ladder requires it above SeqBaselineCap clients.
 //
 // At every ladder point the batch results are checksummed (a
 // position-tagged FNV fold, order-independent); with Config.VerifyWorkers
@@ -83,8 +81,7 @@ type clientWorkload struct {
 // points, algorithms round-robin by client index, and issue slots per the
 // configured shape — independent uniform draws over one S cycle when
 // window == 0 (every client concurrently live), or sorted arrivals spread
-// over window cycles (a live population; required for the engine's
-// bounded-memory admission to bound anything).
+// over window cycles (a live population).
 func multiClientWorkload(seed int64, p Pairing, b built, n int, window float64) clientWorkload {
 	cycle := b.progS.CycleLen()
 	w := clientWorkload{n: n, issues: make([]int64, n)}
@@ -290,8 +287,8 @@ func runMultiClient(env core.Env, w clientWorkload, workers int, verify bool) mu
 
 // MultiClient is the "clients" experiment: the N ladder × four algorithms,
 // aggregate access/tune-in per algorithm, the two throughput ratios, and
-// the engine-scale columns — scheduler steps per second, peak concurrently
-// live clients, and peak heap bytes per client.
+// the engine-scale columns — execution steps per second and peak heap
+// bytes per client.
 func MultiClient(cfg Config) *Table {
 	cfg = cfg.Defaults()
 	counts := cfg.Clients
@@ -326,12 +323,12 @@ func MultiClient(cfg Config) *Table {
 		ID:     "clients",
 		Title:  fmt.Sprintf("Shared-cycle sessions: N concurrent clients vs. N sequential queries (UNIF 10k×10k, %s)", shape),
 		XLabel: "clients",
-		Metric: "AT/TI = mean access/tune-in pages per algorithm; q/s wall-clock; air-x = broadcast-slot speedup; steps/s, peak-live, peak-B/client = engine scale",
+		Metric: "AT/TI = mean access/tune-in pages per algorithm; q/s wall-clock; air-x = broadcast-slot speedup; steps/s, peak-B/client = engine scale",
 		Columns: []string{
 			"AT(W)", "AT(D)", "AT(H)", "AT(A)",
 			"TI(W)", "TI(D)", "TI(H)", "TI(A)",
 			"Seq-q/s", "Batch-q/s", "Wall-x", "Air-x",
-			"Steps/s", "Peak-live", "Peak-B/client",
+			"Steps/s", "Peak-B/client",
 			"Lost/client",
 		},
 	}
@@ -365,7 +362,6 @@ func MultiClient(cfg Config) *Table {
 			ti[0], ti[1], ti[2], ti[3],
 			seqQPS, batchQPS, wallX, airX,
 			float64(run.stats.Steps)/run.batchSecs,
-			float64(run.stats.PeakLive),
 			float64(run.peakHeap)/float64(n),
 			float64(run.stats.Lost)/float64(n),
 		)

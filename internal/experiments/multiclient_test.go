@@ -29,7 +29,7 @@ func TestMultiClientBatchMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(run.seqResults, run.batchResults) {
 		t.Fatal("session results diverge from the sequential loop")
 	}
-	if run.stats.Steps <= int64(run.n) || run.stats.PeakLive < 1 {
+	if run.stats.Steps <= int64(run.n) || run.stats.Clients != run.n {
 		t.Fatalf("implausible engine stats: %+v", run.stats)
 	}
 
@@ -57,8 +57,8 @@ func TestMultiClientTable(t *testing.T) {
 	if tab.ID != "clients" || len(tab.Rows) != 2 {
 		t.Fatalf("table shape: id=%q rows=%d", tab.ID, len(tab.Rows))
 	}
-	if len(tab.Columns) != 16 {
-		t.Fatalf("expected 16 columns, got %d", len(tab.Columns))
+	if len(tab.Columns) != 15 {
+		t.Fatalf("expected 15 columns, got %d", len(tab.Columns))
 	}
 	for _, row := range tab.Rows {
 		for j := 0; j < 8; j++ { // AT/TI aggregates must be positive

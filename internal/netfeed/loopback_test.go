@@ -312,7 +312,9 @@ var p0 = tnnbcast.Pt(19500, 20500)
 
 // TestLoopbackSessionBatch runs the shared-cycle session engine over the
 // wire: a batch of clients with staggered issue slots must produce
-// bit-identical per-client results to the in-process engine.
+// bit-identical per-client results to the in-process engine, with the
+// default worker count and with two. A later client asks for slots an
+// earlier one has already passed; the server replays them.
 func TestLoopbackSessionBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time loopback broadcast")
@@ -339,11 +341,13 @@ func TestLoopbackSessionBatch(t *testing.T) {
 			Opts:  []tnnbcast.QueryOption{tnnbcast.WithIssue(base + int64(i*7))},
 		})
 	}
-	remote := rs.QueryBatch(queries)
 	local := twin.QueryBatch(queries)
-	for i := range queries {
-		if d := diffResult(remote[i], local[i]); d != "" {
-			t.Errorf("client %d (%v): %s", i, queries[i].Algo, d)
+	for _, workers := range []int{0, 2} { // 0: the GOMAXPROCS default
+		remote := rs.QueryBatch(queries, tnnbcast.WithBatchWorkers(workers))
+		for i := range queries {
+			if d := diffResult(remote[i], local[i]); d != "" {
+				t.Errorf("workers=%d client %d (%v): %s", workers, i, queries[i].Algo, d)
+			}
 		}
 	}
 }

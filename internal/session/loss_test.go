@@ -3,6 +3,7 @@ package session
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tnnbcast/internal/broadcast"
@@ -43,8 +44,8 @@ func makeLossyEnv(t testing.TB, spec broadcast.IndexSpec, dual bool, fm broadcas
 
 // TestSessionLossWorkerInvariance: with faults on the shared medium, the
 // same fault seed and dataset must produce bit-identical per-client
-// Results and Stats (PeakLive excepted — it depends on how clients land
-// on workers) across workers = 1, 4, 16, for both index families and the
+// Results and Stats (PeakLive excepted — it counts the workers that ran a
+// client) across workers = 1, 4, 16, for both index families and the
 // DualChannel layout. Faults are a pure function of (seed, slot), so no
 // worker count may see a different air.
 func TestSessionLossWorkerInvariance(t *testing.T) {
@@ -66,6 +67,7 @@ func TestSessionLossWorkerInvariance(t *testing.T) {
 			var wantRes []core.Result
 			var wantStats Stats
 			for _, workers := range []int{1, 4, 16} {
+				var mu sync.Mutex // emit runs concurrently with workers > 1
 				var got []core.Result
 				stats, err := New(env, workers).RunStream(
 					func(yield func(Query) bool) {
@@ -76,6 +78,8 @@ func TestSessionLossWorkerInvariance(t *testing.T) {
 						}
 					},
 					func(client int, res core.Result) {
+						mu.Lock()
+						defer mu.Unlock()
 						for len(got) <= client {
 							got = append(got, core.Result{})
 						}

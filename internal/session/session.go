@@ -1,31 +1,30 @@
-// Package session is the shared-cycle multi-client engine: it advances
-// many concurrent TNN query executions against ONE pair of broadcast
-// channel feeds, in global slot order. This is the operational meaning of
-// the paper's system model — a broadcast cycle costs the server the same
-// whether one client or a million are tuned in, so the simulator must be
-// able to put millions of concurrent searches on the same slot timeline,
-// not replay the cycles once per query.
+// Package session is the shared-cycle multi-client engine: it runs many
+// TNN queries against ONE pair of broadcast channel feeds. This is the
+// operational meaning of the paper's system model — a broadcast cycle
+// costs the server the same whether one client or a million are tuned in,
+// so every client tunes in on the same slot timeline instead of the
+// cycles being replayed once per query.
 //
-// Determinism. Every client owns its receivers, searches, and scratch;
-// clients share only the immutable broadcast programs (read through a
-// per-worker memo layer that caches pure arrival/page answers). One
-// client's step therefore never changes another client's trajectory, and
-// the engine's per-client Results are bit-identical to running the same
-// queries one at a time through the algorithm functions — for every worker
-// count and for every admission interleaving. With one worker the
-// interleaving is deterministic too: the event loop uses client.Sched's
-// slot calendar, whose equal-slot tie-break is the explicit client index,
-// so the global step sequence is a pure function of the query stream.
+// Execution model. Clients share only the immutable broadcast, and a
+// reception is a pure function of (program, fault seed, slot), so the
+// order in which the engine steps its clients cannot change any Result.
+// Each worker therefore runs one client at a time to completion: it takes
+// the next query from the shared stream, drives one pooled execution state
+// machine and scratch through the same peek/step loop as core.Run, emits
+// the Result, and takes the next query. A client's working set stays hot
+// for its whole lifetime.
 //
-// Cost model. The engine's peak memory tracks CONCURRENT clients, not
-// total clients: a client is admitted only when the timeline reaches its
-// issue slot, and the moment it completes its result is emitted and its
-// execution state (scratch, state machine) returns to a per-worker pool
-// for the next admission. A stream of a million queries whose lifetimes
-// overlap ten thousand at a time costs ten thousand clients' memory.
-// Scheduling is O(1) amortized per step (a hierarchical slot calendar,
-// not a heap), so throughput no longer degrades with the number of
-// concurrent clients.
+// Determinism. Per-client Results are bit-identical to running the same
+// queries one at a time through core.Run, for every worker count. Workers
+// read the feeds through a per-worker memo layer that caches pure
+// arrival/page answers, which cannot change what any client receives.
+// With one worker the emits also fire in stream order.
+//
+// Cost model. A worker holds one client's execution state at a time, so
+// the engine's memory is proportional to the worker count — independent
+// of the stream length and of how many clients overlap on the timeline. A
+// client costs what core.Run costs on a memoized feed, plus one
+// mutex-guarded pull from the stream.
 //
 //tnn:deterministic
 package session
@@ -33,13 +32,11 @@ package session
 import (
 	"fmt"
 	"iter"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
 
 	"tnnbcast/internal/broadcast"
-	"tnnbcast/internal/client"
 	"tnnbcast/internal/core"
 	"tnnbcast/internal/geom"
 )
@@ -50,13 +47,10 @@ import (
 // field is engine-owned and ignored if set.
 //
 // Admissible issue slots: Opt.Issue must be >= 0 — slot 0 is the start of
-// the shared broadcast timeline, and the engine admits each client when
-// the timeline reaches its issue slot. Negative issue slots are rejected
-// with *InvalidIssueError. Duplicate issue slots are fine (any number of
-// clients may tune in at the same slot; equal-slot ties dispatch by client
-// index), and far-future issue slots are fine too — a client issued a
-// million slots ahead simply costs no memory until the timeline gets
-// there.
+// the shared broadcast timeline, and a client tunes in at its issue slot.
+// Negative issue slots are rejected with *InvalidIssueError. Duplicate and
+// far-future issue slots are fine: any number of clients may tune in at
+// the same slot, and the stream need not be sorted by issue slot.
 type Query struct {
 	Point geom.Point
 	Algo  core.Algo
@@ -79,16 +73,16 @@ func (e *InvalidIssueError) Error() string {
 
 // Stats reports one run's execution counters.
 type Stats struct {
-	// Clients is the number of clients admitted (and, absent an error,
-	// completed).
+	// Clients is the number of clients taken from the stream (and,
+	// absent an error, completed).
 	Clients int
-	// Steps is the total number of scheduler steps across all workers —
-	// the unit the session benchmarks report throughput in.
+	// Steps is the total number of execution steps (Executor.Step calls)
+	// across all workers — the unit the session benchmarks report
+	// throughput in.
 	Steps int64
-	// PeakLive is the peak number of concurrently live clients, summed
-	// over the per-worker peaks: the concurrency that bounds the engine's
-	// memory (one scratch and one execution state machine per live
-	// client).
+	// PeakLive is the peak number of concurrently live clients. A worker
+	// runs one client at a time, so this is the number of workers that
+	// ran at least one client: at most the worker count.
 	PeakLive int
 	// Lost, Retries, and RecoverySlots aggregate the loss accounting of
 	// every completed client's Result (see client.Metrics). All zero on
@@ -109,18 +103,16 @@ type Engine struct {
 
 // New creates an engine over the environment. workers is the number of
 // goroutines a Run fans its clients across: any value <= 0 means
-// GOMAXPROCS, 1 forces the strictly sequential global event loop; because
-// clients are independent, the per-client Results are identical for every
-// worker count.
+// GOMAXPROCS, and 1 runs every client on the calling goroutine in stream
+// order. Because clients are independent, the per-client Results are
+// identical for every worker count.
 func New(env core.Env, workers int) *Engine {
 	return &Engine{env: env, workers: workers}
 }
 
-// Run advances all queries against the shared feeds until every one has
-// completed, and returns their Results in input order. It is RunStream
-// over the slice with the Results collected; queries need not be sorted by
-// issue slot, but peak memory then tracks the stream's buffered future
-// (see RunStream). A query with a negative issue slot aborts the run with
+// Run runs all queries against the shared feeds and returns their Results
+// in input order. It is RunStream over the slice with the Results
+// collected. A query with a negative issue slot aborts the run with
 // *InvalidIssueError once the stream reaches it.
 func (e *Engine) Run(queries []Query) ([]core.Result, error) {
 	results := make([]core.Result, len(queries))
@@ -137,28 +129,22 @@ func (e *Engine) Run(queries []Query) ([]core.Result, error) {
 	return results, nil
 }
 
-// RunStream advances a stream of queries against the shared feeds. Clients
-// are admitted lazily — each when a worker's timeline reaches its issue
-// slot — and emit is invoked once per client, with the client's position
-// in the stream and its Result, the moment it completes; the finished
-// client's execution state is recycled immediately, so peak memory tracks
-// the number of CONCURRENTLY live clients rather than the stream length.
-// For that bound to hold the stream should yield queries in non-decreasing
-// issue order (a live arrival process); out-of-order streams are handled
-// correctly — a query whose issue slot already passed is admitted at the
-// current dispatch slot, which cannot change its Result, only the step
-// interleaving.
+// RunStream runs a stream of queries against the shared feeds. Each
+// worker takes the next query from the stream, runs it to completion, and
+// calls emit with the client's position in the stream and its Result
+// before it takes another, so memory is bounded by the worker count, not
+// by the stream length.
 //
-// With workers > 1, emit is called concurrently from the worker
-// goroutines and must be safe for concurrent use; calls for distinct
-// clients never interleave per client. Workers pull greedily from the
-// shared stream as their timelines advance, so the client→worker
-// assignment is load-balancing and NOT deterministic — but per-client
-// Results are, for every worker count.
+// With one worker, emit is called on the calling goroutine in stream
+// order. With workers > 1, emit is called concurrently from the worker
+// goroutines and must be safe for concurrent use. Workers pull greedily
+// from the shared stream, so the client→worker assignment and the order
+// of emits across workers are NOT deterministic — but per-client Results
+// are, for every worker count.
 //
 // A query with a negative issue slot poisons the stream: no further
-// clients are admitted, already-admitted clients run to completion (their
-// emits still fire), and RunStream returns *InvalidIssueError.
+// clients are taken, clients already taken run to completion (their emits
+// still fire), and RunStream returns *InvalidIssueError.
 func (e *Engine) RunStream(queries iter.Seq[Query], emit func(client int, res core.Result)) (Stats, error) {
 	return e.runStream(e.resolveWorkers(), queries, emit)
 }
@@ -194,9 +180,11 @@ func (e *Engine) runStream(workers int, queries iter.Seq[Query], emit func(int, 
 
 	var st Stats
 	for _, w := range ws {
+		if w.clients > 0 {
+			st.PeakLive++
+		}
 		st.Steps += w.steps
-		st.PeakLive += w.peakLive
-		st.Clients += w.admitted
+		st.Clients += w.clients
 		st.Lost += w.lost
 		st.Retries += w.retries
 		st.RecoverySlots += w.recovery
@@ -208,46 +196,40 @@ func (e *Engine) runStream(workers int, queries iter.Seq[Query], emit func(int, 
 	return st, err
 }
 
-// source is the shared, validated head of the query stream. Workers take
-// queries from it under the mutex when their timelines reach the head's
-// issue slot; validation failures poison it.
+// source is the shared, validated query stream. Workers take queries
+// from it one at a time under the mutex; a validation failure poisons it.
 type source struct {
 	mu   sync.Mutex
 	next func() (Query, bool)
 	stop func()
-	head Query
-	ok   bool // head holds a valid un-taken query
-	n    int  // stream position of head (queries pulled - 1 when ok)
-	err  error
+	n    int   // queries pulled so far
+	err  error // set when a query fails validation; poisons the stream
 }
 
 func newSource(queries iter.Seq[Query]) *source {
 	s := new(source)
 	s.next, s.stop = iter.Pull(queries)
-	s.n = -1
-	s.pull()
 	return s
 }
 
-// pull loads the next query into head, validating it. Caller holds mu
-// (or is the constructor).
-func (s *source) pull() {
+// take pulls the next query and its stream position, validating it. ok
+// is false once the stream is exhausted or poisoned.
+func (s *source) take() (idx int, q Query, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.err != nil {
-		s.ok = false
-		return
+		return 0, Query{}, false
 	}
-	q, ok := s.next()
-	if !ok {
-		s.ok = false
-		return
+	if q, ok = s.next(); !ok {
+		return 0, Query{}, false
 	}
+	idx = s.n
 	s.n++
 	if q.Opt.Issue < 0 {
-		s.ok = false
-		s.err = &InvalidIssueError{Client: s.n, Issue: q.Opt.Issue}
-		return
+		s.err = &InvalidIssueError{Client: idx, Issue: q.Opt.Issue}
+		return 0, Query{}, false
 	}
-	s.head, s.ok = q, true
+	return idx, q, true
 }
 
 func (s *source) close() {
@@ -256,33 +238,23 @@ func (s *source) close() {
 	s.stop()
 }
 
-// worker drives one shard of the session: its own slot calendar, its own
-// memo layer over the shared feeds, and its own pool of execution state.
-// Per-client engine state lives in a chunk-allocated arena of clientSlot
-// records (each a QueryExec and its Scratch, adjacent), so a long stream
-// touches a compact, recycled working set sized by peak concurrency
-// instead of scattering a million tiny allocations.
+// worker runs queries from the shared stream one at a time, each to
+// completion, on one pooled execution state machine and scratch, reading
+// the shared feeds through its own memo layer.
 type worker struct {
-	env   core.Env
-	src   *source
-	emit  func(int, core.Result)
-	sched client.Sched
+	env  core.Env
+	src  *source
+	emit func(int, core.Result)
 
-	slots arena
-	// handle maps a live client's stream index to its arena slot, so
-	// finish can recycle the slot wholesale. Two map operations per client
-	// lifetime — never on the per-step path.
-	handle map[int]int32
+	exec    core.QueryExec
+	scratch core.Scratch
 
-	nextIssue int64 // cached issue slot of the stream head (may be stale)
-	admitted  int
-	live      int
-	peakLive  int
-	steps     int64
-	lost      int64
-	retries   int64
-	recovery  int64
-	failed    int
+	clients  int
+	steps    int64
+	lost     int64
+	retries  int64
+	recovery int64
+	failed   int
 }
 
 func newWorker(env core.Env, src *source, emit func(int, core.Result)) *worker {
@@ -295,183 +267,36 @@ func newWorker(env core.Env, src *source, emit func(int, core.Result)) *worker {
 	return w
 }
 
-// run is the worker event loop: admit every stream query whose issue slot
-// the timeline has reached, step the earliest client, recycle finished
-// ones — until both the stream and the calendar are empty.
+// run pulls the next query, drives it to completion with the same
+// peek/step loop as core.Run, emits its Result, and pulls again — until
+// the stream is dry. A custom executor (core.NewExec) borrows the
+// worker's scratch just as a built-in QueryExec does.
 func (w *worker) run() {
 	for {
-		target, ok := w.sched.PeekSlot()
+		idx, q, ok := w.src.take()
 		if !ok {
-			// Idle: jump the timeline to the stream head, whatever its
-			// issue slot. If the stream is dry too, the worker is done.
-			if !w.admitNext() {
-				return
-			}
-			continue
+			return
 		}
-		if target >= w.nextIssue {
-			w.admitUpTo(target)
-		}
-		p, key, finished, ok := w.sched.StepEarliest()
-		if !ok {
-			continue // the admitted client completed at admission
-		}
-		w.steps++
-		if finished {
-			w.finish(int(key), p)
-		}
-	}
-}
-
-// admitUpTo takes every stream query with issue slot <= target and admits
-// it to this worker's calendar, refreshing the worker's cached head issue
-// (other workers may take queries between this worker's visits; the cache
-// is conservative — staleness delays an admission, which cannot change
-// any Result).
-func (w *worker) admitUpTo(target int64) {
-	w.src.mu.Lock()
-	for w.src.ok && w.src.head.Opt.Issue <= target {
-		q, idx := w.src.head, w.src.n
-		w.src.pull()
-		w.src.mu.Unlock()
-		w.admit(idx, q)
-		w.src.mu.Lock()
-	}
-	w.refreshNextIssue()
-	w.src.mu.Unlock()
-}
-
-// admitNext takes exactly one query — the stream head — regardless of its
-// issue slot: the idle worker's timeline jump. It reports false when the
-// stream is exhausted (or poisoned).
-func (w *worker) admitNext() bool {
-	w.src.mu.Lock()
-	if !w.src.ok {
-		w.refreshNextIssue()
-		w.src.mu.Unlock()
-		return false
-	}
-	q, idx := w.src.head, w.src.n
-	w.src.pull()
-	w.refreshNextIssue()
-	w.src.mu.Unlock()
-	w.admit(idx, q)
-	return true
-}
-
-// refreshNextIssue updates the cached head issue; caller holds src.mu.
-func (w *worker) refreshNextIssue() {
-	if w.src.ok {
-		w.nextIssue = w.src.head.Opt.Issue
-	} else {
-		w.nextIssue = math.MaxInt64
-	}
-}
-
-// admit starts one client: an arena slot holding its QueryExec and
-// Scratch (the exec struct goes unused on the custom-executor path; the
-// scratch is lent either way), registered on the calendar under the
-// client's stream index — the documented equal-slot tie-break. A client
-// that completes at admission (empty datasets) is finished on the spot.
-func (w *worker) admit(idx int, q Query) {
-	h, slot := w.slots.get()
-	opt := q.Opt
-	opt.Scratch = &slot.scratch
-	var ex core.Executor
-	if q.Algo.Builtin() {
-		slot.exec.Reset(w.env, q.Algo, q.Point, opt)
-		ex = &slot.exec
-	} else {
-		var ok bool
-		ex, ok = core.NewExec(w.env, q.Algo, q.Point, opt)
-		if !ok {
+		opt := q.Opt
+		opt.Scratch = &w.scratch
+		var ex core.Executor = &w.exec
+		if q.Algo.Builtin() {
+			w.exec.Reset(w.env, q.Algo, q.Point, opt)
+		} else if ex, ok = core.NewExec(w.env, q.Algo, q.Point, opt); !ok {
 			panic(fmt.Sprintf("session: unregistered algorithm %d", q.Algo))
 		}
-	}
-	if w.handle == nil {
-		w.handle = make(map[int]int32)
-	}
-	w.handle[idx] = h
-	w.admitted++
-	w.live++
-	if w.live > w.peakLive {
-		w.peakLive = w.live
-	}
-	if ex.Done() {
-		w.finish(idx, ex)
-		return
-	}
-	w.sched.Add(int64(idx), ex)
-}
-
-// finish emits a completed client's Result and recycles its arena slot —
-// exec and scratch together, whatever executor type ran on it (a custom
-// factory-made executor is dropped to the collector; the slot it borrowed
-// its scratch from is reused all the same).
-func (w *worker) finish(idx int, p client.Process) {
-	ex := p.(core.Executor)
-	res := ex.Result()
-	w.lost += res.Metrics.Lost
-	w.retries += res.Metrics.Retries
-	w.recovery += res.Metrics.RecoverySlots
-	if res.Err != nil {
-		w.failed++
-	}
-	w.emit(idx, res)
-	w.live--
-	if h, tracked := w.handle[idx]; tracked {
-		delete(w.handle, idx)
-		w.slots.put(h)
+		for !ex.Done() {
+			ex.Step()
+			w.steps++
+		}
+		res := ex.Result()
+		w.clients++
+		w.lost += res.Metrics.Lost
+		w.retries += res.Metrics.Retries
+		w.recovery += res.Metrics.RecoverySlots
+		if res.Err != nil {
+			w.failed++
+		}
+		w.emit(idx, res)
 	}
 }
-
-// clientSlot packs one live client's execution state — the query state
-// machine and the scratch it borrows — into a single contiguous record,
-// so a client's step works against adjacent memory instead of two
-// scattered allocations.
-type clientSlot struct {
-	exec    core.QueryExec
-	scratch core.Scratch
-}
-
-// arena is a chunk-allocating pool of clientSlots: records live in
-// contiguous fixed-size blocks with stable addresses (chunks are only
-// ever appended, never reallocated), recycled through a free list of
-// integer handles. No slice in the pool holds interior pointers into the
-// blocks, so the GC sees a handful of large arrays instead of thousands
-// of per-client pointers.
-type arena struct {
-	chunks [][]clientSlot
-	free   []int32 // recycled handles: chunk<<arenaChunkBits | slot
-	used   int     // slots handed out of the newest chunk
-}
-
-// arenaChunk is the block size: big enough to amortize allocation over a
-// burst of admissions, small enough not to overshoot a low-concurrency
-// session's footprint.
-const (
-	arenaChunkBits = 6
-	arenaChunk     = 1 << arenaChunkBits
-)
-
-// get returns a slot and its handle. The slot is in whatever state its
-// previous user left it — QueryExec.Reset and the scratch checkout
-// reclaim state on reuse.
-func (a *arena) get() (int32, *clientSlot) {
-	if n := len(a.free); n > 0 {
-		h := a.free[n-1]
-		a.free = a.free[:n-1]
-		return h, &a.chunks[h>>arenaChunkBits][h&(arenaChunk-1)]
-	}
-	if len(a.chunks) == 0 || a.used == arenaChunk {
-		a.chunks = append(a.chunks, make([]clientSlot, arenaChunk))
-		a.used = 0
-	}
-	c := len(a.chunks) - 1
-	h := int32(c<<arenaChunkBits | a.used)
-	v := &a.chunks[c][a.used]
-	a.used++
-	return h, v
-}
-
-func (a *arena) put(h int32) { a.free = append(a.free, h) }

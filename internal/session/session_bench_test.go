@@ -1,14 +1,13 @@
 package session
 
-// Session-engine scale guards. The workload is the shape the streaming
-// engine targets: a live population whose clients ARRIVE over time
-// (sorted issue slots, mean spacing 100 slots — roughly a thousand
-// concurrently live clients), mixing all four algorithms. steps/s is the
-// scheduler-step throughput BenchmarkSessionSteps guards at N=10k
-// (acceptance: ≥ 2× the heap-based engine); BenchmarkSession100k guards
-// the bounded-memory story — with admission streaming and scratch
-// recycling its B/op divided by 100k clients must stay far below the
-// ~17 KB/client the admit-everything engine burned.
+// Session-engine scale guards. The workload is a live population whose
+// clients ARRIVE over time (sorted issue slots, mean spacing 100 slots —
+// roughly a thousand clients overlapping on the timeline), mixing all
+// four algorithms. steps/s is the execution-step throughput
+// BenchmarkSessionSteps guards at N=10k; BenchmarkSession100k guards the
+// bounded-memory story — with run-to-completion workers and scratch reuse
+// its B/op divided by 100k clients must stay far below the ~17 KB/client
+// the admit-everything engine burned.
 
 import (
 	"math/rand"
@@ -61,22 +60,21 @@ func benchSession(b *testing.B, n int) {
 	b.ReportMetric(float64(peakLive), "peak-live")
 }
 
-// BenchmarkSessionSteps is the throughput guard at N=10k concurrent
-// clients (≥ 2× the PR4 heap engine's steps/s — see BENCH_PR5.json).
+// BenchmarkSessionSteps is the throughput guard at N=10k streamed
+// clients.
 func BenchmarkSessionSteps(b *testing.B) { benchSession(b, 10_000) }
 
 // BenchmarkSession100k is the memory guard: B/op over 100k streamed
-// clients. The admit-everything engine held ~17 KB/client; streaming
-// admission with scratch recycling must stay an order of magnitude under.
+// clients. The admit-everything engine held ~17 KB/client; reusing one
+// execution state per worker must stay an order of magnitude under.
 func BenchmarkSession100k(b *testing.B) { benchSession(b, 100_000) }
 
 // TestSessionSteadyStateAllocs is the session analogue of core's
-// TestQuerySteadyStateAllocs: with admission streaming, calendar
-// scheduling, and pooled scratches, the engine's allocations per client
-// STEP must stay near zero — each run allocates its arenas and memo
-// layers once, amortized over hundreds of thousands of steps. A
-// regression here means the calendar queue, the pools, or the memo layer
-// started allocating on the hot path.
+// TestQuerySteadyStateAllocs: with one reused execution state and scratch
+// per worker, the engine's allocations per client STEP must stay near
+// zero — each run allocates its workers and memo layers once, amortized
+// over hundreds of thousands of steps. A regression here means the
+// scratch reuse or the memo layer started allocating on the hot path.
 func TestSessionSteadyStateAllocs(t *testing.T) {
 	env := makeEnv(t, 1500, 1500, 7919, 104729)
 	queries := benchWorkload(2000)
@@ -95,8 +93,8 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	}
 	perStep := allocs / float64(steps)
 	// The budget is deliberately tight: the observed steady state is
-	// ~0.01 allocs/step (arena chunks, memo arrays, calendar buckets —
-	// all O(peak concurrency), not O(steps)).
+	// ~0.01 allocs/step (workers, memo arrays, scratch growth — all
+	// O(workers), not O(steps)).
 	const budget = 0.05
 	if perStep > budget {
 		t.Errorf("%.0f allocs over %d steps = %.4f allocs/step, budget %.2f",

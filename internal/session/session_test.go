@@ -184,9 +184,8 @@ func TestNonPositiveWorkers(t *testing.T) {
 }
 
 // TestRunStreamMatchesRun: the streaming entry point must produce the
-// same per-client Results as Run and as the sequential reference, while
-// reporting sane Stats — in particular a peak concurrency far below the
-// total client count for a workload whose arrivals are spread out.
+// same per-client Results as Run and as the sequential reference, report
+// sane Stats, and — with one worker — emit in stream order.
 func TestRunStreamMatchesRun(t *testing.T) {
 	env := makeEnv(t, 900, 700, 123, 4567)
 	queries := mixedQueries(21, 300)
@@ -200,6 +199,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		got := make([]core.Result, len(queries))
 		seen := make([]bool, len(queries))
+		next := 0 // the stream position a single worker must emit next
 		var mu sync.Mutex
 		stats, err := New(env, workers).RunStream(slices.Values(queries),
 			func(i int, r core.Result) {
@@ -207,6 +207,12 @@ func TestRunStreamMatchesRun(t *testing.T) {
 				defer mu.Unlock()
 				if seen[i] {
 					t.Errorf("client %d emitted twice", i)
+				}
+				if workers == 1 {
+					if i != next {
+						t.Errorf("workers=1: emitted client %d, want %d (stream order)", i, next)
+					}
+					next++
 				}
 				seen[i] = true
 				got[i] = r
@@ -228,16 +234,16 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		if stats.Steps <= int64(len(queries)) {
 			t.Fatalf("workers=%d: implausible Stats.Steps = %d", workers, stats.Steps)
 		}
-		if stats.PeakLive < 1 || stats.PeakLive > len(queries) {
+		if stats.PeakLive < 1 || stats.PeakLive > workers {
 			t.Fatalf("workers=%d: implausible Stats.PeakLive = %d", workers, stats.PeakLive)
 		}
 	}
 }
 
 // TestStreamingPeakTracksConcurrency pins the bounded-memory property:
-// when arrivals are spread over many times the per-client lifetime, the
-// engine's peak live count must be a small fraction of the total client
-// count (the old engine held all N alive until the end).
+// the engine's peak live count must be a small fraction of the total
+// client count (a worker holds one client at a time; an engine that held
+// all N alive until the end would fail).
 func TestStreamingPeakTracksConcurrency(t *testing.T) {
 	env := makeEnv(t, 900, 700, 123, 4567)
 	// Mean spacing ~ one access time: concurrency stays O(10) while the
@@ -260,13 +266,13 @@ func TestStreamingPeakTracksConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.PeakLive >= n/4 {
-		t.Fatalf("peak live clients = %d out of %d: admission/recycling is not streaming", stats.PeakLive, n)
+		t.Fatalf("peak live clients = %d out of %d: execution state is not recycled", stats.PeakLive, n)
 	}
 }
 
 // TestNegativeIssueRejected: the validation story for issue slots — a
 // typed *InvalidIssueError identifying the offending client, no panic, no
-// further admissions, already-admitted clients still emitted.
+// further clients taken, clients taken before it still emitted.
 func TestNegativeIssueRejected(t *testing.T) {
 	env := makeEnv(t, 200, 200, 3, 5)
 	queries := mixedQueries(5, 8)
@@ -287,49 +293,66 @@ func TestNegativeIssueRejected(t *testing.T) {
 		}
 	}
 
-	// Streaming: the poisoned stream stops admissions but completes and
-	// emits every client admitted before the bad one.
+	// Streaming: the poisoned stream stops further clients but completes
+	// and emits every client taken before the bad one.
 	emitted := 0
 	_, err := New(env, 1).RunStream(slices.Values(queries), func(int, core.Result) { emitted++ })
 	if err == nil {
 		t.Fatal("RunStream accepted a negative issue slot")
 	}
 	if emitted != 5 {
-		t.Fatalf("emitted %d clients, want the 5 admitted before the invalid one", emitted)
+		t.Fatalf("emitted %d clients, want the 5 taken before the invalid one", emitted)
 	}
 }
 
 // sessionProbeExec wraps a built-in execution to stand in for a custom
 // registered strategy: the engine cannot pool it as a QueryExec, so this
-// exercises the factory path and the custom-scratch recycling.
+// exercises the factory path, which borrows the worker's scratch.
 type sessionProbeExec struct{ core.Executor }
 
-// TestSessionCustomAlgorithm: registered strategies interleave with
+// The algorithm registry is process-global and rejects duplicate names,
+// so the probe strategies are registered once per process and reused by
+// every run of the test (go test -count=N).
+var (
+	probeOnce           sync.Once
+	probeAlgo, bareAlgo core.Algo
+	probeErr            error
+)
+
+// registerProbes registers the two probe strategies TestSessionCustomAlgorithm
+// runs: a wrapper executor and a bare proxy for Double-NN.
+func registerProbes() (probe, bare core.Algo, err error) {
+	probeOnce.Do(func() {
+		probeAlgo, probeErr = core.Register(core.AlgoSpec{
+			Name:  "session-probe-double",
+			Alias: "spd",
+			New: func(env core.Env, p geom.Point, opt core.Options) core.Executor {
+				ex, _ := core.NewExec(env, core.AlgoDouble, p, opt)
+				return &sessionProbeExec{ex}
+			},
+		})
+		if probeErr != nil {
+			return
+		}
+		bareAlgo, probeErr = core.Register(core.AlgoSpec{
+			Name:  "session-probe-bare",
+			Alias: "spb",
+			New: func(env core.Env, p geom.Point, opt core.Options) core.Executor {
+				ex, _ := core.NewExec(env, core.AlgoDouble, p, opt)
+				return ex // a bare *core.QueryExec, not wrapped
+			},
+		})
+	})
+	return probeAlgo, bareAlgo, probeErr
+}
+
+// TestSessionCustomAlgorithm: registered strategies run alongside
 // built-ins on the shared timeline and match their sequential execution.
 // Two custom shapes run: a wrapper executor (the engine cannot pool it)
 // and a bare proxy whose factory returns a builtin *QueryExec directly —
-// admitted down the custom path but finishing as a poolable exec, the
-// combination that once leaked custom-scratch tracking entries.
+// taken down the custom path although it is the pooled executor type.
 func TestSessionCustomAlgorithm(t *testing.T) {
-	probe, err := core.Register(core.AlgoSpec{
-		Name:  "session-probe-double",
-		Alias: "spd",
-		New: func(env core.Env, p geom.Point, opt core.Options) core.Executor {
-			ex, _ := core.NewExec(env, core.AlgoDouble, p, opt)
-			return &sessionProbeExec{ex}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare, err := core.Register(core.AlgoSpec{
-		Name:  "session-probe-bare",
-		Alias: "spb",
-		New: func(env core.Env, p geom.Point, opt core.Options) core.Executor {
-			ex, _ := core.NewExec(env, core.AlgoDouble, p, opt)
-			return ex // a bare *core.QueryExec, not wrapped
-		},
-	})
+	probe, bare, err := registerProbes()
 	if err != nil {
 		t.Fatal(err)
 	}
