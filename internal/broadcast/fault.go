@@ -17,8 +17,12 @@ import (
 // EVERY listener identically, which is exactly what makes multi-client
 // results worker-count invariant under loss — the fault pattern is part of
 // the channel, not of any client's private randomness. It also makes a
-// FaultFeed stateless and therefore safe to share across goroutines
-// (wrapping feeds hold no mutable state).
+// FaultFeed stateless and therefore safe to share across goroutines.
+// A wrapper that is not shared may keep a lossMark of its own — the last
+// slot it evaluated and the chain state there — which bounds the next
+// evaluation's backward scan but never changes its answer, since that
+// state is itself a pure function of (seed, slot). MemoFeed does; it
+// caches no fault.
 
 // FaultKind classifies a page fault.
 type FaultKind int
@@ -145,7 +149,10 @@ func DeriveFaultSeed(seed, channel uint64) uint64 {
 // last transition that forces the state whatever the state before it, so
 // its expected cost is about 1/|pBG−pGB| hashes (≈8 at 1% loss in bursts
 // of 8), and O(geBlock) in the worst case, when no slot of the block
-// forces its state. Bursts in progress at a boundary may be cut short;
+// forces its state. Given a lossMark earlier in the same block, the scan
+// also stops at the mark, so a caller stepping forward through a block
+// pays about the gap since its previous evaluation instead. Bursts in
+// progress at a boundary may be cut short;
 // with blocks much longer than realistic bursts the stationary loss rate
 // and mean burst length are preserved to well under a percent.
 const geBlock = 64
@@ -218,8 +225,14 @@ func (ff *FaultFeed) ReadNode(t int64) (*rtree.Node, *PageFault) {
 // slot t, or nil for a clean reception. Loss is checked before
 // corruption — a page that never arrived cannot fail its checksum.
 func (ff *FaultFeed) Fault(t int64) *PageFault {
+	var mk lossMark
+	return ff.fault(t, &mk)
+}
+
+// fault is Fault with the loss evaluation bounded by, and advancing, mk.
+func (ff *FaultFeed) fault(t int64, mk *lossMark) *PageFault {
 	m := ff.model
-	if m.Loss > 0 && ff.lost(t) {
+	if m.Loss > 0 && ff.lostMarked(t, mk) {
 		return &PageFault{Slot: t, Kind: FaultLost}
 	}
 	if m.Corrupt > 0 && u01(ff.hash(t, saltCorrupt)) < m.Corrupt {
@@ -228,8 +241,21 @@ func (ff *FaultFeed) Fault(t int64) *PageFault {
 	return nil
 }
 
-// lost evaluates the loss process at slot t.
-func (ff *FaultFeed) lost(t int64) bool {
+// lossMark is one evaluated point of a Gilbert–Elliott sample path: the
+// chain state at slot, after slot's transition (the boundary draw when
+// slot starts a block). The zero value holds no point. A mark belongs to
+// one non-concurrent caller, never to the shared FaultFeed.
+type lossMark struct {
+	slot int64
+	bad  bool
+	set  bool
+}
+
+// lostMarked evaluates the loss process at slot t, scanning back no
+// further than mk when mk lies in t's block at or before t, and then
+// moves mk to t. The state at any slot is a pure function of (seed,
+// slot), so the answer is the same whatever order the calls come in.
+func (ff *FaultFeed) lostMarked(t int64, mk *lossMark) bool {
 	if ff.model.Burst <= 1 {
 		return u01(ff.hash(t, saltLoss)) < ff.model.Loss
 	}
@@ -240,20 +266,34 @@ func (ff *FaultFeed) lost(t int64) bool {
 	// to fromGood and a bad one to fromBad. When the two agree, the state
 	// at s is forced whatever came before; otherwise s either keeps the
 	// state (fromBad) or flips it (fromGood). So the scan runs backward
-	// from t to the latest forcing slot, or to the boundary draw, and
-	// returns that state XOR the parity of the flips after it — the same
-	// value the forward iteration from b reaches.
+	// from t to the latest forcing slot, or to the mark, or to the
+	// boundary draw, and returns that state XOR the parity of the flips
+	// after it — the same value the forward iteration from b reaches.
 	b := t - floorMod(t, geBlock)
+	marked := mk.set && mk.slot >= b && mk.slot <= t
+	stop := b
+	if marked {
+		stop = mk.slot
+	}
 	flip := false
-	for s := t; s > b; s-- {
+	for s := t; s > stop; s-- {
 		u := u01(ff.hash(s, saltGEStep))
 		fromGood, fromBad := u < ff.pGB, u >= ff.pBG
 		if fromGood == fromBad {
-			return fromGood != flip
+			return mk.move(t, fromGood != flip)
 		}
 		flip = flip != fromGood
 	}
-	return (u01(ff.hash(b, saltGEInit)) < ff.model.Loss) != flip
+	if marked {
+		return mk.move(t, mk.bad != flip)
+	}
+	return mk.move(t, (u01(ff.hash(b, saltGEInit)) < ff.model.Loss) != flip)
+}
+
+// move sets the mark to state bad at slot t and returns bad.
+func (mk *lossMark) move(t int64, bad bool) bool {
+	*mk = lossMark{slot: t, bad: bad, set: true}
+	return bad
 }
 
 // hash derives the slot's uniform draw for one fault sub-process.

@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -138,6 +139,13 @@ func TestFaultStationaryRate(t *testing.T) {
 	}
 }
 
+// lost evaluates the loss process at slot t without a mark, as Fault
+// does.
+func (ff *FaultFeed) lost(t int64) bool {
+	var mk lossMark
+	return ff.lostMarked(t, &mk)
+}
+
 // lostForward is the reference Gilbert–Elliott evaluation: draw the state
 // at the block boundary and iterate the chain forward to t. lost must
 // agree with it at every slot.
@@ -189,6 +197,88 @@ func TestFaultLostMatchesForward(t *testing.T) {
 		}
 		if lost == 0 || lost == span {
 			t.Errorf("model %+v: degenerate pattern, %d of %d slots lost", m, lost, span)
+		}
+	}
+}
+
+// faultForward is the reference fault evaluation: lostForward, then the
+// corruption draw, in Fault's order.
+func (ff *FaultFeed) faultForward(t int64) *PageFault {
+	m := ff.model
+	if m.Loss > 0 && ff.lostForward(t) {
+		return &PageFault{Slot: t, Kind: FaultLost}
+	}
+	if m.Corrupt > 0 && u01(ff.hash(t, saltCorrupt)) < m.Corrupt {
+		return &PageFault{Slot: t, Kind: FaultCorrupt}
+	}
+	return nil
+}
+
+// markedWalk draws the next slot of an arbitrary lookup sequence: mostly
+// small forward gaps, as a query's reads come, mixed with repeats,
+// backward jumps inside and across blocks, jumps over block boundaries
+// and resets to a fresh slot anywhere, negative ones included.
+func markedWalk(rng *rand.Rand, t int64) int64 {
+	switch r := rng.Intn(100); {
+	case r < 55:
+		return t + 1 + rng.Int63n(4)
+	case r < 65:
+		return t
+	case r < 75:
+		return t - 1 - rng.Int63n(geBlock)
+	case r < 85:
+		return t + geBlock/2 + rng.Int63n(3*geBlock)
+	case r < 92:
+		return t - rng.Int63n(5*geBlock)
+	default:
+		return rng.Int63n(1<<20) - 1<<19
+	}
+}
+
+// TestFaultMarkedMatchesForward: a marked lookup is the forward-iteration
+// fault for every slot of 10⁶ lookups per model, whatever the order the
+// mark was advanced in. The models cover i.i.d. loss, the session's 1% in
+// bursts of 8, Loss >= 0.5, pGB == pBG (no slot forces its state, so the
+// scan ends at the mark or the boundary) and Burst 150, each with and
+// without corruption.
+func TestFaultMarkedMatchesForward(t *testing.T) {
+	ch := buildFaultChannel(t, 100, 0)
+	const lookups, perSeq = 1_000_000, 1000
+	for _, m := range []FaultModel{
+		{Loss: 0.05, Seed: 21},
+		{Loss: 0.01, Burst: 8, Seed: 22},
+		{Loss: 0.6, Burst: 3, Seed: 23},
+		{Loss: 0.5, Burst: 2, Seed: 24},
+		{Loss: 0.05, Burst: 150, Seed: 25},
+	} {
+		for _, corrupt := range []float64{0, 0.1} {
+			m.Corrupt = corrupt
+			ff := NewFaultFeed(ch, m)
+			rng := rand.New(rand.NewSource(int64(m.Seed)))
+			var lost, corrupted int
+			for seq := 0; seq < lookups/perSeq; seq++ {
+				var mk lossMark
+				slot := rng.Int63n(1<<20) - 1<<19
+				for k := 0; k < perSeq; k++ {
+					slot = markedWalk(rng, slot)
+					got, want := ff.fault(slot, &mk), ff.faultForward(slot)
+					if (got == nil) != (want == nil) || got != nil && *got != *want {
+						t.Fatalf("model %+v: sequence %d lookup %d, slot %d: marked fault %v, forward iteration %v",
+							m, seq, k, slot, got, want)
+					}
+					if m.Burst > 1 && (!mk.set || mk.slot != slot) {
+						t.Fatalf("model %+v: slot %d: mark left at %+v", m, slot, mk)
+					}
+					if got != nil && got.Kind == FaultLost {
+						lost++
+					} else if got != nil {
+						corrupted++
+					}
+				}
+			}
+			if lost == 0 || (corrupt > 0) != (corrupted > 0) {
+				t.Errorf("model %+v: degenerate pattern, %d lost and %d corrupted of %d", m, lost, corrupted, lookups)
+			}
 		}
 	}
 }
@@ -312,6 +402,34 @@ func BenchmarkFaultLostBurst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for k := int64(0); k < 64; k++ {
 			if ff.lost((int64(i)*64 + k) * 7919) {
+				lost++
+			}
+		}
+	}
+	if b.N >= 100_000 && lost == 0 {
+		b.Fatal("no slot lost")
+	}
+}
+
+// BenchmarkMemoFault times the loss lookups of query-shaped reads through
+// a MemoFeed over the session workload's channel model, 1% loss in bursts
+// of 8: one op is 64 lookups at slots rising by 1–4, the gaps of a
+// worker's reads, so most land shortly after the previous one in the
+// same renewal block and the memo's mark bounds their scans.
+func BenchmarkMemoFault(b *testing.B) {
+	memo := NewMemoFeed(NewFaultFeed(buildFaultChannel(b, 100, 0), FaultModel{Loss: 0.01, Burst: 8, Seed: 1}))
+	rng := rand.New(rand.NewSource(1))
+	var gaps [1024]int64
+	for i := range gaps {
+		gaps[i] = 1 + rng.Int63n(4)
+	}
+	var slot int64
+	var lost int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 64; k++ {
+			slot += gaps[(i*64+k)%len(gaps)]
+			if memo.Fault(slot) != nil {
 				lost++
 			}
 		}

@@ -27,15 +27,26 @@ import (
 // (Channel, DualChannel segment) because it relies only on Feed's
 // next-occurrence contract.
 //
+// Faults are never cached (see ReadNode). Over a FaultFeed the memo keeps
+// only a lossMark: the last slot whose loss state it evaluated, and that
+// state. A worker's reads mostly step forward a few slots at a time, and
+// the mark bounds each Gilbert–Elliott scan to that gap; the answer is
+// the bare FaultFeed's, because the state at a slot depends on (seed,
+// slot) alone.
+//
 // A MemoFeed must wrap a feed whose program does not change for the
 // memo's lifetime (Channel.Reset invalidates it), and it is NOT safe for
 // concurrent use — the session engine creates one per worker per channel.
 type MemoFeed struct {
-	f     Feed
-	tree  *rtree.Tree
-	nodes []arrWindow // per index page: cached [lo, hi] arrival window
-	objs  []arrWindow // per object: cached first-data-page arrival window
-	pages [pageMemoSlots]pageMemo
+	f Feed
+	// faults is f when f is a *FaultFeed, else nil; mark bounds its loss
+	// scans.
+	faults *FaultFeed
+	mark   lossMark
+	tree   *rtree.Tree
+	nodes  []arrWindow // per index page: cached [lo, hi] arrival window
+	objs   []arrWindow // per object: cached first-data-page arrival window
+	pages  [pageMemoSlots]pageMemo
 }
 
 // arrWindow caches one arrival answer: for any query slot in [lo, hi] the
@@ -64,6 +75,7 @@ func NewMemoFeed(f Feed) *MemoFeed {
 		nodes: make([]arrWindow, idx.NumIndexPages()),
 		objs:  make([]arrWindow, idx.Tree().Count),
 	}
+	m.faults, _ = f.(*FaultFeed)
 	for i := range m.nodes {
 		m.nodes[i] = arrWindow{lo: 1, hi: 0}
 	}
@@ -90,16 +102,18 @@ func (m *MemoFeed) PageAt(t int64) Page {
 	return p
 }
 
-// ReadNode implements Feed. Faults are consulted on the inner feed FRESH
-// on every read — never cached and never skipped. MemoFeed serves the node
-// from the tree via the memoized page descriptor (bypassing the inner
-// ReadNode), so without this check a fault injected below the memo would
-// silently vanish for every client in the worker; and caching a fault
-// would be just as wrong, because the same page read at a later slot is an
+// ReadNode implements Feed. Faults are evaluated for slot t on every read
+// — never cached and never skipped. MemoFeed serves the node from the
+// tree via the memoized page descriptor (bypassing the inner ReadNode), so
+// without this check a fault injected below the memo would silently
+// vanish for every client in the worker; and caching a fault would be
+// just as wrong, because the same page read at a later slot is an
 // independent reception that may well succeed. Only schedule truth (page
 // descriptors, arrival windows) is memoizable — it is fault-independent.
+// The loss mark is not a cached fault: it only shortens the scan that
+// evaluates slot t.
 func (m *MemoFeed) ReadNode(t int64) (*rtree.Node, *PageFault) {
-	if pf := m.f.Fault(t); pf != nil {
+	if pf := m.Fault(t); pf != nil {
 		return nil, pf
 	}
 	p := m.PageAt(t)
@@ -109,9 +123,15 @@ func (m *MemoFeed) ReadNode(t int64) (*rtree.Node, *PageFault) {
 	return m.tree.Nodes[p.NodeID], nil
 }
 
-// Fault implements Feed: delegated uncached for the same reason ReadNode
-// re-checks — fault state is per-reception, not per-page.
-func (m *MemoFeed) Fault(t int64) *PageFault { return m.f.Fault(t) }
+// Fault implements Feed: evaluated per call for the same reason ReadNode
+// re-checks — fault state is per-reception, not per-page — with a
+// FaultFeed's loss scan bounded by, and advancing, the memo's mark.
+func (m *MemoFeed) Fault(t int64) *PageFault {
+	if m.faults != nil {
+		return m.faults.fault(t, &m.mark)
+	}
+	return m.f.Fault(t)
+}
 
 // NextNodeArrival implements Feed.
 func (m *MemoFeed) NextNodeArrival(nodeID int, after int64) int64 {

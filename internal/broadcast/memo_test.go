@@ -160,3 +160,53 @@ func TestMemoFeedFaultTransparency(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoFeedFaultFeedAgrees: a MemoFeed over a FaultFeed reports the
+// bare FaultFeed's Fault and ReadNode at every slot, for lookups in the
+// order queries make them (forward in small steps, with retries and jumps
+// back to another client's slot) and in random order, across i.i.d.,
+// bursty and corrupting models.
+func TestMemoFeedFaultFeedAgrees(t *testing.T) {
+	ch := buildFaultChannel(t, 400, 31)
+	idx := ch.Index()
+	cycle := idx.CycleLen()
+	for _, m := range []FaultModel{
+		{Loss: 0.2, Seed: 41},
+		{Loss: 0.01, Burst: 8, Seed: 42},
+		{Loss: 0.3, Burst: 150, Corrupt: 0.05, Seed: 43},
+		{Loss: 0.5, Burst: 2, Corrupt: 0.2, Seed: 44},
+	} {
+		ff := NewFaultFeed(ch, m)
+		memo := NewMemoFeed(ff)
+		rng := rand.New(rand.NewSource(int64(m.Seed)))
+		slot := int64(0)
+		var faults int
+		for i := 0; i < 200_000; i++ {
+			switch r := rng.Intn(10); {
+			case r < 7:
+				slot += rng.Int63n(5)
+			case r < 9:
+				slot -= rng.Int63n(3 * geBlock)
+			default:
+				slot = rng.Int63n(8*cycle) - 4*cycle
+			}
+			got, want := memo.Fault(slot), ff.Fault(slot)
+			if (got == nil) != (want == nil) || got != nil && *got != *want {
+				t.Fatalf("model %+v: Fault(%d) = %v, bare FaultFeed %v", m, slot, got, want)
+			}
+			if got != nil {
+				faults++
+			}
+			// ReadNode at the next index page on air.
+			node := ch.NextNodeArrival(rng.Intn(idx.NumIndexPages()), slot)
+			gotN, gotPF := memo.ReadNode(node)
+			wantN, wantPF := ff.ReadNode(node)
+			if gotN != wantN || (gotPF == nil) != (wantPF == nil) || gotPF != nil && *gotPF != *wantPF {
+				t.Fatalf("model %+v: ReadNode(%d) = %v %v, bare FaultFeed %v %v", m, node, gotN, gotPF, wantN, wantPF)
+			}
+		}
+		if faults == 0 {
+			t.Errorf("model %+v: no fault exercised", m)
+		}
+	}
+}

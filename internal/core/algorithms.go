@@ -144,7 +144,7 @@ func join(p geom.Point, incumbent Pair, haveIncumbent bool, ss, rs *pointBuf) (P
 	if ok {
 		d = best.Dist
 	}
-	boxes := rs.blocks()
+	runs := rs.blocks()
 	ssx, rsx := ss.x, rs.x
 	ssy, rsy := ss.y[:len(ssx)], rs.y[:len(rsx)]
 	for i := range ssx {
@@ -153,12 +153,9 @@ func join(p geom.Point, incumbent Pair, haveIncumbent bool, ss, rs *pointBuf) (P
 		if far {
 			continue
 		}
-		for b := range boxes {
-			// Block screen: dps+gap <= dps+max(|dx|,|dy|) for every rj in
-			// the run, so a run at or past d fails every per-point screen.
-			if dps+boxes[b].gap(six, siy) >= d {
-				continue
-			}
+		// Group and run screens: dps+gap <= dps+max(|dx|,|dy|) for every
+		// rj in a box, so a box at or past d fails every per-point screen.
+		for b := rs.nextRun(0, six, siy, dps, d); b < runs; b = rs.nextRun(b+1, six, siy, dps, d) {
 			lo := b * joinBlock
 			hi := min(lo+joinBlock, len(rsx))
 			// Sub-slicing the run (y pinned to len(x)) keeps the inner

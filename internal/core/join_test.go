@@ -105,6 +105,12 @@ var joinCases = []joinCase{
 	},
 }
 
+// joinRSizes are the R-side candidate counts of the join differentials:
+// empty, one point, and either side of one run, one group of runs and
+// four groups (joinBlock = 16 points a run, joinGroup = 4 runs a group),
+// then larger sets whose last run and last group are partial.
+var joinRSizes = []int{0, 1, 15, 16, 17, 63, 64, 65, 255, 256, 257, 600, 1045}
+
 // fillBuf loads pts into b with IDs base, base+1, ….
 func fillBuf(b *pointBuf, pts []geom.Point, base int32) {
 	b.reset()
@@ -116,17 +122,17 @@ func fillBuf(b *pointBuf, pts []geom.Point, base int32) {
 // TestJoinMatchesNestedLoop: the screened join returns the same Pair (==,
 // IDs and the float distance included) and found flag as the screen-free
 // nested loop, without an incumbent and with incumbents that are beaten,
-// tied, and unbeatable. The buffers are reused across trials, as a
-// scratch reuses them.
+// tied, and unbeatable. Every R size of joinRSizes comes up in turn. The
+// buffers are reused across trials, as a scratch reuses them.
 func TestJoinMatchesNestedLoop(t *testing.T) {
 	sizes := []int{0, 1, 2, 15, 16, 17, 33, 265, 1045}
 	for _, c := range joinCases {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(131))
 			var ss, rs pointBuf
-			for trial := 0; trial < 300; trial++ {
+			for trial := 0; trial < 390; trial++ {
 				fillBuf(&ss, c.gen(rng, sizes[rng.Intn(len(sizes))]), 0)
-				fillBuf(&rs, c.gen(rng, sizes[rng.Intn(len(sizes))]), 100000)
+				fillBuf(&rs, c.gen(rng, joinRSizes[trial%len(joinRSizes)]), 100000)
 				p := c.query(rng)
 
 				incs := []Pair{{}}
@@ -161,16 +167,17 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 }
 
 // TestJoinTopKMatchesNestedLoop: the screened k-bounded join returns the
-// same pairs, in the same order, as the screen-free k-bounded nested loop.
+// same pairs, in the same order, as the screen-free k-bounded nested loop,
+// ties included (the grid case), for every R size of joinRSizes in turn.
 func TestJoinTopKMatchesNestedLoop(t *testing.T) {
 	sizes := []int{0, 1, 3, 16, 17, 120, 600}
 	for _, c := range joinCases {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(137))
 			var ss, rs pointBuf
-			for trial := 0; trial < 150; trial++ {
+			for trial := 0; trial < 195; trial++ {
 				fillBuf(&ss, c.gen(rng, sizes[rng.Intn(len(sizes))]), 0)
-				fillBuf(&rs, c.gen(rng, sizes[rng.Intn(len(sizes))]), 100000)
+				fillBuf(&rs, c.gen(rng, joinRSizes[trial%len(joinRSizes)]), 100000)
 				p := c.query(rng)
 				for _, k := range []int{1, 2, 5, 40} {
 					got := joinTopK(p, &ss, &rs, k)

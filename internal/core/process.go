@@ -60,6 +60,11 @@ const batchCap = 8
 // compact and its box small.
 const joinBlock = 16
 
+// joinGroup is the number of consecutive joinBlock runs under one group
+// box, the join screen's first level: a group whose box is too far from
+// si skips joinGroup runs with one test.
+const joinGroup = 4
+
 // pointBuf is a pointer-free SoA buffer of data points (the seen/found
 // sets of the searches): parallel x/y/id slices the GC never scans, bulk-
 // appendable straight from the rtree.Flat leaf arrays. Capacity is
@@ -67,12 +72,14 @@ const joinBlock = 16
 type pointBuf struct {
 	x, y []float64
 	id   []int32
-	// box holds the joinBlock run bounds of the last blocks call; only
-	// the joins read it.
-	box []blockBox
+	// box holds the joinBlock run bounds of the last blocks call and grp
+	// the bounds of each joinGroup consecutive runs; only the joins read
+	// them.
+	box, grp []blockBox
 }
 
-// blockBox is the bounding box of one joinBlock run of a pointBuf.
+// blockBox is the bounding box of one joinBlock run, or of one group of
+// runs, of a pointBuf.
 type blockBox struct{ x0, x1, y0, y1 float64 }
 
 // gap is a lower bound, in floating point, of the Chebyshev screen
@@ -86,10 +93,11 @@ func (bx *blockBox) gap(x, y float64) float64 {
 	return max(bx.x0-x, x-bx.x1, bx.y0-y, y-bx.y1, 0)
 }
 
-// blocks recomputes the bounding boxes of the buffer's joinBlock runs
-// over its current contents and returns them. The boxes keep their
-// capacity with the buffer, so a warmed scratch stays allocation-free.
-func (b *pointBuf) blocks() []blockBox {
+// blocks recomputes the bounding boxes of the buffer's joinBlock runs and
+// of their groups over its current contents, and returns the number of
+// runs. The boxes keep their capacity with the buffer, so a warmed
+// scratch stays allocation-free.
+func (b *pointBuf) blocks() int {
 	xs := b.x
 	ys := b.y[:len(xs)]
 	box := b.box[:0]
@@ -102,8 +110,43 @@ func (b *pointBuf) blocks() []blockBox {
 		}
 		box = append(box, bx)
 	}
-	b.box = box
-	return box
+	grp := b.grp[:0]
+	for lo := 0; lo < len(box); lo += joinGroup {
+		gx := box[lo]
+		for _, bx := range box[lo+1 : min(lo+joinGroup, len(box))] {
+			gx.x0, gx.x1 = min(gx.x0, bx.x0), max(gx.x1, bx.x1)
+			gx.y0, gx.y1 = min(gx.y0, bx.y0), max(gx.y1, bx.y1)
+		}
+		grp = append(grp, gx)
+	}
+	b.box, b.grp = box, grp
+	return len(box)
+}
+
+// nextRun is the joins' two-level screen. It returns the first joinBlock
+// run at or after r that may hold a pair through si = (x, y) beating the
+// bound d, where dps = dis(p, si), or the run count when none is left.
+// A group is tested as the scan enters it, then each of its runs: a group
+// box contains its runs' boxes, so by the same monotone rounding as gap's
+// its gap is at most theirs, and a group at or past d fails every run
+// screen inside it. Runs come back in R order, so a caller scanning them
+// compares the surviving pairs in row-major order.
+//
+//tnn:noalloc
+func (b *pointBuf) nextRun(r int, x, y, dps, d float64) int {
+	box, grp := b.box, b.grp
+	for r < len(box) {
+		if r%joinGroup == 0 && dps+grp[r/joinGroup].gap(x, y) >= d {
+			r += joinGroup
+			continue
+		}
+		if dps+box[r].gap(x, y) >= d {
+			r++
+			continue
+		}
+		return r
+	}
+	return len(box)
 }
 
 // reset empties the buffer, retaining capacity.

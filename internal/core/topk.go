@@ -287,22 +287,21 @@ func TopKTNN(env Env, p geom.Point, k int, opt Options) TopKResult {
 // pairs of ss × rs by transitive distance, in ascending order (fewer when
 // there are fewer pairs). A max-heap keeps the k best; entries are only
 // materialized on a heap insert. The screens are join's, against the k-th
-// distance, and the block and per-point screens run only once the heap is
-// full, since until then every pair is kept.
+// distance, and only rule pairs out once the heap is full, since until
+// then every pair is kept.
 func joinTopK(p geom.Point, ss, rs *pointBuf, k int) []Pair {
 	var h pairHeap
 	kth := math.Inf(1)
-	boxes := rs.blocks()
+	runs := rs.blocks()
 	for i := range ss.x {
 		six, siy := ss.x[i], ss.y[i]
 		dps, far := sDist(p, six, siy, kth)
 		if far {
 			continue
 		}
-		for b := range boxes {
-			if len(h) == k && dps+boxes[b].gap(six, siy) >= kth {
-				continue
-			}
+		// kth is +Inf until the heap is full, so the screens pass every
+		// run until then.
+		for b := rs.nextRun(0, six, siy, dps, kth); b < runs; b = rs.nextRun(b+1, six, siy, dps, kth) {
 			for j := b * joinBlock; j < min((b+1)*joinBlock, len(rs.x)); j++ {
 				if len(h) == k {
 					m := max(math.Abs(six-rs.x[j]), math.Abs(siy-rs.y[j]))

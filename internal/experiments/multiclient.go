@@ -27,8 +27,10 @@ package experiments
 // the clients ARRIVE over w cycles (sorted issue slots with uniformly
 // random gaps): a live population whose concurrency is set by arrival
 // rate × per-client lifetime, not by N. The second shape is a live
-// arrival process — a million arriving clients is an evening of traffic —
-// and the ladder requires it above SeqBaselineCap clients.
+// arrival process — a million arriving clients is an evening of traffic.
+// Either shape runs at any N: the session workers run each client to
+// completion, so the engine holds one client per worker however many
+// overlap on the timeline.
 //
 // At every ladder point the batch results are checksummed (a
 // position-tagged FNV fold, order-independent); with Config.VerifyWorkers
@@ -60,9 +62,7 @@ var defaultClientCounts = []int{100, 1000, 4000}
 // DeepEqual). Above it the air-time baseline is still exact — the summed
 // access times come from the batch's own per-client results, which are
 // bit-identical to sequential execution — but the redundant O(N) replay
-// and the two result arrays are skipped, and a ladder point REQUIRES an
-// arrival window (Config.Window); tnnbench pre-checks the same bound for
-// a friendly error before any work starts.
+// and the two result arrays are skipped.
 const SeqBaselineCap = 100_000
 
 // clientAlgos is the per-client algorithm rotation.
@@ -295,12 +295,6 @@ func MultiClient(cfg Config) *Table {
 	if len(counts) == 0 {
 		counts = defaultClientCounts
 	}
-	for _, n := range counts {
-		if n > SeqBaselineCap && cfg.Window <= 0 {
-			panic(fmt.Sprintf("experiments: %d clients need an arrival window (Config.Window / tnnbench -window): with every issue slot inside one cycle the whole population is concurrently live by construction", n))
-		}
-	}
-
 	p := uniformPair(cfg.Seed, 10000, 10000)
 	b := build(p, cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -54,7 +54,7 @@ trap 'rm -f "$measured"' EXIT
 	min_nsop '^BenchmarkQuery(WindowBased|DoubleNN|HybridNN|Approximate|DoubleANN)$' '512x' .
 	min_nsop '^BenchmarkSessionSteps$' '1x' ./internal/session
 	min_nsop '^BenchmarkJoin$' '2000x' ./internal/core
-	min_nsop '^BenchmarkFaultLostBurst$' '20000x' ./internal/broadcast
+	min_nsop '^Benchmark(FaultLostBurst|MemoFault)$' '20000x' ./internal/broadcast
 } >"$measured"
 
 calib=$(awk '$1 == "BenchmarkCalibration" { print $2 }' "$measured")
