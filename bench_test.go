@@ -267,23 +267,21 @@ func BenchmarkOracleTNN(b *testing.B) {
 
 // --- extension benchmarks ----------------------------------------------
 
-func BenchmarkQueryTopK10(b *testing.B) {
+// benchVariant runs one Section-7 variant through System.Do.
+func benchVariant(b *testing.B, v tnnbcast.Variant, k int) {
 	sys := benchSystem(b)
 	qs := tnnbcast.UniformDataset(3, 256, tnnbcast.PaperRegion)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.QueryTopK(qs[i%len(qs)], 10)
+		if _, err := sys.Do(tnnbcast.Request{Point: qs[i%len(qs)], Variant: v, K: k}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkQueryRoundTrip(b *testing.B) {
-	sys := benchSystem(b)
-	qs := tnnbcast.UniformDataset(3, 256, tnnbcast.PaperRegion)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.QueryRoundTrip(qs[i%len(qs)])
-	}
-}
+func BenchmarkQueryTopK10(b *testing.B)    { benchVariant(b, tnnbcast.TopK, 10) }
+func BenchmarkQueryRoundTrip(b *testing.B) { benchVariant(b, tnnbcast.RoundTrip, 0) }
+func BenchmarkQueryUnordered(b *testing.B) { benchVariant(b, tnnbcast.Unordered, 0) }
 
 func BenchmarkQueryChain3(b *testing.B) {
 	region := tnnbcast.PaperRegion

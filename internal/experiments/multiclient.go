@@ -169,8 +169,17 @@ func resultHash(i int, r core.Result) uint64 {
 		uint64(r.Metrics.Retries),
 		uint64(r.Metrics.RecoverySlots),
 	}
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
+	return FoldWords(FNVOffset, words[:])
+}
+
+// FNVOffset is the FNV-1a-64 offset basis, the start of a FoldWords chain.
+const FNVOffset uint64 = 14695981039346656037
+
+// FoldWords folds each word into the FNV-1a-64 state h as eight
+// little-endian bytes. resultHash pins a client's Result with it, and the
+// root package's variant digest test pins the Section-7 queries with it.
+func FoldWords(h uint64, words []uint64) uint64 {
+	const prime64 = 1099511628211
 	for _, w := range words {
 		for b := 0; b < 8; b++ {
 			h = (h ^ (w & 0xff)) * prime64
