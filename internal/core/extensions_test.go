@@ -69,20 +69,80 @@ func TestChainTNNMatchesOracle(t *testing.T) {
 }
 
 func TestChainTNNTwoEqualsTNN(t *testing.T) {
-	// With k = 2 the chain query is exactly the paper's TNN query.
+	// With k = 2 the chain query is the paper's TNN query, and the chain
+	// executor runs it exactly as Double-NN does: the same estimate
+	// searches stepped in the same order (channel 0 first on equal
+	// slots), the same radius, the same join and retrieval. The answer,
+	// every metric and every escalation agree bit for bit, lossless and
+	// under bursty loss.
 	rng := rand.New(rand.NewSource(22))
 	ptsS := uniformPts(rng, 300, testRegion)
 	ptsR := uniformPts(rng, 250, testRegion)
 	te := makeEnv(t, ptsS, ptsR, testRegion, 77, 991)
-	env := MultiEnv{Chs: []broadcast.Feed{te.env.ChS, te.env.ChR}, Region: testRegion}
-	for j := 0; j < 10; j++ {
-		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		chain := ChainTNN(env, p, Options{})
-		want, _ := OracleTNN(p, te.treeS, te.treeR)
-		if !chain.Found || !almostEq(chain.Dist, want.Dist, 1e-9) {
-			t.Fatalf("chain k=2 dist %v, TNN oracle %v", chain.Dist, want.Dist)
+	fm := broadcast.FaultModel{Loss: 0.2, Burst: 4, Seed: 29}
+	lossy := Env{
+		ChS:    broadcast.NewFaultFeed(te.env.ChS, fm.WithSeed(broadcast.DeriveFaultSeed(fm.Seed, 0))),
+		ChR:    broadcast.NewFaultFeed(te.env.ChR, fm.WithSeed(broadcast.DeriveFaultSeed(fm.Seed, 1))),
+		Region: testRegion,
+	}
+	for _, c := range []struct {
+		name string
+		env  Env
+		opt  Options
+	}{
+		{"lossless", te.env, Options{}},
+		{"20%/4", lossy, Options{MaxRetries: 3}},
+	} {
+		chainEnv := MultiEnv{Chs: []broadcast.Feed{c.env.ChS, c.env.ChR}, Region: testRegion}
+		var found, failed int
+		for j := 0; j < 60; j++ {
+			p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+			opt := c.opt
+			opt.Issue = rng.Int63n(20000)
+			if j%2 == 1 {
+				opt.ANN = UniformANN(FactorWindowDouble)
+			}
+			opt.SkipDataRetrieval = j%3 == 2
+			chain := ChainTNN(chainEnv, p, opt)
+			double, _ := Run(c.env, AlgoDouble, p, opt)
+			if chain.Metrics != double.Metrics || math.Float64bits(chain.Radius) != math.Float64bits(double.Radius) ||
+				math.Float64bits(chain.Dist) != math.Float64bits(double.Pair.Dist) || chain.Found != double.Found {
+				t.Fatalf("%s query %d: chain k=2 %+v, Double-NN %+v", c.name, j, chain, double)
+			}
+			if chain.Found && (chain.Stops[0] != double.Pair.S || chain.Stops[1] != double.Pair.R) {
+				t.Fatalf("%s query %d: chain stops %v, Double-NN pair %v", c.name, j, chain.Stops, double.Pair)
+			}
+			if !sameEscalation(chain.Err, double.Err) {
+				t.Fatalf("%s query %d: chain error %v, Double-NN error %v", c.name, j, chain.Err, double.Err)
+			}
+			if chain.Found {
+				found++
+			}
+			if chain.Err != nil {
+				failed++
+			}
+			if c.opt.MaxRetries == 0 {
+				want, _ := OracleTNN(p, te.treeS, te.treeR)
+				if !chain.Found || !almostEq(chain.Dist, want.Dist, 1e-9) {
+					t.Fatalf("chain k=2 dist %v, TNN oracle %v", chain.Dist, want.Dist)
+				}
+			}
+		}
+		if found == 0 || (c.opt.MaxRetries > 0 && failed == 0) {
+			t.Fatalf("%s: %d found, %d escalated: the case proves nothing", c.name, found, failed)
 		}
 	}
+}
+
+// sameEscalation reports whether a chain error and a two-channel error
+// are the same escalation: chain channel "ch0" is "S", "ch1" is "R".
+func sameEscalation(chain, pair error) bool {
+	if chain == nil || pair == nil {
+		return chain == nil && pair == nil
+	}
+	a, b := chain.(*broadcast.ChannelError), pair.(*broadcast.ChannelError)
+	tag := map[string]string{"ch0": "S", "ch1": "R"}[a.Channel]
+	return tag == b.Channel && a.Attempts == b.Attempts && *a.Last == *b.Last
 }
 
 func TestChainTNNEmpty(t *testing.T) {
