@@ -142,8 +142,8 @@ func TestV2GoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestV2VariantEquivalence checks the unordered, round-trip, and top-k
-// wrappers against their Do requests.
+// TestV2VariantEquivalence checks the unordered and round-trip wrappers
+// against their Do requests, and that a TopK request needs K >= 1.
 func TestV2VariantEquivalence(t *testing.T) {
 	q := tnnbcast.Pt(12000, 26000)
 	for name, sys := range v2Systems(t) {
@@ -164,33 +164,6 @@ func TestV2VariantEquivalence(t *testing.T) {
 		}
 		sameResult(t, name+"/roundtrip", rt, resp.Result)
 
-		const k = 5
-		legacy, ok := sys.QueryTopK(q, k)
-		resp, err = sys.Do(tnnbcast.Request{Point: q, Variant: tnnbcast.TopK, K: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok || !resp.TopK.Found {
-			t.Fatalf("%s: top-k found nothing", name)
-		}
-		if len(legacy) != len(resp.TopK.Pairs) {
-			t.Fatalf("%s: top-k sizes differ: %d vs %d", name, len(legacy), len(resp.TopK.Pairs))
-		}
-		for i, lr := range legacy {
-			pr := resp.TopK.Pairs[i]
-			if lr.S != pr.S || lr.R != pr.R || lr.SID != pr.SID || lr.RID != pr.RID || lr.Dist != pr.Dist {
-				t.Fatalf("%s: top-k pair %d differs", name, i)
-			}
-			// The legacy wrapper duplicates the whole-query metrics into
-			// every Result; v2 reports them once.
-			if lr.AccessTime != resp.TopK.Metrics.AccessTime || lr.TuneIn != resp.TopK.Metrics.TuneIn ||
-				lr.Radius != resp.TopK.Radius {
-				t.Fatalf("%s: top-k metrics mismatch at %d", name, i)
-			}
-		}
-		if _, ok := sys.QueryTopK(q, 0); ok {
-			t.Fatalf("%s: QueryTopK(0) found something", name)
-		}
 		if _, err := sys.Do(tnnbcast.Request{Point: q, Variant: tnnbcast.TopK}); err == nil {
 			t.Fatalf("%s: TopK K=0 did not error", name)
 		}

@@ -59,9 +59,13 @@ func main() {
 
 	// Alternatives: the three best routes, in case the nearest restaurant
 	// is full.
-	if top, ok := sys.QueryTopK(hotel, 3); ok {
-		fmt.Println("\ntop-3 routes:")
-		for i, r := range top {
+	resp, err := sys.Do(tnnbcast.Request{Point: hotel, Variant: tnnbcast.TopK, K: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if top := resp.TopK; top.Found {
+		fmt.Printf("\ntop-3 routes (%d pages tuned in for all three):\n", top.Metrics.TuneIn)
+		for i, r := range top.Pairs {
 			fmt.Printf("  %d. PO #%d → restaurant #%d  %.0f m\n", i+1, r.SID, r.RID, r.Dist)
 		}
 	}

@@ -117,19 +117,19 @@ type ChainResult struct {
 }
 
 // Query answers the chain TNN query at p using all channels in parallel
-// (the generalized Double-NN strategy). It shares the pipeline's option
-// application (applyOptions) and scratch-pool checkout, but runs the
-// k-channel engine directly rather than calling System.Do, whose Request
-// shape is two-channel; pipeline-level additions to Do do not reach the
-// chain path automatically.
+// (the generalized Double-NN strategy). The k-channel executor runs on
+// the same peek/step loop as every System.Do query, with the pipeline's
+// option application (applyOptions) and scratch-pool checkout. It is not
+// a Do request, because Request is two-channel; pipeline-level additions
+// to Do do not reach the chain path automatically.
 func (cs *ChainSystem) Query(p Point, opts ...QueryOption) ChainResult {
 	o := applyOptions(opts)
 	sc := scratchPool.Get().(*core.Scratch)
 	defer scratchPool.Put(sc)
 	o.Scratch = sc
-	res := core.ChainTNN(cs.env, p, o)
+	res := core.RunChain(cs.env, p, o)
 	out := ChainResult{
-		Dist:          res.Dist,
+		Dist:          res.Pair.Dist,
 		Found:         res.Found,
 		AccessTime:    res.Metrics.AccessTime,
 		TuneIn:        res.Metrics.TuneIn,
@@ -180,36 +180,6 @@ func (sys *System) QueryRoundTrip(p Point, opts ...QueryOption) Result {
 		panic(err) // unreachable: RoundTrip requests cannot fail validation
 	}
 	return resp.Result
-}
-
-// QueryTopK returns the k best (s, r) pairs in ascending transitive-
-// distance order, using the parallel k-NN estimate strategy. Fewer than k
-// pairs are returned when the datasets are smaller than k.
-//
-// QueryTopK is the legacy wrapper over Do's TopK variant. The returned
-// slice duplicates the WHOLE-QUERY AccessTime, TuneIn, and Radius into
-// every Result — the query downloads its pages once, so summing metrics
-// across the slice overcounts by a factor of len(results). The v2
-// TopKResult shape reports the pairs and one Metrics value instead.
-func (sys *System) QueryTopK(p Point, k int, opts ...QueryOption) ([]Result, bool) {
-	resp, err := sys.Do(Request{Point: p, Variant: TopK, K: k, Options: opts})
-	if err != nil || !resp.TopK.Found {
-		// K < 1 maps to the legacy "nothing found", as before the v2
-		// pipeline existed.
-		return nil, false
-	}
-	out := make([]Result, len(resp.TopK.Pairs))
-	for i, pr := range resp.TopK.Pairs {
-		out[i] = Result{
-			S: pr.S, R: pr.R,
-			SID: pr.SID, RID: pr.RID,
-			Dist: pr.Dist, Found: true,
-			AccessTime: resp.TopK.Metrics.AccessTime,
-			TuneIn:     resp.TopK.Metrics.TuneIn,
-			Radius:     resp.TopK.Radius,
-		}
-	}
-	return out, true
 }
 
 // fromCore converts an internal result.

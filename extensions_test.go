@@ -1,6 +1,7 @@
 package tnnbcast_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -91,9 +92,10 @@ func dist(a, b tnnbcast.Point) float64 {
 func TestQueryTopK(t *testing.T) {
 	sys := buildSystem(t)
 	q := tnnbcast.Pt(512, 480)
-	top, ok := sys.QueryTopK(q, 5)
-	if !ok || len(top) != 5 {
-		t.Fatalf("top-k failed: ok=%v len=%d", ok, len(top))
+	resp, err := sys.Do(tnnbcast.Request{Point: q, Variant: tnnbcast.TopK, K: 5})
+	top := resp.TopK.Pairs
+	if err != nil || !resp.TopK.Found || len(top) != 5 {
+		t.Fatalf("top-k failed: err=%v found=%v len=%d", err, resp.TopK.Found, len(top))
 	}
 	best, _ := sys.Exact(q)
 	if math.Abs(top[0].Dist-best.Dist) > 1e-9 {
@@ -104,7 +106,8 @@ func TestQueryTopK(t *testing.T) {
 			t.Fatal("top-k not sorted")
 		}
 	}
-	if _, ok := sys.QueryTopK(q, 0); ok {
-		t.Error("k=0 should fail")
+	var kerr *tnnbcast.InvalidTopKError
+	if _, err := sys.Do(tnnbcast.Request{Point: q, Variant: tnnbcast.TopK}); !errors.As(err, &kerr) {
+		t.Errorf("k=0: error %v, want *InvalidTopKError", err)
 	}
 }

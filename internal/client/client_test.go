@@ -144,64 +144,3 @@ func TestArrivalQueueSnapshotDrain(t *testing.T) {
 		}
 	}
 }
-
-// fakeProc steps through a fixed list of slots, recording the global order
-// in which the scheduler let it act.
-type fakeProc struct {
-	slots []int64
-	idx   int
-	log   *[]int64
-}
-
-func (f *fakeProc) Peek() (int64, bool) {
-	if f.idx >= len(f.slots) {
-		return 0, true
-	}
-	return f.slots[f.idx], false
-}
-
-func (f *fakeProc) Step() {
-	*f.log = append(*f.log, f.slots[f.idx])
-	f.idx++
-}
-
-func TestRunParallelGlobalOrder(t *testing.T) {
-	var log []int64
-	a := &fakeProc{slots: []int64{1, 5, 9}, log: &log}
-	b := &fakeProc{slots: []int64{2, 3, 20}, log: &log}
-	c := &fakeProc{slots: []int64{4}, log: &log}
-	RunParallel(a, b, c)
-	want := []int64{1, 2, 3, 4, 5, 9, 20}
-	if len(log) != len(want) {
-		t.Fatalf("log = %v", log)
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("log = %v, want %v", log, want)
-		}
-	}
-}
-
-func TestRunSequential(t *testing.T) {
-	var log []int64
-	// Sequential runs a fully before b even though b has earlier slots.
-	a := &fakeProc{slots: []int64{10, 11}, log: &log}
-	b := &fakeProc{slots: []int64{1, 2}, log: &log}
-	RunSequential(a, b)
-	want := []int64{10, 11, 1, 2}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("log = %v, want %v", log, want)
-		}
-	}
-}
-
-func TestRunParallelEmpty(t *testing.T) {
-	RunParallel() // must not hang or panic
-	var log []int64
-	done := &fakeProc{slots: nil, log: &log}
-	RunParallel(done)
-	if len(log) != 0 {
-		t.Fatal("done process must not step")
-	}
-}

@@ -4,14 +4,14 @@
 // performance metrics — access time and tune-in time, both in pages.
 //
 // The package provides the mechanics every TNN algorithm shares: a
-// per-channel Receiver with doze/wake accounting, an arrival-time-ordered
-// candidate queue (the paper's MBR_queue — ordering by arrival instead of
-// distance avoids backtracking on the linear medium), and a lockstep
-// scheduler that advances ONE client's search processes in global
-// broadcast order, which is what "simultaneously accessing multiple
-// channels" means operationally. Separate clients share nothing but the
-// broadcast, so no scheduler orders them against each other: the session
-// engine runs each client's query to completion on its own.
+// per-channel Receiver with doze/wake accounting and an arrival-time-
+// ordered candidate queue (the paper's MBR_queue — ordering by arrival
+// instead of distance avoids backtracking on the linear medium). The
+// query executors in core step ONE client's searches in global broadcast
+// order, which is what "simultaneously accessing multiple channels" means
+// operationally. Separate clients share nothing but the broadcast, so
+// nothing orders them against each other: the session engine runs each
+// client's query to completion on its own.
 //
 //tnn:deterministic
 package client

@@ -125,6 +125,16 @@ type Result struct {
 	// escalation during answer retrieval keeps the found Pair (only the
 	// attribute download failed). Always nil on lossless feeds.
 	Err error
+
+	// SFirst reports, for an Unordered query, whether the S object comes
+	// first on the best route.
+	SFirst bool
+	// Pairs are a TopK query's best pairs in ascending distance order;
+	// Pair is Pairs[0].
+	Pairs []Pair
+	// Stops are a chain query's objects in visiting order; Pair.Dist is
+	// the route length and Pair.S/R stay zero.
+	Stops []rtree.Entry
 }
 
 // join is the client-side nested-loop join of Algorithm 1 (lines 7–17):
@@ -198,34 +208,6 @@ func sDist(p geom.Point, x, y, d float64) (dps float64, far bool) {
 	return dps, dps >= d
 }
 
-// DoubleNN is the Double-NN-Search algorithm (Algorithm 1): issue the two
-// nearest-neighbor queries p.NN(S) and p.NN(R) in parallel on the two
-// channels as soon as the index roots appear, use
-// d = dis(p,s) + dis(s,r) as the search radius, then run the two range
-// queries in parallel and join.
-func DoubleNN(env Env, p geom.Point, opt Options) Result {
-	return runExec(env, AlgoDouble, p, opt)
-}
-
-// WindowBased is the Window-Based-TNN-Search algorithm of Zheng–Lee–Lee,
-// adapted to the multi-channel environment: the first NN query finds
-// s = p.NN(S); the second, which cannot start earlier because its query
-// point is s, finds r = s.NN(R); the radius is d = dis(p,s) + dis(s,r).
-// The filter-phase range queries do run in parallel on both channels.
-func WindowBased(env Env, p geom.Point, opt Options) Result {
-	return runExec(env, AlgoWindow, p, opt)
-}
-
-// HybridNN is the Hybrid-NN-Search algorithm: both NN searches start in
-// parallel (Case 1); when one finishes first its result redirects the
-// other — Case 2 switches the Channel-2 query point to s = p.NN(S), Case 3
-// switches the Channel-1 search to the transitive metric toward r = p.NN(R)
-// using MinTransDist and MinMaxTransDist. Delayed pruning (children are
-// enqueued unpruned and tested at pop) keeps the redirects correct.
-func HybridNN(env Env, p geom.Point, opt Options) Result {
-	return runExec(env, AlgoHybrid, p, opt)
-}
-
 // ApproxRadius is Eq. 1 of the paper: for n points uniformly distributed in
 // a unit square, a circle of radius r_k(n) = ln(n)·sqrt(k/(π·n)) encloses
 // at least k points with high probability. The radius scales with the
@@ -235,13 +217,4 @@ func ApproxRadius(n, k int, area float64) float64 {
 		return 0
 	}
 	return math.Log(float64(n)) * math.Sqrt(float64(k)/(math.Pi*float64(n))) * math.Sqrt(area)
-}
-
-// ApproximateTNN is the Approximate-TNN-Search baseline: skip the estimate
-// phase entirely and set the radius to d = r_1(S) + r_1(R) from Eq. 1.
-// It is the fastest in access time but does not guarantee the radius
-// contains the answer pair; on skewed datasets it can return a non-optimal
-// pair or nothing at all (Found == false). Table 3 measures this fail rate.
-func ApproximateTNN(env Env, p geom.Point, opt Options) Result {
-	return runExec(env, AlgoApprox, p, opt)
 }

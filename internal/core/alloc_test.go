@@ -13,7 +13,8 @@ import (
 // seen/found buffers, receivers, and search structs are all reused, and the
 // pruning heuristics (queue-min scan, circle/ellipse overlap) are
 // allocation-free. A regression here means boxing or copying crept back
-// into nnSearch/rangeSearch.
+// into nnSearch/rangeSearch. The unordered and round-trip variants run on
+// the same executor and are held to the same budget.
 func TestQuerySteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	ptsS := uniformPts(rng, 1500, testRegion)
@@ -40,20 +41,25 @@ func TestQuerySteadyStateAllocs(t *testing.T) {
 	// deeper traversal than any before it.
 	const budget = 4.0
 
+	variant := func(v Variant) func(Env, geom.Point, Options) Result {
+		return func(env Env, p geom.Point, opt Options) Result { return RunVariant(env, v, 0, p, opt) }
+	}
 	cases := []struct {
 		name string
 		run  func(Env, geom.Point, Options) Result
 		ann  ANNConfig
 		env  Env
 	}{
-		{"DoubleNN", DoubleNN, ANNConfig{}, te.env},
-		{"WindowBased", WindowBased, ANNConfig{}, te.env},
-		{"HybridNN", HybridNN, ANNConfig{}, te.env},
-		{"ApproximateTNN", ApproximateTNN, ANNConfig{}, te.env},
-		{"DoubleNN/ANN", DoubleNN, UniformANN(FactorWindowDouble), te.env},
-		{"HybridNN/ANN", HybridNN, UniformANN(FactorHybrid), te.env},
-		{"DoubleNN/lossy", DoubleNN, ANNConfig{}, lossy},
-		{"ApproximateTNN/lossy", ApproximateTNN, ANNConfig{}, lossy},
+		{"DoubleNN", algoFunc(AlgoDouble), ANNConfig{}, te.env},
+		{"WindowBased", algoFunc(AlgoWindow), ANNConfig{}, te.env},
+		{"HybridNN", algoFunc(AlgoHybrid), ANNConfig{}, te.env},
+		{"ApproximateTNN", algoFunc(AlgoApprox), ANNConfig{}, te.env},
+		{"DoubleNN/ANN", algoFunc(AlgoDouble), UniformANN(FactorWindowDouble), te.env},
+		{"HybridNN/ANN", algoFunc(AlgoHybrid), UniformANN(FactorHybrid), te.env},
+		{"DoubleNN/lossy", algoFunc(AlgoDouble), ANNConfig{}, lossy},
+		{"ApproximateTNN/lossy", algoFunc(AlgoApprox), ANNConfig{}, lossy},
+		{"Unordered", variant(Unordered), ANNConfig{}, te.env},
+		{"RoundTrip", variant(RoundTrip), ANNConfig{}, te.env},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -92,8 +98,8 @@ func TestQueryNilScratch(t *testing.T) {
 	q := geom.Pt(500, 500)
 
 	withSc := NewScratch()
-	a := DoubleNN(te.env, q, Options{Scratch: withSc})
-	b := DoubleNN(te.env, q, Options{})
+	a := run(te.env, AlgoDouble, q, Options{Scratch: withSc})
+	b := run(te.env, AlgoDouble, q, Options{})
 	if a.Metrics != b.Metrics || a.Pair.Dist != b.Pair.Dist || a.Found != b.Found {
 		t.Fatalf("scratch changed the answer: %+v vs %+v", a, b)
 	}

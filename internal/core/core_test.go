@@ -59,6 +59,27 @@ func makeEnv(t *testing.T, ptsS, ptsR []geom.Point, region geom.Rect, offS, offR
 	}
 }
 
+// run answers one query with built-in algorithm a on the peek/step loop.
+func run(env Env, a Algo, p geom.Point, opt Options) Result {
+	res, _ := Run(env, a, p, opt)
+	return res
+}
+
+// algoFunc binds a built-in algorithm for the table-driven tests.
+func algoFunc(a Algo) func(Env, geom.Point, Options) Result {
+	return func(env Env, p geom.Point, opt Options) Result { return run(env, a, p, opt) }
+}
+
+// drain steps one search to completion.
+func drain(s interface {
+	Peek() (int64, bool)
+	Step()
+}) {
+	for _, done := s.Peek(); !done; _, done = s.Peek() {
+		s.Step()
+	}
+}
+
 var testRegion = geom.RectOf(geom.Pt(0, 0), geom.Pt(1000, 1000))
 
 func almostEq(a, b, tol float64) bool {
@@ -101,9 +122,9 @@ func TestOracleEmpty(t *testing.T) {
 func TestExactAlgorithmsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	algos := map[string]func(Env, geom.Point, Options) Result{
-		"DoubleNN":    DoubleNN,
-		"WindowBased": WindowBased,
-		"HybridNN":    HybridNN,
+		"DoubleNN":    algoFunc(AlgoDouble),
+		"WindowBased": algoFunc(AlgoWindow),
+		"HybridNN":    algoFunc(AlgoHybrid),
 	}
 	for i := 0; i < 12; i++ {
 		var ptsS, ptsR []geom.Point
@@ -146,7 +167,7 @@ func TestANNPreservesAnswer(t *testing.T) {
 			want, _ := OracleTNN(p, te.treeS, te.treeR)
 			for _, factor := range []float64{0.1, 0.5, 1.0, 2.0} {
 				for name, algo := range map[string]func(Env, geom.Point, Options) Result{
-					"DoubleNN": DoubleNN, "WindowBased": WindowBased,
+					"DoubleNN": algoFunc(AlgoDouble), "WindowBased": algoFunc(AlgoWindow),
 				} {
 					got := algo(te.env, p, Options{ANN: UniformANN(factor)})
 					if !got.Found || !almostEq(got.Pair.Dist, want.Dist, 1e-9) {
@@ -154,7 +175,7 @@ func TestANNPreservesAnswer(t *testing.T) {
 							name, factor, got.Pair.Dist, want.Dist)
 					}
 				}
-				got := HybridNN(te.env, p, Options{ANN: UniformANN(factor / 150)})
+				got := run(te.env, AlgoHybrid, p, Options{ANN: UniformANN(factor / 150)})
 				if !got.Found || !almostEq(got.Pair.Dist, want.Dist, 1e-9) {
 					t.Fatalf("HybridNN ANN: dist %v, oracle %v", got.Pair.Dist, want.Dist)
 				}
@@ -178,12 +199,12 @@ func TestANNSearchTradeoff(t *testing.T) {
 
 			rxE := client.NewReceiver(te.env.ChS, 0)
 			exact := newNNSearch(rxE, p, 0, 16)
-			client.RunSequential(exact)
+			drain(exact)
 			_, dE, okE := exact.result()
 
 			rxA := client.NewReceiver(te.env.ChS, 0)
 			ann := newNNSearch(rxA, p, 1, 16)
-			client.RunSequential(ann)
+			drain(ann)
 			_, dA, okA := ann.result()
 
 			if !okE || !okA {
@@ -260,7 +281,7 @@ func TestApproximateTNNUniformUsuallyCorrect(t *testing.T) {
 		te := makeEnv(t, ptsS, ptsR, testRegion, rng.Int63n(5000), rng.Int63n(5000))
 		for j := 0; j < 20; j++ {
 			p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-			got := ApproximateTNN(te.env, p, Options{})
+			got := run(te.env, AlgoApprox, p, Options{})
 			want, _ := OracleTNN(p, te.treeS, te.treeR)
 			total++
 			if got.Found && almostEq(got.Pair.Dist, want.Dist, 1e-9) {
@@ -280,7 +301,7 @@ func TestMetricsConsistency(t *testing.T) {
 	ptsR := uniformPts(rng, 400, testRegion)
 	te := makeEnv(t, ptsS, ptsR, testRegion, 123, 4567)
 	for _, algo := range []func(Env, geom.Point, Options) Result{
-		DoubleNN, WindowBased, HybridNN, ApproximateTNN,
+		algoFunc(AlgoDouble), algoFunc(AlgoWindow), algoFunc(AlgoHybrid), algoFunc(AlgoApprox),
 	} {
 		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		res := algo(te.env, p, Options{Issue: 42})
@@ -318,7 +339,7 @@ func TestDeterminism(t *testing.T) {
 	te := makeEnv(t, ptsS, ptsR, testRegion, 77, 991)
 	p := geom.Pt(400, 600)
 	for _, algo := range []func(Env, geom.Point, Options) Result{
-		DoubleNN, WindowBased, HybridNN, ApproximateTNN,
+		algoFunc(AlgoDouble), algoFunc(AlgoWindow), algoFunc(AlgoHybrid), algoFunc(AlgoApprox),
 	} {
 		a := algo(te.env, p, Options{Issue: 5})
 		b := algo(te.env, p, Options{Issue: 5})
@@ -341,13 +362,13 @@ func TestHybridCaseSelection(t *testing.T) {
 		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 
 		teBigS := makeEnv(t, big, small, testRegion, offS, offR)
-		r1 := HybridNN(teBigS.env, p, Options{})
+		r1 := run(teBigS.env, AlgoHybrid, p, Options{})
 		if r1.Case == Case3 {
 			case3++
 		}
 
 		teSmallS := makeEnv(t, small, big, testRegion, offS, offR)
-		r2 := HybridNN(teSmallS.env, p, Options{})
+		r2 := run(teSmallS.env, AlgoHybrid, p, Options{})
 		if r2.Case == Case2 {
 			case2++
 		}
@@ -363,7 +384,7 @@ func TestHybridCaseSelection(t *testing.T) {
 func TestEmptyDatasets(t *testing.T) {
 	te := makeEnv(t, nil, []geom.Point{geom.Pt(1, 1)}, testRegion, 0, 0)
 	for _, algo := range []func(Env, geom.Point, Options) Result{
-		DoubleNN, WindowBased, HybridNN, ApproximateTNN,
+		algoFunc(AlgoDouble), algoFunc(AlgoWindow), algoFunc(AlgoHybrid), algoFunc(AlgoApprox),
 	} {
 		res := algo(te.env, geom.Pt(0, 0), Options{})
 		if res.Found {

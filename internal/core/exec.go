@@ -5,14 +5,16 @@ package core
 // reports the next slot at which the query wants to act, Step performs
 // exactly one action. Every driver — core.Run, the session engine's
 // workers, the streaming Cursor — runs it with the same trivial
-// peek/step loop, which performs the identical sequence of receiver
-// operations as the monolithic algorithm functions (the golden metrics
-// prove it bit-for-bit). Because clients share only the immutable
-// broadcast programs, one query's trajectory never depends on which other
-// queries ran before it or beside it.
+// peek/step loop. The same machine answers the paper's four algorithms
+// and the two-dataset Section-7 variants (unordered, round trip, top-k),
+// which differ only in how the estimate pair becomes a radius and in the
+// terminal join. Because clients share only the immutable broadcast
+// programs, one query's trajectory never depends on which other queries
+// ran before it or beside it.
 
 import (
 	"fmt"
+	"math"
 
 	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/client"
@@ -25,13 +27,24 @@ import (
 type Algo int
 
 const (
-	// AlgoWindow is the adapted Window-Based-TNN-Search baseline.
+	// AlgoWindow is the Window-Based-TNN-Search baseline of Zheng–Lee–Lee,
+	// adapted to multiple channels: s = p.NN(S) first, then r = s.NN(R),
+	// which cannot start earlier because its query point is s; the
+	// filter-phase range queries run in parallel.
 	AlgoWindow Algo = iota
-	// AlgoDouble is the Double-NN-Search algorithm.
+	// AlgoDouble is the Double-NN-Search algorithm (Algorithm 1): p.NN(S)
+	// and p.NN(R) in parallel, radius dis(p,s) + dis(s,r), then the two
+	// range queries in parallel and the join.
 	AlgoDouble
-	// AlgoHybrid is the Hybrid-NN-Search algorithm.
+	// AlgoHybrid is the Hybrid-NN-Search algorithm: both NN searches start
+	// in parallel, and the first to finish redirects the other — Case 2
+	// retargets the R search to s = p.NN(S), Case 3 switches the S search
+	// to the transitive metric toward r = p.NN(R). Delayed pruning keeps
+	// the redirects correct.
 	AlgoHybrid
-	// AlgoApprox is the Approximate-TNN-Search baseline.
+	// AlgoApprox is the Approximate-TNN-Search baseline: no estimate
+	// phase, radius r_1(S) + r_1(R) from Eq. 1. Fastest in access time,
+	// but the radius may miss the answer (Found == false, Table 3).
 	AlgoApprox
 )
 
@@ -58,6 +71,21 @@ func (a Algo) String() string {
 		return fmt.Sprintf("Algo(%d)", int(a))
 	}
 }
+
+// Variant selects the query a QueryExec answers. It mirrors the public
+// tnnbcast.Variant values.
+type Variant int
+
+const (
+	// Transitive is the paper's TNN query, answered by the chosen Algo.
+	Transitive Variant = iota
+	// Unordered visits one object of each dataset in the shorter order.
+	Unordered
+	// RoundTrip minimizes dis(p,s) + dis(s,r) + dis(r,p).
+	RoundTrip
+	// TopK returns the k best pairs by transitive distance.
+	TopK
+)
 
 // Phase is the coarse, externally observable position of a query
 // execution, the granularity of the paper's estimate/filter tune-in
@@ -98,6 +126,8 @@ const (
 	phWinR
 	// phEstimate: Double/Hybrid, both NN searches running in parallel.
 	phEstimate
+	// phTopK: top-k, both k-NN searches running in parallel.
+	phTopK
 	// phFilter: the two circular range queries running in parallel.
 	phFilter
 	// phJoin: ranges done; the local join and the optional answer-object
@@ -107,22 +137,24 @@ const (
 	phDone
 )
 
-// QueryExec is one TNN query as a stepwise process. It implements
-// client.Process, so it can be driven by the lockstep scheduler or any
-// peek/step loop. Obtain one with Reset; when Peek reports done, Result
-// holds the outcome.
+// QueryExec is one TNN query as a stepwise process, an Executor driven
+// by any peek/step loop. Obtain one with Reset (RunVariant starts the
+// Section-7 variants); when Peek reports done, Result holds the outcome.
 //
 // A QueryExec holds its Options.Scratch for the lifetime of the query, so
 // concurrently live executions need one Scratch each; queries run one
 // after another (a session worker) can recycle a single scratch.
 type QueryExec struct {
-	env  Env
-	p    geom.Point
-	algo Algo
-	opt  Options
+	env     Env
+	p       geom.Point
+	algo    Algo
+	variant Variant
+	k       int // TopK's result count
+	opt     Options
 
 	rxS, rxR *client.Receiver
 	ns, nr   *nnSearch
+	knn      [2]*knnSearch // TopK's estimate searches, S then R
 	qs, qr   *rangeSearch
 
 	phase   execPhase
@@ -136,25 +168,36 @@ type QueryExec struct {
 	res Result
 }
 
-// Reset (re)initializes the execution in place for a new query, exactly as
-// the corresponding algorithm function would start it: scratch reclaimed,
-// receivers issued, estimate-phase searches created. The previous
-// execution's state is discarded.
+// Reset (re)initializes the execution in place for a new TNN query by
+// built-in algorithm algo: scratch reclaimed, receivers issued,
+// estimate-phase searches created. The previous execution's state is
+// discarded.
 func (ex *QueryExec) Reset(env Env, algo Algo, p geom.Point, opt Options) {
+	ex.reset(env, algo, Transitive, 0, p, opt)
+}
+
+// reset starts query variant v; k is TopK's result count.
+func (ex *QueryExec) reset(env Env, algo Algo, v Variant, k int, p geom.Point, opt Options) {
 	opt.Scratch.reset()
-	*ex = QueryExec{env: env, p: p, algo: algo, opt: opt}
+	*ex = QueryExec{env: env, p: p, algo: algo, variant: v, k: k, opt: opt}
 	ex.rxS = opt.Scratch.receiver(env.ChS, opt.Issue)
 	ex.rxR = opt.Scratch.receiver(env.ChR, opt.Issue)
 	opt.applyTrace(ex.rxS, ex.rxR)
-	switch algo {
-	case AlgoWindow:
+	switch {
+	case v == TopK:
+		// Top-k generalizes the Double-NN estimate: one k-NN search per
+		// channel from p.
+		ex.knn[0] = opt.Scratch.knnSearch(ex.rxS, p, k, opt.maxRetries())
+		ex.knn[1] = opt.Scratch.knnSearch(ex.rxR, p, k, opt.maxRetries())
+		ex.phase = phTopK
+	case algo == AlgoWindow:
 		ex.ns = opt.Scratch.nnSearch(ex.rxS, p, opt.ANN.FactorS, opt.maxRetries())
 		ex.phase = phWinS
-	case AlgoHybrid, AlgoDouble:
+	case algo == AlgoHybrid || algo == AlgoDouble:
 		ex.ns = opt.Scratch.nnSearch(ex.rxS, p, opt.ANN.FactorS, opt.maxRetries())
 		ex.nr = opt.Scratch.nnSearch(ex.rxR, p, opt.ANN.FactorR, opt.maxRetries())
 		ex.phase = phEstimate
-	case AlgoApprox:
+	case algo == AlgoApprox:
 		// No estimate phase: the radius comes from Eq. 1 directly.
 		area := env.Region.Area()
 		nS := env.ChS.Index().Tree().Count
@@ -165,6 +208,15 @@ func (ex *QueryExec) Reset(env Env, algo Algo, p geom.Point, opt Options) {
 		panic("core: unknown algorithm")
 	}
 	ex.advance()
+}
+
+// run is drive for a QueryExec: the same peek/step loop with direct
+// calls, which keep the execution off the heap.
+func (ex *QueryExec) run() Result {
+	for !ex.Done() {
+		ex.Step()
+	}
+	return ex.Result()
 }
 
 // Done reports whether the execution has produced its final Result.
@@ -181,7 +233,7 @@ func (ex *QueryExec) Result() Result { return ex.res }
 // Phase reports the coarse execution phase, for streaming observers.
 func (ex *QueryExec) Phase() Phase {
 	switch ex.phase {
-	case phWinS, phWinR, phEstimate:
+	case phWinS, phWinR, phEstimate, phTopK:
 		return PhaseEstimate
 	case phFilter, phJoin:
 		return PhaseFilter
@@ -218,7 +270,7 @@ func (ex *QueryExec) clockMax() int64 {
 	return t
 }
 
-// Peek implements client.Process: the next slot at which this query acts.
+// Peek reports the next slot at which this query acts.
 // advance() guarantees the current phase has runnable work (or is phDone),
 // so Peek never reports a stale sub-process slot.
 //
@@ -233,6 +285,9 @@ func (ex *QueryExec) Peek() (int64, bool) {
 		return slot, false
 	case phEstimate:
 		return earliestNN(ex.ns, ex.nr), false
+	case phTopK:
+		_, slot := earliest(ex.knn[:])
+		return slot, false
 	case phFilter:
 		return earliestRange(ex.qs, ex.qr), false
 	case phJoin:
@@ -244,11 +299,11 @@ func (ex *QueryExec) Peek() (int64, bool) {
 
 // earliestNN returns the smaller next-action slot of two NN searches, at
 // least one of which is not done (advance's invariant). Equal slots resolve
-// to the S-channel process, which is always passed first — the same
-// channel-order tie-break StepEarliest applies. Monomorphic on purpose: a
-// generic version shares one gcshape instantiation for all pointer types
-// and calls Peek through its dictionary, while these concrete calls inline
-// to plain field reads.
+// to the S-channel search, which is always passed first: channel order
+// breaks ties, as earliest does. Monomorphic on purpose: a generic version
+// shares one gcshape instantiation for all pointer types and calls Peek
+// through its dictionary, while these concrete calls inline to plain
+// field reads.
 //
 //tnn:noalloc
 func earliestNN(a, b *nnSearch) int64 {
@@ -284,9 +339,9 @@ func earliestRange(a, b *rangeSearch) int64 {
 	}
 }
 
-// Step implements client.Process: perform exactly one action — download or
-// prune one candidate during the searches, or the terminal join+retrieval
-// — then fold any completed sub-phase into the next one.
+// Step performs exactly one action — download or prune one candidate
+// during the searches, or the terminal join+retrieval — then folds any
+// completed sub-phase into the next one.
 //
 //tnn:noalloc
 func (ex *QueryExec) Step() {
@@ -302,6 +357,9 @@ func (ex *QueryExec) Step() {
 			ex.hybridRedirect()
 		}
 		stepEarlierNN(ex.ns, ex.nr)
+	case phTopK:
+		i, _ := earliest(ex.knn[:])
+		ex.knn[i].Step()
 	case phFilter:
 		stepEarlierRange(ex.qs, ex.qr)
 	case phJoin:
@@ -312,11 +370,10 @@ func (ex *QueryExec) Step() {
 	ex.advance()
 }
 
-// stepEarlierNN is client.StepEarliest specialized to the two estimate-
-// phase NN searches of one query — identical semantics (smallest slot
-// steps, equal slots resolve to a, the S-channel process, passed first),
-// without the variadic scan. Monomorphic for the same reason as
-// earliestNN: the cached Peeks inline to field reads.
+// stepEarlierNN steps whichever of the two estimate-phase NN searches acts
+// first: the smaller slot, and on equal slots a, the S-channel search,
+// passed first. Monomorphic for the same reason as earliestNN: the cached
+// Peeks inline to field reads.
 //
 //tnn:noalloc
 func stepEarlierNN(a, b *nnSearch) {
@@ -441,11 +498,41 @@ func (ex *QueryExec) advance() {
 			// The search radius is the transitive distance of the pair the
 			// estimate phase produced. For Hybrid, in Case 3 the S-side
 			// search already minimized exactly this quantity; in Case 2 the
-			// R-side minimized dis(s, ·), its variable part.
-			d := geom.TransDist(ex.p, s.Point, r.Point)
-			ex.radius = d
-			ex.incumbent = Pair{S: s, R: r, Dist: d}
+			// R-side minimized dis(s, ·), its variable part. A variant
+			// bounds its own route through the same pair (Section 7: any
+			// realizable route bounds the range).
+			inc := Pair{S: s, R: r, Dist: geom.TransDist(ex.p, s.Point, r.Point)}
+			ex.radius = inc.Dist
+			switch ex.variant {
+			case Unordered:
+				ex.radius = math.Min(inc.Dist, geom.TransDist(ex.p, r.Point, s.Point))
+			case RoundTrip:
+				inc.Dist = tourLength(ex.p, s.Point, r.Point)
+				ex.radius = inc.Dist
+			}
+			ex.incumbent = inc
 			ex.haveInc = true
+			ex.startFilter()
+
+		case phTopK:
+			if i, _ := earliest(ex.knn[:]); i >= 0 {
+				return
+			}
+			ks, kr := ex.knn[0], ex.knn[1]
+			if ks.err != nil {
+				ex.failWith("S", ks.err)
+				return
+			}
+			if kr.err != nil {
+				ex.failWith("R", kr.err)
+				return
+			}
+			ss, rs := ks.results(), kr.results()
+			if len(ss) == 0 || len(rs) == 0 {
+				ex.fail()
+				return
+			}
+			ex.radius = topKRadius(ex.p, ss, rs)
 			ex.startFilter()
 
 		case phFilter:
@@ -502,11 +589,27 @@ func (ex *QueryExec) failWith(channel string, cerr *broadcast.ChannelError) {
 	ex.phase = phDone
 }
 
-// joinAndRetrieve is the terminal action: the client-side nested-loop join
-// over the filtered candidates, the optional download of the answer pair's
-// data pages, and the metric collection.
+// joinAndRetrieve is the terminal action: the client-side join over the
+// filtered candidates (the variant's own), the optional download of the
+// answer pair's data pages, and the metric collection.
 func (ex *QueryExec) joinAndRetrieve() {
-	pair, ok := join(ex.p, ex.incumbent, ex.haveInc, &ex.qs.found, &ex.qr.found)
+	var res Result
+	var pair Pair
+	ok := true
+	switch ex.variant {
+	case Transitive:
+		pair, ok = join(ex.p, ex.incumbent, ex.haveInc, &ex.qs.found, &ex.qr.found)
+	case Unordered:
+		pair, res.SFirst = joinUnordered(ex.p, ex.incumbent, &ex.qs.found, &ex.qr.found)
+	case RoundTrip:
+		pair = joinRoundTrip(ex.p, ex.incumbent, &ex.qs.found, &ex.qr.found)
+	case TopK:
+		if res.Pairs = joinTopK(ex.p, &ex.qs.found, &ex.qr.found, ex.k); len(res.Pairs) == 0 {
+			ex.fail()
+			return
+		}
+		pair = res.Pairs[0]
+	}
 
 	var err error
 	if ok && !ex.opt.SkipDataRetrieval {
@@ -530,27 +633,12 @@ func (ex *QueryExec) joinAndRetrieve() {
 	}
 
 	m := client.Collect(ex.rxS, ex.rxR)
-	ex.res = Result{
-		Pair:           pair,
-		Found:          ok,
-		Metrics:        m,
-		EstimateTuneIn: ex.estimate,
-		FilterTuneIn:   m.TuneIn - ex.estimate,
-		Radius:         ex.radius,
-		Case:           ex.caseTag,
-		Err:            err,
+	res.Pair, res.Found, res.Metrics = pair, ok, m
+	res.Radius, res.Case, res.Err = ex.radius, ex.caseTag, err
+	if ex.variant == Transitive {
+		// Only the paper's query reports the estimate/filter split.
+		res.EstimateTuneIn, res.FilterTuneIn = ex.estimate, m.TuneIn-ex.estimate
 	}
+	ex.res = res
 	ex.phase = phDone
-}
-
-// runExec drives one query execution to completion with the trivial
-// peek/step loop — the single-client event loop the algorithm functions
-// expose.
-func runExec(env Env, algo Algo, p geom.Point, opt Options) Result {
-	var ex QueryExec
-	ex.Reset(env, algo, p, opt)
-	for !ex.Done() {
-		ex.Step()
-	}
-	return ex.Result()
 }

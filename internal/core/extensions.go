@@ -3,18 +3,20 @@ package core
 // This file implements the generalized TNN queries the paper lists as
 // future work (Section 7):
 //
-//  1. ChainTNN — more than two datasets, visited in a specified order on
-//     k simultaneous channels: minimize dis(p,s1) + dis(s1,s2) + … +
-//     dis(s_{k-1},s_k).
-//  2. UnorderedTNN — two datasets with the visiting order unspecified:
-//     the better of (S then R) and (R then S).
-//  3. RoundTripTNN — a complete travel route that returns to the source:
+//  1. Chain — more than two datasets, visited in a specified order on k
+//     simultaneous channels: minimize dis(p,s1) + dis(s1,s2) + … +
+//     dis(s_{k-1},s_k). ChainExec runs it.
+//  2. Unordered — two datasets with the visiting order unspecified: the
+//     better of (S then R) and (R then S).
+//  3. RoundTrip — a complete travel route that returns to the source:
 //     minimize dis(p,s) + dis(s,r) + dis(r,p).
 //
-// All three reuse the estimate–filter paradigm. The correctness argument
-// is the natural generalization of Theorem 1: if d is the length of any
-// *realizable* route (built from actual data objects), every object o on a
-// better route satisfies dis(p,o) ≤ d by the triangle inequality, so the
+// QueryExec runs the two-dataset variants (and top-k, topk.go) as phases
+// of the Double-NN execution; this file holds their joins. All reuse the
+// estimate–filter paradigm. The correctness argument is the natural
+// generalization of Theorem 1: if d is the length of any *realizable*
+// route (built from actual data objects), every object o on a better
+// route satisfies dis(p,o) ≤ d by the triangle inequality, so the
 // circle(p,d) range queries cover all candidates and the local join finds
 // the exact optimum.
 
@@ -35,128 +37,222 @@ type MultiEnv struct {
 	Region geom.Rect
 }
 
-// ChainResult reports a ChainTNN query.
-type ChainResult struct {
-	// Stops are the chosen objects, one per dataset, in visiting order.
-	Stops []rtree.Entry
-	// Dist is the total route length dis(p,s1) + Σ dis(s_i, s_{i+1}).
-	Dist    float64
-	Found   bool
-	Metrics client.Metrics
-	Radius  float64
-	// Err is non-nil when a channel died mid-query (see Result.Err);
-	// chain channels are tagged "ch0", "ch1", … in visiting order.
-	Err error
+// ChainExec answers a chain TNN query across k datasets in a fixed
+// visiting order, using all k channels simultaneously (the Double-NN
+// strategy generalized) as an Executor. The estimate phase runs k
+// parallel NN searches from p; chaining their results gives a realizable
+// route whose length bounds the search range. The filter phase runs k
+// parallel circular range queries and a layered dynamic-programming join.
+// Each step advances the search that acts at the earliest slot, the
+// lowest channel index on ties, so k = 2 steps exactly as Double-NN does.
+// Chain channels are tagged "ch0", "ch1", … in errors.
+type ChainExec struct {
+	p     geom.Point
+	opt   Options
+	rxs   []*client.Receiver
+	nns   []*nnSearch
+	rgs   []*rangeSearch
+	route []rtree.Entry // the estimate's realizable route
+	phase execPhase     // phEstimate, phFilter, phJoin or phDone
+
+	radius float64
+	res    Result
 }
 
-// ChainTNN answers a transitive nearest-neighbor query across k datasets
-// in a fixed visiting order, using all k channels simultaneously
-// (the Double-NN strategy generalized). The estimate phase runs k parallel
-// NN searches from p; chaining their results gives a realizable route
-// whose length bounds the search range. The filter phase runs k parallel
-// circular range queries and a layered dynamic-programming join.
-func ChainTNN(env MultiEnv, p geom.Point, opt Options) ChainResult {
+// Reset (re)initializes the execution in place for a chain query at p.
+// An environment without channels is done at once with a zero Result.
+func (ex *ChainExec) Reset(env MultiEnv, p geom.Point, opt Options) {
+	opt.Scratch.reset()
+	*ex = ChainExec{p: p, opt: opt, phase: phEstimate}
 	k := len(env.Chs)
 	if k == 0 {
-		return ChainResult{}
+		ex.phase = phDone
+		return
 	}
-	opt.Scratch.reset()
-	rxs := make([]*client.Receiver, k)
-	searches := make([]client.Process, k)
-	nns := make([]*nnSearch, k)
+	ex.rxs = make([]*client.Receiver, k)
+	ex.nns = make([]*nnSearch, k)
 	for i, ch := range env.Chs {
-		rxs[i] = opt.Scratch.receiver(ch, opt.Issue)
+		ex.rxs[i] = opt.Scratch.receiver(ch, opt.Issue)
 		factor := opt.ANN.FactorS
 		if i > 0 {
 			factor = opt.ANN.FactorR
 		}
-		nns[i] = opt.Scratch.nnSearch(rxs[i], p, factor, opt.maxRetries())
-		searches[i] = nns[i]
+		ex.nns[i] = opt.Scratch.nnSearch(ex.rxs[i], p, factor, opt.maxRetries())
 	}
-	client.RunParallel(searches...)
-	for i := range nns {
-		if cerr := nns[i].err; cerr != nil {
-			cerr.Channel = fmt.Sprintf("ch%d", i)
-			return ChainResult{Metrics: collectAll(rxs), Err: cerr}
+	ex.advance()
+}
+
+// RunChain answers one chain query on the peek/step loop.
+func RunChain(env MultiEnv, p geom.Point, opt Options) Result {
+	var ex ChainExec
+	ex.Reset(env, p, opt)
+	return drive(&ex)
+}
+
+// Done reports whether the Result is final.
+func (ex *ChainExec) Done() bool { return ex.phase == phDone }
+
+// Result returns the query outcome; valid once Done.
+func (ex *ChainExec) Result() Result { return ex.res }
+
+// Peek reports the next slot at which the query acts.
+func (ex *ChainExec) Peek() (int64, bool) {
+	switch ex.phase {
+	case phEstimate:
+		_, slot := earliest(ex.nns)
+		return slot, false
+	case phFilter:
+		_, slot := earliest(ex.rgs)
+		return slot, false
+	case phJoin:
+		return clockMax(ex.rxs), false
+	default:
+		return 0, true
+	}
+}
+
+// Step performs exactly one action: one step of the earliest search, or
+// the terminal join and retrieval.
+func (ex *ChainExec) Step() {
+	switch ex.phase {
+	case phEstimate:
+		i, _ := earliest(ex.nns)
+		if ex.nns[i].Step(); !ex.nns[i].finished {
+			return // only a finished search can end the phase
+		}
+	case phFilter:
+		i, _ := earliest(ex.rgs)
+		if ex.rgs[i].Step(); !ex.rgs[i].finished {
+			return
+		}
+	case phJoin:
+		ex.joinAndRetrieve()
+	case phDone:
+		panic("core: Step on a finished chain execution")
+	}
+	ex.advance()
+}
+
+// earliest returns the index and slot of the not-done search that acts
+// first — the smallest slot, the lowest index on ties — or index -1 when
+// every search is done. It orders the chain's k channels and top-k's two
+// estimate searches; the paper algorithms' hot phases apply the same rule
+// through the monomorphic earliestNN/stepEarlierNN pairs.
+func earliest[S interface{ Peek() (int64, bool) }](ss []S) (idx int, slot int64) {
+	idx = -1
+	for i, s := range ss {
+		if t, done := s.Peek(); !done && (idx == -1 || t < slot) {
+			idx, slot = i, t
 		}
 	}
+	return idx, slot
+}
 
-	// Chain the parallel NN results into a realizable route.
-	route := make([]rtree.Entry, k)
-	for i := range nns {
-		e, _, ok := nns[i].result()
-		if !ok {
-			return ChainResult{Metrics: collectAll(rxs)}
+// clockMax returns the latest of the receivers' local clocks.
+func clockMax(rxs []*client.Receiver) int64 {
+	t := rxs[0].Now()
+	for _, rx := range rxs[1:] {
+		t = max(t, rx.Now())
+	}
+	return t
+}
+
+// advance folds completed phases into their successors, as
+// QueryExec.advance does.
+func (ex *ChainExec) advance() {
+	switch ex.phase {
+	case phEstimate:
+		if i, _ := earliest(ex.nns); i >= 0 {
+			return
 		}
-		route[i] = e
-	}
-	d := routeLength(p, route)
-
-	// Filter: parallel range queries with radius d on every channel.
-	t := int64(0)
-	for _, rx := range rxs {
-		if rx.Now() > t {
-			t = rx.Now()
-		}
-	}
-	w := geom.Circle{Center: p, R: d}
-	ranges := make([]*rangeSearch, k)
-	procs := make([]client.Process, k)
-	for i, rx := range rxs {
-		rx.WaitUntil(t)
-		ranges[i] = opt.Scratch.rangeSearch(rx, w, opt.maxRetries())
-		procs[i] = ranges[i]
-	}
-	client.RunParallel(procs...)
-	for i := range ranges {
-		if cerr := ranges[i].err; cerr != nil {
-			cerr.Channel = fmt.Sprintf("ch%d", i)
-			return ChainResult{Metrics: collectAll(rxs), Err: cerr}
-		}
-	}
-
-	// Layered DP join: best[i][j] = min route length from p through layers
-	// 0..i ending at candidate j of layer i.
-	layers := make([][]rtree.Entry, k)
-	for i := range ranges {
-		layers[i] = ranges[i].found.entries()
-	}
-	stops, dist, ok := chainJoin(p, layers, route, d)
-	if !ok {
-		return ChainResult{Metrics: collectAll(rxs)}
-	}
-
-	var err error
-	if !opt.SkipDataRetrieval {
-		t = 0
-		for _, rx := range rxs {
-			if rx.Now() > t {
-				t = rx.Now()
+		for i, s := range ex.nns {
+			if s.err != nil {
+				ex.failWith(i, s.err)
+				return
 			}
 		}
-		for i, rx := range rxs {
+		ex.route = make([]rtree.Entry, len(ex.nns))
+		for i, s := range ex.nns {
+			e, _, ok := s.result()
+			if !ok {
+				ex.fail(nil)
+				return
+			}
+			ex.route[i] = e
+		}
+		ex.radius = routeLength(ex.p, ex.route)
+		// Filter: parallel range queries with the route length as radius
+		// on every channel, from the moment every estimate is known.
+		t := clockMax(ex.rxs)
+		w := geom.Circle{Center: ex.p, R: ex.radius}
+		ex.rgs = make([]*rangeSearch, len(ex.rxs))
+		for i, rx := range ex.rxs {
 			rx.WaitUntil(t)
-			if _, cerr := rx.DownloadObjectReliable(stops[i].ID, opt.maxRetries()); cerr != nil {
+			ex.rgs[i] = ex.opt.Scratch.rangeSearch(rx, w, ex.opt.maxRetries())
+		}
+		ex.phase = phFilter
+		ex.advance() // fold a filter phase that is complete at creation
+	case phFilter:
+		if i, _ := earliest(ex.rgs); i >= 0 {
+			return
+		}
+		for i, s := range ex.rgs {
+			if s.err != nil {
+				ex.failWith(i, s.err)
+				return
+			}
+		}
+		ex.phase = phJoin
+	}
+}
+
+// fail finalizes the query with the metrics spent so far and err.
+func (ex *ChainExec) fail(err error) {
+	ex.res = Result{Metrics: client.Collect(ex.rxs...), Err: err}
+	ex.phase = phDone
+}
+
+// failWith finalizes a query whose channel i escalated.
+func (ex *ChainExec) failWith(i int, cerr *broadcast.ChannelError) {
+	cerr.Channel = fmt.Sprintf("ch%d", i)
+	ex.fail(cerr)
+}
+
+// joinAndRetrieve is the terminal action: the layered join, the optional
+// download of every stop's data page, and the metric collection.
+func (ex *ChainExec) joinAndRetrieve() {
+	layers := make([][]rtree.Entry, len(ex.rgs))
+	for i, s := range ex.rgs {
+		layers[i] = s.found.entries()
+	}
+	stops, dist, ok := chainJoin(ex.p, layers, ex.route, ex.radius)
+	if !ok {
+		ex.fail(nil)
+		return
+	}
+	var err error
+	if !ex.opt.SkipDataRetrieval {
+		t := clockMax(ex.rxs)
+		for _, rx := range ex.rxs {
+			rx.WaitUntil(t)
+		}
+		for i, rx := range ex.rxs {
+			if _, cerr := rx.DownloadObjectReliable(stops[i].ID, ex.opt.maxRetries()); cerr != nil {
 				cerr.Channel = fmt.Sprintf("ch%d", i)
 				err = cerr
 				break
 			}
 		}
 	}
-
-	return ChainResult{
-		Stops:   stops,
-		Dist:    dist,
+	ex.res = Result{
+		Pair:    Pair{Dist: dist},
 		Found:   true,
-		Metrics: collectAll(rxs),
-		Radius:  d,
+		Metrics: client.Collect(ex.rxs...),
+		Radius:  ex.radius,
 		Err:     err,
+		Stops:   stops,
 	}
-}
-
-// collectAll combines receiver metrics (max access, summed tune-in).
-func collectAll(rxs []*client.Receiver) client.Metrics {
-	return client.Collect(rxs...)
+	ex.phase = phDone
 }
 
 // routeLength returns dis(p, r0) + Σ dis(r_i, r_{i+1}).
@@ -224,174 +320,43 @@ func chainJoin(p geom.Point, layers [][]rtree.Entry, incumbent []rtree.Entry, bo
 	return stops, bestDist, true
 }
 
-// UnorderedTNN answers the two-dataset TNN query when the visiting order
-// is not specified: it returns the better of visiting S first or R first.
-// Both parallel NN results from the estimate phase yield realizable routes
-// in either order; the smaller of the two bounds the shared search range,
-// and the join evaluates both directions.
-//
-// The returned First reports true when the S-object is visited first.
-func UnorderedTNN(env Env, p geom.Point, opt Options) (Result, bool) {
-	opt.Scratch.reset()
-	rxS := opt.Scratch.receiver(env.ChS, opt.Issue)
-	rxR := opt.Scratch.receiver(env.ChR, opt.Issue)
-	opt.applyTrace(rxS, rxR)
-
-	ns := opt.Scratch.nnSearch(rxS, p, opt.ANN.FactorS, opt.maxRetries())
-	nr := opt.Scratch.nnSearch(rxR, p, opt.ANN.FactorR, opt.maxRetries())
-	client.RunParallel(ns, nr)
-	if cerr := channelErr(ns.err, nr.err); cerr != nil {
-		return Result{Metrics: client.Collect(rxS, rxR), Err: cerr}, false
+// joinUnordered joins the candidates in both visiting orders, each
+// seeded with the estimate pair's route in that order, and returns the
+// shorter with sFirst reporting whether it visits S first (ties go to S
+// first). The returned pair always carries the S object in S.
+func joinUnordered(p geom.Point, inc Pair, fs, fr *pointBuf) (pair Pair, sFirst bool) {
+	pairSR, _ := join(p, inc, true, fs, fr)
+	rFirst := Pair{S: inc.R, R: inc.S, Dist: geom.TransDist(p, inc.R.Point, inc.S.Point)}
+	pairRS, _ := join(p, rFirst, true, fr, fs)
+	if pairSR.Dist <= pairRS.Dist {
+		return pairSR, true
 	}
-	s, _, okS := ns.result()
-	r, _, okR := nr.result()
-	if !okS || !okR {
-		return Result{Metrics: client.Collect(rxS, rxR)}, false
-	}
-
-	dSR := geom.TransDist(p, s.Point, r.Point)
-	dRS := geom.TransDist(p, r.Point, s.Point)
-	d := math.Min(dSR, dRS)
-
-	t := rxS.Now()
-	if rxR.Now() > t {
-		t = rxR.Now()
-	}
-	rxS.WaitUntil(t)
-	rxR.WaitUntil(t)
-	w := geom.Circle{Center: p, R: d}
-	qs := opt.Scratch.rangeSearch(rxS, w, opt.maxRetries())
-	qr := opt.Scratch.rangeSearch(rxR, w, opt.maxRetries())
-	client.RunParallel(qs, qr)
-	if cerr := channelErr(qs.err, qr.err); cerr != nil {
-		return Result{Metrics: client.Collect(rxS, rxR), Err: cerr}, false
-	}
-
-	sFirstIncumbent := Pair{S: s, R: r, Dist: dSR}
-	pairSR, _ := join(p, sFirstIncumbent, true, &qs.found, &qr.found)
-	rFirstIncumbent := Pair{S: r, R: s, Dist: dRS}
-	pairRS, _ := join(p, rFirstIncumbent, true, &qr.found, &qs.found)
-
-	sFirst := pairSR.Dist <= pairRS.Dist
-	var res Pair
-	if sFirst {
-		res = pairSR
-	} else {
-		// pairRS visits R first: its S field holds the R-object.
-		res = Pair{S: pairRS.R, R: pairRS.S, Dist: pairRS.Dist}
-	}
-
-	var err error
-	if !opt.SkipDataRetrieval {
-		t = rxS.Now()
-		if rxR.Now() > t {
-			t = rxR.Now()
-		}
-		rxS.WaitUntil(t)
-		rxR.WaitUntil(t)
-		if _, cerr := rxS.DownloadObjectReliable(res.S.ID, opt.maxRetries()); cerr != nil {
-			cerr.Channel = "S"
-			err = cerr
-		} else if _, cerr := rxR.DownloadObjectReliable(res.R.ID, opt.maxRetries()); cerr != nil {
-			cerr.Channel = "R"
-			err = cerr
-		}
-	}
-
-	m := client.Collect(rxS, rxR)
-	return Result{
-		Pair:    res,
-		Found:   true,
-		Metrics: m,
-		Radius:  d,
-		Err:     err,
-	}, sFirst
+	// pairRS visits R first: its S field holds the R-object.
+	return Pair{S: pairRS.R, R: pairRS.S, Dist: pairRS.Dist}, false
 }
 
-// RoundTripTNN answers the complete-route variant: visit one object of S,
-// then one of R, then return to the start, minimizing
-// dis(p,s) + dis(s,r) + dis(r,p). The parallel NN results give a
-// realizable tour whose length bounds the range queries (every object on a
-// better tour lies within that distance of p).
-func RoundTripTNN(env Env, p geom.Point, opt Options) Result {
-	opt.Scratch.reset()
-	rxS := opt.Scratch.receiver(env.ChS, opt.Issue)
-	rxR := opt.Scratch.receiver(env.ChR, opt.Issue)
-	opt.applyTrace(rxS, rxR)
+// tourLength returns dis(p,s) + dis(s,r) + dis(r,p).
+func tourLength(p, s, r geom.Point) float64 {
+	return geom.Dist(p, s) + geom.Dist(s, r) + geom.Dist(r, p)
+}
 
-	ns := opt.Scratch.nnSearch(rxS, p, opt.ANN.FactorS, opt.maxRetries())
-	nr := opt.Scratch.nnSearch(rxR, p, opt.ANN.FactorR, opt.maxRetries())
-	client.RunParallel(ns, nr)
-	if cerr := channelErr(ns.err, nr.err); cerr != nil {
-		return Result{Metrics: client.Collect(rxS, rxR), Err: cerr}
-	}
-	s, _, okS := ns.result()
-	r, _, okR := nr.result()
-	if !okS || !okR {
-		return Result{Metrics: client.Collect(rxS, rxR)}
-	}
-
-	tour := func(s, r geom.Point) float64 {
-		return geom.Dist(p, s) + geom.Dist(s, r) + geom.Dist(r, p)
-	}
-	d := tour(s.Point, r.Point)
-
-	t := rxS.Now()
-	if rxR.Now() > t {
-		t = rxR.Now()
-	}
-	rxS.WaitUntil(t)
-	rxR.WaitUntil(t)
-	w := geom.Circle{Center: p, R: d}
-	qs := opt.Scratch.rangeSearch(rxS, w, opt.maxRetries())
-	qr := opt.Scratch.rangeSearch(rxR, w, opt.maxRetries())
-	client.RunParallel(qs, qr)
-	if cerr := channelErr(qs.err, qr.err); cerr != nil {
-		return Result{Metrics: client.Collect(rxS, rxR), Err: cerr}
-	}
-
-	best := Pair{S: s, R: r, Dist: d}
-	fs, fr := &qs.found, &qr.found
+// joinRoundTrip is the round-trip join: the shortest tour through one
+// candidate of each buffer, seeded with the estimate pair's tour best. An
+// object s on a better tour satisfies dis(p,s) < best.Dist, which screens
+// the outer loop.
+func joinRoundTrip(p geom.Point, best Pair, fs, fr *pointBuf) Pair {
 	for i := range fs.x {
-		// An object s on a better tour satisfies dis(p,s) < d; tighter:
-		// the two legs through s already cost dis(p,s) twice is not valid
-		// for asymmetric tours, so only the basic bound applies.
 		siP := geom.Point{X: fs.x[i], Y: fs.y[i]}
 		if geom.Dist(p, siP) >= best.Dist {
 			continue
 		}
 		for j := range fr.x {
-			if td := tour(siP, geom.Point{X: fr.x[j], Y: fr.y[j]}); td < best.Dist {
+			if td := tourLength(p, siP, geom.Point{X: fr.x[j], Y: fr.y[j]}); td < best.Dist {
 				best = Pair{S: fs.entry(i), R: fr.entry(j), Dist: td}
 			}
 		}
 	}
-
-	var err error
-	if !opt.SkipDataRetrieval {
-		t = rxS.Now()
-		if rxR.Now() > t {
-			t = rxR.Now()
-		}
-		rxS.WaitUntil(t)
-		rxR.WaitUntil(t)
-		if _, cerr := rxS.DownloadObjectReliable(best.S.ID, opt.maxRetries()); cerr != nil {
-			cerr.Channel = "S"
-			err = cerr
-		} else if _, cerr := rxR.DownloadObjectReliable(best.R.ID, opt.maxRetries()); cerr != nil {
-			cerr.Channel = "R"
-			err = cerr
-		}
-	}
-
-	m := client.Collect(rxS, rxR)
-	return Result{
-		Pair:    best,
-		Found:   true,
-		Metrics: m,
-		Radius:  d,
-		Err:     err,
-	}
+	return best
 }
 
 // OracleChainTNN computes the exact chain answer by layered dynamic

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tnnbcast/internal/broadcast"
@@ -39,7 +40,7 @@ func TestChainTNNMatchesOracle(t *testing.T) {
 		env, trees := makeMultiEnv(t, sets, testRegion, rng)
 		for j := 0; j < 6; j++ {
 			p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-			got := ChainTNN(env, p, Options{})
+			got := RunChain(env, p, Options{})
 			if !got.Found {
 				t.Fatalf("k=%d: chain not found", k)
 			}
@@ -50,16 +51,16 @@ func TestChainTNNMatchesOracle(t *testing.T) {
 			if !ok {
 				t.Fatal("oracle failed")
 			}
-			if !almostEq(got.Dist, want, 1e-9) {
-				t.Fatalf("k=%d: chain dist %v, oracle %v", k, got.Dist, want)
+			if !almostEq(got.Pair.Dist, want, 1e-9) {
+				t.Fatalf("k=%d: chain dist %v, oracle %v", k, got.Pair.Dist, want)
 			}
 			// Reported distance matches the stops.
 			recomputed := geom.Dist(p, got.Stops[0].Point)
 			for i := 1; i < k; i++ {
 				recomputed += geom.Dist(got.Stops[i-1].Point, got.Stops[i].Point)
 			}
-			if !almostEq(got.Dist, recomputed, 1e-9) {
-				t.Fatalf("k=%d: Dist %v but stops sum to %v", k, got.Dist, recomputed)
+			if !almostEq(got.Pair.Dist, recomputed, 1e-9) {
+				t.Fatalf("k=%d: Dist %v but stops sum to %v", k, got.Pair.Dist, recomputed)
 			}
 			if got.Metrics.TuneIn <= 0 || got.Metrics.AccessTime <= 0 {
 				t.Fatalf("k=%d: bad metrics %+v", k, got.Metrics)
@@ -103,10 +104,10 @@ func TestChainTNNTwoEqualsTNN(t *testing.T) {
 				opt.ANN = UniformANN(FactorWindowDouble)
 			}
 			opt.SkipDataRetrieval = j%3 == 2
-			chain := ChainTNN(chainEnv, p, opt)
+			chain := RunChain(chainEnv, p, opt)
 			double, _ := Run(c.env, AlgoDouble, p, opt)
 			if chain.Metrics != double.Metrics || math.Float64bits(chain.Radius) != math.Float64bits(double.Radius) ||
-				math.Float64bits(chain.Dist) != math.Float64bits(double.Pair.Dist) || chain.Found != double.Found {
+				math.Float64bits(chain.Pair.Dist) != math.Float64bits(double.Pair.Dist) || chain.Found != double.Found {
 				t.Fatalf("%s query %d: chain k=2 %+v, Double-NN %+v", c.name, j, chain, double)
 			}
 			if chain.Found && (chain.Stops[0] != double.Pair.S || chain.Stops[1] != double.Pair.R) {
@@ -123,8 +124,8 @@ func TestChainTNNTwoEqualsTNN(t *testing.T) {
 			}
 			if c.opt.MaxRetries == 0 {
 				want, _ := OracleTNN(p, te.treeS, te.treeR)
-				if !chain.Found || !almostEq(chain.Dist, want.Dist, 1e-9) {
-					t.Fatalf("chain k=2 dist %v, TNN oracle %v", chain.Dist, want.Dist)
+				if !chain.Found || !almostEq(chain.Pair.Dist, want.Dist, 1e-9) {
+					t.Fatalf("chain k=2 dist %v, TNN oracle %v", chain.Pair.Dist, want.Dist)
 				}
 			}
 		}
@@ -145,13 +146,44 @@ func sameEscalation(chain, pair error) bool {
 	return tag == b.Channel && a.Attempts == b.Attempts && *a.Last == *b.Last
 }
 
+// slotSearch is a stand-in search acting at a fixed list of slots.
+type slotSearch struct{ slots []int64 }
+
+func (s *slotSearch) Peek() (int64, bool) {
+	if len(s.slots) == 0 {
+		return 0, true
+	}
+	return s.slots[0], false
+}
+
+// TestEarliestTieBreak pins ChainExec's step order: the smallest slot
+// first, the lowest channel index on equal slots, done searches skipped.
+func TestEarliestTieBreak(t *testing.T) {
+	ss := []*slotSearch{{slots: []int64{5, 9}}, {slots: []int64{5, 7}}, {}, {slots: []int64{4}}}
+	var order []int
+	for {
+		i, slot := earliest(ss)
+		if i < 0 {
+			break
+		}
+		if slot != ss[i].slots[0] {
+			t.Fatalf("earliest reported slot %d for search %d at %d", slot, i, ss[i].slots[0])
+		}
+		order = append(order, i)
+		ss[i].slots = ss[i].slots[1:]
+	}
+	if want := []int{3, 0, 1, 1, 0}; !slices.Equal(order, want) {
+		t.Fatalf("step order %v, want %v", order, want)
+	}
+}
+
 func TestChainTNNEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	if res := ChainTNN(MultiEnv{}, geom.Pt(0, 0), Options{}); res.Found {
+	if res := RunChain(MultiEnv{}, geom.Pt(0, 0), Options{}); res.Found {
 		t.Error("empty env should not find")
 	}
 	env, _ := makeMultiEnv(t, [][]geom.Point{nil, {geom.Pt(1, 1)}}, testRegion, rng)
-	if res := ChainTNN(env, geom.Pt(0, 0), Options{}); res.Found {
+	if res := RunChain(env, geom.Pt(0, 0), Options{}); res.Found {
 		t.Error("empty layer should not find")
 	}
 }
@@ -164,7 +196,8 @@ func TestUnorderedTNN(t *testing.T) {
 		te := makeEnv(t, ptsS, ptsR, testRegion, rng.Int63n(9999), rng.Int63n(9999))
 		for j := 0; j < 8; j++ {
 			p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-			got, sFirst := UnorderedTNN(te.env, p, Options{})
+			got := RunVariant(te.env, Unordered, 0, p, Options{})
+			sFirst := got.SFirst
 			if !got.Found {
 				t.Fatal("unordered not found")
 			}
@@ -196,7 +229,7 @@ func TestRoundTripTNNMatchesOracle(t *testing.T) {
 		te := makeEnv(t, ptsS, ptsR, testRegion, rng.Int63n(9999), rng.Int63n(9999))
 		for j := 0; j < 6; j++ {
 			p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-			got := RoundTripTNN(te.env, p, Options{})
+			got := RunVariant(te.env, RoundTrip, 0, p, Options{})
 			if !got.Found {
 				t.Fatal("round trip not found")
 			}

@@ -69,10 +69,10 @@ func TestLossDifferential(t *testing.T) {
 		name string
 		run  func(Env, geom.Point, Options) Result
 	}{
-		{"Window-Based", WindowBased},
-		{"Double-NN", DoubleNN},
-		{"Hybrid-NN", HybridNN},
-		{"Approximate-TNN", ApproximateTNN},
+		{"Window-Based", algoFunc(AlgoWindow)},
+		{"Double-NN", algoFunc(AlgoDouble)},
+		{"Hybrid-NN", algoFunc(AlgoHybrid)},
+		{"Approximate-TNN", algoFunc(AlgoApprox)},
 	}
 	layouts := []struct {
 		name string
@@ -166,7 +166,7 @@ func TestLossDeterministicMetrics(t *testing.T) {
 	p := geom.Pt(321, 654)
 	opt := Options{Issue: 1234}
 	for _, run := range []func(Env, geom.Point, Options) Result{
-		WindowBased, DoubleNN, HybridNN, ApproximateTNN,
+		algoFunc(AlgoWindow), algoFunc(AlgoDouble), algoFunc(AlgoHybrid), algoFunc(AlgoApprox),
 	} {
 		a := run(lossy, p, opt)
 		b := run(lossy, p, opt)
@@ -196,7 +196,7 @@ func TestLossTraceFault(t *testing.T) {
 			events++
 		},
 	}
-	res := WindowBased(lossy, geom.Pt(500, 500), opt)
+	res := run(lossy, AlgoWindow, geom.Pt(500, 500), opt)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -221,7 +221,7 @@ func TestLossEscalation(t *testing.T) {
 	var escalated int
 	for q := 0; q < 5; q++ {
 		for _, run := range []func(Env, geom.Point, Options) Result{
-			WindowBased, DoubleNN, HybridNN, ApproximateTNN,
+			algoFunc(AlgoWindow), algoFunc(AlgoDouble), algoFunc(AlgoHybrid), algoFunc(AlgoApprox),
 		} {
 			res := run(lossy, geom.Pt(rand.New(rand.NewSource(int64(q))).Float64()*1000, 500),
 				Options{Issue: int64(q) * 1000, MaxRetries: 2})

@@ -213,12 +213,14 @@ func (b *pointBuf) entries() []rtree.Entry {
 // size once and are then reused. A Scratch must not be shared between
 // concurrent queries; each worker owns its own.
 type Scratch struct {
-	rx  [2]client.Receiver
-	nn  [2]nnSearch
-	rg  [2]rangeSearch
-	rxN int
-	nnN int
-	rgN int
+	rx   [2]client.Receiver
+	nn   [2]nnSearch
+	knn  [2]knnSearch
+	rg   [2]rangeSearch
+	rxN  int
+	nnN  int
+	knnN int
+	rgN  int
 }
 
 // NewScratch returns an empty scratch space for query execution.
@@ -227,7 +229,7 @@ func NewScratch() *Scratch { return &Scratch{} }
 // reset reclaims all scratch slots for a new query. Nil-safe.
 func (sc *Scratch) reset() {
 	if sc != nil {
-		sc.rxN, sc.nnN, sc.rgN = 0, 0, 0
+		sc.rxN, sc.nnN, sc.knnN, sc.rgN = 0, 0, 0, 0
 	}
 }
 
@@ -257,6 +259,20 @@ func (sc *Scratch) nnSearch(rx *client.Receiver, q geom.Point, factor float64, m
 	return s
 }
 
+// knnSearch returns an initialized k-NN search, reusing a scratch slot
+// when one is free (nil-safe).
+func (sc *Scratch) knnSearch(rx *client.Receiver, q geom.Point, k, maxFaults int) *knnSearch {
+	var s *knnSearch
+	if sc != nil && sc.knnN < len(sc.knn) {
+		s = &sc.knn[sc.knnN]
+		sc.knnN++
+	} else {
+		s = new(knnSearch)
+	}
+	s.init(rx, q, k, maxFaults)
+	return s
+}
+
 // rangeSearch returns an initialized range search, reusing a scratch slot
 // when one is free (nil-safe).
 func (sc *Scratch) rangeSearch(rx *client.Receiver, c geom.Circle, maxFaults int) *rangeSearch {
@@ -275,8 +291,8 @@ func (sc *Scratch) rangeSearch(rx *client.Receiver, c geom.Circle, maxFaults int
 // image of an R-tree. Candidates are popped in arrival order; pruning is
 // evaluated when a candidate is popped (delayed pruning — children are
 // always enqueued so that a Hybrid-NN redirect cannot lose the node holding
-// the answer of the *new* query, Section 4.2.4). It implements
-// client.Process.
+// the answer of the *new* query, Section 4.2.4). Peek reports the next
+// slot it acts at; Step performs one action there.
 type nnSearch struct {
 	rx   *client.Receiver
 	flat *rtree.Flat // SoA image of the channel's tree
@@ -364,7 +380,7 @@ func (s *nnSearch) init(rx *client.Receiver, q geom.Point, factor float64, maxFa
 
 // resched recomputes the cached next-action slot after any state change —
 // the one place the Peek answer is derived. Caching it here instead of in
-// Peek matters because the scheduler stack consults Peek several times per
+// Peek matters because the executor consults Peek several times per
 // step (dispatch, phase folding, tie-breaks); deriving the root arrival
 // through the feed on every consultation was measurable.
 //
@@ -395,14 +411,14 @@ func (s *nnSearch) fault(pf *broadcast.PageFault) {
 	}
 }
 
-// Peek implements client.Process: a pure read of the cached schedule.
+// Peek is a pure read of the cached schedule.
 //
 //tnn:noalloc
 func (s *nnSearch) Peek() (int64, bool) {
 	return s.next, s.finished
 }
 
-// Step implements client.Process. Recovery protocol: a faulted reception
+// Step performs one action. Recovery protocol: a faulted reception
 // burns the slot (tune-in is accounted by the receiver, the clock moves
 // past it) and re-derives the same page's next arrival — a faulted root
 // keeps the search unstarted so Peek re-asks NextRootArrival, a faulted
@@ -714,7 +730,7 @@ func (s *nnSearch) result() (rtree.Entry, float64, bool) {
 }
 
 // rangeSearch retrieves every object location inside a circular window —
-// the filter-phase range query. It implements client.Process.
+// the filter-phase range query, with nnSearch's Peek/Step contract.
 type rangeSearch struct {
 	rx     *client.Receiver
 	flat   *rtree.Flat
@@ -791,14 +807,14 @@ func (s *rangeSearch) fault(pf *broadcast.PageFault) {
 	}
 }
 
-// Peek implements client.Process: a pure read of the cached schedule.
+// Peek is a pure read of the cached schedule.
 //
 //tnn:noalloc
 func (s *rangeSearch) Peek() (int64, bool) {
 	return s.next, s.finished
 }
 
-// Step implements client.Process. The same recovery protocol as
+// Step performs one action, with the same recovery protocol as
 // nnSearch.Step: a faulted root keeps the search unstarted, a faulted
 // candidate is re-filed at its next broadcast.
 //

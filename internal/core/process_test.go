@@ -22,7 +22,7 @@ func TestBroadcastNNMatchesInMemory(t *testing.T) {
 			q := geom.Pt(rng.Float64()*1200-100, rng.Float64()*1200-100)
 			rx := client.NewReceiver(te.env.ChS, rng.Int63n(100000))
 			s := newNNSearch(rx, q, 0, 16)
-			client.RunSequential(s)
+			drain(s)
 			got, gotD, ok := s.result()
 			if !ok {
 				t.Fatal("broadcast NN found nothing")
@@ -49,7 +49,7 @@ func TestBroadcastTransSearchMatchesInMemory(t *testing.T) {
 			rx := client.NewReceiver(te.env.ChS, rng.Int63n(100000))
 			s := newNNSearch(rx, p, 0, 16)
 			s.switchTransitive(r)
-			client.RunSequential(s)
+			drain(s)
 			got, gotD, ok := s.result()
 			if !ok {
 				t.Fatal("transitive search found nothing")
@@ -76,7 +76,7 @@ func TestBroadcastRangeMatchesInMemory(t *testing.T) {
 			}
 			rx := client.NewReceiver(te.env.ChS, rng.Int63n(100000))
 			s := newRangeSearch(rx, c, 16)
-			client.RunSequential(s)
+			drain(s)
 			want := te.treeS.RangeCircle(c)
 			if s.found.Len() != len(want) {
 				t.Fatalf("range found %d, want %d", s.found.Len(), len(want))
@@ -122,7 +122,7 @@ func TestRetargetMidFlight(t *testing.T) {
 			s.Step()
 		}
 		s.retarget(newQ)
-		client.RunSequential(s)
+		drain(s)
 		got, gotD, ok := s.result()
 		if !ok {
 			t.Fatal("retargeted search found nothing")
@@ -214,7 +214,7 @@ func TestReceiverMetricsThroughSearch(t *testing.T) {
 	downloads := int64(0)
 	rx.SetTrace(func(int64, broadcast.Page) { downloads++ })
 	s := newNNSearch(rx, q, 0, 16)
-	client.RunSequential(s)
+	drain(s)
 	if rx.Pages() == 0 {
 		t.Fatal("no pages downloaded")
 	}

@@ -20,9 +20,10 @@ import (
 
 // Executor is one query execution as a resumable process: Peek reports
 // the next broadcast slot at which the execution wants to act, Step
-// performs exactly one action, and Result is valid once Done. The subset
-// {Peek, Step} is client.Process, so any Executor can be driven by the
-// multi-client scheduler.
+// performs exactly one action, and Result is valid once Done. QueryExec
+// (the paper's algorithms and the two-dataset variants), ChainExec and
+// every registered strategy are Executors, all driven by the same
+// peek/step loop.
 type Executor interface {
 	Peek() (slot int64, done bool)
 	Step()
@@ -156,15 +157,34 @@ func NewExec(env Env, a Algo, p geom.Point, opt Options) (Executor, bool) {
 // built-ins dispatch to a stack-allocated QueryExec, keeping the
 // sequential hot path allocation-free with a Scratch.
 func Run(env Env, a Algo, p geom.Point, opt Options) (Result, bool) {
-	if a >= AlgoWindow && a <= AlgoApprox {
-		return runExec(env, a, p, opt), true
+	if a.Builtin() {
+		var ex QueryExec
+		ex.Reset(env, a, p, opt)
+		return ex.run(), true
 	}
 	ex, ok := NewExec(env, a, p, opt)
 	if !ok {
 		return Result{}, false
 	}
+	return drive(ex), true
+}
+
+// RunVariant answers one two-dataset Section-7 query (v != Transitive) on
+// the same loop; k is TopK's result count.
+func RunVariant(env Env, v Variant, k int, p geom.Point, opt Options) Result {
+	// The variants run the Double-NN strategy: both estimate searches
+	// start at once.
+	var ex QueryExec
+	ex.reset(env, AlgoDouble, v, k, p, opt)
+	return ex.run()
+}
+
+// drive is the peek/step loop every single-query driver runs: step until
+// done, then read the result. QueryExec.run is the same loop with direct
+// calls, so the hot path's execution stays on the caller's stack.
+func drive(ex Executor) Result {
 	for !ex.Done() {
 		ex.Step()
 	}
-	return ex.Result(), true
+	return ex.Result()
 }

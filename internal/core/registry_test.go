@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -39,22 +40,27 @@ func TestRegistryBuiltins(t *testing.T) {
 	te := makeEnv(t, uniformPts(rng, 900, testRegion), uniformPts(rng, 900, testRegion),
 		testRegion, 17, 23)
 	p := geom.Pt(640, 410)
-	direct := []func(Env, geom.Point, Options) Result{WindowBased, DoubleNN, HybridNN, ApproximateTNN}
-	for a, fn := range direct {
-		want := fn(te.env, p, Options{})
-		got, ok := Run(te.env, Algo(a), p, Options{})
-		if !ok || got != want {
-			t.Fatalf("Run(%v) = %+v, %v; want %+v", Algo(a), got, ok, want)
+	for a := AlgoWindow; a <= AlgoApprox; a++ {
+		// Reference: a QueryExec stepped by hand.
+		var qe QueryExec
+		qe.Reset(te.env, a, p, Options{})
+		for !qe.Done() {
+			qe.Step()
 		}
-		ex, ok := NewExec(te.env, Algo(a), p, Options{})
+		want := qe.Result()
+		got, ok := Run(te.env, a, p, Options{})
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Run(%v) = %+v, %v; want %+v", a, got, ok, want)
+		}
+		ex, ok := NewExec(te.env, a, p, Options{})
 		if !ok {
-			t.Fatalf("NewExec(%v) failed", Algo(a))
+			t.Fatalf("NewExec(%v) failed", a)
 		}
 		for !ex.Done() {
 			ex.Step()
 		}
-		if ex.Result() != want {
-			t.Fatalf("NewExec(%v) result differs", Algo(a))
+		if !reflect.DeepEqual(ex.Result(), want) {
+			t.Fatalf("NewExec(%v) result differs", a)
 		}
 	}
 	if _, ok := Run(te.env, Algo(4096), p, Options{}); ok {

@@ -27,8 +27,8 @@ func TestScratchReuseMismatchedSequence(t *testing.T) {
 		testRegion, 3, 17)
 	empty := makeEnv(t, nil, nil, testRegion, 0, 0)
 	halfEmpty := makeEnv(t, nil, uniformPts(rng, 60, testRegion), testRegion, 5, 9)
-	// A 3-channel chain environment reuses the broadcasts above; ChainTNN
-	// consumes three receiver/search slots, more than the core four leave
+	// A 3-channel chain environment reuses the broadcasts above; a chain
+	// query consumes three receiver/search slots, more than the core four leave
 	// behind.
 	chainEnv := MultiEnv{
 		Chs:    []broadcast.Feed{big.env.ChS, big.env.ChR, small.env.ChS},
@@ -47,8 +47,8 @@ func TestScratchReuseMismatchedSequence(t *testing.T) {
 	add := func(name string, fn func(opt Options) any) {
 		steps = append(steps, step{name: name, run: fn})
 	}
-	mk := func(env Env, algo func(Env, geom.Point, Options) Result, p geom.Point) func(Options) any {
-		return func(opt Options) any { return algo(env, p, opt) }
+	mk := func(env Env, algo Algo, p geom.Point) func(Options) any {
+		return func(opt Options) any { return run(env, algo, p, opt) }
 	}
 
 	// A sequence chosen to leave maximally mismatched residue between
@@ -57,28 +57,25 @@ func TestScratchReuseMismatchedSequence(t *testing.T) {
 	// phase, range-only) into a failing empty-env query (no filter phase
 	// at all, queues untouched); retrieval-skipping into retrieval-heavy;
 	// extension queries that consume extra scratch slots into core ones.
-	add("hybrid-ann-big", mk(big.env, HybridNN, qp()))
-	add("window-exact-small", mk(small.env, WindowBased, qp()))
-	add("approx-big", mk(big.env, ApproximateTNN, qp()))
-	add("double-empty", mk(empty.env, DoubleNN, qp()))
-	add("hybrid-half-empty", mk(halfEmpty.env, HybridNN, qp()))
-	add("double-ann-big", mk(big.env, DoubleNN, qp()))
-	add("window-half-empty", mk(halfEmpty.env, WindowBased, qp()))
+	add("hybrid-ann-big", mk(big.env, AlgoHybrid, qp()))
+	add("window-exact-small", mk(small.env, AlgoWindow, qp()))
+	add("approx-big", mk(big.env, AlgoApprox, qp()))
+	add("double-empty", mk(empty.env, AlgoDouble, qp()))
+	add("hybrid-half-empty", mk(halfEmpty.env, AlgoHybrid, qp()))
+	add("double-ann-big", mk(big.env, AlgoDouble, qp()))
+	add("window-half-empty", mk(halfEmpty.env, AlgoWindow, qp()))
 	p1 := qp()
-	add("topk-big", func(opt Options) any { return TopKTNN(big.env, p1, 7, opt) })
-	add("double-small", mk(small.env, DoubleNN, qp()))
+	add("topk-big", func(opt Options) any { return RunVariant(big.env, TopK, 7, p1, opt) })
+	add("double-small", mk(small.env, AlgoDouble, qp()))
 	p2 := qp()
-	add("roundtrip-big", func(opt Options) any { return RoundTripTNN(big.env, p2, opt) })
-	add("hybrid-small", mk(small.env, HybridNN, qp()))
+	add("roundtrip-big", func(opt Options) any { return RunVariant(big.env, RoundTrip, 0, p2, opt) })
+	add("hybrid-small", mk(small.env, AlgoHybrid, qp()))
 	p3 := qp()
-	add("unordered-small", func(opt Options) any {
-		r, first := UnorderedTNN(small.env, p3, opt)
-		return []any{r, first}
-	})
-	add("approx-empty", mk(empty.env, ApproximateTNN, qp()))
+	add("unordered-small", func(opt Options) any { return RunVariant(small.env, Unordered, 0, p3, opt) })
+	add("approx-empty", mk(empty.env, AlgoApprox, qp()))
 	p4 := qp()
-	add("chain-3", func(opt Options) any { return ChainTNN(chainEnv, p4, opt) })
-	add("window-big", mk(big.env, WindowBased, qp()))
+	add("chain-3", func(opt Options) any { return RunChain(chainEnv, p4, opt) })
+	add("window-big", mk(big.env, AlgoWindow, qp()))
 
 	// Per-step options, drawn once so both runs see identical queries.
 	opts := make([]Options, len(steps))

@@ -7,6 +7,10 @@ package core
 // routes are realizable and distinct, so the true k-th best distance is at
 // most d; every object of every top-k pair then lies within d of p by the
 // triangle inequality, and the circle(p,d) range queries cover the join.
+// QueryExec runs it: the phTopK estimate phase, then the shared filter
+// phase and joinTopK. The final data retrieval downloads only the best
+// pair's attributes (the usual interactive pattern: the list is shown,
+// one result is opened).
 
 import (
 	"math"
@@ -23,7 +27,7 @@ import (
 // broadcast image of an R-tree: like nnSearch but the pruning bound is the
 // k-th best actual point distance seen so far (point-backed only — the
 // face property guarantees one point per node, not k, so MinMaxDist cannot
-// bound a k-NN). It implements client.Process.
+// bound a k-NN). Its Peek/Step contract is nnSearch's.
 type knnSearch struct {
 	rx       *client.Receiver
 	flat     *rtree.Flat
@@ -34,6 +38,7 @@ type knnSearch struct {
 	entries  []rtree.Entry
 	started  bool
 	finished bool
+	next     int64 // cached next-action slot; valid while !finished
 
 	// Loss recovery, mirroring nnSearch.
 	faults    int
@@ -45,11 +50,46 @@ type knnSearch struct {
 }
 
 func newKNNSearch(rx *client.Receiver, q geom.Point, k, maxFaults int) *knnSearch {
-	s := &knnSearch{rx: rx, flat: rx.Channel().Index().Tree().Flat(), q: q, k: k, maxFaults: maxFaults}
-	if rx.Channel().Index().Tree().Count == 0 || k <= 0 {
-		s.finished = true
-	}
+	s := new(knnSearch)
+	s.init(rx, q, k, maxFaults)
 	return s
+}
+
+// init (re)initializes the search in place, retaining the queue's and the
+// top-k buffers' storage across queries.
+func (s *knnSearch) init(rx *client.Receiver, q geom.Point, k, maxFaults int) {
+	t := rx.Channel().Index().Tree()
+	s.rx = rx
+	s.flat = t.Flat()
+	s.q = q
+	s.k = k
+	s.queue.Reset()
+	s.dists = s.dists[:0]
+	s.entries = s.entries[:0]
+	s.started = false
+	s.finished = t.Count == 0 || k <= 0
+	s.faults = 0
+	s.maxFaults = maxFaults
+	s.err = nil
+	s.resched()
+}
+
+// resched mirrors nnSearch.resched: recompute the cached Peek answer.
+//
+//tnn:noalloc
+func (s *knnSearch) resched() {
+	if s.finished {
+		return
+	}
+	if !s.started {
+		s.next = s.rx.NextRootArrival()
+		return
+	}
+	if s.queue.Len() == 0 {
+		s.finished = true
+		return
+	}
+	s.next = s.queue.Peek().Arrival
 }
 
 // fault mirrors nnSearch.fault.
@@ -70,31 +110,23 @@ func (s *knnSearch) bound() float64 {
 	return s.dists[s.k-1]
 }
 
-// Peek implements client.Process.
+// Peek is a pure read of the cached schedule.
+//
+//tnn:noalloc
 func (s *knnSearch) Peek() (int64, bool) {
-	if s.finished {
-		return 0, true
-	}
-	if !s.started {
-		return s.rx.NextRootArrival(), false
-	}
-	if s.queue.Len() == 0 {
-		s.finished = true
-		return 0, true
-	}
-	return s.queue.Peek().Arrival, false
+	return s.next, s.finished
 }
 
-// Step implements client.Process, with the same recovery protocol as
-// nnSearch.Step: faulted root → stay unstarted, faulted candidate →
-// re-file at its next broadcast.
+// Step has the same recovery protocol as nnSearch.Step: faulted root →
+// stay unstarted, faulted candidate → re-file at its next broadcast.
 func (s *knnSearch) Step() {
 	var id int32
 	f := s.flat
 	if !s.started {
-		// The root is preorder node 0.
-		if pf := s.rx.DownloadIndexSlot(s.rx.NextRootArrival()); pf != nil {
+		// s.next caches the root arrival; the root is preorder node 0.
+		if pf := s.rx.DownloadIndexSlot(s.next); pf != nil {
 			s.fault(pf)
+			s.resched()
 			return
 		}
 		s.started = true
@@ -109,15 +141,14 @@ func (s *knnSearch) Step() {
 		dx := max(f.MinX[e]-s.q.X, 0, s.q.X-f.MaxX[e])
 		dy := max(f.MinY[e]-s.q.Y, 0, s.q.Y-f.MaxY[e])
 		if max(dx, dy) > b || ((dx+dy)*geom.ScreenSlack > b && math.Hypot(dx, dy) > b) {
-			if s.queue.Len() == 0 {
-				s.finished = true
-			}
+			s.resched()
 			return
 		}
 		// The slot is c.Key's next arrival: the page on air IS node c.Key.
 		if pf := s.rx.DownloadIndexSlot(c.Arrival); pf != nil {
 			s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(c.Key)), Key: c.Key, Ent: c.Ent})
 			s.fault(pf)
+			s.resched()
 			return
 		}
 		id = c.Key
@@ -148,9 +179,7 @@ func (s *knnSearch) Step() {
 			s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
 		}
 	}
-	if s.queue.Len() == 0 {
-		s.finished = true
-	}
+	s.resched()
 }
 
 // offerXY inserts a point (in SoA coordinates) into the running top-k.
@@ -187,100 +216,19 @@ func (h *pairHeap) push(p Pair) { heapx.Push((*[]Pair)(h), p, pairLess) }
 // the concrete equivalent of container/heap.Fix(h, 0).
 func (h pairHeap) fixTop() { heapx.Down(h, 0, len(h), pairLess) }
 
-// TopKResult reports a top-k TNN query.
-type TopKResult struct {
-	// Pairs are the k best (s, r) pairs in ascending transitive-distance
-	// order (fewer if the datasets are smaller than k).
-	Pairs   []Pair
-	Found   bool
-	Metrics client.Metrics
-	Radius  float64
-	// Err is non-nil when a channel died mid-query (see Result.Err).
-	Err error
-}
-
-// TopKTNN answers the top-k transitive nearest-neighbor query with the
-// parallel (Double-NN) strategy. The final data retrieval downloads only
-// the best pair's attributes (the usual interactive pattern: the list is
-// shown, one result is opened).
-func TopKTNN(env Env, p geom.Point, k int, opt Options) TopKResult {
-	if k <= 0 {
-		return TopKResult{}
-	}
-	opt.Scratch.reset()
-	rxS := opt.Scratch.receiver(env.ChS, opt.Issue)
-	rxR := opt.Scratch.receiver(env.ChR, opt.Issue)
-	opt.applyTrace(rxS, rxR)
-
-	ks := newKNNSearch(rxS, p, k, opt.maxRetries())
-	kr := newKNNSearch(rxR, p, k, opt.maxRetries())
-	client.RunParallel(ks, kr)
-	if cerr := channelErr(ks.err, kr.err); cerr != nil {
-		return TopKResult{Metrics: client.Collect(rxS, rxR), Err: cerr}
-	}
-	ss, rs := ks.results(), kr.results()
-	if len(ss) == 0 || len(rs) == 0 {
-		return TopKResult{Metrics: client.Collect(rxS, rxR)}
-	}
-
-	// Pair i-th with i-th (padding with the last when sizes differ); the
-	// max of these realizable routes bounds the k-th best distance.
+// topKRadius pairs the i-th nearest neighbors of the two k-NN searches
+// (padding the shorter list with its last) and returns the longest of
+// these realizable routes, which bounds the k-th best distance.
+func topKRadius(p geom.Point, ss, rs []rtree.Entry) float64 {
 	d := 0.0
-	n := len(ss)
-	if len(rs) > n {
-		n = len(rs)
-	}
-	for i := 0; i < n; i++ {
+	for i := range max(len(ss), len(rs)) {
 		s := ss[min(i, len(ss)-1)]
 		r := rs[min(i, len(rs)-1)]
 		if t := geom.TransDist(p, s.Point, r.Point); t > d {
 			d = t
 		}
 	}
-
-	t := rxS.Now()
-	if rxR.Now() > t {
-		t = rxR.Now()
-	}
-	rxS.WaitUntil(t)
-	rxR.WaitUntil(t)
-	w := geom.Circle{Center: p, R: d}
-	qs := opt.Scratch.rangeSearch(rxS, w, opt.maxRetries())
-	qr := opt.Scratch.rangeSearch(rxR, w, opt.maxRetries())
-	client.RunParallel(qs, qr)
-	if cerr := channelErr(qs.err, qr.err); cerr != nil {
-		return TopKResult{Metrics: client.Collect(rxS, rxR), Err: cerr}
-	}
-
-	pairs := joinTopK(p, &qs.found, &qr.found, k)
-	if len(pairs) == 0 {
-		return TopKResult{Metrics: client.Collect(rxS, rxR)}
-	}
-
-	var err error
-	if !opt.SkipDataRetrieval {
-		t = rxS.Now()
-		if rxR.Now() > t {
-			t = rxR.Now()
-		}
-		rxS.WaitUntil(t)
-		rxR.WaitUntil(t)
-		if _, cerr := rxS.DownloadObjectReliable(pairs[0].S.ID, opt.maxRetries()); cerr != nil {
-			cerr.Channel = "S"
-			err = cerr
-		} else if _, cerr := rxR.DownloadObjectReliable(pairs[0].R.ID, opt.maxRetries()); cerr != nil {
-			cerr.Channel = "R"
-			err = cerr
-		}
-	}
-
-	return TopKResult{
-		Pairs:   pairs,
-		Found:   true,
-		Metrics: client.Collect(rxS, rxR),
-		Radius:  d,
-		Err:     err,
-	}
+	return d
 }
 
 // joinTopK is the k-bounded join over the SoA found buffers: the k best
@@ -327,20 +275,6 @@ func joinTopK(p geom.Point, ss, rs *pointBuf, k int) []Pair {
 	copy(pairs, h)
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Dist < pairs[j].Dist })
 	return pairs
-}
-
-// channelErr tags and returns the first escalation of an (S, R) search
-// pair, S before R for determinism, or nil when both channels are alive.
-func channelErr(sErr, rErr *broadcast.ChannelError) error {
-	if sErr != nil {
-		sErr.Channel = "S"
-		return sErr
-	}
-	if rErr != nil {
-		rErr.Channel = "R"
-		return rErr
-	}
-	return nil
 }
 
 // OracleTopK computes the exact top-k pairs by exhaustive join (tests

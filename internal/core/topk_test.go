@@ -18,7 +18,7 @@ func TestKNNSearchMatchesInMemory(t *testing.T) {
 				q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 				rx := client.NewReceiver(te.env.ChS, rng.Int63n(100000))
 				s := newKNNSearch(rx, q, k, 16)
-				client.RunSequential(s)
+				drain(s)
 				got := s.results()
 				want, _ := te.treeS.KNN(q, k)
 				if len(got) != len(want) {
@@ -42,14 +42,14 @@ func TestKNNSearchDegenerate(t *testing.T) {
 	// k larger than dataset: all points, sorted.
 	rx := client.NewReceiver(te.env.ChS, 0)
 	s := newKNNSearch(rx, geom.Pt(500, 500), 50, 16)
-	client.RunSequential(s)
+	drain(s)
 	if len(s.results()) != 5 {
 		t.Fatalf("got %d results, want 5", len(s.results()))
 	}
 	// k = 0: finished immediately.
 	rx2 := client.NewReceiver(te.env.ChS, 0)
 	s2 := newKNNSearch(rx2, geom.Pt(500, 500), 0, 16)
-	client.RunSequential(s2)
+	drain(s2)
 	if len(s2.results()) != 0 || rx2.Pages() != 0 {
 		t.Fatal("k=0 should do nothing")
 	}
@@ -64,7 +64,7 @@ func TestTopKTNNMatchesOracle(t *testing.T) {
 		for _, k := range []int{1, 2, 5, 10} {
 			for j := 0; j < 4; j++ {
 				p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-				got := TopKTNN(te.env, p, k, Options{})
+				got := RunVariant(te.env, TopK, k, p, Options{})
 				if !got.Found {
 					t.Fatalf("k=%d: not found", k)
 				}
@@ -96,7 +96,7 @@ func TestTopKTNNTop1EqualsTNN(t *testing.T) {
 	te := makeEnv(t, ptsS, ptsR, testRegion, 11, 22)
 	for j := 0; j < 10; j++ {
 		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		topk := TopKTNN(te.env, p, 1, Options{})
+		topk := RunVariant(te.env, TopK, 1, p, Options{})
 		want, _ := OracleTNN(p, te.treeS, te.treeR)
 		if !topk.Found || !almostEq(topk.Pairs[0].Dist, want.Dist, 1e-9) {
 			t.Fatalf("top-1 %v, TNN oracle %v", topk.Pairs[0].Dist, want.Dist)
@@ -106,10 +106,10 @@ func TestTopKTNNTop1EqualsTNN(t *testing.T) {
 
 func TestTopKTNNEdgeCases(t *testing.T) {
 	te := makeEnv(t, nil, []geom.Point{geom.Pt(1, 1)}, testRegion, 0, 0)
-	if res := TopKTNN(te.env, geom.Pt(0, 0), 3, Options{}); res.Found {
+	if res := RunVariant(te.env, TopK, 3, geom.Pt(0, 0), Options{}); res.Found {
 		t.Error("empty S should not find")
 	}
-	if res := TopKTNN(te.env, geom.Pt(0, 0), 0, Options{}); res.Found {
+	if res := RunVariant(te.env, TopK, 0, geom.Pt(0, 0), Options{}); res.Found {
 		t.Error("k=0 should not find")
 	}
 }

@@ -40,7 +40,7 @@ func AblationPacking(cfg Config) *Table {
 	}
 	pair := uniformPair(cfg.Seed, 15210, 15210)
 	pair.Name = "packing"
-	algos := []AlgoSpec{{Name: AlgoDouble, Run: core.DoubleNN}}
+	algos := []AlgoSpec{{Name: AlgoDouble, Algo: core.AlgoDouble}}
 	for _, pk := range []rtree.Packing{rtree.STR, rtree.HilbertSort, rtree.NearestX} {
 		c := cfg
 		c.Packing = pk
@@ -65,7 +65,7 @@ func AblationInterleave(cfg Config) *Table {
 	}
 	pair := uniformPair(cfg.Seed, 15210, 15210)
 	pair.Name = "interleave"
-	algos := []AlgoSpec{{Name: AlgoDouble, Run: core.DoubleNN}}
+	algos := []AlgoSpec{{Name: AlgoDouble, Algo: core.AlgoDouble}}
 	for _, m := range []int{1, 2, 4, 8, 16, 32, 64} {
 		c := cfg
 		c.M = m

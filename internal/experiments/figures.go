@@ -162,9 +162,9 @@ func Fig9d(cfg Config) *Table {
 // tune-in time in Fig. 11(a–c).
 func tuneInAlgos() []AlgoSpec {
 	return []AlgoSpec{
-		{Name: AlgoWindow, Run: core.WindowBased},
-		{Name: AlgoDouble, Run: core.DoubleNN},
-		{Name: AlgoHybrid, Run: core.HybridNN},
+		{Name: AlgoWindow, Algo: core.AlgoWindow},
+		{Name: AlgoDouble, Algo: core.AlgoDouble},
+		{Name: AlgoHybrid, Algo: core.AlgoHybrid},
 	}
 }
 
@@ -206,10 +206,10 @@ func Fig11d(cfg Config) *Table {
 // variant under the given configuration.
 func annCompareAlgos(ann core.ANNConfig) []AlgoSpec {
 	return []AlgoSpec{
-		{Name: AlgoWindow + " eNN", Run: core.WindowBased},
-		{Name: AlgoWindow + " ANN", Run: core.WindowBased, ANN: ann},
-		{Name: AlgoDouble + " eNN", Run: core.DoubleNN},
-		{Name: AlgoDouble + " ANN", Run: core.DoubleNN, ANN: ann},
+		{Name: AlgoWindow + " eNN", Algo: core.AlgoWindow},
+		{Name: AlgoWindow + " ANN", Algo: core.AlgoWindow, ANN: ann},
+		{Name: AlgoDouble + " eNN", Algo: core.AlgoDouble},
+		{Name: AlgoDouble + " ANN", Algo: core.AlgoDouble, ANN: ann},
 	}
 }
 
@@ -292,10 +292,10 @@ func Fig12d(cfg Config) *Table {
 // paper's factors: 1/150 and 1/200 of the Window/Double adjustment factor.
 func hybridANNAlgos() []AlgoSpec {
 	return []AlgoSpec{
-		{Name: AlgoHybrid + " eNN", Run: core.HybridNN},
-		{Name: AlgoHybrid + " ANN f/150", Run: core.HybridNN,
+		{Name: AlgoHybrid + " eNN", Algo: core.AlgoHybrid},
+		{Name: AlgoHybrid + " ANN f/150", Algo: core.AlgoHybrid,
 			ANN: core.UniformANN(core.FactorWindowDouble / 150)},
-		{Name: AlgoHybrid + " ANN f/200", Run: core.HybridNN,
+		{Name: AlgoHybrid + " ANN f/200", Algo: core.AlgoHybrid,
 			ANN: core.UniformANN(core.FactorWindowDouble / 200)},
 	}
 }
@@ -372,9 +372,9 @@ func Table3(cfg Config) *Table {
 	}
 
 	algos := []AlgoSpec{
-		{Name: AlgoApproximate, Run: core.ApproximateTNN},
-		{Name: AlgoDouble, Run: core.DoubleNN},
-		{Name: AlgoHybrid, Run: core.HybridNN},
+		{Name: AlgoApproximate, Algo: core.AlgoApprox},
+		{Name: AlgoDouble, Algo: core.AlgoDouble},
+		{Name: AlgoHybrid, Algo: core.AlgoHybrid},
 	}
 
 	t := &Table{
@@ -422,8 +422,8 @@ func Grid(cfg Config) *Table {
 		t.Columns = append(t.Columns, unifLabel(e))
 	}
 	algos := []AlgoSpec{
-		{Name: AlgoWindow, Run: core.WindowBased},
-		{Name: AlgoDouble, Run: core.DoubleNN},
+		{Name: AlgoWindow, Algo: core.AlgoWindow},
+		{Name: AlgoDouble, Algo: core.AlgoDouble},
 	}
 	for i, se := range dataset.DensityExponents {
 		vals := make([]float64, 0, len(dataset.DensityExponents))

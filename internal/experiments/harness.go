@@ -151,18 +151,24 @@ const (
 // configuration).
 type AlgoSpec struct {
 	Name string
-	Run  func(core.Env, geom.Point, core.Options) core.Result
+	Algo core.Algo
 	ANN  core.ANNConfig
+}
+
+// run answers one query with the spec's algorithm.
+func (a AlgoSpec) run(env core.Env, p geom.Point, opt core.Options) core.Result {
+	res, _ := core.Run(env, a.Algo, p, opt)
+	return res
 }
 
 // ExactAlgos returns the four algorithms with exact search, in the paper's
 // presentation order.
 func ExactAlgos() []AlgoSpec {
 	return []AlgoSpec{
-		{Name: AlgoWindow, Run: core.WindowBased},
-		{Name: AlgoDouble, Run: core.DoubleNN},
-		{Name: AlgoHybrid, Run: core.HybridNN},
-		{Name: AlgoApproximate, Run: core.ApproximateTNN},
+		{Name: AlgoWindow, Algo: core.AlgoWindow},
+		{Name: AlgoDouble, Algo: core.AlgoDouble},
+		{Name: AlgoHybrid, Algo: core.AlgoHybrid},
+		{Name: AlgoApproximate, Algo: core.AlgoApprox},
 	}
 }
 
@@ -179,11 +185,7 @@ func AlgosByName(names []string) ([]AlgoSpec, error) {
 				name, core.AlgoNames())
 		}
 		spec, _ := core.Lookup(a)
-		algo := a
-		out = append(out, AlgoSpec{Name: spec.Name, Run: func(env core.Env, p geom.Point, opt core.Options) core.Result {
-			res, _ := core.Run(env, algo, p, opt)
-			return res
-		}})
+		out = append(out, AlgoSpec{Name: spec.Name, Algo: a})
 	}
 	return out, nil
 }
@@ -445,7 +447,7 @@ func runPairingWorker(next *atomic.Int64, p Pairing, algos []AlgoSpec, cfg Confi
 
 		elapsed := observe.Stopwatch()
 		for i, a := range algos {
-			res := a.Run(env, d.qp, core.Options{ANN: a.ANN, Scratch: scratch})
+			res := a.run(env, d.qp, core.Options{ANN: a.ANN, Scratch: scratch})
 			cell := &cells[q*len(algos)+i]
 			cell.access = res.Metrics.AccessTime
 			cell.tunein = res.Metrics.TuneIn

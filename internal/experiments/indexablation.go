@@ -80,7 +80,7 @@ func AblationCut(cfg Config) *Table {
 		Columns: []string{"access time", "tune-in time", "estimate", "filter"},
 	}
 	pair := indexWorkloadPair(cfg.Seed)
-	algos := []AlgoSpec{{Name: AlgoDouble, Run: core.DoubleNN}}
+	algos := []AlgoSpec{{Name: AlgoDouble, Algo: core.AlgoDouble}}
 	for _, cut := range []int{1, 2, 3, 4, 5} {
 		c := cfg
 		c.Scheme = "distributed"
@@ -114,7 +114,7 @@ func AblationSched(cfg Config) *Table {
 	pair := indexWorkloadPair(cfg.Seed)
 	pair.WeightsS = hotSpotWeights(pair.S, pair.Region, cfg.HotSpotSigma)
 	pair.WeightsR = hotSpotWeights(pair.R, pair.Region, cfg.HotSpotSigma)
-	algos := []AlgoSpec{{Name: AlgoDouble, Run: core.DoubleNN}}
+	algos := []AlgoSpec{{Name: AlgoDouble, Algo: core.AlgoDouble}}
 
 	// One shared tree serves every row's cycle-length column; only the
 	// (cheap) program layout depends on the schedule under comparison.

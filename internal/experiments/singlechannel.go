@@ -75,10 +75,10 @@ func SingleVsMultiChannel(cfg Config) *Table {
 
 		elapsed := observe.Stopwatch()
 		for _, a := range algos {
-			rm := a.Run(envMulti, qp, core.Options{ANN: a.ANN, Scratch: scratch})
+			rm := a.run(envMulti, qp, core.Options{ANN: a.ANN, Scratch: scratch})
 			multi[a.Name].access += float64(rm.Metrics.AccessTime)
 			multi[a.Name].tunein += float64(rm.Metrics.TuneIn)
-			rs := a.Run(envSingle, qp, core.Options{ANN: a.ANN, Scratch: scratch})
+			rs := a.run(envSingle, qp, core.Options{ANN: a.ANN, Scratch: scratch})
 			single[a.Name].access += float64(rs.Metrics.AccessTime)
 			single[a.Name].tunein += float64(rs.Metrics.TuneIn)
 		}

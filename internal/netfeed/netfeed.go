@@ -25,8 +25,8 @@
 // awake for it, at that slot's time, never earlier. A WAKE for a slot
 // that already went on air is answered from the modeled reception buffer:
 // the frame is a pure function of (config, channel, slot), and a query's
-// virtual timeline legitimately lags wall time whenever the lockstep
-// scheduler serializes the two channels' downloads.
+// virtual timeline legitimately lags wall time whenever the query
+// executor serializes the two channels' downloads.
 // Between receptions the client is genuinely asleep: blocked, not reading,
 // so bytes read off the socket equal tune-in × frame size — the paper's
 // energy proxy measured on a real socket. Frames are carried as UDP

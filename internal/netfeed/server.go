@@ -369,7 +369,7 @@ func (s *Server) handleWake(cl *serverClient, ch uint8, slot int64) {
 	s.mu.Unlock()
 	if slot <= sent {
 		// The slot already went on air. A query's virtual timeline can
-		// lag wall time — the lockstep scheduler serializes the two
+		// lag wall time — the query executor serializes the two
 		// channels' downloads, so channel R's clock stands still while
 		// channel S's receptions consume real seconds — and a WAKE for a
 		// slot that has already been transmitted is the normal result,

@@ -64,24 +64,15 @@ func mixedQueries(seed int64, n int) []Query {
 	return qs
 }
 
-// run each query alone through the monolithic algorithm functions — the
-// sequential reference the session must match bit for bit.
+// run each query alone through core.Run — the sequential reference the
+// session must match bit for bit.
 func sequentialReference(env core.Env, queries []Query) []core.Result {
 	sc := core.NewScratch()
 	out := make([]core.Result, len(queries))
 	for i, q := range queries {
 		opt := q.Opt
 		opt.Scratch = sc
-		switch q.Algo {
-		case core.AlgoWindow:
-			out[i] = core.WindowBased(env, q.Point, opt)
-		case core.AlgoHybrid:
-			out[i] = core.HybridNN(env, q.Point, opt)
-		case core.AlgoApprox:
-			out[i] = core.ApproximateTNN(env, q.Point, opt)
-		default:
-			out[i] = core.DoubleNN(env, q.Point, opt)
-		}
+		out[i], _ = core.Run(env, q.Algo, q.Point, opt)
 	}
 	return out
 }
@@ -176,7 +167,7 @@ func TestNonPositiveWorkers(t *testing.T) {
 	for _, workers := range []int{-8, -1, 0} {
 		got := mustRun(t, env, workers, queries)
 		for i := range want {
-			if got[i] != want[i] {
+			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Fatalf("workers=%d: client %d result differs", workers, i)
 			}
 		}

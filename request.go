@@ -1,7 +1,7 @@
 package tnnbcast
 
 // The v2 unified request pipeline. Every public query entry point —
-// Query, QueryUnordered, QueryRoundTrip, QueryTopK, the streaming Start,
+// Query, QueryUnordered, QueryRoundTrip, the streaming Start,
 // and (via the same validation and option application) Session.Add — is a
 // thin wrapper over one Request→Do path that centralizes algorithm
 // validation, option application, and scratch checkout. The wrappers
@@ -14,7 +14,8 @@ import (
 	"tnnbcast/internal/core"
 )
 
-// Variant selects the query type of a Request.
+// Variant selects the query type of a Request. The values mirror
+// core.Variant.
 type Variant int
 
 const (
@@ -88,11 +89,9 @@ type AnswerPair struct {
 	Dist float64
 }
 
-// TopKResult is the v2 shape of a top-k TNN answer: the ranked pairs plus
-// ONE set of whole-query metrics — the query downloads its pages once, so
-// the metrics belong to the query, not to each pair. (The legacy
-// QueryTopK flattens this by copying the metrics into every returned
-// Result.)
+// TopKResult is a top-k TNN answer: the ranked pairs plus ONE set of
+// whole-query metrics — the query downloads its pages once, so the
+// metrics belong to the query, not to each pair.
 type TopKResult struct {
 	// Pairs are the K best pairs in ascending transitive-distance order
 	// (fewer when the datasets are smaller than K).
@@ -133,8 +132,8 @@ func applyOptions(opts []QueryOption) core.Options {
 // Do executes one Request over the broadcast and returns its Response.
 // It is the unified pipeline behind every query entry point: an
 // unregistered Algorithm yields an *UnknownAlgorithmError, an undefined
-// Variant or a TopK K < 1 an error, and the per-variant engines
-// run with a pooled scratch. Do is safe for concurrent use.
+// Variant or a TopK K < 1 an error, and every variant runs as one query
+// executor with a pooled scratch. Do is safe for concurrent use.
 func (sys *System) Do(req Request) (Response, error) {
 	if req.Variant == Transitive && !validAlgorithm(req.Algo) {
 		return Response{}, &UnknownAlgorithmError{Algo: req.Algo}
@@ -157,20 +156,18 @@ func (sys *System) Do(req Request) (Response, error) {
 			return Response{}, &UnknownAlgorithmError{Algo: req.Algo}
 		}
 		return Response{Result: fromCore(res)}, nil
-	case Unordered:
-		res, first := core.UnorderedTNN(sys.env, req.Point, o)
-		return Response{Result: fromCore(res), SFirst: first}, nil
-	case RoundTrip:
-		return Response{Result: fromCore(core.RoundTripTNN(sys.env, req.Point, o))}, nil
+	case Unordered, RoundTrip:
+		res := core.RunVariant(sys.env, core.Variant(req.Variant), 0, req.Point, o)
+		return Response{Result: fromCore(res), SFirst: res.SFirst}, nil
 	case TopK:
-		return Response{TopK: fromCoreTopK(core.TopKTNN(sys.env, req.Point, req.K, o))}, nil
+		return Response{TopK: fromCoreTopK(core.RunVariant(sys.env, core.TopK, req.K, req.Point, o))}, nil
 	default:
 		return Response{}, &UnknownVariantError{Variant: req.Variant}
 	}
 }
 
 // fromCoreTopK converts an internal top-k result to the v2 shape.
-func fromCoreTopK(res core.TopKResult) TopKResult {
+func fromCoreTopK(res core.Result) TopKResult {
 	out := TopKResult{
 		Found: res.Found,
 		Metrics: Metrics{
