@@ -300,11 +300,9 @@ func TestMetricsConsistency(t *testing.T) {
 	ptsS := uniformPts(rng, 400, testRegion)
 	ptsR := uniformPts(rng, 400, testRegion)
 	te := makeEnv(t, ptsS, ptsR, testRegion, 123, 4567)
-	for _, algo := range []func(Env, geom.Point, Options) Result{
-		algoFunc(AlgoDouble), algoFunc(AlgoWindow), algoFunc(AlgoHybrid), algoFunc(AlgoApprox),
-	} {
+	for _, algo := range []Algo{AlgoDouble, AlgoWindow, AlgoHybrid, AlgoApprox} {
 		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		res := algo(te.env, p, Options{Issue: 42})
+		res := run(te.env, algo, p, Options{Issue: 42})
 		if !res.Found {
 			t.Fatal("not found")
 		}
@@ -320,7 +318,7 @@ func TestMetricsConsistency(t *testing.T) {
 				res.Metrics.TuneIn, res.Metrics.AccessTime*2)
 		}
 		// SkipDataRetrieval strictly reduces both metrics.
-		res2 := algo(te.env, p, Options{Issue: 42, SkipDataRetrieval: true})
+		res2 := run(te.env, algo, p, Options{Issue: 42, SkipDataRetrieval: true})
 		ppo := int64(te.env.ChS.Index().PagesPerObject())
 		if res2.Metrics.TuneIn != res.Metrics.TuneIn-2*ppo {
 			t.Fatalf("skip retrieval: tune-in %d, want %d",
@@ -338,11 +336,9 @@ func TestDeterminism(t *testing.T) {
 	ptsR := clusteredPts(rng, 300, 4, testRegion)
 	te := makeEnv(t, ptsS, ptsR, testRegion, 77, 991)
 	p := geom.Pt(400, 600)
-	for _, algo := range []func(Env, geom.Point, Options) Result{
-		algoFunc(AlgoDouble), algoFunc(AlgoWindow), algoFunc(AlgoHybrid), algoFunc(AlgoApprox),
-	} {
-		a := algo(te.env, p, Options{Issue: 5})
-		b := algo(te.env, p, Options{Issue: 5})
+	for _, algo := range []Algo{AlgoDouble, AlgoWindow, AlgoHybrid, AlgoApprox} {
+		a := run(te.env, algo, p, Options{Issue: 5})
+		b := run(te.env, algo, p, Options{Issue: 5})
 		if a.Metrics != b.Metrics || a.Pair.Dist != b.Pair.Dist || a.Radius != b.Radius {
 			t.Fatalf("nondeterministic result: %+v vs %+v", a, b)
 		}
@@ -383,10 +379,8 @@ func TestHybridCaseSelection(t *testing.T) {
 
 func TestEmptyDatasets(t *testing.T) {
 	te := makeEnv(t, nil, []geom.Point{geom.Pt(1, 1)}, testRegion, 0, 0)
-	for _, algo := range []func(Env, geom.Point, Options) Result{
-		algoFunc(AlgoDouble), algoFunc(AlgoWindow), algoFunc(AlgoHybrid), algoFunc(AlgoApprox),
-	} {
-		res := algo(te.env, geom.Pt(0, 0), Options{})
+	for _, algo := range []Algo{AlgoDouble, AlgoWindow, AlgoHybrid, AlgoApprox} {
+		res := run(te.env, algo, geom.Pt(0, 0), Options{})
 		if res.Found {
 			t.Fatal("found a pair with empty S")
 		}

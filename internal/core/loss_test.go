@@ -165,11 +165,9 @@ func TestLossDeterministicMetrics(t *testing.T) {
 
 	p := geom.Pt(321, 654)
 	opt := Options{Issue: 1234}
-	for _, run := range []func(Env, geom.Point, Options) Result{
-		algoFunc(AlgoWindow), algoFunc(AlgoDouble), algoFunc(AlgoHybrid), algoFunc(AlgoApprox),
-	} {
-		a := run(lossy, p, opt)
-		b := run(lossy, p, opt)
+	for _, algo := range []Algo{AlgoWindow, AlgoDouble, AlgoHybrid, AlgoApprox} {
+		a := run(lossy, algo, p, opt)
+		b := run(lossy, algo, p, opt)
 		if a.Metrics != b.Metrics || a.Pair != b.Pair || a.Found != b.Found {
 			t.Fatalf("repeat run diverged:\n  %+v\n  %+v", a, b)
 		}
@@ -220,10 +218,8 @@ func TestLossEscalation(t *testing.T) {
 
 	var escalated int
 	for q := 0; q < 5; q++ {
-		for _, run := range []func(Env, geom.Point, Options) Result{
-			algoFunc(AlgoWindow), algoFunc(AlgoDouble), algoFunc(AlgoHybrid), algoFunc(AlgoApprox),
-		} {
-			res := run(lossy, geom.Pt(rand.New(rand.NewSource(int64(q))).Float64()*1000, 500),
+		for _, algo := range []Algo{AlgoWindow, AlgoDouble, AlgoHybrid, AlgoApprox} {
+			res := run(lossy, algo, geom.Pt(rand.New(rand.NewSource(int64(q))).Float64()*1000, 500),
 				Options{Issue: int64(q) * 1000, MaxRetries: 2})
 			if res.Err == nil {
 				continue
