@@ -126,21 +126,141 @@ func TestArrivalQueueOrdering(t *testing.T) {
 }
 
 func TestArrivalQueueSnapshotDrain(t *testing.T) {
+	// Pops empty the queue in arrival order while At leaves it intact.
 	var q ArrivalQueue
 	for i := 0; i < 5; i++ {
 		q.Push(Candidate{Arrival: int64(10 - i), Key: int32(i), Ent: int32(i)})
 	}
-	snap := q.Snapshot()
-	if len(snap) != 5 || q.Len() != 5 {
-		t.Fatal("snapshot must not modify the queue")
+	seen := map[int32]bool{}
+	for i := range q.Len() {
+		seen[q.At(i).Key] = true
 	}
-	drained := q.Drain()
-	if len(drained) != 5 || q.Len() != 0 {
-		t.Fatal("drain must empty the queue")
+	if len(seen) != 5 || q.Len() != 5 {
+		t.Fatal("At must reach every candidate without modifying the queue")
+	}
+	var drained []Candidate
+	for q.Len() > 0 {
+		drained = append(drained, q.Pop())
+	}
+	if len(drained) != 5 {
+		t.Fatal("popping must empty the queue")
 	}
 	for i := 1; i < len(drained); i++ {
 		if drained[i].Arrival < drained[i-1].Arrival {
-			t.Fatal("drain not in arrival order")
+			t.Fatal("pops not in arrival order")
 		}
+	}
+}
+
+// refQueue is the sort-based reference for ArrivalQueue: an unordered
+// slice whose minimum by (Arrival, Key) is found by sorting at pop time.
+type refQueue []Candidate
+
+func (r *refQueue) pop() Candidate {
+	sort.Slice(*r, func(i, j int) bool { return candLess((*r)[i], (*r)[j]) })
+	c := (*r)[0]
+	*r = (*r)[1:]
+	return c
+}
+
+// TestArrivalQueueMatchesReference drives ArrivalQueue and the reference
+// with the same random push/pop sequence, in the shape a search makes:
+// a popped node's children pushed in reverse arrival order (the tail
+// path), pushes out of order (the binary-search path), fault-style
+// re-files of the popped candidate at a later arrival, and equal arrivals
+// with different keys. Every pop must return the same candidate.
+func TestArrivalQueueMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var q ArrivalQueue
+	var ref refQueue
+	var tail, search int
+	push := func(c Candidate) {
+		if q.Len() == 0 || candLess(c, q.Peek()) {
+			tail++
+		} else {
+			search++
+		}
+		q.Push(c)
+		ref = append(ref, c)
+	}
+	key := int32(0)
+	for step := range 3000 {
+		now := int64(step)
+		op := rng.Intn(10)
+		if q.Len() > 100 {
+			op = rng.Intn(5) // keep the queue tens of entries deep, as a search's
+		}
+		switch {
+		case op < 3 && q.Len() > 0: // pop a node, file its children
+			got, want := q.Pop(), ref.pop()
+			if got != want {
+				t.Fatalf("step %d: pop %+v, reference %+v", step, got, want)
+			}
+			now = got.Arrival
+			n := 1 + rng.Intn(6)
+			for i := n - 1; i >= 0; i-- {
+				key++
+				push(Candidate{Arrival: now + 1 + int64(i)*int64(1+rng.Intn(3)), Key: key, Ent: key})
+			}
+		case op < 5 && q.Len() > 0: // pop and re-file, as after a fault
+			got, want := q.Pop(), ref.pop()
+			if got != want {
+				t.Fatalf("step %d: pop %+v, reference %+v", step, got, want)
+			}
+			got.Arrival += 1 + int64(rng.Intn(50))
+			push(got)
+		case op < 7: // equal arrival, different key
+			key++
+			a := now
+			if q.Len() > 0 {
+				a = q.At(rng.Intn(q.Len())).Arrival
+			}
+			push(Candidate{Arrival: a, Key: key, Ent: key})
+		default: // anywhere in the queue
+			key++
+			push(Candidate{Arrival: now + int64(rng.Intn(200)), Key: key, Ent: key})
+		}
+		if q.Len() != len(ref) {
+			t.Fatalf("step %d: len %d, reference %d", step, q.Len(), len(ref))
+		}
+	}
+	for q.Len() > 0 {
+		if got, want := q.Pop(), ref.pop(); got != want {
+			t.Fatalf("drain: pop %+v, reference %+v", got, want)
+		}
+	}
+	if tail == 0 || search == 0 {
+		t.Fatalf("tail pushes %d, binary-search pushes %d: both paths must be hit", tail, search)
+	}
+}
+
+// BenchmarkArrivalQueue measures the queue operations of one internal
+// node visit. Under 24 queued candidates that arrive later, it pushes the
+// node's 8 children in reverse entry order (tail appends, as on a
+// preorder schedule), re-files the first popped child at a later arrival
+// as a faulted reception does (binary search and memmove), and pops the
+// children again.
+func BenchmarkArrivalQueue(b *testing.B) {
+	const base, fanout = 24, 8
+	var q ArrivalQueue
+	for i := range base {
+		q.Push(Candidate{Arrival: 1<<40 + int64(7*i), Key: int32(i), Ent: int32(i)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := range b.N {
+		now := int64(it) * 100
+		for i := int32(fanout - 1); i >= 0; i-- {
+			q.Push(Candidate{Arrival: now + 1 + int64(i), Key: base + i, Ent: base + i})
+		}
+		c := q.Pop()
+		c.Arrival += 50
+		q.Push(c)
+		for range fanout {
+			q.Pop()
+		}
+	}
+	if q.Len() != base {
+		b.Fatalf("queue holds %d candidates, want %d", q.Len(), base)
 	}
 }

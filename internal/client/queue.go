@@ -23,15 +23,16 @@ type Candidate struct {
 //
 // The representation is a flat array kept sorted by DESCENDING
 // (Arrival, Key), so the minimum sits at the tail: Peek and Pop are one
-// load (no sift, no re-heapify), and Push is a binary search plus a short
-// memmove of pointer-free 16-byte records. Broadcast trees have small
-// fanout, so queues stay tens of entries deep and pops outnumber
-// comparisons — the branchy heap sift this replaced was the single
-// hottest queue operation in session profiles. Candidate keys
-// (Arrival, Key) are a strict total order (one page per slot per
-// channel), so the pop sequence — and therefore every downstream metric —
-// is identical to any heap layout. Reset keeps the backing storage,
-// making the queue reusable across queries without allocation.
+// load (no sift, no re-heapify). Push appends a new minimum at the tail
+// with one comparison; any other candidate is placed by a binary search
+// and a memmove of pointer-free 16-byte records. The searches push a
+// node's children in reverse entry order, so on a preorder schedule every
+// push is a tail append; a re-filed fault or a distributed index's
+// replicated pages take the binary search. Candidate keys (Arrival, Key)
+// are a strict total order (one page per slot per channel), so the array
+// layout, and the pop sequence with every downstream metric, depend only
+// on the queued set, never on the push order. Reset keeps the backing
+// storage, making the queue reusable across queries without allocation.
 type ArrivalQueue struct {
 	h []Candidate // sorted by descending (Arrival, Key); minimum at the tail
 }
@@ -57,12 +58,16 @@ func (q *ArrivalQueue) Reset() {
 	q.h = q.h[:0]
 }
 
-// Push enqueues a candidate: binary-search the descending array for the
-// insertion point (elements before it sort after c) and shift the shorter
-// suffix down by one.
+// Push enqueues a candidate. A new minimum is appended at the tail;
+// otherwise binary-search the descending array for the insertion point
+// (elements before it sort after c) and shift the suffix down by one.
 func (q *ArrivalQueue) Push(c Candidate) {
 	h := q.h
-	lo, hi := 0, len(h)
+	if n := len(h); n == 0 || candLess(c, h[n-1]) {
+		q.h = append(h, c)
+		return
+	}
+	lo, hi := 0, len(h)-1 // c sorts after the tail
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if candLess(h[mid], c) {
@@ -90,25 +95,6 @@ func (q *ArrivalQueue) Pop() Candidate {
 	return c
 }
 
-// At returns the i-th candidate in internal (unspecified) order, 0 <= i < Len.
-// Indexed iteration replaces Snapshot on the query hot path (Hybrid-NN's
-// queue scans), where the per-call copy dominated allocation.
+// At returns the i-th candidate in internal (unspecified) order,
+// 0 <= i < Len, for Hybrid-NN's allocation-free queue scans.
 func (q *ArrivalQueue) At(i int) Candidate { return q.h[i] }
-
-// Drain removes all candidates and returns them in arrival order.
-func (q *ArrivalQueue) Drain() []Candidate {
-	out := make([]Candidate, 0, q.Len())
-	for q.Len() > 0 {
-		out = append(out, q.Pop())
-	}
-	return out
-}
-
-// Snapshot returns the queued candidates in internal (unspecified) order
-// without modifying the queue. It allocates; hot paths iterate with At
-// instead.
-func (q *ArrivalQueue) Snapshot() []Candidate {
-	out := make([]Candidate, len(q.h))
-	copy(out, q.h)
-	return out
-}

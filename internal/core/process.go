@@ -50,7 +50,7 @@ const (
 // batchCap is the block size fed to the batched geometry kernels: large
 // enough to amortize the call and keep the compiler's bounds-check
 // elimination effective, small enough that the screen buffers live in
-// registers/L1 (ISSUE: 4–8 candidates per call).
+// registers/L1.
 const batchCap = 8
 
 // joinBlock is the run length of the join's block screen: the R-side
@@ -530,7 +530,7 @@ func (s *nnSearch) pruned(c client.Candidate) bool {
 				// product, so the hypot provably cannot exceed ub either.
 				return false
 			}
-			return math.Hypot(dx, dy) > s.ub
+			return geom.HypotCmp(dx, dy, s.ub) > 0 // squared screen; hypot only in its band
 		}
 		m := f.EntRect(e)
 		if geom.MinTransDistCheb(s.q, m, s.rEnd) > s.ub*geom.ScreenSlack {
@@ -563,8 +563,8 @@ func (s *nnSearch) pruned(c client.Candidate) bool {
 
 // queueMinLower returns the smallest metric lower bound among the queued
 // candidates (+Inf when the queue is empty). The cached value is reused
-// while valid; otherwise one in-place scan over the queue recomputes it —
-// no Snapshot copy, no allocation.
+// while valid; otherwise one in-place scan over the queue recomputes it,
+// without allocation.
 func (s *nnSearch) queueMinLower() float64 {
 	if !s.qminOK {
 		min := math.Inf(1)
@@ -648,10 +648,17 @@ func (s *nnSearch) visitLeaf(id int32) {
 // arrays: tighten the sound bound, enqueue every child (delayed pruning:
 // pruning happens at pop so that a later metric change can still reach
 // any subtree), and keep the ANN queue-minimum cache current.
+//
+// The scan runs in reverse entry order. On a preorder schedule a node's
+// later children arrive later, and every queued candidate after all of
+// them, so each push is a new queue minimum and takes ArrivalQueue's
+// tail-append path. The order changes nothing else: the pop sequence
+// depends only on the queued set ((Arrival, Key) is a strict total
+// order), and the bound and qmin updates are mins.
 func (s *nnSearch) visitInternal(id int32) {
 	f := s.flat
 	first, end := f.EntRange(id)
-	for e := first; e < end; e++ {
+	for e := end - 1; e >= first; e-- {
 		s.tightenUB(e)
 		key := f.Key[e]
 		s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
@@ -862,18 +869,21 @@ func (s *rangeSearch) Step() {
 			xs, ys, ids = xs[n:], ys[n:], ids[n:]
 		}
 	} else {
+		// Reverse entry order, as nnSearch.visitInternal: each push is a
+		// tail append on a preorder schedule.
 		first, end := f.EntRange(id)
-		for e := first; e < end; e++ {
+		for e := end - 1; e >= first; e-- {
 			// Chebyshev screen over the same clamped gaps MinDist uses:
-			// exact, so only the borderline children pay the hypot.
+			// exact, so only the borderline children reach the squared
+			// screen and, inside its band, the hypot.
 			dx := max(f.MinX[e]-s.circle.Center.X, 0, s.circle.Center.X-f.MaxX[e])
 			dy := max(f.MinY[e]-s.circle.Center.Y, 0, s.circle.Center.Y-f.MaxY[e])
 			if max(dx, dy) > s.rBound {
 				continue // MinDist >= max gap > R+Eps: disjoint
 			}
-			// 1-norm accept (hypot <= dx+dy, slacked for rounding), exact
-			// hypot only for the borderline ring in between.
-			if (dx+dy)*geom.ScreenSlack <= s.rBound || math.Hypot(dx, dy) <= s.rBound {
+			// 1-norm accept (hypot <= dx+dy, slacked for rounding), the
+			// squared screen for the borderline ring in between.
+			if (dx+dy)*geom.ScreenSlack <= s.rBound || geom.HypotCmp(dx, dy, s.rBound) <= 0 {
 				key := f.Key[e]
 				s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
 			}

@@ -134,13 +134,13 @@ func (s *knnSearch) Step() {
 	} else {
 		c := s.queue.Pop()
 		// Pop-time prune MinDist > bound, screened by the Chebyshev gap
-		// (same clamped subtractions, so the short-circuit is exact) and
-		// the slacked 1-norm accept (hypot <= dx+dy).
+		// (same clamped subtractions, so the short-circuit is exact), the
+		// slacked 1-norm accept (hypot <= dx+dy) and the squared screen.
 		b := s.bound()
 		e := c.Ent
 		dx := max(f.MinX[e]-s.q.X, 0, s.q.X-f.MaxX[e])
 		dy := max(f.MinY[e]-s.q.Y, 0, s.q.Y-f.MaxY[e])
-		if max(dx, dy) > b || ((dx+dy)*geom.ScreenSlack > b && math.Hypot(dx, dy) > b) {
+		if max(dx, dy) > b || ((dx+dy)*geom.ScreenSlack > b && geom.HypotCmp(dx, dy, b) > 0) {
 			s.resched()
 			return
 		}
@@ -173,8 +173,10 @@ func (s *knnSearch) Step() {
 			xs, ys, ids = xs[n:], ys[n:], ids[n:]
 		}
 	} else {
+		// Reverse entry order, as nnSearch.visitInternal: each push is a
+		// tail append on a preorder schedule.
 		first, end := f.EntRange(id)
-		for e := first; e < end; e++ {
+		for e := end - 1; e >= first; e-- {
 			key := f.Key[e]
 			s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
 		}

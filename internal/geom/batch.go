@@ -7,7 +7,20 @@ import "math"
 // of an R-tree page, see rtree.Flat) and the Chebyshev screens that let a
 // caller skip most hypot/MinTransDist calls without changing any result.
 //
-// Exactness contract, extending the PR 5 screening discipline:
+// Exactness contract. It rests on two properties of math.Hypot, both
+// pinned against a big.Float reference by TestHypotErrorBound — NOT on
+// correct rounding, which math.Hypot does not provide (it computes
+// max*sqrt(1+(min/max)^2), five roundings, and misses the correctly
+// rounded result by up to 2 ulp):
+//
+//	(H1) Hypot(dx, dy) >= max(|dx|, |dy|): it never rounds below its
+//	     larger leg, because every rounding step is monotone and
+//	     1+q*q >= 1;
+//	(H2) whenever the exact h = sqrt(dx²+dy²) is a normal float64,
+//	     |Hypot(dx, dy) - h| <= 4u*h with u = 2^-53 (the five roundings
+//	     give 3.25u + O(u²)).
+//
+// The screens then fall into three kinds:
 //
 //  1. Every *Batch kernel computes, per element, EXACTLY the float64
 //     operations of its scalar twin, in the same order. out[i] is
@@ -15,23 +28,24 @@ import "math"
 //     batch≡scalar property tests in quick_test.go.
 //
 //  2. A *Cheb screen is a lower bound on its metric that holds IN
-//     FLOATING POINT, not just over the reals: math.Hypot is correctly
-//     rounded and never rounds below its larger leg, |fl(a-b)| equals
-//     |fl(b-a)| exactly, and fl(x+y) >= x for y >= 0 because rounding is
-//     monotone and x is representable. A screen computed from the SAME
-//     subtractions as its metric therefore satisfies screen <= metric for
-//     the computed values, so "screen > bound implies metric > bound" is
-//     exact: screens may only skip work, never flip a comparison.
+//     FLOATING POINT, not just over the reals: by (H1) hypot is at least
+//     its larger leg, |fl(a-b)| equals |fl(b-a)| exactly, and
+//     fl(x+y) >= x for y >= 0 because rounding is monotone and x is
+//     representable. A screen computed from the SAME subtractions as its
+//     metric therefore satisfies screen <= metric for the computed
+//     values, so "screen > bound implies metric > bound" is exact:
+//     screens may only skip work, never flip a comparison.
 //
-//  3. When a screen is computed from DIFFERENT subtractions than the
+//  3. When a screen is computed from DIFFERENT operations than the
 //     metric it bounds (the transitive-metric case: MinTransDist's
 //     segment/reflection/corner arithmetic shares no operands with the
-//     rectangle gap legs), the few-ulp discrepancy between independently
-//     rounded values could flip a near-tie. Callers of those screens must
-//     compare against bound*ScreenSlack; the slack (~4e6 ulps at any
-//     magnitude) dwarfs the handful of roundings on either side, keeping
-//     the screen strictly conservative while remaining far tighter than
-//     any geometric configuration it needs to separate.
+//     rectangle gap legs; the 1-norm accept dx+dy >= hypot; the squared
+//     screen of HypotCmp), the few-ulp discrepancy between independently
+//     rounded values could flip a near-tie. Those screens compare against
+//     bound*ScreenSlack; the slack (~4e6 ulps at any magnitude) dwarfs
+//     the handful of roundings on either side, keeping the screen
+//     strictly conservative while remaining far tighter than any
+//     geometric configuration it needs to separate.
 
 // ScreenSlack is the multiplicative guard for screens that are not
 // computed from the same operands as the metric they bound (case 3
@@ -80,6 +94,42 @@ func (r Rect) MinDistCheb(p Point) float64 {
 //tnn:noalloc
 func MinTransDistCheb(p Point, m Rect, r Point) float64 {
 	return max(m.MinDistCheb(p), m.MinDistCheb(r))
+}
+
+// HypotCmp compares math.Hypot(dx, dy) with b and returns -1, 0 or +1 as
+// the hypot is less than, equal to, or greater than b — the outcome of
+// computing the hypot and comparing, usually without the hypot. NaN
+// arguments compare as 0; callers pass gaps of validated, finite
+// coordinates.
+//
+// The squared screen decides from s = dx*dx+dy*dy against b*b, a
+// contract-case-3 screen. For 2^-500 <= b <= 2^500, b*b is normal, and
+// s is within 3u*h² + 2^-1074 of h² at any magnitude (an overflowed s
+// means a leg beyond 2^511 > b). So s > b*b*ScreenSlack forces
+// h >= b(1+4.9e-10), and by (H2) the computed hypot exceeds b; likewise
+// s*ScreenSlack < b*b forces h <= b(1-4.9e-10) and a hypot below b. Only
+// the band between the two, or a b outside that range (+Inf included),
+// pays the hypot.
+//
+//tnn:noalloc
+func HypotCmp(dx, dy, b float64) int {
+	if b >= 0x1p-500 && b <= 0x1p500 {
+		s, bb := dx*dx+dy*dy, b*b
+		if s > bb*ScreenSlack {
+			return 1
+		}
+		if s*ScreenSlack < bb {
+			return -1
+		}
+	}
+	h := math.Hypot(dx, dy)
+	if h < b {
+		return -1
+	}
+	if h > b {
+		return 1
+	}
+	return 0
 }
 
 // MinMaxDistBelow reports whether MinMaxDist(p) < bound, returning the

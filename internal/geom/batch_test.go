@@ -2,6 +2,8 @@ package geom
 
 import (
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -109,5 +111,167 @@ func TestCoincidentFocusEllipse(t *testing.T) {
 	m := RectOf(Pt(4, 1), Pt(6, 5))
 	if got, want := MinTransDistCheb(c, m, c), m.MinDistCheb(c); !bitsEq(got, want) {
 		t.Errorf("MinTransDistCheb(c, m, c) = %v, want MinDistCheb %v", got, want)
+	}
+}
+
+// hypotRef returns sqrt(dx²+dy²) to 300 bits.
+func hypotRef(dx, dy float64) *big.Float {
+	x := new(big.Float).SetPrec(300).SetFloat64(dx)
+	y := new(big.Float).SetPrec(300).SetFloat64(dy)
+	x.Mul(x, x)
+	y.Mul(y, y)
+	return x.Add(x, y).Sqrt(x)
+}
+
+// randLeg returns a random float64 of either sign whose exponent is
+// spread over [-scale, scale].
+func randLeg(rng *rand.Rand, scale int) float64 {
+	v := math.Ldexp(1+rng.Float64(), rng.Intn(2*scale+1)-scale)
+	if rng.Intn(2) == 0 {
+		v = -v
+	}
+	return v
+}
+
+// TestHypotErrorBound pins the two properties of math.Hypot that the
+// exactness contract of batch.go uses, against a big.Float reference:
+// (H1) the hypot is never below its larger leg, and (H2) its relative
+// error is at most 4u = 2^-51 whenever the exact result is normal. It
+// also logs how often the hypot misses correct rounding, which the
+// contract does not assume.
+func TestHypotErrorBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	maxRel, missed, n := 0.0, 0, 0
+	maxULP := int64(0)
+	for i := range 200000 {
+		var dx, dy float64
+		switch i % 4 {
+		case 0: // map-scale coordinates, as the queries see
+			dx, dy = (rng.Float64()-0.5)*2000, (rng.Float64()-0.5)*2000
+		case 1: // legs of different magnitudes
+			dx, dy = randLeg(rng, 30), randLeg(rng, 30)
+		case 2: // the whole exponent range
+			dx, dy = randLeg(rng, 1070), randLeg(rng, 1070)
+		default: // nearly equal legs
+			dx = randLeg(rng, 10)
+			dy = dx * (1 + (rng.Float64()-0.5)*1e-6)
+		}
+		h := math.Hypot(dx, dy)
+		if h < max(math.Abs(dx), math.Abs(dy)) {
+			t.Fatalf("Hypot(%g, %g) = %g is below its larger leg", dx, dy, h)
+		}
+		ref := hypotRef(dx, dy)
+		if ref.Cmp(big.NewFloat(0x1p-1022)) < 0 || math.IsInf(h, 1) {
+			continue // (H2) covers normal results only
+		}
+		n++
+		if r, _ := ref.Float64(); r != h {
+			missed++
+			d := int64(math.Float64bits(h)) - int64(math.Float64bits(r))
+			maxULP = max(maxULP, d, -d)
+		}
+		diff := new(big.Float).SetPrec(300).SetFloat64(h)
+		diff.Sub(diff, ref).Abs(diff)
+		rel, _ := diff.Quo(diff, ref).Float64()
+		maxRel = max(maxRel, rel)
+		if rel > 0x1p-51 {
+			t.Fatalf("Hypot(%g, %g) = %g: relative error %g exceeds 4u", dx, dy, h, rel)
+		}
+	}
+	t.Logf("%d normal results: max relative error %.3gu; %.1f%% not correctly rounded, by up to %d ulp",
+		n, maxRel/0x1p-53, 100*float64(missed)/float64(n), maxULP)
+}
+
+// TestHypotCmpMatchesHypot checks that HypotCmp returns the outcome of
+// computing math.Hypot and comparing, for bounds inside the squared
+// screen's band, just outside it, and far away, and for legs and bounds
+// whose squares overflow or underflow.
+func TestHypotCmpMatchesHypot(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	want := func(dx, dy, b float64) int {
+		switch h := math.Hypot(dx, dy); {
+		case h < b:
+			return -1
+		case h > b:
+			return 1
+		}
+		return 0
+	}
+	for i := range 400000 {
+		var dx, dy float64
+		switch i % 5 {
+		case 0:
+			dx, dy = (rng.Float64()-0.5)*2000, (rng.Float64()-0.5)*2000
+		case 1:
+			dx, dy = randLeg(rng, 40), randLeg(rng, 40)
+		case 2: // squares that underflow to subnormals
+			dx, dy = math.Ldexp(randLeg(rng, 8), -535), math.Ldexp(randLeg(rng, 8), -535)
+		case 3: // squares that overflow
+			dx, dy = math.Ldexp(randLeg(rng, 8), 510), math.Ldexp(randLeg(rng, 8), 510)
+		default:
+			dx, dy = randLeg(rng, 1070), randLeg(rng, 1070)
+		}
+		if i%7 == 0 {
+			dy = 0
+		}
+		h := math.Hypot(dx, dy)
+		bounds := []float64{
+			h, math.Nextafter(h, 0), math.Nextafter(h, math.Inf(1)),
+			h * (1 + 4e-10), h * (1 - 4e-10), h * (1 + 6e-10), h * (1 - 6e-10),
+			h * (1 + (rng.Float64()-0.5)*1e-8), h * (1 + (rng.Float64()-0.5)*1e-15),
+			randLeg(rng, 1070), math.Abs(randLeg(rng, 40)),
+			0, 0x1p-500, 0x1p500, math.Inf(1),
+		}
+		for _, b := range bounds {
+			b = math.Abs(b)
+			if got, w := HypotCmp(dx, dy, b), want(dx, dy, b); got != w {
+				t.Fatalf("HypotCmp(%g, %g, %g) = %d, hypot %g compares %d", dx, dy, b, got, h, w)
+			}
+		}
+	}
+	if HypotCmp(0, 0, 0) != 0 || HypotCmp(0, 0, 1) != -1 || HypotCmp(3, 4, 5) != 0 {
+		t.Fatal("HypotCmp on exact small cases")
+	}
+}
+
+// BenchmarkMinMaxDistBelow measures the face-property bound update of
+// an NN search's internal node visit, MinMaxDistBelow over child
+// rectangles, with the outcome mix the paper-default queries show: 60%
+// rejected by the Chebyshev screen, 20% passing it with both legs at or
+// past the bound, 15% with one leg below the bound and 5% with both.
+func BenchmarkMinMaxDistBelow(b *testing.B) {
+	const n = 1000
+	rng := rand.New(rand.NewSource(3))
+	rects := make([]Rect, n)
+	bounds := make([]float64, n)
+	p := Pt(500, 500)
+	for i := range rects {
+		x, y := rng.Float64()*1000, rng.Float64()*1000
+		w, h := rng.Float64()*60, rng.Float64()*60
+		r := RectOf(Pt(x, y), Pt(x+w, y+h))
+		rects[i] = r
+		// MinMaxDist is the shorter leg; MaxDist bounds the longer one.
+		switch z, k := r.MinMaxDist(p), i%20; {
+		case k < 12:
+			bounds[i] = r.MinDistCheb(p) * 0.9
+		case k < 16:
+			bounds[i] = z * 0.98
+		case k < 19:
+			bounds[i] = z * 1.001
+		default:
+			bounds[i] = r.MaxDist(p) * 1.1
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := 0.0
+	for i := range b.N {
+		j := i % n
+		if z, ok := rects[j].MinMaxDistBelow(p, bounds[j]); ok {
+			sink += z
+		}
+	}
+	if sink < 0 {
+		b.Fatal("unreachable; keeps the loop live")
 	}
 }

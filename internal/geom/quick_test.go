@@ -283,16 +283,23 @@ func TestQuickMinMaxDistBelowMatchesMinMaxDist(t *testing.T) {
 	// MinMaxDistBelow(p, bound) must agree with the unscreened metric:
 	// ok exactly when MinMaxDist < bound, and then with the identical
 	// value — the screen may only skip hypots, never change the answer.
+	// Besides a random bound, the bounds at and around the metric itself
+	// probe the squared screen's band and exact ties.
 	f := func(px, py, a, b, c, d, bnd float64) bool {
 		p := mkPt(px, py)
 		m := mkRect(a, b, c, d)
-		bound := math.Abs(math.Mod(bnd, 2000))
-		z, ok := m.MinMaxDistBelow(p, bound)
 		full := m.MinMaxDist(p)
-		if ok != (full < bound) {
-			return false
+		for _, bound := range []float64{
+			math.Abs(math.Mod(bnd, 2000)), full,
+			math.Nextafter(full, 0), math.Nextafter(full, math.Inf(1)),
+			full * (1 - 4e-10), full * (1 + 4e-10),
+		} {
+			z, ok := m.MinMaxDistBelow(p, bound)
+			if ok != (full < bound) || ok && !bitsEq(z, full) {
+				return false
+			}
 		}
-		return !ok || bitsEq(z, full)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -55,6 +55,9 @@ trap 'rm -f "$measured"' EXIT
 	min_nsop '^BenchmarkSessionSteps$' '1x' ./internal/session
 	min_nsop '^BenchmarkJoin$' '2000x' ./internal/core
 	min_nsop '^Benchmark(FaultLostBurst|MemoFault)$' '20000x' ./internal/broadcast
+	min_nsop '^BenchmarkNext(Node|Object)Arrival$' '200000x' .
+	min_nsop '^BenchmarkArrivalQueue$' '200000x' ./internal/client
+	min_nsop '^BenchmarkMinMaxDistBelow$' '200000x' ./internal/geom
 } >"$measured"
 
 calib=$(awk '$1 == "BenchmarkCalibration" { print $2 }' "$measured")
@@ -67,7 +70,7 @@ if [ "$MODE" = update ]; then
 	{
 		echo "# benchguard baseline: <benchmark> <ns/op ratio to BenchmarkCalibration>"
 		echo "# Regenerate with scripts/benchguard.sh update after intentional perf changes."
-		awk -v c="$calib" '$1 != "BenchmarkCalibration" { printf "%s %.3f\n", $1, $2 / c }' "$measured" | sort
+		awk -v c="$calib" '$1 != "BenchmarkCalibration" { printf "%s %.6g\n", $1, $2 / c }' "$measured" | sort
 	} >"$BASELINE"
 	echo "benchguard: baseline updated (calibration ${calib} ns/op)"
 	cat "$BASELINE"
@@ -88,14 +91,14 @@ while read -r name base_ratio; do
 		fail=1
 		continue
 	fi
-	ratio=$(awk -v a="$now" -v c="$calib" 'BEGIN { printf "%.3f", a / c }')
+	ratio=$(awk -v a="$now" -v c="$calib" 'BEGIN { printf "%.6g", a / c }')
 	ok=$(awk -v r="$ratio" -v b="$base_ratio" -v t="$TOL" 'BEGIN { print (r <= b * t) ? 1 : 0 }')
 	verdict=ok
 	if [ "$ok" != 1 ]; then
 		verdict=FAIL
 		fail=1
 	fi
-	printf '%-4s %-28s ratio %8s  baseline %8s  (x%s allowed)\n' \
+	printf '%-4s %-42s ratio %10s  baseline %10s  (x%s allowed)\n' \
 		"$verdict" "$name" "$ratio" "$base_ratio" "$TOL"
 done <"$BASELINE"
 
