@@ -1,8 +1,8 @@
 package tnnbcast
 
-// Variant digest: every field of every answer of the Section-7 queries
-// (unordered, round trip, top-k, chain), folded into one FNV-1a word per
-// variant over a small but exhaustive configuration grid — index scheme ×
+// Variant digest: every field of every answer of the paper's four
+// algorithms and of the Section-7 queries (unordered, round trip, top-k,
+// chain), folded into one FNV-1a word per algorithm or variant over a small but exhaustive configuration grid — index scheme ×
 // dedicated or shared physical channels × loss level × ANN × answer
 // retrieval × uniform or tie-heavy data. The constants pin the answers
 // and the page accounting bit for bit; a change to any of them means a
@@ -21,6 +21,10 @@ import (
 )
 
 var variantDigests = map[string]uint64{
+	"window":    0xed39f6be1d3c17f0,
+	"double":    0xd47e1bdbc07af9e5,
+	"hybrid":    0x0e372c7c7207e83b,
+	"approx":    0xd6de602b7f4edac6,
 	"unordered": 0x8e6b27f67d005a94,
 	"roundtrip": 0xe987dc3c8e0ad913,
 	"topk1":     0x1d59a976987c7c2e,
@@ -30,6 +34,12 @@ var variantDigests = map[string]uint64{
 	"chain3":    0x4609efcb9e985158,
 	"chain4":    0x7758b876f4d2e134,
 }
+
+// digestAlgos are the paper's four algorithms and their digest words.
+var digestAlgos = []struct {
+	name string
+	algo Algorithm
+}{{"window", Window}, {"double", Double}, {"hybrid", Hybrid}, {"approx", Approximate}}
 
 // digestRegion is the square every digest dataset lives in.
 var digestRegion = Rect{Lo: Pt(0, 0), Hi: Pt(1000, 1000)}
@@ -243,6 +253,13 @@ func TestVariantDigest(t *testing.T) {
 							}
 							for _, q := range fam.queries {
 								pos++
+								for _, a := range digestAlgos {
+									resp, err := sys.Do(Request{Point: q, Algo: a.algo, Options: qo})
+									if err != nil {
+										t.Fatal(err)
+									}
+									d.result(a.name, pos, resp.Result, false)
+								}
 								resp, err := sys.Do(Request{Point: q, Variant: Unordered, Options: qo})
 								if err != nil {
 									t.Fatal(err)
@@ -271,7 +288,7 @@ func TestVariantDigest(t *testing.T) {
 	if d.lost == 0 || d.err == 0 {
 		t.Fatalf("grid exercised no loss (%d lossy answers) or no escalation (%d errors)", d.lost, d.err)
 	}
-	for _, v := range []string{"unordered", "roundtrip", "topk1", "topk3", "topk10", "chain2", "chain3", "chain4"} {
+	for _, v := range []string{"window", "double", "hybrid", "approx", "unordered", "roundtrip", "topk1", "topk3", "topk10", "chain2", "chain3", "chain4"} {
 		if got, want := d.sums[v], variantDigests[v]; got != want {
 			t.Errorf("%s digest %#x, want %#x", v, got, want)
 		}
