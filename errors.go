@@ -1,7 +1,7 @@
 // Error taxonomy. Construction-time defects are typed per cause:
 // *InvalidPointError, *InvalidRegionError, *InvalidWeightError (New and
-// NewChain), and *UnknownAlgorithmError / *InvalidIssueError at query
-// admission. Runtime channel failures under WithFaults are typed too:
+// NewChain), *UnsupportedOptionError (NewChain), and
+// *UnknownAlgorithmError / *InvalidIssueError at query admission. Runtime channel failures under WithFaults are typed too:
 // a query that exhausts its retry budget on one channel reports a
 // *ChannelError (wrapping the final *PageFaultError) in Result.Err rather
 // than failing the call — the query still returns its metrics, and a
@@ -213,6 +213,20 @@ type InvalidPointError struct {
 func (e *InvalidPointError) Error() string {
 	return fmt.Sprintf("tnnbcast: %s[%d] has non-finite coordinates (%g, %g)",
 		e.Dataset, e.Index, e.Point.X, e.Point.Y)
+}
+
+// UnsupportedOptionError reports an Option that a constructor cannot
+// honour: WithSingleChannel multiplexes exactly two datasets, so NewChain
+// rejects it instead of silently building dedicated channels.
+type UnsupportedOptionError struct {
+	// Func is the rejecting constructor.
+	Func string
+	// Option names the rejected option.
+	Option string
+}
+
+func (e *UnsupportedOptionError) Error() string {
+	return fmt.Sprintf("tnnbcast: %s does not support %s", e.Func, e.Option)
 }
 
 // UnknownAlgorithmError reports an Algorithm value that is neither a

@@ -23,13 +23,17 @@ type ChainSystem struct {
 
 // NewChain builds a broadcast system over the datasets in visiting order.
 // The same options as New apply (page capacity, interleaving, region,
-// index scheme, data schedule); phase offsets — and, for a skewed
-// schedule, WithAccessWeights' two weight vectors — are assigned per
-// channel from the options' two values by alternating them.
+// index scheme, data schedule, faults) except WithSingleChannel, which
+// NewChain rejects with an *UnsupportedOptionError; phase offsets — and,
+// for a skewed schedule, WithAccessWeights' two weight vectors — are
+// assigned per channel from the options' two values by alternating them.
 func NewChain(datasets [][]Point, opts ...Option) (*ChainSystem, error) {
 	cfg := config{params: broadcast.DefaultParams()}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if cfg.oneChan {
+		return nil, &UnsupportedOptionError{Func: "NewChain", Option: "WithSingleChannel"}
 	}
 	if err := cfg.validateScheme(); err != nil {
 		return nil, err

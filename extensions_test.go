@@ -49,6 +49,14 @@ func TestChainSystemInvalidParams(t *testing.T) {
 	if _, err := tnnbcast.NewChain(nil, tnnbcast.WithPageCap(5)); err == nil {
 		t.Error("expected error for tiny pages")
 	}
+	// A chain has one channel per dataset; the single-channel option would
+	// otherwise be ignored without a word.
+	pts := []tnnbcast.Point{tnnbcast.Pt(1, 1), tnnbcast.Pt(2, 2)}
+	_, err := tnnbcast.NewChain([][]tnnbcast.Point{pts, pts, pts}, tnnbcast.WithSingleChannel())
+	var uerr *tnnbcast.UnsupportedOptionError
+	if !errors.As(err, &uerr) || uerr.Option != "WithSingleChannel" {
+		t.Errorf("NewChain(WithSingleChannel) err = %v, want *UnsupportedOptionError", err)
+	}
 }
 
 func TestQueryUnordered(t *testing.T) {

@@ -34,9 +34,11 @@ func TestReceiverAccounting(t *testing.T) {
 	if slot < 100 {
 		t.Fatalf("root arrival %d before issue", slot)
 	}
-	n, _ := r.DownloadNode(slot)
-	if n.ID != 0 {
-		t.Fatalf("expected root, got node %d", n.ID)
+	if pf := r.DownloadIndexSlot(slot); pf != nil {
+		t.Fatalf("lossless reception faulted: %v", pf)
+	}
+	if pg := ch.PageAt(slot); pg.Kind != broadcast.IndexPage || pg.NodeID != 0 {
+		t.Fatalf("expected the root on air, got %+v", pg)
 	}
 	if r.Pages() != 1 {
 		t.Errorf("pages = %d", r.Pages())
@@ -69,13 +71,13 @@ func TestReceiverRejectsPastDownload(t *testing.T) {
 	ch := testChannel(t, 40, 0)
 	r := NewReceiver(ch, 50)
 	slot := r.NextRootArrival()
-	r.DownloadNode(slot)
+	r.DownloadIndexSlot(slot)
 	defer func() {
 		if recover() == nil {
 			t.Error("downloading in the past should panic")
 		}
 	}()
-	r.DownloadNode(slot) // clock has advanced past slot
+	r.DownloadIndexSlot(slot) // clock has advanced past slot
 }
 
 func TestCollect(t *testing.T) {
@@ -83,9 +85,9 @@ func TestCollect(t *testing.T) {
 	ch2 := testChannel(t, 50, 11)
 	r1 := NewReceiver(ch1, 10)
 	r2 := NewReceiver(ch2, 10)
-	r1.DownloadNode(r1.NextRootArrival())
-	r2.DownloadNode(r2.NextRootArrival())
-	r2.DownloadNode(r2.NextNodeArrival(1))
+	r1.DownloadIndexSlot(r1.NextRootArrival())
+	r2.DownloadIndexSlot(r2.NextRootArrival())
+	r2.DownloadIndexSlot(r2.NextNodeArrival(1))
 
 	m := Collect(r1, r2)
 	if m.TuneIn != r1.Pages()+r2.Pages() {

@@ -37,9 +37,8 @@ func TestReceiverFaultAccounting(t *testing.T) {
 	// completed yet).
 	bad := faultyAt(ff, 0, true)
 	r.WaitUntil(bad)
-	n, pf := r.DownloadNode(bad)
-	if n != nil || pf == nil || pf.Slot != bad {
-		t.Fatalf("DownloadNode(%d) = (%v, %v), want fault at that slot", bad, n, pf)
+	if pf := r.DownloadIndexSlot(bad); pf == nil || pf.Slot != bad {
+		t.Fatalf("DownloadIndexSlot(%d) = %v, want fault at that slot", bad, pf)
 	}
 	if r.Pages() != 1 || r.Lost() != 1 || r.Retries() != 0 || r.RecoverySlots() != 0 {
 		t.Fatalf("after fault: pages=%d lost=%d retries=%d recovery=%d",
@@ -55,7 +54,7 @@ func TestReceiverFaultAccounting(t *testing.T) {
 	// A second fault in the same episode.
 	bad2 := faultyAt(ff, r.Now(), true)
 	r.WaitUntil(bad2)
-	if _, pf := r.DownloadNode(bad2); pf == nil {
+	if pf := r.DownloadIndexSlot(bad2); pf == nil {
 		t.Fatal("expected second fault")
 	}
 	if r.Lost() != 2 || r.Retries() != 0 {
@@ -66,7 +65,7 @@ func TestReceiverFaultAccounting(t *testing.T) {
 	// become retries, and recovery covers first-fault -> recovery slot.
 	good := faultyAt(ff, r.Now(), false)
 	r.WaitUntil(good)
-	if _, pf := r.DownloadNode(good); pf != nil {
+	if pf := r.DownloadIndexSlot(good); pf != nil {
 		t.Fatalf("clean slot %d faulted: %v", good, pf)
 	}
 	if r.Lost() != 2 || r.Retries() != 2 {
@@ -89,7 +88,7 @@ func TestReceiverFaultAccounting(t *testing.T) {
 	lost, retries, recovery := r.Lost(), r.Retries(), r.RecoverySlots()
 	good2 := faultyAt(ff, r.Now(), false)
 	r.WaitUntil(good2)
-	if _, pf := r.DownloadNode(good2); pf != nil {
+	if pf := r.DownloadIndexSlot(good2); pf != nil {
 		t.Fatalf("clean slot %d faulted: %v", good2, pf)
 	}
 	if r.Lost() != lost || r.Retries() != retries || r.RecoverySlots() != recovery {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"tnnbcast/internal/broadcast"
-	"tnnbcast/internal/rtree"
 )
 
 // Receiver is the client's interface to one broadcast channel. It tracks
@@ -154,46 +153,22 @@ func (r *Receiver) closeEpisode(slot int64) {
 }
 
 // downloadBeforeClock formats the contract-violation panic message for
-// DownloadNode. It lives outside the marked function so the cold panic
-// path's formatting does not count against the hot path's zero-alloc
+// DownloadIndexSlot. It lives outside the marked function so the cold
+// panic path's formatting does not count against the hot path's zero-alloc
 // budget.
 func downloadBeforeClock(slot, now int64) string {
 	return fmt.Sprintf("client: download at slot %d before local clock %d", slot, now)
 }
 
-// DownloadNode dozes until slot (which must be >= the local clock and must
-// carry index page content) and downloads the page. On a clean reception
-// it returns the node; on a lossy feed it may instead return the PageFault
-// that ate the slot — tune-in is spent either way, and the caller is
-// expected to re-derive the node's next arrival and retry.
-//
-//tnn:noalloc
-func (r *Receiver) DownloadNode(slot int64) (*rtree.Node, *broadcast.PageFault) {
-	if slot < r.now {
-		panic(downloadBeforeClock(slot, r.now))
-	}
-	n, pf := r.ch.ReadNode(slot) // panics if slot carries a data page
-	if pf != nil {
-		r.fault(slot)
-		return nil, pf
-	}
-	r.pages++
-	r.last = slot
-	r.now = slot + 1
-	r.closeEpisode(slot)
-	if r.trace != nil {
-		r.trace(slot, r.ch.PageAt(slot))
-	}
-	return n, nil
-}
-
-// DownloadIndexSlot is DownloadNode for the SoA hot path: the caller
-// computed slot as the next arrival of an index page whose preorder ID it
-// already knows (a queued candidate's key, or 0 for the root), so the page
-// content adds nothing — only the reception itself must be performed. The
-// accounting (tune-in, clock, access time, fault episodes) is exactly
-// DownloadNode's; the node materialization and its page-kind re-check are
-// skipped. Faults are still consulted fresh per reception.
+// DownloadIndexSlot dozes until slot (which must be >= the local clock)
+// and receives the index page on air there. The caller computed slot as
+// the next arrival of an index page whose preorder ID it already knows (a
+// queued candidate's key, or 0 for the root), so the page content adds
+// nothing and is not materialized — only the reception itself is
+// performed. A clean reception returns nil; on a lossy feed the slot may
+// instead return the PageFault that ate it — tune-in is spent either way,
+// and the caller is expected to re-derive the page's next arrival and
+// retry. Faults are consulted fresh per reception.
 //
 //tnn:noalloc
 func (r *Receiver) DownloadIndexSlot(slot int64) *broadcast.PageFault {

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/client"
 	"tnnbcast/internal/geom"
+	"tnnbcast/internal/heapx"
 	"tnnbcast/internal/rtree"
 )
 
@@ -137,35 +139,86 @@ type Result struct {
 	Stops []rtree.Entry
 }
 
-// join is the client-side nested-loop join of Algorithm 1 (lines 7–17):
-// scan candidate pairs, keeping the pair with the smallest transitive
-// distance. The incumbent (s0, r0, d) — the pair that defined the search
-// range — seeds the bound; candidates si with dis(p,si) >= d cannot improve
-// it and skip the inner loop.
+// pairHeap is a concrete max-heap of pairs by route length (so the worst
+// of the best k sits on top), driven by heapx. It holds the join's best
+// pairs; a Scratch keeps one across queries.
+type pairHeap []Pair
+
+func pairLess(a, b Pair) bool { return a.Dist > b.Dist }
+
+func (h *pairHeap) push(p Pair) { heapx.Push((*[]Pair)(h), p, pairLess) }
+
+// fixTop restores the heap property after the root was replaced in place —
+// the concrete equivalent of container/heap.Fix(h, 0).
+func (h pairHeap) fixTop() { heapx.Down(h, 0, len(h), pairLess) }
+
+// offer adds pair to a heap of the best k pairs — pushed while the heap
+// holds fewer than k, else replacing the root, which it must beat — and
+// returns the new k-th best distance, +Inf while the heap is not full.
+func (h *pairHeap) offer(pair Pair, k int) float64 {
+	if len(*h) < k {
+		h.push(pair)
+	} else {
+		(*h)[0] = pair
+		h.fixTop()
+	}
+	if len(*h) < k {
+		return math.Inf(1)
+	}
+	return (*h)[0].Dist
+}
+
+// top returns the heap's root — for a k = 1 join, the best pair — and
+// whether the heap holds a pair.
+func (h pairHeap) top() (Pair, bool) {
+	if len(h) == 0 {
+		return Pair{}, false
+	}
+	return h[0], true
+}
+
+// sorted returns a copy of the heap's pairs in ascending route length.
+func (h pairHeap) sorted() []Pair {
+	pairs := make([]Pair, len(h))
+	copy(pairs, h)
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Dist < pairs[j].Dist })
+	return pairs
+}
+
+// join is the client-side join of every two-dataset query (Algorithm 1,
+// lines 7–17, generalized): it scans the candidate pairs ss × rs in
+// row-major order and leaves in h, in heap order, the k pairs with the
+// shortest routes. A route is the transitive distance dis(p,si) +
+// dis(si,rj), plus the closing leg dis(rj,p) when tour is set, summed in
+// tourLength's order. A non-nil seed, a realizable route such as the
+// estimate pair that defined the search range, enters h first: with
+// k = 1 it bounds the scan from the start and is kept on ties.
 //
-// Every screen below only skips pairs the full comparison t < d would
-// reject anyway, and d only shrinks during the scan, so the pairs are
-// still compared in row-major order with the same float ops: the answer,
-// tie-breaking included, is that of the plain nested loop.
-func join(p geom.Point, incumbent Pair, haveIncumbent bool, ss, rs *pointBuf) (Pair, bool) {
-	best := incumbent
-	ok := haveIncumbent
-	d := math.Inf(1)
-	if ok {
-		d = best.Dist
+// Every screen below only skips pairs the full comparison would reject
+// anyway. Each bounds a route from below by dps plus a Chebyshev gap of
+// (si, rj) — a tour only adds a non-negative leg, and rounding is
+// monotone — against the k-th best route, which is +Inf until h holds k
+// pairs, so until then no screen fires. The bound only shrinks during the
+// scan, so the pairs are still compared in row-major order with the same
+// float ops: the heap, ties included, is that of the plain nested loop.
+func (h *pairHeap) join(p geom.Point, ss, rs *pointBuf, k int, seed *Pair, tour bool) {
+	*h = (*h)[:0]
+	kth := math.Inf(1)
+	if seed != nil {
+		kth = h.offer(*seed, k)
 	}
 	runs := rs.blocks()
 	ssx, rsx := ss.x, rs.x
 	ssy, rsy := ss.y[:len(ssx)], rs.y[:len(rsx)]
 	for i := range ssx {
 		six, siy := ssx[i], ssy[i]
-		dps, far := sDist(p, six, siy, d)
+		dps, far := sDist(p, six, siy, kth)
 		if far {
 			continue
 		}
 		// Group and run screens: dps+gap <= dps+max(|dx|,|dy|) for every
-		// rj in a box, so a box at or past d fails every per-point screen.
-		for b := rs.nextRun(0, six, siy, dps, d); b < runs; b = rs.nextRun(b+1, six, siy, dps, d) {
+		// rj in a box, so a box at or past kth fails every per-point screen.
+		for b := rs.nextRun(0, six, siy, dps, kth); b < runs; b = rs.nextRun(b+1, six, siy, dps, kth) {
 			lo := b * joinBlock
 			hi := min(lo+joinBlock, len(rsx))
 			// Sub-slicing the run (y pinned to len(x)) keeps the inner
@@ -175,21 +228,22 @@ func join(p geom.Point, incumbent Pair, haveIncumbent bool, ss, rs *pointBuf) (P
 			for j := range bx {
 				// Chebyshev screen: hypot(dx,dy) >= max(|dx|,|dy|) holds in
 				// floating point (hypot never rounds below its larger leg),
-				// and rounding is monotone, so dps+max >= d implies the full
-				// dps+hypot >= d — the pair would be discarded anyway.
+				// and rounding is monotone, so dps+max >= kth implies the
+				// full route >= kth — the pair would be discarded anyway.
 				m := max(math.Abs(six-bx[j]), math.Abs(siy-by[j]))
-				if dps+m >= d {
+				if dps+m >= kth {
 					continue
 				}
-				if t := dps + math.Hypot(six-bx[j], siy-by[j]); t < d {
-					d = t
-					best = Pair{S: ss.entry(i), R: rs.entry(lo + j), Dist: t}
-					ok = true
+				t := dps + math.Hypot(six-bx[j], siy-by[j])
+				if tour {
+					t += math.Hypot(bx[j]-p.X, by[j]-p.Y)
+				}
+				if t < kth || len(*h) < k {
+					kth = h.offer(Pair{S: ss.entry(i), R: rs.entry(lo + j), Dist: t}, k)
 				}
 			}
 		}
 	}
-	return best, ok
 }
 
 // sDist returns dps = dis(p, si) for si = (x, y), the fixed term of every

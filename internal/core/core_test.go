@@ -198,12 +198,12 @@ func TestANNSearchTradeoff(t *testing.T) {
 			p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 
 			rxE := client.NewReceiver(te.env.ChS, 0)
-			exact := newNNSearch(rxE, p, 0, 16)
+			exact := NewScratch().nnSearch(rxE, p, 0, 16)
 			drain(exact)
 			_, dE, okE := exact.result()
 
 			rxA := client.NewReceiver(te.env.ChS, 0)
-			ann := newNNSearch(rxA, p, 1, 16)
+			ann := NewScratch().nnSearch(rxA, p, 1, 16)
 			drain(ann)
 			_, dA, okA := ann.result()
 
@@ -235,7 +235,7 @@ func TestJoin(t *testing.T) {
 	ss.add(5, 0, 1)
 	rs.add(2, 0, 0)
 	rs.add(9, 9, 1)
-	got, ok := join(p, Pair{}, false, &ss, &rs)
+	got, ok := join1(p, Pair{}, false, &ss, &rs, false)
 	if !ok {
 		t.Fatal("join found nothing")
 	}
@@ -246,13 +246,13 @@ func TestJoin(t *testing.T) {
 
 	// The incumbent survives when no candidate beats it.
 	inc := Pair{S: ss.entry(0), R: rs.entry(0), Dist: 1.5} // artificially strong bound
-	got, ok = join(p, inc, true, &ss, &rs)
+	got, ok = join1(p, inc, true, &ss, &rs, false)
 	if !ok || got.Dist != 1.5 {
 		t.Fatalf("incumbent should survive: %+v", got)
 	}
 
 	// Empty candidate sets without incumbent: not found.
-	if _, ok := join(p, Pair{}, false, &pointBuf{}, &pointBuf{}); ok {
+	if _, ok := join1(p, Pair{}, false, &pointBuf{}, &pointBuf{}, false); ok {
 		t.Error("empty join should not find a pair")
 	}
 }

@@ -156,6 +156,7 @@ type QueryExec struct {
 	ns, nr   *nnSearch
 	knn      [2]*knnSearch // TopK's estimate searches, S then R
 	qs, qr   *rangeSearch
+	walks    [2]*airWalk // the running phase's searches, S then R; nil if idle
 
 	phase   execPhase
 	caseTag HybridCase
@@ -189,13 +190,16 @@ func (ex *QueryExec) reset(env Env, algo Algo, v Variant, k int, p geom.Point, o
 		// channel from p.
 		ex.knn[0] = opt.Scratch.knnSearch(ex.rxS, p, k, opt.maxRetries())
 		ex.knn[1] = opt.Scratch.knnSearch(ex.rxR, p, k, opt.maxRetries())
+		ex.walks = [2]*airWalk{&ex.knn[0].airWalk, &ex.knn[1].airWalk}
 		ex.phase = phTopK
 	case algo == AlgoWindow:
 		ex.ns = opt.Scratch.nnSearch(ex.rxS, p, opt.ANN.FactorS, opt.maxRetries())
+		ex.walks = [2]*airWalk{&ex.ns.airWalk, nil}
 		ex.phase = phWinS
 	case algo == AlgoHybrid || algo == AlgoDouble:
 		ex.ns = opt.Scratch.nnSearch(ex.rxS, p, opt.ANN.FactorS, opt.maxRetries())
 		ex.nr = opt.Scratch.nnSearch(ex.rxR, p, opt.ANN.FactorR, opt.maxRetries())
+		ex.walks = [2]*airWalk{&ex.ns.airWalk, &ex.nr.airWalk}
 		ex.phase = phEstimate
 	case algo == AlgoApprox:
 		// No estimate phase: the radius comes from Eq. 1 directly.
@@ -277,65 +281,13 @@ func (ex *QueryExec) clockMax() int64 {
 //tnn:noalloc
 func (ex *QueryExec) Peek() (int64, bool) {
 	switch ex.phase {
-	case phWinS:
-		slot, _ := ex.ns.Peek()
+	case phWinS, phWinR, phEstimate, phTopK, phFilter:
+		_, slot := earliest(ex.walks[:])
 		return slot, false
-	case phWinR:
-		slot, _ := ex.nr.Peek()
-		return slot, false
-	case phEstimate:
-		return earliestNN(ex.ns, ex.nr), false
-	case phTopK:
-		_, slot := earliest(ex.knn[:])
-		return slot, false
-	case phFilter:
-		return earliestRange(ex.qs, ex.qr), false
 	case phJoin:
 		return ex.clockMax(), false
 	default:
 		return 0, true
-	}
-}
-
-// earliestNN returns the smaller next-action slot of two NN searches, at
-// least one of which is not done (advance's invariant). Equal slots resolve
-// to the S-channel search, which is always passed first: channel order
-// breaks ties, as earliest does. Monomorphic on purpose: a generic version
-// shares one gcshape instantiation for all pointer types and calls Peek
-// through its dictionary, while these concrete calls inline to plain
-// field reads.
-//
-//tnn:noalloc
-func earliestNN(a, b *nnSearch) int64 {
-	sa, da := a.Peek()
-	sb, db := b.Peek()
-	switch {
-	case da:
-		return sb
-	case db:
-		return sa
-	case sb < sa:
-		return sb
-	default:
-		return sa
-	}
-}
-
-// earliestRange is earliestNN for the two filter-phase range searches.
-//
-//tnn:noalloc
-func earliestRange(a, b *rangeSearch) int64 {
-	sa, da := a.Peek()
-	sb, db := b.Peek()
-	switch {
-	case da:
-		return sb
-	case db:
-		return sa
-	case sb < sa:
-		return sb
-	default:
-		return sa
 	}
 }
 
@@ -346,62 +298,32 @@ func earliestRange(a, b *rangeSearch) int64 {
 //tnn:noalloc
 func (ex *QueryExec) Step() {
 	switch ex.phase {
-	case phWinS:
-		ex.ns.Step()
-	case phWinR:
-		ex.nr.Step()
-	case phEstimate:
+	case phWinS, phWinR, phEstimate:
 		if ex.algo == AlgoHybrid {
 			// Redirect exactly once, at the moment one search finishes
 			// while the other still runs (Hybrid-NN Cases 2 and 3).
 			ex.hybridRedirect()
 		}
-		stepEarlierNN(ex.ns, ex.nr)
+		if i, _ := earliest(ex.walks[:]); i == 0 {
+			ex.ns.Step()
+		} else {
+			ex.nr.Step()
+		}
 	case phTopK:
-		i, _ := earliest(ex.knn[:])
+		i, _ := earliest(ex.walks[:])
 		ex.knn[i].Step()
 	case phFilter:
-		stepEarlierRange(ex.qs, ex.qr)
+		if i, _ := earliest(ex.walks[:]); i == 0 {
+			ex.qs.Step()
+		} else {
+			ex.qr.Step()
+		}
 	case phJoin:
 		ex.joinAndRetrieve()
 	case phDone:
 		panic("core: Step on a finished query execution")
 	}
 	ex.advance()
-}
-
-// stepEarlierNN steps whichever of the two estimate-phase NN searches acts
-// first: the smaller slot, and on equal slots a, the S-channel search,
-// passed first. Monomorphic for the same reason as earliestNN: the cached
-// Peeks inline to field reads.
-//
-//tnn:noalloc
-func stepEarlierNN(a, b *nnSearch) {
-	sa, da := a.Peek()
-	sb, db := b.Peek()
-	switch {
-	case da && db:
-	case db || (!da && sa <= sb):
-		a.Step()
-	default:
-		b.Step()
-	}
-}
-
-// stepEarlierRange is stepEarlierNN for the two filter-phase range
-// searches.
-//
-//tnn:noalloc
-func stepEarlierRange(a, b *rangeSearch) {
-	sa, da := a.Peek()
-	sb, db := b.Peek()
-	switch {
-	case da && db:
-	case db || (!da && sa <= sb):
-		a.Step()
-	default:
-		b.Step()
-	}
 }
 
 // hybridRedirect applies the one-time Hybrid-NN redirect when exactly one
@@ -435,11 +357,7 @@ func (ex *QueryExec) advance() {
 	for {
 		switch ex.phase {
 		case phWinS:
-			if _, done := ex.ns.Peek(); !done {
-				return
-			}
-			if ex.ns.err != nil {
-				ex.failWith("S", ex.ns.err)
+			if !ex.settled() {
 				return
 			}
 			s, _, ok := ex.ns.result()
@@ -451,14 +369,11 @@ func (ex *QueryExec) advance() {
 			// because its query point is the first one's result.
 			ex.rxR.WaitUntil(ex.rxS.Now())
 			ex.nr = ex.opt.Scratch.nnSearch(ex.rxR, s.Point, ex.opt.ANN.FactorR, ex.opt.maxRetries())
+			ex.walks = [2]*airWalk{nil, &ex.nr.airWalk}
 			ex.phase = phWinR
 
 		case phWinR:
-			if _, done := ex.nr.Peek(); !done {
-				return
-			}
-			if ex.nr.err != nil {
-				ex.failWith("R", ex.nr.err)
+			if !ex.settled() {
 				return
 			}
 			r, _, okR := ex.nr.result()
@@ -474,19 +389,7 @@ func (ex *QueryExec) advance() {
 			ex.startFilter()
 
 		case phEstimate:
-			_, sDone := ex.ns.Peek()
-			_, rDone := ex.nr.Peek()
-			if !sDone || !rDone {
-				return
-			}
-			// Escalations are checked S before R so that the reported
-			// channel is deterministic when both die.
-			if ex.ns.err != nil {
-				ex.failWith("S", ex.ns.err)
-				return
-			}
-			if ex.nr.err != nil {
-				ex.failWith("R", ex.nr.err)
+			if !ex.settled() {
 				return
 			}
 			s, _, okS := ex.ns.result()
@@ -515,19 +418,10 @@ func (ex *QueryExec) advance() {
 			ex.startFilter()
 
 		case phTopK:
-			if i, _ := earliest(ex.knn[:]); i >= 0 {
+			if !ex.settled() {
 				return
 			}
-			ks, kr := ex.knn[0], ex.knn[1]
-			if ks.err != nil {
-				ex.failWith("S", ks.err)
-				return
-			}
-			if kr.err != nil {
-				ex.failWith("R", kr.err)
-				return
-			}
-			ss, rs := ks.results(), kr.results()
+			ss, rs := ex.knn[0].results(), ex.knn[1].results()
 			if len(ss) == 0 || len(rs) == 0 {
 				ex.fail()
 				return
@@ -536,17 +430,7 @@ func (ex *QueryExec) advance() {
 			ex.startFilter()
 
 		case phFilter:
-			_, sDone := ex.qs.Peek()
-			_, rDone := ex.qr.Peek()
-			if !sDone || !rDone {
-				return
-			}
-			if ex.qs.err != nil {
-				ex.failWith("S", ex.qs.err)
-				return
-			}
-			if ex.qr.err != nil {
-				ex.failWith("R", ex.qr.err)
+			if !ex.settled() {
 				return
 			}
 			ex.phase = phJoin
@@ -556,6 +440,22 @@ func (ex *QueryExec) advance() {
 			return
 		}
 	}
+}
+
+// settled reports whether the running phase's searches have finished
+// without an escalation. An escalation fails the query; they are checked
+// S before R so that the reported channel is deterministic when both die.
+func (ex *QueryExec) settled() bool {
+	if i, _ := earliest(ex.walks[:]); i >= 0 {
+		return false
+	}
+	for i, w := range ex.walks {
+		if w != nil && w.err != nil {
+			ex.failWith([2]string{"S", "R"}[i], w.err)
+			return false
+		}
+	}
+	return true
 }
 
 // startFilter opens the filter phase: capture the estimate-phase tune-in,
@@ -569,6 +469,7 @@ func (ex *QueryExec) startFilter() {
 	w := geom.Circle{Center: ex.p, R: ex.radius}
 	ex.qs = ex.opt.Scratch.rangeSearch(ex.rxS, w, ex.opt.maxRetries())
 	ex.qr = ex.opt.Scratch.rangeSearch(ex.rxR, w, ex.opt.maxRetries())
+	ex.walks = [2]*airWalk{&ex.qs.airWalk, &ex.qr.airWalk}
 	ex.phase = phFilter
 }
 
@@ -596,18 +497,24 @@ func (ex *QueryExec) joinAndRetrieve() {
 	var res Result
 	var pair Pair
 	ok := true
+	fs, fr := &ex.qs.found, &ex.qr.found
+	h := ex.opt.Scratch.joinHeap()
 	switch ex.variant {
-	case Transitive:
-		pair, ok = join(ex.p, ex.incumbent, ex.haveInc, &ex.qs.found, &ex.qr.found)
+	case Transitive, RoundTrip:
+		var seed *Pair
+		if ex.haveInc {
+			seed = &ex.incumbent
+		}
+		h.join(ex.p, fs, fr, 1, seed, ex.variant == RoundTrip)
+		pair, ok = h.top()
 	case Unordered:
-		pair, res.SFirst = joinUnordered(ex.p, ex.incumbent, &ex.qs.found, &ex.qr.found)
-	case RoundTrip:
-		pair = joinRoundTrip(ex.p, ex.incumbent, &ex.qs.found, &ex.qr.found)
+		pair, res.SFirst = joinUnordered(ex.p, ex.incumbent, fs, fr, h)
 	case TopK:
-		if res.Pairs = joinTopK(ex.p, &ex.qs.found, &ex.qr.found, ex.k); len(res.Pairs) == 0 {
+		if h.join(ex.p, fs, fr, ex.k, nil, false); len(*h) == 0 {
 			ex.fail()
 			return
 		}
+		res.Pairs = h.sorted()
 		pair = res.Pairs[0]
 	}
 

@@ -52,6 +52,7 @@ type ChainExec struct {
 	rxs   []*client.Receiver
 	nns   []*nnSearch
 	rgs   []*rangeSearch
+	walks []*airWalk    // the running phase's searches, in channel order
 	route []rtree.Entry // the estimate's realizable route
 	phase execPhase     // phEstimate, phFilter, phJoin or phDone
 
@@ -71,6 +72,7 @@ func (ex *ChainExec) Reset(env MultiEnv, p geom.Point, opt Options) {
 	}
 	ex.rxs = make([]*client.Receiver, k)
 	ex.nns = make([]*nnSearch, k)
+	ex.walks = make([]*airWalk, k)
 	for i, ch := range env.Chs {
 		ex.rxs[i] = opt.Scratch.receiver(ch, opt.Issue)
 		factor := opt.ANN.FactorS
@@ -78,6 +80,7 @@ func (ex *ChainExec) Reset(env MultiEnv, p geom.Point, opt Options) {
 			factor = opt.ANN.FactorR
 		}
 		ex.nns[i] = opt.Scratch.nnSearch(ex.rxs[i], p, factor, opt.maxRetries())
+		ex.walks[i] = &ex.nns[i].airWalk
 	}
 	ex.advance()
 }
@@ -98,11 +101,8 @@ func (ex *ChainExec) Result() Result { return ex.res }
 // Peek reports the next slot at which the query acts.
 func (ex *ChainExec) Peek() (int64, bool) {
 	switch ex.phase {
-	case phEstimate:
-		_, slot := earliest(ex.nns)
-		return slot, false
-	case phFilter:
-		_, slot := earliest(ex.rgs)
+	case phEstimate, phFilter:
+		_, slot := earliest(ex.walks)
 		return slot, false
 	case phJoin:
 		return clockMax(ex.rxs), false
@@ -115,15 +115,15 @@ func (ex *ChainExec) Peek() (int64, bool) {
 // the terminal join and retrieval.
 func (ex *ChainExec) Step() {
 	switch ex.phase {
-	case phEstimate:
-		i, _ := earliest(ex.nns)
-		if ex.nns[i].Step(); !ex.nns[i].finished {
-			return // only a finished search can end the phase
+	case phEstimate, phFilter:
+		i, _ := earliest(ex.walks)
+		if ex.phase == phEstimate {
+			ex.nns[i].Step()
+		} else {
+			ex.rgs[i].Step()
 		}
-	case phFilter:
-		i, _ := earliest(ex.rgs)
-		if ex.rgs[i].Step(); !ex.rgs[i].finished {
-			return
+		if !ex.walks[i].finished {
+			return // only a finished search can end the phase
 		}
 	case phJoin:
 		ex.joinAndRetrieve()
@@ -131,21 +131,6 @@ func (ex *ChainExec) Step() {
 		panic("core: Step on a finished chain execution")
 	}
 	ex.advance()
-}
-
-// earliest returns the index and slot of the not-done search that acts
-// first — the smallest slot, the lowest index on ties — or index -1 when
-// every search is done. It orders the chain's k channels and top-k's two
-// estimate searches; the paper algorithms' hot phases apply the same rule
-// through the monomorphic earliestNN/stepEarlierNN pairs.
-func earliest[S interface{ Peek() (int64, bool) }](ss []S) (idx int, slot int64) {
-	idx = -1
-	for i, s := range ss {
-		if t, done := s.Peek(); !done && (idx == -1 || t < slot) {
-			idx, slot = i, t
-		}
-	}
-	return idx, slot
 }
 
 // clockMax returns the latest of the receivers' local clocks.
@@ -160,50 +145,44 @@ func clockMax(rxs []*client.Receiver) int64 {
 // advance folds completed phases into their successors, as
 // QueryExec.advance does.
 func (ex *ChainExec) advance() {
-	switch ex.phase {
-	case phEstimate:
-		if i, _ := earliest(ex.nns); i >= 0 {
-			return
-		}
-		for i, s := range ex.nns {
-			if s.err != nil {
-				ex.failWith(i, s.err)
-				return
-			}
-		}
-		ex.route = make([]rtree.Entry, len(ex.nns))
-		for i, s := range ex.nns {
-			e, _, ok := s.result()
-			if !ok {
-				ex.fail(nil)
-				return
-			}
-			ex.route[i] = e
-		}
-		ex.radius = routeLength(ex.p, ex.route)
-		// Filter: parallel range queries with the route length as radius
-		// on every channel, from the moment every estimate is known.
-		t := clockMax(ex.rxs)
-		w := geom.Circle{Center: ex.p, R: ex.radius}
-		ex.rgs = make([]*rangeSearch, len(ex.rxs))
-		for i, rx := range ex.rxs {
-			rx.WaitUntil(t)
-			ex.rgs[i] = ex.opt.Scratch.rangeSearch(rx, w, ex.opt.maxRetries())
-		}
-		ex.phase = phFilter
-		ex.advance() // fold a filter phase that is complete at creation
-	case phFilter:
-		if i, _ := earliest(ex.rgs); i >= 0 {
-			return
-		}
-		for i, s := range ex.rgs {
-			if s.err != nil {
-				ex.failWith(i, s.err)
-				return
-			}
-		}
-		ex.phase = phJoin
+	if ex.phase != phEstimate && ex.phase != phFilter {
+		return
 	}
+	if i, _ := earliest(ex.walks); i >= 0 {
+		return
+	}
+	for i, w := range ex.walks {
+		if w.err != nil {
+			ex.failWith(i, w.err)
+			return
+		}
+	}
+	if ex.phase == phFilter {
+		ex.phase = phJoin
+		return
+	}
+	ex.route = make([]rtree.Entry, len(ex.nns))
+	for i, s := range ex.nns {
+		e, _, ok := s.result()
+		if !ok {
+			ex.fail(nil)
+			return
+		}
+		ex.route[i] = e
+	}
+	ex.radius = routeLength(ex.p, ex.route)
+	// Filter: parallel range queries with the route length as radius on
+	// every channel, from the moment every estimate is known.
+	t := clockMax(ex.rxs)
+	w := geom.Circle{Center: ex.p, R: ex.radius}
+	ex.rgs = make([]*rangeSearch, len(ex.rxs))
+	for i, rx := range ex.rxs {
+		rx.WaitUntil(t)
+		ex.rgs[i] = ex.opt.Scratch.rangeSearch(rx, w, ex.opt.maxRetries())
+		ex.walks[i] = &ex.rgs[i].airWalk
+	}
+	ex.phase = phFilter
+	ex.advance() // fold a filter phase that is complete at creation
 }
 
 // fail finalizes the query with the metrics spent so far and err.
@@ -320,14 +299,16 @@ func chainJoin(p geom.Point, layers [][]rtree.Entry, incumbent []rtree.Entry, bo
 	return stops, bestDist, true
 }
 
-// joinUnordered joins the candidates in both visiting orders, each
+// joinUnordered joins the candidates in both visiting orders on h, each
 // seeded with the estimate pair's route in that order, and returns the
 // shorter with sFirst reporting whether it visits S first (ties go to S
 // first). The returned pair always carries the S object in S.
-func joinUnordered(p geom.Point, inc Pair, fs, fr *pointBuf) (pair Pair, sFirst bool) {
-	pairSR, _ := join(p, inc, true, fs, fr)
+func joinUnordered(p geom.Point, inc Pair, fs, fr *pointBuf, h *pairHeap) (pair Pair, sFirst bool) {
+	h.join(p, fs, fr, 1, &inc, false)
+	pairSR := (*h)[0]
 	rFirst := Pair{S: inc.R, R: inc.S, Dist: geom.TransDist(p, inc.R.Point, inc.S.Point)}
-	pairRS, _ := join(p, rFirst, true, fr, fs)
+	h.join(p, fr, fs, 1, &rFirst, false)
+	pairRS := (*h)[0]
 	if pairSR.Dist <= pairRS.Dist {
 		return pairSR, true
 	}
@@ -338,25 +319,6 @@ func joinUnordered(p geom.Point, inc Pair, fs, fr *pointBuf) (pair Pair, sFirst 
 // tourLength returns dis(p,s) + dis(s,r) + dis(r,p).
 func tourLength(p, s, r geom.Point) float64 {
 	return geom.Dist(p, s) + geom.Dist(s, r) + geom.Dist(r, p)
-}
-
-// joinRoundTrip is the round-trip join: the shortest tour through one
-// candidate of each buffer, seeded with the estimate pair's tour best. An
-// object s on a better tour satisfies dis(p,s) < best.Dist, which screens
-// the outer loop.
-func joinRoundTrip(p geom.Point, best Pair, fs, fr *pointBuf) Pair {
-	for i := range fs.x {
-		siP := geom.Point{X: fs.x[i], Y: fs.y[i]}
-		if geom.Dist(p, siP) >= best.Dist {
-			continue
-		}
-		for j := range fr.x {
-			if td := tourLength(p, siP, geom.Point{X: fr.x[j], Y: fr.y[j]}); td < best.Dist {
-				best = Pair{S: fs.entry(i), R: fr.entry(j), Dist: td}
-			}
-		}
-	}
-	return best
 }
 
 // OracleChainTNN computes the exact chain answer by layered dynamic

@@ -146,33 +146,33 @@ func sameEscalation(chain, pair error) bool {
 	return tag == b.Channel && a.Attempts == b.Attempts && *a.Last == *b.Last
 }
 
-// slotSearch is a stand-in search acting at a fixed list of slots.
-type slotSearch struct{ slots []int64 }
-
-func (s *slotSearch) Peek() (int64, bool) {
-	if len(s.slots) == 0 {
-		return 0, true
-	}
-	return s.slots[0], false
-}
-
-// TestEarliestTieBreak pins ChainExec's step order: the smallest slot
-// first, the lowest channel index on equal slots, done searches skipped.
+// TestEarliestTieBreak pins the step order of every parallel phase: the
+// smallest slot first, the lowest channel index on equal slots, finished
+// and nil walks skipped. Each walk acts at a fixed list of slots.
 func TestEarliestTieBreak(t *testing.T) {
-	ss := []*slotSearch{{slots: []int64{5, 9}}, {slots: []int64{5, 7}}, {}, {slots: []int64{4}}}
+	slots := [][]int64{{5, 9}, nil, {5, 7}, {}, {4}}
+	ws := make([]*airWalk, len(slots))
 	var order []int
 	for {
-		i, slot := earliest(ss)
+		for i, s := range slots {
+			if s != nil {
+				ws[i] = &airWalk{finished: len(s) == 0}
+				if len(s) > 0 {
+					ws[i].next = s[0]
+				}
+			}
+		}
+		i, slot := earliest(ws)
 		if i < 0 {
 			break
 		}
-		if slot != ss[i].slots[0] {
-			t.Fatalf("earliest reported slot %d for search %d at %d", slot, i, ss[i].slots[0])
+		if slot != slots[i][0] {
+			t.Fatalf("earliest reported slot %d for walk %d at %d", slot, i, slots[i][0])
 		}
 		order = append(order, i)
-		ss[i].slots = ss[i].slots[1:]
+		slots[i] = slots[i][1:]
 	}
-	if want := []int{3, 0, 1, 1, 0}; !slices.Equal(order, want) {
+	if want := []int{4, 0, 2, 2, 0}; !slices.Equal(order, want) {
 		t.Fatalf("step order %v, want %v", order, want)
 	}
 }

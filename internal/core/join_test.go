@@ -1,9 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
@@ -13,8 +13,21 @@ import (
 	"tnnbcast/internal/rtree"
 )
 
-// joinRef is the screen-free nested loop join must equal: every pair in
-// row-major order, kept when its transitive distance beats the bound.
+// join1 runs the k = 1 join as the Transitive and RoundTrip queries do:
+// seeded by the incumbent when there is one.
+func join1(p geom.Point, incumbent Pair, haveIncumbent bool, ss, rs *pointBuf, tour bool) (Pair, bool) {
+	var h pairHeap
+	var seed *Pair
+	if haveIncumbent {
+		seed = &incumbent
+	}
+	h.join(p, ss, rs, 1, seed, tour)
+	return h.top()
+}
+
+// joinRef is the screen-free nested loop the k = 1 join must equal: every
+// pair in row-major order, kept when its transitive distance beats the
+// bound.
 func joinRef(p geom.Point, incumbent Pair, haveIncumbent bool, ss, rs *pointBuf) (Pair, bool) {
 	best, ok := incumbent, haveIncumbent
 	d := math.Inf(1)
@@ -33,8 +46,27 @@ func joinRef(p geom.Point, incumbent Pair, haveIncumbent bool, ss, rs *pointBuf)
 	return best, ok
 }
 
-// joinTopKRef is the screen-free k-bounded nested loop joinTopK must
-// equal, heap ties included.
+// joinRoundTripRef is the screen-free round-trip loop the k = 1 tour join
+// must equal: the shortest tour through one candidate of each buffer,
+// seeded with best (Dist +Inf for no seed). An object s on a better tour
+// satisfies dis(p,s) < best.Dist, which screens the outer loop.
+func joinRoundTripRef(p geom.Point, best Pair, fs, fr *pointBuf) Pair {
+	for i := range fs.x {
+		siP := geom.Point{X: fs.x[i], Y: fs.y[i]}
+		if geom.Dist(p, siP) >= best.Dist {
+			continue
+		}
+		for j := range fr.x {
+			if td := tourLength(p, siP, geom.Point{X: fr.x[j], Y: fr.y[j]}); td < best.Dist {
+				best = Pair{S: fs.entry(i), R: fr.entry(j), Dist: td}
+			}
+		}
+	}
+	return best
+}
+
+// joinTopKRef is the screen-free k-bounded nested loop the k-best join
+// must equal, heap ties included.
 func joinTopKRef(p geom.Point, ss, rs *pointBuf, k int) []Pair {
 	var h pairHeap
 	for i := range ss.x {
@@ -48,10 +80,24 @@ func joinTopKRef(p geom.Point, ss, rs *pointBuf, k int) []Pair {
 			}
 		}
 	}
-	pairs := make([]Pair, len(h))
-	copy(pairs, h)
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Dist < pairs[j].Dist })
-	return pairs
+	return h.sorted()
+}
+
+// checkRoundTrip compares the k = 1 tour join with the plain round-trip
+// loop for one seed (Dist +Inf for none).
+func checkRoundTrip(t *testing.T, what string, p geom.Point, seed Pair, ss, rs *pointBuf) {
+	t.Helper()
+	seeded := !math.IsInf(seed.Dist, 1)
+	got, gotOK := join1(p, seed, seeded, ss, rs, true)
+	want := joinRoundTripRef(p, seed, ss, rs)
+	wantOK := !math.IsInf(want.Dist, 1)
+	if !wantOK {
+		want = Pair{}
+	}
+	if got != want || gotOK != wantOK {
+		t.Fatalf("%s (|S|=%d |R|=%d, seed %+v): tour join = %+v %v, round-trip loop = %+v %v",
+			what, ss.Len(), rs.Len(), seed, got, gotOK, want, wantOK)
+	}
 }
 
 // joinCase is one candidate-set shape of the join differentials.
@@ -119,11 +165,13 @@ func fillBuf(b *pointBuf, pts []geom.Point, base int32) {
 	}
 }
 
-// TestJoinMatchesNestedLoop: the screened join returns the same Pair (==,
-// IDs and the float distance included) and found flag as the screen-free
-// nested loop, without an incumbent and with incumbents that are beaten,
-// tied, and unbeatable. Every R size of joinRSizes comes up in turn. The
-// buffers are reused across trials, as a scratch reuses them.
+// TestJoinMatchesNestedLoop: the screened k = 1 join returns the same Pair
+// (==, IDs and the float distance included) and found flag as the
+// screen-free nested loop, without an incumbent and with incumbents that
+// are beaten, tied, and unbeatable; with tour set, it returns the round-
+// trip loop's answer for the same kinds of seed. Every R size of
+// joinRSizes comes up in turn. The buffers are reused across trials, as a
+// scratch reuses them.
 func TestJoinMatchesNestedLoop(t *testing.T) {
 	sizes := []int{0, 1, 2, 15, 16, 17, 33, 265, 1045}
 	for _, c := range joinCases {
@@ -137,12 +185,14 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 
 				incs := []Pair{{}}
 				haves := []bool{false}
+				tours := []Pair{{Dist: math.Inf(1)}}
 				if ss.Len() > 0 && rs.Len() > 0 {
 					// A random realizable pair, the way the estimate phase
 					// seeds the bound.
 					si, rj := ss.entry(rng.Intn(ss.Len())), rs.entry(rng.Intn(rs.Len()))
 					incs = append(incs, Pair{S: si, R: rj, Dist: geom.TransDist(p, si.Point, rj.Point)})
 					haves = append(haves, true)
+					tours = append(tours, Pair{S: si, R: rj, Dist: tourLength(p, si.Point, rj.Point)})
 					if opt, ok := joinRef(p, Pair{}, false, &ss, &rs); ok {
 						// The optimum's distance (ties keep the incumbent)
 						// and a bound nothing beats; only the placeholder
@@ -151,24 +201,32 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 						tight := Pair{S: rtree.Entry{ID: -3}, R: rtree.Entry{ID: -4}, Dist: math.Nextafter(opt.Dist, 0)}
 						incs = append(incs, tied, tight)
 						haves = append(haves, true, true)
+						// The same for the shortest tour.
+						opt = joinRoundTripRef(p, Pair{Dist: math.Inf(1)}, &ss, &rs)
+						tied.Dist, tight.Dist = opt.Dist, math.Nextafter(opt.Dist, 0)
+						tours = append(tours, tied, tight)
 					}
 				}
 				for k := range incs {
-					got, gotOK := join(p, incs[k], haves[k], &ss, &rs)
+					got, gotOK := join1(p, incs[k], haves[k], &ss, &rs, false)
 					want, wantOK := joinRef(p, incs[k], haves[k], &ss, &rs)
 					if got != want || gotOK != wantOK {
 						t.Fatalf("trial %d (|S|=%d |R|=%d, incumbent %v %+v): join = %+v %v, nested loop = %+v %v",
 							trial, ss.Len(), rs.Len(), haves[k], incs[k], got, gotOK, want, wantOK)
 					}
 				}
+				for _, seed := range tours {
+					checkRoundTrip(t, fmt.Sprintf("trial %d", trial), p, seed, &ss, &rs)
+				}
 			}
 		})
 	}
 }
 
-// TestJoinTopKMatchesNestedLoop: the screened k-bounded join returns the
-// same pairs, in the same order, as the screen-free k-bounded nested loop,
-// ties included (the grid case), for every R size of joinRSizes in turn.
+// TestJoinTopKMatchesNestedLoop: the screened k-best join, unseeded as
+// TopK runs it, returns the same pairs, in the same order, as the
+// screen-free k-bounded nested loop, ties included (the grid case), for
+// every R size of joinRSizes in turn.
 func TestJoinTopKMatchesNestedLoop(t *testing.T) {
 	sizes := []int{0, 1, 3, 16, 17, 120, 600}
 	for _, c := range joinCases {
@@ -179,8 +237,10 @@ func TestJoinTopKMatchesNestedLoop(t *testing.T) {
 				fillBuf(&ss, c.gen(rng, sizes[rng.Intn(len(sizes))]), 0)
 				fillBuf(&rs, c.gen(rng, joinRSizes[trial%len(joinRSizes)]), 100000)
 				p := c.query(rng)
+				var h pairHeap
 				for _, k := range []int{1, 2, 5, 40} {
-					got := joinTopK(p, &ss, &rs, k)
+					h.join(p, &ss, &rs, k, nil, false)
+					got := h.sorted()
 					want := joinTopKRef(p, &ss, &rs, k)
 					if len(got) != len(want) {
 						t.Fatalf("trial %d k=%d: %d pairs, nested loop %d", trial, k, len(got), len(want))
@@ -249,21 +309,34 @@ func sessionJoinInputs() []joinInput {
 	return joinInputs
 }
 
+// tourSeed is the round-trip seed of a captured join: the estimate pair's
+// tour, or Dist +Inf when the query had no estimate pair.
+func tourSeed(in *joinInput) Pair {
+	if !in.hasInc {
+		return Pair{Dist: math.Inf(1)}
+	}
+	return Pair{S: in.inc.S, R: in.inc.R, Dist: tourLength(in.p, in.inc.S.Point, in.inc.R.Point)}
+}
+
 // TestJoinSessionInputs: on the captured session-shaped joins the screened
-// join equals the nested loop, and the inputs have the shape the benchmark
-// claims (a few hundred × about a thousand candidates on average).
+// join equals the nested loop and the tour join the round-trip loop, and
+// the inputs have the shape the benchmark claims (a few hundred × about a
+// thousand candidates on average).
 func TestJoinSessionInputs(t *testing.T) {
 	var nS, nR int
-	for i, in := range sessionJoinInputs() {
-		got, gotOK := join(in.p, in.inc, in.hasInc, &in.ss, &in.rs)
+	ins := sessionJoinInputs()
+	for i := range ins {
+		in := &ins[i]
+		got, gotOK := join1(in.p, in.inc, in.hasInc, &in.ss, &in.rs, false)
 		want, wantOK := joinRef(in.p, in.inc, in.hasInc, &in.ss, &in.rs)
 		if got != want || gotOK != wantOK {
 			t.Fatalf("query %d: join = %+v %v, nested loop = %+v %v", i, got, gotOK, want, wantOK)
 		}
+		checkRoundTrip(t, fmt.Sprintf("query %d", i), in.p, tourSeed(in), &in.ss, &in.rs)
 		nS += in.ss.Len()
 		nR += in.rs.Len()
 	}
-	n := len(sessionJoinInputs())
+	n := len(ins)
 	t.Logf("mean |S| = %d, mean |R| = %d over %d joins", nS/n, nR/n, n)
 	if nS/n < 100 || nR/n < 500 {
 		t.Errorf("candidate sets too small for the benchmark shape: mean |S| = %d, |R| = %d", nS/n, nR/n)
@@ -271,18 +344,59 @@ func TestJoinSessionInputs(t *testing.T) {
 }
 
 // BenchmarkJoin times one client-side join (ns/op per join) on the
-// captured session-shaped candidate sets.
+// captured session-shaped candidate sets, seeded as the Transitive query
+// seeds it.
 func BenchmarkJoin(b *testing.B) {
 	ins := sessionJoinInputs()
+	var h pairHeap
 	found := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in := &ins[i%len(ins)]
-		if _, ok := join(in.p, in.inc, in.hasInc, &in.ss, &in.rs); ok {
+		var seed *Pair
+		if in.hasInc {
+			seed = &in.inc
+		}
+		if h.join(in.p, &in.ss, &in.rs, 1, seed, false); len(h) > 0 {
 			found++
 		}
 	}
 	if found == 0 {
 		b.Fatal("no join found a pair")
+	}
+}
+
+// BenchmarkJoinTopK10 times one k = 10 join and its sorted answer (ns/op
+// per join) on BenchmarkJoin's inputs.
+func BenchmarkJoinTopK10(b *testing.B) {
+	ins := sessionJoinInputs()
+	var h pairHeap
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := &ins[i%len(ins)]
+		if h.join(in.p, &in.ss, &in.rs, 10, nil, false); len(h.sorted()) == 0 {
+			b.Fatal("no pair")
+		}
+	}
+}
+
+// BenchmarkJoinRoundTrip times one round-trip join on BenchmarkJoin's
+// inputs, seeded with the estimate pair's tour where there is one.
+func BenchmarkJoinRoundTrip(b *testing.B) {
+	ins := sessionJoinInputs()
+	seeds := make([]Pair, len(ins))
+	for i := range ins {
+		seeds[i] = tourSeed(&ins[i])
+	}
+	var h pairHeap
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in, seed := &ins[i%len(ins)], &seeds[i%len(ins)]
+		if math.IsInf(seed.Dist, 1) {
+			seed = nil
+		}
+		if h.join(in.p, &in.ss, &in.rs, 1, seed, true); len(h) == 0 {
+			b.Fatal("no pair")
+		}
 	}
 }

@@ -9,7 +9,11 @@
 // All algorithms follow the estimate–filter paradigm: phase 1 determines a
 // circular search range around the query point that provably contains the
 // answer pair (Theorem 1), phase 2 retrieves the candidate objects of both
-// datasets inside the range and joins them locally on the client.
+// datasets inside the range and joins them locally on the client. Every
+// search of either phase — NN, k-NN and circular range — runs on one
+// broadcast walk, airWalk, which owns the arrival-ordered MBR_queue and
+// loss recovery, and every two-dataset query ends in one k-best pair join,
+// pairHeap.join.
 //
 // The searches traverse the rtree.Flat SoA image of the broadcast tree:
 // candidates carry (preorder ID, entry index) instead of *Node pointers,
@@ -207,16 +211,17 @@ func (b *pointBuf) entries() []rtree.Entry {
 }
 
 // Scratch holds reusable per-query search state: the search process
-// structs, their candidate queues' backing storage, and the seen/found
-// entry buffers. Passing one via Options.Scratch makes steady-state queries
-// allocate (almost) nothing — the buffers grow to the query working-set
-// size once and are then reused. A Scratch must not be shared between
-// concurrent queries; each worker owns its own.
+// structs, their candidate queues' backing storage, the seen/found entry
+// buffers, and the join's pair heap. Passing one via Options.Scratch makes
+// steady-state queries allocate (almost) nothing — the buffers grow to the
+// query working-set size once and are then reused. A Scratch must not be
+// shared between concurrent queries; each worker owns its own.
 type Scratch struct {
 	rx   [2]client.Receiver
 	nn   [2]nnSearch
 	knn  [2]knnSearch
 	rg   [2]rangeSearch
+	join pairHeap
 	rxN  int
 	nnN  int
 	knnN int
@@ -243,6 +248,15 @@ func (sc *Scratch) receiver(ch broadcast.Feed, issue int64) *client.Receiver {
 	sc.rxN++
 	r.Reset(ch, issue)
 	return r
+}
+
+// joinHeap returns the scratch's pair heap for the join, or a fresh one
+// without a scratch (nil-safe).
+func (sc *Scratch) joinHeap() *pairHeap {
+	if sc == nil {
+		return new(pairHeap)
+	}
+	return &sc.join
 }
 
 // nnSearch returns an initialized NN search, reusing a scratch slot when
@@ -287,20 +301,160 @@ func (sc *Scratch) rangeSearch(rx *client.Receiver, c geom.Circle, maxFaults int
 	return s
 }
 
-// nnSearch is a backtrack-free nearest-neighbor search over the broadcast
-// image of an R-tree. Candidates are popped in arrival order; pruning is
-// evaluated when a candidate is popped (delayed pruning — children are
-// always enqueued so that a Hybrid-NN redirect cannot lose the node holding
-// the answer of the *new* query, Section 4.2.4). Peek reports the next
-// slot it acts at; Step performs one action there.
+// airWalk is the broadcast walk under all three searches of this package
+// (nnSearch, knnSearch, rangeSearch): a backtrack-free traversal of one
+// channel's tree in the order its pages come on air. The walk downloads
+// the root at its next arrival, then repeatedly pops the candidate of
+// MBR_queue (the ArrivalQueue) that arrives first and downloads it. The
+// embedding search owns two decisions: whether a popped candidate is
+// pruned, and how a received node is visited — a leaf scan, or a push of
+// its children in reverse entry order. On a preorder schedule a node's
+// later children arrive later, and every queued candidate after all of
+// them, so each push is a new queue minimum and takes ArrivalQueue's
+// tail-append path. The order changes nothing else: the pop sequence
+// depends only on the queued set ((Arrival, Key) is a strict total order).
+//
+// Peek reports the slot of the next action; the search's Step performs
+// it. Recovery protocol: a faulted reception burns the slot (the receiver
+// accounts the tune-in, the clock moves past it) and re-derives the same
+// page's next arrival — a faulted root leaves the walk unstarted, so Peek
+// re-asks the root arrival, and a faulted candidate is re-filed at its
+// next broadcast. The other queued arrivals are never stale: distinct
+// index pages occupy distinct slots, so each exceeds the faulted slot the
+// clock just passed. A clean reception resets the fault count; after
+// maxFaults consecutive faults the walk gives up with a ChannelError
+// instead of chasing a dead medium forever (the executor that knows the
+// channel fills in its Channel tag).
+type airWalk struct {
+	rx    *client.Receiver
+	flat  *rtree.Flat // SoA image of the channel's tree
+	queue client.ArrivalQueue
+
+	started  bool
+	finished bool
+	next     int64 // cached next-action slot; valid while !finished
+
+	faults    int
+	maxFaults int
+	err       *broadcast.ChannelError
+}
+
+// reset (re)starts the walk on rx's channel, retaining the queue's backing
+// storage. A walk over an empty tree, or with done set, is finished at once.
+func (w *airWalk) reset(rx *client.Receiver, maxFaults int, done bool) {
+	t := rx.Channel().Index().Tree()
+	w.rx = rx
+	w.flat = t.Flat()
+	w.queue.Reset()
+	w.started = false
+	w.finished = done || t.Count == 0
+	w.faults = 0
+	w.maxFaults = maxFaults
+	w.err = nil
+	w.resched()
+}
+
+// resched recomputes the cached next-action slot after any state change —
+// the one place the Peek answer is derived. Caching it here instead of in
+// Peek matters because the executor consults Peek several times per
+// step (dispatch, phase folding, tie-breaks); deriving the root arrival
+// through the feed on every consultation was measurable.
+//
+//tnn:noalloc
+func (w *airWalk) resched() {
+	if w.finished {
+		return
+	}
+	if !w.started {
+		w.next = w.rx.NextRootArrival()
+		return
+	}
+	if w.queue.Len() == 0 {
+		w.finished = true
+		return
+	}
+	w.next = w.queue.Peek().Arrival
+}
+
+// Peek is a pure read of the cached schedule.
+//
+//tnn:noalloc
+func (w *airWalk) Peek() (int64, bool) {
+	return w.next, w.finished
+}
+
+// earliest returns the index and slot of the not-finished walk that acts
+// first — the smallest slot, the lowest index (channel order) on ties — or
+// index -1 when every walk is finished; nil walks are skipped. Every
+// executor phase orders its searches with it; the concrete walk type
+// keeps the Peek calls inlined field reads.
+//
+//tnn:noalloc
+func earliest(ws []*airWalk) (idx int, slot int64) {
+	idx = -1
+	for i, w := range ws {
+		if w == nil {
+			continue
+		}
+		if t, done := w.Peek(); !done && (idx == -1 || t < slot) {
+			idx, slot = i, t
+		}
+	}
+	return idx, slot
+}
+
+// pop returns the candidate the walk acts on next: the root (preorder
+// node 0, at the cached root arrival) while the walk is unstarted, with
+// root set, else the earliest queued candidate, taken off the queue.
+func (w *airWalk) pop() (c client.Candidate, root bool) {
+	if !w.started {
+		return client.Candidate{Arrival: w.next}, true
+	}
+	return w.queue.Pop(), false
+}
+
+// receive downloads candidate c and reports whether the reception was
+// clean. The slot was derived as c.Key's next arrival, so the page on air
+// there IS node c.Key — no page materialization needed. A fault applies
+// the recovery protocol.
+func (w *airWalk) receive(c client.Candidate) bool {
+	if pf := w.rx.DownloadIndexSlot(c.Arrival); pf != nil {
+		if w.started {
+			w.file(c.Key, c.Ent)
+		}
+		w.fault(pf)
+		return false
+	}
+	w.faults = 0
+	w.started = true
+	return true
+}
+
+// fault records one failed reception and escalates to a ChannelError when
+// maxFaults consecutive receptions have failed.
+func (w *airWalk) fault(pf *broadcast.PageFault) {
+	w.faults++
+	if w.faults >= w.maxFaults {
+		w.err = &broadcast.ChannelError{Attempts: w.faults, Last: pf}
+		w.finished = true
+	}
+}
+
+// file queues node key, child entry e of its parent, at its next arrival.
+func (w *airWalk) file(key, e int32) {
+	w.queue.Push(client.Candidate{Arrival: w.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
+}
+
+// nnSearch is a backtrack-free nearest-neighbor search on an airWalk.
+// Pruning is evaluated when a candidate is popped (delayed pruning —
+// children are always enqueued so that a Hybrid-NN redirect cannot lose
+// the node holding the answer of the *new* query, Section 4.2.4).
 type nnSearch struct {
-	rx   *client.Receiver
-	flat *rtree.Flat // SoA image of the channel's tree
+	airWalk
 	mode searchMode
 	q    geom.Point // NN query point (p; or s after a Case-2 retarget)
 	rEnd geom.Point // transitive endpoint r (Case 3 only)
 
-	queue  client.ArrivalQueue
 	ub     float64
 	seen   pointBuf
 	best   rtree.Entry
@@ -324,41 +478,22 @@ type nnSearch struct {
 	// metric switch instead of per pruning decision.
 	frame geom.EllipseFrame
 
-	height   int
-	started  bool
-	finished bool
-	next     int64 // cached next-action slot; valid while !finished
-
-	// Loss recovery: faults counts consecutive failed receptions; after
-	// maxFaults of them the search gives up with a ChannelError instead
-	// of chasing a dead medium forever.
-	faults    int
-	maxFaults int
-	err       *broadcast.ChannelError
+	height int
 
 	// cheb is the screen buffer for batched leaf scans.
 	cheb [batchCap]float64
 }
 
-// newNNSearch creates an exact or approximate NN search for query point q
-// on the channel behind rx. factor is the ANN adjustment of Eq. 4 (0 for
-// exact search); maxFaults bounds consecutive failed receptions.
-func newNNSearch(rx *client.Receiver, q geom.Point, factor float64, maxFaults int) *nnSearch {
-	s := new(nnSearch)
-	s.init(rx, q, factor, maxFaults)
-	return s
-}
-
-// init (re)initializes the search in place, retaining the queue's backing
-// storage and the seen buffer's capacity across queries.
+// init (re)initializes an exact or approximate NN search for query point
+// q on the channel behind rx, in place, retaining the queue's backing
+// storage and the seen buffer's capacity across queries. factor is the
+// ANN adjustment of Eq. 4 (0 for exact search); maxFaults bounds
+// consecutive failed receptions.
 func (s *nnSearch) init(rx *client.Receiver, q geom.Point, factor float64, maxFaults int) {
-	t := rx.Channel().Index().Tree()
-	s.rx = rx
-	s.flat = t.Flat()
+	s.airWalk.reset(rx, maxFaults, false)
 	s.mode = modeNN
 	s.q = q
 	s.rEnd = geom.Point{}
-	s.queue.Reset()
 	s.ub = math.Inf(1)
 	s.seen.reset()
 	s.seen.reserve(64)
@@ -369,92 +504,15 @@ func (s *nnSearch) init(rx *client.Receiver, q geom.Point, factor float64, maxFa
 	s.qmin = 0
 	s.qminOK = false
 	s.frame = geom.EllipseFrame{}
-	s.height = t.Height
-	s.started = false
-	s.finished = t.Count == 0
-	s.faults = 0
-	s.maxFaults = maxFaults
-	s.err = nil
-	s.resched()
+	s.height = rx.Channel().Index().Tree().Height
 }
 
-// resched recomputes the cached next-action slot after any state change —
-// the one place the Peek answer is derived. Caching it here instead of in
-// Peek matters because the executor consults Peek several times per
-// step (dispatch, phase folding, tie-breaks); deriving the root arrival
-// through the feed on every consultation was measurable.
-//
-//tnn:noalloc
-func (s *nnSearch) resched() {
-	if s.finished {
-		return
-	}
-	if !s.started {
-		s.next = s.rx.NextRootArrival()
-		return
-	}
-	if s.queue.Len() == 0 {
-		s.finished = true
-		return
-	}
-	s.next = s.queue.Peek().Arrival
-}
-
-// fault records one failed reception and escalates to a ChannelError when
-// maxFaults consecutive receptions have failed. The Channel tag is filled
-// in by the caller that knows which feed this search rides (QueryExec).
-func (s *nnSearch) fault(pf *broadcast.PageFault) {
-	s.faults++
-	if s.faults >= s.maxFaults {
-		s.err = &broadcast.ChannelError{Attempts: s.faults, Last: pf}
-		s.finished = true
-	}
-}
-
-// Peek is a pure read of the cached schedule.
-//
-//tnn:noalloc
-func (s *nnSearch) Peek() (int64, bool) {
-	return s.next, s.finished
-}
-
-// Step performs one action. Recovery protocol: a faulted reception
-// burns the slot (tune-in is accounted by the receiver, the clock moves
-// past it) and re-derives the same page's next arrival — a faulted root
-// keeps the search unstarted so Peek re-asks NextRootArrival, a faulted
-// candidate is re-filed into the queue at its next broadcast. Remaining
-// queued arrivals are never stale: distinct index pages occupy distinct
-// slots, so every other queued arrival strictly exceeds the faulted slot
-// the clock just passed.
+// Step performs one action: receive the root or the next unpruned
+// candidate and visit it.
 func (s *nnSearch) Step() {
-	if !s.started {
-		// s.next caches the root arrival; the root is preorder node 0.
-		if pf := s.rx.DownloadIndexSlot(s.next); pf != nil {
-			s.fault(pf)
-			s.resched()
-			return
-		}
-		s.faults = 0
-		s.started = true
-		s.visit(0)
-		s.resched()
-		return
+	if c, root := s.pop(); (root || !s.pruned(c)) && s.receive(c) {
+		s.visit(c.Key)
 	}
-	c := s.queue.Pop()
-	if s.pruned(c) {
-		s.resched()
-		return
-	}
-	// The slot was derived as c.Key's next arrival, so the page on air at
-	// it IS node c.Key — no page materialization needed.
-	if pf := s.rx.DownloadIndexSlot(c.Arrival); pf != nil {
-		s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(c.Key)), Key: c.Key, Ent: c.Ent})
-		s.fault(pf)
-		s.resched()
-		return
-	}
-	s.faults = 0
-	s.visit(c.Key)
 	s.resched()
 }
 
@@ -645,23 +703,17 @@ func (s *nnSearch) visitLeaf(id int32) {
 }
 
 // visitInternal scans an internal node's child entries from the Flat SoA
-// arrays: tighten the sound bound, enqueue every child (delayed pruning:
-// pruning happens at pop so that a later metric change can still reach
-// any subtree), and keep the ANN queue-minimum cache current.
-//
-// The scan runs in reverse entry order. On a preorder schedule a node's
-// later children arrive later, and every queued candidate after all of
-// them, so each push is a new queue minimum and takes ArrivalQueue's
-// tail-append path. The order changes nothing else: the pop sequence
-// depends only on the queued set ((Arrival, Key) is a strict total
-// order), and the bound and qmin updates are mins.
+// arrays, in airWalk's reverse entry order: tighten the sound bound,
+// enqueue every child (delayed pruning: pruning happens at pop so that a
+// later metric change can still reach any subtree), and keep the ANN
+// queue-minimum cache current. The bound and qmin updates are mins, so
+// the scan order does not change them.
 func (s *nnSearch) visitInternal(id int32) {
 	f := s.flat
 	first, end := f.EntRange(id)
 	for e := end - 1; e >= first; e-- {
 		s.tightenUB(e)
-		key := f.Key[e]
-		s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
+		s.file(f.Key[e], e)
 		if s.qminOK {
 			if lb := s.lower(f.EntRect(e)); lb < s.qmin {
 				s.qmin = lb
@@ -670,10 +722,14 @@ func (s *nnSearch) visitInternal(id int32) {
 	}
 }
 
-// rescore recomputes the incumbent over every point seen so far under the
-// current metric. The client has already downloaded those leaf pages, so
-// this costs no additional tune-in.
-func (s *nnSearch) rescore() {
+// redirect restarts the bounds after a change of query point or metric.
+// The incumbent is recomputed over every point seen so far: the client
+// has already downloaded those leaf pages, so this costs no tune-in. Then
+// the initial upper-bound update of Section 4.2.3 lowers the sound bound
+// to the smallest face-property guarantee among the queued MBRs. The walk
+// goes on from where it is.
+func (s *nnSearch) redirect() {
+	s.qminOK = false // lower bounds change with the query point or metric
 	s.ub = math.Inf(1)
 	s.bestD = math.Inf(1)
 	s.bestOK = false
@@ -688,12 +744,6 @@ func (s *nnSearch) rescore() {
 			s.ub = d
 		}
 	}
-}
-
-// queueBoundUpdate performs the initial upper-bound update of Section
-// 4.2.3 after a redirect: scan MBR_queue and lower the sound bound to the
-// smallest guaranteed (face-property) distance among the queued MBRs.
-func (s *nnSearch) queueBoundUpdate() {
 	for i, n := 0, s.queue.Len(); i < n; i++ {
 		s.tightenUB(s.queue.At(i).Ent)
 	}
@@ -705,13 +755,7 @@ func (s *nnSearch) queueBoundUpdate() {
 func (s *nnSearch) retarget(newQ geom.Point) {
 	s.q = newQ
 	s.mode = modeNN
-	s.qminOK = false // lower bounds change with the query point
-	s.rescore()
-	s.queueBoundUpdate()
-	if s.finished && s.queue.Len() > 0 {
-		s.finished = false
-	}
-	s.resched()
+	s.redirect()
 }
 
 // switchTransitive switches the search to the transitive metric
@@ -721,14 +765,8 @@ func (s *nnSearch) retarget(newQ geom.Point) {
 func (s *nnSearch) switchTransitive(r geom.Point) {
 	s.rEnd = r
 	s.mode = modeTrans
-	s.qminOK = false // lower bounds change with the metric
 	s.frame = geom.NewEllipseFrame(s.q, s.rEnd)
-	s.rescore()
-	s.queueBoundUpdate()
-	if s.finished && s.queue.Len() > 0 {
-		s.finished = false
-	}
-	s.resched()
+	s.redirect()
 }
 
 // result returns the best entry found and its metric value.
@@ -737,33 +775,16 @@ func (s *nnSearch) result() (rtree.Entry, float64, bool) {
 }
 
 // rangeSearch retrieves every object location inside a circular window —
-// the filter-phase range query, with nnSearch's Peek/Step contract.
+// the filter-phase range query, on an airWalk.
 type rangeSearch struct {
-	rx     *client.Receiver
-	flat   *rtree.Flat
+	airWalk
 	circle geom.Circle
 	rBound float64 // circle.R + Eps: the IntersectsRect threshold, hoisted
 	r2     float64 // circle.R² + Eps: the Contains threshold, hoisted
-	queue  client.ArrivalQueue
 	found  pointBuf
-
-	started  bool
-	finished bool
-	next     int64 // cached next-action slot; valid while !finished
-
-	// Loss recovery, mirroring nnSearch.
-	faults    int
-	maxFaults int
-	err       *broadcast.ChannelError
 
 	// d2 is the batched DistSq buffer for leaf scans.
 	d2 [batchCap]float64
-}
-
-func newRangeSearch(rx *client.Receiver, c geom.Circle, maxFaults int) *rangeSearch {
-	s := new(rangeSearch)
-	s.init(rx, c, maxFaults)
-	return s
 }
 
 // init (re)initializes the search in place, retaining the queue's backing
@@ -771,88 +792,29 @@ func newRangeSearch(rx *client.Receiver, c geom.Circle, maxFaults int) *rangeSea
 // thresholds are hoisted here: both are deterministic functions of R, so
 // computing them once is bit-identical to the per-call originals.
 func (s *rangeSearch) init(rx *client.Receiver, c geom.Circle, maxFaults int) {
-	s.rx = rx
-	s.flat = rx.Channel().Index().Tree().Flat()
+	s.airWalk.reset(rx, maxFaults, false)
 	s.circle = c
 	s.rBound = c.R + geom.Eps
 	s.r2 = c.R*c.R + geom.Eps
-	s.queue.Reset()
 	s.found.reset()
 	s.found.reserve(64)
-	s.started = false
-	s.finished = rx.Channel().Index().Tree().Count == 0
-	s.faults = 0
-	s.maxFaults = maxFaults
-	s.err = nil
+}
+
+// Step performs one action: receive the root or the next candidate and
+// visit it. Candidates need no pop-time prune: children are only enqueued
+// after passing the intersection test, the circle never changes, and a
+// faulted candidate is re-filed unmodified, so every popped candidate
+// still intersects.
+func (s *rangeSearch) Step() {
+	if c, _ := s.pop(); s.receive(c) {
+		s.visit(c.Key)
+	}
 	s.resched()
 }
 
-// resched mirrors nnSearch.resched: recompute the cached Peek answer.
-//
-//tnn:noalloc
-func (s *rangeSearch) resched() {
-	if s.finished {
-		return
-	}
-	if !s.started {
-		s.next = s.rx.NextRootArrival()
-		return
-	}
-	if s.queue.Len() == 0 {
-		s.finished = true
-		return
-	}
-	s.next = s.queue.Peek().Arrival
-}
-
-// fault mirrors nnSearch.fault.
-func (s *rangeSearch) fault(pf *broadcast.PageFault) {
-	s.faults++
-	if s.faults >= s.maxFaults {
-		s.err = &broadcast.ChannelError{Attempts: s.faults, Last: pf}
-		s.finished = true
-	}
-}
-
-// Peek is a pure read of the cached schedule.
-//
-//tnn:noalloc
-func (s *rangeSearch) Peek() (int64, bool) {
-	return s.next, s.finished
-}
-
-// Step performs one action, with the same recovery protocol as
-// nnSearch.Step: a faulted root keeps the search unstarted, a faulted
-// candidate is re-filed at its next broadcast.
-//
-// Candidates need no pre-download re-check: children are only enqueued
-// after passing the intersection test, the circle never changes, and a
-// faulted candidate is re-filed unmodified — so every popped candidate
-// still intersects. (The pointer-walking code re-tested the MBR on pop;
-// that test was provably dead and is gone.)
-func (s *rangeSearch) Step() {
-	var id int32
-	if !s.started {
-		// s.next caches the root arrival; the root is preorder node 0.
-		if pf := s.rx.DownloadIndexSlot(s.next); pf != nil {
-			s.fault(pf)
-			s.resched()
-			return
-		}
-		s.started = true
-		id = 0
-	} else {
-		c := s.queue.Pop()
-		// The slot is c.Key's next arrival: the page on air IS node c.Key.
-		if pf := s.rx.DownloadIndexSlot(c.Arrival); pf != nil {
-			s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(c.Key)), Key: c.Key, Ent: c.Ent})
-			s.fault(pf)
-			s.resched()
-			return
-		}
-		id = c.Key
-	}
-	s.faults = 0
+// visit collects a leaf's points inside the circle, or queues an internal
+// node's children whose MBRs intersect it.
+func (s *rangeSearch) visit(id int32) {
 	f := s.flat
 	if f.Leaf(id) {
 		first, end := f.LeafRange(id)
@@ -868,26 +830,22 @@ func (s *rangeSearch) Step() {
 			}
 			xs, ys, ids = xs[n:], ys[n:], ids[n:]
 		}
-	} else {
-		// Reverse entry order, as nnSearch.visitInternal: each push is a
-		// tail append on a preorder schedule.
-		first, end := f.EntRange(id)
-		for e := end - 1; e >= first; e-- {
-			// Chebyshev screen over the same clamped gaps MinDist uses:
-			// exact, so only the borderline children reach the squared
-			// screen and, inside its band, the hypot.
-			dx := max(f.MinX[e]-s.circle.Center.X, 0, s.circle.Center.X-f.MaxX[e])
-			dy := max(f.MinY[e]-s.circle.Center.Y, 0, s.circle.Center.Y-f.MaxY[e])
-			if max(dx, dy) > s.rBound {
-				continue // MinDist >= max gap > R+Eps: disjoint
-			}
-			// 1-norm accept (hypot <= dx+dy, slacked for rounding), the
-			// squared screen for the borderline ring in between.
-			if (dx+dy)*geom.ScreenSlack <= s.rBound || geom.HypotCmp(dx, dy, s.rBound) <= 0 {
-				key := f.Key[e]
-				s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
-			}
+		return
+	}
+	first, end := f.EntRange(id)
+	for e := end - 1; e >= first; e-- {
+		// Chebyshev screen over the same clamped gaps MinDist uses:
+		// exact, so only the borderline children reach the squared
+		// screen and, inside its band, the hypot.
+		dx := max(f.MinX[e]-s.circle.Center.X, 0, s.circle.Center.X-f.MaxX[e])
+		dy := max(f.MinY[e]-s.circle.Center.Y, 0, s.circle.Center.Y-f.MaxY[e])
+		if max(dx, dy) > s.rBound {
+			continue // MinDist >= max gap > R+Eps: disjoint
+		}
+		// 1-norm accept (hypot <= dx+dy, slacked for rounding), the
+		// squared screen for the borderline ring in between.
+		if (dx+dy)*geom.ScreenSlack <= s.rBound || geom.HypotCmp(dx, dy, s.rBound) <= 0 {
+			s.file(f.Key[e], e)
 		}
 	}
-	s.resched()
 }

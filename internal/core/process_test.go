@@ -21,7 +21,7 @@ func TestBroadcastNNMatchesInMemory(t *testing.T) {
 		for j := 0; j < 20; j++ {
 			q := geom.Pt(rng.Float64()*1200-100, rng.Float64()*1200-100)
 			rx := client.NewReceiver(te.env.ChS, rng.Int63n(100000))
-			s := newNNSearch(rx, q, 0, 16)
+			s := NewScratch().nnSearch(rx, q, 0, 16)
 			drain(s)
 			got, gotD, ok := s.result()
 			if !ok {
@@ -47,7 +47,7 @@ func TestBroadcastTransSearchMatchesInMemory(t *testing.T) {
 			p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 			r := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 			rx := client.NewReceiver(te.env.ChS, rng.Int63n(100000))
-			s := newNNSearch(rx, p, 0, 16)
+			s := NewScratch().nnSearch(rx, p, 0, 16)
 			s.switchTransitive(r)
 			drain(s)
 			got, gotD, ok := s.result()
@@ -75,7 +75,7 @@ func TestBroadcastRangeMatchesInMemory(t *testing.T) {
 				R:      rng.Float64() * 300,
 			}
 			rx := client.NewReceiver(te.env.ChS, rng.Int63n(100000))
-			s := newRangeSearch(rx, c, 16)
+			s := NewScratch().rangeSearch(rx, c, 16)
 			drain(s)
 			want := te.treeS.RangeCircle(c)
 			if s.found.Len() != len(want) {
@@ -112,7 +112,7 @@ func TestRetargetMidFlight(t *testing.T) {
 		newQ := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 
 		rx := client.NewReceiver(te.env.ChS, rng.Int63n(100000))
-		s := newNNSearch(rx, p, 0, 16)
+		s := NewScratch().nnSearch(rx, p, 0, 16)
 		// Run a few steps, then retarget.
 		steps := rng.Intn(10)
 		for i := 0; i < steps; i++ {
@@ -151,7 +151,7 @@ func TestQueueSizeBounded(t *testing.T) {
 	for j := 0; j < 20; j++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		rx := client.NewReceiver(te.env.ChS, rng.Int63n(100000))
-		s := newNNSearch(rx, q, 0, 16)
+		s := NewScratch().nnSearch(rx, q, 0, 16)
 		maxQ := 0
 		for {
 			if _, done := s.Peek(); done {
@@ -173,7 +173,7 @@ func TestAlphaMonotoneInDepth(t *testing.T) {
 	pts := uniformPts(rng, 500, testRegion)
 	te := makeEnv(t, pts, pts[:1], testRegion, 0, 0)
 	rx := client.NewReceiver(te.env.ChS, 0)
-	s := newNNSearch(rx, geom.Pt(0, 0), 0.5, 16)
+	s := NewScratch().nnSearch(rx, geom.Pt(0, 0), 0.5, 16)
 	prev := -1.0
 	for d := 0; d < te.treeS.Height; d++ {
 		a := s.alpha(d)
@@ -193,7 +193,7 @@ func TestOverlapRatioDegenerateMBR(t *testing.T) {
 	pts := uniformPts(rng, 100, testRegion)
 	te := makeEnv(t, pts, pts[:1], testRegion, 0, 0)
 	rx := client.NewReceiver(te.env.ChS, 0)
-	s := newNNSearch(rx, geom.Pt(0, 0), 1, 16)
+	s := NewScratch().nnSearch(rx, geom.Pt(0, 0), 1, 16)
 	s.ub = 10
 	// Zero-area (degenerate) MBR must be kept, not divided by zero.
 	deg := geom.Rect{Lo: geom.Pt(5, 5), Hi: geom.Pt(5, 9)}
@@ -213,7 +213,7 @@ func TestReceiverMetricsThroughSearch(t *testing.T) {
 	rx := client.NewReceiver(te.env.ChS, issue)
 	downloads := int64(0)
 	rx.SetTrace(func(int64, broadcast.Page) { downloads++ })
-	s := newNNSearch(rx, q, 0, 16)
+	s := NewScratch().nnSearch(rx, q, 0, 16)
 	drain(s)
 	if rx.Pages() == 0 {
 		t.Fatal("no pages downloaded")
@@ -226,5 +226,116 @@ func TestReceiverMetricsThroughSearch(t *testing.T) {
 	}
 	if rx.Pages() > rx.AccessTime() {
 		t.Fatalf("downloaded %d pages in %d slots", rx.Pages(), rx.AccessTime())
+	}
+}
+
+// scriptFeed faults the receptions at the slots bad picks and passes every
+// other slot through to the wrapped feed.
+type scriptFeed struct {
+	broadcast.Feed
+	bad func(slot int64) bool
+}
+
+func (f scriptFeed) Fault(t int64) *broadcast.PageFault {
+	if f.bad(t) {
+		return &broadcast.PageFault{Slot: t, Kind: broadcast.FaultLost}
+	}
+	return f.Feed.Fault(t)
+}
+
+// TestWalkRecovery pins airWalk's recovery protocol under each of the
+// three searches, on feeds that fault scripted slots: a faulted root
+// leaves the walk unstarted and re-asks the root arrival; a faulted
+// candidate is re-filed at its next arrival; a clean reception resets the
+// fault count; maxFaults consecutive faults end the walk with a
+// ChannelError of maxFaults attempts, before or after the root.
+func TestWalkRecovery(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	pts := uniformPts(rng, 600, testRegion)
+	ch := makeEnv(t, pts, pts[:1], testRegion, 4321, 0).env.ChS
+	q := geom.Pt(400, 600)
+	type search interface {
+		Peek() (int64, bool)
+		Step()
+	}
+	for _, c := range []struct {
+		name  string
+		start func(rx *client.Receiver, maxFaults int) (search, *airWalk)
+	}{
+		{"nn", func(rx *client.Receiver, mf int) (search, *airWalk) {
+			s := NewScratch().nnSearch(rx, q, 0, mf)
+			return s, &s.airWalk
+		}},
+		{"knn", func(rx *client.Receiver, mf int) (search, *airWalk) {
+			s := NewScratch().knnSearch(rx, q, 4, mf)
+			return s, &s.airWalk
+		}},
+		{"range", func(rx *client.Receiver, mf int) (search, *airWalk) {
+			s := NewScratch().rangeSearch(rx, geom.Circle{Center: q, R: 150}, mf)
+			return s, &s.airWalk
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(bad func(int64) bool, maxFaults int) (search, *airWalk, *client.Receiver) {
+				rx := client.NewReceiver(scriptFeed{ch, bad}, 100)
+				s, w := c.start(rx, maxFaults)
+				return s, w, rx
+			}
+			clean := func(rx *client.Receiver) int64 { return rx.Pages() - rx.Lost() }
+
+			// A lossless run fixes the root slot and the first candidate
+			// received after it.
+			s, _, rx := run(func(int64) bool { return false }, 16)
+			var slots []int64
+			var nodes []int
+			rx.SetTrace(func(slot int64, pg broadcast.Page) {
+				slots, nodes = append(slots, slot), append(nodes, pg.NodeID)
+			})
+			drain(s)
+			if len(slots) < 2 || nodes[0] != 0 {
+				t.Fatalf("lossless walk received %v (nodes %v), want the root and a candidate", slots, nodes)
+			}
+			root, cand, node := slots[0], slots[1], nodes[1]
+
+			// A faulted root: still unstarted, next at the root's next
+			// arrival; the clean retry starts the walk and resets the count.
+			s, w, rx := run(func(t int64) bool { return t == root }, 16)
+			if s.Step(); w.started || w.faults != 1 || w.next != ch.NextRootArrival(root+1) {
+				t.Fatalf("faulted root: started %v, faults %d, next %d; want unstarted at %d",
+					w.started, w.faults, w.next, ch.NextRootArrival(root+1))
+			}
+			if s.Step(); !w.started || w.faults != 0 || clean(rx) != 1 {
+				t.Fatalf("root retry: started %v, faults %d, clean receptions %d", w.started, w.faults, clean(rx))
+			}
+
+			// A faulted candidate: re-filed at its next arrival; the next
+			// clean reception resets the count.
+			s, w, rx = run(func(t int64) bool { return t == cand }, 16)
+			for rx.Lost() == 0 {
+				s.Step()
+			}
+			refiled := false
+			for i := range w.queue.Len() {
+				c := w.queue.At(i)
+				refiled = refiled || (int(c.Key) == node && c.Arrival == ch.NextNodeArrival(node, cand+1))
+			}
+			if !refiled || w.faults != 1 || w.finished {
+				t.Fatalf("faulted node %d at %d: re-filed %v, faults %d, finished %v", node, cand, refiled, w.faults, w.finished)
+			}
+			for n := clean(rx); clean(rx) == n; {
+				s.Step()
+			}
+			if w.faults != 0 {
+				t.Fatalf("clean reception left the fault count at %d", w.faults)
+			}
+
+			// maxFaults consecutive faults, at the root or mid-walk.
+			for _, from := range []int64{0, cand} {
+				s, w, rx = run(func(t int64) bool { return t >= from }, 3)
+				if drain(s); w.err == nil || w.err.Attempts != 3 || rx.Lost() != 3 || w.started != (from > 0) {
+					t.Fatalf("faults from slot %d: err %v, lost %d, started %v; want 3 attempts", from, w.err, rx.Lost(), w.started)
+				}
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ func TestKNNSearchMatchesInMemory(t *testing.T) {
 			for j := 0; j < 8; j++ {
 				q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 				rx := client.NewReceiver(te.env.ChS, rng.Int63n(100000))
-				s := newKNNSearch(rx, q, k, 16)
+				s := NewScratch().knnSearch(rx, q, k, 16)
 				drain(s)
 				got := s.results()
 				want, _ := te.treeS.KNN(q, k)
@@ -41,14 +41,14 @@ func TestKNNSearchDegenerate(t *testing.T) {
 	te := makeEnv(t, pts, pts[:1], testRegion, 0, 0)
 	// k larger than dataset: all points, sorted.
 	rx := client.NewReceiver(te.env.ChS, 0)
-	s := newKNNSearch(rx, geom.Pt(500, 500), 50, 16)
+	s := NewScratch().knnSearch(rx, geom.Pt(500, 500), 50, 16)
 	drain(s)
 	if len(s.results()) != 5 {
 		t.Fatalf("got %d results, want 5", len(s.results()))
 	}
 	// k = 0: finished immediately.
 	rx2 := client.NewReceiver(te.env.ChS, 0)
-	s2 := newKNNSearch(rx2, geom.Pt(500, 500), 0, 16)
+	s2 := NewScratch().knnSearch(rx2, geom.Pt(500, 500), 0, 16)
 	drain(s2)
 	if len(s2.results()) != 0 || rx2.Pages() != 0 {
 		t.Fatal("k=0 should do nothing")

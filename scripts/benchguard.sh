@@ -53,7 +53,7 @@ trap 'rm -f "$measured"' EXIT
 	min_nsop '^BenchmarkCalibration$' '10000x' ./internal/geom
 	min_nsop '^BenchmarkQuery(WindowBased|DoubleNN|HybridNN|Approximate|DoubleANN|TopK10|RoundTrip|Chain3|Unordered)$' '512x' .
 	min_nsop '^BenchmarkSessionSteps$' '1x' ./internal/session
-	min_nsop '^BenchmarkJoin$' '2000x' ./internal/core
+	min_nsop '^BenchmarkJoin(TopK10|RoundTrip)?$' '2000x' ./internal/core
 	min_nsop '^Benchmark(FaultLostBurst|MemoFault)$' '20000x' ./internal/broadcast
 	min_nsop '^BenchmarkNext(Node|Object)Arrival$' '200000x' .
 	min_nsop '^BenchmarkArrivalQueue$' '200000x' ./internal/client

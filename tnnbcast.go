@@ -325,7 +325,8 @@ func WithFaults(m FaultModel) Option {
 // — the predecessor environment of Zheng–Lee–Lee (SUTC 2006) that the
 // paper's multi-channel setting improves on. All algorithms run unchanged;
 // access times grow because the combined cycle is longer and the two
-// searches cannot overlap in time. Only the S phase offset applies.
+// searches cannot overlap in time. Only the S phase offset applies. The
+// option applies to New only; NewChain rejects it.
 func WithSingleChannel() Option {
 	return func(c *config) { c.oneChan = true }
 }
