@@ -116,7 +116,8 @@ func (p Phase) String() string {
 	}
 }
 
-// execPhase is the coarse position of a query execution.
+// execPhase is the coarse position of a query execution. Every phase
+// before phJoin runs searches.
 type execPhase int
 
 const (
@@ -354,12 +355,21 @@ func (ex *QueryExec) hybridRedirect() {
 // and after every Step. The loop re-evaluates because a transition can
 // complete instantly (an empty dataset finishes its searches at creation).
 func (ex *QueryExec) advance() {
-	for {
-		switch ex.phase {
-		case phWinS:
-			if !ex.settled() {
+	for ex.phase < phJoin {
+		// Every phase before the join runs searches and ends when they all
+		// have finished. Escalations are checked S before R so that the
+		// reported channel is deterministic when both die.
+		if i, _ := earliest(ex.walks[:]); i >= 0 {
+			return
+		}
+		for i, w := range ex.walks {
+			if w != nil && w.err != nil {
+				ex.failWith([2]string{"S", "R"}[i], w.err)
 				return
 			}
+		}
+		switch ex.phase {
+		case phWinS:
 			s, _, ok := ex.ns.result()
 			if !ok {
 				ex.fail()
@@ -373,9 +383,6 @@ func (ex *QueryExec) advance() {
 			ex.phase = phWinR
 
 		case phWinR:
-			if !ex.settled() {
-				return
-			}
 			r, _, okR := ex.nr.result()
 			if !okR {
 				ex.fail()
@@ -389,9 +396,6 @@ func (ex *QueryExec) advance() {
 			ex.startFilter()
 
 		case phEstimate:
-			if !ex.settled() {
-				return
-			}
 			s, _, okS := ex.ns.result()
 			r, _, okR := ex.nr.result()
 			if !okS || !okR {
@@ -418,9 +422,6 @@ func (ex *QueryExec) advance() {
 			ex.startFilter()
 
 		case phTopK:
-			if !ex.settled() {
-				return
-			}
 			ss, rs := ex.knn[0].results(), ex.knn[1].results()
 			if len(ss) == 0 || len(rs) == 0 {
 				ex.fail()
@@ -430,32 +431,9 @@ func (ex *QueryExec) advance() {
 			ex.startFilter()
 
 		case phFilter:
-			if !ex.settled() {
-				return
-			}
-			ex.phase = phJoin
-			return // the join is a real Step, not a transition
-
-		default: // phJoin pending a Step, or phDone
-			return
+			ex.phase = phJoin // the join is a real Step, not a transition
 		}
 	}
-}
-
-// settled reports whether the running phase's searches have finished
-// without an escalation. An escalation fails the query; they are checked
-// S before R so that the reported channel is deterministic when both die.
-func (ex *QueryExec) settled() bool {
-	if i, _ := earliest(ex.walks[:]); i >= 0 {
-		return false
-	}
-	for i, w := range ex.walks {
-		if w != nil && w.err != nil {
-			ex.failWith([2]string{"S", "R"}[i], w.err)
-			return false
-		}
-	}
-	return true
 }
 
 // startFilter opens the filter phase: capture the estimate-phase tune-in,

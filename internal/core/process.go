@@ -420,7 +420,7 @@ func (w *airWalk) pop() (c client.Candidate, root bool) {
 func (w *airWalk) receive(c client.Candidate) bool {
 	if pf := w.rx.DownloadIndexSlot(c.Arrival); pf != nil {
 		if w.started {
-			w.file(c.Key, c.Ent)
+			w.queue.Push(client.Candidate{Arrival: w.rx.NextNodeArrival(int(c.Key)), Key: c.Key, Ent: c.Ent})
 		}
 		w.fault(pf)
 		return false
@@ -438,11 +438,6 @@ func (w *airWalk) fault(pf *broadcast.PageFault) {
 		w.err = &broadcast.ChannelError{Attempts: w.faults, Last: pf}
 		w.finished = true
 	}
-}
-
-// file queues node key, child entry e of its parent, at its next arrival.
-func (w *airWalk) file(key, e int32) {
-	w.queue.Push(client.Candidate{Arrival: w.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
 }
 
 // nnSearch is a backtrack-free nearest-neighbor search on an airWalk.
@@ -713,7 +708,8 @@ func (s *nnSearch) visitInternal(id int32) {
 	first, end := f.EntRange(id)
 	for e := end - 1; e >= first; e-- {
 		s.tightenUB(e)
-		s.file(f.Key[e], e)
+		key := f.Key[e]
+		s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
 		if s.qminOK {
 			if lb := s.lower(f.EntRect(e)); lb < s.qmin {
 				s.qmin = lb
@@ -845,7 +841,8 @@ func (s *rangeSearch) visit(id int32) {
 		// 1-norm accept (hypot <= dx+dy, slacked for rounding), the
 		// squared screen for the borderline ring in between.
 		if (dx+dy)*geom.ScreenSlack <= s.rBound || geom.HypotCmp(dx, dy, s.rBound) <= 0 {
-			s.file(f.Key[e], e)
+			key := f.Key[e]
+			s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
 		}
 	}
 }

@@ -102,7 +102,8 @@ func (s *knnSearch) visit(id int32) {
 	}
 	first, end := f.EntRange(id)
 	for e := end - 1; e >= first; e-- {
-		s.file(f.Key[e], e)
+		key := f.Key[e]
+		s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
 	}
 }
 
