@@ -298,35 +298,37 @@ func (ex *QueryExec) Peek() (int64, bool) {
 //
 //tnn:noalloc
 func (ex *QueryExec) Step() {
+	var i int // the stepped search's index in walks
 	switch ex.phase {
-	case phWinS, phWinR, phEstimate, phTopK, phFilter:
-		if ex.phase == phEstimate && ex.algo == AlgoHybrid {
+	case phWinS, phWinR, phEstimate:
+		if ex.algo == AlgoHybrid {
 			// Redirect exactly once, at the moment one search finishes
 			// while the other still runs (Hybrid-NN Cases 2 and 3).
 			ex.hybridRedirect()
 		}
-		i, _ := earliest(ex.walks[:])
-		switch {
-		case ex.phase == phTopK:
-			ex.knn[i].Step()
-		case ex.phase == phFilter && i == 0:
-			ex.qs.Step()
-		case ex.phase == phFilter:
-			ex.qr.Step()
-		case i == 0:
+		if i, _ = earliest(ex.walks[:]); i == 0 {
 			ex.ns.Step()
-		default:
+		} else {
 			ex.nr.Step()
 		}
-		if !ex.walks[i].finished {
-			return // only a finished search can end the phase
+	case phTopK:
+		i, _ = earliest(ex.walks[:])
+		ex.knn[i].Step()
+	case phFilter:
+		if i, _ = earliest(ex.walks[:]); i == 0 {
+			ex.qs.Step()
+		} else {
+			ex.qr.Step()
 		}
 	case phJoin:
 		ex.joinAndRetrieve()
-	case phDone:
+		return
+	default:
 		panic("core: Step on a finished query execution")
 	}
-	ex.advance()
+	if ex.walks[i].finished {
+		ex.advance() // only a finished search can end the phase
+	}
 }
 
 // hybridRedirect applies the one-time Hybrid-NN redirect when exactly one
