@@ -170,6 +170,21 @@ func BenchmarkBroadcastProgramBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkNew guards the build layer behind perfbench's setup_s: New
+// over two 15,210-point uniform datasets packs both R-trees, builds both
+// air indexes and puts them on their channels.
+func BenchmarkNew(b *testing.B) {
+	s := tnnbcast.UniformDataset(1, 15210, tnnbcast.PaperRegion)
+	r := tnnbcast.UniformDataset(2, 15210, tnnbcast.PaperRegion)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tnnbcast.New(s, r, tnnbcast.WithRegion(tnnbcast.PaperRegion)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // arrivalChannels builds one channel per air-index family (the paper's
 // preorder (1,m) program, the distributed index with replicated upper
 // levels, and the preorder layout under a skewed broadcast-disks data

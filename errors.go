@@ -136,9 +136,10 @@ func (e *ConnectError) Unwrap() error { return e.Err }
 // this instead of a bare *ChannelError. Reconnecting (a fresh Connect) is
 // the only remedy.
 type DesyncError struct {
-	// Channel names the channel the contradiction appeared on ("S" or
-	// "R"; "" when the desync is a spec change found at resume time,
-	// before any channel carried a contradicting frame).
+	// Channel names the dataset whose page the schedule expected ("S" or
+	// "R", also on one WithSingleChannel channel; "" when the desync is a
+	// spec change found at resume time, before any channel carried a
+	// contradicting frame).
 	Channel string
 	// Slot is the broadcast slot whose frame contradicted the schedule
 	// (-1 for the spec-change form).
@@ -395,18 +396,4 @@ func validateRegion(r Rect) error {
 		return &InvalidRegionError{Region: r}
 	}
 	return nil
-}
-
-// normalizePhase reduces a phase offset into [0, cycle): phase offsets are
-// cyclic by definition, so any int64 — negative or beyond one cycle — maps
-// onto a canonical slot instead of being rejected or misread.
-func normalizePhase(off, cycle int64) int64 {
-	if cycle <= 0 {
-		return 0
-	}
-	off %= cycle
-	if off < 0 {
-		off += cycle
-	}
-	return off
 }

@@ -9,7 +9,6 @@ import (
 
 	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/core"
-	"tnnbcast/internal/geom"
 	"tnnbcast/internal/rtree"
 )
 
@@ -28,76 +27,20 @@ type ChainSystem struct {
 // for a skewed schedule, WithAccessWeights' two weight vectors — are
 // assigned per channel from the options' two values by alternating them.
 func NewChain(datasets [][]Point, opts ...Option) (*ChainSystem, error) {
-	cfg := config{params: broadcast.DefaultParams()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.oneChan {
+	cfg := newConfig(opts)
+	if cfg.air.Single {
 		return nil, &UnsupportedOptionError{Func: "NewChain", Option: "WithSingleChannel"}
 	}
-	if err := cfg.validateScheme(); err != nil {
+	names := make([]string, len(datasets))
+	for i := range names {
+		names[i] = fmt.Sprintf("datasets[%d]", i)
+	}
+	region, err := cfg.validate(names, datasets)
+	if err != nil {
 		return nil, err
 	}
-	if err := cfg.params.Validate(); err != nil {
-		return nil, err
-	}
-	for i, set := range datasets {
-		if err := cfg.params.ValidateFor(len(set)); err != nil {
-			return nil, err
-		}
-		if err := validatePoints(fmt.Sprintf("datasets[%d]", i), set); err != nil {
-			return nil, err
-		}
-		if err := validateWeights(fmt.Sprintf("datasets[%d]", i), cfg.chainWeights(i), len(set)); err != nil {
-			return nil, err
-		}
-	}
-	region := cfg.region
-	if cfg.hasReg {
-		if err := validateRegion(region); err != nil {
-			return nil, err
-		}
-	}
-	if !cfg.hasReg {
-		mbr := geom.EmptyRect()
-		for _, set := range datasets {
-			for _, p := range set {
-				mbr = mbr.Extend(p)
-			}
-		}
-		region = mbr
-	}
-	rcfg := rtree.Config{
-		LeafCap: cfg.params.LeafCap(),
-		NodeCap: cfg.params.NodeCap(),
-		Packing: rtree.STR,
-	}
-	var fm broadcast.FaultModel
-	if cfg.hasFaults {
-		fm = broadcast.FaultModel{
-			Loss: cfg.faults.Loss, Burst: cfg.faults.Burst,
-			Corrupt: cfg.faults.Corrupt, Seed: cfg.faults.Seed,
-		}
-		if err := fm.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	cs := &ChainSystem{env: core.MultiEnv{Region: region}}
-	for i, set := range datasets {
-		tree := rtree.Build(set, rcfg)
-		idx := broadcast.BuildIndex(tree, cfg.params, cfg.indexSpec(cfg.chainWeights(i)))
-		off := cfg.offS
-		if i%2 == 1 {
-			off = cfg.offR
-		}
-		cs.trees = append(cs.trees, tree)
-		var ch broadcast.Feed = broadcast.NewChannel(idx, off)
-		if fm.Enabled() {
-			ch = broadcast.NewFaultFeed(ch, fm.WithSeed(broadcast.DeriveFaultSeed(fm.Seed, uint64(i))))
-		}
-		cs.env.Chs = append(cs.env.Chs, ch)
-	}
-	return cs, nil
+	air := broadcast.BuildAir(datasets, cfg.air)
+	return &ChainSystem{env: core.MultiEnv{Chs: air.Feeds, Region: region}, trees: air.Trees}, nil
 }
 
 // ChainResult is the outcome of a chain query.

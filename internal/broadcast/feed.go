@@ -63,6 +63,16 @@ func (d *DualChannel) CycleLen() int64 {
 	return d.idxS.CycleLen() + d.idxR.CycleLen()
 }
 
+// pageAt returns the page on air at slot t and the program that owns it
+// (0: S, 1: R).
+func (d *DualChannel) pageAt(t int64) (Page, int) {
+	r := floorMod(t-d.offset, d.CycleLen())
+	if lenS := d.idxS.CycleLen(); r >= lenS {
+		return d.idxR.PageAt(r - lenS), 1
+	}
+	return d.idxS.PageAt(r), 0
+}
+
 // FeedS returns the S dataset's view of the channel.
 func (d *DualChannel) FeedS() Feed { return &dualFeed{d: d, second: false} }
 

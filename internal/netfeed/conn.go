@@ -50,11 +50,6 @@ type DialConfig struct {
 	// (defaults DefaultBackoffBase / DefaultBackoffMax).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// NoWarmResume forces every resume handshake down the cold path (the
-	// server sends the full preamble and the client rebuilds the
-	// schedule, even when the spec digest still matches). A test and
-	// benchmarking knob; warm resume is strictly better when available.
-	NoWarmResume bool
 	// JitterSeed seeds the deterministic backoff jitter; 0 seeds from
 	// the wall clock (fine outside reproducible tests).
 	JitterSeed uint64
@@ -69,8 +64,11 @@ const DefaultGrace = time.Second
 // client's schedule truth is broken — retrying cannot help — so the
 // connection poisons itself and every subsequent reception fails fast.
 type DesyncError struct {
-	// Channel is the physical channel the contradiction appeared on.
+	// Channel is the dataset that owns the expected page: 0 for S, 1 for
+	// R. On one multiplexed channel it can differ from Physical.
 	Channel uint8
+	// Physical is the physical channel the contradiction appeared on.
+	Physical uint8
 	// Slot is the absolute slot.
 	Slot int64
 	// WantKind/WantRef and GotKind/GotRef identify the expected and
@@ -80,8 +78,8 @@ type DesyncError struct {
 }
 
 func (e *DesyncError) Error() string {
-	return fmt.Sprintf("netfeed: schedule desync on channel %d slot %d: air carries %v/%d, local index says %v/%d",
-		e.Channel, e.Slot, e.GotKind, e.GotRef, e.WantKind, e.WantRef)
+	return fmt.Sprintf("netfeed: schedule desync on channel %d (dataset %d) slot %d: air carries %v/%d, local index says %v/%d",
+		e.Physical, e.Channel, e.Slot, e.GotKind, e.GotRef, e.WantKind, e.WantRef)
 }
 
 // NetStats are a connection's raw reception counters.
@@ -183,7 +181,7 @@ type Conn struct {
 	spec      Spec
 	digest    uint64
 	frameSize int
-	sc        atomic.Pointer[schedule]
+	air       *broadcast.Air // built once, at Dial
 
 	clockMu sync.Mutex
 	clock   slotClock
@@ -345,9 +343,8 @@ func (c *Conn) connect(resume bool) (*session, error) {
 	if c.udp != nil {
 		udpPort = c.udp.LocalAddr().(*net.UDPAddr).Port
 	}
-	offerResume := resume && !c.cfg.NoWarmResume
 	tcp.SetDeadline(deadline)
-	if _, err := tcp.Write(appendHello(nil, c.cfg.Transport, udpPort, offerResume, c.digest)); err != nil {
+	if _, err := tcp.Write(appendHello(nil, c.cfg.Transport, udpPort, resume, c.digest)); err != nil {
 		return fail(err)
 	}
 	var lenBuf [4]byte
@@ -373,23 +370,21 @@ func (c *Conn) connect(resume bool) (*session, error) {
 	case warm:
 		// The warm form only ever answers a resume offer with the same
 		// digest; anything else is a server protocol violation.
-		if !offerResume || digest != c.digest {
+		if !resume || digest != c.digest {
 			return fail(&FrameError{Part: "preamble", Reason: FrameBadField, Got: int(uint32(digest)), Want: int(uint32(c.digest))})
 		}
 		c.resumedWarm.Add(1)
 	case resume:
+		// A full preamble for the cached digest names the broadcast the
+		// Conn already holds, so the schedule stays as built.
 		if digest != c.digest {
 			return fail(&SpecChangeError{OldDigest: c.digest, NewDigest: digest})
 		}
-		// Cold resume to an unchanged spec: rebuild the schedule and swap
-		// it in. Spec equality (digest match) makes the rebuilt schedule
-		// bit-identical, so readers may cross the swap freely.
-		c.sc.Store(buildSchedule(spec))
 	default:
 		c.spec = spec
 		c.digest = digest
 		c.frameSize = FrameSize(spec.Params)
-		c.sc.Store(buildSchedule(spec))
+		c.air = spec.build(broadcast.FaultModel{})
 		c.preambleBytes = int64(len(blob) + 4)
 	}
 	if resume {
@@ -602,10 +597,6 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// sched returns the current schedule image (atomically swapped on a cold
-// resume; bit-identical across swaps because the spec digest matched).
-func (c *Conn) sched() *schedule { return c.sc.Load() }
-
 // Spec returns the decoded service description.
 func (c *Conn) Spec() Spec { return c.spec }
 
@@ -619,23 +610,19 @@ func (c *Conn) SlotDur() time.Duration {
 // State returns the connection's current lifecycle state.
 func (c *Conn) State() State { return State(c.state.Load()) }
 
-// Trees returns the locally rebuilt R-trees (S, R).
-func (c *Conn) Trees() (s, r *rtree.Tree) {
-	sc := c.sched()
-	return sc.treeS, sc.treeR
-}
-
-// Indexes returns the locally rebuilt air indexes (S, R).
-func (c *Conn) Indexes() (s, r broadcast.AirIndex) {
-	sc := c.sched()
-	return sc.idxS, sc.idxR
-}
+// Air returns the locally rebuilt broadcast: the trees, the air indexes,
+// and the perfect feeds that answer schedule questions.
+func (c *Conn) Air() *broadcast.Air { return c.air }
 
 // FeedS returns dataset S's channel as a network-backed broadcast.Feed.
-func (c *Conn) FeedS() broadcast.Feed { return &remoteFeed{c: c, second: false} }
+func (c *Conn) FeedS() broadcast.Feed { return c.feed(0) }
 
 // FeedR returns dataset R's channel as a network-backed broadcast.Feed.
-func (c *Conn) FeedR() broadcast.Feed { return &remoteFeed{c: c, second: true} }
+func (c *Conn) FeedR() broadcast.Feed { return c.feed(1) }
+
+func (c *Conn) feed(d int) broadcast.Feed {
+	return &remoteFeed{c: c, local: c.air.Feeds[d], ch: uint8(c.air.ChannelOf(d))}
+}
 
 // LiveSlot returns the slot currently on air by the client's clock.
 func (c *Conn) LiveSlot() int64 {
@@ -686,14 +673,6 @@ func (c *Conn) Err() error {
 		return &DegradedError{State: c.State(), Attempt: c.attempt, Err: c.degradedErr}
 	}
 	return nil
-}
-
-// channelOf maps a logical side (S=false, R=true) to its physical channel.
-func (c *Conn) channelOf(second bool) uint8 {
-	if second && len(c.sched().phys) == 2 {
-		return 1
-	}
-	return 0
 }
 
 // slotDeadline computes the give-up time for a reception of slot t:
@@ -791,14 +770,13 @@ func (c *Conn) deliver(buf []byte) {
 		fault = &broadcast.PageFault{Slot: f.Slot, Kind: broadcast.FaultCorrupt}
 	}
 	c.framesRead.Add(1)
-	sc := c.sched()
-	if int(f.Channel) >= len(sc.phys) {
+	if int(f.Channel) >= c.air.Channels() {
 		return
 	}
 	if fault == nil {
 		// Schedule-truth check: the frame must carry exactly the page the
 		// local air index says is on air at this slot.
-		pg, _ := sc.pageOwner(int(f.Channel), f.Slot)
+		pg, d := c.air.PageOn(int(f.Channel), f.Slot)
 		wantRef := uint32(pg.NodeID)
 		var wantSeq uint16
 		if pg.Kind == broadcast.DataPage {
@@ -807,7 +785,7 @@ func (c *Conn) deliver(buf []byte) {
 		}
 		if pg.Kind != f.Kind || wantRef != f.Ref || wantSeq != f.Seq {
 			desync := &DesyncError{
-				Channel: f.Channel, Slot: f.Slot,
+				Channel: uint8(d), Physical: f.Channel, Slot: f.Slot,
 				WantKind: pg.Kind, WantRef: wantRef,
 				GotKind: f.Kind, GotRef: f.Ref,
 			}
@@ -969,41 +947,35 @@ func (c *Conn) janitor() {
 }
 
 // remoteFeed adapts one dataset's side of a Conn to broadcast.Feed: all
-// schedule truth comes from the locally rebuilt index; Fault and ReadNode
-// are real receptions.
+// schedule truth comes from the locally rebuilt feed; Fault and ReadNode
+// are real receptions on the physical channel ch.
 type remoteFeed struct {
-	c      *Conn
-	second bool
+	c     *Conn
+	local broadcast.Feed
+	ch    uint8
 }
 
 var _ broadcast.Feed = (*remoteFeed)(nil)
 
-func (f *remoteFeed) local() broadcast.Feed {
-	if f.second {
-		return f.c.sched().feedR
-	}
-	return f.c.sched().feedS
-}
-
 // Index implements Feed.
-func (f *remoteFeed) Index() broadcast.AirIndex { return f.local().Index() }
+func (f *remoteFeed) Index() broadcast.AirIndex { return f.local.Index() }
 
 // PageAt implements Feed.
-func (f *remoteFeed) PageAt(t int64) broadcast.Page { return f.local().PageAt(t) }
+func (f *remoteFeed) PageAt(t int64) broadcast.Page { return f.local.PageAt(t) }
 
 // NextNodeArrival implements Feed.
 func (f *remoteFeed) NextNodeArrival(nodeID int, after int64) int64 {
-	return f.local().NextNodeArrival(nodeID, after)
+	return f.local.NextNodeArrival(nodeID, after)
 }
 
 // NextRootArrival implements Feed.
 func (f *remoteFeed) NextRootArrival(after int64) int64 {
-	return f.local().NextRootArrival(after)
+	return f.local.NextRootArrival(after)
 }
 
 // NextObjectArrival implements Feed.
 func (f *remoteFeed) NextObjectArrival(objectID int, after int64) int64 {
-	return f.local().NextObjectArrival(objectID, after)
+	return f.local.NextObjectArrival(objectID, after)
 }
 
 // Fault implements Feed: it is the blocking reception primitive. The
@@ -1012,7 +984,7 @@ func (f *remoteFeed) NextObjectArrival(objectID int, after int64) int64 {
 // frame, FaultCorrupt for a failed checksum, FaultLost for a deadline
 // miss or a dead connection.
 func (f *remoteFeed) Fault(t int64) *broadcast.PageFault {
-	return f.c.receive(f.c.channelOf(f.second), t)
+	return f.c.receive(f.ch, t)
 }
 
 // ReadNode implements Feed: a real reception followed by the local tree
@@ -1022,5 +994,5 @@ func (f *remoteFeed) ReadNode(t int64) (*rtree.Node, *broadcast.PageFault) {
 	if pf := f.Fault(t); pf != nil {
 		return nil, pf
 	}
-	return f.local().ReadNode(t)
+	return f.local.ReadNode(t)
 }

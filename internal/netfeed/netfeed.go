@@ -60,7 +60,6 @@ package netfeed
 import (
 	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/geom"
-	"tnnbcast/internal/rtree"
 )
 
 // ProtoVersion is the netfeed protocol version, carried in the HELLO and
@@ -97,95 +96,16 @@ type Spec struct {
 	WS, WR []float64
 }
 
-// schedule is the locally reconstructed broadcast: trees, air indexes, and
-// perfect feeds, built identically on server and client from one Spec.
-type schedule struct {
-	treeS, treeR *rtree.Tree
-	idxS, idxR   broadcast.AirIndex
-	feedS, feedR broadcast.Feed
-	// phys describes the physical channels: two dedicated ones, or one
-	// time-multiplexed combined channel.
-	phys []physical
-}
-
-// physical is one physical channel's geometry: the wire's channel IDs
-// index this slice.
-type physical struct {
-	cycle  int64 // slots per physical cycle (combined under Single)
-	offset int64 // absolute slot at which cycle position 0 is on air
-}
-
-// indexSpec mirrors the root package's option translation exactly — the
-// schedule a client rebuilds must be the one the server transmits.
-func (sp Spec) indexSpec(w []float64) broadcast.IndexSpec {
-	spec := broadcast.IndexSpec{Scheme: sp.Scheme, Cut: sp.Cut, Weights: w}
-	if sp.SkewDisks > 0 {
-		spec.Sched = broadcast.SkewedScheduler{Disks: sp.SkewDisks, Ratio: sp.SkewRatio}
-	}
-	return spec
-}
-
-// buildSchedule reconstructs the broadcast from the spec: the same packed
-// R-trees, air indexes, and channel objects the in-process System builds,
-// so every arrival query and page descriptor agrees bit-for-bit with the
-// simulation.
-func buildSchedule(sp Spec) *schedule {
-	rcfg := rtree.Config{
-		LeafCap: sp.Params.LeafCap(),
-		NodeCap: sp.Params.NodeCap(),
-		Packing: rtree.STR,
-	}
-	sc := &schedule{}
-	sc.treeS = rtree.Build(sp.S, rcfg)
-	sc.treeR = rtree.Build(sp.R, rcfg)
-	sc.idxS = broadcast.BuildIndex(sc.treeS, sp.Params, sp.indexSpec(sp.WS))
-	sc.idxR = broadcast.BuildIndex(sc.treeR, sp.Params, sp.indexSpec(sp.WR))
-	if sp.Single {
-		dual := broadcast.NewDualChannel(sc.idxS, sc.idxR, sp.OffS)
-		sc.feedS, sc.feedR = dual.FeedS(), dual.FeedR()
-		sc.phys = []physical{{cycle: dual.CycleLen(), offset: normPhase(sp.OffS, dual.CycleLen())}}
-	} else {
-		sc.feedS = broadcast.NewChannel(sc.idxS, sp.OffS)
-		sc.feedR = broadcast.NewChannel(sc.idxR, sp.OffR)
-		sc.phys = []physical{
-			{cycle: sc.idxS.CycleLen(), offset: normPhase(sp.OffS, sc.idxS.CycleLen())},
-			{cycle: sc.idxR.CycleLen(), offset: normPhase(sp.OffR, sc.idxR.CycleLen())},
-		}
-	}
-	return sc
-}
-
-// pageOwner resolves, for physical channel c at absolute slot t, the page
-// on air and the feed that owns it (the S or R share of a combined
-// channel; the dedicated feed otherwise).
-func (sc *schedule) pageOwner(c int, t int64) (broadcast.Page, broadcast.Feed) {
-	ph := sc.phys[c]
-	rel := floorMod(t-ph.offset, ph.cycle)
-	if len(sc.phys) == 2 {
-		if c == 0 {
-			return sc.idxS.PageAt(rel), sc.feedS
-		}
-		return sc.idxR.PageAt(rel), sc.feedR
-	}
-	if rel < sc.idxS.CycleLen() {
-		return sc.idxS.PageAt(rel), sc.feedS
-	}
-	return sc.idxR.PageAt(rel - sc.idxS.CycleLen()), sc.feedR
-}
-
-// normPhase reduces a phase offset into [0, cycle), as NewChannel does.
-func normPhase(off, cycle int64) int64 {
-	if cycle <= 0 {
-		return 0
-	}
-	return floorMod(off, cycle)
-}
-
-// floorMod returns t mod m with a non-negative result for any t.
-func floorMod(t, m int64) int64 {
-	r := t % m
-	if r < 0 {
-		r += m
-	}
-	return r
+// build puts the spec on the air under the given fault model, through
+// the builder the in-process systems use: server and client rebuild the
+// schedule New would build, page for page.
+func (sp Spec) build(faults broadcast.FaultModel) *broadcast.Air {
+	return broadcast.BuildAir([][]geom.Point{sp.S, sp.R}, broadcast.AirSpec{
+		Params: sp.Params, Scheme: sp.Scheme, Cut: sp.Cut,
+		SkewDisks: sp.SkewDisks, SkewRatio: sp.SkewRatio,
+		Phases:  [2]int64{sp.OffS, sp.OffR},
+		Weights: [2][]float64{sp.WS, sp.WR},
+		Single:  sp.Single,
+		Faults:  faults,
+	})
 }

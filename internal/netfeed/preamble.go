@@ -50,7 +50,7 @@ import (
 // broadcast still has that digest answers with the 39-byte warm form —
 // header only, no dataset catalog — so the client re-anchors its slot
 // clock and keeps its rebuilt trees and programs. A digest mismatch gets
-// the full preamble (the cold rebuild path).
+// the full preamble, which a resuming client rejects as a spec change.
 
 // preambleMagic opens every preamble blob.
 var preambleMagic = [4]byte{'T', 'N', 'N', 'P'}
@@ -338,8 +338,9 @@ func decodePreamble(buf []byte) (sp Spec, slotDur time.Duration, liveSlot int64,
 	return sp, slotDur, liveSlot, digest, false, nil
 }
 
-// validate applies the same admission checks the root package's New runs,
-// so a schedule is only ever built from a spec that New would accept.
+// validate rejects, with a typed error, every spec that New would reject
+// for the equivalent options, so no schedule is built from one.
+// TestAdmissionMatchesNew holds the two checks to the same cases.
 func (sp Spec) validate() error {
 	switch sp.Scheme {
 	case broadcast.SchemePreorder, broadcast.SchemeDistributed:
@@ -359,8 +360,14 @@ func (sp Spec) validate() error {
 			}
 		}
 	}
-	for _, w := range [][]float64{sp.WS, sp.WR} {
-		for _, v := range w {
+	for _, d := range [...]struct {
+		n int
+		w []float64
+	}{{len(sp.S), sp.WS}, {len(sp.R), sp.WR}} {
+		if d.w != nil && len(d.w) != d.n {
+			return &FrameError{Part: "preamble", Reason: FrameBadField, Got: len(d.w), Want: d.n}
+		}
+		for _, v := range d.w {
 			if !finite(v) || v < 0 {
 				return &FrameError{Part: "preamble", Reason: FrameBadField, Got: 0, Want: 0}
 			}

@@ -26,9 +26,9 @@ type ServerConfig struct {
 	// Faults optionally injects the deterministic fault model into the
 	// transmissions: a lost slot is simply never sent (every subscriber
 	// times out), a corrupt slot is sent with a flipped payload bit (every
-	// subscriber's frame CRC fails). Per-channel seeds are derived exactly
-	// as the in-process WithFaults does, so a lossy wire run is comparable
-	// to the equivalent simulation.
+	// subscriber's frame CRC fails). The air is built with this model the
+	// way the in-process WithFaults builds it, so a lossy wire run is
+	// comparable to the equivalent simulation.
 	Faults broadcast.FaultModel
 	// RestartHint, when set, marks the GOODBYE drain notice with the
 	// resume flag: "this service intends to come back — reconnect and
@@ -87,9 +87,8 @@ func (cl *serverClient) drain() {
 // start with Start, stop with Close.
 type Server struct {
 	cfg      ServerConfig
-	sc       *schedule
+	air      *broadcast.Air
 	images   [][]payloadImage
-	faults   []*broadcast.FaultFeed // per physical channel; nil = clean
 	specBody []byte
 	digest   uint64
 
@@ -124,10 +123,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err
 	}
-	sc := buildSchedule(cfg.Spec)
+	air := cfg.Spec.build(cfg.Faults)
 	srv := &Server{
 		cfg:     cfg,
-		sc:      sc,
+		air:     air,
 		wakes:   make(map[wakeKey][]*serverClient),
 		clients: make(map[*serverClient]struct{}),
 		pending: make(map[net.Conn]struct{}),
@@ -136,27 +135,19 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	srv.specBody = appendSpecBody(nil, cfg.Spec)
 	srv.digest = specDigest(srv.specBody)
-	srv.faults = make([]*broadcast.FaultFeed, len(sc.phys))
-	if cfg.Faults.Enabled() {
-		for c := range sc.phys {
-			m := cfg.Faults.WithSeed(broadcast.DeriveFaultSeed(cfg.Faults.Seed, uint64(c)))
-			// The inner feed is irrelevant — only the (seed, slot) fault
-			// pattern is consulted — but FaultFeed wants one.
-			srv.faults[c] = broadcast.NewFaultFeed(sc.feedS, m)
-		}
-	}
 	pageImage := PageImageSize(cfg.Spec.Params)
-	srv.images = make([][]payloadImage, len(sc.phys))
-	for c, ph := range sc.phys {
-		srv.images[c] = make([]payloadImage, ph.cycle)
-		for rel := int64(0); rel < ph.cycle; rel++ {
-			abs := ph.offset + rel
-			pg, feed := sc.pageOwner(c, abs)
+	srv.images = make([][]payloadImage, air.Channels())
+	for c := range srv.images {
+		cycle, phase := air.CycleLen(c), air.Phase(c)
+		srv.images[c] = make([]payloadImage, cycle)
+		for rel := int64(0); rel < cycle; rel++ {
+			abs := phase + rel
+			pg, d := air.PageOn(c, abs)
 			pi := payloadImage{kind: pg.Kind}
 			if pg.Kind == broadcast.IndexPage {
 				pi.ref = uint32(pg.NodeID)
-				img, err := broadcast.EncodeNodeOn(feed, feed.Index().Tree().Nodes[pg.NodeID],
-					abs, cfg.Spec.Params, ph.cycle)
+				img, err := broadcast.EncodeNodeOn(air.Feeds[d], air.Trees[d].Nodes[pg.NodeID],
+					abs, cfg.Spec.Params, cycle)
 				if err != nil {
 					return nil, fmt.Errorf("netfeed: channel %d slot %d: %w", c, rel, err)
 				}
@@ -336,7 +327,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				return
 			}
 			ch, slot, err := decodeWake(buf[:wakeSize])
-			if err != nil || int(ch) >= len(s.sc.phys) {
+			if err != nil || int(ch) >= s.air.Channels() {
 				s.dropClient(cl)
 				return // protocol violation: drop the client
 			}
@@ -472,7 +463,7 @@ func (s *Server) transmitSlot(t int64) {
 	s.mu.Lock()
 	s.sentThrough = t
 	var subs [][]*serverClient
-	for c := range s.sc.phys {
+	for c := range s.air.Channels() {
 		key := wakeKey{ch: uint8(c), slot: t}
 		subs = append(subs, s.wakes[key])
 		delete(s.wakes, key)
@@ -499,15 +490,11 @@ func (s *Server) transmitSlot(t int64) {
 // It is a pure function of (config, c, t) — which is what allows late
 // WAKEs to be answered after the slot's transmission.
 func (s *Server) frameFor(c int, t int64) []byte {
-	var fault *broadcast.PageFault
-	if s.faults[c] != nil {
-		fault = s.faults[c].Fault(t)
-	}
+	fault := s.air.Fault(c, t)
 	if fault != nil && fault.Kind == broadcast.FaultLost {
 		return nil
 	}
-	ph := s.sc.phys[c]
-	pi := s.images[c][floorMod(t-ph.offset, ph.cycle)]
+	pi := s.images[c][s.air.CyclePos(c, t)]
 	frame := AppendFrame(make([]byte, 0, FrameHeaderSize+len(pi.img)+FrameTrailerSize), Frame{
 		Channel: uint8(c), Kind: pi.kind, Slot: t, Ref: pi.ref, Seq: pi.seq, Payload: pi.img,
 	})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"tnnbcast/internal/core"
 	"tnnbcast/internal/netfeed"
 )
 
@@ -81,14 +80,6 @@ func WithoutReconnect() ConnectOption {
 	return func(c *connectConfig) { c.dial.MaxReconnects = -1 }
 }
 
-// WithColdResume disables the warm-resume fast path: every reconnect
-// re-downloads the full preamble and rebuilds the schedule even when the
-// spec digest matches. Mostly a diagnostic knob — warm resume is strictly
-// cheaper and digest-guarded.
-func WithColdResume() ConnectOption {
-	return func(c *connectConfig) { c.dial.NoWarmResume = true }
-}
-
 // RemoteSystem is a System whose broadcast channels are a live network
 // service. Every System entry point works unmodified; the only semantic
 // difference is time — queries are issued at the service's CURRENT slot
@@ -112,24 +103,7 @@ func Connect(addr string, opts ...ConnectOption) (*RemoteSystem, error) {
 	if err != nil {
 		return nil, &ConnectError{Addr: addr, Err: err}
 	}
-	spec := conn.Spec()
-	idxS, idxR := conn.Indexes()
-	treeS, treeR := conn.Trees()
-	var offS, offR int64
-	if spec.Single {
-		offS = normalizePhase(spec.OffS, idxS.CycleLen()+idxR.CycleLen())
-	} else {
-		offS = normalizePhase(spec.OffS, idxS.CycleLen())
-		offR = normalizePhase(spec.OffR, idxR.CycleLen())
-	}
-	sys := &System{
-		env:  core.Env{ChS: conn.FeedS(), ChR: conn.FeedR(), Region: spec.Region},
-		idxS: idxS, idxR: idxR,
-		treeS: treeS, treeR: treeR,
-		params: spec.Params,
-		region: spec.Region,
-		offS:   offS, offR: offR,
-	}
+	sys := newSystem(conn.Air(), conn.FeedS(), conn.FeedR(), conn.Spec().Region)
 	return &RemoteSystem{System: sys, conn: conn}, nil
 }
 
@@ -239,6 +213,8 @@ func (rs *RemoteSystem) translate(connErr, resultErr error) error {
 	}
 	var d *netfeed.DesyncError
 	if errors.As(connErr, &d) {
+		// d.Channel names the dataset whose page was due, which on one
+		// multiplexed channel need not be the physical channel 0.
 		out := &DesyncError{Slot: d.Slot, Channel: "S", Fault: fault}
 		if d.Channel == 1 {
 			out.Channel = "R"

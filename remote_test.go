@@ -14,14 +14,22 @@ import (
 
 func TestTranslateDesyncChannels(t *testing.T) {
 	rs := &RemoteSystem{}
-	for ch, want := range map[uint8]string{0: "S", 1: "R"} {
-		err := rs.translate(&netfeed.DesyncError{Channel: ch, Slot: 42}, nil)
+	for _, tc := range []struct {
+		in   netfeed.DesyncError
+		want string
+	}{
+		{netfeed.DesyncError{Channel: 0, Physical: 0, Slot: 42}, "S"},
+		{netfeed.DesyncError{Channel: 1, Physical: 1, Slot: 42}, "R"},
+		// One multiplexed channel: an R page is due on physical channel 0.
+		{netfeed.DesyncError{Channel: 1, Physical: 0, Slot: 42}, "R"},
+	} {
+		err := rs.translate(&tc.in, nil)
 		var de *DesyncError
 		if !errors.As(err, &de) {
-			t.Fatalf("channel %d: got %T %v, want *DesyncError", ch, err, err)
+			t.Fatalf("%+v: got %T %v, want *DesyncError", tc.in, err, err)
 		}
-		if de.Channel != want || de.Slot != 42 || de.Fault != nil {
-			t.Errorf("channel %d: translated %+v, want Channel=%q Slot=42 Fault=nil", ch, de, want)
+		if de.Channel != tc.want || de.Slot != 42 || de.Fault != nil {
+			t.Errorf("%+v: translated %+v, want Channel=%q Slot=42 Fault=nil", tc.in, de, tc.want)
 		}
 	}
 }

@@ -120,12 +120,12 @@ type IndexScheme int
 const (
 	// PreorderIndex is the paper's organization: the full packed R-tree in
 	// preorder before each of the m data fractions ((1, m) interleaving).
-	PreorderIndex IndexScheme = iota
+	PreorderIndex = IndexScheme(broadcast.SchemePreorder)
 	// DistributedIndex replicates only the upper tree levels, as a
 	// root-to-branch path before each branch's index-and-data segment —
 	// (1, m)-like entry frequency at a fraction of the index overhead, so
 	// cycles are shorter and both metrics drop.
-	DistributedIndex
+	DistributedIndex = IndexScheme(broadcast.SchemeDistributed)
 )
 
 func (s IndexScheme) String() string {
@@ -138,32 +138,24 @@ func (s IndexScheme) String() string {
 // System is a two-channel broadcast of datasets S and R, ready to answer
 // TNN queries. It is immutable and safe for concurrent queries.
 type System struct {
-	env          core.Env
-	idxS, idxR   broadcast.AirIndex
-	treeS, treeR *rtree.Tree
-	params       broadcast.Params
-	region       Rect
-	offS, offR   int64 // normalized phase offsets, see Phases
+	env core.Env
+	air *broadcast.Air
+}
+
+// newSystem wraps a built air whose two datasets queries receive through
+// chS and chR: the air's own feeds in process, the wire's for Connect.
+func newSystem(air *broadcast.Air, chS, chR broadcast.Feed, region Rect) *System {
+	return &System{env: core.Env{ChS: chS, ChR: chR, Region: region}, air: air}
 }
 
 // Option configures New.
 type Option func(*config)
 
 type config struct {
-	params    broadcast.Params
-	region    Rect
-	hasReg    bool
-	offS      int64
-	offR      int64
-	oneChan   bool
-	scheme    IndexScheme
-	cut       int
-	skewSet   bool
-	skewDisks int
-	skewRatio int
-	wS, wR    []float64
-	faults    FaultModel
-	hasFaults bool
+	air     broadcast.AirSpec
+	region  Rect
+	hasReg  bool
+	skewSet bool
 }
 
 // maxSkewClasses bounds WithSkewedSchedule's disks and ratio: the hot
@@ -172,59 +164,68 @@ type config struct {
 // additionally saturates repetitions at 1024 per cycle).
 const maxSkewClasses = 16
 
-// validateScheme rejects an IndexScheme value outside the defined enum —
-// so a typo'd or future constant fails loudly instead of silently
-// building the preorder scheme — and a WithSkewedSchedule configuration
-// whose classes or ratio are out of range.
-func (c *config) validateScheme() error {
-	switch c.scheme {
+// validate runs the admission checks New and NewChain share over the
+// named datasets, in this order: the index scheme and schedule, the page
+// parameters, the points, the access weights, the region and the fault
+// model. It returns the service region: the configured one, or else the
+// bounding box of every dataset.
+func (c *config) validate(names []string, sets [][]Point) (Rect, error) {
+	switch IndexScheme(c.air.Scheme) {
 	case PreorderIndex, DistributedIndex:
 	default:
-		return &UnknownIndexSchemeError{Scheme: c.scheme}
+		return Rect{}, &UnknownIndexSchemeError{Scheme: IndexScheme(c.air.Scheme)}
 	}
-	if c.skewSet {
-		if c.skewDisks < 1 || c.skewDisks > maxSkewClasses {
-			return &InvalidScheduleError{Disks: c.skewDisks, Ratio: c.skewRatio}
+	if d, r := c.air.SkewDisks, c.air.SkewRatio; c.skewSet &&
+		(d < 1 || d > maxSkewClasses || r < 2 || r > maxSkewClasses) {
+		return Rect{}, &InvalidScheduleError{Disks: d, Ratio: r}
+	}
+	if err := c.air.Params.Validate(); err != nil {
+		return Rect{}, err
+	}
+	for _, set := range sets {
+		if err := c.air.Params.ValidateFor(len(set)); err != nil {
+			return Rect{}, err
 		}
-		if c.skewRatio < 2 || c.skewRatio > maxSkewClasses {
-			return &InvalidScheduleError{Disks: c.skewDisks, Ratio: c.skewRatio}
+	}
+	for i, set := range sets {
+		if err := validatePoints(names[i], set); err != nil {
+			return Rect{}, err
 		}
 	}
-	return nil
-}
-
-// chainWeights maps WithAccessWeights' two vectors onto chain channel i by
-// alternating them, exactly as WithPhases' offsets are assigned.
-func (c *config) chainWeights(i int) []float64 {
-	if i%2 == 1 {
-		return c.wR
+	for i, set := range sets {
+		if err := validateWeights(names[i], c.air.Weights[i%2], len(set)); err != nil {
+			return Rect{}, err
+		}
 	}
-	return c.wS
-}
-
-// indexSpec translates the configured scheme into the broadcast layer's
-// build specification for one dataset.
-func (c *config) indexSpec(weights []float64) broadcast.IndexSpec {
-	spec := broadcast.IndexSpec{Cut: c.cut, Weights: weights}
-	if c.scheme == DistributedIndex {
-		spec.Scheme = broadcast.SchemeDistributed
+	region := c.region
+	if c.hasReg {
+		if err := validateRegion(region); err != nil {
+			return Rect{}, err
+		}
+	} else {
+		region = geom.EmptyRect()
+		for _, set := range sets {
+			for _, p := range set {
+				region = region.Extend(p)
+			}
+		}
 	}
-	if c.skewDisks > 0 {
-		spec.Sched = broadcast.SkewedScheduler{Disks: c.skewDisks, Ratio: c.skewRatio}
+	if err := c.air.Faults.Validate(); err != nil {
+		return Rect{}, err
 	}
-	return spec
+	return region, nil
 }
 
 // WithPageCap sets the broadcast page capacity in bytes (default 64; the
 // paper evaluates 64–512). The R-tree fanout follows from it.
 func WithPageCap(bytes int) Option {
-	return func(c *config) { c.params.PageCap = bytes }
+	return func(c *config) { c.air.Params.PageCap = bytes }
 }
 
 // WithInterleave fixes the (1,m) interleaving factor instead of the
 // Imielinski-optimal default.
 func WithInterleave(m int) Option {
-	return func(c *config) { c.params.M = m }
+	return func(c *config) { c.air.Params.M = m }
 }
 
 // WithDataSize sets one data object's content size in bytes (default 1024,
@@ -232,7 +233,7 @@ func WithInterleave(m int) Option {
 // data pages; smaller objects shorten the cycle, which keeps real-time
 // services (tnnserve) fast to loop.
 func WithDataSize(bytes int) Option {
-	return func(c *config) { c.params.DataSize = bytes }
+	return func(c *config) { c.air.Params.DataSize = bytes }
 }
 
 // WithRegion declares the common service region. By default it is the
@@ -252,21 +253,21 @@ func WithRegion(r Rect) Option {
 // channel. The normalized values are reported by Phases. (Under
 // WithSingleChannel only the S offset applies, modulo the combined cycle.)
 func WithPhases(offS, offR int64) Option {
-	return func(c *config) { c.offS, c.offR = offS, offR }
+	return func(c *config) { c.air.Phases = [2]int64{offS, offR} }
 }
 
 // WithIndexScheme selects the air-index family (default PreorderIndex,
 // the paper's scheme). All four algorithms run unchanged on any scheme —
 // they consult the broadcast only through arrival-time queries.
 func WithIndexScheme(s IndexScheme) Option {
-	return func(c *config) { c.scheme = s }
+	return func(c *config) { c.air.Scheme = broadcast.SchemeID(s) }
 }
 
 // WithReplicatedLevels sets how many upper tree levels the distributed
 // index replicates before each branch segment (the cut level; default 0 =
 // half the tree height). Ignored by PreorderIndex.
 func WithReplicatedLevels(levels int) Option {
-	return func(c *config) { c.cut = levels }
+	return func(c *config) { c.air.Cut = levels }
 }
 
 // WithSkewedSchedule replaces the flat data organization with a
@@ -276,7 +277,7 @@ func WithReplicatedLevels(levels int) Option {
 // objects recur with shorter periods at the cost of a longer cycle.
 // Out-of-range values are rejected by New/NewChain.
 func WithSkewedSchedule(disks, ratio int) Option {
-	return func(c *config) { c.skewSet, c.skewDisks, c.skewRatio = true, disks, ratio }
+	return func(c *config) { c.skewSet, c.air.SkewDisks, c.air.SkewRatio = true, disks, ratio }
 }
 
 // WithAccessWeights supplies per-object access weights for the skewed
@@ -284,7 +285,7 @@ func WithSkewedSchedule(disks, ratio int) Option {
 // dataset). Weights must be finite and non-negative, and each non-nil
 // slice must match its dataset's length.
 func WithAccessWeights(wS, wR []float64) Option {
-	return func(c *config) { c.wS, c.wR = wS, wR }
+	return func(c *config) { c.air.Weights = [2][]float64{wS, wR} }
 }
 
 // FaultModel describes the lossy-air conditions WithFaults injects: page
@@ -318,7 +319,9 @@ type FaultModel struct {
 // to the lossless system. A channel that faults WithMaxRetries times in a
 // row is declared dead; see Result.Err. New rejects out-of-range rates.
 func WithFaults(m FaultModel) Option {
-	return func(c *config) { c.faults, c.hasFaults = m, true }
+	return func(c *config) {
+		c.air.Faults = broadcast.FaultModel{Loss: m.Loss, Burst: m.Burst, Corrupt: m.Corrupt, Seed: m.Seed}
+	}
 }
 
 // WithSingleChannel time-multiplexes both datasets on ONE physical channel
@@ -328,7 +331,7 @@ func WithFaults(m FaultModel) Option {
 // searches cannot overlap in time. Only the S phase offset applies. The
 // option applies to New only; NewChain rejects it.
 func WithSingleChannel() Option {
-	return func(c *config) { c.oneChan = true }
+	return func(c *config) { c.air.Single = true }
 }
 
 // New builds the packed R-trees and broadcast programs for datasets S and
@@ -339,110 +342,35 @@ func WithSingleChannel() Option {
 // an *InvalidRegionError. Empty datasets are accepted — queries over them
 // complete normally with Found == false.
 func New(s, r []Point, opts ...Option) (*System, error) {
-	cfg := config{params: broadcast.DefaultParams()}
+	cfg := newConfig(opts)
+	sets := [][]Point{s, r}
+	region, err := cfg.validate([]string{"S", "R"}, sets)
+	if err != nil {
+		return nil, err
+	}
+	air := broadcast.BuildAir(sets, cfg.air)
+	return newSystem(air, air.Feeds[0], air.Feeds[1], region), nil
+}
+
+// newConfig applies opts over the defaults.
+func newConfig(opts []Option) config {
+	cfg := config{air: broadcast.AirSpec{Params: broadcast.DefaultParams()}}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if err := cfg.validateScheme(); err != nil {
-		return nil, err
-	}
-	if err := cfg.params.ValidateFor(len(s)); err != nil {
-		return nil, err
-	}
-	if err := cfg.params.ValidateFor(len(r)); err != nil {
-		return nil, err
-	}
-	if err := validatePoints("S", s); err != nil {
-		return nil, err
-	}
-	if err := validatePoints("R", r); err != nil {
-		return nil, err
-	}
-	if err := validateWeights("S", cfg.wS, len(s)); err != nil {
-		return nil, err
-	}
-	if err := validateWeights("R", cfg.wR, len(r)); err != nil {
-		return nil, err
-	}
-	region := cfg.region
-	if cfg.hasReg {
-		if err := validateRegion(region); err != nil {
-			return nil, err
-		}
-	}
-	if !cfg.hasReg {
-		mbr := geom.EmptyRect()
-		for _, p := range s {
-			mbr = mbr.Extend(p)
-		}
-		for _, p := range r {
-			mbr = mbr.Extend(p)
-		}
-		region = mbr
-	}
-
-	rcfg := rtree.Config{
-		LeafCap: cfg.params.LeafCap(),
-		NodeCap: cfg.params.NodeCap(),
-		Packing: rtree.STR,
-	}
-	treeS := rtree.Build(s, rcfg)
-	treeR := rtree.Build(r, rcfg)
-	idxS := broadcast.BuildIndex(treeS, cfg.params, cfg.indexSpec(cfg.wS))
-	idxR := broadcast.BuildIndex(treeR, cfg.params, cfg.indexSpec(cfg.wR))
-
-	// Phase offsets are cyclic; reduce them to canonical slots in
-	// [0, cycle) so Phases reports exactly what is on air and equivalent
-	// offsets build identical systems.
-	var chS, chR broadcast.Feed
-	var offS, offR int64
-	if cfg.oneChan {
-		offS = normalizePhase(cfg.offS, idxS.CycleLen()+idxR.CycleLen())
-		dual := broadcast.NewDualChannel(idxS, idxR, offS)
-		chS, chR = dual.FeedS(), dual.FeedR()
-	} else {
-		offS = normalizePhase(cfg.offS, idxS.CycleLen())
-		offR = normalizePhase(cfg.offR, idxR.CycleLen())
-		chS = broadcast.NewChannel(idxS, offS)
-		chR = broadcast.NewChannel(idxR, offR)
-	}
-	if cfg.hasFaults {
-		fm := broadcast.FaultModel{
-			Loss: cfg.faults.Loss, Burst: cfg.faults.Burst,
-			Corrupt: cfg.faults.Corrupt, Seed: cfg.faults.Seed,
-		}
-		if err := fm.Validate(); err != nil {
-			return nil, err
-		}
-		if fm.Enabled() {
-			if cfg.oneChan {
-				// One physical channel: both feeds see the SAME fault
-				// pattern — a slot dies once, for both datasets' pages.
-				phys := fm.WithSeed(broadcast.DeriveFaultSeed(fm.Seed, 0))
-				chS = broadcast.NewFaultFeed(chS, phys)
-				chR = broadcast.NewFaultFeed(chR, phys)
-			} else {
-				chS = broadcast.NewFaultFeed(chS, fm.WithSeed(broadcast.DeriveFaultSeed(fm.Seed, 0)))
-				chR = broadcast.NewFaultFeed(chR, fm.WithSeed(broadcast.DeriveFaultSeed(fm.Seed, 1)))
-			}
-		}
-	}
-
-	return &System{
-		env:  core.Env{ChS: chS, ChR: chR, Region: region},
-		idxS: idxS, idxR: idxR,
-		treeS: treeS, treeR: treeR,
-		params: cfg.params,
-		region: region,
-		offS:   offS, offR: offR,
-	}, nil
+	return cfg
 }
 
 // Phases returns the normalized phase offsets the two channels broadcast
 // with (the canonical [0, cycle) equivalents of the WithPhases values).
 // Under WithSingleChannel the first value is the combined-cycle offset and
 // the second is zero.
-func (sys *System) Phases() (offS, offR int64) { return sys.offS, sys.offR }
+func (sys *System) Phases() (offS, offR int64) {
+	if sys.air.Channels() > 1 {
+		offR = sys.air.Phase(1)
+	}
+	return sys.air.Phase(0), offR
+}
 
 // Result is the outcome of one TNN query.
 type Result struct {
@@ -554,7 +482,7 @@ const FactorHybrid = core.FactorHybrid
 // rule for this system's datasets: exact search on the sparser dataset,
 // the given factor on the denser one.
 func (sys *System) DensityAwareANN(factor float64) QueryOption {
-	cfg := core.DensityAwareANN(sys.treeS.Count, sys.treeR.Count, factor)
+	cfg := core.DensityAwareANN(sys.air.Trees[0].Count, sys.air.Trees[1].Count, factor)
 	return func(o *core.Options) { o.ANN = cfg }
 }
 
@@ -574,7 +502,7 @@ func (sys *System) Query(p Point, algo Algorithm, opts ...QueryOption) Result {
 // broadcast costs) — the ground truth the broadcast algorithms are
 // measured against.
 func (sys *System) Exact(p Point) (Result, bool) {
-	pair, ok := core.OracleTNN(p, sys.treeS, sys.treeR)
+	pair, ok := core.OracleTNN(p, sys.air.Trees[0], sys.air.Trees[1])
 	if !ok {
 		return Result{}, false
 	}
@@ -613,11 +541,11 @@ func (sys *System) ChannelStats() (s, r Stats) {
 			Scheme:       idx.Scheme(),
 		}
 	}
-	return mk(sys.idxS, sys.treeS), mk(sys.idxR, sys.treeR)
+	return mk(sys.air.Indexes[0], sys.air.Trees[0]), mk(sys.air.Indexes[1], sys.air.Trees[1])
 }
 
 // Region returns the service region the system assumes.
-func (sys *System) Region() Rect { return sys.region }
+func (sys *System) Region() Rect { return sys.env.Region }
 
 // Convenience re-exports of the dataset generators, so downstream users
 // can reproduce the paper's workloads without importing internals.
