@@ -338,8 +338,8 @@ func decodePreamble(buf []byte) (sp Spec, slotDur time.Duration, liveSlot int64,
 	return sp, slotDur, liveSlot, digest, false, nil
 }
 
-// validate rejects, with a typed error, every spec that New would reject
-// for the equivalent options, so no schedule is built from one.
+// validate rejects every spec that New would reject for the equivalent
+// options, so no schedule is built from one.
 // TestAdmissionMatchesNew holds the two checks to the same cases.
 func (sp Spec) validate() error {
 	switch sp.Scheme {

@@ -170,6 +170,8 @@ const maxSkewClasses = 16
 // model. It returns the service region: the configured one, or else the
 // bounding box of every dataset.
 func (c *config) validate(names []string, sets [][]Point) (Rect, error) {
+	// A typo'd or future IndexScheme fails here as a typed error, not as
+	// a panic in the build.
 	switch IndexScheme(c.air.Scheme) {
 	case PreorderIndex, DistributedIndex:
 	default:
