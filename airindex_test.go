@@ -103,23 +103,23 @@ func TestIndexSchemesBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batch []tnnbcast.ClientQuery
+	var batch []tnnbcast.Request
 	algos := []tnnbcast.Algorithm{
 		tnnbcast.Window, tnnbcast.Double, tnnbcast.Hybrid, tnnbcast.Approximate,
 	}
 	for i := 0; i < 24; i++ {
-		batch = append(batch, tnnbcast.ClientQuery{
-			Point: tnnbcast.Pt(float64(37*i%1000), float64(73*i%1000)),
-			Algo:  algos[i%len(algos)],
-			Opts:  []tnnbcast.QueryOption{tnnbcast.WithIssue(int64(i * 11))},
+		batch = append(batch, tnnbcast.Request{
+			Point:   tnnbcast.Pt(float64(37*i%1000), float64(73*i%1000)),
+			Algo:    algos[i%len(algos)],
+			Options: []tnnbcast.QueryOption{tnnbcast.WithIssue(int64(i * 11))},
 		})
 	}
-	got := sys.QueryBatch(batch)
+	resps := mustBatch(t, sys, batch)
 	for i, q := range batch {
-		want := sys.Query(q.Point, q.Algo, q.Opts...)
-		if got[i].Found != want.Found || got[i].Dist != want.Dist ||
-			got[i].AccessTime != want.AccessTime || got[i].TuneIn != want.TuneIn {
-			t.Fatalf("query %d: batch %+v != sequential %+v", i, got[i], want)
+		got, want := resps[i].Result, sys.Query(q.Point, q.Algo, q.Options...)
+		if got.Found != want.Found || got.Dist != want.Dist ||
+			got.AccessTime != want.AccessTime || got.TuneIn != want.TuneIn {
+			t.Fatalf("query %d: batch %+v != sequential %+v", i, got, want)
 		}
 	}
 }

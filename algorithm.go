@@ -3,9 +3,9 @@ package tnnbcast
 // Pluggable query algorithms. The four paper algorithms are registered
 // built-ins of an open registry; external packages register new
 // strategies with RegisterAlgorithm and the returned Algorithm value is
-// selectable everywhere a built-in is — Query, Do, Start, Session,
-// QueryBatch, the experiment harness (experiments.Config.Algos), and the
-// tnnbench/tnnquery CLIs.
+// selectable everywhere a built-in is — every Request entry point (Do,
+// Start, QueryBatch, Query), the experiment harness
+// (experiments.Config.Algos), and the tnnbench/tnnquery CLIs.
 //
 // A strategy is an Executor factory. The simplest useful strategies
 // compose the built-ins through ExecEnv.Exec — pick an algorithm

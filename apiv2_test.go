@@ -2,13 +2,13 @@ package tnnbcast_test
 
 // Query API v2 tests: golden v1≡v2 equivalence for every algorithm and
 // variant across broadcast configurations, trace-event invariants, typed
-// unknown-algorithm failures, and a custom algorithm registered from this
-// package (outside internal/) running end to end through Query,
-// QueryBatch, and the tnnbench experiment path. CI runs this file under
-// -race.
+// request failures, and a custom algorithm registered from this package
+// (outside internal/) running end to end through Query, QueryBatch, and
+// the tnnbench experiment path. CI runs this file under -race.
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"tnnbcast"
@@ -94,7 +94,7 @@ func TestV2GoldenEquivalence(t *testing.T) {
 	}
 	q := tnnbcast.Pt(19500, 19500)
 	for name, sys := range v2Systems(t) {
-		var batch []tnnbcast.ClientQuery
+		var batch []tnnbcast.Request
 		var want []tnnbcast.Result
 		for _, algo := range algos {
 			label := name + "/" + algo.String()
@@ -103,22 +103,23 @@ func TestV2GoldenEquivalence(t *testing.T) {
 				t.Fatalf("%s: no answer", label)
 			}
 
-			resp, err := sys.Do(tnnbcast.Request{Point: q, Algo: algo})
+			req := tnnbcast.Request{Point: q, Algo: algo}
+			resp, err := sys.Do(req)
 			if err != nil {
 				t.Fatalf("%s: Do: %v", label, err)
 			}
 			sameResult(t, label+"/Do", v1, resp.Result)
 
-			cur, err := sys.Start(q, algo)
+			cur, err := sys.Start(req)
 			if err != nil {
 				t.Fatalf("%s: Start: %v", label, err)
 			}
 			for !cur.Done() {
 				cur.Step()
 			}
-			sameResult(t, label+"/Cursor", v1, cur.Result())
+			sameResult(t, label+"/Cursor", v1, cur.Response().Result)
 
-			cur, err = sys.Start(q, algo)
+			cur, err = sys.Start(req)
 			if err != nil {
 				t.Fatalf("%s: Start: %v", label, err)
 			}
@@ -131,13 +132,13 @@ func TestV2GoldenEquivalence(t *testing.T) {
 			if answered == nil {
 				t.Fatalf("%s: event stream ended without Answer", label)
 			}
-			sameResult(t, label+"/Events", v1, answered.Result)
+			sameResult(t, label+"/Events", v1, answered.Response.Result)
 
-			batch = append(batch, tnnbcast.ClientQuery{Point: q, Algo: algo})
+			batch = append(batch, req)
 			want = append(want, v1)
 		}
-		for i, res := range sys.QueryBatch(batch) {
-			sameResult(t, name+"/QueryBatch", want[i], res)
+		for i, resp := range mustBatch(t, sys, batch) {
+			sameResult(t, name+"/QueryBatch", want[i], resp.Result)
 		}
 	}
 }
@@ -171,21 +172,33 @@ func TestV2VariantEquivalence(t *testing.T) {
 }
 
 // TestTraceInvariants checks the event stream against the metrics for
-// every algorithm: the PageDownloaded count equals TuneIn, the pages
-// before/after PhaseStart{filter} equal the estimate/filter split, the
-// estimate phase (when present) opens the stream, and RadiusSet matches
-// Result.Radius.
+// every algorithm and variant: the PageDownloaded count equals the
+// answer's tune-in, the estimate phase (when present) opens the stream,
+// and RadiusSet matches the answer's radius. For the transitive query the
+// pages before/after PhaseStart{filter} also equal the estimate/filter
+// split, which only that query reports.
 func TestTraceInvariants(t *testing.T) {
-	algos := []tnnbcast.Algorithm{
+	var reqs []tnnbcast.Request
+	for _, algo := range []tnnbcast.Algorithm{
 		tnnbcast.Window, tnnbcast.Double, tnnbcast.Hybrid, tnnbcast.Approximate, adaptiveAlgo,
+	} {
+		reqs = append(reqs, tnnbcast.Request{Algo: algo})
 	}
+	reqs = append(reqs,
+		tnnbcast.Request{Variant: tnnbcast.Unordered},
+		tnnbcast.Request{Variant: tnnbcast.RoundTrip},
+		tnnbcast.Request{Variant: tnnbcast.TopK, K: 3})
 	for name, sys := range v2Systems(t) {
-		for _, algo := range algos {
+		for _, req := range reqs {
 			for _, q := range []tnnbcast.Point{
 				tnnbcast.Pt(19500, 19500), tnnbcast.Pt(100, 38000), tnnbcast.Pt(30000, 5000),
 			} {
-				label := name + "/" + algo.String()
-				cur, err := sys.Start(q, algo)
+				label := name + "/" + req.Algo.String()
+				if req.Variant != tnnbcast.Transitive {
+					label = name + "/" + req.Variant.String()
+				}
+				req.Point = q
+				cur, err := sys.Start(req)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -193,9 +206,9 @@ func TestTraceInvariants(t *testing.T) {
 				var radius *tnnbcast.RadiusSet
 				var phases []tnnbcast.Phase
 				inFilter := false
-				var res *tnnbcast.Result
+				var resp *tnnbcast.Response
 				for ev := range cur.Events() {
-					if res != nil {
+					if resp != nil {
 						t.Fatalf("%s: event after Answer", label)
 					}
 					switch e := ev.(type) {
@@ -212,31 +225,38 @@ func TestTraceInvariants(t *testing.T) {
 					case tnnbcast.RadiusSet:
 						radius = &e
 					case tnnbcast.Answer:
-						r := e.Result
-						res = &r
+						r := e.Response
+						resp = &r
 					}
 				}
-				if res == nil {
+				if resp == nil {
 					t.Fatalf("%s: no Answer event", label)
 				}
-				if pages != res.TuneIn {
-					t.Fatalf("%s: %d PageDownloaded events, TuneIn %d", label, pages, res.TuneIn)
+				res := resp.Result
+				tuneIn, resRadius := res.TuneIn, res.Radius
+				if req.Variant == tnnbcast.TopK {
+					tuneIn, resRadius = resp.TopK.Metrics.TuneIn, resp.TopK.Radius
 				}
-				if algo == adaptiveAlgo {
+				if pages != tuneIn {
+					t.Fatalf("%s: %d PageDownloaded events, TuneIn %d", label, pages, tuneIn)
+				}
+				if req.Algo == adaptiveAlgo {
 					// Custom executors stream pages and the answer; the
 					// phase/radius observability is the built-ins'.
 					continue
 				}
-				if estimatePages != res.EstimateTuneIn {
-					t.Fatalf("%s: %d pages before filter, EstimateTuneIn %d",
-						label, estimatePages, res.EstimateTuneIn)
-				}
-				if pages-estimatePages != res.FilterTuneIn {
-					t.Fatalf("%s: %d pages after filter, FilterTuneIn %d",
-						label, pages-estimatePages, res.FilterTuneIn)
+				if req.Variant == tnnbcast.Transitive {
+					if estimatePages != res.EstimateTuneIn {
+						t.Fatalf("%s: %d pages before filter, EstimateTuneIn %d",
+							label, estimatePages, res.EstimateTuneIn)
+					}
+					if pages-estimatePages != res.FilterTuneIn {
+						t.Fatalf("%s: %d pages after filter, FilterTuneIn %d",
+							label, pages-estimatePages, res.FilterTuneIn)
+					}
 				}
 				wantPhases := []tnnbcast.Phase{tnnbcast.PhaseEstimate, tnnbcast.PhaseFilter}
-				if algo == tnnbcast.Approximate {
+				if req.Variant == tnnbcast.Transitive && req.Algo == tnnbcast.Approximate {
 					wantPhases = wantPhases[1:] // no estimate phase
 				}
 				if len(phases) != len(wantPhases) {
@@ -247,9 +267,9 @@ func TestTraceInvariants(t *testing.T) {
 						t.Fatalf("%s: phases %v, want %v", label, phases, wantPhases)
 					}
 				}
-				if radius == nil || radius.Radius != res.Radius {
-					t.Fatalf("%s: RadiusSet %v does not match Result.Radius %g",
-						label, radius, res.Radius)
+				if radius == nil || radius.Radius != resRadius {
+					t.Fatalf("%s: RadiusSet %v does not match the answer's radius %g",
+						label, radius, resRadius)
 				}
 			}
 		}
@@ -257,82 +277,117 @@ func TestTraceInvariants(t *testing.T) {
 }
 
 // TestCursorBudgetStop stops a query mid-flight on a tune-in budget and
-// then resumes it: the final result must match the uninterrupted run.
+// then resumes it: the final answer must match the uninterrupted run, for
+// the transitive query and for a top-k variant.
 func TestCursorBudgetStop(t *testing.T) {
 	sys := v2Systems(t)["preorder"]
 	q := tnnbcast.Pt(19500, 19500)
-	want := sys.Query(q, tnnbcast.Double)
+	for _, req := range []tnnbcast.Request{
+		{Point: q, Algo: tnnbcast.Double},
+		{Point: q, Variant: tnnbcast.TopK, K: 5},
+	} {
+		label := req.Variant.String()
+		want, err := sys.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTuneIn := want.Result.TuneIn + want.TopK.Metrics.TuneIn // one of them is zero
 
-	cur, err := sys.Start(q, tnnbcast.Double)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pages := 0
-	for ev := range cur.Events() {
-		if _, ok := ev.(tnnbcast.PageDownloaded); ok {
-			if pages++; pages >= 5 {
-				break
+		cur, err := sys.Start(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := 0
+		for ev := range cur.Events() {
+			if _, ok := ev.(tnnbcast.PageDownloaded); ok {
+				if pages++; pages >= 5 {
+					break
+				}
 			}
 		}
-	}
-	if cur.Done() {
-		t.Fatal("query finished within the budget; pick a smaller one")
-	}
-	if _, done := cur.Peek(); done {
-		t.Fatal("Peek reports done on a stopped cursor")
-	}
-	seen := pages
-	for ev := range cur.Events() { // resume
-		if _, ok := ev.(tnnbcast.PageDownloaded); ok {
-			seen++
+		if cur.Done() {
+			t.Fatalf("%s: query finished within the budget; pick a smaller one", label)
 		}
-	}
-	if !cur.Done() {
-		t.Fatal("cursor not done after resumed Events")
-	}
-	sameResult(t, "budget-resume", want, cur.Result())
-	if int64(seen) != want.TuneIn {
-		t.Fatalf("stop+resume saw %d pages, TuneIn %d", seen, want.TuneIn)
+		if _, done := cur.Peek(); done {
+			t.Fatalf("%s: Peek reports done on a stopped cursor", label)
+		}
+		seen := pages
+		for ev := range cur.Events() { // resume
+			if _, ok := ev.(tnnbcast.PageDownloaded); ok {
+				seen++
+			}
+		}
+		if !cur.Done() {
+			t.Fatalf("%s: cursor not done after resumed Events", label)
+		}
+		if got := cur.Response(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: budget-resume answer differs:\n Do     %+v\n Cursor %+v", label, want, got)
+		}
+		if int64(seen) != wantTuneIn {
+			t.Fatalf("%s: stop+resume saw %d pages, TuneIn %d", label, seen, wantTuneIn)
+		}
 	}
 }
 
-// TestUnknownAlgorithm checks the loud typed failure on every entry
-// point that previously fell back to Double-NN silently.
+// TestUnknownAlgorithm checks the typed failures every Request entry
+// point returns — an unknown algorithm (which once fell back to Double-NN
+// silently), a TopK K < 1, and an undefined variant — and the panic of the
+// error-less Query wrapper.
 func TestUnknownAlgorithm(t *testing.T) {
 	sys := v2Systems(t)["preorder"]
 	q := tnnbcast.Pt(1000, 1000)
 	bogus := tnnbcast.Algorithm(9999)
 
-	if _, err := sys.Do(tnnbcast.Request{Point: q, Algo: bogus}); err == nil {
-		t.Fatal("Do accepted an unknown algorithm")
-	} else {
-		var ua *tnnbcast.UnknownAlgorithmError
-		if !errors.As(err, &ua) || ua.Algo != bogus {
-			t.Fatalf("Do: wrong error %v", err)
+	entries := map[string]func(tnnbcast.Request) error{
+		"Do": func(req tnnbcast.Request) error {
+			_, err := sys.Do(req)
+			return err
+		},
+		"Start": func(req tnnbcast.Request) error {
+			_, err := sys.Start(req)
+			return err
+		},
+		"QueryBatch": func(req tnnbcast.Request) error {
+			// The invalid request second: the batch still fails as a whole.
+			_, err := sys.QueryBatch([]tnnbcast.Request{{Point: q, Algo: tnnbcast.Double}, req})
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		name  string
+		req   tnnbcast.Request
+		check func(error) bool
+	}{
+		{"algorithm", tnnbcast.Request{Point: q, Algo: bogus}, func(err error) bool {
+			var e *tnnbcast.UnknownAlgorithmError
+			return errors.As(err, &e) && e.Algo == bogus
+		}},
+		{"topk", tnnbcast.Request{Point: q, Variant: tnnbcast.TopK, K: 0}, func(err error) bool {
+			var e *tnnbcast.InvalidTopKError
+			return errors.As(err, &e) && e.K == 0
+		}},
+		{"variant", tnnbcast.Request{Point: q, Variant: tnnbcast.Variant(9)}, func(err error) bool {
+			var e *tnnbcast.UnknownVariantError
+			return errors.As(err, &e) && e.Variant == 9
+		}},
+	} {
+		for entry, run := range entries {
+			if err := run(tc.req); !tc.check(err) {
+				t.Errorf("%s/%s: got %v (%T), want the typed error", entry, tc.name, err, err)
+			}
 		}
 	}
-	if _, err := sys.Start(q, bogus); err == nil {
-		t.Fatal("Start accepted an unknown algorithm")
-	}
 
-	expectPanic := func(label string, fn func()) {
-		t.Helper()
+	func() {
 		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("%s did not panic", label)
-			}
-			if _, ok := r.(*tnnbcast.UnknownAlgorithmError); !ok {
-				t.Fatalf("%s panicked with %v, want *UnknownAlgorithmError", label, r)
+			if r := recover(); r == nil {
+				t.Fatal("Query did not panic")
+			} else if _, ok := r.(*tnnbcast.UnknownAlgorithmError); !ok {
+				t.Fatalf("Query panicked with %v, want *UnknownAlgorithmError", r)
 			}
 		}()
-		fn()
-	}
-	expectPanic("Query", func() { sys.Query(q, bogus) })
-	expectPanic("Session.Add", func() { sys.NewSession().Add(q, bogus) })
-	expectPanic("QueryBatch", func() {
-		sys.QueryBatch([]tnnbcast.ClientQuery{{Point: q, Algo: bogus}})
-	})
+		sys.Query(q, bogus)
+	}()
 	if _, err := experiments.AlgosByName([]string{"no-such-algorithm"}); err == nil {
 		t.Fatal("AlgosByName accepted an unknown name")
 	}
@@ -360,7 +415,7 @@ func TestCustomAlgorithmEndToEnd(t *testing.T) {
 		tnnbcast.Pt(19500, 19500),
 	}
 	mid := (region.Lo.X + region.Hi.X) / 2
-	var batch []tnnbcast.ClientQuery
+	var batch []tnnbcast.Request
 	var want []tnnbcast.Result
 	for _, p := range points {
 		picked := tnnbcast.Double
@@ -369,14 +424,14 @@ func TestCustomAlgorithmEndToEnd(t *testing.T) {
 		}
 		exp := sys.Query(p, picked)
 		sameResult(t, "custom/Query", exp, sys.Query(p, adaptiveAlgo))
-		batch = append(batch, tnnbcast.ClientQuery{Point: p, Algo: adaptiveAlgo})
+		batch = append(batch, tnnbcast.Request{Point: p, Algo: adaptiveAlgo})
 		want = append(want, exp)
 		// Mix a built-in client into the same shared cycles.
-		batch = append(batch, tnnbcast.ClientQuery{Point: p, Algo: tnnbcast.Hybrid})
+		batch = append(batch, tnnbcast.Request{Point: p, Algo: tnnbcast.Hybrid})
 		want = append(want, sys.Query(p, tnnbcast.Hybrid))
 	}
-	for i, res := range sys.QueryBatch(batch, tnnbcast.WithBatchWorkers(2)) {
-		sameResult(t, "custom/QueryBatch", want[i], res)
+	for i, resp := range mustBatch(t, sys, batch, tnnbcast.WithBatchWorkers(2)) {
+		sameResult(t, "custom/QueryBatch", want[i], resp.Result)
 	}
 
 	// tnnbench path: Config.Algos resolves registered strategies; the pure
@@ -412,21 +467,21 @@ func TestCustomAlgorithmEndToEnd(t *testing.T) {
 // every worker count, negative included.
 func TestBatchWorkersNonPositive(t *testing.T) {
 	sys := v2Systems(t)["preorder"]
-	var queries []tnnbcast.ClientQuery
+	var queries []tnnbcast.Request
 	for i, algo := range []tnnbcast.Algorithm{
 		tnnbcast.Window, tnnbcast.Double, tnnbcast.Hybrid, tnnbcast.Approximate,
 	} {
-		queries = append(queries, tnnbcast.ClientQuery{
-			Point: tnnbcast.Pt(float64(3000+8000*i), float64(30000-6000*i)),
-			Algo:  algo,
-			Opts:  []tnnbcast.QueryOption{tnnbcast.WithIssue(int64(37 * i))},
+		queries = append(queries, tnnbcast.Request{
+			Point:   tnnbcast.Pt(float64(3000+8000*i), float64(30000-6000*i)),
+			Algo:    algo,
+			Options: []tnnbcast.QueryOption{tnnbcast.WithIssue(int64(37 * i))},
 		})
 	}
-	want := sys.QueryBatch(queries, tnnbcast.WithBatchWorkers(1))
+	want := mustBatch(t, sys, queries, tnnbcast.WithBatchWorkers(1))
 	for _, workers := range []int{-5, -1, 0, 2, 16} {
-		got := sys.QueryBatch(queries, tnnbcast.WithBatchWorkers(workers))
+		got := mustBatch(t, sys, queries, tnnbcast.WithBatchWorkers(workers))
 		for i := range want {
-			if want[i] != got[i] {
+			if !reflect.DeepEqual(want[i], got[i]) {
 				t.Fatalf("workers=%d: client %d result differs", workers, i)
 			}
 		}

@@ -1,12 +1,13 @@
 package tnnbcast_test
 
-// Golden equivalence for the shared-cycle session API: a batch of K
-// queries must produce bit-identical Results to K independent Query calls
+// Golden equivalence for the shared-cycle batch API: a batch of K
+// requests must produce bit-identical answers to K independent Query calls
 // with the same points, issue slots, and options — for all four
 // algorithms, any batch composition, and any worker count. This is the
 // contract that makes QueryBatch a drop-in for the sequential loop.
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,26 +18,26 @@ import (
 // batchWorkload builds K mixed clients over the region: all four
 // algorithms, random issue slots spread over several cycles, a sprinkle of
 // ANN and no-retrieval options.
-func batchWorkload(seed int64, k int, region tnnbcast.Rect) []tnnbcast.ClientQuery {
+func batchWorkload(seed int64, k int, region tnnbcast.Rect) []tnnbcast.Request {
 	rng := rand.New(rand.NewSource(seed))
 	algos := []tnnbcast.Algorithm{
 		tnnbcast.Window, tnnbcast.Double, tnnbcast.Hybrid, tnnbcast.Approximate,
 	}
-	qs := make([]tnnbcast.ClientQuery, k)
+	qs := make([]tnnbcast.Request, k)
 	for i := range qs {
-		q := tnnbcast.ClientQuery{
+		q := tnnbcast.Request{
 			Point: tnnbcast.Pt(
 				region.Lo.X+rng.Float64()*(region.Hi.X-region.Lo.X),
 				region.Lo.Y+rng.Float64()*(region.Hi.Y-region.Lo.Y),
 			),
-			Algo: algos[i%len(algos)],
-			Opts: []tnnbcast.QueryOption{tnnbcast.WithIssue(rng.Int63n(200000))},
+			Algo:    algos[i%len(algos)],
+			Options: []tnnbcast.QueryOption{tnnbcast.WithIssue(rng.Int63n(200000))},
 		}
 		switch rng.Intn(4) {
 		case 0:
-			q.Opts = append(q.Opts, tnnbcast.WithANN(tnnbcast.FactorWindowDouble))
+			q.Options = append(q.Options, tnnbcast.WithANN(tnnbcast.FactorWindowDouble))
 		case 1:
-			q.Opts = append(q.Opts, tnnbcast.WithoutDataRetrieval())
+			q.Options = append(q.Options, tnnbcast.WithoutDataRetrieval())
 		}
 		qs[i] = q
 	}
@@ -57,7 +58,7 @@ func TestGoldenBatchEquivalence(t *testing.T) {
 	// The sequential reference: one Query call per client.
 	want := make([]tnnbcast.Result, len(queries))
 	for i, q := range queries {
-		want[i] = sys.Query(q.Point, q.Algo, q.Opts...)
+		want[i] = sys.Query(q.Point, q.Algo, q.Options...)
 	}
 	// Every algorithm must appear and answer, or the test proves nothing.
 	found := 0
@@ -71,43 +72,27 @@ func TestGoldenBatchEquivalence(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 3, 0} {
-		got := sys.QueryBatch(queries, tnnbcast.WithBatchWorkers(workers))
+		got := mustBatch(t, sys, queries, tnnbcast.WithBatchWorkers(workers))
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results for %d clients", workers, len(got), len(want))
 		}
 		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
+			if !reflect.DeepEqual(got[i], tnnbcast.Response{Result: want[i]}) {
 				t.Fatalf("workers=%d client %d (%v): batch result diverges\n batch: %+v\n query: %+v",
 					workers, i, queries[i].Algo, got[i], want[i])
 			}
 		}
 	}
+}
 
-	// The incremental Session API is the same engine: admission order is
-	// result order.
-	sess := sys.NewSession(tnnbcast.WithBatchWorkers(2))
-	for _, q := range queries {
-		sess.Add(q.Point, q.Algo, q.Opts...)
+// mustBatch runs QueryBatch and fails the test on an error.
+func mustBatch(t *testing.T, sys *tnnbcast.System, reqs []tnnbcast.Request, opts ...tnnbcast.BatchOption) []tnnbcast.Response {
+	t.Helper()
+	out, err := sys.QueryBatch(reqs, opts...)
+	if err != nil {
+		t.Fatalf("QueryBatch: %v", err)
 	}
-	if sess.Len() != len(queries) {
-		t.Fatalf("Len = %d, want %d", sess.Len(), len(queries))
-	}
-	got := sess.Run()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Session.Run diverges from sequential Query calls")
-	}
-	if sess.Len() != 0 {
-		t.Fatalf("Len = %d after Run, want 0", sess.Len())
-	}
-
-	// A session is reusable after Run, and a partial re-batch still
-	// matches its sequential counterparts.
-	for _, q := range queries[:10] {
-		sess.Add(q.Point, q.Algo, q.Opts...)
-	}
-	if got := sess.Run(); !reflect.DeepEqual(got, want[:10]) {
-		t.Fatal("reused Session diverges from sequential Query calls")
-	}
+	return out
 }
 
 // TestBatchSingleChannel: the session engine also runs over the
@@ -124,18 +109,19 @@ func TestBatchSingleChannel(t *testing.T) {
 	queries := batchWorkload(6, 24, region)
 	want := make([]tnnbcast.Result, len(queries))
 	for i, q := range queries {
-		want[i] = sys.Query(q.Point, q.Algo, q.Opts...)
+		want[i] = sys.Query(q.Point, q.Algo, q.Options...)
 	}
-	if got := sys.QueryBatch(queries); !reflect.DeepEqual(got, want) {
-		t.Fatal("single-channel batch diverges from sequential Query calls")
+	for i, got := range mustBatch(t, sys, queries) {
+		if !reflect.DeepEqual(got, tnnbcast.Response{Result: want[i]}) {
+			t.Fatalf("client %d: single-channel batch diverges from sequential Query calls", i)
+		}
 	}
 }
 
-// TestBatchNegativeIssuePanics: sessions share one timeline starting at
-// slot 0, so Add rejects a negative issue slot with the typed
-// *InvalidIssueError — at admission time, matching Add's panic-on-invalid
-// contract for unknown algorithms.
-func TestBatchNegativeIssuePanics(t *testing.T) {
+// TestBatchNegativeIssueError: batch clients share one timeline starting
+// at slot 0, so QueryBatch rejects a negative issue slot with the typed
+// *InvalidIssueError naming the request's index.
+func TestBatchNegativeIssueError(t *testing.T) {
 	region := tnnbcast.PaperRegion
 	sys, err := tnnbcast.New(
 		tnnbcast.UniformDataset(7001, 60, region),
@@ -144,21 +130,19 @@ func TestBatchNegativeIssuePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := sys.NewSession()
-	sess.Add(tnnbcast.Pt(1, 1), tnnbcast.Double, tnnbcast.WithIssue(0)) // slot 0 is valid
-
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Add accepted a negative issue slot")
-		}
-		iss, ok := r.(*tnnbcast.InvalidIssueError)
-		if !ok {
-			t.Fatalf("panic value %T is not *InvalidIssueError", r)
-		}
-		if iss.Client != 1 || iss.Issue != -3 {
-			t.Fatalf("error identifies client %d issue %d, want 1/-3", iss.Client, iss.Issue)
-		}
-	}()
-	sess.Add(tnnbcast.Pt(2, 2), tnnbcast.Double, tnnbcast.WithIssue(-3))
+	reqs := []tnnbcast.Request{
+		{Point: tnnbcast.Pt(1, 1), Algo: tnnbcast.Double, Options: []tnnbcast.QueryOption{tnnbcast.WithIssue(0)}}, // slot 0 is valid
+		{Point: tnnbcast.Pt(2, 2), Algo: tnnbcast.Double, Options: []tnnbcast.QueryOption{tnnbcast.WithIssue(-3)}},
+	}
+	out, err := sys.QueryBatch(reqs)
+	var iss *tnnbcast.InvalidIssueError
+	if !errors.As(err, &iss) {
+		t.Fatalf("QueryBatch returned %v (%T), want *InvalidIssueError", err, err)
+	}
+	if out != nil {
+		t.Fatalf("QueryBatch returned %d responses with its error", len(out))
+	}
+	if iss.Client != 1 || iss.Issue != -3 {
+		t.Fatalf("error identifies client %d issue %d, want 1/-3", iss.Client, iss.Issue)
+	}
 }

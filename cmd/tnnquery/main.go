@@ -34,10 +34,10 @@ import (
 )
 
 // querier is the query surface shared by the local System and a connected
-// RemoteSystem (whose Query/Start default the issue slot to the live one).
+// RemoteSystem (whose entry points default the issue slot to the live one).
 type querier interface {
 	Query(p tnnbcast.Point, algo tnnbcast.Algorithm, opts ...tnnbcast.QueryOption) tnnbcast.Result
-	Start(p tnnbcast.Point, algo tnnbcast.Algorithm, opts ...tnnbcast.QueryOption) (*tnnbcast.Cursor, error)
+	Start(req tnnbcast.Request) (*tnnbcast.Cursor, error)
 	Exact(p tnnbcast.Point) (tnnbcast.Result, bool)
 	ChannelStats() (s, r tnnbcast.Stats)
 }
@@ -123,7 +123,7 @@ func main() {
 		var res tnnbcast.Result
 		if *trace {
 			fmt.Printf("%s download schedule:\n", name)
-			cur, err := sys.Start(p, a, tnnbcast.WithANN(*ann))
+			cur, err := sys.Start(tnnbcast.Request{Point: p, Algo: a, Options: []tnnbcast.QueryOption{tnnbcast.WithANN(*ann)}})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tnnquery:", err)
 				os.Exit(2)
@@ -143,7 +143,7 @@ func main() {
 					}
 				}
 			}
-			res = cur.Result()
+			res = cur.Response().Result
 		} else {
 			res = sys.Query(p, a, tnnbcast.WithANN(*ann))
 		}

@@ -1,8 +1,9 @@
 package tnnbcast
 
-// Streaming query execution. Start opens a Cursor over one TNN query:
-// the caller steps the execution action by action (Peek/Step/Done/Result)
-// or ranges over its typed event stream (Events). This promotes the
+// Streaming query execution. Start opens a Cursor over one Request, of
+// any variant: the caller steps the execution action by action
+// (Peek/Step/Done/Response) or ranges over its typed event stream
+// (Events). This promotes the
 // page-level observability the paper's energy model needs — which pages a
 // client downloads, when it dozes, when each phase begins — from an
 // internal trace hook into a first-class API, and it supports mid-flight
@@ -16,13 +17,14 @@ package tnnbcast
 //	RadiusSet                       the radius the estimate determined
 //	PhaseStart{filter}
 //	PageDownloaded ...              range queries + answer retrieval
-//	Answer                          the final Result
+//	Answer                          the final Response
 //
 // PhaseStart and RadiusSet come from the built-in executors' state
-// machine; a custom algorithm's stream carries PageDownloaded and Answer
-// (plus whatever its built-in sub-executions report via their pages).
-// Two invariants hold for the built-ins: the PageDownloaded count equals
-// Result.TuneIn, and the pages before/after PhaseStart{filter} equal the
+// machine, which also runs the Section-7 variants; a custom algorithm's
+// stream carries PageDownloaded and Answer (plus whatever its built-in
+// sub-executions report via their pages). The PageDownloaded count
+// equals the answer's tune-in for every built-in and variant, and for a
+// transitive query the pages before/after PhaseStart{filter} equal the
 // estimate/filter tune-in split.
 
 import (
@@ -110,9 +112,9 @@ type RadiusSet struct {
 	Slot   int64
 }
 
-// Answer carries the final Result; it is always the last event.
+// Answer carries the final Response; it is always the last event.
 type Answer struct {
-	Result Result
+	Response Response
 }
 
 func (PhaseStart) isEvent()     {}
@@ -124,6 +126,8 @@ func (Answer) isEvent()         {}
 // Cursor is one TNN query execution under caller control. It is not safe
 // for concurrent use; distinct cursors are independent.
 type Cursor struct {
+	sys     *System
+	variant Variant
 	ex      core.Executor
 	qe      *core.QueryExec // non-nil for built-ins: phase/radius observability
 	pending []Event
@@ -133,15 +137,17 @@ type Cursor struct {
 	done    bool
 }
 
-// Start opens a streaming execution of the query at p with the selected
-// algorithm. It validates like Do — an unregistered Algorithm yields an
-// *UnknownAlgorithmError — and the execution performs no broadcast action
+// Start opens a streaming execution of one Request. It validates and
+// applies options like Do, and the execution performs no broadcast action
 // until the first Step (or Events iteration). A Cursor owns its scratch
 // state for its whole lifetime, so any number may be live concurrently.
-func (sys *System) Start(p Point, algo Algorithm, opts ...QueryOption) (*Cursor, error) {
-	o := applyOptions(opts)
+func (sys *System) Start(req Request) (*Cursor, error) {
+	o, err := sys.prepare(req)
+	if err != nil {
+		return nil, err
+	}
 	o.Scratch = core.NewScratch()
-	c := &Cursor{phase: -1}
+	c := &Cursor{sys: sys, variant: req.Variant, phase: -1}
 	o.Trace = func(ch string, slot int64, pg broadcast.Page) {
 		c.pending = append(c.pending, PageDownloaded{
 			Channel: ch, Slot: slot, Kind: PageKind(pg.Kind),
@@ -151,12 +157,10 @@ func (sys *System) Start(p Point, algo Algorithm, opts ...QueryOption) (*Cursor,
 	o.TraceFault = func(ch string, slot int64) {
 		c.pending = append(c.pending, PageLost{Channel: ch, Slot: slot})
 	}
-	ex, ok := core.NewExec(sys.env, core.Algo(algo), p, o)
-	if !ok {
-		return nil, &UnknownAlgorithmError{Algo: algo}
-	}
-	c.ex = ex
-	c.qe, _ = ex.(*core.QueryExec)
+	// prepare validated the algorithm.
+	c.ex, _ = core.Exec(new(core.QueryExec), sys.env, core.Algo(req.Algo),
+		core.Variant(req.Variant), req.K, req.Point, o)
+	c.qe, _ = c.ex.(*core.QueryExec)
 	c.observe()
 	return c, nil
 }
@@ -176,11 +180,12 @@ func (c *Cursor) Step() {
 	c.observe()
 }
 
-// Done reports whether the execution has produced its final Result.
+// Done reports whether the execution has produced its final Response.
 func (c *Cursor) Done() bool { return c.ex.Done() }
 
-// Result returns the query outcome; valid once Done.
-func (c *Cursor) Result() Result { return fromCore(c.ex.Result()) }
+// Response returns the query outcome in the shape Do returns; valid once
+// Done.
+func (c *Cursor) Response() Response { return c.sys.respond(c.variant, c.ex.Result()) }
 
 // Events returns an iterator that advances the execution and yields its
 // events in order, ending after Answer. Breaking out of the range stops
@@ -229,6 +234,6 @@ func (c *Cursor) observe() {
 	}
 	if c.ex.Done() && !c.done {
 		c.done = true
-		c.pending = append(c.pending, Answer{Result: c.Result()})
+		c.pending = append(c.pending, Answer{Response: c.Response()})
 	}
 }

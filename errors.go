@@ -234,9 +234,9 @@ func (e *UnsupportedOptionError) Error() string {
 // built-in nor registered via RegisterAlgorithm. Before the v2 API such
 // values silently ran Double-NN — an experiment with a typo'd algorithm
 // would happily measure the wrong thing — so they now fail loudly,
-// matching the index-scheme validation in New: Do and Start return this
-// error; the legacy Query, Session.Add, and QueryBatch signatures have no
-// error result and panic with it instead.
+// matching the index-scheme validation in New: Do, Start, and QueryBatch
+// return this error; the legacy Query signature has no error result and
+// panics with it instead.
 type UnknownAlgorithmError struct {
 	// Algo is the unregistered value.
 	Algo Algorithm
@@ -246,25 +246,23 @@ func (e *UnknownAlgorithmError) Error() string {
 	return fmt.Sprintf("tnnbcast: unknown algorithm Algorithm(%d): not a built-in and not registered", int(e.Algo))
 }
 
-// InvalidIssueError reports a session client whose issue slot is negative.
-// Shared-cycle sessions run on one global broadcast timeline that starts
-// at slot 0, and the engine admits each client when the timeline reaches
-// its issue slot — a negative slot has no admission point. (Duplicate and
-// far-future issue slots are both valid: any number of clients may tune in
-// at the same slot, and a far-future client costs nothing until the
-// timeline gets there.) Single-shot Query/Do calls are unaffected: they
-// run on a private timeline and accept any issue slot. Session.Add,
-// QueryBatch, and the batch pipeline panic with this error, matching
-// Add's legacy no-error signature.
+// InvalidIssueError reports a batch client whose issue slot is negative.
+// A QueryBatch runs on one shared broadcast timeline that starts at slot
+// 0, and a client tunes in at its issue slot — a negative slot has no
+// admission point. (Duplicate and far-future issue slots are both valid:
+// any number of clients may tune in at the same slot, and a far-future
+// client costs nothing until the timeline gets there.) Single-shot Do,
+// Start, and Query calls are unaffected: they run on a private timeline
+// and accept any issue slot. QueryBatch returns this error.
 type InvalidIssueError struct {
-	// Client is the offending client's admission index within its batch.
+	// Client is the offending request's index within its batch.
 	Client int
 	// Issue is the rejected issue slot.
 	Issue int64
 }
 
 func (e *InvalidIssueError) Error() string {
-	return fmt.Sprintf("tnnbcast: session client %d has negative issue slot %d (sessions start at slot 0; use WithIssue(i) with i >= 0)",
+	return fmt.Sprintf("tnnbcast: batch client %d has negative issue slot %d (a batch starts at slot 0; use WithIssue(i) with i >= 0)",
 		e.Client, e.Issue)
 }
 

@@ -33,7 +33,7 @@ func main() {
 	p := tnnbcast.Pt(19500, 19500)
 
 	for _, algo := range []tnnbcast.Algorithm{tnnbcast.Window, tnnbcast.Double, tnnbcast.Hybrid} {
-		cur, err := sys.Start(p, algo)
+		cur, err := sys.Start(tnnbcast.Request{Point: p, Algo: algo})
 		if err != nil {
 			panic(err)
 		}
@@ -59,7 +59,7 @@ func main() {
 				wins = append(wins, window{ch: e.Channel, from: e.Slot, to: e.Slot, kind: kind})
 			}
 		}
-		res := cur.Result()
+		res := cur.Response().Result
 
 		fmt.Printf("%v: %d wake windows, %d pages awake over %d slots (duty cycle %.2f%%)\n",
 			algo, len(wins), res.TuneIn, res.AccessTime,
@@ -78,7 +78,7 @@ func main() {
 	// the query the moment it is exhausted. The cursor stays intact, so the
 	// application can decide to resume (here: report how far it got).
 	const budget = 20
-	cur, err := sys.Start(p, tnnbcast.Double)
+	cur, err := sys.Start(tnnbcast.Request{Point: p, Algo: tnnbcast.Double})
 	if err != nil {
 		panic(err)
 	}
@@ -95,7 +95,7 @@ func main() {
 	for ev := range cur.Events() { // resume to completion
 		if a, ok := ev.(tnnbcast.Answer); ok {
 			fmt.Printf("resumed to completion: dist %.2f, tune-in %d pages\n",
-				a.Result.Dist, a.Result.TuneIn)
+				a.Response.Result.Dist, a.Response.Result.TuneIn)
 		}
 	}
 }

@@ -1,4 +1,4 @@
-// Command fleetsim demonstrates the shared-cycle multi-client session API:
+// Command fleetsim demonstrates the shared-cycle multi-client batch API:
 // a fleet of mobile clients — couriers spread over a city, each wanting
 // the best "post office then restaurant" two-leg trip from wherever it is
 // right now — all tuned into the SAME two broadcast channels. One
@@ -48,28 +48,32 @@ func main() {
 	rng := rand.New(rand.NewSource(7))
 	algos := []tnnbcast.Algorithm{tnnbcast.Hybrid, tnnbcast.Hybrid,
 		tnnbcast.Double, tnnbcast.Approximate}
-	queries := make([]tnnbcast.ClientQuery, *fleet)
+	queries := make([]tnnbcast.Request, *fleet)
 	issues := make([]int64, *fleet)
 	for i := range queries {
 		issues[i] = rng.Int63n(stS.CycleLen)
-		queries[i] = tnnbcast.ClientQuery{
+		queries[i] = tnnbcast.Request{
 			Point: tnnbcast.Pt(
 				region.Lo.X+rng.Float64()*(region.Hi.X-region.Lo.X),
 				region.Lo.Y+rng.Float64()*(region.Hi.Y-region.Lo.Y),
 			),
-			Algo: algos[i%len(algos)],
-			Opts: []tnnbcast.QueryOption{tnnbcast.WithIssue(issues[i])},
+			Algo:    algos[i%len(algos)],
+			Options: []tnnbcast.QueryOption{tnnbcast.WithIssue(issues[i])},
 		}
 	}
 
-	// One session, the whole fleet.
-	results := sys.QueryBatch(queries)
+	// One batch, the whole fleet.
+	responses, err := sys.QueryBatch(queries)
+	if err != nil {
+		panic(err)
+	}
 
 	// Aggregate what the fleet experienced.
 	var sumAccess, sumTuneIn, maxEnd, minIssue int64
 	minIssue = issues[0]
 	found := 0
-	for i, r := range results {
+	for i, resp := range responses {
+		r := resp.Result
 		if r.Found {
 			found++
 		}
@@ -83,7 +87,7 @@ func main() {
 		}
 	}
 	span := maxEnd - minIssue
-	n := int64(len(results))
+	n := int64(len(responses))
 	fmt.Printf("fleet of %d clients, %d answered\n", n, found)
 	fmt.Printf("mean access time: %d pages, mean tune-in: %.1f pages\n",
 		sumAccess/n, float64(sumTuneIn)/float64(n))
@@ -94,7 +98,7 @@ func main() {
 	// Spot-check the determinism guarantee: a batch result IS the
 	// sequential result.
 	i := len(queries) / 2
-	solo := sys.Query(queries[i].Point, queries[i].Algo, queries[i].Opts...)
+	solo := sys.Query(queries[i].Point, queries[i].Algo, queries[i].Options...)
 	fmt.Printf("\nclient %d, batch == sequential: %v (trip %.1f, S#%d → R#%d)\n",
-		i, solo == results[i], solo.Dist, solo.SID, solo.RID)
+		i, solo == responses[i].Result, solo.Dist, solo.SID, solo.RID)
 }

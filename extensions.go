@@ -70,7 +70,7 @@ type ChainResult struct {
 // a Do request, because Request is two-channel; pipeline-level additions
 // to Do do not reach the chain path automatically.
 func (cs *ChainSystem) Query(p Point, opts ...QueryOption) ChainResult {
-	o := applyOptions(opts)
+	o := applyOptions(0, opts)
 	sc := scratchPool.Get().(*core.Scratch)
 	defer scratchPool.Put(sc)
 	o.Scratch = sc

@@ -112,7 +112,7 @@ func TestFaultEscalationTyped(t *testing.T) {
 func TestCursorPageLostEvents(t *testing.T) {
 	countEvents := func(sys *tnnbcast.System) (downloaded, lost int64, res tnnbcast.Result) {
 		t.Helper()
-		cur, err := sys.Start(tnnbcast.Pt(444, 555), tnnbcast.Double)
+		cur, err := sys.Start(tnnbcast.Request{Point: tnnbcast.Pt(444, 555), Algo: tnnbcast.Double})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestCursorPageLostEvents(t *testing.T) {
 				lost++
 			}
 		}
-		return downloaded, lost, cur.Result()
+		return downloaded, lost, cur.Response().Result
 	}
 
 	clean := buildSystem(t)

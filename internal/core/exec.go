@@ -139,8 +139,8 @@ const (
 )
 
 // QueryExec is one TNN query as a stepwise process, an Executor driven
-// by any peek/step loop. Obtain one with Reset (RunVariant starts the
-// Section-7 variants); when Peek reports done, Result holds the outcome.
+// by any peek/step loop. Obtain one with Reset, or ResetVariant for the
+// Section-7 variants; when Peek reports done, Result holds the outcome.
 //
 // A QueryExec holds its Options.Scratch for the lifetime of the query, so
 // concurrently live executions need one Scratch each; queries run one
@@ -175,11 +175,16 @@ type QueryExec struct {
 // estimate-phase searches created. The previous execution's state is
 // discarded.
 func (ex *QueryExec) Reset(env Env, algo Algo, p geom.Point, opt Options) {
-	ex.reset(env, algo, Transitive, 0, p, opt)
+	ex.ResetVariant(env, algo, Transitive, 0, p, opt)
 }
 
-// reset starts query variant v; k is TopK's result count.
-func (ex *QueryExec) reset(env Env, algo Algo, v Variant, k int, p geom.Point, opt Options) {
+// ResetVariant is Reset for query variant v; k is TopK's result count.
+// The Section-7 variants run the Double-NN strategy (both estimate
+// searches start at once), so algo matters only for Transitive.
+func (ex *QueryExec) ResetVariant(env Env, algo Algo, v Variant, k int, p geom.Point, opt Options) {
+	if v != Transitive {
+		algo = AlgoDouble
+	}
 	opt.Scratch.reset()
 	*ex = QueryExec{env: env, p: p, algo: algo, variant: v, k: k, opt: opt}
 	ex.rxS = opt.Scratch.receiver(env.ChS, opt.Issue)

@@ -152,6 +152,18 @@ func NewExec(env Env, a Algo, p geom.Point, opt Options) (Executor, bool) {
 	return spec.New(env, p, opt), true
 }
 
+// Exec starts query variant v (k is TopK's result count) at p: on qe when
+// a QueryExec answers it — a built-in algorithm or any Section-7
+// variant — and through the registry otherwise. ok is false for an
+// unregistered algorithm.
+func Exec(qe *QueryExec, env Env, a Algo, v Variant, k int, p geom.Point, opt Options) (ex Executor, ok bool) {
+	if v != Transitive || a.Builtin() {
+		qe.ResetVariant(env, a, v, k, p, opt)
+		return qe, true
+	}
+	return NewExec(env, a, p, opt)
+}
+
 // Run executes algorithm a to completion with the single-client
 // peek/step loop, reporting ok == false for an unregistered id. The four
 // built-ins dispatch to a stack-allocated QueryExec, keeping the
@@ -172,10 +184,8 @@ func Run(env Env, a Algo, p geom.Point, opt Options) (Result, bool) {
 // RunVariant answers one two-dataset Section-7 query (v != Transitive) on
 // the same loop; k is TopK's result count.
 func RunVariant(env Env, v Variant, k int, p geom.Point, opt Options) Result {
-	// The variants run the Double-NN strategy: both estimate searches
-	// start at once.
 	var ex QueryExec
-	ex.reset(env, AlgoDouble, v, k, p, opt)
+	ex.ResetVariant(env, AlgoDouble, v, k, p, opt)
 	return ex.run()
 }
 

@@ -333,23 +333,132 @@ func TestLoopbackSessionBatch(t *testing.T) {
 	}
 
 	base := rs.IssueSlot()
-	var queries []tnnbcast.ClientQuery
+	var queries []tnnbcast.Request
 	for i := 0; i < 6; i++ {
-		queries = append(queries, tnnbcast.ClientQuery{
-			Point: tnnbcast.Pt(float64(5000+6000*i), float64(36000-5500*i)),
-			Algo:  allAlgos[i%len(allAlgos)],
-			Opts:  []tnnbcast.QueryOption{tnnbcast.WithIssue(base + int64(i*7))},
+		queries = append(queries, tnnbcast.Request{
+			Point:   tnnbcast.Pt(float64(5000+6000*i), float64(36000-5500*i)),
+			Algo:    allAlgos[i%len(allAlgos)],
+			Options: []tnnbcast.QueryOption{tnnbcast.WithIssue(base + int64(i*7))},
 		})
 	}
-	local := twin.QueryBatch(queries)
+	local, err := twin.QueryBatch(queries)
+	if err != nil {
+		t.Fatalf("twin QueryBatch: %v", err)
+	}
 	for _, workers := range []int{0, 2} { // 0: the GOMAXPROCS default
-		remote := rs.QueryBatch(queries, tnnbcast.WithBatchWorkers(workers))
+		remote, err := rs.QueryBatch(queries, tnnbcast.WithBatchWorkers(workers))
+		if err != nil {
+			t.Fatalf("workers=%d: QueryBatch: %v", workers, err)
+		}
 		for i := range queries {
-			if d := diffResult(remote[i], local[i]); d != "" {
+			if d := diffResult(remote[i].Result, local[i].Result); d != "" {
 				t.Errorf("workers=%d client %d (%v): %s", workers, i, queries[i].Algo, d)
 			}
 		}
 	}
+}
+
+// TestLoopbackEntryPoints runs every query variant through every entry
+// point of a RemoteSystem — Do, Start, QueryBatch, QueryUnordered and
+// QueryRoundTrip — without WithIssue, so each issues at the live slot.
+// Answers do not depend on the issue slot, so every one must be error-free
+// and equal the in-process twin's answer pairs.
+func TestLoopbackEntryPoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time loopback broadcast")
+	}
+	sp := loopbackSpec(broadcast.SchemePreorder, false)
+	srv := startServer(t, sp, broadcast.FaultModel{})
+
+	rs, err := tnnbcast.Connect(srv.Addr().String(), tnnbcast.WithReceiveGrace(5*time.Second))
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	defer rs.Close()
+	twin, err := tnnbcast.New(sp.S, sp.R, twinOptions(sp)...)
+	if err != nil {
+		t.Fatalf("New twin: %v", err)
+	}
+
+	reqs := []tnnbcast.Request{
+		{Point: p0, Algo: tnnbcast.Hybrid},
+		{Point: p0, Variant: tnnbcast.Unordered},
+		{Point: p0, Variant: tnnbcast.RoundTrip},
+		{Point: p0, Variant: tnnbcast.TopK, K: 3},
+	}
+	want := make([]tnnbcast.Response, len(reqs))
+	for i, req := range reqs {
+		if want[i], err = twin.Do(req); err != nil {
+			t.Fatalf("twin Do: %v", err)
+		}
+	}
+	check := func(entry string, i int, got tnnbcast.Response) {
+		t.Helper()
+		if d := diffAnswer(got, want[i]); d != "" {
+			t.Errorf("%s %v: %s", entry, reqs[i].Variant, d)
+		}
+	}
+	// The entry points run concurrently, as independent clients of one
+	// connection, to keep the real-time wait short.
+	var wg sync.WaitGroup
+	goCheck := func(entry string, i int, answer func() (tnnbcast.Response, error)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := answer()
+			if err != nil {
+				t.Errorf("%s %v: %v", entry, reqs[i].Variant, err)
+				return
+			}
+			check(entry, i, resp)
+		}()
+	}
+	for i, req := range reqs {
+		goCheck("Do", i, func() (tnnbcast.Response, error) { return rs.Do(req) })
+		goCheck("Start", i, func() (tnnbcast.Response, error) {
+			cur, err := rs.Start(req)
+			if err != nil {
+				return tnnbcast.Response{}, err
+			}
+			for !cur.Done() {
+				cur.Step()
+			}
+			return cur.Response(), nil
+		})
+	}
+	goCheck("QueryUnordered", 1, func() (tnnbcast.Response, error) {
+		res, sFirst := rs.QueryUnordered(p0)
+		return tnnbcast.Response{Result: res, SFirst: sFirst}, nil
+	})
+	goCheck("QueryRoundTrip", 2, func() (tnnbcast.Response, error) {
+		return tnnbcast.Response{Result: rs.QueryRoundTrip(p0)}, nil
+	})
+	batch, err := rs.QueryBatch(reqs)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("QueryBatch: %v", err)
+	}
+	for i, resp := range batch {
+		check("QueryBatch", i, resp)
+	}
+}
+
+// diffAnswer compares the answers of two Responses — pairs, distances and
+// SFirst, not metrics — and requires the remote one to be error-free.
+func diffAnswer(remote, local tnnbcast.Response) string {
+	r, l := remote.Result, local.Result
+	if r.Err != nil || remote.TopK.Err != nil {
+		return fmt.Sprintf("query error: %v %v", r.Err, remote.TopK.Err)
+	}
+	if r.SID != l.SID || r.RID != l.RID || r.S != l.S || r.R != l.R || r.Dist != l.Dist ||
+		r.Found != l.Found || remote.SFirst != local.SFirst {
+		return fmt.Sprintf("answer differs: remote (%d,%d,%g,%v,%v) local (%d,%d,%g,%v,%v)",
+			r.SID, r.RID, r.Dist, r.Found, remote.SFirst, l.SID, l.RID, l.Dist, l.Found, local.SFirst)
+	}
+	if remote.TopK.Found != local.TopK.Found || fmt.Sprint(remote.TopK.Pairs) != fmt.Sprint(local.TopK.Pairs) {
+		return fmt.Sprintf("top-k answer differs: remote %v local %v", remote.TopK.Pairs, local.TopK.Pairs)
+	}
+	return ""
 }
 
 // TestConnectErrors covers the connect-time error family.

@@ -15,7 +15,8 @@
 // for its whole lifetime.
 //
 // Determinism. Per-client Results are bit-identical to running the same
-// queries one at a time through core.Run, for every worker count. Workers
+// queries one at a time through core.Run (core.RunVariant for a
+// Section-7 variant), for every worker count. Workers
 // read the feeds through a per-worker memo layer that caches pure
 // arrival/page answers, which cannot change what any client receives.
 // With one worker the emits also fire in stream order.
@@ -43,8 +44,10 @@ import (
 
 // Query is one client's TNN query in a session: its query point, the
 // algorithm it runs (any id registered with the core algorithm registry,
-// built-in or custom), and its per-client options. The Options' Scratch
-// field is engine-owned and ignored if set.
+// built-in or custom), the query variant (the zero value is the paper's
+// transitive query; the Section-7 variants ignore Algo, and K is TopK's
+// result count), and its per-client options. The Options' Scratch field
+// is engine-owned and ignored if set.
 //
 // Admissible issue slots: Opt.Issue must be >= 0 — slot 0 is the start of
 // the shared broadcast timeline, and a client tunes in at its issue slot.
@@ -52,9 +55,11 @@ import (
 // far-future issue slots are fine: any number of clients may tune in at
 // the same slot, and the stream need not be sorted by issue slot.
 type Query struct {
-	Point geom.Point
-	Algo  core.Algo
-	Opt   core.Options
+	Point   geom.Point
+	Algo    core.Algo
+	Variant core.Variant
+	K       int
+	Opt     core.Options
 }
 
 // InvalidIssueError reports a query whose issue slot lies outside the
@@ -269,8 +274,9 @@ func newWorker(env core.Env, src *source, emit func(int, core.Result)) *worker {
 
 // run pulls the next query, drives it to completion with the same
 // peek/step loop as core.Run, emits its Result, and pulls again — until
-// the stream is dry. A custom executor (core.NewExec) borrows the
-// worker's scratch just as a built-in QueryExec does.
+// the stream is dry. Built-in algorithms and the Section-7 variants run on
+// the worker's pooled QueryExec (core.Exec); a custom executor borrows the
+// worker's scratch just as the QueryExec does.
 func (w *worker) run() {
 	for {
 		idx, q, ok := w.src.take()
@@ -279,10 +285,8 @@ func (w *worker) run() {
 		}
 		opt := q.Opt
 		opt.Scratch = &w.scratch
-		var ex core.Executor = &w.exec
-		if q.Algo.Builtin() {
-			w.exec.Reset(w.env, q.Algo, q.Point, opt)
-		} else if ex, ok = core.NewExec(w.env, q.Algo, q.Point, opt); !ok {
+		ex, ok := core.Exec(&w.exec, w.env, q.Algo, q.Variant, q.K, q.Point, opt)
+		if !ok {
 			panic(fmt.Sprintf("session: unregistered algorithm %d", q.Algo))
 		}
 		for !ex.Done() {

@@ -81,13 +81,23 @@ func WithoutReconnect() ConnectOption {
 }
 
 // RemoteSystem is a System whose broadcast channels are a live network
-// service. Every System entry point works unmodified; the only semantic
-// difference is time — queries are issued at the service's CURRENT slot
-// (see IssueSlot), because a real broadcast cannot be rewound. An explicit
-// WithIssue still overrides, for issuing at a chosen future slot.
+// service. Every System entry point works unmodified, with two rules that
+// the one request pipeline applies on each of them: queries are issued at
+// the service's CURRENT slot (see IssueSlot), because a real broadcast
+// cannot be rewound — an explicit WithIssue still overrides, for issuing
+// at a chosen future slot — and a connection-level failure is translated
+// onto each answer's error (Result.Err, TopKResult.Err).
 type RemoteSystem struct {
 	*System
 	conn *netfeed.Conn
+}
+
+// liveConn is what the request pipeline reads of a live connection: the
+// slot a query issued now enters the broadcast at, and the connection's
+// failure. *netfeed.Conn implements it.
+type liveConn interface {
+	NextIssueSlot() int64
+	Err() error
 }
 
 // Connect dials a tnnserve service, performs the handshake, and rebuilds
@@ -104,6 +114,7 @@ func Connect(addr string, opts ...ConnectOption) (*RemoteSystem, error) {
 		return nil, &ConnectError{Addr: addr, Err: err}
 	}
 	sys := newSystem(conn.Air(), conn.FeedS(), conn.FeedR(), conn.Spec().Region)
+	sys.live = conn
 	return &RemoteSystem{System: sys, conn: conn}, nil
 }
 
@@ -116,9 +127,9 @@ func (rs *RemoteSystem) LiveSlot() int64 { return rs.conn.LiveSlot() }
 
 // IssueSlot returns the slot at which a query issued now would enter the
 // broadcast — slightly past the live slot, covering clock skew and
-// subscription propagation. Do, Query, and Start use it as the default
-// issue slot; pass it to an in-process twin's WithIssue to compare runs
-// slot-for-slot.
+// subscription propagation. Every query entry point uses it as the
+// default issue slot; pass it to an in-process twin's WithIssue to
+// compare runs slot-for-slot.
 func (rs *RemoteSystem) IssueSlot() int64 { return rs.conn.NextIssueSlot() }
 
 // NetStats are the connection's raw reception counters; see
@@ -161,43 +172,7 @@ func (rs *RemoteSystem) State() string { return rs.conn.State().String() }
 // *DegradedError during an outage the client is still reconnecting from,
 // or a permanent error — *DesyncError, exhausted reconnect budget, server
 // shutdown — once the connection cannot recover.
-func (rs *RemoteSystem) Err() error {
-	err := rs.conn.Err()
-	if err == nil {
-		return nil
-	}
-	return rs.translate(err, nil)
-}
-
-// Do answers one request over the live broadcast. Without an explicit
-// WithIssue the query is issued at IssueSlot (a real broadcast cannot be
-// rewound to slot 0).
-func (rs *RemoteSystem) Do(req Request) (Response, error) {
-	req.Options = append([]QueryOption{WithIssue(rs.conn.NextIssueSlot())}, req.Options...)
-	resp, err := rs.System.Do(req)
-	if err != nil {
-		return resp, err
-	}
-	resp.Result.Err = rs.translate(rs.conn.Err(), resp.Result.Err)
-	return resp, nil
-}
-
-// Query answers the TNN query at p over the live broadcast; a thin wrapper
-// over Do, like System.Query.
-func (rs *RemoteSystem) Query(p Point, algo Algorithm, opts ...QueryOption) Result {
-	resp, err := rs.Do(Request{Point: p, Algo: algo, Options: opts})
-	if err != nil {
-		panic(err)
-	}
-	return resp.Result
-}
-
-// Start begins a streaming query over the live broadcast, issued at
-// IssueSlot unless WithIssue overrides.
-func (rs *RemoteSystem) Start(p Point, algo Algorithm, opts ...QueryOption) (*Cursor, error) {
-	opts = append([]QueryOption{WithIssue(rs.conn.NextIssueSlot())}, opts...)
-	return rs.System.Start(p, algo, opts...)
-}
+func (rs *RemoteSystem) Err() error { return translate(rs.conn.Err(), nil) }
 
 // translate maps connection-level failures onto the public error family.
 // A desync (or a spec change found at resume time, its handshake-borne
@@ -205,7 +180,7 @@ func (rs *RemoteSystem) Start(p Point, algo Algorithm, opts ...QueryOption) (*Cu
 // final *PageFaultError, because retrying cannot help when schedule truth
 // itself is broken. An outage — transient or final — surfaces as a public
 // *DegradedError. resultErr passes through untouched in every other case.
-func (rs *RemoteSystem) translate(connErr, resultErr error) error {
+func translate(connErr, resultErr error) error {
 	var fault *PageFaultError
 	var ce *ChannelError
 	if errors.As(resultErr, &ce) {

@@ -1,19 +1,21 @@
-// White-box coverage for the RemoteSystem error translation: the mapping
-// from netfeed's connection-level failures onto the public taxonomy is
-// pure, so it is proven here without a socket in sight. (The loopback and
+// White-box coverage for the RemoteSystem error translation and issue
+// rule: the mapping from netfeed's connection-level failures onto the
+// public taxonomy is pure, and the request pipeline reads the connection
+// only through the liveConn seam, so both are proven here without a
+// socket in sight. (The loopback and
 // chaos suites cover the same paths end-to-end, but only on whichever
 // branch the network happens to take that run.)
 package tnnbcast
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"tnnbcast/internal/netfeed"
 )
 
 func TestTranslateDesyncChannels(t *testing.T) {
-	rs := &RemoteSystem{}
 	for _, tc := range []struct {
 		in   netfeed.DesyncError
 		want string
@@ -23,7 +25,7 @@ func TestTranslateDesyncChannels(t *testing.T) {
 		// One multiplexed channel: an R page is due on physical channel 0.
 		{netfeed.DesyncError{Channel: 1, Physical: 0, Slot: 42}, "R"},
 	} {
-		err := rs.translate(&tc.in, nil)
+		err := translate(&tc.in, nil)
 		var de *DesyncError
 		if !errors.As(err, &de) {
 			t.Fatalf("%+v: got %T %v, want *DesyncError", tc.in, err, err)
@@ -35,10 +37,9 @@ func TestTranslateDesyncChannels(t *testing.T) {
 }
 
 func TestTranslateDesyncKeepsChannelFault(t *testing.T) {
-	rs := &RemoteSystem{}
 	fault := &PageFaultError{Channel: "R", Slot: 40, Corrupt: true}
 	resultErr := &ChannelError{Channel: "R", Attempts: 3, Fault: fault}
-	err := rs.translate(&netfeed.DesyncError{Channel: 1, Slot: 41}, resultErr)
+	err := translate(&netfeed.DesyncError{Channel: 1, Slot: 41}, resultErr)
 	var de *DesyncError
 	if !errors.As(err, &de) {
 		t.Fatalf("got %T %v, want *DesyncError", err, err)
@@ -54,8 +55,7 @@ func TestTranslateDesyncKeepsChannelFault(t *testing.T) {
 }
 
 func TestTranslateSpecChange(t *testing.T) {
-	rs := &RemoteSystem{}
-	err := rs.translate(&netfeed.SpecChangeError{OldDigest: 1, NewDigest: 2}, nil)
+	err := translate(&netfeed.SpecChangeError{OldDigest: 1, NewDigest: 2}, nil)
 	var de *DesyncError
 	if !errors.As(err, &de) {
 		t.Fatalf("got %T %v, want *DesyncError", err, err)
@@ -66,7 +66,6 @@ func TestTranslateSpecChange(t *testing.T) {
 }
 
 func TestTranslateDegraded(t *testing.T) {
-	rs := &RemoteSystem{}
 	cause := errors.New("read: connection reset by peer")
 	for _, tc := range []struct {
 		state    netfeed.State
@@ -76,7 +75,7 @@ func TestTranslateDegraded(t *testing.T) {
 		{netfeed.StateResuming, false},
 		{netfeed.StateClosed, true},
 	} {
-		err := rs.translate(&netfeed.DegradedError{State: tc.state, Attempt: 3, Err: cause}, nil)
+		err := translate(&netfeed.DegradedError{State: tc.state, Attempt: 3, Err: cause}, nil)
 		var dg *DegradedError
 		if !errors.As(err, &dg) {
 			t.Fatalf("%v: got %T %v, want *DegradedError", tc.state, err, err)
@@ -89,23 +88,112 @@ func TestTranslateDegraded(t *testing.T) {
 }
 
 func TestTranslatePassThrough(t *testing.T) {
-	rs := &RemoteSystem{}
 	resultErr := &ChannelError{Channel: "S", Attempts: 2}
 	// A result error with no connection failure passes through untouched.
-	if got := rs.translate(nil, resultErr); got != resultErr {
+	if got := translate(nil, resultErr); got != resultErr {
 		t.Errorf("nil connErr: got %v, want the result error unchanged", got)
 	}
 	// An unrelated connection error yields the result error when present…
 	connErr := errors.New("some socket hiccup")
-	if got := rs.translate(connErr, resultErr); got != resultErr {
+	if got := translate(connErr, resultErr); got != resultErr {
 		t.Errorf("unrelated connErr with resultErr: got %v, want the result error", got)
 	}
 	// …and itself when not.
-	if got := rs.translate(connErr, nil); got != connErr {
+	if got := translate(connErr, nil); got != connErr {
 		t.Errorf("unrelated connErr alone: got %v, want it unchanged", got)
 	}
 	// Nothing at all stays nothing.
-	if got := rs.translate(nil, nil); got != nil {
+	if got := translate(nil, nil); got != nil {
 		t.Errorf("nil/nil: got %v, want nil", got)
+	}
+}
+
+// fakeLive is a live connection without a socket: a fixed next issue slot
+// and a fixed connection failure.
+type fakeLive struct {
+	issue int64
+	err   error
+}
+
+func (f fakeLive) NextIssueSlot() int64 { return f.issue }
+func (f fakeLive) Err() error           { return f.err }
+
+// TestLiveRulesOnEveryEntryPoint holds the two remote rules on Do, Start
+// and QueryBatch for every variant: a query issues at the connection's
+// next issue slot unless WithIssue overrides, and a connection-level
+// *netfeed.DesyncError reaches the answer's error — TopKResult.Err for a
+// top-k query — as a public *DesyncError.
+func TestLiveRulesOnEveryEntryPoint(t *testing.T) {
+	sys, err := New(UniformDataset(11, 90, digestRegion), UniformDataset(12, 70, digestRegion),
+		WithRegion(digestRegion), WithPhases(31, 57))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := *sys // the same broadcast, in process
+	sys.live = fakeLive{issue: 4321, err: &netfeed.DesyncError{Channel: 1, Slot: 42}}
+
+	entries := map[string]func(Request) Response{
+		"Do": func(req Request) Response {
+			resp, err := sys.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		},
+		"Start": func(req Request) Response {
+			cur, err := sys.Start(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !cur.Done() {
+				cur.Step()
+			}
+			return cur.Response()
+		},
+		"QueryBatch": func(req Request) Response {
+			out, err := sys.QueryBatch([]Request{req})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out[0]
+		},
+	}
+	p := Pt(480, 530)
+	for _, req := range []Request{
+		{Point: p, Algo: Hybrid},
+		{Point: p, Variant: Unordered},
+		{Point: p, Variant: RoundTrip},
+		{Point: p, Variant: TopK, K: 4},
+		{Point: p, Variant: TopK, K: 4, Options: []QueryOption{WithIssue(77)}},
+	} {
+		issue := []QueryOption{WithIssue(4321)}
+		if len(req.Options) > 0 {
+			issue = req.Options // the explicit WithIssue wins
+		}
+		twinReq := req
+		twinReq.Options = issue
+		want, err := twin.Do(twinReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, run := range entries {
+			label := name + "/" + req.Variant.String()
+			got := run(req)
+			answerErr, otherErr := got.Result.Err, got.TopK.Err
+			if req.Variant == TopK {
+				answerErr, otherErr = otherErr, answerErr
+			}
+			var de *DesyncError
+			if !errors.As(answerErr, &de) || de.Channel != "R" || de.Slot != 42 {
+				t.Errorf("%s: answer error %v (%T), want the translated *DesyncError", label, answerErr, answerErr)
+			}
+			if otherErr != nil {
+				t.Errorf("%s: the unused answer carries error %v", label, otherErr)
+			}
+			got.Result.Err, got.TopK.Err = nil, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: answer differs from the twin issued at the same slot:\n live %+v\n twin %+v", label, got, want)
+			}
+		}
 	}
 }

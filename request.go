@@ -1,12 +1,12 @@
 package tnnbcast
 
-// The v2 unified request pipeline. Every public query entry point —
-// Query, QueryUnordered, QueryRoundTrip, the streaming Start,
-// and (via the same validation and option application) Session.Add — is a
-// thin wrapper over one Request→Do path that centralizes algorithm
-// validation, option application, and scratch checkout. The wrappers
-// produce bit-identical metrics to their pre-v2 selves; Do additionally
-// surfaces typed errors the legacy signatures could only panic with.
+// The v2 request pipeline. Every public query entry point — Do, the
+// streaming Start, QueryBatch, and the one-line wrappers Query,
+// QueryUnordered and QueryRoundTrip — admits its Request through prepare
+// (validation, option application, the live issue slot) and converts its
+// answer through respond (the core result → Response conversion, and the
+// live connection's error translation). A fix to either reaches every
+// entry point, on a System and on a RemoteSystem alike.
 
 import (
 	"fmt"
@@ -107,7 +107,8 @@ type TopKResult struct {
 	Err error
 }
 
-// Response is the outcome of one Do call.
+// Response is the outcome of one Request, the same shape from Do, a
+// Cursor, and QueryBatch.
 type Response struct {
 	// Result is the answer for the Transitive, Unordered, and
 	// RoundTrip queries.
@@ -119,51 +120,74 @@ type Response struct {
 	TopK TopKResult
 }
 
-// applyOptions folds the functional options into the internal options
-// struct — the single place every entry point builds its core.Options.
-func applyOptions(opts []QueryOption) core.Options {
-	var o core.Options
+// applyOptions folds the functional options over the default issue slot
+// into the internal options struct — the single place every entry point
+// (and the chain system) builds its core.Options.
+func applyOptions(issue int64, opts []QueryOption) core.Options {
+	o := core.Options{Issue: issue}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return o
 }
 
+// prepare admits one request: an unregistered Algorithm yields an
+// *UnknownAlgorithmError, a TopK K < 1 an *InvalidTopKError, and an
+// undefined Variant an *UnknownVariantError. On a live connection the
+// query issues at the connection's next issue slot unless WithIssue
+// overrides, because a real broadcast cannot be rewound to slot 0.
+func (sys *System) prepare(req Request) (core.Options, error) {
+	switch {
+	case req.Variant == Transitive && !validAlgorithm(req.Algo):
+		return core.Options{}, &UnknownAlgorithmError{Algo: req.Algo}
+	case req.Variant == TopK && req.K < 1:
+		return core.Options{}, &InvalidTopKError{K: req.K}
+	case req.Variant < Transitive || req.Variant > TopK:
+		return core.Options{}, &UnknownVariantError{Variant: req.Variant}
+	}
+	var issue int64
+	if sys.live != nil {
+		issue = sys.live.NextIssueSlot()
+	}
+	return applyOptions(issue, req.Options), nil
+}
+
+// respond converts a finished query's result into the public answer of
+// its variant. On a live connection, a connection-level failure is
+// translated onto the answer's error (see translate).
+func (sys *System) respond(v Variant, res core.Result) Response {
+	var resp Response
+	errp := &resp.Result.Err
+	if v == TopK {
+		resp.TopK = fromCoreTopK(res)
+		errp = &resp.TopK.Err
+	} else {
+		resp.Result, resp.SFirst = fromCore(res), res.SFirst
+	}
+	if sys.live != nil {
+		*errp = translate(sys.live.Err(), *errp)
+	}
+	return resp
+}
+
 // Do executes one Request over the broadcast and returns its Response.
-// It is the unified pipeline behind every query entry point: an
-// unregistered Algorithm yields an *UnknownAlgorithmError, an undefined
-// Variant or a TopK K < 1 an error, and every variant runs as one query
-// executor with a pooled scratch. Do is safe for concurrent use.
+// It validates like every entry point (see prepare) and runs the query as
+// one executor with a pooled scratch. Do is safe for concurrent use.
 func (sys *System) Do(req Request) (Response, error) {
-	if req.Variant == Transitive && !validAlgorithm(req.Algo) {
-		return Response{}, &UnknownAlgorithmError{Algo: req.Algo}
+	o, err := sys.prepare(req)
+	if err != nil {
+		return Response{}, err
 	}
-	if req.Variant == TopK && req.K < 1 {
-		return Response{}, &InvalidTopKError{K: req.K}
-	}
-	o := applyOptions(req.Options)
 	sc := scratchPool.Get().(*core.Scratch)
 	defer scratchPool.Put(sc)
 	o.Scratch = sc
-
-	switch req.Variant {
-	case Transitive:
-		res, ok := core.Run(sys.env, core.Algo(req.Algo), req.Point, o)
-		if !ok {
-			// The algorithm was unregistered between validation and
-			// dispatch — impossible today (the registry only grows), kept
-			// as a loud guard.
-			return Response{}, &UnknownAlgorithmError{Algo: req.Algo}
-		}
-		return Response{Result: fromCore(res)}, nil
-	case Unordered, RoundTrip:
-		res := core.RunVariant(sys.env, core.Variant(req.Variant), 0, req.Point, o)
-		return Response{Result: fromCore(res), SFirst: res.SFirst}, nil
-	case TopK:
-		return Response{TopK: fromCoreTopK(core.RunVariant(sys.env, core.TopK, req.K, req.Point, o))}, nil
-	default:
-		return Response{}, &UnknownVariantError{Variant: req.Variant}
+	var res core.Result
+	if req.Variant == Transitive {
+		res, _ = core.Run(sys.env, core.Algo(req.Algo), req.Point, o) // prepare validated the algorithm
+	} else {
+		res = core.RunVariant(sys.env, core.Variant(req.Variant), req.K, req.Point, o)
 	}
+	return sys.respond(req.Variant, res), nil
 }
 
 // fromCoreTopK converts an internal top-k result to the v2 shape.

@@ -22,19 +22,20 @@
 //	fmt.Println(res.S, res.R, res.Dist, res.AccessTime, res.TuneIn)
 //
 // Query and its variant siblings are thin wrappers over the v2 request
-// pipeline, which adds typed errors, streaming, and pluggable strategies:
+// pipeline, which adds typed errors, streaming, batching, and pluggable
+// strategies; Do, Start and QueryBatch all take the same Request:
 //
 //	resp, err := sys.Do(tnnbcast.Request{Point: p, Algo: tnnbcast.Hybrid})
 //	if err != nil { ... }                  // e.g. *UnknownAlgorithmError
 //
-//	cur, err := sys.Start(p, tnnbcast.Double)
+//	cur, err := sys.Start(tnnbcast.Request{Point: p, Variant: tnnbcast.TopK, K: 3})
 //	if err != nil { ... }
 //	for ev := range cur.Events() {         // typed page-level event stream
 //		if pg, ok := ev.(tnnbcast.PageDownloaded); ok {
 //			fmt.Println(pg.Channel, pg.Slot, pg.Kind)
 //		}
 //	}
-//	fmt.Println(cur.Result().TuneIn)
+//	fmt.Println(cur.Response().TopK.Pairs)
 //
 // The package exposes the paper's four algorithms (Window, Double, Hybrid,
 // Approximate) and the approximate-NN energy optimization (WithANN,
@@ -75,8 +76,8 @@ func RectOf(a, b Point) Rect { return geom.RectOf(a, b) }
 // Algorithm selects a TNN query-processing algorithm: one of the four
 // built-ins below, or any value returned by RegisterAlgorithm. Values
 // outside the registry are rejected with *UnknownAlgorithmError (Do,
-// Start) or a panic carrying it (the error-less legacy signatures Query,
-// Session.Add, QueryBatch).
+// Start, QueryBatch) or a panic carrying it (the error-less legacy
+// signature Query).
 type Algorithm int
 
 const (
@@ -138,8 +139,9 @@ func (s IndexScheme) String() string {
 // System is a two-channel broadcast of datasets S and R, ready to answer
 // TNN queries. It is immutable and safe for concurrent queries.
 type System struct {
-	env core.Env
-	air *broadcast.Air
+	env  core.Env
+	air  *broadcast.Air
+	live liveConn // the live broadcast of a Connect system; nil in process
 }
 
 // newSystem wraps a built air whose two datasets queries receive through

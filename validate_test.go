@@ -146,12 +146,12 @@ func TestEmptyDatasetQueries(t *testing.T) {
 			if _, ok := sys.Exact(tnnbcast.Pt(1, 1)); ok {
 				t.Fatal("Exact reported an answer on empty data")
 			}
-			var queries []tnnbcast.ClientQuery
+			var queries []tnnbcast.Request
 			for _, a := range algos {
-				queries = append(queries, tnnbcast.ClientQuery{Point: tnnbcast.Pt(5, 5), Algo: a})
+				queries = append(queries, tnnbcast.Request{Point: tnnbcast.Pt(5, 5), Algo: a})
 			}
-			for _, res := range sys.QueryBatch(queries) {
-				if res.Found {
+			for _, res := range mustBatch(t, sys, queries) {
+				if res.Result.Found {
 					t.Fatalf("batch Found on empty dataset: %+v", res)
 				}
 			}

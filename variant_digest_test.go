@@ -7,7 +7,10 @@ package tnnbcast
 // retrieval × uniform or tie-heavy data. The constants pin the answers
 // and the page accounting bit for bit; a change to any of them means a
 // variant's traversal, tie-breaking or accounting changed. Update them
-// deliberately, never to make a failing build pass.
+// deliberately, never to make a failing build pass. The two-dataset
+// queries run through every public entry point — Do, a Cursor stepped to
+// done, and QueryBatch at one and four workers — and each must reproduce
+// the same words.
 
 import (
 	"errors"
@@ -205,7 +208,68 @@ func (d *digest) chain(variant string, pos uint64, r ChainResult) {
 	d.fold(variant, d.errWords(r.Err)...)
 }
 
+// digestEntry is one public entry point the grid runs through: it
+// answers one system's requests, in order.
+type digestEntry struct {
+	name string
+	run  func(t *testing.T, sys *System, reqs []Request) []Response
+}
+
+func batchEntry(workers int) func(*testing.T, *System, []Request) []Response {
+	return func(t *testing.T, sys *System, reqs []Request) []Response {
+		out, err := sys.QueryBatch(reqs, WithBatchWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+}
+
+var digestEntries = []digestEntry{
+	{"Do", func(t *testing.T, sys *System, reqs []Request) []Response {
+		out := make([]Response, len(reqs))
+		for i, req := range reqs {
+			resp, err := sys.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = resp
+		}
+		return out
+	}},
+	{"Start", func(t *testing.T, sys *System, reqs []Request) []Response {
+		out := make([]Response, len(reqs))
+		for i, req := range reqs {
+			cur, err := sys.Start(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !cur.Done() {
+				cur.Step()
+			}
+			out[i] = cur.Response()
+		}
+		return out
+	}},
+	{"QueryBatch/1", batchEntry(1)},
+	{"QueryBatch/4", batchEntry(4)},
+}
+
 func TestVariantDigest(t *testing.T) {
+	for _, entry := range digestEntries {
+		t.Run(entry.name, func(t *testing.T) { digestGrid(t, entry.run) })
+	}
+}
+
+// digestReq is one grid request with the digest word it folds into.
+type digestReq struct {
+	variant string
+	pos     uint64
+	req     Request
+}
+
+// digestGrid runs the grid through one entry point and checks every word.
+func digestGrid(t *testing.T, run func(*testing.T, *System, []Request) []Response) {
 	d := &digest{t: t, sums: make(map[string]uint64)}
 	pos := uint64(0)
 	for _, fam := range digestFamilies() {
@@ -239,6 +303,7 @@ func TestVariantDigest(t *testing.T) {
 						}
 						chains[k] = cs
 					}
+					var reqs []digestReq
 					for _, ann := range []bool{false, true} {
 						for _, skip := range []bool{false, true} {
 							var qo []QueryOption
@@ -254,31 +319,30 @@ func TestVariantDigest(t *testing.T) {
 							for _, q := range fam.queries {
 								pos++
 								for _, a := range digestAlgos {
-									resp, err := sys.Do(Request{Point: q, Algo: a.algo, Options: qo})
-									if err != nil {
-										t.Fatal(err)
-									}
-									d.result(a.name, pos, resp.Result, false)
+									reqs = append(reqs, digestReq{a.name, pos, Request{Point: q, Algo: a.algo, Options: qo}})
 								}
-								resp, err := sys.Do(Request{Point: q, Variant: Unordered, Options: qo})
-								if err != nil {
-									t.Fatal(err)
-								}
-								d.result("unordered", pos, resp.Result, resp.SFirst)
-								if resp, err = sys.Do(Request{Point: q, Variant: RoundTrip, Options: qo}); err != nil {
-									t.Fatal(err)
-								}
-								d.result("roundtrip", pos, resp.Result, false)
+								reqs = append(reqs,
+									digestReq{"unordered", pos, Request{Point: q, Variant: Unordered, Options: qo}},
+									digestReq{"roundtrip", pos, Request{Point: q, Variant: RoundTrip, Options: qo}})
 								for _, k := range []int{1, 3, 10} {
-									if resp, err = sys.Do(Request{Point: q, Variant: TopK, K: k, Options: qo}); err != nil {
-										t.Fatal(err)
-									}
-									d.topK(fmt.Sprintf("topk%d", k), pos, resp.TopK)
+									reqs = append(reqs, digestReq{fmt.Sprintf("topk%d", k), pos, Request{Point: q, Variant: TopK, K: k, Options: qo}})
 								}
 								for k := 2; k <= 4; k++ {
 									d.chain(fmt.Sprintf("chain%d", k), pos, chains[k].Query(q, qo...))
 								}
 							}
+						}
+					}
+					plain := make([]Request, len(reqs))
+					for i, r := range reqs {
+						plain[i] = r.req
+					}
+					for i, resp := range run(t, sys, plain) {
+						r := reqs[i]
+						if r.req.Variant == TopK {
+							d.topK(r.variant, r.pos, resp.TopK)
+						} else {
+							d.result(r.variant, r.pos, resp.Result, resp.SFirst)
 						}
 					}
 				}
