@@ -118,8 +118,9 @@ type fakeLive struct {
 func (f fakeLive) NextIssueSlot() int64 { return f.issue }
 func (f fakeLive) Err() error           { return f.err }
 
-// TestLiveRulesOnEveryEntryPoint holds the two remote rules on Do, Start
-// and QueryBatch for every variant: a query issues at the connection's
+// TestLiveRulesOnEveryEntryPoint holds the two remote rules on every
+// entry point of the variant digest (Do, Start, QueryBatch) and every
+// variant: a query issues at the connection's
 // next issue slot unless WithIssue overrides, and a connection-level
 // *netfeed.DesyncError reaches the answer's error — TopKResult.Err for a
 // top-k query — as a public *DesyncError.
@@ -132,32 +133,6 @@ func TestLiveRulesOnEveryEntryPoint(t *testing.T) {
 	twin := *sys // the same broadcast, in process
 	sys.live = fakeLive{issue: 4321, err: &netfeed.DesyncError{Channel: 1, Slot: 42}}
 
-	entries := map[string]func(Request) Response{
-		"Do": func(req Request) Response {
-			resp, err := sys.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return resp
-		},
-		"Start": func(req Request) Response {
-			cur, err := sys.Start(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for !cur.Done() {
-				cur.Step()
-			}
-			return cur.Response()
-		},
-		"QueryBatch": func(req Request) Response {
-			out, err := sys.QueryBatch([]Request{req})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out[0]
-		},
-	}
 	p := Pt(480, 530)
 	for _, req := range []Request{
 		{Point: p, Algo: Hybrid},
@@ -176,9 +151,9 @@ func TestLiveRulesOnEveryEntryPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, run := range entries {
-			label := name + "/" + req.Variant.String()
-			got := run(req)
+		for _, entry := range digestEntries {
+			label := entry.name + "/" + req.Variant.String()
+			got := entry.run(t, sys, []Request{req})[0]
 			answerErr, otherErr := got.Result.Err, got.TopK.Err
 			if req.Variant == TopK {
 				answerErr, otherErr = otherErr, answerErr
