@@ -80,46 +80,6 @@ func TestHeadlineShapes(t *testing.T) {
 	}
 }
 
-func TestFigureRunnersShape(t *testing.T) {
-	cfg := Config{Queries: 5, Seed: 3}
-	cases := []struct {
-		id   string
-		rows int
-		cols int
-	}{
-		{"fig9a", 15, 4},
-		{"fig9c", 8, 4},
-		{"fig11a", 8, 3},
-		{"fig11d", 8, 4},
-		{"fig12a", 8, 4},
-		{"fig12b", 5, 4},
-		{"fig12c", 5, 4},
-		{"fig13a", 8, 3},
-	}
-	for _, c := range cases {
-		tab := Registry[c.id](cfg)
-		if tab.ID != c.id {
-			t.Errorf("%s: table ID %q", c.id, tab.ID)
-		}
-		if len(tab.Rows) != c.rows {
-			t.Errorf("%s: %d rows, want %d", c.id, len(tab.Rows), c.rows)
-		}
-		if len(tab.Columns) != c.cols {
-			t.Errorf("%s: %d columns, want %d", c.id, len(tab.Columns), c.cols)
-		}
-		for _, r := range tab.Rows {
-			if len(r.Values) != len(tab.Columns) {
-				t.Fatalf("%s: ragged row %q", c.id, r.X)
-			}
-			for _, v := range r.Values {
-				if v <= 0 {
-					t.Fatalf("%s: non-positive cell in row %q", c.id, r.X)
-				}
-			}
-		}
-	}
-}
-
 func TestRegistryCompleteness(t *testing.T) {
 	if len(Order) != len(Registry) {
 		t.Errorf("Order (%d) and Registry (%d) disagree", len(Order), len(Registry))
