@@ -441,7 +441,7 @@ func TestCustomAlgorithmEndToEnd(t *testing.T) {
 		R:      tnnbcast.UniformDataset(8, 1200, region),
 		Region: region,
 	}
-	cfg := experiments.Config{Queries: 40, Seed: 99, PageCap: 64, Workers: 2}
+	cfg := experiments.Config{Queries: 40, Seed: 99, Workers: 2}
 	// AlgosByName is exactly what the experiment runners apply to
 	// Config.Algos (tnnbench -algos).
 	algos, err := experiments.AlgosByName([]string{"proxy-double", "double"})

@@ -32,6 +32,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -42,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/experiments"
 )
 
@@ -81,21 +83,23 @@ func main() {
 		fmt.Println(strings.Join(ids, "\n"))
 		return
 	}
-	switch *index {
-	case "preorder", "distributed":
-	default:
-		fmt.Fprintf(os.Stderr, "tnnbench: unknown -index %q (preorder or distributed)\n", *index)
+	scheme, err := broadcast.ParseScheme(*index)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tnnbench:", err)
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Queries: *queries, Seed: *seed, PageCap: *pageCap, Workers: *workers,
-		Scheme: *index, Cut: *cut, Window: *window, VerifyWorkers: *verify,
-		Loss: *loss, Burst: *burst, Corrupt: *corrupt, FaultSeed: *faultseed}
+	params := broadcast.DefaultParams()
+	params.PageCap = *pageCap
+	cfg := experiments.Config{Queries: *queries, Seed: *seed, Workers: *workers,
+		Window: *window, VerifyWorkers: *verify,
+		Air: broadcast.AirSpec{Params: params, Scheme: scheme, Cut: *cut,
+			Faults: broadcast.FaultModel{Loss: *loss, Burst: *burst, Corrupt: *corrupt, Seed: *faultseed}}}
 	if *window < 0 {
 		fmt.Fprintf(os.Stderr, "tnnbench: -window must be >= 0, got %g\n", *window)
 		os.Exit(2)
 	}
-	if *loss < 0 || *loss >= 1 || *corrupt < 0 || *corrupt >= 1 || *burst < 0 {
-		fmt.Fprintln(os.Stderr, "tnnbench: -loss and -corrupt must be in [0, 1) and -burst >= 0")
+	if err := errors.Join(cfg.Air.Params.Validate(), cfg.Air.Faults.Validate()); err != nil {
+		fmt.Fprintln(os.Stderr, "tnnbench:", err)
 		os.Exit(2)
 	}
 	if *algos != "" {
@@ -120,7 +124,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tnnbench: -ratio must be in 2..16, got %d\n", *ratio)
 			os.Exit(2)
 		}
-		cfg.SkewDisks, cfg.SkewRatio = *disks, *ratio
+		cfg.Air.SkewDisks, cfg.Air.SkewRatio = *disks, *ratio
 	default:
 		fmt.Fprintf(os.Stderr, "tnnbench: unknown -sched %q (flat or skewed)\n", *sched)
 		os.Exit(2)

@@ -58,13 +58,9 @@ func main() {
 		S:      tnnbcast.UniformDataset(*seed+1, *sizeS, tnnbcast.PaperRegion),
 		R:      tnnbcast.UniformDataset(*seed+2, *sizeR, tnnbcast.PaperRegion),
 	}
-	switch *scheme {
-	case "preorder":
-		spec.Scheme = broadcast.SchemePreorder
-	case "distributed":
-		spec.Scheme = broadcast.SchemeDistributed
-	default:
-		fmt.Fprintf(os.Stderr, "tnnserve: unknown scheme %q (preorder | distributed)\n", *scheme)
+	var err error
+	if spec.Scheme, err = broadcast.ParseScheme(*scheme); err != nil {
+		fmt.Fprintln(os.Stderr, "tnnserve:", err)
 		os.Exit(2)
 	}
 

@@ -14,6 +14,9 @@ import (
 type AirSpec struct {
 	// Params are the physical page parameters of every channel.
 	Params Params
+	// Packing selects the R-tree bulk-loading algorithm; the zero value
+	// is STR, the paper's choice.
+	Packing rtree.Packing
 	// Scheme selects the index family.
 	Scheme SchemeID
 	// Cut is the distributed index's replicated-level count (0 = auto).
@@ -57,8 +60,9 @@ type Air struct {
 	// fault model is enabled.
 	Feeds []Feed
 
-	chans []*Channel   // dedicated channels; nil under Single
-	dual  *DualChannel // the multiplexed channel under Single
+	chans  []*Channel   // dedicated channels; nil under Single
+	dual   *DualChannel // the multiplexed channel under Single
+	faults FaultModel
 }
 
 // BuildAir builds the broadcast of sets under spec. Like BuildIndex it
@@ -72,9 +76,9 @@ func BuildAir(sets [][]geom.Point, spec AirSpec) *Air {
 	rcfg := rtree.Config{
 		LeafCap: spec.Params.LeafCap(),
 		NodeCap: spec.Params.NodeCap(),
-		Packing: rtree.STR,
+		Packing: spec.Packing,
 	}
-	a := &Air{}
+	a := &Air{faults: spec.Faults}
 	for i, set := range sets {
 		tree := rtree.Build(set, rcfg)
 		a.Trees = append(a.Trees, tree)
@@ -82,22 +86,60 @@ func BuildAir(sets [][]geom.Point, spec AirSpec) *Air {
 	}
 	if spec.Single {
 		a.dual = NewDualChannel(a.Indexes[0], a.Indexes[1], spec.Phases[0])
-		a.Feeds = []Feed{a.dual.FeedS(), a.dual.FeedR()}
 	} else {
 		for i, idx := range a.Indexes {
-			ch := NewChannel(idx, spec.Phases[i%2])
-			a.chans = append(a.chans, ch)
+			a.chans = append(a.chans, NewChannel(idx, spec.Phases[i%2]))
+		}
+	}
+	a.mountFeeds()
+	return a
+}
+
+// mountFeeds builds the datasets' feeds over the air's channels.
+func (a *Air) mountFeeds() {
+	if a.dual != nil {
+		a.Feeds = []Feed{a.dual.FeedS(), a.dual.FeedR()}
+	} else {
+		for _, ch := range a.chans {
 			a.Feeds = append(a.Feeds, ch)
 		}
 	}
-	if spec.Faults.Enabled() {
+	if a.faults.Enabled() {
 		for i, f := range a.Feeds {
 			// One physical channel kills a slot for both datasets alike.
 			c := uint64(a.ChannelOf(i))
-			a.Feeds[i] = NewFaultFeed(f, spec.Faults.WithSeed(DeriveFaultSeed(spec.Faults.Seed, c)))
+			a.Feeds[i] = NewFaultFeed(f, a.faults.WithSeed(DeriveFaultSeed(a.faults.Seed, c)))
 		}
 	}
-	return a
+}
+
+// Clone returns a copy of the air that shares its trees and indexes but
+// owns fresh channels and feeds at the same phases, so one goroutine can
+// Rephase it while others query the original.
+func (a *Air) Clone() *Air {
+	c := &Air{Trees: a.Trees, Indexes: a.Indexes, faults: a.faults}
+	if a.dual != nil {
+		c.dual = NewDualChannel(a.dual.idxS, a.dual.idxR, a.dual.offset)
+	}
+	for _, ch := range a.chans {
+		c.chans = append(c.chans, NewChannel(ch.idx, ch.offset))
+	}
+	c.mountFeeds()
+	return c
+}
+
+// Rephase moves the air's channels to new phase offsets in place, as if
+// built with AirSpec.Phases = phases; the feeds see the change. It must
+// not run concurrently with queries on this air.
+//
+//tnn:noalloc
+func (a *Air) Rephase(phases [2]int64) {
+	if a.dual != nil {
+		a.dual.offset = floorMod(phases[0], a.dual.CycleLen())
+	}
+	for i, ch := range a.chans {
+		ch.Reset(ch.idx, phases[i%2])
+	}
 }
 
 // Channels returns the number of physical channels.

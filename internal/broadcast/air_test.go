@@ -1,16 +1,19 @@
 package broadcast
 
 import (
+	"reflect"
 	"testing"
 
 	"tnnbcast/internal/dataset"
 	"tnnbcast/internal/geom"
+	"tnnbcast/internal/rtree"
 )
 
 // TestBuildAirLayout checks the air's physical channels against its own
 // feeds: on every slot of every physical channel, PageOn names a page and
 // an owning dataset whose feed agrees, phases are normalized, and a
-// channel's faults follow DeriveFaultSeed of its index.
+// channel's faults follow DeriveFaultSeed of its index. The subtests
+// cover the packing, Rephase and Clone.
 func TestBuildAirLayout(t *testing.T) {
 	sets := [][]geom.Point{
 		dataset.Uniform(1, 40, dataset.PaperRegion),
@@ -56,5 +59,94 @@ func TestBuildAirLayout(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	t.Run("packing", func(t *testing.T) {
+		spec := AirSpec{Params: DefaultParams(), Packing: rtree.HilbertSort}
+		air := BuildAir(sets, spec)
+		for i, set := range sets {
+			rcfg := rtree.Config{LeafCap: spec.Params.LeafCap(), NodeCap: spec.Params.NodeCap()}
+			if reflect.DeepEqual(air.Trees[i], rtree.Build(set, rcfg)) {
+				t.Fatalf("dataset %d: the Hilbert tree equals the STR tree", i)
+			}
+			rcfg.Packing = rtree.HilbertSort
+			if !reflect.DeepEqual(air.Trees[i], rtree.Build(set, rcfg)) {
+				t.Errorf("dataset %d: tree differs from rtree.Build with HilbertSort", i)
+			}
+		}
+	})
+	for _, single := range []bool{false, true} {
+		layout := map[bool]string{false: "dedicated", true: "single"}[single]
+		orig := AirSpec{Params: DefaultParams(), Phases: [2]int64{-3, 1 << 40}, Single: single, Faults: faults}
+		moved := orig
+		moved.Phases = [2]int64{12345, -77}
+		ref := BuildAir(sets, moved)
+		t.Run("rephase/"+layout, func(t *testing.T) {
+			air := BuildAir(sets, orig)
+			air.Rephase(moved.Phases)
+			sameAir(t, air, ref)
+		})
+		t.Run("clone/"+layout, func(t *testing.T) {
+			air := BuildAir(sets, orig)
+			c := air.Clone()
+			for i := range sets {
+				if c.Trees[i] != air.Trees[i] || c.Indexes[i] != air.Indexes[i] {
+					t.Fatalf("dataset %d: the copy does not share its tree and index", i)
+				}
+			}
+			c.Rephase(moved.Phases)
+			sameAir(t, c, ref)
+			sameAir(t, air, BuildAir(sets, orig)) // the original keeps its phases
+		})
+		t.Run("allocs/"+layout, func(t *testing.T) {
+			air := BuildAir(sets, orig)
+			if n := testing.AllocsPerRun(100, func() { air.Rephase(moved.Phases) }); n != 0 {
+				t.Errorf("Rephase allocates %v times", n)
+			}
+		})
+	}
+}
+
+// sameAir requires got to answer Phase, PageOn and Fault like want on
+// every slot of two cycles of every physical channel, and its feeds to
+// agree on the next root arrival.
+func sameAir(t *testing.T, got, want *Air) {
+	t.Helper()
+	for c := range want.Channels() {
+		cycle, phase := want.CycleLen(c), want.Phase(c)
+		if got.Phase(c) != phase {
+			t.Fatalf("channel %d: phase %d, want %d", c, got.Phase(c), phase)
+		}
+		for t0 := -cycle; t0 < cycle; t0++ {
+			gp, gd := got.PageOn(c, t0)
+			wp, wd := want.PageOn(c, t0)
+			if gp != wp || gd != wd {
+				t.Fatalf("channel %d slot %d: page %+v of %d, want %+v of %d", c, t0, gp, gd, wp, wd)
+			}
+			gf, wf := got.Fault(c, t0), want.Fault(c, t0)
+			if (gf == nil) != (wf == nil) || (gf != nil && *gf != *wf) {
+				t.Fatalf("channel %d slot %d: fault %v, want %v", c, t0, gf, wf)
+			}
+		}
+	}
+	for d := range want.Feeds {
+		for t0 := int64(-50); t0 < 50; t0++ {
+			if g, w := got.Feeds[d].NextRootArrival(t0), want.Feeds[d].NextRootArrival(t0); g != w {
+				t.Fatalf("dataset %d: root after %d at %d, want %d", d, t0, g, w)
+			}
+		}
+	}
+}
+
+// TestParseScheme round-trips every scheme through its name and rejects
+// an unknown one.
+func TestParseScheme(t *testing.T) {
+	for _, s := range []SchemeID{SchemePreorder, SchemeDistributed} {
+		if got, err := ParseScheme(s.String()); err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+	if _, err := ParseScheme("hashed"); err == nil {
+		t.Error("ParseScheme accepted an unknown scheme")
 	}
 }

@@ -249,6 +249,16 @@ func (s SchemeID) String() string {
 	}
 }
 
+// ParseScheme returns the scheme whose String is name.
+func ParseScheme(name string) (SchemeID, error) {
+	for _, s := range []SchemeID{SchemePreorder, SchemeDistributed} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("broadcast: unknown index scheme %q (preorder or distributed)", name)
+}
+
 // IndexSpec selects and parameterizes an index family and data scheduler.
 // The zero value reproduces the paper's organization exactly.
 type IndexSpec struct {

@@ -29,9 +29,8 @@ func NewChannel(idx AirIndex, offset int64) *Channel {
 }
 
 // Reset reinitializes the channel in place for a new program and phase
-// offset, equivalent to NewChannel but reusing the allocation. Workloads
-// that re-phase a channel per query (the experiment harness) reuse one
-// Channel per worker instead of allocating per query.
+// offset, equivalent to NewChannel but reusing the allocation; Air.Rephase
+// re-phases its channels with it.
 func (ch *Channel) Reset(idx AirIndex, offset int64) {
 	c := idx.CycleLen()
 	off := offset % c

@@ -43,7 +43,7 @@ func AblationPacking(cfg Config) *Table {
 	algos := []AlgoSpec{{Name: AlgoDouble, Algo: core.AlgoDouble}}
 	for _, pk := range []rtree.Packing{rtree.STR, rtree.HilbertSort, rtree.NearestX} {
 		c := cfg
-		c.Packing = pk
+		c.Air.Packing = pk
 		st := RunPairing(pair, algos, c)[AlgoDouble]
 		t.AddRow(pk.String(), st.MeanAccess, st.MeanTuneIn, st.MeanEstimate, st.MeanFilter)
 	}
@@ -68,7 +68,7 @@ func AblationInterleave(cfg Config) *Table {
 	algos := []AlgoSpec{{Name: AlgoDouble, Algo: core.AlgoDouble}}
 	for _, m := range []int{1, 2, 4, 8, 16, 32, 64} {
 		c := cfg
-		c.M = m
+		c.Air.Params.M = m
 		st := RunPairing(pair, algos, c)[AlgoDouble]
 		t.AddRow(fmt.Sprintf("%d", m), st.MeanAccess, st.MeanTuneIn)
 	}
@@ -97,7 +97,7 @@ func AblationPageSize(cfg Config) *Table {
 	pair.Name = "pagesize"
 	for _, pageCap := range []int{64, 128, 256, 512} {
 		c := cfg
-		c.PageCap = pageCap
+		c.Air.Params.PageCap = pageCap
 		st := RunPairing(pair, algos, c)
 		vals := make([]float64, len(algos))
 		for i, a := range algos {

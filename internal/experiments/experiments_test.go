@@ -4,21 +4,25 @@ import (
 	"strings"
 	"testing"
 
+	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/dataset"
 )
 
 func smallCfg() Config {
-	return Config{Queries: 25, Seed: 11, PageCap: 64}
+	return Config{Queries: 25, Seed: 11}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
-	if c.Queries != 1000 || c.PageCap != 64 || c.Seed == 0 {
+	if c.Queries != 1000 || c.Air.Params != broadcast.DefaultParams() || c.Seed == 0 || c.Air.Faults.Seed == 0 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
 	// Explicit values are preserved.
-	c = Config{Queries: 7, PageCap: 128, Seed: 3}.Defaults()
-	if c.Queries != 7 || c.PageCap != 128 || c.Seed != 3 {
+	air := broadcast.AirSpec{Params: broadcast.Params{PageCap: 128, M: 4}, Faults: broadcast.FaultModel{Seed: 9}}
+	c = Config{Queries: 7, Air: air, Seed: 3}.Defaults()
+	want := broadcast.DefaultParams()
+	want.PageCap, want.M = 128, 4
+	if c.Queries != 7 || c.Air.Params != want || c.Seed != 3 || c.Air.Faults.Seed != 9 {
 		t.Errorf("explicit values clobbered: %+v", c)
 	}
 }
@@ -59,7 +63,7 @@ func TestHeadlineShapes(t *testing.T) {
 	// beat Window-Based, and Approximate's tune-in is the worst.
 	p := uniformPair(7, 10000, 10000)
 	p.Name = "headline"
-	stats := RunPairing(p, ExactAlgos(), Config{Queries: 60, Seed: 13, PageCap: 64})
+	stats := RunPairing(p, ExactAlgos(), Config{Queries: 60, Seed: 13})
 
 	if !(stats[AlgoApproximate].MeanAccess < stats[AlgoDouble].MeanAccess) {
 		t.Errorf("Approximate access %v not below Double %v",
@@ -130,15 +134,17 @@ func TestTableAddRowPanicsOnRagged(t *testing.T) {
 
 func TestBuildUsesPageCap(t *testing.T) {
 	p := uniformPair(1, 300, 300)
-	b64 := build(p, Config{PageCap: 64}.Defaults())
-	b256 := build(p, Config{PageCap: 256}.Defaults())
-	if b64.progS.PagesPerObject() != 16 || b256.progS.PagesPerObject() != 4 {
-		t.Errorf("pages per object: %d/%d", b64.progS.PagesPerObject(), b256.progS.PagesPerObject())
+	c64 := Config{}.Defaults()
+	c256 := c64
+	c256.Air.Params.PageCap = 256
+	b64, b256 := pairAir(p, c64, false), pairAir(p, c256, false)
+	if b64.Indexes[0].PagesPerObject() != 16 || b256.Indexes[0].PagesPerObject() != 4 {
+		t.Errorf("pages per object: %d/%d", b64.Indexes[0].PagesPerObject(), b256.Indexes[0].PagesPerObject())
 	}
 	// Larger pages → shallower tree.
-	if b256.treeS.Height >= b64.treeS.Height {
+	if b256.Trees[0].Height >= b64.Trees[0].Height {
 		t.Errorf("height with 256B pages (%d) not below 64B (%d)",
-			b256.treeS.Height, b64.treeS.Height)
+			b256.Trees[0].Height, b64.Trees[0].Height)
 	}
 }
 

@@ -275,7 +275,7 @@ func Fig12d(cfg Config) *Table {
 	}
 	for _, pageCap := range []int{64, 128, 256, 512} {
 		c := cfg
-		c.PageCap = pageCap
+		c.Air.Params.PageCap = pageCap
 		stats := RunPairing(Pairing{
 			Name: "CITYxPOST", S: city, R: post, Region: dataset.PaperRegion,
 		}, algos, c)
@@ -390,7 +390,7 @@ func Table3(cfg Config) *Table {
 		for _, pageCap := range []int{64, 128, 256, 512} {
 			for _, p := range combo.pairs {
 				c := cfg
-				c.PageCap = pageCap
+				c.Air.Params.PageCap = pageCap
 				stats := RunPairing(p, algos, c)
 				for _, a := range algos {
 					sums[a.Name] += stats[a.Name].FailRate

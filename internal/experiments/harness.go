@@ -25,7 +25,6 @@ import (
 	"tnnbcast/internal/dataset"
 	"tnnbcast/internal/geom"
 	"tnnbcast/internal/observe"
-	"tnnbcast/internal/rtree"
 )
 
 // Config controls an experiment run.
@@ -35,29 +34,17 @@ type Config struct {
 	Queries int
 	// Seed drives all randomness (datasets, query points, channel phases).
 	Seed int64
-	// PageCap is the broadcast page capacity in bytes (paper default 64).
-	PageCap int
+	// Air is how every pairing goes on the air: page capacity and (1, m)
+	// factor (the other page sizes are Table 2's), R-tree packing, index
+	// family, data schedule and fault model. The harness sets the phases
+	// and access weights itself (per query and per pairing), and Single
+	// only in the single-channel comparison. Under a fault model queries
+	// recover transparently: answers stay identical to the lossless run,
+	// and access time and tune-in grow.
+	Air broadcast.AirSpec
 	// Verify additionally computes the exact answer for every query to
 	// measure fail rates. It is always on for Table 3.
 	Verify bool
-	// Packing selects the R-tree bulk-loading algorithm (default STR, the
-	// paper's choice). Used by the packing ablation.
-	Packing rtree.Packing
-	// M overrides the (1, m) interleaving factor (0 = Imielinski-optimal).
-	// Used by the interleaving ablation.
-	M int
-	// Scheme selects the air-index family: "" or "preorder" for the
-	// paper's (1, m) organization, "distributed" for the replicated-path
-	// distributed index. Used by the index ablation and tnnbench -index.
-	Scheme string
-	// Cut is the distributed index's number of replicated upper levels
-	// (0 = half the tree height).
-	Cut int
-	// SkewDisks enables the broadcast-disks data scheduler with this many
-	// frequency classes (0 = flat); SkewRatio is the integer frequency
-	// ratio between adjacent classes (defaults to 2).
-	SkewDisks int
-	SkewRatio int
 	// HotSpotSigma, when positive, draws query points from a Gaussian
 	// around the region center with this standard deviation as a fraction
 	// of the region width (instead of uniform) — the skewed-access
@@ -73,8 +60,7 @@ type Config struct {
 	// is tnnbench -algos end to end. Experiments whose algorithm set IS
 	// the comparison ignore it: the ANN-variant figures (fig10, fig12,
 	// fig13, tab3, grid) and the single-algorithm parameter ablations
-	// (ablation-cut, ablation-sched, clients). An unknown name panics,
-	// like an unknown Scheme.
+	// (ablation-cut, ablation-sched, clients). An unknown name panics.
 	Algos []string
 	// Workers is the number of goroutines RunPairing fans the query loop
 	// across (<= 0 = GOMAXPROCS, 1 = strictly sequential). The reported Stats
@@ -102,27 +88,6 @@ type Config struct {
 	// rate × per-client lifetime instead of by N. Ladder points above
 	// 100k clients require a window (see MultiClient).
 	Window float64
-	// Loss, Burst, and Corrupt subject every broadcast channel to the
-	// corresponding broadcast.FaultModel (all zero = perfect channels).
-	// Queries recover transparently — answers stay identical to the
-	// lossless run; access time and tune-in grow. Used by the loss
-	// ablation and tnnbench -loss/-burst/-corrupt.
-	Loss    float64
-	Burst   float64
-	Corrupt float64
-	// FaultSeed seeds the deterministic fault pattern (0 = a fixed
-	// default); each channel derives a decorrelated stream from it.
-	FaultSeed uint64
-}
-
-// faultModel translates the Config's fault fields into the broadcast
-// layer's model, or a disabled model when all rates are zero.
-func (c Config) faultModel() broadcast.FaultModel {
-	m := broadcast.FaultModel{Loss: c.Loss, Burst: c.Burst, Corrupt: c.Corrupt, Seed: c.FaultSeed}
-	if m.Seed == 0 {
-		m.Seed = 0x7e55e1a7e // default fault-pattern seed, fixed for reproducibility
-	}
-	return m
 }
 
 // Defaults fills unset fields with the paper's defaults.
@@ -130,8 +95,14 @@ func (c Config) Defaults() Config {
 	if c.Queries == 0 {
 		c.Queries = 1000
 	}
-	if c.PageCap == 0 {
-		c.PageCap = 64
+	params := broadcast.DefaultParams() // 64-byte pages
+	if c.Air.Params.PageCap != 0 {
+		params.PageCap = c.Air.Params.PageCap
+	}
+	params.M = c.Air.Params.M
+	c.Air.Params = params
+	if c.Air.Faults.Seed == 0 {
+		c.Air.Faults.Seed = 0x7e55e1a7e // default fault-pattern seed, fixed for reproducibility
 	}
 	if c.Seed == 0 {
 		c.Seed = 20080325 // EDBT'08 opening day
@@ -210,7 +181,7 @@ type Stats struct {
 	MeanEstimate float64 // mean estimate-phase tune-in, pages
 	MeanFilter   float64 // mean filter-phase tune-in, pages
 	FailRate     float64 // fraction of queries whose answer was not the exact TNN
-	MeanLost     float64 // mean faulted receptions per query (Config.Loss/Corrupt)
+	MeanLost     float64 // mean faulted receptions per query (Config.Air.Faults)
 	MeanRecovery float64 // mean loss-recovery slots per query
 	ErrRate      float64 // fraction of queries that gave up on a dead channel
 	Queries      int
@@ -226,49 +197,14 @@ type Pairing struct {
 	WeightsS, WeightsR []float64
 }
 
-// built carries the broadcast programs for a pairing.
-type built struct {
-	progS, progR broadcast.AirIndex
-	treeS, treeR *rtree.Tree
-	region       geom.Rect
-}
-
-// indexSpec translates a Config's scheme fields into the broadcast
-// layer's build specification. An unknown scheme string panics — a typo'd
-// experiment must not silently measure the preorder index under another
-// label.
-func indexSpec(cfg Config, weights []float64) broadcast.IndexSpec {
-	spec := broadcast.IndexSpec{Cut: cfg.Cut, Weights: weights}
-	switch cfg.Scheme {
-	case "", "preorder":
-	case "distributed":
-		spec.Scheme = broadcast.SchemeDistributed
-	default:
-		panic(fmt.Sprintf("experiments: unknown index scheme %q", cfg.Scheme))
-	}
-	if cfg.SkewDisks > 0 {
-		spec.Sched = broadcast.SkewedScheduler{Disks: cfg.SkewDisks, Ratio: cfg.SkewRatio}
-	}
-	return spec
-}
-
-// build constructs the packed R-trees and broadcast programs for a pairing
-// under the configured page capacity, packing algorithm, interleaving, and
-// index scheme.
-func build(p Pairing, cfg Config) built {
-	params := broadcast.DefaultParams()
-	params.PageCap = cfg.PageCap
-	params.M = cfg.M
-	rcfg := rtree.Config{LeafCap: params.LeafCap(), NodeCap: params.NodeCap(), Packing: cfg.Packing}
-	treeS := rtree.Build(p.S, rcfg)
-	treeR := rtree.Build(p.R, rcfg)
-	return built{
-		progS:  broadcast.BuildIndex(treeS, params, indexSpec(cfg, p.WeightsS)),
-		progR:  broadcast.BuildIndex(treeR, params, indexSpec(cfg, p.WeightsR)),
-		treeS:  treeS,
-		treeR:  treeR,
-		region: p.Region,
-	}
+// pairAir puts a pairing on the air under cfg.Air with the pairing's
+// access weights, on two dedicated channels or, with single, on one
+// multiplexed channel. Callers Rephase it to the phases they draw.
+func pairAir(p Pairing, cfg Config, single bool) *broadcast.Air {
+	spec := cfg.Air
+	spec.Weights = [2][]float64{p.WeightsS, p.WeightsR}
+	spec.Single = single
+	return broadcast.BuildAir([][]geom.Point{p.S, p.R}, spec)
 }
 
 // QueriesExecuted counts every algorithm execution the harness performs,
@@ -289,8 +225,8 @@ var (
 // RNG order is what lets the query loop fan out across workers without
 // changing a single reported number.
 type queryDraw struct {
-	qp         geom.Point
-	offS, offR int64
+	qp     geom.Point
+	phases [2]int64
 }
 
 // queryCell is one (query, algorithm) measurement. Workers write disjoint
@@ -308,11 +244,12 @@ type queryCell struct {
 //
 // The query loop runs on cfg.Workers goroutines (default GOMAXPROCS). The
 // simulator state touched per query — channels, receivers, searches — is
-// per-worker; the built programs and R-trees are immutable and shared. The
-// returned Stats are bit-identical for every worker count.
+// per-worker: each worker rephases its own Clone of the air, whose trees
+// and indexes are immutable and shared. The returned Stats are
+// bit-identical for every worker count.
 func RunPairing(p Pairing, algos []AlgoSpec, cfg Config) map[string]Stats {
 	cfg = cfg.Defaults()
-	b := build(p, cfg)
+	air := pairAir(p, cfg, false)
 
 	// Pre-draw all per-query randomness in the exact order the sequential
 	// loop consumed it: query point (x, then y), then the two phases.
@@ -334,11 +271,8 @@ func RunPairing(p Pairing, algos []AlgoSpec, cfg Config) map[string]Stats {
 			x = p.Region.Lo.X + rng.Float64()*p.Region.Width()
 			y = p.Region.Lo.Y + rng.Float64()*p.Region.Height()
 		}
-		draws[q] = queryDraw{
-			qp:   geom.Pt(x, y),
-			offS: rng.Int63n(b.progS.CycleLen()),
-			offR: rng.Int63n(b.progR.CycleLen()),
-		}
+		phases := [2]int64{rng.Int63n(air.CycleLen(0)), rng.Int63n(air.CycleLen(1))}
+		draws[q] = queryDraw{qp: geom.Pt(x, y), phases: phases}
 	}
 
 	cells := make([]queryCell, cfg.Queries*len(algos))
@@ -352,7 +286,7 @@ func RunPairing(p Pairing, algos []AlgoSpec, cfg Config) map[string]Stats {
 
 	if workers <= 1 {
 		var next atomic.Int64
-		runPairingWorker(&next, p, algos, cfg, b, draws, cells)
+		runPairingWorker(&next, p, algos, cfg, air, draws, cells)
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup
@@ -360,7 +294,7 @@ func RunPairing(p Pairing, algos []AlgoSpec, cfg Config) map[string]Stats {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				runPairingWorker(&next, p, algos, cfg, b, draws, cells)
+				runPairingWorker(&next, p, algos, cfg, air, draws, cells)
 			}()
 		}
 		wg.Wait()
@@ -411,22 +345,16 @@ func RunPairing(p Pairing, algos []AlgoSpec, cfg Config) map[string]Stats {
 
 // runPairingWorker claims query indices from next and executes every
 // algorithm on them, writing results into the claimed cells. Each worker
-// owns one core.Scratch and two reusable channels, so a steady-state query
-// allocates (almost) nothing.
+// owns one core.Scratch and one copy of the air, rephased per query, so a
+// steady-state query allocates (almost) nothing. Faults are keyed by
+// (seed, slot) alone, so every worker — and every worker count — sees the
+// identical fault pattern.
 func runPairingWorker(next *atomic.Int64, p Pairing, algos []AlgoSpec, cfg Config,
-	b built, draws []queryDraw, cells []queryCell) {
+	air *broadcast.Air, draws []queryDraw, cells []queryCell) {
 
 	scratch := core.NewScratch()
-	var chS, chR broadcast.Channel
-	// Under a fault model, wrap each worker's channels once; the wrappers
-	// are stateless views keyed only by (seed, slot), so every worker —
-	// and every worker count — sees the identical fault pattern.
-	fm := cfg.faultModel()
-	var feedS, feedR broadcast.Feed = &chS, &chR
-	if fm.Enabled() {
-		feedS = broadcast.NewFaultFeed(feedS, fm.WithSeed(broadcast.DeriveFaultSeed(fm.Seed, 0)))
-		feedR = broadcast.NewFaultFeed(feedR, fm.WithSeed(broadcast.DeriveFaultSeed(fm.Seed, 1)))
-	}
+	own := air.Clone()
+	env := core.Env{ChS: own.Feeds[0], ChR: own.Feeds[1], Region: p.Region}
 	var nanos int64
 	defer func() { QueryNanos.Add(nanos) }()
 	for {
@@ -435,14 +363,12 @@ func runPairingWorker(next *atomic.Int64, p Pairing, algos []AlgoSpec, cfg Confi
 			return
 		}
 		d := draws[q]
-		chS.Reset(b.progS, d.offS)
-		chR.Reset(b.progR, d.offR)
-		env := core.Env{ChS: feedS, ChR: feedR, Region: p.Region}
+		own.Rephase(d.phases)
 
 		var oracle core.Pair
 		var oracleOK bool
 		if cfg.Verify {
-			oracle, oracleOK = core.OracleTNN(d.qp, b.treeS, b.treeR)
+			oracle, oracleOK = core.OracleTNN(d.qp, air.Trees[0], air.Trees[1])
 		}
 
 		elapsed := observe.Stopwatch()

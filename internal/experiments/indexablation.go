@@ -7,7 +7,6 @@ import (
 	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/core"
 	"tnnbcast/internal/geom"
-	"tnnbcast/internal/rtree"
 )
 
 // This file adds the air-index ablations enabled by the pluggable
@@ -55,15 +54,15 @@ func AblationIndex(cfg Config) *Table {
 		t.Columns = append(t.Columns, a.Name+" access", a.Name+" tune-in")
 	}
 	pair := indexWorkloadPair(cfg.Seed)
-	for _, scheme := range []string{"preorder", "distributed"} {
+	for _, scheme := range []broadcast.SchemeID{broadcast.SchemePreorder, broadcast.SchemeDistributed} {
 		c := cfg
-		c.Scheme = scheme
+		c.Air.Scheme = scheme
 		st := RunPairing(pair, algos, c)
 		vals := make([]float64, 0, 2*len(algos))
 		for _, a := range algos {
 			vals = append(vals, st[a.Name].MeanAccess, st[a.Name].MeanTuneIn)
 		}
-		t.AddRow(scheme, vals...)
+		t.AddRow(scheme.String(), vals...)
 	}
 	return t
 }
@@ -83,14 +82,14 @@ func AblationCut(cfg Config) *Table {
 	algos := []AlgoSpec{{Name: AlgoDouble, Algo: core.AlgoDouble}}
 	for _, cut := range []int{1, 2, 3, 4, 5} {
 		c := cfg
-		c.Scheme = "distributed"
-		c.Cut = cut
+		c.Air.Scheme = broadcast.SchemeDistributed
+		c.Air.Cut = cut
 		st := RunPairing(pair, algos, c)[AlgoDouble]
 		t.AddRow(fmt.Sprintf("%d", cut), st.MeanAccess, st.MeanTuneIn, st.MeanEstimate, st.MeanFilter)
 	}
 	// The auto cut (half the tree height), for reference.
 	c := cfg
-	c.Scheme = "distributed"
+	c.Air.Scheme = broadcast.SchemeDistributed
 	st := RunPairing(pair, algos, c)[AlgoDouble]
 	t.AddRow("auto", st.MeanAccess, st.MeanTuneIn, st.MeanEstimate, st.MeanFilter)
 	return t
@@ -115,22 +114,15 @@ func AblationSched(cfg Config) *Table {
 	pair.WeightsS = hotSpotWeights(pair.S, pair.Region, cfg.HotSpotSigma)
 	pair.WeightsR = hotSpotWeights(pair.R, pair.Region, cfg.HotSpotSigma)
 	algos := []AlgoSpec{{Name: AlgoDouble, Algo: core.AlgoDouble}}
-
-	// One shared tree serves every row's cycle-length column; only the
-	// (cheap) program layout depends on the schedule under comparison.
-	params := broadcast.DefaultParams()
-	params.PageCap = cfg.PageCap
-	treeS := rtree.Build(pair.S, rtree.Config{LeafCap: params.LeafCap(), NodeCap: params.NodeCap()})
-
 	for _, disks := range []int{0, 2, 3} {
 		c := cfg
-		c.SkewDisks = disks
+		c.Air.SkewDisks = disks
 		label := "flat"
 		if disks > 0 {
 			label = fmt.Sprintf("skewed d=%d", disks)
 		}
 		st := RunPairing(pair, algos, c)[AlgoDouble]
-		cycleS := broadcast.BuildIndex(treeS, params, indexSpec(c, pair.WeightsS)).CycleLen()
+		cycleS := pairAir(pair, c, false).CycleLen(0)
 		t.AddRow(label, st.MeanAccess, st.MeanTuneIn, float64(cycleS))
 	}
 	return t

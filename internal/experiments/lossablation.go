@@ -1,6 +1,10 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"tnnbcast/internal/broadcast"
+)
 
 // The lossy-air ablation. Every other experiment runs on perfect
 // channels; this one subjects both channels to the broadcast.FaultFeed
@@ -52,12 +56,12 @@ func AblationLoss(cfg Config) *Table {
 	}
 	t.Columns = append(t.Columns, "mean lost")
 	pair := indexWorkloadPair(cfg.Seed)
-	for _, scheme := range []string{"preorder", "distributed"} {
+	for _, scheme := range []broadcast.SchemeID{broadcast.SchemePreorder, broadcast.SchemeDistributed} {
 		for _, pt := range lossLadder {
 			c := cfg
-			c.Scheme = scheme
-			c.Loss = pt.loss
-			c.Burst = pt.burst
+			c.Air.Scheme = scheme
+			c.Air.Faults.Loss = pt.loss
+			c.Air.Faults.Burst = pt.burst
 			st := RunPairing(pair, algos, c)
 			vals := make([]float64, 0, 2*len(algos)+1)
 			lost := 0.0

@@ -47,7 +47,6 @@ import (
 	"sync"
 	"time"
 
-	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/core"
 	"tnnbcast/internal/geom"
 	"tnnbcast/internal/observe"
@@ -79,11 +78,10 @@ type clientWorkload struct {
 
 // multiClientWorkload draws N clients over the pairing: uniform query
 // points, algorithms round-robin by client index, and issue slots per the
-// configured shape — independent uniform draws over one S cycle when
-// window == 0 (every client concurrently live), or sorted arrivals spread
-// over window cycles (a live population).
-func multiClientWorkload(seed int64, p Pairing, b built, n int, window float64) clientWorkload {
-	cycle := b.progS.CycleLen()
+// configured shape — independent uniform draws over one S cycle of cycle
+// slots when window == 0 (every client concurrently live), or sorted
+// arrivals spread over window cycles (a live population).
+func multiClientWorkload(seed int64, p Pairing, cycle int64, n int, window float64) clientWorkload {
 	w := clientWorkload{n: n, issues: make([]int64, n)}
 	w.gen = func() iter.Seq[session.Query] {
 		return func(yield func(session.Query) bool) {
@@ -305,18 +303,13 @@ func MultiClient(cfg Config) *Table {
 		counts = defaultClientCounts
 	}
 	p := uniformPair(cfg.Seed, 10000, 10000)
-	b := build(p, cfg)
+	air := pairAir(p, cfg, false)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var chS, chR broadcast.Feed = broadcast.NewChannel(b.progS, rng.Int63n(b.progS.CycleLen())),
-		broadcast.NewChannel(b.progR, rng.Int63n(b.progR.CycleLen()))
-	if fm := cfg.faultModel(); fm.Enabled() {
-		// Faults are keyed by (seed, slot) alone, so one shared lossy feed
-		// pair serves every client identically — the shared-medium property
-		// that keeps batch results worker-count invariant under loss.
-		chS = broadcast.NewFaultFeed(chS, fm.WithSeed(broadcast.DeriveFaultSeed(fm.Seed, 0)))
-		chR = broadcast.NewFaultFeed(chR, fm.WithSeed(broadcast.DeriveFaultSeed(fm.Seed, 1)))
-	}
-	env := core.Env{ChS: chS, ChR: chR, Region: p.Region}
+	air.Rephase([2]int64{rng.Int63n(air.CycleLen(0)), rng.Int63n(air.CycleLen(1))})
+	// Faults are keyed by (seed, slot) alone, so one shared lossy feed pair
+	// serves every client identically — the shared-medium property that
+	// keeps batch results worker-count invariant under loss.
+	env := core.Env{ChS: air.Feeds[0], ChR: air.Feeds[1], Region: p.Region}
 
 	shape := "issue slots uniform over one cycle"
 	if cfg.Window > 0 {
@@ -337,7 +330,7 @@ func MultiClient(cfg Config) *Table {
 	}
 
 	for _, n := range counts {
-		w := multiClientWorkload(rng.Int63(), p, b, n, cfg.Window)
+		w := multiClientWorkload(rng.Int63(), p, air.CycleLen(0), n, cfg.Window)
 		run := runMultiClient(env, w, cfg.Workers, cfg.VerifyWorkers)
 
 		at, ti := run.at, run.ti

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/core"
 )
 
@@ -16,15 +15,12 @@ import (
 func TestMultiClientBatchMatchesSequential(t *testing.T) {
 	cfg := Config{Seed: 99, Queries: 1}.Defaults()
 	p := uniformPair(cfg.Seed, 800, 600)
-	b := build(p, cfg)
+	air := pairAir(p, cfg, false)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	env := core.Env{
-		ChS:    broadcast.NewChannel(b.progS, rng.Int63n(b.progS.CycleLen())),
-		ChR:    broadcast.NewChannel(b.progR, rng.Int63n(b.progR.CycleLen())),
-		Region: p.Region,
-	}
+	air.Rephase([2]int64{rng.Int63n(air.CycleLen(0)), rng.Int63n(air.CycleLen(1))})
+	env := core.Env{ChS: air.Feeds[0], ChR: air.Feeds[1], Region: p.Region}
 
-	w := multiClientWorkload(rng.Int63(), p, b, 60, 0)
+	w := multiClientWorkload(rng.Int63(), p, air.CycleLen(0), 60, 0)
 	run := runMultiClient(env, w, 2, true)
 	if !reflect.DeepEqual(run.seqResults, run.batchResults) {
 		t.Fatal("session results diverge from the sequential loop")
@@ -34,7 +30,7 @@ func TestMultiClientBatchMatchesSequential(t *testing.T) {
 	}
 
 	// Windowed arrival workload: same equivalence, bounded concurrency.
-	ws := multiClientWorkload(rng.Int63(), p, b, 60, 40)
+	ws := multiClientWorkload(rng.Int63(), p, air.CycleLen(0), 60, 40)
 	runW := runMultiClient(env, ws, 2, true)
 	if !reflect.DeepEqual(runW.seqResults, runW.batchResults) {
 		t.Fatal("windowed session results diverge from the sequential loop")

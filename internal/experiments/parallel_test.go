@@ -37,7 +37,7 @@ func TestRunPairingWorkerCountInvariance(t *testing.T) {
 func TestRunPairingTinyWorkloadParallel(t *testing.T) {
 	p := uniformPair(9, 300, 300)
 	p.Name = "tiny"
-	cfg := Config{Queries: 3, Seed: 21, PageCap: 64, Workers: 1}
+	cfg := Config{Queries: 3, Seed: 21, Workers: 1}
 	seq := RunPairing(p, ExactAlgos(), cfg)
 
 	cfg.Workers = 16 // more workers than queries

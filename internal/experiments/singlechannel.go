@@ -3,7 +3,6 @@ package experiments
 import (
 	"math/rand"
 
-	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/core"
 	"tnnbcast/internal/geom"
 	"tnnbcast/internal/observe"
@@ -40,7 +39,9 @@ func SingleVsMultiChannel(cfg Config) *Table {
 	}
 
 	pair := uniformPair(cfg.Seed, 15210, 15210)
-	b := build(pair, cfg)
+	multiAir, singleAir := pairAir(pair, cfg, false), pairAir(pair, cfg, true)
+	envMulti := core.Env{ChS: multiAir.Feeds[0], ChR: multiAir.Feeds[1], Region: pair.Region}
+	envSingle := core.Env{ChS: singleAir.Feeds[0], ChR: singleAir.Feeds[1], Region: pair.Region}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	scratch := core.NewScratch()
 	var nanos int64
@@ -58,20 +59,11 @@ func SingleVsMultiChannel(cfg Config) *Table {
 			pair.Region.Lo.X+rng.Float64()*pair.Region.Width(),
 			pair.Region.Lo.Y+rng.Float64()*pair.Region.Height(),
 		)
-		offS := rng.Int63n(b.progS.CycleLen())
-		offR := rng.Int63n(b.progR.CycleLen())
-
-		envMulti := core.Env{
-			ChS:    broadcast.NewChannel(b.progS, offS),
-			ChR:    broadcast.NewChannel(b.progR, offR),
-			Region: pair.Region,
-		}
-		dual := broadcast.NewDualChannel(b.progS, b.progR, offS)
-		envSingle := core.Env{
-			ChS:    dual.FeedS(),
-			ChR:    dual.FeedR(),
-			Region: pair.Region,
-		}
+		// The multiplexed channel takes the S phase modulo its combined
+		// cycle.
+		phases := [2]int64{rng.Int63n(multiAir.CycleLen(0)), rng.Int63n(multiAir.CycleLen(1))}
+		multiAir.Rephase(phases)
+		singleAir.Rephase(phases)
 
 		elapsed := observe.Stopwatch()
 		for _, a := range algos {
