@@ -36,7 +36,7 @@ import (
 // querier is the query surface shared by the local System and a connected
 // RemoteSystem (whose entry points default the issue slot to the live one).
 type querier interface {
-	Query(p tnnbcast.Point, algo tnnbcast.Algorithm, opts ...tnnbcast.QueryOption) tnnbcast.Result
+	Do(req tnnbcast.Request) (tnnbcast.Response, error)
 	Start(req tnnbcast.Request) (*tnnbcast.Cursor, error)
 	Exact(p tnnbcast.Point) (tnnbcast.Result, bool)
 	ChannelStats() (s, r tnnbcast.Stats)
@@ -75,6 +75,10 @@ func main() {
 		fmt.Printf("connected to %s (live slot %d)\n", *connect, rs.LiveSlot())
 		sys, remote = rs, rs
 	} else {
+		if *sizeS < 0 || *sizeR < 0 {
+			fmt.Fprintf(os.Stderr, "tnnquery: dataset sizes must be >= 0, got -s %d -r %d\n", *sizeS, *sizeR)
+			os.Exit(2)
+		}
 		region := tnnbcast.PaperRegion
 		ptsS := tnnbcast.UniformDataset(*seed+1, *sizeS, region)
 		ptsR := tnnbcast.UniformDataset(*seed+2, *sizeR, region)
@@ -120,10 +124,11 @@ func main() {
 				name, tnnbcast.Algorithms())
 			os.Exit(2)
 		}
-		var res tnnbcast.Result
+		req := tnnbcast.Request{Point: p, Algo: a, Options: []tnnbcast.QueryOption{tnnbcast.WithANN(*ann)}}
+		var resp tnnbcast.Response
 		if *trace {
 			fmt.Printf("%s download schedule:\n", name)
-			cur, err := sys.Start(tnnbcast.Request{Point: p, Algo: a, Options: []tnnbcast.QueryOption{tnnbcast.WithANN(*ann)}})
+			cur, err := sys.Start(req)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tnnquery:", err)
 				os.Exit(2)
@@ -143,10 +148,15 @@ func main() {
 					}
 				}
 			}
-			res = cur.Response().Result
+			resp = cur.Response()
 		} else {
-			res = sys.Query(p, a, tnnbcast.WithANN(*ann))
+			var err error
+			if resp, err = sys.Do(req); err != nil {
+				fmt.Fprintln(os.Stderr, "tnnquery:", err)
+				os.Exit(2)
+			}
 		}
+		res := resp.Result
 		if !res.Found {
 			fmt.Printf("%-8s NO ANSWER (search range missed the pair)\n", name)
 			continue

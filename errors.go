@@ -1,12 +1,14 @@
 // Error taxonomy. Construction-time defects are typed per cause:
 // *InvalidPointError, *InvalidRegionError, *InvalidWeightError (New and
 // NewChain), *UnsupportedOptionError (NewChain), and
-// *UnknownAlgorithmError / *InvalidIssueError at query admission. Runtime channel failures under WithFaults are typed too:
-// a query that exhausts its retry budget on one channel reports a
-// *ChannelError (wrapping the final *PageFaultError) in Result.Err rather
-// than failing the call — the query still returns its metrics, and a
-// retrieval-phase escalation even keeps the found answer pair. All types
-// work with errors.As/Is; ChannelError.Unwrap exposes the fault.
+// *InvalidPointError (a non-finite query point) / *UnknownAlgorithmError /
+// *InvalidIssueError at query admission. Runtime channel failures under
+// WithFaults are typed too: a query that exhausts its retry budget on one
+// channel reports a *ChannelError (wrapping the final *PageFaultError) in
+// Result.Err rather than failing the call — the query still returns its
+// metrics, and a retrieval-phase escalation even keeps the found answer
+// pair. All types work with errors.As/Is; ChannelError.Unwrap exposes the
+// fault.
 //
 // The network family (Connect / RemoteSystem) extends the taxonomy with
 // three types. *ConnectError wraps everything that can go wrong before a
@@ -196,22 +198,27 @@ func (e *DegradedError) Error() string {
 // Unwrap exposes the underlying cause to errors.Is/As chains.
 func (e *DegradedError) Unwrap() error { return e.Err }
 
-// InvalidPointError reports a dataset point with a NaN or infinite
-// coordinate passed to New (or NewChain). Such points cannot be indexed —
-// they break the R-tree sort order and poison every distance computation —
-// so they are rejected up front instead of silently corrupting the
-// broadcast program.
+// InvalidPointError reports a point with a NaN or infinite coordinate: a
+// dataset point passed to New (or NewChain), or a query point. Such points
+// cannot be indexed — they break the R-tree sort order and poison every
+// distance computation — so they are rejected up front instead of
+// silently corrupting the broadcast program or answering Found=false
+// after a full tune-in.
 type InvalidPointError struct {
-	// Dataset names the offending input ("S", "R", or the chain position
-	// "datasets[i]").
+	// Dataset names the offending input ("S", "R", the chain position
+	// "datasets[i]", or "query" for a query point).
 	Dataset string
-	// Index is the point's position within the dataset slice.
+	// Index is the point's position within the dataset slice (0 for a
+	// query point).
 	Index int
 	// Point is the offending value.
 	Point Point
 }
 
 func (e *InvalidPointError) Error() string {
+	if e.Dataset == "query" {
+		return fmt.Sprintf("tnnbcast: query point has non-finite coordinates (%g, %g)", e.Point.X, e.Point.Y)
+	}
 	return fmt.Sprintf("tnnbcast: %s[%d] has non-finite coordinates (%g, %g)",
 		e.Dataset, e.Index, e.Point.X, e.Point.Y)
 }

@@ -68,8 +68,13 @@ type ChainResult struct {
 // the same peek/step loop as every System.Do query, with the pipeline's
 // option application (applyOptions) and scratch-pool checkout. It is not
 // a Do request, because Request is two-channel; pipeline-level additions
-// to Do do not reach the chain path automatically.
+// to Do do not reach the chain path automatically. A query point with a
+// NaN or infinite coordinate is rejected as Do rejects it: Err is an
+// *InvalidPointError and Found is false.
 func (cs *ChainSystem) Query(p Point, opts ...QueryOption) ChainResult {
+	if !finitePoint(p) {
+		return ChainResult{Err: &InvalidPointError{Dataset: "query", Point: p}}
+	}
 	o := applyOptions(0, opts)
 	sc := scratchPool.Get().(*core.Scratch)
 	defer scratchPool.Put(sc)
@@ -109,22 +114,26 @@ func (cs *ChainSystem) Exact(p Point) (ChainResult, bool) {
 // QueryUnordered answers the order-free TNN query: visit one object from
 // each dataset in whichever order is shorter. sFirst reports whether the
 // S-dataset object comes first on the best route. It is a thin wrapper
-// over Do with the Unordered variant.
+// over Do with the Unordered variant; a query point with a NaN or
+// infinite coordinate panics with *InvalidPointError (use Do for the
+// error return).
 func (sys *System) QueryUnordered(p Point, opts ...QueryOption) (res Result, sFirst bool) {
 	resp, err := sys.Do(Request{Point: p, Variant: Unordered, Options: opts})
 	if err != nil {
-		panic(err) // unreachable: Unordered requests cannot fail validation
+		panic(err)
 	}
 	return resp.Result, resp.SFirst
 }
 
 // QueryRoundTrip answers the complete-route query: visit one object from S,
 // one from R, and return to the start, minimizing the tour length. It is a
-// thin wrapper over Do with the RoundTrip variant.
+// thin wrapper over Do with the RoundTrip variant; a query point with a
+// NaN or infinite coordinate panics with *InvalidPointError (use Do for
+// the error return).
 func (sys *System) QueryRoundTrip(p Point, opts ...QueryOption) Result {
 	resp, err := sys.Do(Request{Point: p, Variant: RoundTrip, Options: opts})
 	if err != nil {
-		panic(err) // unreachable: RoundTrip requests cannot fail validation
+		panic(err)
 	}
 	return resp.Result
 }

@@ -9,6 +9,7 @@ package tnnbcast
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -169,6 +170,30 @@ func TestLiveRulesOnEveryEntryPoint(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: answer differs from the twin issued at the same slot:\n live %+v\n twin %+v", label, got, want)
 			}
+		}
+	}
+}
+
+// TestLiveRejectsNonFinitePoint: a RemoteSystem admits through the same
+// prepare, so a query point with a NaN coordinate is an
+// *InvalidPointError from Do, Start and QueryBatch on a live connection
+// too, never a query on the air.
+func TestLiveRejectsNonFinitePoint(t *testing.T) {
+	sys, err := New(UniformDataset(11, 90, digestRegion), UniformDataset(12, 70, digestRegion),
+		WithRegion(digestRegion))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.live = fakeLive{issue: 4321}
+	req := Request{Point: Pt(math.NaN(), 530), Variant: RoundTrip}
+	_, doErr := sys.Do(req)
+	_, startErr := sys.Start(req)
+	_, batchErr := sys.QueryBatch([]Request{req})
+	for i, err := range []error{doErr, startErr, batchErr} {
+		var pe *InvalidPointError
+		if !errors.As(err, &pe) || pe.Dataset != "query" {
+			t.Errorf("%s: err %v, want *InvalidPointError for the query point",
+				[]string{"Do", "Start", "QueryBatch"}[i], err)
 		}
 	}
 }

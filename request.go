@@ -131,13 +131,17 @@ func applyOptions(issue int64, opts []QueryOption) core.Options {
 	return o
 }
 
-// prepare admits one request: an unregistered Algorithm yields an
-// *UnknownAlgorithmError, a TopK K < 1 an *InvalidTopKError, and an
-// undefined Variant an *UnknownVariantError. On a live connection the
-// query issues at the connection's next issue slot unless WithIssue
-// overrides, because a real broadcast cannot be rewound to slot 0.
+// prepare admits one request: a query point with a NaN or infinite
+// coordinate yields an *InvalidPointError (Dataset "query"), an
+// unregistered Algorithm an *UnknownAlgorithmError, a TopK K < 1 an
+// *InvalidTopKError, and an undefined Variant an *UnknownVariantError. On
+// a live connection the query issues at the connection's next issue slot
+// unless WithIssue overrides, because a real broadcast cannot be rewound
+// to slot 0.
 func (sys *System) prepare(req Request) (core.Options, error) {
 	switch {
+	case !finitePoint(req.Point):
+		return core.Options{}, &InvalidPointError{Dataset: "query", Point: req.Point}
 	case req.Variant == Transitive && !validAlgorithm(req.Algo):
 		return core.Options{}, &UnknownAlgorithmError{Algo: req.Algo}
 	case req.Variant == TopK && req.K < 1:

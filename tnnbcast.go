@@ -491,9 +491,10 @@ func (sys *System) DensityAwareANN(factor float64) QueryOption {
 }
 
 // Query answers the TNN query at p with the selected algorithm over the
-// broadcast channels. It is a thin wrapper over Do; an unregistered
-// Algorithm panics with *UnknownAlgorithmError (use Do for the error
-// return).
+// broadcast channels. It is a thin wrapper over Do and panics with every
+// admission error: *UnknownAlgorithmError for an unregistered Algorithm,
+// *InvalidPointError for a query point with a NaN or infinite coordinate
+// (use Do for the error return).
 func (sys *System) Query(p Point, algo Algorithm, opts ...QueryOption) Result {
 	resp, err := sys.Do(Request{Point: p, Algo: algo, Options: opts})
 	if err != nil {

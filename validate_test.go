@@ -7,6 +7,7 @@ package tnnbcast_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -154,6 +155,71 @@ func TestEmptyDatasetQueries(t *testing.T) {
 				if res.Result.Found {
 					t.Fatalf("batch Found on empty dataset: %+v", res)
 				}
+			}
+		})
+	}
+}
+
+// TestQueryRejectsNonFinitePoint: a query point with a NaN or infinite
+// coordinate is an admission error on every entry point — Do (every
+// variant), Start and QueryBatch return *InvalidPointError naming the
+// "query" dataset, Query and the variant wrappers panic with it, and
+// ChainSystem.Query reports it in ChainResult.Err — instead of tuning in
+// to hundreds of pages and answering Found == false.
+func TestQueryRejectsNonFinitePoint(t *testing.T) {
+	pts := tnnbcast.UniformDataset(41, 200, tnnbcast.PaperRegion)
+	sys, err := tnnbcast.New(pts, tnnbcast.UniformDataset(42, 150, tnnbcast.PaperRegion))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := tnnbcast.NewChain([][]tnnbcast.Point{pts, pts, pts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isQueryPoint := func(err error, bad tnnbcast.Point) bool {
+		var pe *tnnbcast.InvalidPointError
+		return errors.As(err, &pe) && pe.Dataset == "query" && pe.Index == 0 &&
+			math.Float64bits(pe.Point.X) == math.Float64bits(bad.X) &&
+			math.Float64bits(pe.Point.Y) == math.Float64bits(bad.Y)
+	}
+	mustPanic := func(t *testing.T, name string, bad tnnbcast.Point, f func()) {
+		t.Helper()
+		defer func() {
+			err, _ := recover().(error)
+			if !isQueryPoint(err, bad) {
+				t.Errorf("%s: panic %v, want *InvalidPointError for the query point", name, err)
+			}
+		}()
+		f()
+	}
+	for _, bad := range []tnnbcast.Point{
+		tnnbcast.Pt(math.NaN(), 1), tnnbcast.Pt(1, math.NaN()),
+		tnnbcast.Pt(math.Inf(1), 1), tnnbcast.Pt(1, math.Inf(-1)),
+	} {
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			for _, req := range []tnnbcast.Request{
+				{Point: bad, Algo: tnnbcast.Approximate},
+				{Point: bad, Variant: tnnbcast.Unordered},
+				{Point: bad, Variant: tnnbcast.RoundTrip},
+				{Point: bad, Variant: tnnbcast.TopK, K: 3},
+			} {
+				if resp, err := sys.Do(req); !isQueryPoint(err, bad) || resp.Result.TuneIn != 0 {
+					t.Errorf("Do(%v): err %v, tune-in %d; want *InvalidPointError and no tune-in",
+						req.Variant, err, resp.Result.TuneIn)
+				}
+				if cur, err := sys.Start(req); !isQueryPoint(err, bad) || cur != nil {
+					t.Errorf("Start(%v): err %v, want *InvalidPointError", req.Variant, err)
+				}
+				good := tnnbcast.Request{Point: tnnbcast.Pt(500, 500)}
+				if _, err := sys.QueryBatch([]tnnbcast.Request{good, req}); !isQueryPoint(err, bad) {
+					t.Errorf("QueryBatch(%v): err %v, want *InvalidPointError", req.Variant, err)
+				}
+			}
+			mustPanic(t, "Query", bad, func() { sys.Query(bad, tnnbcast.Double) })
+			mustPanic(t, "QueryUnordered", bad, func() { sys.QueryUnordered(bad) })
+			mustPanic(t, "QueryRoundTrip", bad, func() { sys.QueryRoundTrip(bad) })
+			if res := chain.Query(bad); !isQueryPoint(res.Err, bad) || res.Found || res.TuneIn != 0 {
+				t.Errorf("ChainSystem.Query: %+v, want Err *InvalidPointError and no tune-in", res)
 			}
 		})
 	}
