@@ -194,56 +194,75 @@ func (h pairHeap) sorted() []Pair {
 // estimate pair that defined the search range, enters h first: with
 // k = 1 it bounds the scan from the start and is kept on ties.
 //
+// An unseeded k = 1 join (Approximate-TNN's) first scans a probe row,
+// that of the S candidate nearest p, with the main loop's float ops. Its
+// best route U is realizable, so the optimum t* <= U, and the scan runs
+// from kth = nextafter(U, +Inf) with h empty: it admits only t <= U and
+// skips only t > t*, so the row-major-first optimum is the plain loop's.
+// A probe with no finite route leaves kth = +Inf, the plain loop.
+//
 // Every screen below only skips pairs the full comparison would reject
 // anyway. Each bounds a route from below by dps plus a Chebyshev gap of
 // (si, rj) — a tour only adds a non-negative leg, and rounding is
 // monotone — against the k-th best route, which is +Inf until h holds k
-// pairs, so until then no screen fires. The bound only shrinks during the
-// scan, so the pairs are still compared in row-major order with the same
-// float ops: the heap, ties included, is that of the plain nested loop.
+// pairs (or the probe's bound), so until then no screen fires. The bound
+// only shrinks during the scan, so the pairs are still compared in
+// row-major order with the same float ops: the heap, ties included, is
+// that of the plain nested loop.
 func (h *pairHeap) join(p geom.Point, ss, rs *pointBuf, k int, seed *Pair, tour bool) {
 	*h = (*h)[:0]
 	kth := math.Inf(1)
+	rs.blocks()
 	if seed != nil {
 		kth = h.offer(*seed, k)
+	} else if k == 1 && len(ss.x) > 0 {
+		kth = math.Nextafter(h.row(p, ss, rs, ss.nearest(p), kth, 1, tour), math.Inf(1))
+		*h = (*h)[:0]
 	}
-	runs := rs.blocks()
-	ssx, rsx := ss.x, rs.x
-	ssy, rsy := ss.y[:len(ssx)], rs.y[:len(rsx)]
-	for i := range ssx {
-		six, siy := ssx[i], ssy[i]
-		dps, far := sDist(p, six, siy, kth)
-		if far {
-			continue
-		}
-		// Group and run screens: dps+gap <= dps+max(|dx|,|dy|) for every
-		// rj in a box, so a box at or past kth fails every per-point screen.
-		for b := rs.nextRun(0, six, siy, dps, kth); b < runs; b = rs.nextRun(b+1, six, siy, dps, kth) {
-			lo := b * joinBlock
-			hi := min(lo+joinBlock, len(rsx))
-			// Sub-slicing the run (y pinned to len(x)) keeps the inner
-			// loop free of bounds checks.
-			bx := rsx[lo:hi]
-			by := rsy[lo:hi][:len(bx)]
-			for j := range bx {
-				// Chebyshev screen: hypot(dx,dy) >= max(|dx|,|dy|) holds in
-				// floating point (hypot never rounds below its larger leg),
-				// and rounding is monotone, so dps+max >= kth implies the
-				// full route >= kth — the pair would be discarded anyway.
-				m := max(math.Abs(six-bx[j]), math.Abs(siy-by[j]))
-				if dps+m >= kth {
-					continue
-				}
-				t := dps + math.Hypot(six-bx[j], siy-by[j])
-				if tour {
-					t += math.Hypot(bx[j]-p.X, by[j]-p.Y)
-				}
-				if t < kth || len(*h) < k {
-					kth = h.offer(Pair{S: ss.entry(i), R: rs.entry(lo + j), Dist: t}, k)
-				}
+	for i := range ss.x {
+		kth = h.row(p, ss, rs, i, kth, k, tour)
+	}
+}
+
+// row scans the pairs (si, rj) of row i of the join in R order, offers
+// each route below kth to the best-k heap h (any route while h holds
+// fewer than k pairs and no bound is set), and returns the new kth.
+func (h *pairHeap) row(p geom.Point, ss, rs *pointBuf, i int, kth float64, k int, tour bool) float64 {
+	six, siy := ss.x[i], ss.y[i]
+	dps, far := sDist(p, six, siy, kth)
+	if far {
+		return kth
+	}
+	rsx := rs.x
+	rsy := rs.y[:len(rsx)]
+	// Group and run screens: dps+gap <= dps+max(|dx|,|dy|) for every rj
+	// in a box, so a box at or past kth fails every per-point screen.
+	for b := rs.nextRun(0, six, siy, dps, kth); b < len(rs.box); b = rs.nextRun(b+1, six, siy, dps, kth) {
+		lo := b * joinBlock
+		hi := min(lo+joinBlock, len(rsx))
+		// Sub-slicing the run (y pinned to len(x)) keeps the inner loop
+		// free of bounds checks.
+		bx := rsx[lo:hi]
+		by := rsy[lo:hi][:len(bx)]
+		for j := range bx {
+			// Chebyshev screen: hypot(dx,dy) >= max(|dx|,|dy|) holds in
+			// floating point (hypot never rounds below its larger leg),
+			// and rounding is monotone, so dps+max >= kth implies the
+			// full route >= kth — the pair would be discarded anyway.
+			m := geom.Max(math.Abs(six-bx[j]), math.Abs(siy-by[j]))
+			if dps+m >= kth {
+				continue
+			}
+			t := dps + math.Hypot(six-bx[j], siy-by[j])
+			if tour {
+				t += math.Hypot(bx[j]-p.X, by[j]-p.Y)
+			}
+			if t < kth || len(*h) < k && math.IsInf(kth, 1) {
+				kth = h.offer(Pair{S: ss.entry(i), R: rs.entry(lo + j), Dist: t}, k)
 			}
 		}
 	}
+	return kth
 }
 
 // sDist returns dps = dis(p, si) for si = (x, y), the fixed term of every
@@ -255,7 +274,7 @@ func (h *pairHeap) join(p geom.Point, ss, rs *pointBuf, k int, seed *Pair, tour 
 //
 //tnn:noalloc
 func sDist(p geom.Point, x, y, d float64) (dps float64, far bool) {
-	if max(math.Abs(p.X-x), math.Abs(p.Y-y)) >= d {
+	if geom.Max(math.Abs(p.X-x), math.Abs(p.Y-y)) >= d {
 		return 0, true
 	}
 	dps = math.Hypot(p.X-x, p.Y-y)

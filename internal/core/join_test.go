@@ -165,23 +165,70 @@ func fillBuf(b *pointBuf, pts []geom.Point, base int32) {
 	}
 }
 
+// probeShape reports, for an unseeded k = 1 join, whether the probe row
+// (the S candidate nearest p) is not the row of the row-major-first
+// optimum, and whether two or more rows tie at the optimum — the shapes
+// in which the probe's bound, not its own pair, has to carry the answer.
+func probeShape(p geom.Point, ss, rs *pointBuf, tour bool) (offRow, tiedRows bool) {
+	if ss.Len() == 0 || rs.Len() == 0 {
+		return false, false
+	}
+	best := make([]float64, ss.Len())
+	opt := math.Inf(1)
+	for i := range best {
+		best[i] = math.Inf(1)
+		si := ss.entry(i).Point
+		for j := range rs.x {
+			t := geom.TransDist(p, si, rs.entry(j).Point)
+			if tour {
+				t = tourLength(p, si, rs.entry(j).Point)
+			}
+			best[i] = min(best[i], t)
+		}
+		opt = min(opt, best[i])
+	}
+	first, tied := -1, 0
+	for i, b := range best {
+		if b == opt {
+			if first < 0 {
+				first = i
+			}
+			tied++
+		}
+	}
+	return first != ss.nearest(p), tied > 1
+}
+
 // TestJoinMatchesNestedLoop: the screened k = 1 join returns the same Pair
 // (==, IDs and the float distance included) and found flag as the
 // screen-free nested loop, without an incumbent and with incumbents that
 // are beaten, tied, and unbeatable; with tour set, it returns the round-
 // trip loop's answer for the same kinds of seed. Every R size of
 // joinRSizes comes up in turn. The buffers are reused across trials, as a
-// scratch reuses them.
+// scratch reuses them. The unseeded joins, which a probe row bounds, must
+// include trials whose optimum lies off the probe row and trials where
+// several rows tie at the optimum, for both route kinds; the grid case
+// must produce ties.
 func TestJoinMatchesNestedLoop(t *testing.T) {
 	sizes := []int{0, 1, 2, 15, 16, 17, 33, 265, 1045}
 	for _, c := range joinCases {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(131))
 			var ss, rs pointBuf
+			var offRow, tiedRows [2]int // by tour
 			for trial := 0; trial < 390; trial++ {
 				fillBuf(&ss, c.gen(rng, sizes[rng.Intn(len(sizes))]), 0)
 				fillBuf(&rs, c.gen(rng, joinRSizes[trial%len(joinRSizes)]), 100000)
 				p := c.query(rng)
+				for k, tour := range []bool{false, true} {
+					off, tied := probeShape(p, &ss, &rs, tour)
+					if off {
+						offRow[k]++
+					}
+					if tied {
+						tiedRows[k]++
+					}
+				}
 
 				incs := []Pair{{}}
 				haves := []bool{false}
@@ -219,7 +266,64 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 					checkRoundTrip(t, fmt.Sprintf("trial %d", trial), p, seed, &ss, &rs)
 				}
 			}
+			t.Logf("unseeded joins with the optimum off the probe row: %v, with tied rows: %v (transitive, tour)",
+				offRow, tiedRows)
+			if offRow[0] == 0 || offRow[1] == 0 {
+				t.Errorf("no unseeded trial put the optimum off the probe row: %v", offRow)
+			}
+			if c.name == "grid" && (tiedRows[0] == 0 || tiedRows[1] == 0) {
+				t.Errorf("no unseeded grid trial tied rows at the optimum: %v", tiedRows)
+			}
 		})
+	}
+}
+
+// TestJoinProbeOffRow: hand-built unseeded joins in which the S candidate
+// nearest p (the probe row) is not on the best route. In the first, a
+// farther S candidate sits next to the only close R candidate; in the
+// second, three rows tie at the optimum and the probe row is the last of
+// them, so only the bound (not the probe's own pair) may decide, and the
+// first tied row in row-major order must win. Both route kinds.
+func TestJoinProbeOffRow(t *testing.T) {
+	p := geom.Pt(0, 0)
+	var ss, rs pointBuf
+	for _, tc := range []struct {
+		name   string
+		s, r   []geom.Point
+		wantS  int32
+		wantR  int32
+		tieRow bool
+	}{
+		{
+			name: "off-row",
+			s:    []geom.Point{geom.Pt(1, 0), geom.Pt(0, 3), geom.Pt(-2, 0)},
+			r:    []geom.Point{geom.Pt(40, 40), geom.Pt(0, 4), geom.Pt(-50, 9)},
+			// Via s0 = (1,0): 1 + hypot(1,4) ≈ 5.12; via s1 = (0,3): 3 + 1 = 4.
+			wantS: 1, wantR: 100001,
+		},
+		{
+			name:  "tied-rows",
+			s:     []geom.Point{geom.Pt(3, 0), geom.Pt(0, 3), geom.Pt(2, 0), geom.Pt(1, 0)},
+			r:     []geom.Point{geom.Pt(9, 9), geom.Pt(4, 0), geom.Pt(0, 4)},
+			wantS: 0, wantR: 100001,
+			tieRow: true,
+		},
+	} {
+		fillBuf(&ss, tc.s, 0)
+		fillBuf(&rs, tc.r, 100000)
+		if ss.nearest(p) == int(tc.wantS) {
+			t.Fatalf("%s: the probe row is the optimum's row", tc.name)
+		}
+		got, ok := join1(p, Pair{}, false, &ss, &rs, false)
+		want, wantOK := joinRef(p, Pair{}, false, &ss, &rs)
+		if got != want || ok != wantOK || got.S.ID != int(tc.wantS) || got.R.ID != int(tc.wantR) {
+			t.Errorf("%s: join = %+v %v, nested loop = %+v %v, want S %d R %d",
+				tc.name, got, ok, want, wantOK, tc.wantS, tc.wantR)
+		}
+		if off, tied := probeShape(p, &ss, &rs, false); !off || tied != tc.tieRow {
+			t.Errorf("%s: probe shape off-row %v tied %v, want true %v", tc.name, off, tied, tc.tieRow)
+		}
+		checkRoundTrip(t, tc.name, p, Pair{Dist: math.Inf(1)}, &ss, &rs)
 	}
 }
 

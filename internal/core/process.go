@@ -92,16 +92,20 @@ type blockBox struct{ x0, x1, y0, y1 float64 }
 // x0-x is at most the computed |x-rx|; the other three sides are alike,
 // and the 0 covers an x, y inside the box.
 //
+// It is geom.Max(geom.Gap(x0, x1, x), geom.Gap(y0, y1, y)) fused into
+// one int64 max over the four differences' bits (geom's contract case
+// 4), which keeps it within the inlining budget of nextRun's loop.
+//
 //tnn:noalloc
 func (bx *blockBox) gap(x, y float64) float64 {
-	return max(bx.x0-x, x-bx.x1, bx.y0-y, y-bx.y1, 0)
+	return math.Float64frombits(uint64(max(int64(math.Float64bits(bx.x0-x)), int64(math.Float64bits(x-bx.x1)),
+		int64(math.Float64bits(bx.y0-y)), int64(math.Float64bits(y-bx.y1)), 0)))
 }
 
 // blocks recomputes the bounding boxes of the buffer's joinBlock runs and
-// of their groups over its current contents, and returns the number of
-// runs. The boxes keep their capacity with the buffer, so a warmed
-// scratch stays allocation-free.
-func (b *pointBuf) blocks() int {
+// of their groups over its current contents. The boxes keep their
+// capacity with the buffer, so a warmed scratch stays allocation-free.
+func (b *pointBuf) blocks() {
 	xs := b.x
 	ys := b.y[:len(xs)]
 	box := b.box[:0]
@@ -124,7 +128,6 @@ func (b *pointBuf) blocks() int {
 		grp = append(grp, gx)
 	}
 	b.box, b.grp = box, grp
-	return len(box)
 }
 
 // nextRun is the joins' two-level screen. It returns the first joinBlock
@@ -151,6 +154,24 @@ func (b *pointBuf) nextRun(r int, x, y, dps, d float64) int {
 		return r
 	}
 	return len(box)
+}
+
+// nearest returns the index of the buffer's point nearest q by squared
+// distance, the first on ties (0 when every square overflows). The buffer
+// must not be empty.
+//
+//tnn:noalloc
+func (b *pointBuf) nearest(q geom.Point) int {
+	xs := b.x
+	ys := b.y[:len(xs)]
+	n, best := 0, math.Inf(1)
+	for i := range xs {
+		dx, dy := xs[i]-q.X, ys[i]-q.Y
+		if d := dx*dx + dy*dy; d < best {
+			n, best = i, d
+		}
+	}
+	return n
 }
 
 // reset empties the buffer, retaining capacity.
@@ -572,9 +593,9 @@ func (s *nnSearch) pruned(c client.Candidate) bool {
 		// lower(MBR) > ub — which the Chebyshev screens settle for most
 		// pops without a hypot or a MinTransDist.
 		if s.mode == modeNN {
-			dx := max(f.MinX[e]-s.q.X, 0, s.q.X-f.MaxX[e])
-			dy := max(f.MinY[e]-s.q.Y, 0, s.q.Y-f.MaxY[e])
-			if max(dx, dy) > s.ub {
+			dx := geom.Gap(f.MinX[e], f.MaxX[e], s.q.X)
+			dy := geom.Gap(f.MinY[e], f.MaxY[e], s.q.Y)
+			if geom.Max(dx, dy) > s.ub {
 				return true // MinDist = hypot(dx,dy) >= max(dx,dy): same operands, exact
 			}
 			if (dx+dy)*geom.ScreenSlack <= s.ub {
@@ -833,9 +854,9 @@ func (s *rangeSearch) visit(id int32) {
 		// Chebyshev screen over the same clamped gaps MinDist uses:
 		// exact, so only the borderline children reach the squared
 		// screen and, inside its band, the hypot.
-		dx := max(f.MinX[e]-s.circle.Center.X, 0, s.circle.Center.X-f.MaxX[e])
-		dy := max(f.MinY[e]-s.circle.Center.Y, 0, s.circle.Center.Y-f.MaxY[e])
-		if max(dx, dy) > s.rBound {
+		dx := geom.Gap(f.MinX[e], f.MaxX[e], s.circle.Center.X)
+		dy := geom.Gap(f.MinY[e], f.MaxY[e], s.circle.Center.Y)
+		if geom.Max(dx, dy) > s.rBound {
 			continue // MinDist >= max gap > R+Eps: disjoint
 		}
 		// 1-norm accept (hypot <= dx+dy, slacked for rounding), the

@@ -71,9 +71,9 @@ func (s *knnSearch) pruned(c client.Candidate) bool {
 	f := s.flat
 	b := s.bound()
 	e := c.Ent
-	dx := max(f.MinX[e]-s.q.X, 0, s.q.X-f.MaxX[e])
-	dy := max(f.MinY[e]-s.q.Y, 0, s.q.Y-f.MaxY[e])
-	return max(dx, dy) > b || ((dx+dy)*geom.ScreenSlack > b && geom.HypotCmp(dx, dy, b) > 0)
+	dx := geom.Gap(f.MinX[e], f.MaxX[e], s.q.X)
+	dy := geom.Gap(f.MinY[e], f.MaxY[e], s.q.Y)
+	return geom.Max(dx, dy) > b || ((dx+dy)*geom.ScreenSlack > b && geom.HypotCmp(dx, dy, b) > 0)
 }
 
 // visit offers a leaf's points to the running top-k, or queues an

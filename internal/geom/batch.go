@@ -23,9 +23,10 @@ import "math"
 // The screens then fall into three kinds:
 //
 //  1. Every *Batch kernel computes, per element, EXACTLY the float64
-//     operations of its scalar twin, in the same order. out[i] is
-//     bit-identical to the corresponding scalar call — proven by the
-//     batch≡scalar property tests in quick_test.go.
+//     operations of its scalar twin, in the same order, where a max may
+//     take its case-4 form. out[i] is bit-identical to the corresponding
+//     scalar call — proven by the batch≡scalar property tests in
+//     quick_test.go.
 //
 //  2. A *Cheb screen is a lower bound on its metric that holds IN
 //     FLOATING POINT, not just over the reals: by (H1) hypot is at least
@@ -46,12 +47,47 @@ import "math"
 //     the handful of roundings on either side, keeping the screen
 //     strictly conservative while remaining far tighter than any
 //     geometric configuration it needs to separate.
+//
+//  4. Gap, Max and Min order floats by their bits as integers: two
+//     CMOVs, where the builtin float max/min is a serial MINSD/POR chain
+//     with NaN fix-ups. Non-negative floats order as their bits do, and
+//     negative ones (-0 included) have negative int64 bits, so for
+//     non-NaN operands Gap equals the builtin for any signs, and Max and
+//     Min for non-negative operands such as the outputs of Abs, Gap and
+//     Hypot. Finite coordinates never give NaN, and the system rejects a
+//     non-finite query point before a query starts.
 
 // ScreenSlack is the multiplicative guard for screens that are not
 // computed from the same operands as the metric they bound (case 3
 // above). A screen may reject a candidate only when
 // screen > bound*ScreenSlack.
 const ScreenSlack = 1 + 1e-9
+
+// Gap returns the clamped gap max(lo-q, 0, q-hi) of the coordinate q to
+// the interval [lo, hi], as the int64 maximum of the three values' bits.
+// It is bit-identical to the builtin whenever lo-q and q-hi are not NaN
+// (contract case 4), which always holds for finite coordinates.
+//
+//tnn:noalloc
+func Gap(lo, hi, q float64) float64 {
+	return math.Float64frombits(uint64(max(int64(math.Float64bits(lo-q)), int64(math.Float64bits(q-hi)), 0)))
+}
+
+// Max returns max(a, b) as the uint64 maximum of the operands' bits: the
+// builtin's result for non-NaN, non-negative operands (contract case 4).
+//
+//tnn:noalloc
+func Max(a, b float64) float64 {
+	return math.Float64frombits(max(math.Float64bits(a), math.Float64bits(b)))
+}
+
+// Min returns min(a, b) as the uint64 minimum of the operands' bits: the
+// builtin's result for non-NaN, non-negative operands (contract case 4).
+//
+//tnn:noalloc
+func Min(a, b float64) float64 {
+	return math.Float64frombits(min(math.Float64bits(a), math.Float64bits(b)))
+}
 
 // DistCheb returns the Chebyshev distance max(|dx|, |dy|) between a and
 // b: a floating-point-exact lower bound on Dist(a, b) computed from the
@@ -78,9 +114,7 @@ func TransDistCheb(p, s, r Point) float64 {
 //
 //tnn:noalloc
 func (r Rect) MinDistCheb(p Point) float64 {
-	dx := max(r.Lo.X-p.X, 0, p.X-r.Hi.X)
-	dy := max(r.Lo.Y-p.Y, 0, p.Y-r.Hi.Y)
-	return max(dx, dy)
+	return Max(Gap(r.Lo.X, r.Hi.X, p.X), Gap(r.Lo.Y, r.Hi.Y, p.Y))
 }
 
 // MinTransDistCheb returns max over the two foci of the rectangle's
@@ -93,7 +127,7 @@ func (r Rect) MinDistCheb(p Point) float64 {
 //
 //tnn:noalloc
 func MinTransDistCheb(p Point, m Rect, r Point) float64 {
-	return max(m.MinDistCheb(p), m.MinDistCheb(r))
+	return Max(m.MinDistCheb(p), m.MinDistCheb(r))
 }
 
 // HypotCmp compares math.Hypot(dx, dy) with b and returns -1, 0 or +1 as
@@ -160,22 +194,12 @@ func (r Rect) MinMaxDistBelow(p Point, bound float64) (float64, bool) {
 	}
 	l1x, l1y := p.X-rmx, p.Y-rMy
 	l2x, l2y := p.X-rMx, p.Y-rmy
-	lb := min(max(math.Abs(l1x), math.Abs(l1y)), max(math.Abs(l2x), math.Abs(l2y)))
+	lb := Min(Max(math.Abs(l1x), math.Abs(l1y)), Max(math.Abs(l2x), math.Abs(l2y)))
 	if !(lb < bound) {
 		return 0, false // MinMaxDist >= lb >= bound
 	}
-	z := math.Min(math.Hypot(l1x, l1y), math.Hypot(l2x, l2y))
+	z := Min(math.Hypot(l1x, l1y), math.Hypot(l2x, l2y))
 	return z, z < bound
-}
-
-// DistBatch writes out[i] = Dist(p, (xs[i], ys[i])) for every element.
-//
-//tnn:noalloc
-func DistBatch(p Point, xs, ys, out []float64) {
-	xs, ys = xs[:len(out)], ys[:len(out)]
-	for i := range out {
-		out[i] = math.Hypot(p.X-xs[i], p.Y-ys[i])
-	}
 }
 
 // DistSqBatch writes out[i] = DistSq(p, (xs[i], ys[i])) for every
@@ -197,18 +221,7 @@ func DistSqBatch(p Point, xs, ys, out []float64) {
 func DistChebBatch(p Point, xs, ys, out []float64) {
 	xs, ys = xs[:len(out)], ys[:len(out)]
 	for i := range out {
-		out[i] = max(math.Abs(p.X-xs[i]), math.Abs(p.Y-ys[i]))
-	}
-}
-
-// TransDistBatch writes out[i] = TransDist(p, (xs[i], ys[i]), r) for
-// every element.
-//
-//tnn:noalloc
-func TransDistBatch(p, r Point, xs, ys, out []float64) {
-	xs, ys = xs[:len(out)], ys[:len(out)]
-	for i := range out {
-		out[i] = math.Hypot(p.X-xs[i], p.Y-ys[i]) + math.Hypot(xs[i]-r.X, ys[i]-r.Y)
+		out[i] = Max(math.Abs(p.X-xs[i]), math.Abs(p.Y-ys[i]))
 	}
 }
 
@@ -219,93 +232,8 @@ func TransDistBatch(p, r Point, xs, ys, out []float64) {
 func TransDistChebBatch(p, r Point, xs, ys, out []float64) {
 	xs, ys = xs[:len(out)], ys[:len(out)]
 	for i := range out {
-		c1 := max(math.Abs(p.X-xs[i]), math.Abs(p.Y-ys[i]))
-		c2 := max(math.Abs(xs[i]-r.X), math.Abs(ys[i]-r.Y))
-		out[i] = max(c1, c2)
-	}
-}
-
-// MinDistBatch writes out[i] = MinDist of p to the i-th rectangle of the
-// SoA block (minX[i], minY[i], maxX[i], maxY[i]).
-//
-//tnn:noalloc
-func MinDistBatch(p Point, minX, minY, maxX, maxY, out []float64) {
-	minX, minY = minX[:len(out)], minY[:len(out)]
-	maxX, maxY = maxX[:len(out)], maxY[:len(out)]
-	for i := range out {
-		dx := max(minX[i]-p.X, 0, p.X-maxX[i])
-		dy := max(minY[i]-p.Y, 0, p.Y-maxY[i])
-		out[i] = math.Hypot(dx, dy)
-	}
-}
-
-// MinDistChebBatch writes out[i] = MinDistCheb of p to the i-th
-// rectangle: the batched rectangle screen feeding range and NN pruning.
-//
-//tnn:noalloc
-func MinDistChebBatch(p Point, minX, minY, maxX, maxY, out []float64) {
-	minX, minY = minX[:len(out)], minY[:len(out)]
-	maxX, maxY = maxX[:len(out)], maxY[:len(out)]
-	for i := range out {
-		dx := max(minX[i]-p.X, 0, p.X-maxX[i])
-		dy := max(minY[i]-p.Y, 0, p.Y-maxY[i])
-		out[i] = max(dx, dy)
-	}
-}
-
-// MaxDistBatch writes out[i] = MaxDist of p to the i-th rectangle.
-//
-//tnn:noalloc
-func MaxDistBatch(p Point, minX, minY, maxX, maxY, out []float64) {
-	minX, minY = minX[:len(out)], minY[:len(out)]
-	maxX, maxY = maxX[:len(out)], maxY[:len(out)]
-	for i := range out {
-		dx := max(math.Abs(p.X-minX[i]), math.Abs(p.X-maxX[i]))
-		dy := max(math.Abs(p.Y-minY[i]), math.Abs(p.Y-maxY[i]))
-		out[i] = math.Hypot(dx, dy)
-	}
-}
-
-// MinMaxDistBatch writes out[i] = MinMaxDist of p to the i-th rectangle
-// (+Inf for an empty rectangle, as the scalar).
-//
-//tnn:noalloc
-func MinMaxDistBatch(p Point, minX, minY, maxX, maxY, out []float64) {
-	minX, minY = minX[:len(out)], minY[:len(out)]
-	maxX, maxY = maxX[:len(out)], maxY[:len(out)]
-	for i := range out {
-		r := Rect{Lo: Point{X: minX[i], Y: minY[i]}, Hi: Point{X: maxX[i], Y: maxY[i]}}
-		out[i] = r.MinMaxDist(p)
-	}
-}
-
-// SegMaxDistBatch writes out[i] = SegMaxDist(p, a_i, b_i, r) for the
-// segment block (ax[i], ay[i])–(bx[i], by[i]).
-//
-//tnn:noalloc
-func SegMaxDistBatch(p, r Point, ax, ay, bx, by, out []float64) {
-	ax, ay = ax[:len(out)], ay[:len(out)]
-	bx, by = bx[:len(out)], by[:len(out)]
-	for i := range out {
-		da := math.Hypot(p.X-ax[i], p.Y-ay[i]) + math.Hypot(ax[i]-r.X, ay[i]-r.Y)
-		db := math.Hypot(p.X-bx[i], p.Y-by[i]) + math.Hypot(bx[i]-r.X, by[i]-r.Y)
-		out[i] = max(da, db)
-	}
-}
-
-// MinTransDistChebBatch writes out[i] = MinTransDistCheb(p, m_i, r) for
-// the rectangle block: the batched ellipse/Chebyshev screen of the
-// transitive search. Callers must apply ScreenSlack (contract case 3).
-//
-//tnn:noalloc
-func MinTransDistChebBatch(p, r Point, minX, minY, maxX, maxY, out []float64) {
-	minX, minY = minX[:len(out)], minY[:len(out)]
-	maxX, maxY = maxX[:len(out)], maxY[:len(out)]
-	for i := range out {
-		pdx := max(minX[i]-p.X, 0, p.X-maxX[i])
-		pdy := max(minY[i]-p.Y, 0, p.Y-maxY[i])
-		rdx := max(minX[i]-r.X, 0, r.X-maxX[i])
-		rdy := max(minY[i]-r.Y, 0, r.Y-maxY[i])
-		out[i] = max(pdx, pdy, rdx, rdy)
+		c1 := Max(math.Abs(p.X-xs[i]), math.Abs(p.Y-ys[i]))
+		c2 := Max(math.Abs(xs[i]-r.X), math.Abs(ys[i]-r.Y))
+		out[i] = Max(c1, c2)
 	}
 }

@@ -7,11 +7,9 @@ import (
 	"testing"
 )
 
-// Edge cases the batch kernels must share with their scalar twins: the
-// degenerate inputs that sit exactly on the case boundaries of the
-// geometry — one-point segments, zero-area rectangles, coincident-focus
-// ellipses. Each case asserts the scalar result AND bit-identity of the
-// batched kernel on a block containing the degenerate element.
+// Edge cases of the distance metrics: the degenerate inputs that sit
+// exactly on the case boundaries of the geometry — one-point segments,
+// zero-area rectangles, coincident-focus ellipses.
 
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
@@ -22,11 +20,6 @@ func TestSegMaxDistDegenerateSegment(t *testing.T) {
 		want := TransDist(p, a, r)
 		if !bitsEq(got, want) {
 			t.Errorf("SegMaxDist(p, %v, %v, r) = %v, want TransDist %v", a, a, got, want)
-		}
-		var out [1]float64
-		SegMaxDistBatch(p, r, []float64{a.X}, []float64{a.Y}, []float64{a.X}, []float64{a.Y}, out[:])
-		if !bitsEq(out[0], got) {
-			t.Errorf("SegMaxDistBatch degenerate = %v, scalar %v", out[0], got)
 		}
 	}
 }
@@ -51,22 +44,6 @@ func TestZeroAreaRectDistances(t *testing.T) {
 		}
 		if got := r.MinMaxDist(c.p); !bitsEq(got, c.want) {
 			t.Errorf("MinMaxDist(%v, point-rect) = %v, want %v", c.p, got, c.want)
-		}
-		// Batched kernels on a block holding the degenerate rectangle.
-		minX, minY := []float64{q.X}, []float64{q.Y}
-		maxX, maxY := []float64{q.X}, []float64{q.Y}
-		var out [1]float64
-		MinDistBatch(c.p, minX, minY, maxX, maxY, out[:])
-		if !bitsEq(out[0], r.MinDist(c.p)) {
-			t.Errorf("MinDistBatch(%v) = %v, scalar %v", c.p, out[0], r.MinDist(c.p))
-		}
-		MaxDistBatch(c.p, minX, minY, maxX, maxY, out[:])
-		if !bitsEq(out[0], r.MaxDist(c.p)) {
-			t.Errorf("MaxDistBatch(%v) = %v, scalar %v", c.p, out[0], r.MaxDist(c.p))
-		}
-		MinMaxDistBatch(c.p, minX, minY, maxX, maxY, out[:])
-		if !bitsEq(out[0], r.MinMaxDist(c.p)) {
-			t.Errorf("MinMaxDistBatch(%v) = %v, scalar %v", c.p, out[0], r.MinMaxDist(c.p))
 		}
 	}
 }
@@ -273,5 +250,94 @@ func BenchmarkMinMaxDistBelow(b *testing.B) {
 	}
 	if sink < 0 {
 		b.Fatal("unreachable; keeps the loop live")
+	}
+}
+
+// screenInputs are the adversarial finite values of the integer-order
+// property test: both zeros, the subnormal and normal extremes, ±1 and
+// ±MaxFloat64, so that differences underflow, cancel to ±0 and overflow
+// to ±Inf.
+var screenInputs = []float64{
+	0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1022 - 0x1p-1074, -(0x1p-1022 - 0x1p-1074), 0x1p-1022, -0x1p-1022,
+	1, -1, 1 + 0x1p-52, 3.5, -3.5,
+	math.MaxFloat64, -math.MaxFloat64, math.Nextafter(math.MaxFloat64, 0),
+}
+
+// TestIntegerOrderKernelsMatchBuiltins: Gap is bit-identical to the
+// builtin max(lo-q, 0, q-hi) for every finite lo, hi and q — lo > hi, q
+// on a boundary, ±0, subnormals and ±MaxFloat64 included — and Max and
+// Min are bit-identical to the builtin max and min on non-negative
+// operands, among them the outputs of Abs, Gap and Hypot (contract case
+// 4 of batch.go).
+func TestIntegerOrderKernelsMatchBuiltins(t *testing.T) {
+	vals := append([]float64(nil), screenInputs...)
+	rng := rand.New(rand.NewSource(23))
+	for range 48 {
+		vals = append(vals, randLeg(rng, 1023), randLeg(rng, 4), float64(rng.Intn(7)-3))
+	}
+	for _, lo := range vals {
+		for _, hi := range vals {
+			for _, q := range vals {
+				got, want := Gap(lo, hi, q), max(lo-q, 0, q-hi)
+				if !bitsEq(got, want) {
+					t.Fatalf("Gap(%g, %g, %g) = %g (%#x), builtin max %g (%#x)",
+						lo, hi, q, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+	nonNeg := []float64{math.Inf(1)}
+	for i, a := range vals {
+		b := vals[(i*7+3)%len(vals)]
+		nonNeg = append(nonNeg, math.Abs(a), Gap(a, b, 0), Gap(b, a, 1), math.Hypot(a, b))
+	}
+	for _, a := range nonNeg {
+		for _, b := range nonNeg {
+			if got, want := Max(a, b), max(a, b); !bitsEq(got, want) {
+				t.Fatalf("Max(%g, %g) = %g, builtin %g", a, b, got, want)
+			}
+			if got, want := Min(a, b), min(a, b); !bitsEq(got, want) {
+				t.Fatalf("Min(%g, %g) = %g, builtin %g", a, b, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkRectScreen measures the clamped-gap screen of the searches'
+// prunes (nnSearch.pruned, knnSearch.pruned and rangeSearch.visit's child
+// test): Max of the two axis Gaps against a bound, over a fixed SoA set
+// of 1024 rectangles shaped like rtree.Flat entries — leaf-sized MBRs
+// with every eighth one node-sized, over a 1000-unit square. One op
+// screens the whole set from one of four query points.
+func BenchmarkRectScreen(b *testing.B) {
+	const n = 1024
+	rng := rand.New(rand.NewSource(5))
+	minX, minY := make([]float64, n), make([]float64, n)
+	maxX, maxY := make([]float64, n), make([]float64, n)
+	for i := range n {
+		x, y := rng.Float64()*1000, rng.Float64()*1000
+		w, h := rng.Float64()*60, rng.Float64()*60
+		if i%8 == 0 {
+			w, h = w*6, h*6
+		}
+		minX[i], minY[i], maxX[i], maxY[i] = x, y, x+w, y+h
+	}
+	qs := [...]Point{{500, 500}, {120, 880}, {930, 40}, {10, 10}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	kept := 0
+	for i := range b.N {
+		q := qs[i%len(qs)]
+		minY, maxX, maxY := minY[:len(minX)], maxX[:len(minX)], maxY[:len(minX)]
+		for e := range minX {
+			if Max(Gap(minX[e], maxX[e], q.X), Gap(minY[e], maxY[e], q.Y)) <= 150 {
+				kept++
+			}
+		}
+	}
+	if kept == 0 {
+		b.Fatal("the screen kept no rectangle")
 	}
 }

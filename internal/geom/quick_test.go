@@ -180,95 +180,22 @@ func mkBlock(xs, ys []float64) ([]float64, []float64) {
 	return ox, oy
 }
 
-// mkRectBlock folds four arbitrary slices into a canonical SoA rectangle
-// block (per-element lo <= hi).
-func mkRectBlock(a, b, c, d []float64) (minX, minY, maxX, maxY []float64) {
-	n := min(len(a), len(b), len(c), len(d))
-	minX, minY = make([]float64, n), make([]float64, n)
-	maxX, maxY = make([]float64, n), make([]float64, n)
-	for i := range n {
-		r := mkRect(a[i], b[i], c[i], d[i])
-		minX[i], minY[i] = r.Lo.X, r.Lo.Y
-		maxX[i], maxY[i] = r.Hi.X, r.Hi.Y
-	}
-	return
-}
-
 func TestQuickBatchPointKernelsEqualScalar(t *testing.T) {
 	f := func(px, py, rx, ry float64, axs, ays []float64) bool {
 		p, r := mkPt(px, py), mkPt(rx, ry)
 		xs, ys := mkBlock(axs, ays)
 		n := len(xs)
-		dist := make([]float64, n)
 		distSq := make([]float64, n)
 		cheb := make([]float64, n)
-		trans := make([]float64, n)
 		transCheb := make([]float64, n)
-		DistBatch(p, xs, ys, dist)
 		DistSqBatch(p, xs, ys, distSq)
 		DistChebBatch(p, xs, ys, cheb)
-		TransDistBatch(p, r, xs, ys, trans)
 		TransDistChebBatch(p, r, xs, ys, transCheb)
 		for i := range n {
 			s := Pt(xs[i], ys[i])
-			if !bitsEq(dist[i], Dist(p, s)) ||
-				!bitsEq(distSq[i], DistSq(p, s)) ||
+			if !bitsEq(distSq[i], DistSq(p, s)) ||
 				!bitsEq(cheb[i], DistCheb(p, s)) ||
-				!bitsEq(trans[i], TransDist(p, s, r)) ||
 				!bitsEq(transCheb[i], TransDistCheb(p, s, r)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickBatchRectKernelsEqualScalar(t *testing.T) {
-	f := func(px, py, rx, ry float64, a, b, c, d []float64) bool {
-		p, r := mkPt(px, py), mkPt(rx, ry)
-		minX, minY, maxX, maxY := mkRectBlock(a, b, c, d)
-		n := len(minX)
-		minD := make([]float64, n)
-		minCheb := make([]float64, n)
-		maxD := make([]float64, n)
-		minMax := make([]float64, n)
-		transCheb := make([]float64, n)
-		MinDistBatch(p, minX, minY, maxX, maxY, minD)
-		MinDistChebBatch(p, minX, minY, maxX, maxY, minCheb)
-		MaxDistBatch(p, minX, minY, maxX, maxY, maxD)
-		MinMaxDistBatch(p, minX, minY, maxX, maxY, minMax)
-		MinTransDistChebBatch(p, r, minX, minY, maxX, maxY, transCheb)
-		for i := range n {
-			m := Rect{Lo: Pt(minX[i], minY[i]), Hi: Pt(maxX[i], maxY[i])}
-			if !bitsEq(minD[i], m.MinDist(p)) ||
-				!bitsEq(minCheb[i], m.MinDistCheb(p)) ||
-				!bitsEq(maxD[i], m.MaxDist(p)) ||
-				!bitsEq(minMax[i], m.MinMaxDist(p)) ||
-				!bitsEq(transCheb[i], MinTransDistCheb(p, m, r)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickBatchSegKernelEqualScalar(t *testing.T) {
-	f := func(px, py, rx, ry float64, axs, ays, bxs, bys []float64) bool {
-		p, r := mkPt(px, py), mkPt(rx, ry)
-		ax, ay := mkBlock(axs, ays)
-		bx, by := mkBlock(bxs, bys)
-		n := min(len(ax), len(bx))
-		ax, ay, bx, by = ax[:n], ay[:n], bx[:n], by[:n]
-		out := make([]float64, n)
-		SegMaxDistBatch(p, r, ax, ay, bx, by, out)
-		for i := range n {
-			if !bitsEq(out[i], SegMaxDist(p, Pt(ax[i], ay[i]), Pt(bx[i], by[i]), r)) {
 				return false
 			}
 		}

@@ -117,13 +117,13 @@ func (r Rect) Sides() [4][2]Point {
 // solid rectangle r; zero when p is inside r. This is the classic R-tree
 // MINDIST metric of Roussopoulos et al.
 func (r Rect) MinDist(p Point) float64 {
-	// Builtin max compiles to branchless float instructions where
-	// math.Max is a function call; for the finite coordinates an indexed
-	// rectangle can hold the two agree bit for bit. This sits on the
-	// pruning hot path, once per popped candidate.
-	dx := max(r.Lo.X-p.X, 0, p.X-r.Hi.X)
-	dy := max(r.Lo.Y-p.Y, 0, p.Y-r.Hi.Y)
-	return math.Hypot(dx, dy)
+	// Gap orders the clamped differences by their integer bits: two
+	// CMOVs, where the builtin float max is a serial MINSD/POR chain with
+	// NaN fix-ups and math.Max a function call. For the finite
+	// coordinates an indexed rectangle holds all three agree bit for bit
+	// (batch.go, contract case 4). This sits on the pruning hot path,
+	// once per popped candidate.
+	return math.Hypot(Gap(r.Lo.X, r.Hi.X, p.X), Gap(r.Lo.Y, r.Hi.Y, p.Y))
 }
 
 // MaxDist returns the maximum Euclidean distance from p to any point of r:

@@ -66,7 +66,7 @@ func MinTransDist(p Point, m Rect, r Point) float64 {
 // convexity of v ↦ dis(p,v)+dis(v,r) this is a tight upper bound over all
 // points of the segment (Lemma 2).
 func SegMaxDist(p, a, b, r Point) float64 {
-	return max(Dist(p, a)+Dist(a, r), Dist(p, b)+Dist(b, r))
+	return Max(Dist(p, a)+Dist(a, r), Dist(p, b)+Dist(b, r))
 }
 
 // MinMaxTransDist returns min over the four sides ℓ of M of

@@ -58,6 +58,7 @@ trap 'rm -f "$measured"' EXIT
 	min_nsop '^BenchmarkNext(Node|Object)Arrival$' '200000x' .
 	min_nsop '^BenchmarkArrivalQueue$' '200000x' ./internal/client
 	min_nsop '^BenchmarkMinMaxDistBelow$' '200000x' ./internal/geom
+	min_nsop '^BenchmarkRectScreen$' '20000x' ./internal/geom
 	min_nsop '^BenchmarkNew$' '20x' .
 	min_nsop '^BenchmarkBroadcastProgramBuild$' '2000x' .
 	min_nsop '^BenchmarkWireEncodeCycleIndex$' '100x' .
