@@ -327,13 +327,11 @@ func BenchmarkSingleChannelVsMulti(b *testing.B) {
 }
 
 func BenchmarkWireEncodeCycleIndex(b *testing.B) {
-	p := broadcast.DefaultParams()
-	tree := rtree.Build(dataset.Uniform(5, 2411, dataset.PaperRegion),
-		rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()})
-	ch := broadcast.NewChannel(broadcast.BuildProgram(tree, p), 9)
+	air := broadcast.BuildAir([][]geom.Point{dataset.Uniform(5, 2411, dataset.PaperRegion)},
+		broadcast.AirSpec{Params: broadcast.DefaultParams(), Phases: [2]int64{9}})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := broadcast.EncodeCycleIndex(ch, p); err != nil {
+		if _, err := air.EncodeCycle(0); err != nil {
 			b.Fatal(err)
 		}
 	}

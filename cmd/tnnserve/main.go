@@ -45,6 +45,14 @@ func main() {
 		restart   = flag.Bool("restartable", false, "mark the shutdown GOODBYE with a restart hint so clients reconnect instead of failing terminally")
 	)
 	flag.Parse()
+	if *sizeS < 0 || *sizeR < 0 {
+		fmt.Fprintf(os.Stderr, "tnnserve: dataset sizes must be >= 0, got -s %d -r %d\n", *sizeS, *sizeR)
+		os.Exit(2)
+	}
+	if *slotDur <= 0 {
+		fmt.Fprintf(os.Stderr, "tnnserve: slot duration must be positive, got -slot %v\n", *slotDur)
+		os.Exit(2)
+	}
 
 	params := broadcast.DefaultParams()
 	params.PageCap = *pageCap

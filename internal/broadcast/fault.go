@@ -31,9 +31,9 @@ const (
 	// FaultLost models a page that never reached the receiver (fade,
 	// collision, tune-in missed the preamble).
 	FaultLost FaultKind = iota
-	// FaultCorrupt models a page that arrived but failed its CRC32C
-	// trailer check (see wire.go): the receiver burned the energy to
-	// download it, detected the damage, and must discard it.
+	// FaultCorrupt models a page that arrived but failed its frame's
+	// CRC32C check: the receiver burned the energy to download it,
+	// detected the damage, and must discard it.
 	FaultCorrupt
 )
 
@@ -52,9 +52,7 @@ func (k FaultKind) String() string {
 // panicked) by the fault-aware read paths so clients can re-derive the
 // page's next arrival and retry.
 type PageFault struct {
-	// Slot is the channel slot whose page was lost or corrupted. A
-	// negative slot means the fault was detected outside the slot
-	// timeline (DecodeNode checksum failures on a raw image).
+	// Slot is the channel slot whose page was lost or corrupted.
 	Slot int64
 	// Kind says whether the page was lost outright or received damaged.
 	Kind FaultKind
@@ -62,9 +60,6 @@ type PageFault struct {
 
 // Error implements error.
 func (f *PageFault) Error() string {
-	if f.Slot < 0 {
-		return fmt.Sprintf("broadcast: page %s", f.Kind)
-	}
 	return fmt.Sprintf("broadcast: page at slot %d %s", f.Slot, f.Kind)
 }
 

@@ -3,10 +3,8 @@ package broadcast
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
-	"tnnbcast/internal/geom"
 	"tnnbcast/internal/rtree"
 )
 
@@ -17,50 +15,36 @@ import (
 // achievable byte-for-byte, and to give downstream users a concrete page
 // layout.
 //
-// Index page layout (one R-tree node per page), format version 2:
+// Index page layout (one R-tree node per page):
 //
-//	[1B version][1B kind/leaf flag][1B entry count] then per entry:
+//	[1B kind/leaf flag][1B entry count] then per entry:
 //	  internal: [4×float32 MBR][uint16 pointer]              (18 B)
 //	  leaf:     [2×float32 point][uint16 pointer]            (10 B)
-//	then zero padding to PageCap, then [4B CRC32C trailer].
+//	then zero padding to PageCap + 2 (PageImageSize).
 //
-// The trailer is the CRC32C (Castagnoli) checksum, big-endian, of every
-// byte before it — header, entries, and padding. CRC32C detects all
-// single- and double-bit errors at these page sizes, so a receiver can
-// tell "damaged page" from "bad geometry": DecodeNode returns a typed
-// *PageFault (FaultCorrupt) on a checksum mismatch instead of handing
-// corrupted MBRs to the search. Version 1 had no version byte and no
-// trailer; version-2 decoders reject it loudly rather than misparse.
+// The 2-byte header sits outside PageCap: the entries alone must fit the
+// capacity, which is exactly the paper's Table 2 arithmetic, and the
+// encoder rejects nodes that overflow it. A page image carries no version
+// and no checksum of its own: it travels only inside a netfeed frame, and
+// the frame's version byte and CRC32-C trailer cover the image too.
 //
 // Pointer encoding: a 2-byte pointer cannot hold an absolute slot of a
 // multi-million-slot cycle, so — as real air indexes do — pointers are
 // *relative* delays in coarse units: the number of whole pointerUnit-slot
 // ticks from the start of the carrying page's slot until the target page
-// is on air, where pointerUnit = ⌈cycle/65536⌉. Decoders recover a slot
-// window of width pointerUnit containing the target; the simulation's
-// arrival queries are the exact counterpart.
-//
-// The 2-byte page header is accounted against the page capacity before
-// computing entry capacities in headeredParams (the paper's Table 2
-// numbers have no explicit header; Params without header reproduces them,
-// and the encoder rejects nodes that overflow the raw capacity).
+// is on air, where pointerUnit = ⌈cycle/65536⌉ over the physical channel's
+// cycle. Decoders recover a slot window of width pointerUnit containing
+// the target; the simulation's arrival queries are the exact counterpart.
 
-// WireVersion is the current page format version, carried in the first
-// header byte. Bumped to 2 when the CRC32C trailer and version byte were
-// added.
-const WireVersion = 2
+// pageHeaderSize is the per-page header: kind/flags byte + entry count.
+const pageHeaderSize = 2
 
-// WireHeaderSize is the per-page header: version byte + kind/flags byte +
-// entry count.
-const WireHeaderSize = 3
-
-// WireTrailerSize is the CRC32C trailer appended after the padded page
-// body.
-const WireTrailerSize = 4
-
-// crcTable is the Castagnoli polynomial table shared by encoder and
-// decoder.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// PageImageSize returns the size in bytes of one encoded page image:
+// the header plus the page capacity. Every slot of a service carries a
+// payload of this size, index and data alike.
+func PageImageSize(p Params) int {
+	return p.PageCap + pageHeaderSize
+}
 
 // pointerUnit returns the coarse tick size used by 2-byte relative
 // pointers for a cycle of the given length.
@@ -72,21 +56,37 @@ func pointerUnit(cycleLen int64) int64 {
 	return u
 }
 
-// EncodeNode serializes the node as broadcast at slot carrySlot on ch into
-// a page image of exactly params.PageCap bytes (zero padded). Child and
-// data pointers are encoded relative to carrySlot. It returns an error if
-// the node's entries do not fit the page capacity.
-func EncodeNode(ch *Channel, n *rtree.Node, carrySlot int64, params Params) ([]byte, error) {
-	return EncodeNodeOn(ch, n, carrySlot, params, ch.Index().CycleLen())
+// EncodeCycle serializes every index page of one cycle of physical
+// channel c, all replications included. It returns one image per
+// cycle-relative slot — the slot Phase(c)+i for image i — and nil at data
+// slots. Relative pointer delays do not depend on which repetition of the
+// cycle carries a page, so the images serve every cycle. It fails if a
+// node of the tree does not fit its page.
+func (a *Air) EncodeCycle(c int) ([][]byte, error) {
+	cycle, phase := a.CycleLen(c), a.Phase(c)
+	out := make([][]byte, cycle)
+	for rel := range out {
+		abs := phase + int64(rel)
+		pg, d := a.PageOn(c, abs)
+		if pg.Kind != IndexPage {
+			continue
+		}
+		img, err := encodeNode(a.Feeds[d], a.Trees[d].Nodes[pg.NodeID], abs, a.Indexes[d].Params(), cycle)
+		if err != nil {
+			return nil, fmt.Errorf("slot %d (node %d): %w", rel, pg.NodeID, err)
+		}
+		out[rel] = img
+	}
+	return out, nil
 }
 
-// EncodeNodeOn is EncodeNode over any Feed. cycleLen must be the PHYSICAL
-// channel's cycle length — the feed's own program cycle for a dedicated
-// channel, the combined cycle for one program's share of a multiplexed
-// channel — because it fixes the coarse pointer unit and a multiplexed
-// feed's arrival delays span the combined cycle.
-func EncodeNodeOn(ch Feed, n *rtree.Node, carrySlot int64, params Params, cycleLen int64) ([]byte, error) {
-	buf := make([]byte, 0, params.PageCap)
+// encodeNode serializes node n, broadcast at slot carrySlot on feed f,
+// into a page image of PageImageSize(params) bytes. Child and data
+// pointers are relative to carrySlot, in units fixed by the physical
+// channel's cycle length cycleLen: a multiplexed feed's arrival delays
+// span the combined cycle.
+func encodeNode(f Feed, n *rtree.Node, carrySlot int64, params Params, cycleLen int64) ([]byte, error) {
+	buf := make([]byte, 0, PageImageSize(params))
 	unit := pointerUnit(cycleLen)
 
 	relPtr := func(target int64) (uint16, error) {
@@ -105,7 +105,7 @@ func EncodeNodeOn(ch Feed, n *rtree.Node, carrySlot int64, params Params, cycleL
 	if n.Leaf() {
 		kind = 1
 	}
-	buf = append(buf, WireVersion, kind, byte(len(n.Children)+len(n.Entries)))
+	buf = append(buf, kind, byte(len(n.Children)+len(n.Entries)))
 
 	if n.Leaf() {
 		if len(n.Entries) > params.LeafCap() {
@@ -115,7 +115,7 @@ func EncodeNodeOn(ch Feed, n *rtree.Node, carrySlot int64, params Params, cycleL
 		for _, e := range n.Entries {
 			buf = f32(buf, e.Point.X)
 			buf = f32(buf, e.Point.Y)
-			p, err := relPtr(ch.NextObjectArrival(e.ID, carrySlot))
+			p, err := relPtr(f.NextObjectArrival(e.ID, carrySlot))
 			if err != nil {
 				return nil, err
 			}
@@ -131,121 +131,22 @@ func EncodeNodeOn(ch Feed, n *rtree.Node, carrySlot int64, params Params, cycleL
 			buf = f32(buf, c.MBR.Lo.Y)
 			buf = f32(buf, c.MBR.Hi.X)
 			buf = f32(buf, c.MBR.Hi.Y)
-			p, err := relPtr(ch.NextNodeArrival(c.ID, carrySlot+1))
+			p, err := relPtr(f.NextNodeArrival(c.ID, carrySlot+1))
 			if err != nil {
 				return nil, err
 			}
 			buf = binary.BigEndian.AppendUint16(buf, p)
 		}
 	}
-	if len(buf) > params.PageCap+WireHeaderSize {
+	if len(buf) > PageImageSize(params) {
 		return nil, fmt.Errorf("broadcast: page image %dB exceeds capacity %dB (+%dB header)",
-			len(buf), params.PageCap, WireHeaderSize)
+			len(buf), params.PageCap, pageHeaderSize)
 	}
-	// Pad to a fixed page size (capacity + header), then seal with the
-	// CRC32C trailer over everything before it.
-	for len(buf) < params.PageCap+WireHeaderSize {
-		buf = append(buf, 0)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-	return buf, nil
-}
-
-// WireEntry is one decoded index-page entry.
-type WireEntry struct {
-	// MBR is the child bounding box (internal pages); for leaf pages Lo
-	// holds the point and Hi is unused.
-	MBR geom.Rect
-	// DelayLo and DelayHi bound the slots (relative to the carrying page)
-	// at which the referenced page is on air: the coarse 2-byte pointer
-	// quantizes the exact delay into a window.
-	DelayLo, DelayHi int64
-}
-
-// WirePage is a decoded index page.
-type WirePage struct {
-	Leaf    bool
-	Entries []WireEntry
-}
-
-// DecodeNode parses a page image produced by EncodeNode. cycleLen must be
-// the carrying channel's cycle length (it determines the pointer unit).
-// Integrity is verified before anything is parsed: a wrong version byte is
-// a format error, and a CRC32C mismatch returns a typed *PageFault of kind
-// FaultCorrupt (errors.As-able) — a damaged page is a channel event, not
-// decodable geometry.
-func DecodeNode(img []byte, params Params, cycleLen int64) (WirePage, error) {
-	if len(img) < WireHeaderSize+WireTrailerSize {
-		return WirePage{}, fmt.Errorf("broadcast: short page image (%dB)", len(img))
-	}
-	body, trailer := img[:len(img)-WireTrailerSize], img[len(img)-WireTrailerSize:]
-	if got, want := crc32.Checksum(body, crcTable), binary.BigEndian.Uint32(trailer); got != want {
-		return WirePage{}, &PageFault{Slot: -1, Kind: FaultCorrupt}
-	}
-	if img[0] != WireVersion {
-		return WirePage{}, fmt.Errorf("broadcast: page format version %d, want %d", img[0], WireVersion)
-	}
-	unit := pointerUnit(cycleLen)
-	leaf := img[1] == 1
-	count := int(img[2])
-	out := WirePage{Leaf: leaf}
-	off := WireHeaderSize
-	img = body
-	entry := params.IndexEntrySize()
-	if leaf {
-		entry = params.LeafEntrySize()
-	}
-	if off+count*entry > len(img) {
-		return WirePage{}, fmt.Errorf("broadcast: %d entries overflow %dB image", count, len(img))
-	}
-	for i := 0; i < count; i++ {
-		var e WireEntry
-		if leaf {
-			x := rf32(img[off:])
-			y := rf32(img[off+4:])
-			e.MBR = geom.Rect{Lo: geom.Pt(x, y), Hi: geom.Pt(x, y)}
-			off += 8
-		} else {
-			lox := rf32(img[off:])
-			loy := rf32(img[off+4:])
-			hix := rf32(img[off+8:])
-			hiy := rf32(img[off+12:])
-			e.MBR = geom.Rect{Lo: geom.Pt(lox, loy), Hi: geom.Pt(hix, hiy)}
-			off += 16
-		}
-		ticks := int64(binary.BigEndian.Uint16(img[off:]))
-		off += 2
-		e.DelayLo = ticks * unit
-		e.DelayHi = (ticks+1)*unit - 1
-		out.Entries = append(out.Entries, e)
-	}
-	return out, nil
-}
-
-// EncodeCycleIndex serializes every index page of one full broadcast cycle
-// (all m replications) and returns the images keyed by slot. It validates
-// that every node of the tree fits its page.
-func EncodeCycleIndex(ch *Channel, params Params) (map[int64][]byte, error) {
-	idx := ch.Index()
-	out := make(map[int64][]byte)
-	for s := int64(0); s < idx.CycleLen(); s++ {
-		pg := ch.PageAt(s)
-		if pg.Kind != IndexPage {
-			continue
-		}
-		img, err := EncodeNode(ch, idx.Tree().Nodes[pg.NodeID], s, params)
-		if err != nil {
-			return nil, fmt.Errorf("slot %d (node %d): %w", s, pg.NodeID, err)
-		}
-		out[s] = img
-	}
-	return out, nil
+	// Pad to the fixed page size so the air is slot-uniform: the buffer's
+	// spare capacity is still zero.
+	return buf[:PageImageSize(params)], nil
 }
 
 func f32(b []byte, v float64) []byte {
 	return binary.BigEndian.AppendUint32(b, math.Float32bits(float32(v)))
-}
-
-func rf32(b []byte) float64 {
-	return float64(math.Float32frombits(binary.BigEndian.Uint32(b)))
 }

@@ -8,12 +8,11 @@ import (
 	"tnnbcast/internal/rtree"
 )
 
-// FuzzWireRoundTrip drives EncodeNode/DecodeNode over fuzz-chosen dataset
-// sizes, page capacities, phase offsets, and carrier slots (on both index
-// families) and checks the full wire contract: fixed image size, exact
-// header fields, float32-rounded geometry, and — the part the whole air
-// index stands on — every decoded relative-pointer window containing the
-// true next arrival of its target page.
+// FuzzWireRoundTrip drives the page encoder and the reference decoder over
+// fuzz-chosen dataset sizes, page capacities, phase offsets, and carrier
+// slots (on both index families) and checks the full wire contract
+// (checkPage). Single-bit flips are the frame's to reject: netfeed's
+// TestFrameRejectsEveryBitFlip.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint16(80), uint8(0), int64(13), uint16(5), false)
 	f.Add(uint16(1), uint8(1), int64(0), uint16(0), false)
@@ -52,92 +51,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 		slot := ch.NextNodeArrival(idx.PageAt(rel).NodeID, 0)
 		node, _ := ch.ReadNode(slot)
 
-		img, err := EncodeNode(ch, node, slot, p)
+		img, err := encodeNode(ch, node, slot, p, idx.CycleLen())
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		if len(img) != p.PageCap+WireHeaderSize+WireTrailerSize {
-			t.Fatalf("image size %d, want %d", len(img), p.PageCap+WireHeaderSize+WireTrailerSize)
-		}
-		dec, err := DecodeNode(img, p, idx.CycleLen())
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if dec.Leaf != node.Leaf() {
-			t.Fatal("leaf flag mismatch")
-		}
-		if want := len(node.Children) + len(node.Entries); len(dec.Entries) != want {
-			t.Fatalf("entry count %d, want %d", len(dec.Entries), want)
-		}
-
-		unit := pointerUnit(idx.CycleLen())
-		if node.Leaf() {
-			for i, e := range node.Entries {
-				w := dec.Entries[i]
-				if float64(float32(e.Point.X)) != w.MBR.Lo.X ||
-					float64(float32(e.Point.Y)) != w.MBR.Lo.Y {
-					t.Fatalf("entry %d: point not float32-exact", i)
-				}
-				// Window recovery: width exactly one pointer unit, true
-				// delay inside.
-				if w.DelayHi-w.DelayLo != unit-1 {
-					t.Fatalf("entry %d: window width %d, unit %d", i, w.DelayHi-w.DelayLo+1, unit)
-				}
-				want := ch.NextObjectArrival(e.ID, slot) - slot
-				if want < w.DelayLo || want > w.DelayHi {
-					t.Fatalf("entry %d: true delay %d outside [%d,%d]",
-						i, want, w.DelayLo, w.DelayHi)
-				}
-			}
-		} else {
-			for i, c := range node.Children {
-				w := dec.Entries[i]
-				for _, pair := range [][2]float64{
-					{c.MBR.Lo.X, w.MBR.Lo.X}, {c.MBR.Lo.Y, w.MBR.Lo.Y},
-					{c.MBR.Hi.X, w.MBR.Hi.X}, {c.MBR.Hi.Y, w.MBR.Hi.Y},
-				} {
-					if float64(float32(pair[0])) != pair[1] {
-						t.Fatalf("child %d: MBR not float32-exact", i)
-					}
-				}
-				if w.DelayHi-w.DelayLo != unit-1 {
-					t.Fatalf("child %d: window width %d, unit %d", i, w.DelayHi-w.DelayLo+1, unit)
-				}
-				want := ch.NextNodeArrival(c.ID, slot+1) - slot
-				if want < w.DelayLo || want > w.DelayHi {
-					t.Fatalf("child %d: true delay %d outside [%d,%d]",
-						i, want, w.DelayLo, w.DelayHi)
-				}
-			}
-		}
-		// Padding must be all zeros: decoders rely on the count byte, but
-		// fixed-size pages must not leak stale bytes. (The CRC trailer after
-		// the padding is of course nonzero.)
-		used := WireHeaderSize
-		if node.Leaf() {
-			used += len(node.Entries) * p.LeafEntrySize()
-		} else {
-			used += len(node.Children) * p.IndexEntrySize()
-		}
-		for i := used; i < len(img)-WireTrailerSize; i++ {
-			if img[i] != 0 {
-				t.Fatalf("padding byte %d = %#x", i, img[i])
-			}
-		}
-
-		// Integrity: every single-bit flip of the valid image — header,
-		// entries, padding, or trailer — must be rejected by DecodeNode.
-		// CRC32C detects all 1- and 2-bit errors at these page sizes, so
-		// none of the 8·len(img) damaged images may decode.
-		flipped := make([]byte, len(img))
-		for byteIdx := range img {
-			for bit := 0; bit < 8; bit++ {
-				copy(flipped, img)
-				flipped[byteIdx] ^= 1 << bit
-				if _, err := DecodeNode(flipped, p, idx.CycleLen()); err == nil {
-					t.Fatalf("bit flip at byte %d bit %d decoded cleanly", byteIdx, bit)
-				}
-			}
-		}
+		checkPage(t, ch, node, slot, img, p, idx.CycleLen())
 	})
 }

@@ -121,8 +121,7 @@ type slotKey struct {
 // resolves (frame delivered, possibly as a corrupt-fault).
 type slotState struct {
 	done  chan struct{}
-	fault *broadcast.PageFault // nil: clean payload in frame
-	frame Frame
+	fault *broadcast.PageFault // nil: clean reception
 	// deadline is the latest waiter's give-up time; the janitor must not
 	// evict an unresolved subscription before it passes.
 	deadline time.Time
@@ -757,6 +756,7 @@ func (c *Conn) receive(ch uint8, t int64) *broadcast.PageFault {
 }
 
 // deliver resolves a received frame buffer against the subscription map.
+// It keeps nothing of buf, so readers decode from a reused buffer.
 func (c *Conn) deliver(buf []byte) {
 	f, err := DecodeFrame(buf)
 	var fault *broadcast.PageFault
@@ -805,7 +805,6 @@ func (c *Conn) deliver(buf []byte) {
 		case <-st.done:
 		default:
 			st.fault = fault
-			st.frame = f
 			close(st.done)
 		}
 	}
@@ -822,9 +821,7 @@ func (c *Conn) udpReader() {
 		n, _, err := c.udp.ReadFromUDP(buf)
 		if n > 0 {
 			c.bytesRead.Add(int64(n))
-			frame := make([]byte, n)
-			copy(frame, buf[:n])
-			c.deliver(frame)
+			c.deliver(buf[:n])
 		}
 		if err != nil {
 			// The UDP socket only dies on Close.
@@ -840,17 +837,18 @@ func (s *session) readLoop() {
 	defer s.wg.Done()
 	c := s.c
 	var lenBuf [4]byte
+	buf := make([]byte, c.frameSize+256)
 	for {
 		if _, err := io.ReadFull(s.tcp, lenBuf[:]); err != nil {
 			s.die(err)
 			return
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > uint32(c.frameSize+256) {
+		if n == 0 || n > uint32(len(buf)) {
 			s.die(&FrameError{Part: "frame", Reason: FrameBadLength, Got: int(n), Want: c.frameSize})
 			return
 		}
-		body := make([]byte, n)
+		body := buf[:n]
 		if _, err := io.ReadFull(s.tcp, body); err != nil {
 			s.die(err)
 			return
@@ -988,8 +986,9 @@ func (f *remoteFeed) Fault(t int64) *broadcast.PageFault {
 }
 
 // ReadNode implements Feed: a real reception followed by the local tree
-// lookup (the received payload is bit-identical to the local encoding —
-// the desync check enforces the identity, the frame CRC the integrity).
+// lookup. The payload itself is never parsed: the frame CRC vouches for
+// its integrity, and the desync check that the frame's kind, ref and seq
+// name the page the local schedule puts on air at that slot.
 func (f *remoteFeed) ReadNode(t int64) (*rtree.Node, *broadcast.PageFault) {
 	if pf := f.Fault(t); pf != nil {
 		return nil, pf

@@ -11,9 +11,10 @@ import (
 // Frame layer: one broadcast slot on the wire. A frame is the unit a
 // receiver's radio sees — a slot-clock header naming the channel, the
 // absolute slot, and the page identity, followed by the page image (the
-// wire.go v2 layout for index pages; deterministic filler for data pages),
-// sealed with a CRC32C trailer over everything before it. UDP carries one
-// frame per datagram; the TCP fallback length-prefixes the same bytes.
+// broadcast wire layout for index pages; deterministic filler for data
+// pages), sealed with a CRC32C trailer over everything before it. UDP
+// carries one frame per datagram; the TCP fallback length-prefixes the
+// same bytes.
 //
 // Frame layout (header is FrameHeaderSize bytes, fixed):
 //
@@ -28,13 +29,13 @@ import (
 //	[20:..] payload
 //	[..+4]  CRC32C (Castagnoli, big-endian) of header + payload
 //
-// The trailer is the reception-integrity check: a receiver treats a
-// checksum mismatch as a damaged page — a *broadcast.PageFault of kind
-// FaultCorrupt, energy spent, content discarded — while truncation, a
-// foreign magic byte, or a version skew are protocol errors (*FrameError)
-// that can never be mistaken for a valid reception. Index payloads carry
-// their own page-level CRC32C inside (wire.go), so a frame that somehow
-// passes the outer check still cannot hand damaged geometry to a decoder.
+// The trailer is the one integrity check on the wire: page images carry
+// no checksum of their own. A receiver treats a checksum mismatch as a
+// damaged page — a *broadcast.PageFault of kind FaultCorrupt, energy
+// spent, content discarded — while truncation, a foreign magic byte, or a
+// version skew are protocol errors (*FrameError) that can never be
+// mistaken for a valid reception. CRC32C detects every 1- and 2-bit error
+// at these frame sizes, so every single-bit flip of a frame is rejected.
 
 // FrameMagic is the first byte of every frame.
 const FrameMagic = 0xB7
@@ -48,7 +49,7 @@ const FrameHeaderSize = 20
 // FrameTrailerSize is the CRC32C trailer size in bytes.
 const FrameTrailerSize = 4
 
-// frameCRC is the Castagnoli table shared with the page wire format.
+// frameCRC is the Castagnoli table shared by frames and the preamble.
 var frameCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Frame is one decoded slot transmission.
@@ -72,14 +73,7 @@ type Frame struct {
 // image for the given parameters: every slot of one service transmits
 // frames of exactly this size, index and data alike.
 func FrameSize(p broadcast.Params) int {
-	return FrameHeaderSize + PageImageSize(p) + FrameTrailerSize
-}
-
-// PageImageSize returns the size of one encoded page image (the wire.go v2
-// layout: header + capacity + CRC trailer). Data-page filler is padded to
-// the same size so the air is slot-uniform.
-func PageImageSize(p broadcast.Params) int {
-	return p.PageCap + broadcast.WireHeaderSize + broadcast.WireTrailerSize
+	return FrameHeaderSize + broadcast.PageImageSize(p) + FrameTrailerSize
 }
 
 // AppendFrame serializes f onto dst and returns the extended slice.

@@ -88,6 +88,101 @@ func TestFrameDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
+// requireFlipsRejected flips every bit of buf, the clean encoding of f,
+// and requires DecodeFrame to reject each damaged copy with a typed
+// *FrameError. A flip past the header must be a FrameChecksum whose
+// decoded header still names f's slot, so the fault is attributed.
+func requireFlipsRejected(t *testing.T, buf []byte, f Frame) {
+	t.Helper()
+	bad := make([]byte, len(buf))
+	for i := range buf {
+		for bit := range 8 {
+			copy(bad, buf)
+			bad[i] ^= 1 << bit
+			got, err := DecodeFrame(bad)
+			var fe *FrameError
+			if !errors.As(err, &fe) {
+				t.Fatalf("slot %d: flip of byte %d bit %d: got %v, want *FrameError", f.Slot, i, bit, err)
+			}
+			if i < FrameHeaderSize {
+				continue
+			}
+			if fe.Reason != FrameChecksum || got.Channel != f.Channel || got.Kind != f.Kind ||
+				got.Slot != f.Slot || got.Ref != f.Ref || got.Seq != f.Seq {
+				t.Fatalf("slot %d: flip of byte %d bit %d: %v with header %+v, want a checksum failure naming the slot",
+					f.Slot, i, bit, err, got)
+			}
+		}
+	}
+}
+
+// TestFrameRejectsEveryBitFlip holds the wire's integrity bar on the
+// frames a server actually sends: index and data slots, on dedicated
+// channels and on one multiplexed channel. Every single-bit flip of every
+// frame is rejected, and one landing in the payload or trailer still
+// attributes the damage to its slot.
+func TestFrameRejectsEveryBitFlip(t *testing.T) {
+	if got := FrameSize(broadcast.DefaultParams()); got != 90 {
+		t.Fatalf("FrameSize(DefaultParams()) = %d, want 90", got)
+	}
+	for _, single := range []bool{false, true} {
+		sp := testSpec(60)
+		sp.Single = single
+		sp.OffS, sp.OffR = 11, 29
+		srv, err := NewServer(ServerConfig{Spec: sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range srv.air.Channels() {
+			perKind := map[broadcast.PageKind]int{}
+			for t0 := srv.air.Phase(c); perKind[broadcast.IndexPage] < 20 || perKind[broadcast.DataPage] < 20; t0++ {
+				pg, _ := srv.air.PageOn(c, t0)
+				if perKind[pg.Kind] == 20 {
+					continue
+				}
+				perKind[pg.Kind]++
+				buf := srv.frameFor(c, t0)
+				if len(buf) != FrameSize(sp.Params) {
+					t.Fatalf("single=%v channel %d slot %d: frame %dB, want %dB", single, c, t0, len(buf), FrameSize(sp.Params))
+				}
+				f, err := DecodeFrame(buf)
+				if err != nil || f.Slot != t0 || f.Kind != pg.Kind {
+					t.Fatalf("single=%v channel %d slot %d: clean frame decodes to %+v, %v", single, c, t0, f, err)
+				}
+				requireFlipsRejected(t, buf, f)
+			}
+		}
+	}
+}
+
+// BenchmarkFrameCodec seals and decodes one standard index frame: the
+// per-reception cost of the frame layer on both ends of the wire.
+func BenchmarkFrameCodec(b *testing.B) {
+	srv, err := NewServer(ServerConfig{Spec: testSpec(200)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	t0 := srv.air.Phase(0)
+	for pg, _ := srv.air.PageOn(0, t0); pg.Kind != broadcast.IndexPage; pg, _ = srv.air.PageOn(0, t0) {
+		t0++
+	}
+	f, err := DecodeFrame(srv.frameFor(0, t0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.Payload = append([]byte(nil), f.Payload...)
+	buf := make([]byte, 0, FrameSize(srv.cfg.Spec.Params))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Slot = int64(i)
+		buf = AppendFrame(buf[:0], f)
+		if _, err := DecodeFrame(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestPreambleRoundTrip(t *testing.T) {
 	sp := testSpec(50)
 	sp.Scheme = broadcast.SchemeDistributed
@@ -223,6 +318,13 @@ func TestHelloWakeRoundTrip(t *testing.T) {
 	if _, _, _, _, err := decodeHello(b); err == nil {
 		t.Fatal("version-skewed hello accepted")
 	}
+	// A protocol-2 peer still seals page images with their own trailer,
+	// so its frames are five bytes longer: it must fail the handshake.
+	binary.BigEndian.PutUint16(b[4:6], 2)
+	var fe *FrameError
+	if _, _, _, _, err := decodeHello(b); !errors.As(err, &fe) || fe.Reason != FrameVersionSkew {
+		t.Fatalf("protocol-2 hello: got %v, want version skew", err)
+	}
 
 	w := appendWake(nil, 1, -77)
 	ch, slot, err := decodeWake(w)
@@ -274,10 +376,12 @@ func TestSlotClock(t *testing.T) {
 
 // FuzzFrameRoundTrip throws arbitrary bytes at the slot-frame and preamble
 // decoders: every outcome must be either a clean decode or a typed error —
-// never a panic, never silent misparsing of a corrupted valid frame.
+// never a panic. Every single-bit flip of a frame that decodes cleanly
+// must be rejected (requireFlipsRejected), so no corrupted valid frame is
+// ever silently misparsed.
 func FuzzFrameRoundTrip(f *testing.F) {
 	sp := testSpec(20)
-	f.Add(AppendFrame(nil, Frame{Channel: 1, Kind: broadcast.DataPage, Slot: 99, Ref: 5, Seq: 1, Payload: make([]byte, 71)}), true)
+	f.Add(AppendFrame(nil, Frame{Channel: 1, Kind: broadcast.DataPage, Slot: 99, Ref: 5, Seq: 1, Payload: make([]byte, 66)}), true)
 	f.Add(appendPreamble(nil, sp, time.Millisecond, 42), false)
 	f.Add(appendWarmPreamble(nil, specDigest(appendSpecBody(nil, sp)), time.Millisecond, 42), false)
 	f.Add([]byte{FrameMagic, FrameVersion}, true)
@@ -299,6 +403,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			if got := AppendFrame(nil, fr); string(got) != string(data) {
 				t.Fatalf("valid frame did not round-trip: %d bytes vs %d", len(got), len(data))
 			}
+			requireFlipsRejected(t, data, fr)
 			return
 		}
 		spec, dur, _, _, warm, err := decodePreamble(data)

@@ -14,8 +14,8 @@
 // index and, from then on, needs the wire only for receptions. All
 // schedule-truth queries (PageAt, arrival times) are answered from that
 // local reconstruction; what travels per slot is the RECEPTION: a frame
-// carrying the slot-clock header and the wire-format page image (wire.go's
-// v2 layout, CRC32C trailer included).
+// carrying the slot-clock header and the wire-format page image, sealed by
+// the frame's CRC32C trailer.
 //
 // The medium is broadcast, but a real receiver powers its radio only
 // during scheduled slots. netfeed models the doze/wake NIC schedule
@@ -65,8 +65,11 @@ import (
 // ProtoVersion is the netfeed protocol version, carried in the HELLO and
 // PREAMBLE. Decoders reject any other version loudly (FrameVersionSkew)
 // rather than misparse. Version 2 added warm-resume digests to the
-// handshake, heartbeats, and the GOODBYE drain notice.
-const ProtoVersion = 2
+// handshake, heartbeats, and the GOODBYE drain notice. Version 3 dropped
+// the page images' own version byte and CRC32C trailer, which shrinks
+// every frame by five bytes: a version-2 peer must fail the handshake
+// rather than miscount frame sizes.
+const ProtoVersion = 3
 
 // Spec describes one broadcast service completely enough for a client to
 // reconstruct the air schedule bit-for-bit: the physical page parameters,

@@ -135,26 +135,19 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	srv.specBody = appendSpecBody(nil, cfg.Spec)
 	srv.digest = specDigest(srv.specBody)
-	pageImage := PageImageSize(cfg.Spec.Params)
+	pageImage := broadcast.PageImageSize(cfg.Spec.Params)
 	srv.images = make([][]payloadImage, air.Channels())
 	for c := range srv.images {
-		cycle, phase := air.CycleLen(c), air.Phase(c)
-		srv.images[c] = make([]payloadImage, cycle)
-		for rel := int64(0); rel < cycle; rel++ {
-			abs := phase + rel
-			pg, d := air.PageOn(c, abs)
-			pi := payloadImage{kind: pg.Kind}
-			if pg.Kind == broadcast.IndexPage {
-				pi.ref = uint32(pg.NodeID)
-				img, err := broadcast.EncodeNodeOn(air.Feeds[d], air.Trees[d].Nodes[pg.NodeID],
-					abs, cfg.Spec.Params, cycle)
-				if err != nil {
-					return nil, fmt.Errorf("netfeed: channel %d slot %d: %w", c, rel, err)
-				}
-				pi.img = img
-			} else {
-				pi.ref = uint32(pg.ObjectID)
-				pi.seq = uint16(pg.Seq)
+		imgs, err := air.EncodeCycle(c)
+		if err != nil {
+			return nil, fmt.Errorf("netfeed: channel %d: %w", c, err)
+		}
+		srv.images[c] = make([]payloadImage, len(imgs))
+		for rel, img := range imgs {
+			pg, _ := air.PageOn(c, air.Phase(c)+int64(rel))
+			pi := payloadImage{kind: pg.Kind, ref: uint32(pg.NodeID), img: img}
+			if pg.Kind == broadcast.DataPage {
+				pi.ref, pi.seq = uint32(pg.ObjectID), uint16(pg.Seq)
 				pi.img = dataPayload(make([]byte, pageImage), pi.ref, pi.seq)
 			}
 			srv.images[c][rel] = pi

@@ -62,6 +62,7 @@ trap 'rm -f "$measured"' EXIT
 	min_nsop '^BenchmarkNew$' '20x' .
 	min_nsop '^BenchmarkBroadcastProgramBuild$' '2000x' .
 	min_nsop '^BenchmarkWireEncodeCycleIndex$' '100x' .
+	min_nsop '^BenchmarkFrameCodec$' '200000x' ./internal/netfeed
 } >"$measured"
 
 calib=$(awk '$1 == "BenchmarkCalibration" { print $2 }' "$measured")
