@@ -227,6 +227,48 @@ func BenchmarkNextNodeArrival(b *testing.B) {
 	}
 }
 
+// BenchmarkChildArrival guards how a search derives a child's arrival
+// after receiving its parent: the parent's slot plus the index's pointer
+// table entry, or the feed's NextNodeArrival where the entry is 0. It
+// walks every child entry from its parent's first broadcast after slot
+// 12345 and reports the share the table serves.
+func BenchmarkChildArrival(b *testing.B) {
+	feeds := arrivalChannels(b)
+	for _, name := range []string{"preorder", "distributed"} {
+		b.Run(name, func(b *testing.B) {
+			ch := feeds[name]
+			idx := ch.Index()
+			f, delays := idx.Tree().Flat(), idx.ChildDelays()
+			slots := make([]int64, len(f.Key)) // the parent's slot, per entry
+			served := 0
+			for p := range f.EntFirst {
+				first, end := f.EntRange(int32(p))
+				for e := first; e < end; e++ {
+					slots[e] = ch.NextNodeArrival(p, 12345)
+					if delays[e] != 0 {
+						served++
+					}
+				}
+			}
+			var sink int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := i % len(slots)
+				if d := delays[e]; d != 0 {
+					sink += slots[e] + int64(d)
+				} else {
+					sink += ch.NextNodeArrival(int(f.Key[e]), slots[e]+1)
+				}
+			}
+			b.StopTimer()
+			if sink == 0 {
+				b.Fatal("no arrivals")
+			}
+			b.ReportMetric(float64(served)/float64(len(slots)), "table_frac")
+		})
+	}
+}
+
 func BenchmarkNextObjectArrival(b *testing.B) {
 	feeds := arrivalChannels(b)
 	for _, name := range []string{"preorder", "distributed", "skewed", "distributed+memo"} {

@@ -94,6 +94,10 @@ func main() {
 		Window: *window, VerifyWorkers: *verify,
 		Air: broadcast.AirSpec{Params: params, Scheme: scheme, Cut: *cut,
 			Faults: broadcast.FaultModel{Loss: *loss, Burst: *burst, Corrupt: *corrupt, Seed: *faultseed}}}
+	if *queries < 0 {
+		fmt.Fprintf(os.Stderr, "tnnbench: -queries must be >= 0, got %d\n", *queries)
+		os.Exit(2)
+	}
 	if *window < 0 {
 		fmt.Fprintf(os.Stderr, "tnnbench: -window must be >= 0, got %g\n", *window)
 		os.Exit(2)

@@ -21,14 +21,15 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRejectsInvalidAir: out-of-range page and fault flags are usage
-// errors — a one-line message and exit status 2 — never a panic inside
+// TestRejectsInvalidAir: out-of-range page and fault flags, and a
+// negative query count, are usage errors — a one-line message and exit status 2 — never a panic inside
 // an experiment.
 func TestRejectsInvalidAir(t *testing.T) {
 	for _, args := range []string{
 		"-exp fig9c -queries 1 -page 8",
 		"-exp fig9a -queries 1 -loss 0.01 -burst NaN",
 		"-exp fig9a -queries 1 -loss 0.01 -burst 1e12",
+		"-exp fig9a -queries -5",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(), "TNNBENCH_ARGS="+args)

@@ -58,6 +58,15 @@ type AirIndex interface {
 	NextNodeSlot(nodeID int, rel int64) int64
 	// NextObjectSlot is NextNodeSlot for the first data page of objectID.
 	NextObjectSlot(objectID int, rel int64) int64
+	// ChildDelays returns the index's pointer table, indexed like the
+	// child entries of Tree().Flat(): entry e holds the delay in slots
+	// from a broadcast of e's parent to the next broadcast of child
+	// Key[e] — the arrival-time pointer the parent's page carries. It
+	// holds 0 where no one delay serves every broadcast of the parent:
+	// the delay differs between the parent's occurrences, or the child's
+	// next broadcast falls in the next program cycle. The table is built
+	// with the index and shared; callers must not modify it.
+	ChildDelays() []int32
 }
 
 // Scheduler decides the transmission order of one data partition — the

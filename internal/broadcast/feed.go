@@ -7,6 +7,14 @@ import "tnnbcast/internal/rtree"
 // Feed; so is one dataset's share of a time-multiplexed single channel
 // (DualChannel), which is how the original single-channel environment of
 // Zheng–Lee–Lee is modelled.
+//
+// A feed airs each cycle of its program on consecutive slots: if
+// cycle-relative slot r of one cycle airs at feed slot t, then slot r+d of
+// the same cycle (r+d < CycleLen) airs at t+d. A search relies on this to
+// read a child's arrival from its parent's pointer table (the index's
+// ChildDelays) as the parent's slot plus the delay, without asking
+// NextNodeArrival. Channel, both halves of a DualChannel and every
+// wrapper that passes the inner feed's schedule through keep it.
 type Feed interface {
 	// Index returns the broadcast program this feed transmits.
 	Index() AirIndex

@@ -59,6 +59,7 @@ type Program struct {
 	fracStart  []int   // fracStart[f] = first object position of fraction f; len m+1
 	segStart   []int64 // segStart[f] = cycle slot where replication f's index begins; len m+1 (last = cycle length)
 	ppo        int     // pages per object
+	delays     []int32 // pointer table, per Flat child entry (ChildDelays)
 }
 
 // Program implements AirIndex.
@@ -120,7 +121,22 @@ func BuildProgram(tree *rtree.Tree, p Params) *Program {
 		fracLen := int64(pr.fracStart[f+1]-pr.fracStart[f]) * int64(pr.ppo)
 		pr.segStart[f+1] = pr.segStart[f] + int64(pr.indexPages) + fracLen
 	}
+	pr.delays = preorderDelays(tree.Flat())
 	return pr
+}
+
+// preorderDelays is the pointer table of a layout whose every index run
+// airs all nodes in preorder on consecutive slots: child c of node p airs
+// c-p slots after p in the same run, so no entry is 0.
+func preorderDelays(f *rtree.Flat) []int32 {
+	d := make([]int32, len(f.Key))
+	for p := range f.EntFirst {
+		first, end := f.EntRange(int32(p))
+		for e := first; e < end; e++ {
+			d[e] = f.Key[e] - int32(p)
+		}
+	}
+	return d
 }
 
 // resolveM resolves the (1, m) interleaving factor for a preorder program
@@ -217,6 +233,9 @@ func (pr *Program) NextNodeSlot(nodeID int, rel int64) int64 {
 	}
 	return pr.CycleLen() + int64(nodeID)
 }
+
+// ChildDelays implements AirIndex.
+func (pr *Program) ChildDelays() []int32 { return pr.delays }
 
 // NextObjectSlot implements AirIndex: each object airs once per cycle at a
 // fixed slot.

@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tnnbcast/internal/rtree"
@@ -27,6 +28,7 @@ type SegmentedIndex struct {
 
 	nodeSlots [][]int64 // per node: ascending cycle slots where its page airs
 	objSlots  [][]int64 // per object: ascending cycle slots of its first data page
+	delays    []int32   // pointer table, per Flat child entry (ChildDelays)
 
 	dataPages int
 }
@@ -80,7 +82,47 @@ func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [
 			panic(fmt.Sprintf("broadcast: object %d never on air in %s layout", obj, scheme))
 		}
 	}
+	si.delays = si.childDelays()
 	return si
+}
+
+// childDelays builds the pointer table from the occurrence lists, one
+// merge pass over a parent's and a child's slots per child entry.
+func (si *SegmentedIndex) childDelays() []int32 {
+	f := si.tree.Flat()
+	d := make([]int32, len(f.Key))
+	for p, occ := range si.nodeSlots {
+		first, end := f.EntRange(int32(p))
+		for e := first; e < end; e++ {
+			d[e] = commonDelay(occ, si.nodeSlots[f.Key[e]])
+		}
+	}
+	return d
+}
+
+// commonDelay returns the delay from each of the parent's ascending slots
+// to the child's next slot after it, when that delay is the same for all
+// of them and each lies within the cycle; else 0.
+func commonDelay(parent, child []int64) int32 {
+	var want int64
+	j := 0
+	for _, s := range parent {
+		for j < len(child) && child[j] <= s {
+			j++
+		}
+		if j == len(child) {
+			return 0 // the child's next broadcast is in the next cycle
+		}
+		if d := child[j] - s; want == 0 {
+			want = d
+		} else if d != want {
+			return 0
+		}
+	}
+	if want > math.MaxInt32 {
+		return 0
+	}
+	return int32(want)
 }
 
 // Scheme implements AirIndex.
@@ -147,6 +189,9 @@ func (si *SegmentedIndex) NextNodeSlot(nodeID int, rel int64) int64 {
 	}
 	return si.nextOcc(si.nodeSlots[nodeID], rel)
 }
+
+// ChildDelays implements AirIndex.
+func (si *SegmentedIndex) ChildDelays() []int32 { return si.delays }
 
 // NextObjectSlot implements AirIndex.
 func (si *SegmentedIndex) NextObjectSlot(objectID int, rel int64) int64 {

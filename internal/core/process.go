@@ -347,9 +347,10 @@ func (sc *Scratch) rangeSearch(rx *client.Receiver, c geom.Circle, maxFaults int
 // instead of chasing a dead medium forever (the executor that knows the
 // channel fills in its Channel tag).
 type airWalk struct {
-	rx    *client.Receiver
-	flat  *rtree.Flat // SoA image of the channel's tree
-	queue client.ArrivalQueue
+	rx     *client.Receiver
+	flat   *rtree.Flat // SoA image of the channel's tree
+	delays []int32     // the index's pointer table, per Flat child entry
+	queue  client.ArrivalQueue
 
 	started  bool
 	finished bool
@@ -363,9 +364,11 @@ type airWalk struct {
 // reset (re)starts the walk on rx's channel, retaining the queue's backing
 // storage. A walk over an empty tree, or with done set, is finished at once.
 func (w *airWalk) reset(rx *client.Receiver, maxFaults int, done bool) {
-	t := rx.Channel().Index().Tree()
+	idx := rx.Channel().Index()
+	t := idx.Tree()
 	w.rx = rx
 	w.flat = t.Flat()
+	w.delays = idx.ChildDelays()
 	w.queue.Reset()
 	w.started = false
 	w.finished = done || t.Count == 0
@@ -451,6 +454,29 @@ func (w *airWalk) receive(c client.Candidate) bool {
 	return true
 }
 
+// childArrival returns the next arrival of child entry e of the node
+// received at slot: the parent's pointer, slot + delay, when the index's
+// pointer table holds one (Feed airs a program cycle on consecutive
+// slots), else the feed's answer.
+//
+//tnn:noalloc
+func (w *airWalk) childArrival(e int32, slot int64) int64 {
+	if d := w.delays[e]; d != 0 {
+		return slot + int64(d)
+	}
+	return w.askArrival(e)
+}
+
+// askArrival asks the feed for child entry e's next arrival at the
+// receiver's clock, the slot after its parent's; it stays out of line so
+// that childArrival inlines into the visit loops.
+//
+//tnn:noalloc
+//go:noinline
+func (w *airWalk) askArrival(e int32) int64 {
+	return w.rx.NextNodeArrival(int(w.flat.Key[e]))
+}
+
 // fault records one failed reception and escalates to a ChannelError when
 // maxFaults consecutive receptions have failed.
 func (w *airWalk) fault(pf *broadcast.PageFault) {
@@ -527,7 +553,7 @@ func (s *nnSearch) init(rx *client.Receiver, q geom.Point, factor float64, maxFa
 // candidate and visit it.
 func (s *nnSearch) Step() {
 	if c, root := s.pop(); (root || !s.pruned(c)) && s.receive(c) {
-		s.visit(c.Key)
+		s.visit(c.Key, c.Arrival)
 	}
 	s.resched()
 }
@@ -673,15 +699,15 @@ func (s *nnSearch) tightenUB(e int32) {
 	}
 }
 
-// visit consumes a downloaded node's page content: child references for
-// internal nodes (updating the upper bound via the face property),
-// point entries for leaves.
-func (s *nnSearch) visit(id int32) {
+// visit consumes the page content of node id, received at slot: child
+// references for internal nodes (updating the upper bound via the face
+// property), point entries for leaves.
+func (s *nnSearch) visit(id int32, slot int64) {
 	if s.flat.Leaf(id) {
 		s.visitLeaf(id)
 		return
 	}
-	s.visitInternal(id)
+	s.visitInternal(id, slot)
 }
 
 // visitLeaf scans a leaf's points from the Flat SoA arrays: the whole run
@@ -724,13 +750,12 @@ func (s *nnSearch) visitLeaf(id int32) {
 // later metric change can still reach any subtree), and keep the ANN
 // queue-minimum cache current. The bound and qmin updates are mins, so
 // the scan order does not change them.
-func (s *nnSearch) visitInternal(id int32) {
+func (s *nnSearch) visitInternal(id int32, slot int64) {
 	f := s.flat
 	first, end := f.EntRange(id)
 	for e := end - 1; e >= first; e-- {
 		s.tightenUB(e)
-		key := f.Key[e]
-		s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
+		s.queue.Push(client.Candidate{Arrival: s.childArrival(e, slot), Key: f.Key[e], Ent: e})
 		if s.qminOK {
 			if lb := s.lower(f.EntRect(e)); lb < s.qmin {
 				s.qmin = lb
@@ -824,14 +849,14 @@ func (s *rangeSearch) init(rx *client.Receiver, c geom.Circle, maxFaults int) {
 // still intersects.
 func (s *rangeSearch) Step() {
 	if c, _ := s.pop(); s.receive(c) {
-		s.visit(c.Key)
+		s.visit(c.Key, c.Arrival)
 	}
 	s.resched()
 }
 
-// visit collects a leaf's points inside the circle, or queues an internal
-// node's children whose MBRs intersect it.
-func (s *rangeSearch) visit(id int32) {
+// visit collects a leaf's points inside the circle, or queues the
+// children of an internal node received at slot whose MBRs intersect it.
+func (s *rangeSearch) visit(id int32, slot int64) {
 	f := s.flat
 	if f.Leaf(id) {
 		first, end := f.LeafRange(id)
@@ -862,8 +887,7 @@ func (s *rangeSearch) visit(id int32) {
 		// 1-norm accept (hypot <= dx+dy, slacked for rounding), the
 		// squared screen for the borderline ring in between.
 		if (dx+dy)*geom.ScreenSlack <= s.rBound || geom.HypotCmp(dx, dy, s.rBound) <= 0 {
-			key := f.Key[e]
-			s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
+			s.queue.Push(client.Candidate{Arrival: s.childArrival(e, slot), Key: f.Key[e], Ent: e})
 		}
 	}
 }

@@ -59,7 +59,7 @@ func (s *knnSearch) bound() float64 {
 // candidate and visit it.
 func (s *knnSearch) Step() {
 	if c, root := s.pop(); (root || !s.pruned(c)) && s.receive(c) {
-		s.visit(c.Key)
+		s.visit(c.Key, c.Arrival)
 	}
 	s.resched()
 }
@@ -76,9 +76,9 @@ func (s *knnSearch) pruned(c client.Candidate) bool {
 	return geom.Max(dx, dy) > b || ((dx+dy)*geom.ScreenSlack > b && geom.HypotCmp(dx, dy, b) > 0)
 }
 
-// visit offers a leaf's points to the running top-k, or queues an
-// internal node's children.
-func (s *knnSearch) visit(id int32) {
+// visit offers a leaf's points to the running top-k, or queues the
+// children of an internal node received at slot.
+func (s *knnSearch) visit(id int32, slot int64) {
 	f := s.flat
 	if f.Leaf(id) {
 		first, end := f.LeafRange(id)
@@ -102,8 +102,7 @@ func (s *knnSearch) visit(id int32) {
 	}
 	first, end := f.EntRange(id)
 	for e := end - 1; e >= first; e-- {
-		key := f.Key[e]
-		s.queue.Push(client.Candidate{Arrival: s.rx.NextNodeArrival(int(key)), Key: key, Ent: e})
+		s.queue.Push(client.Candidate{Arrival: s.childArrival(e, slot), Key: f.Key[e], Ent: e})
 	}
 }
 
