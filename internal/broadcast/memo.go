@@ -17,6 +17,12 @@ import (
 // answer once per (worker, page, cycle window) and serves the rest from a
 // flat array.
 //
+// Most child arrivals never reach the memo: a search reads them from the
+// parent's pointer table (AirIndex.ChildDelays). The node windows serve
+// the arrivals the table cannot: roots, re-files after a fault, and the
+// children of nodes a distributed index replicates, whose delay differs
+// between the parent's broadcasts.
+//
 // Arrival answers are cached as validity windows, not points: if the first
 // on-air occurrence of a page at-or-after slot `lo` is `hi`, then for
 // EVERY query slot in [lo, hi] the answer is `hi` — occurrences are
