@@ -245,7 +245,7 @@ func TestTraceInvariants(t *testing.T) {
 					// phase/radius observability is the built-ins'.
 					continue
 				}
-				if req.Variant == tnnbcast.Transitive {
+				if req.Variant != tnnbcast.TopK {
 					if estimatePages != res.EstimateTuneIn {
 						t.Fatalf("%s: %d pages before filter, EstimateTuneIn %d",
 							label, estimatePages, res.EstimateTuneIn)

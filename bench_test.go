@@ -191,8 +191,8 @@ func BenchmarkNew(b *testing.B) {
 // schedule — arithmetic replica scan vs. occurrence-list binary search),
 // for the arrival-query microbenchmarks. These queries sit on the query
 // hot path — once per enqueued candidate — so each family's cost is
-// guarded separately, plus the session engine's memo layer over the most
-// general one.
+// guarded separately, plus the session engine's MemoFeed wrapper over the
+// most general one, which must cost no more than its one forwarding call.
 func arrivalChannels(b *testing.B) map[string]broadcast.Feed {
 	b.Helper()
 	pts := dataset.Uniform(5, 15210, dataset.PaperRegion)
@@ -339,6 +339,25 @@ func benchVariant(b *testing.B, v tnnbcast.Variant, k int) {
 func BenchmarkQueryTopK10(b *testing.B)    { benchVariant(b, tnnbcast.TopK, 10) }
 func BenchmarkQueryRoundTrip(b *testing.B) { benchVariant(b, tnnbcast.RoundTrip, 0) }
 func BenchmarkQueryUnordered(b *testing.B) { benchVariant(b, tnnbcast.Unordered, 0) }
+
+// BenchmarkQueryBatch answers four Double-NN requests as one shared-cycle
+// session on one worker: a small batch, where the per-call session set-up
+// weighs against only four queries.
+func BenchmarkQueryBatch(b *testing.B) {
+	sys := benchSystem(b)
+	qs := tnnbcast.UniformDataset(3, 256, tnnbcast.PaperRegion)
+	reqs := make([]tnnbcast.Request, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range reqs {
+			reqs[j] = tnnbcast.Request{Point: qs[(i*len(reqs)+j)%len(qs)], Algo: tnnbcast.Double}
+		}
+		if _, err := sys.QueryBatch(reqs, tnnbcast.WithBatchWorkers(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func BenchmarkQueryChain3(b *testing.B) {
 	region := tnnbcast.PaperRegion

@@ -37,9 +37,11 @@ import (
 
 // PageFaultError reports one failed page reception on a lossy channel
 // (see WithFaults): the page was either lost outright or received damaged
-// (its CRC32C trailer did not verify). Individual faults are retried
-// transparently; a PageFaultError surfaces only inside a ChannelError,
-// as the final fault of an exhausted retry budget.
+// (on a remote feed, its netfeed frame failed the CRC32-C check; on a
+// simulated one, FaultModel.Corrupt stands for that check failing).
+// Individual faults are retried transparently; a PageFaultError surfaces
+// only inside a ChannelError, as the final fault of an exhausted retry
+// budget.
 type PageFaultError struct {
 	// Channel names the channel the fault occurred on ("S" or "R"; chain
 	// channels are "ch0", "ch1", … in visiting order).

@@ -21,8 +21,8 @@ import (
 // A wrapper that is not shared may keep a lossMark of its own — the last
 // slot it evaluated and the chain state there — which bounds the next
 // evaluation's backward scan but never changes its answer, since that
-// state is itself a pure function of (seed, slot). MemoFeed does; it
-// caches no fault.
+// state is itself a pure function of (seed, slot). MemoFeed is that
+// wrapper: the mark is all it keeps, and it caches no fault.
 
 // FaultKind classifies a page fault.
 type FaultKind int

@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tnnbcast/internal/dataset"
@@ -9,10 +10,10 @@ import (
 )
 
 // TestMemoFeedEquivalence drives random arrival and page queries — with
-// the repeat-heavy access pattern the memo exists for — through a
-// MemoFeed and its underlying feed, across every index family and both
+// the repeat-heavy access pattern of a session worker's clients — through
+// a MemoFeed and its underlying feed, across every index family and both
 // Feed implementations (dedicated channel, multiplexed segment), and
-// requires identical answers. Window reuse must never change a result.
+// requires identical answers. The wrapper must never change a result.
 func TestMemoFeedEquivalence(t *testing.T) {
 	p := DefaultParams()
 	cfg := rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()}
@@ -50,7 +51,8 @@ func TestMemoFeedEquivalence(t *testing.T) {
 			after := rng.Int63n(4 * cycle)
 			node := rng.Intn(nodes)
 			if i%3 == 0 && i > 0 {
-				// Repeat and near-repeat queries: the cache-hit paths.
+				// Repeat and near-repeat queries, as fanned-out clients
+				// make them.
 				node = lastNode
 				after = lastAfter + rng.Int63n(3)
 			}
@@ -93,12 +95,11 @@ func TestMemoFeedEquivalence(t *testing.T) {
 }
 
 // TestMemoFeedFaultTransparency is the regression test for the memo/fault
-// interaction: a MemoFeed serves nodes from memoized page descriptors,
-// bypassing the inner ReadNode, so it MUST consult the inner feed's fault
-// state fresh on every read. A faulted read must never be cached (the
-// same page at a later slot is an independent reception that may
-// succeed), and a cached clean read must never mask a fault at another
-// occurrence of the same page.
+// interaction: a MemoFeed evaluates faults through its own mark and reads
+// past the FaultFeed, so it MUST evaluate the fault state fresh on every
+// read. A faulted read must never stick (the same page at a later slot is
+// an independent reception that may succeed), and a clean read must never
+// mask a fault at another occurrence of the same page.
 func TestMemoFeedFaultTransparency(t *testing.T) {
 	p := DefaultParams()
 	cfg := rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()}
@@ -128,9 +129,9 @@ func TestMemoFeedFaultTransparency(t *testing.T) {
 		}
 		faulted++
 		// The SAME page's next occurrence: a fresh reception. If the
-		// fault had been cached, this read would fail too; if a clean
-		// read had been cached under this memo slot, the fault above
-		// would have been masked (caught by the divergence check).
+		// fault had stuck, this read would fail too; if an earlier clean
+		// read had been served for this page, the fault above would have
+		// been masked (caught by the divergence check).
 		nodeID := ch.PageAt(slot).NodeID
 		next := ch.NextNodeArrival(nodeID, slot+1)
 		for ff.Fault(next) != nil {
@@ -151,8 +152,8 @@ func TestMemoFeedFaultTransparency(t *testing.T) {
 			faulted, recovered, masked)
 	}
 
-	// Fault() itself must be delegated uncached: two calls at the same
-	// slot agree with the inner feed, and the memo never reorders them.
+	// Fault() itself is evaluated per call: two calls at the same slot
+	// agree with the inner feed, whatever the mark holds.
 	for slot := int64(0); slot < 2*cycle; slot++ {
 		a, b, inner := memo.Fault(slot), memo.Fault(slot), ff.Fault(slot)
 		if (a == nil) != (inner == nil) || (b == nil) != (inner == nil) {
@@ -208,5 +209,37 @@ func TestMemoFeedFaultFeedAgrees(t *testing.T) {
 		if faults == 0 {
 			t.Errorf("model %+v: no fault exercised", m)
 		}
+	}
+}
+
+// memoFeedSink keeps NewMemoFeed's result on the heap in
+// TestMemoFeedAllocFlat.
+var memoFeedSink *MemoFeed
+
+// TestMemoFeedAllocFlat: wrapping a feed costs the same few bytes whatever
+// the dataset's size, because the wrapper keeps no per-page or per-object
+// state. A session builds one per worker per channel.
+func TestMemoFeedAllocFlat(t *testing.T) {
+	const runs = 100
+	measure := func(n int) (allocs float64, bytes uint64) {
+		ch := buildFaultChannel(t, n, 0)
+		wrap := func() { memoFeedSink = NewMemoFeed(ch) }
+		allocs = testing.AllocsPerRun(runs, wrap)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			wrap()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := measure(100)
+	largeAllocs, largeBytes := measure(15_210)
+	if smallAllocs != largeAllocs || smallBytes != largeBytes {
+		t.Fatalf("NewMemoFeed grows with the dataset: 100 points %v allocs %d B, 15210 points %v allocs %d B",
+			smallAllocs, smallBytes, largeAllocs, largeBytes)
+	}
+	if largeBytes >= 1024 {
+		t.Fatalf("NewMemoFeed allocates %d B per call, want under 1 KiB", largeBytes)
 	}
 }

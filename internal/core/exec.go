@@ -529,10 +529,7 @@ func (ex *QueryExec) joinAndRetrieve() {
 	m := client.Collect(ex.rxS, ex.rxR)
 	res.Pair, res.Found, res.Metrics = pair, ok, m
 	res.Radius, res.Case, res.Err = ex.radius, ex.caseTag, err
-	if ex.variant == Transitive {
-		// Only the paper's query reports the estimate/filter split.
-		res.EstimateTuneIn, res.FilterTuneIn = ex.estimate, m.TuneIn-ex.estimate
-	}
+	res.EstimateTuneIn, res.FilterTuneIn = ex.estimate, m.TuneIn-ex.estimate
 	ex.res = res
 	ex.phase = phDone
 }

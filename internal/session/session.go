@@ -17,14 +17,14 @@
 // Determinism. Per-client Results are bit-identical to running the same
 // queries one at a time through core.Run (core.RunVariant for a
 // Section-7 variant), for every worker count. Workers
-// read the feeds through a per-worker memo layer that caches pure
-// arrival/page answers, which cannot change what any client receives.
-// With one worker the emits also fire in stream order.
+// read the feeds through a per-worker loss mark (broadcast.MemoFeed) that
+// only shortens fault evaluation, which cannot change what any client
+// receives. With one worker the emits also fire in stream order.
 //
 // Cost model. A worker holds one client's execution state at a time, so
 // the engine's memory is proportional to the worker count — independent
 // of the stream length and of how many clients overlap on the timeline. A
-// client costs what core.Run costs on a memoized feed, plus one
+// client costs what core.Run costs on the worker's feeds, plus one
 // mutex-guarded pull from the stream.
 //
 //tnn:deterministic
@@ -245,7 +245,7 @@ func (s *source) close() {
 
 // worker runs queries from the shared stream one at a time, each to
 // completion, on one pooled execution state machine and scratch, reading
-// the shared feeds through its own memo layer.
+// the shared feeds through its own loss marks.
 type worker struct {
 	env  core.Env
 	src  *source
@@ -264,8 +264,8 @@ type worker struct {
 
 func newWorker(env core.Env, src *source, emit func(int, core.Result)) *worker {
 	w := &worker{src: src, emit: emit}
-	// The memo layer is per worker: caches are single-threaded and the
-	// underlying feeds stay shared and immutable.
+	// The loss marks are per worker: a mark is single-threaded state, and
+	// the underlying feeds stay shared and immutable.
 	w.env = env
 	w.env.ChS = broadcast.NewMemoFeed(env.ChS)
 	w.env.ChR = broadcast.NewMemoFeed(env.ChR)

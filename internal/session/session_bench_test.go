@@ -72,9 +72,9 @@ func BenchmarkSession100k(b *testing.B) { benchSession(b, 100_000) }
 // TestSessionSteadyStateAllocs is the session analogue of core's
 // TestQuerySteadyStateAllocs: with one reused execution state and scratch
 // per worker, the engine's allocations per client STEP must stay near
-// zero — each run allocates its workers and memo layers once, amortized
-// over hundreds of thousands of steps. A regression here means the
-// scratch reuse or the memo layer started allocating on the hot path.
+// zero — each run allocates its workers and their feed wrappers once,
+// amortized over hundreds of thousands of steps. A regression here means
+// the scratch reuse or a feed wrapper started allocating on the hot path.
 func TestSessionSteadyStateAllocs(t *testing.T) {
 	env := makeEnv(t, 1500, 1500, 7919, 104729)
 	queries := benchWorkload(2000)
@@ -93,7 +93,7 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	}
 	perStep := allocs / float64(steps)
 	// The budget is deliberately tight: the observed steady state is
-	// ~0.01 allocs/step (workers, memo arrays, scratch growth — all
+	// ~0.01 allocs/step (workers, feed wrappers, scratch growth — all
 	// O(workers), not O(steps)).
 	const budget = 0.05
 	if perStep > budget {

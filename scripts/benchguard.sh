@@ -62,6 +62,7 @@ trap 'rm -f "$measured"' EXIT
 calib_before=$(calib_nsop)
 {
 	min_nsop '^BenchmarkQuery(WindowBased|DoubleNN|HybridNN|Approximate|DoubleANN|TopK10|RoundTrip|Chain3|Unordered)$' '512x' .
+	min_nsop '^BenchmarkQueryBatch$' '200x' .
 	min_nsop '^BenchmarkSessionSteps$' '1x' ./internal/session
 	min_nsop '^BenchmarkJoin(TopK10|RoundTrip)?$' '2000x' ./internal/core
 	min_nsop '^Benchmark(FaultLostBurst|MemoFault)$' '20000x' ./internal/broadcast

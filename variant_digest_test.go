@@ -28,8 +28,8 @@ var variantDigests = map[string]uint64{
 	"double":    0xd47e1bdbc07af9e5,
 	"hybrid":    0x0e372c7c7207e83b,
 	"approx":    0xd6de602b7f4edac6,
-	"unordered": 0x8e6b27f67d005a94,
-	"roundtrip": 0xe987dc3c8e0ad913,
+	"unordered": 0xb80ae16d42ac0ab4,
+	"roundtrip": 0xe44042e12c058d48,
 	"topk1":     0x1d59a976987c7c2e,
 	"topk3":     0xd8bd0b2b3016fffe,
 	"topk10":    0xd0cdeacfe3a2340e,
