@@ -24,7 +24,8 @@ import (
 // execution wants to act, Step performs exactly one action (download or
 // prune one candidate, or the terminal join), and Result is valid once
 // Done. Cursor exposes the same process with streaming events; the
-// session engine drives many Executors on one shared slot timeline.
+// session engine's workers each drive one Executor at a time to
+// completion on the shared broadcast.
 type Executor interface {
 	Peek() (slot int64, done bool)
 	Step()

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"slices"
 
 	"tnnbcast"
 )
@@ -49,8 +50,13 @@ func main() {
 	fmt.Printf("broadcast cost: access %d pages, tune-in %d pages\n\n",
 		res.AccessTime, res.TuneIn)
 
-	exact, _ := chain.Exact(start)
-	fmt.Printf("matches full-random-access oracle: %v\n\n", res.Dist == exact.Dist)
+	exact, ok := chain.Exact(start)
+	matches := ok && res.Dist == exact.Dist && slices.Equal(res.StopIDs, exact.StopIDs)
+	fmt.Printf("matches full-random-access oracle: %v\n\n", matches)
+	if !matches {
+		log.Fatalf("route %v (%.6f m) differs from the oracle's %v (%.6f m)",
+			res.StopIDs, res.Dist, exact.StopIDs, exact.Dist)
+	}
 
 	// Two-stop variants on post offices and cafés.
 	posts := tnnbcast.UniformDataset(34, 80, region)

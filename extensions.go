@@ -64,11 +64,11 @@ type ChainResult struct {
 }
 
 // Query answers the chain TNN query at p using all channels in parallel
-// (the generalized Double-NN strategy). The k-channel executor runs on
-// the same peek/step loop as every System.Do query, with the pipeline's
-// option application (applyOptions) and scratch-pool checkout. It is not
-// a Do request, because Request is two-channel; pipeline-level additions
-// to Do do not reach the chain path automatically. A query point with a
+// (the generalized Double-NN strategy). It runs on the executor every
+// System.Do query runs on, core.QueryExec, with the pipeline's option
+// application (applyOptions) and scratch-pool checkout. It is not a Do
+// request, because Request is two-channel; pipeline-level additions to Do
+// do not reach the chain path automatically. A query point with a
 // NaN or infinite coordinate is rejected as Do rejects it: Err is an
 // *InvalidPointError and Found is false.
 func (cs *ChainSystem) Query(p Point, opts ...QueryOption) ChainResult {

@@ -49,8 +49,9 @@ type Options struct {
 	// concurrent queries.
 	Scratch *Scratch
 	// Trace, when non-nil, is invoked once per downloaded page with the
-	// channel tag ("S" or "R"), the slot, and the page content. Used for
-	// page-level query traces. Faulted receptions fire TraceFault instead.
+	// channel tag ("S" or "R"; "ch0", "ch1", … for a chain), the slot,
+	// and the page content. Used for page-level query traces. Faulted
+	// receptions fire TraceFault instead.
 	Trace func(channel string, slot int64, page broadcast.Page)
 	// TraceFault, when non-nil, is invoked once per faulted reception with
 	// the channel tag and the dead slot.
@@ -72,18 +73,6 @@ func (o Options) maxRetries() int {
 		return o.MaxRetries
 	}
 	return DefaultMaxRetries
-}
-
-// applyTrace wires Options.Trace/TraceFault into the two receivers.
-func (o Options) applyTrace(rxS, rxR *client.Receiver) {
-	if o.Trace != nil {
-		rxS.SetTrace(func(slot int64, pg broadcast.Page) { o.Trace("S", slot, pg) })
-		rxR.SetTrace(func(slot int64, pg broadcast.Page) { o.Trace("R", slot, pg) })
-	}
-	if o.TraceFault != nil {
-		rxS.SetFaultTrace(func(slot int64) { o.TraceFault("S", slot) })
-		rxR.SetFaultTrace(func(slot int64) { o.TraceFault("R", slot) })
-	}
 }
 
 // HybridCase records which of the three Hybrid-NN cases a query exercised.

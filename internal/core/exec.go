@@ -19,6 +19,7 @@ import (
 	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/client"
 	"tnnbcast/internal/geom"
+	"tnnbcast/internal/rtree"
 )
 
 // Algo identifies one of the paper's four TNN algorithms. It mirrors the
@@ -138,26 +139,36 @@ const (
 	phDone
 )
 
+// chainVariant is the Section-7 chain query over k channels in visiting
+// order (ResetChain): the Double-NN estimate with one NN search per
+// channel, the estimate route's length as the radius, and the layered
+// chainJoin. It is not a public variant; chains have their own entry
+// point, ChainSystem.Query.
+const chainVariant Variant = -1
+
 // QueryExec is one TNN query as a stepwise process, an Executor driven
-// by any peek/step loop. Obtain one with Reset, or ResetVariant for the
-// Section-7 variants; when Peek reports done, Result holds the outcome.
+// by any peek/step loop. Obtain one with Reset, ResetVariant for the
+// two-dataset Section-7 variants, or ResetChain for a chain; when Peek
+// reports done, Result holds the outcome.
 //
-// A QueryExec holds its Options.Scratch for the lifetime of the query, so
-// concurrently live executions need one Scratch each; queries run one
-// after another (a session worker) can recycle a single scratch.
+// The per-channel state lives in slices in channel order: S then R for
+// the two-dataset queries, visiting order for a chain. A QueryExec holds
+// its Options.Scratch, which backs those slices, for the lifetime of the
+// query, so concurrently live executions need one Scratch each; queries
+// run one after another (a session worker) can recycle a single scratch.
 type QueryExec struct {
-	env     Env
 	p       geom.Point
 	algo    Algo
 	variant Variant
 	k       int // TopK's result count
 	opt     Options
 
-	rxS, rxR *client.Receiver
-	ns, nr   *nnSearch
-	knn      [2]*knnSearch // TopK's estimate searches, S then R
-	qs, qr   *rangeSearch
-	walks    [2]*airWalk // the running phase's searches, S then R; nil if idle
+	rxs   []*client.Receiver
+	nns   []*nnSearch    // the estimate's NN searches; nil until started
+	knn   [2]*knnSearch  // TopK's estimate searches, S then R
+	rgs   []*rangeSearch // the filter's range searches
+	walks []*airWalk     // the running phase's searches; nil if idle
+	route []rtree.Entry  // a chain's estimate route
 
 	phase   execPhase
 	caseTag HybridCase
@@ -185,28 +196,22 @@ func (ex *QueryExec) ResetVariant(env Env, algo Algo, v Variant, k int, p geom.P
 	if v != Transitive {
 		algo = AlgoDouble
 	}
-	opt.Scratch.reset()
-	*ex = QueryExec{env: env, p: p, algo: algo, variant: v, k: k, opt: opt}
-	ex.rxS = opt.Scratch.receiver(env.ChS, opt.Issue)
-	ex.rxR = opt.Scratch.receiver(env.ChR, opt.Issue)
-	opt.applyTrace(ex.rxS, ex.rxR)
+	ex.open(algo, v, k, p, opt, env.ChS, env.ChR)
 	switch {
 	case v == TopK:
 		// Top-k generalizes the Double-NN estimate: one k-NN search per
 		// channel from p.
-		ex.knn[0] = opt.Scratch.knnSearch(ex.rxS, p, k, opt.maxRetries())
-		ex.knn[1] = opt.Scratch.knnSearch(ex.rxR, p, k, opt.maxRetries())
-		ex.walks = [2]*airWalk{&ex.knn[0].airWalk, &ex.knn[1].airWalk}
+		for i, rx := range ex.rxs {
+			ex.knn[i] = opt.Scratch.knnSearch(rx, p, k, opt.maxRetries())
+			ex.walks[i] = &ex.knn[i].airWalk
+		}
 		ex.phase = phTopK
 	case algo == AlgoWindow:
-		ex.ns = opt.Scratch.nnSearch(ex.rxS, p, opt.ANN.FactorS, opt.maxRetries())
-		ex.walks = [2]*airWalk{&ex.ns.airWalk, nil}
+		ex.nns[0] = opt.Scratch.nnSearch(ex.rxs[0], p, opt.ANN.FactorS, opt.maxRetries())
+		ex.walks[0] = &ex.nns[0].airWalk
 		ex.phase = phWinS
 	case algo == AlgoHybrid || algo == AlgoDouble:
-		ex.ns = opt.Scratch.nnSearch(ex.rxS, p, opt.ANN.FactorS, opt.maxRetries())
-		ex.nr = opt.Scratch.nnSearch(ex.rxR, p, opt.ANN.FactorR, opt.maxRetries())
-		ex.walks = [2]*airWalk{&ex.ns.airWalk, &ex.nr.airWalk}
-		ex.phase = phEstimate
+		ex.startEstimate()
 	case algo == AlgoApprox:
 		// No estimate phase: the radius comes from Eq. 1 directly.
 		area := env.Region.Area()
@@ -218,6 +223,75 @@ func (ex *QueryExec) ResetVariant(env Env, algo Algo, v Variant, k int, p geom.P
 		panic("core: unknown algorithm")
 	}
 	ex.advance()
+}
+
+// ResetChain (re)initializes the execution for a chain query at p across
+// env's k channels in visiting order, Double-NN generalized: k parallel
+// NN searches from p whose results chain into a realizable route, k
+// parallel range queries with the route's length as radius, and the
+// layered chainJoin. k = 2 steps exactly as Double-NN does. An
+// environment without channels is done at once with a zero Result.
+func (ex *QueryExec) ResetChain(env MultiEnv, p geom.Point, opt Options) {
+	ex.open(AlgoDouble, chainVariant, 0, p, opt, env.Chs...)
+	if len(ex.rxs) == 0 {
+		ex.phase = phDone
+		return
+	}
+	ex.startEstimate()
+	ex.advance()
+}
+
+// open discards the previous execution, reclaims the scratch and issues
+// one receiver per feed, traced when the options ask for it.
+func (ex *QueryExec) open(algo Algo, v Variant, k int, p geom.Point, opt Options, feeds ...broadcast.Feed) {
+	opt.Scratch.reset()
+	*ex = QueryExec{p: p, algo: algo, variant: v, k: k, opt: opt}
+	ex.rxs, ex.nns, ex.rgs, ex.walks = opt.Scratch.channels(len(feeds))
+	for i, ch := range feeds {
+		ex.rxs[i] = opt.Scratch.receiver(ch, opt.Issue)
+	}
+	ex.applyTrace()
+}
+
+// channelTag names channel i in errors and traces: "S" and "R" for the
+// two-dataset queries, "ch0", "ch1", … in visiting order for a chain.
+func (ex *QueryExec) channelTag(i int) string {
+	if ex.variant == chainVariant {
+		return fmt.Sprintf("ch%d", i)
+	}
+	return [2]string{"S", "R"}[i]
+}
+
+// applyTrace wires Options.Trace/TraceFault into the receivers.
+func (ex *QueryExec) applyTrace() {
+	trace, fault := ex.opt.Trace, ex.opt.TraceFault
+	if trace == nil && fault == nil {
+		return
+	}
+	for i, rx := range ex.rxs {
+		tag := ex.channelTag(i)
+		if trace != nil {
+			rx.SetTrace(func(slot int64, pg broadcast.Page) { trace(tag, slot, pg) })
+		}
+		if fault != nil {
+			rx.SetFaultTrace(func(slot int64) { fault(tag, slot) })
+		}
+	}
+}
+
+// startEstimate opens the Double/Hybrid estimate phase: one NN search
+// per channel from p, all running in parallel. The first channel uses
+// the S-side ANN factor, every later one the R-side factor.
+func (ex *QueryExec) startEstimate() {
+	for i, rx := range ex.rxs {
+		factor := ex.opt.ANN.FactorS
+		if i > 0 {
+			factor = ex.opt.ANN.FactorR
+		}
+		ex.nns[i] = ex.opt.Scratch.nnSearch(rx, ex.p, factor, ex.opt.maxRetries())
+		ex.walks[i] = &ex.nns[i].airWalk
+	}
+	ex.phase = phEstimate
 }
 
 // run is drive for a QueryExec: the same peek/step loop with direct
@@ -262,20 +336,20 @@ func (ex *QueryExec) Radius() (r float64, ok bool) {
 	return ex.radius, true
 }
 
-// Now returns the later of the two receivers' local clocks — the slot at
+// Now returns the latest of the receivers' local clocks — the slot at
 // which client-local transitions (phase sync, join) conceptually happen.
 //
 //tnn:noalloc
 func (ex *QueryExec) Now() int64 { return ex.clockMax() }
 
-// clockMax returns the later of the two receivers' local clocks — the slot
+// clockMax returns the latest of the receivers' local clocks — the slot
 // at which client-local work (phase sync, join) conceptually happens.
 //
 //tnn:noalloc
 func (ex *QueryExec) clockMax() int64 {
-	t := ex.rxS.Now()
-	if ex.rxR.Now() > t {
-		t = ex.rxR.Now()
+	t := ex.rxs[0].Now()
+	for _, rx := range ex.rxs[1:] {
+		t = max(t, rx.Now())
 	}
 	return t
 }
@@ -288,7 +362,7 @@ func (ex *QueryExec) clockMax() int64 {
 func (ex *QueryExec) Peek() (int64, bool) {
 	switch ex.phase {
 	case phWinS, phWinR, phEstimate, phTopK, phFilter:
-		_, slot := earliest(ex.walks[:])
+		_, slot := earliest(ex.walks)
 		return slot, false
 	case phJoin:
 		return ex.clockMax(), false
@@ -299,11 +373,12 @@ func (ex *QueryExec) Peek() (int64, bool) {
 
 // Step performs exactly one action — download or prune one candidate
 // during the searches, or the terminal join+retrieval — then folds any
-// completed sub-phase into the next one.
+// completed sub-phase into the next one. Each search step advances the
+// search that acts at the earliest slot, the lowest channel on ties.
 //
 //tnn:noalloc
 func (ex *QueryExec) Step() {
-	var i int // the stepped search's index in walks
+	var i int // the stepped search's channel
 	switch ex.phase {
 	case phWinS, phWinR, phEstimate:
 		if ex.algo == AlgoHybrid {
@@ -311,20 +386,14 @@ func (ex *QueryExec) Step() {
 			// while the other still runs (Hybrid-NN Cases 2 and 3).
 			ex.hybridRedirect()
 		}
-		if i, _ = earliest(ex.walks[:]); i == 0 {
-			ex.ns.Step()
-		} else {
-			ex.nr.Step()
-		}
+		i, _ = earliest(ex.walks)
+		ex.nns[i].Step()
 	case phTopK:
-		i, _ = earliest(ex.walks[:])
+		i, _ = earliest(ex.walks)
 		ex.knn[i].Step()
 	case phFilter:
-		if i, _ = earliest(ex.walks[:]); i == 0 {
-			ex.qs.Step()
-		} else {
-			ex.qr.Step()
-		}
+		i, _ = earliest(ex.walks)
+		ex.rgs[i].Step()
 	case phJoin:
 		ex.joinAndRetrieve()
 		return
@@ -342,16 +411,17 @@ func (ex *QueryExec) hybridRedirect() {
 	if ex.caseTag != CaseNone {
 		return
 	}
-	_, sDone := ex.ns.Peek()
-	_, rDone := ex.nr.Peek()
+	ns, nr := ex.nns[0], ex.nns[1]
+	_, sDone := ns.Peek()
+	_, rDone := nr.Peek()
 	if sDone && !rDone {
-		if s, _, ok := ex.ns.result(); ok {
-			ex.nr.retarget(s.Point)
+		if s, _, ok := ns.result(); ok {
+			nr.retarget(s.Point)
 			ex.caseTag = Case2
 		}
 	} else if rDone && !sDone {
-		if r, _, ok := ex.nr.result(); ok {
-			ex.ns.switchTransitive(r.Point)
+		if r, _, ok := nr.result(); ok {
+			ns.switchTransitive(r.Point)
 			ex.caseTag = Case3
 		}
 	}
@@ -366,38 +436,39 @@ func (ex *QueryExec) hybridRedirect() {
 func (ex *QueryExec) advance() {
 	for ex.phase < phJoin {
 		// Every phase before the join runs searches and ends when they all
-		// have finished. Escalations are checked S before R so that the
-		// reported channel is deterministic when both die.
-		if i, _ := earliest(ex.walks[:]); i >= 0 {
+		// have finished. Escalations are checked in channel order so that
+		// the reported channel is deterministic when several die.
+		if i, _ := earliest(ex.walks); i >= 0 {
 			return
 		}
 		for i, w := range ex.walks {
 			if w != nil && w.err != nil {
-				ex.failWith([2]string{"S", "R"}[i], w.err)
+				ex.failWith(i, w.err)
 				return
 			}
 		}
 		switch ex.phase {
 		case phWinS:
-			s, _, ok := ex.ns.result()
+			s, _, ok := ex.nns[0].result()
 			if !ok {
 				ex.fail()
 				return
 			}
 			// The second NN query starts only after the first finishes,
 			// because its query point is the first one's result.
-			ex.rxR.WaitUntil(ex.rxS.Now())
-			ex.nr = ex.opt.Scratch.nnSearch(ex.rxR, s.Point, ex.opt.ANN.FactorR, ex.opt.maxRetries())
-			ex.walks = [2]*airWalk{nil, &ex.nr.airWalk}
+			rxS, rxR := ex.rxs[0], ex.rxs[1]
+			rxR.WaitUntil(rxS.Now())
+			ex.nns[1] = ex.opt.Scratch.nnSearch(rxR, s.Point, ex.opt.ANN.FactorR, ex.opt.maxRetries())
+			ex.walks[0], ex.walks[1] = nil, &ex.nns[1].airWalk
 			ex.phase = phWinR
 
 		case phWinR:
-			r, _, okR := ex.nr.result()
+			r, _, okR := ex.nns[1].result()
 			if !okR {
 				ex.fail()
 				return
 			}
-			s, _, _ := ex.ns.result()
+			s, _, _ := ex.nns[0].result()
 			d := geom.Dist(ex.p, s.Point) + geom.Dist(s.Point, r.Point)
 			ex.radius = d
 			ex.incumbent = Pair{S: s, R: r, Dist: d}
@@ -405,8 +476,24 @@ func (ex *QueryExec) advance() {
 			ex.startFilter()
 
 		case phEstimate:
-			s, _, okS := ex.ns.result()
-			r, _, okR := ex.nr.result()
+			if ex.variant == chainVariant {
+				// Chaining the k results gives a realizable route whose
+				// length bounds the search range.
+				ex.route = make([]rtree.Entry, len(ex.nns))
+				for i, s := range ex.nns {
+					e, _, ok := s.result()
+					if !ok {
+						ex.fail()
+						return
+					}
+					ex.route[i] = e
+				}
+				ex.radius = routeLength(ex.p, ex.route)
+				ex.startFilter()
+				continue
+			}
+			s, _, okS := ex.nns[0].result()
+			r, _, okR := ex.nns[1].result()
 			if !okS || !okR {
 				ex.fail()
 				return
@@ -446,45 +533,44 @@ func (ex *QueryExec) advance() {
 }
 
 // startFilter opens the filter phase: capture the estimate-phase tune-in,
-// synchronize the channels (the radius depends on both estimate results),
-// and create the two circular range searches.
+// synchronize the channels (the radius depends on every estimate result),
+// and create one circular range search per channel.
 func (ex *QueryExec) startFilter() {
-	ex.estimate = ex.rxS.Pages() + ex.rxR.Pages()
 	t := ex.clockMax()
-	ex.rxS.WaitUntil(t)
-	ex.rxR.WaitUntil(t)
 	w := geom.Circle{Center: ex.p, R: ex.radius}
-	ex.qs = ex.opt.Scratch.rangeSearch(ex.rxS, w, ex.opt.maxRetries())
-	ex.qr = ex.opt.Scratch.rangeSearch(ex.rxR, w, ex.opt.maxRetries())
-	ex.walks = [2]*airWalk{&ex.qs.airWalk, &ex.qr.airWalk}
+	for i, rx := range ex.rxs {
+		ex.estimate += rx.Pages()
+		rx.WaitUntil(t)
+		ex.rgs[i] = ex.opt.Scratch.rangeSearch(rx, w, ex.opt.maxRetries())
+		ex.walks[i] = &ex.rgs[i].airWalk
+	}
 	ex.phase = phFilter
 }
 
 // fail finalizes a query whose estimate phase produced no result (possible
 // only on empty datasets): metrics are whatever was spent, Found is false.
 func (ex *QueryExec) fail() {
-	ex.res = Result{Metrics: client.Collect(ex.rxS, ex.rxR)}
+	ex.res = Result{Metrics: client.Collect(ex.rxs...)}
 	ex.phase = phDone
 }
 
-// failWith finalizes a query whose channel died: the search escalated
+// failWith finalizes a query whose channel i died: the search escalated
 // after MaxRetries consecutive faulted receptions. The metrics account
 // everything spent (including the dead receptions), Found is false, and
 // Err carries the tagged ChannelError.
-func (ex *QueryExec) failWith(channel string, cerr *broadcast.ChannelError) {
-	cerr.Channel = channel
-	ex.res = Result{Metrics: client.Collect(ex.rxS, ex.rxR), Err: cerr}
+func (ex *QueryExec) failWith(i int, cerr *broadcast.ChannelError) {
+	cerr.Channel = ex.channelTag(i)
+	ex.res = Result{Metrics: client.Collect(ex.rxs...), Err: cerr}
 	ex.phase = phDone
 }
 
 // joinAndRetrieve is the terminal action: the client-side join over the
 // filtered candidates (the variant's own), the optional download of the
-// answer pair's data pages, and the metric collection.
+// answer's data pages, and the metric collection.
 func (ex *QueryExec) joinAndRetrieve() {
 	var res Result
 	var pair Pair
 	ok := true
-	fs, fr := &ex.qs.found, &ex.qr.found
 	h := ex.opt.Scratch.joinHeap()
 	switch ex.variant {
 	case Transitive, RoundTrip:
@@ -492,17 +578,23 @@ func (ex *QueryExec) joinAndRetrieve() {
 		if ex.haveInc {
 			seed = &ex.incumbent
 		}
-		h.join(ex.p, fs, fr, 1, seed, ex.variant == RoundTrip)
+		h.join(ex.p, &ex.rgs[0].found, &ex.rgs[1].found, 1, seed, ex.variant == RoundTrip)
 		pair, ok = h.top()
 	case Unordered:
-		pair, res.SFirst = joinUnordered(ex.p, ex.incumbent, fs, fr, h)
+		pair, res.SFirst = joinUnordered(ex.p, ex.incumbent, &ex.rgs[0].found, &ex.rgs[1].found, h)
 	case TopK:
-		if h.join(ex.p, fs, fr, ex.k, nil, false); len(*h) == 0 {
+		if h.join(ex.p, &ex.rgs[0].found, &ex.rgs[1].found, ex.k, nil, false); len(*h) == 0 {
 			ex.fail()
 			return
 		}
 		res.Pairs = h.sorted()
 		pair = res.Pairs[0]
+	case chainVariant:
+		layers := make([][]rtree.Entry, len(ex.rgs))
+		for i, s := range ex.rgs {
+			layers[i] = s.found.entries()
+		}
+		res.Stops, pair.Dist, ok = chainJoin(ex.p, layers, ex.route, ex.radius)
 	}
 
 	var err error
@@ -512,21 +604,27 @@ func (ex *QueryExec) joinAndRetrieve() {
 		// Retrieval is reliable: a faulted data page retries at the
 		// object's next broadcast, escalating like the searches do. On a
 		// lossless feed this is exactly the old single DownloadObject. The
-		// answer pair is already known at this point, so an escalation
-		// keeps it — only the attribute retrieval is reported failed.
+		// answer is already known at this point, so an escalation keeps
+		// it — only the attribute retrieval is reported failed.
+		stops := res.Stops
+		if stops == nil {
+			pairStops := [2]rtree.Entry{pair.S, pair.R}
+			stops = pairStops[:]
+		}
 		t := ex.clockMax()
-		ex.rxS.WaitUntil(t)
-		ex.rxR.WaitUntil(t)
-		if _, cerr := ex.rxS.DownloadObjectReliable(pair.S.ID, ex.opt.maxRetries()); cerr != nil {
-			cerr.Channel = "S"
-			err = cerr
-		} else if _, cerr := ex.rxR.DownloadObjectReliable(pair.R.ID, ex.opt.maxRetries()); cerr != nil {
-			cerr.Channel = "R"
-			err = cerr
+		for _, rx := range ex.rxs {
+			rx.WaitUntil(t)
+		}
+		for i, rx := range ex.rxs {
+			if _, cerr := rx.DownloadObjectReliable(stops[i].ID, ex.opt.maxRetries()); cerr != nil {
+				cerr.Channel = ex.channelTag(i)
+				err = cerr
+				break
+			}
 		}
 	}
 
-	m := client.Collect(ex.rxS, ex.rxR)
+	m := client.Collect(ex.rxs...)
 	res.Pair, res.Found, res.Metrics = pair, ok, m
 	res.Radius, res.Case, res.Err = ex.radius, ex.caseTag, err
 	res.EstimateTuneIn, res.FilterTuneIn = ex.estimate, m.TuneIn-ex.estimate

@@ -5,14 +5,14 @@ package core
 //
 //  1. Chain — more than two datasets, visited in a specified order on k
 //     simultaneous channels: minimize dis(p,s1) + dis(s1,s2) + … +
-//     dis(s_{k-1},s_k). ChainExec runs it.
+//     dis(s_{k-1},s_k).
 //  2. Unordered — two datasets with the visiting order unspecified: the
 //     better of (S then R) and (R then S).
 //  3. RoundTrip — a complete travel route that returns to the source:
 //     minimize dis(p,s) + dis(s,r) + dis(r,p).
 //
-// QueryExec runs the two-dataset variants (and top-k, topk.go) as phases
-// of the Double-NN execution; this file holds their joins. All reuse the
+// QueryExec runs every variant (and top-k, topk.go) as phases of the
+// Double-NN execution; this file holds their joins. All reuse the
 // estimate–filter paradigm. The correctness argument is the natural
 // generalization of Theorem 1: if d is the length of any *realizable*
 // route (built from actual data objects), every object o on a better
@@ -21,11 +21,9 @@ package core
 // the exact optimum.
 
 import (
-	"fmt"
 	"math"
 
 	"tnnbcast/internal/broadcast"
-	"tnnbcast/internal/client"
 	"tnnbcast/internal/geom"
 	"tnnbcast/internal/rtree"
 )
@@ -37,201 +35,13 @@ type MultiEnv struct {
 	Region geom.Rect
 }
 
-// ChainExec answers a chain TNN query across k datasets in a fixed
-// visiting order, using all k channels simultaneously (the Double-NN
-// strategy generalized) as an Executor. The estimate phase runs k
-// parallel NN searches from p; chaining their results gives a realizable
-// route whose length bounds the search range. The filter phase runs k
-// parallel circular range queries and a layered dynamic-programming join.
-// Each step advances the search that acts at the earliest slot, the
-// lowest channel index on ties, so k = 2 steps exactly as Double-NN does.
-// Chain channels are tagged "ch0", "ch1", … in errors.
-type ChainExec struct {
-	p     geom.Point
-	opt   Options
-	rxs   []*client.Receiver
-	nns   []*nnSearch
-	rgs   []*rangeSearch
-	walks []*airWalk    // the running phase's searches, in channel order
-	route []rtree.Entry // the estimate's realizable route
-	phase execPhase     // phEstimate, phFilter, phJoin or phDone
-
-	radius float64
-	res    Result
-}
-
-// Reset (re)initializes the execution in place for a chain query at p.
-// An environment without channels is done at once with a zero Result.
-func (ex *ChainExec) Reset(env MultiEnv, p geom.Point, opt Options) {
-	opt.Scratch.reset()
-	*ex = ChainExec{p: p, opt: opt, phase: phEstimate}
-	k := len(env.Chs)
-	if k == 0 {
-		ex.phase = phDone
-		return
-	}
-	ex.rxs = make([]*client.Receiver, k)
-	ex.nns = make([]*nnSearch, k)
-	ex.walks = make([]*airWalk, k)
-	for i, ch := range env.Chs {
-		ex.rxs[i] = opt.Scratch.receiver(ch, opt.Issue)
-		factor := opt.ANN.FactorS
-		if i > 0 {
-			factor = opt.ANN.FactorR
-		}
-		ex.nns[i] = opt.Scratch.nnSearch(ex.rxs[i], p, factor, opt.maxRetries())
-		ex.walks[i] = &ex.nns[i].airWalk
-	}
-	ex.advance()
-}
-
-// RunChain answers one chain query on the peek/step loop.
+// RunChain answers a chain TNN query across k datasets in a fixed
+// visiting order, using all k channels simultaneously, on the peek/step
+// loop (see QueryExec.ResetChain).
 func RunChain(env MultiEnv, p geom.Point, opt Options) Result {
-	var ex ChainExec
-	ex.Reset(env, p, opt)
-	return drive(&ex)
-}
-
-// Done reports whether the Result is final.
-func (ex *ChainExec) Done() bool { return ex.phase == phDone }
-
-// Result returns the query outcome; valid once Done.
-func (ex *ChainExec) Result() Result { return ex.res }
-
-// Peek reports the next slot at which the query acts.
-func (ex *ChainExec) Peek() (int64, bool) {
-	switch ex.phase {
-	case phEstimate, phFilter:
-		_, slot := earliest(ex.walks)
-		return slot, false
-	case phJoin:
-		return clockMax(ex.rxs), false
-	default:
-		return 0, true
-	}
-}
-
-// Step performs exactly one action: one step of the earliest search, or
-// the terminal join and retrieval.
-func (ex *ChainExec) Step() {
-	switch ex.phase {
-	case phEstimate, phFilter:
-		i, _ := earliest(ex.walks)
-		if ex.phase == phEstimate {
-			ex.nns[i].Step()
-		} else {
-			ex.rgs[i].Step()
-		}
-		if !ex.walks[i].finished {
-			return // only a finished search can end the phase
-		}
-	case phJoin:
-		ex.joinAndRetrieve()
-	case phDone:
-		panic("core: Step on a finished chain execution")
-	}
-	ex.advance()
-}
-
-// clockMax returns the latest of the receivers' local clocks.
-func clockMax(rxs []*client.Receiver) int64 {
-	t := rxs[0].Now()
-	for _, rx := range rxs[1:] {
-		t = max(t, rx.Now())
-	}
-	return t
-}
-
-// advance folds completed phases into their successors, as
-// QueryExec.advance does.
-func (ex *ChainExec) advance() {
-	if ex.phase != phEstimate && ex.phase != phFilter {
-		return
-	}
-	if i, _ := earliest(ex.walks); i >= 0 {
-		return
-	}
-	for i, w := range ex.walks {
-		if w.err != nil {
-			ex.failWith(i, w.err)
-			return
-		}
-	}
-	if ex.phase == phFilter {
-		ex.phase = phJoin
-		return
-	}
-	ex.route = make([]rtree.Entry, len(ex.nns))
-	for i, s := range ex.nns {
-		e, _, ok := s.result()
-		if !ok {
-			ex.fail(nil)
-			return
-		}
-		ex.route[i] = e
-	}
-	ex.radius = routeLength(ex.p, ex.route)
-	// Filter: parallel range queries with the route length as radius on
-	// every channel, from the moment every estimate is known.
-	t := clockMax(ex.rxs)
-	w := geom.Circle{Center: ex.p, R: ex.radius}
-	ex.rgs = make([]*rangeSearch, len(ex.rxs))
-	for i, rx := range ex.rxs {
-		rx.WaitUntil(t)
-		ex.rgs[i] = ex.opt.Scratch.rangeSearch(rx, w, ex.opt.maxRetries())
-		ex.walks[i] = &ex.rgs[i].airWalk
-	}
-	ex.phase = phFilter
-	ex.advance() // fold a filter phase that is complete at creation
-}
-
-// fail finalizes the query with the metrics spent so far and err.
-func (ex *ChainExec) fail(err error) {
-	ex.res = Result{Metrics: client.Collect(ex.rxs...), Err: err}
-	ex.phase = phDone
-}
-
-// failWith finalizes a query whose channel i escalated.
-func (ex *ChainExec) failWith(i int, cerr *broadcast.ChannelError) {
-	cerr.Channel = fmt.Sprintf("ch%d", i)
-	ex.fail(cerr)
-}
-
-// joinAndRetrieve is the terminal action: the layered join, the optional
-// download of every stop's data page, and the metric collection.
-func (ex *ChainExec) joinAndRetrieve() {
-	layers := make([][]rtree.Entry, len(ex.rgs))
-	for i, s := range ex.rgs {
-		layers[i] = s.found.entries()
-	}
-	stops, dist, ok := chainJoin(ex.p, layers, ex.route, ex.radius)
-	if !ok {
-		ex.fail(nil)
-		return
-	}
-	var err error
-	if !ex.opt.SkipDataRetrieval {
-		t := clockMax(ex.rxs)
-		for _, rx := range ex.rxs {
-			rx.WaitUntil(t)
-		}
-		for i, rx := range ex.rxs {
-			if _, cerr := rx.DownloadObjectReliable(stops[i].ID, ex.opt.maxRetries()); cerr != nil {
-				cerr.Channel = fmt.Sprintf("ch%d", i)
-				err = cerr
-				break
-			}
-		}
-	}
-	ex.res = Result{
-		Pair:    Pair{Dist: dist},
-		Found:   true,
-		Metrics: client.Collect(ex.rxs...),
-		Radius:  ex.radius,
-		Err:     err,
-		Stops:   stops,
-	}
-	ex.phase = phDone
+	var ex QueryExec
+	ex.ResetChain(env, p, opt)
+	return ex.run()
 }
 
 // routeLength returns dis(p, r0) + Σ dis(r_i, r_{i+1}).

@@ -74,8 +74,8 @@ func TestChainTNNTwoEqualsTNN(t *testing.T) {
 	// executor runs it exactly as Double-NN does: the same estimate
 	// searches stepped in the same order (channel 0 first on equal
 	// slots), the same radius, the same join and retrieval. The answer,
-	// every metric and every escalation agree bit for bit, lossless and
-	// under bursty loss.
+	// every metric (the estimate/filter tune-in split too) and every
+	// escalation agree bit for bit, lossless and under bursty loss.
 	rng := rand.New(rand.NewSource(22))
 	ptsS := uniformPts(rng, 300, testRegion)
 	ptsR := uniformPts(rng, 250, testRegion)
@@ -107,7 +107,8 @@ func TestChainTNNTwoEqualsTNN(t *testing.T) {
 			chain := RunChain(chainEnv, p, opt)
 			double, _ := Run(c.env, AlgoDouble, p, opt)
 			if chain.Metrics != double.Metrics || math.Float64bits(chain.Radius) != math.Float64bits(double.Radius) ||
-				math.Float64bits(chain.Pair.Dist) != math.Float64bits(double.Pair.Dist) || chain.Found != double.Found {
+				math.Float64bits(chain.Pair.Dist) != math.Float64bits(double.Pair.Dist) || chain.Found != double.Found ||
+				chain.EstimateTuneIn != double.EstimateTuneIn || chain.FilterTuneIn != double.FilterTuneIn {
 				t.Fatalf("%s query %d: chain k=2 %+v, Double-NN %+v", c.name, j, chain, double)
 			}
 			if chain.Found && (chain.Stops[0] != double.Pair.S || chain.Stops[1] != double.Pair.R) {

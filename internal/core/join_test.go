@@ -401,12 +401,13 @@ func sessionJoinInputs() []joinInput {
 			for !ex.Done() {
 				ex.Step()
 			}
-			if ex.qs == nil || ex.qr == nil {
+			qs, qr := ex.rgs[0], ex.rgs[1]
+			if qs == nil || qr == nil {
 				continue
 			}
 			in := joinInput{p: q, inc: ex.incumbent, hasInc: ex.haveInc}
-			in.ss.appendRun(ex.qs.found.x, ex.qs.found.y, ex.qs.found.id)
-			in.rs.appendRun(ex.qr.found.x, ex.qr.found.y, ex.qr.found.id)
+			in.ss.appendRun(qs.found.x, qs.found.y, qs.found.id)
+			in.rs.appendRun(qr.found.x, qr.found.y, qr.found.id)
 			joinInputs = append(joinInputs, in)
 		}
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tnnbcast/internal/broadcast"
@@ -175,34 +176,50 @@ func TestLossDeterministicMetrics(t *testing.T) {
 }
 
 // TestLossTraceFault: the TraceFault callback fires exactly once per
-// faulted reception — Metrics.Lost and the event stream agree, and every
-// reported channel tag is valid.
+// faulted reception — Metrics.Lost and the event stream agree — and every
+// reported channel tag is one of the query's own channels: S and R for a
+// two-dataset query, ch0, ch1, … for a chain.
 func TestLossTraceFault(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ptsS := uniformPts(rng, 300, testRegion)
 	ptsR := uniformPts(rng, 300, testRegion)
-	_, lossy := lossEnvPair(t, ptsS, ptsR, broadcast.IndexSpec{}, false, 0, 0,
-		broadcast.FaultModel{Loss: 0.05, Seed: 77})
+	fm := broadcast.FaultModel{Loss: 0.05, Seed: 77}
+	_, lossy := lossEnvPair(t, ptsS, ptsR, broadcast.IndexSpec{}, false, 0, 0, fm)
+	ptsT := uniformPts(rng, 300, testRegion)
+	_, third := lossEnvPair(t, ptsT, ptsT, broadcast.IndexSpec{}, false, 491, 0, fm.WithSeed(78))
+	chainEnv := MultiEnv{Chs: []broadcast.Feed{lossy.ChS, lossy.ChR, third.ChS}, Region: testRegion}
 
-	var events int64
-	opt := Options{
-		Issue: 10,
-		TraceFault: func(ch string, slot int64) {
-			if ch != "S" && ch != "R" {
-				t.Errorf("TraceFault channel tag %q", ch)
+	p := geom.Pt(500, 500)
+	for _, c := range []struct {
+		name string
+		tags []string
+		run  func(Options) Result
+	}{
+		{"window", []string{"S", "R"}, func(opt Options) Result { return run(lossy, AlgoWindow, p, opt) }},
+		{"chain3", []string{"ch0", "ch1", "ch2"}, func(opt Options) Result { return RunChain(chainEnv, p, opt) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var events int64
+			opt := Options{
+				Issue: 10,
+				TraceFault: func(ch string, slot int64) {
+					if !slices.Contains(c.tags, ch) {
+						t.Errorf("TraceFault channel tag %q, want one of %v", ch, c.tags)
+					}
+					events++
+				},
 			}
-			events++
-		},
-	}
-	res := run(lossy, AlgoWindow, geom.Pt(500, 500), opt)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if events == 0 {
-		t.Fatal("no faults traced at 5% loss")
-	}
-	if events != res.Metrics.Lost {
-		t.Fatalf("TraceFault fired %d times, Metrics.Lost = %d", events, res.Metrics.Lost)
+			res := c.run(opt)
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			if events == 0 {
+				t.Fatal("no faults traced at 5% loss")
+			}
+			if events != res.Metrics.Lost {
+				t.Fatalf("TraceFault fired %d times, Metrics.Lost = %d", events, res.Metrics.Lost)
+			}
+		})
 	}
 }
 

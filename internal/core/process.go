@@ -247,6 +247,12 @@ type Scratch struct {
 	nnN  int
 	knnN int
 	rgN  int
+
+	// The executor's per-channel slices (see channels).
+	rxs   []*client.Receiver
+	nns   []*nnSearch
+	rgs   []*rangeSearch
+	walks []*airWalk
 }
 
 // NewScratch returns an empty scratch space for query execution.
@@ -269,6 +275,28 @@ func (sc *Scratch) receiver(ch broadcast.Feed, issue int64) *client.Receiver {
 	sc.rxN++
 	r.Reset(ch, issue)
 	return r
+}
+
+// channels returns a k-channel execution's per-channel slices —
+// receivers, NN searches, range searches and the running phase's walks —
+// cleared, reusing the scratch's backing arrays once they have grown to k
+// (nil-safe).
+func (sc *Scratch) channels(k int) ([]*client.Receiver, []*nnSearch, []*rangeSearch, []*airWalk) {
+	if sc == nil {
+		return make([]*client.Receiver, k), make([]*nnSearch, k), make([]*rangeSearch, k), make([]*airWalk, k)
+	}
+	sc.rxs, sc.nns, sc.rgs, sc.walks = cleared(sc.rxs, k), cleared(sc.nns, k), cleared(sc.rgs, k), cleared(sc.walks, k)
+	return sc.rxs, sc.nns, sc.rgs, sc.walks
+}
+
+// cleared returns s resized to n zero elements, reusing its backing array
+// when it is large enough.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	clear(s[:cap(s)])
+	return s[:n]
 }
 
 // joinHeap returns the scratch's pair heap for the join, or a fresh one

@@ -21,9 +21,9 @@ import (
 // Executor is one query execution as a resumable process: Peek reports
 // the next broadcast slot at which the execution wants to act, Step
 // performs exactly one action, and Result is valid once Done. QueryExec
-// (the paper's algorithms and the two-dataset variants), ChainExec and
-// every registered strategy are Executors, all driven by the same
-// peek/step loop.
+// (the paper's algorithms, the two-dataset variants and the k-channel
+// chain) and every registered strategy are Executors, all driven by the
+// same peek/step loop.
 type Executor interface {
 	Peek() (slot int64, done bool)
 	Step()

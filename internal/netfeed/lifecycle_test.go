@@ -232,6 +232,68 @@ func TestGoodbyeTerminal(t *testing.T) {
 	}
 }
 
+// TestGoodbyeSurvivesFullOutbox closes a server under a TCP client whose
+// 256-message outbox is full and whose writer is blocked on the stream:
+// the client must still read the GOODBYE, as the last message, instead
+// of a bare EOF that would send it into reconnect backoff.
+func TestGoodbyeSurvivesFullOutbox(t *testing.T) {
+	srv := startTestServer(t, true)
+	serverEnd, clientEnd := net.Pipe()
+	defer clientEnd.Close()
+	cl := &serverClient{
+		transport: TransportTCP, tcp: serverEnd,
+		out:      make(chan []byte, 256),
+		closed:   make(chan struct{}),
+		draining: make(chan struct{}),
+	}
+	pong := func(n int) []byte {
+		msg := appendPong(make([]byte, 4, 4+pongSize), uint64(n))
+		binary.BigEndian.PutUint32(msg[:4], pongSize)
+		return msg
+	}
+	for i := range cap(cl.out) {
+		cl.out <- pong(i)
+	}
+	srv.mu.Lock()
+	srv.clients[cl] = struct{}{}
+	srv.mu.Unlock()
+	srv.wg.Add(1)
+	go srv.clientWriter(cl)
+	// The writer takes one message and blocks writing it to the unread
+	// pipe; this send refills the outbox behind it.
+	cl.out <- pong(cap(cl.out))
+
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	<-cl.draining // Close has handed out the GOODBYE; now read
+
+	var msgs [][]byte
+	for {
+		var hdr [4]byte
+		if _, err := io.ReadFull(clientEnd, hdr[:]); err != nil {
+			break
+		}
+		body := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(clientEnd, body); err != nil {
+			t.Fatalf("message %d truncated: %v", len(msgs), err)
+		}
+		msgs = append(msgs, body)
+	}
+	<-closed
+	if want := cap(cl.out) + 2; len(msgs) != want {
+		t.Fatalf("client read %d messages, want %d (every queued PONG, then the GOODBYE)", len(msgs), want)
+	}
+	last := msgs[len(msgs)-1]
+	if last[0] != goodbyeOp {
+		t.Fatalf("last message op %#x, want the GOODBYE (%#x)", last[0], goodbyeOp)
+	}
+	resume, digest, err := decodeGoodbye(last)
+	if err != nil || !resume || digest != srv.Digest() {
+		t.Fatalf("GOODBYE decoded as resume=%v digest=%#x err=%v, want resume with digest %#x",
+			resume, digest, err, srv.Digest())
+	}
+}
+
 // fakeServer is a scripted netfeed endpoint: it answers the first
 // handshake correctly and then misbehaves on demand — going silent
 // (never PONGing) or black-holing every later handshake.

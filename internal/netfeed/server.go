@@ -68,6 +68,7 @@ type serverClient struct {
 	closeOnce sync.Once
 	draining  chan struct{}
 	drainOnce sync.Once
+	goodbye   []byte // the drain notice, set before draining closes
 }
 
 func (cl *serverClient) close() {
@@ -77,10 +78,14 @@ func (cl *serverClient) close() {
 	})
 }
 
-// drain tells the client's writer to flush whatever is queued (the
-// GOODBYE is the last thing enqueued) and then close the stream.
-func (cl *serverClient) drain() {
-	cl.drainOnce.Do(func() { close(cl.draining) })
+// drain hands the client's writer the GOODBYE: the writer flushes
+// whatever is queued, writes the GOODBYE last and closes the stream. The
+// GOODBYE bypasses the outbox, so a full outbox cannot drop it.
+func (cl *serverClient) drain(goodbye []byte) {
+	cl.drainOnce.Do(func() {
+		cl.goodbye = goodbye
+		close(cl.draining)
+	})
 }
 
 // Server is a running broadcast service. Create with NewServer, bind and
@@ -214,8 +219,7 @@ func (s *Server) Close() error {
 		binary.BigEndian.PutUint32(goodbye[:4], goodbyeSize)
 		s.mu.Lock()
 		for cl := range s.clients {
-			s.enqueue(cl, goodbye)
-			cl.drain()
+			cl.drain(goodbye)
 		}
 		s.mu.Unlock()
 		s.udp.Close()
@@ -370,15 +374,15 @@ func (s *Server) handleWake(cl *serverClient, ch uint8, slot int64) {
 
 // clientWriter drains one client's control-stream outbox. A slow client's
 // overflow is dropped at enqueue time (loss, like any radio shadow); a
-// write error ends the client. On drain it flushes everything queued —
-// the GOODBYE is last — and then closes the stream.
+// write error ends the client. On drain it flushes everything queued,
+// writes the GOODBYE last, and then closes the stream.
 func (s *Server) clientWriter(cl *serverClient) {
 	defer s.wg.Done()
+	defer cl.close()
 	for {
 		select {
 		case b := <-cl.out:
 			if _, err := cl.tcp.Write(b); err != nil {
-				cl.close()
 				return
 			}
 		case <-cl.closed:
@@ -388,11 +392,10 @@ func (s *Server) clientWriter(cl *serverClient) {
 				select {
 				case b := <-cl.out:
 					if _, err := cl.tcp.Write(b); err != nil {
-						cl.close()
 						return
 					}
 				default:
-					cl.close()
+					cl.tcp.Write(cl.goodbye) // the stream closes next either way
 					return
 				}
 			}
