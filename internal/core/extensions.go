@@ -11,9 +11,9 @@ package core
 //  3. RoundTrip — a complete travel route that returns to the source:
 //     minimize dis(p,s) + dis(s,r) + dis(r,p).
 //
-// QueryExec runs every variant (and top-k, topk.go) as phases of the
-// Double-NN execution; this file holds their joins. All reuse the
-// estimate–filter paradigm. The correctness argument is the natural
+// QueryExec runs them (and top-k, topk.go) as phases of the Double-NN
+// execution; this file holds their joins. All reuse the estimate–filter
+// paradigm. The correctness argument is the natural
 // generalization of Theorem 1: if d is the length of any *realizable*
 // route (built from actual data objects), every object o on a better
 // route satisfies dis(p,o) ≤ d by the triangle inequality, so the
