@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tnnbcast/internal/broadcast"
+	"tnnbcast/internal/heapx"
 	"tnnbcast/internal/rtree"
 )
 
@@ -117,19 +118,54 @@ type slotKey struct {
 	slot int64
 }
 
-// slotState tracks one subscribed slot: done closes when the reception
-// resolves (frame delivered, possibly as a corrupt-fault).
+// slotState tracks one subscribed slot. It resolves once — a frame is
+// delivered (fault nil, or FaultCorrupt) or the connection dies — and
+// every reception parked on it is handed the outcome. States are recycled
+// through the Conn's free list once keepTime evicts them; a state with
+// parked receptions is never evicted, and frames find states only by key,
+// so a late frame can never resolve a state recycled for another key.
 type slotState struct {
-	done  chan struct{}
-	fault *broadcast.PageFault // nil: clean reception
-	// deadline is the latest waiter's give-up time; the janitor must not
+	resolved bool
+	fault    *broadcast.PageFault // nil: clean reception
+	// deadline is the latest waiter's give-up time; keepTime must not
 	// evict an unresolved subscription before it passes.
 	deadline time.Time
 	// wakeGen is the generation of the session whose WAKE covers this
 	// subscription (0: none yet). A reconnect re-arms every unresolved
 	// subscription on the new session exactly once.
 	wakeGen uint64
+	// waiters are the receptions parked on this slot; the slice keeps its
+	// capacity across recycling.
+	waiters []*waiter
 }
+
+// waiter is one reception parked in receive. Its wake-up channel holds at
+// most one token: whoever resolves the waiter first under Conn.mu —
+// deliver, the deadline heap, or finalize — marks it done, records the
+// outcome and sends the token. Waiters are recycled; gen counts their
+// uses, so a deadline-heap entry left from an earlier use is recognised
+// as stale and can never expire the waiter's current reception.
+type waiter struct {
+	wake  chan struct{} // capacity 1, reused across receptions
+	gen   uint64
+	st    *slotState // the slot parked on, while not done
+	done  bool
+	lost  bool                 // the deadline passed first
+	fault *broadcast.PageFault // outcome when resolved by a frame
+}
+
+// deadlineEntry is one parked reception's give-up time on the deadline
+// heap; gen is the waiter's use it belongs to.
+type deadlineEntry struct {
+	at  time.Time
+	w   *waiter
+	gen uint64
+}
+
+func deadlineLess(a, b deadlineEntry) bool { return a.at.Before(b.at) }
+
+// sweepEvery is how often keepTime evicts settled receptions.
+const sweepEvery = time.Second
 
 // session is one TCP control stream's lifetime: dialed and handshaken by
 // connect, killed by the first error (socket, heartbeat, GOODBYE), and
@@ -140,6 +176,7 @@ type session struct {
 	gen     uint64
 	tcp     net.Conn
 	writeMu sync.Mutex
+	wbuf    [wakeSize]byte // the WAKE or PING being written, under writeMu
 
 	dead     chan struct{}
 	dieOnce  sync.Once
@@ -159,11 +196,20 @@ func (s *session) die(err error) {
 	})
 }
 
-// writeCtl sends one control message on the session's TCP stream.
-func (s *session) writeCtl(b []byte) error {
+// writeWake sends one WAKE on the session's TCP stream, encoded into the
+// session's own buffer.
+func (s *session) writeWake(ch uint8, slot int64) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	_, err := s.tcp.Write(b)
+	_, err := s.tcp.Write(appendWake(s.wbuf[:0], ch, slot))
+	return err
+}
+
+// writePing sends one heartbeat PING, encoded like writeWake.
+func (s *session) writePing(nonce uint64) error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	_, err := s.tcp.Write(appendPing(s.wbuf[:0], nonce))
 	return err
 }
 
@@ -193,8 +239,15 @@ type Conn struct {
 
 	udp *net.UDPConn
 
-	mu    sync.Mutex
-	slots map[slotKey]*slotState
+	// mu guards the reception state: the subscription map, the deadline
+	// heap, the free lists, and final.
+	mu          sync.Mutex
+	slots       map[slotKey]*slotState
+	deadlines   []deadlineEntry // min-heap of parked receptions' give-up times
+	freeStates  []*slotState
+	freeWaiters []*waiter
+	final       bool          // finalize ran: receptions fail fast
+	kick        chan struct{} // wakes keepTime when the earliest deadline moves up
 
 	bytesRead     atomic.Int64
 	framesRead    atomic.Int64
@@ -252,6 +305,7 @@ func Dial(addr string, cfg DialConfig) (*Conn, error) {
 		cfg:    cfg,
 		addr:   addr,
 		slots:  make(map[slotKey]*slotState),
+		kick:   make(chan struct{}, 1),
 		closed: make(chan struct{}),
 		rng:    cfg.JitterSeed,
 	}
@@ -279,7 +333,7 @@ func Dial(addr string, cfg DialConfig) (*Conn, error) {
 		go c.udpReader()
 	}
 	c.wg.Add(1)
-	go c.janitor()
+	go c.keepTime()
 	c.wg.Add(1)
 	go c.supervise()
 	return c, nil
@@ -532,12 +586,10 @@ func (c *Conn) finalize(sess *session, err error) {
 		sess.wg.Wait()
 	}
 	c.mu.Lock()
+	c.final = true
 	for key, st := range c.slots {
-		select {
-		case <-st.done:
-		default:
-			st.fault = &broadcast.PageFault{Slot: key.slot, Kind: broadcast.FaultLost}
-			close(st.done)
+		if !st.resolved {
+			c.settle(st, &broadcast.PageFault{Slot: key.slot, Kind: broadcast.FaultLost})
 		}
 	}
 	c.mu.Unlock()
@@ -552,19 +604,14 @@ func (c *Conn) rearmWakes(sess *session) {
 	var keys []slotKey
 	c.mu.Lock()
 	for key, st := range c.slots {
-		select {
-		case <-st.done:
-			continue
-		default:
-		}
-		if st.wakeGen != sess.gen {
+		if !st.resolved && st.wakeGen != sess.gen {
 			st.wakeGen = sess.gen
 			keys = append(keys, key)
 		}
 	}
 	c.mu.Unlock()
 	for _, key := range keys {
-		if err := sess.writeCtl(appendWake(make([]byte, 0, wakeSize), key.ch, key.slot)); err != nil {
+		if err := sess.writeWake(key.ch, key.slot); err != nil {
 			sess.die(err)
 			return
 		}
@@ -694,65 +741,123 @@ func (c *Conn) slotDeadline(t int64) time.Time {
 // arrives (nil fault or FaultCorrupt), the deadline passes (FaultLost), or
 // the connection dies terminally. It subscribes the slot on first use —
 // the WAKE is the doze/wake schedule entry — and between the WAKE and the
-// delivery the caller is genuinely asleep: nothing is read on its behalf.
-// During an outage the subscription is parked (re-armed on resume); a
-// reception that straddles the outage simply times out into FaultLost and
-// re-enters the recovery protocol.
+// delivery the caller is genuinely asleep: parked on a recycled waiter,
+// with its deadline on the Conn's one deadline heap instead of a timer of
+// its own, and nothing is read on its behalf. During an outage the
+// subscription is parked (re-armed on resume); a reception that straddles
+// the outage simply times out into FaultLost and re-enters the recovery
+// protocol. In steady state a reception allocates nothing.
 func (c *Conn) receive(ch uint8, t int64) *broadcast.PageFault {
-	if c.terminal() != nil {
-		return &broadcast.PageFault{Slot: t, Kind: broadcast.FaultLost}
-	}
 	deadline := c.slotDeadline(t)
 	key := slotKey{ch: ch, slot: t}
 	sess, gen := c.curSession()
 	c.mu.Lock()
-	st, ok := c.slots[key]
-	if !ok {
-		st = &slotState{done: make(chan struct{})}
+	if c.final {
+		c.mu.Unlock()
+		return &broadcast.PageFault{Slot: t, Kind: broadcast.FaultLost}
+	}
+	st := c.slots[key]
+	if st == nil {
+		st = c.newState()
 		c.slots[key] = st
+	}
+	if st.resolved {
+		// Another query downloaded this slot: the shared medium delivered
+		// one frame for every listener.
+		fault := st.fault
+		c.mu.Unlock()
+		return fault
 	}
 	if st.deadline.Before(deadline) {
 		st.deadline = deadline
 	}
-	needWake := false
-	select {
-	case <-st.done:
-	default:
-		if sess != nil && st.wakeGen != gen {
-			st.wakeGen = gen
-			needWake = true
-		}
+	needWake := sess != nil && st.wakeGen != gen
+	if needWake {
+		st.wakeGen = gen
 	}
+	w := c.park(st, deadline)
 	c.mu.Unlock()
 	if needWake {
-		if err := sess.writeCtl(appendWake(make([]byte, 0, wakeSize), ch, t)); err != nil {
+		if err := sess.writeWake(ch, t); err != nil {
 			// The stream just died under us: hand the session to the
 			// supervisor and let this reception ride its deadline.
 			sess.die(err)
 		}
 	}
-	// A reception already resolved (another query downloaded this slot)
-	// returns immediately — the shared medium delivered one frame for
-	// every listener.
-	select {
-	case <-st.done:
-		return st.fault
-	default:
-	}
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	select {
-	case <-st.done:
-		return st.fault
-	case <-timer.C:
-		// Check once more: the frame may have raced the timer.
-		select {
-		case <-st.done:
-			return st.fault
-		default:
-		}
+	<-w.wake
+	c.mu.Lock()
+	lost, fault := w.lost, w.fault
+	w.fault = nil
+	c.freeWaiters = append(c.freeWaiters, w)
+	c.mu.Unlock()
+	if lost {
 		return &broadcast.PageFault{Slot: t, Kind: broadcast.FaultLost}
 	}
+	return fault
+}
+
+// newState takes a subscription state from the free list. The caller
+// holds c.mu.
+func (c *Conn) newState() *slotState {
+	n := len(c.freeStates)
+	if n == 0 {
+		return &slotState{}
+	}
+	st := c.freeStates[n-1]
+	c.freeStates[n-1] = nil
+	c.freeStates = c.freeStates[:n-1]
+	return st
+}
+
+// park parks one reception on st until deadline: it takes a waiter from
+// the free list, queues its deadline, and kicks keepTime when that
+// deadline is the new earliest. The caller holds c.mu.
+func (c *Conn) park(st *slotState, deadline time.Time) *waiter {
+	var w *waiter
+	if n := len(c.freeWaiters); n > 0 {
+		w = c.freeWaiters[n-1]
+		c.freeWaiters[n-1] = nil
+		c.freeWaiters = c.freeWaiters[:n-1]
+	} else {
+		w = &waiter{wake: make(chan struct{}, 1)}
+	}
+	w.gen++
+	w.st, w.done, w.lost = st, false, false
+	st.waiters = append(st.waiters, w)
+	heapx.Push(&c.deadlines, deadlineEntry{at: deadline, w: w, gen: w.gen}, deadlineLess)
+	if c.deadlines[0].w == w {
+		select {
+		case c.kick <- struct{}{}:
+		default:
+		}
+	}
+	return w
+}
+
+// settle resolves st with fault and hands the outcome to every reception
+// parked on it. The caller holds c.mu.
+//
+//tnn:noalloc
+func (c *Conn) settle(st *slotState, fault *broadcast.PageFault) {
+	st.resolved, st.fault = true, fault
+	for i, w := range st.waiters {
+		w.done, w.fault, w.st = true, fault, nil
+		w.wake <- struct{}{}
+		st.waiters[i] = nil
+	}
+	st.waiters = st.waiters[:0]
+}
+
+// resolve is deliver's hand-off: the first frame for key settles its
+// subscription, if the slot is subscribed and still open.
+//
+//tnn:noalloc
+func (c *Conn) resolve(key slotKey, fault *broadcast.PageFault) {
+	c.mu.Lock()
+	if st := c.slots[key]; st != nil && !st.resolved {
+		c.settle(st, fault)
+	}
+	c.mu.Unlock()
 }
 
 // deliver resolves a received frame buffer against the subscription map.
@@ -797,18 +902,7 @@ func (c *Conn) deliver(buf []byte) {
 			return
 		}
 	}
-	key := slotKey{ch: f.Channel, slot: f.Slot}
-	c.mu.Lock()
-	st := c.slots[key]
-	if st != nil {
-		select {
-		case <-st.done:
-		default:
-			st.fault = fault
-			close(st.done)
-		}
-	}
-	c.mu.Unlock()
+	c.resolve(slotKey{ch: f.Channel, slot: f.Slot}, fault)
 }
 
 // udpReader drains the UDP socket for the Conn's whole lifetime (the
@@ -818,7 +912,7 @@ func (c *Conn) udpReader() {
 	defer c.wg.Done()
 	buf := make([]byte, c.frameSize+256)
 	for {
-		n, _, err := c.udp.ReadFromUDP(buf)
+		n, err := c.udp.Read(buf)
 		if n > 0 {
 			c.bytesRead.Add(int64(n))
 			c.deliver(buf[:n])
@@ -900,7 +994,7 @@ func (s *session) heartbeat(interval time.Duration, miss int) {
 				s.die(fmt.Errorf("netfeed: heartbeat timeout: no PONG in %v", time.Duration(age)))
 				return
 			}
-			if err := s.writeCtl(appendPing(make([]byte, 0, pingSize), uint64(now.UnixNano()))); err != nil {
+			if err := s.writePing(uint64(now.UnixNano())); err != nil {
 				s.die(err)
 				return
 			}
@@ -908,38 +1002,92 @@ func (s *session) heartbeat(interval time.Duration, miss int) {
 	}
 }
 
-// janitor evicts resolved and abandoned receptions once they are safely in
-// the past, bounding the subscription map over long sessions.
-func (c *Conn) janitor() {
+// keepTime is the one timer behind every reception. It services the
+// deadline heap — every parked reception whose deadline passed wakes with
+// FaultLost — and once every sweepEvery evicts settled receptions onto
+// the free list, bounding the subscription map over long sessions. It
+// sleeps until the earliest queued deadline or the next sweep, whichever
+// comes first, and park kicks it awake when a new deadline is earlier
+// still.
+func (c *Conn) keepTime() {
 	defer c.wg.Done()
-	ticker := time.NewTicker(time.Second)
-	defer ticker.Stop()
+	timer := time.NewTimer(sweepEvery)
+	defer timer.Stop()
+	nextSweep := time.Now().Add(sweepEvery)
 	for {
 		select {
 		case <-c.closed:
 			return
-		case now := <-ticker.C:
-			// Resolved receptions safely in the past have no future reader;
-			// unresolved ones are evicted only once every waiter's deadline
-			// passed a full grace ago (a replayed past slot is subscribed
-			// long after its air time, so slot age alone proves nothing).
+		case <-timer.C:
+		case <-c.kick:
+		}
+		now := time.Now()
+		sweep := !now.Before(nextSweep)
+		var horizon int64
+		if sweep {
 			c.clockMu.Lock()
-			horizon := c.clock.slotAt(now.Add(-4*c.cfg.Grace)) - 1
+			horizon = c.clock.slotAt(now.Add(-4*c.cfg.Grace)) - 1
 			c.clockMu.Unlock()
-			c.mu.Lock()
-			for key, st := range c.slots {
-				select {
-				case <-st.done:
-					if key.slot < horizon {
-						delete(c.slots, key)
-					}
-				default:
-					if !st.deadline.IsZero() && now.After(st.deadline.Add(c.cfg.Grace)) {
-						delete(c.slots, key)
-					}
-				}
+			nextSweep = now.Add(sweepEvery)
+		}
+		c.mu.Lock()
+		c.expire(now)
+		if sweep {
+			c.evict(now, horizon)
+		}
+		next := nextSweep
+		if len(c.deadlines) > 0 && c.deadlines[0].at.Before(next) {
+			next = c.deadlines[0].at
+		}
+		c.mu.Unlock()
+		timer.Reset(next.Sub(now))
+	}
+}
+
+// expire pops the deadline heap down to its first live, unexpired entry:
+// entries of waiters resolved since are dropped, and each waiter whose
+// deadline passed wakes lost. The caller holds c.mu.
+func (c *Conn) expire(now time.Time) {
+	for len(c.deadlines) > 0 {
+		e := c.deadlines[0]
+		live := e.w.gen == e.gen && !e.w.done
+		if live && e.at.After(now) {
+			return
+		}
+		heapx.Pop(&c.deadlines, deadlineLess)
+		if !live {
+			continue
+		}
+		w, st := e.w, e.w.st
+		for i, x := range st.waiters {
+			if x == w {
+				last := len(st.waiters) - 1
+				st.waiters[i] = st.waiters[last]
+				st.waiters[last] = nil
+				st.waiters = st.waiters[:last]
+				break
 			}
-			c.mu.Unlock()
+		}
+		w.done, w.lost, w.st = true, true, nil
+		w.wake <- struct{}{}
+	}
+}
+
+// evict recycles receptions safely in the past. Resolved ones older than
+// horizon have no future reader; unresolved ones go only once every
+// waiter's deadline passed a full grace ago (a replayed past slot is
+// subscribed long after its air time, so slot age alone proves nothing).
+// The caller holds c.mu.
+func (c *Conn) evict(now time.Time, horizon int64) {
+	for key, st := range c.slots {
+		if len(st.waiters) > 0 {
+			continue
+		}
+		if st.resolved && key.slot < horizon ||
+			!st.resolved && !st.deadline.IsZero() && now.After(st.deadline.Add(c.cfg.Grace)) {
+			delete(c.slots, key)
+			*st = slotState{waiters: st.waiters[:0]}
+			c.freeStates = append(c.freeStates, st)
 		}
 	}
 }

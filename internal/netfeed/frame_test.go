@@ -141,7 +141,7 @@ func TestFrameRejectsEveryBitFlip(t *testing.T) {
 					continue
 				}
 				perKind[pg.Kind]++
-				buf := srv.frameFor(c, t0)
+				buf := srv.frameFor(c, t0).body()
 				if len(buf) != FrameSize(sp.Params) {
 					t.Fatalf("single=%v channel %d slot %d: frame %dB, want %dB", single, c, t0, len(buf), FrameSize(sp.Params))
 				}
@@ -166,7 +166,7 @@ func BenchmarkFrameCodec(b *testing.B) {
 	for pg, _ := srv.air.PageOn(0, t0); pg.Kind != broadcast.IndexPage; pg, _ = srv.air.PageOn(0, t0) {
 		t0++
 	}
-	f, err := DecodeFrame(srv.frameFor(0, t0))
+	f, err := DecodeFrame(srv.frameFor(0, t0).body())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -242,13 +242,14 @@ func TestGoodbyeSurvivesFullOutbox(t *testing.T) {
 	defer clientEnd.Close()
 	cl := &serverClient{
 		transport: TransportTCP, tcp: serverEnd,
-		out:      make(chan []byte, 256),
+		out:      make(chan *wireBuf, 256),
 		closed:   make(chan struct{}),
 		draining: make(chan struct{}),
 	}
-	pong := func(n int) []byte {
-		msg := appendPong(make([]byte, 4, 4+pongSize), uint64(n))
-		binary.BigEndian.PutUint32(msg[:4], pongSize)
+	pong := func(n int) *wireBuf {
+		msg := srv.getBuf()
+		msg.b = appendPong(msg.b[:4], uint64(n))
+		binary.BigEndian.PutUint32(msg.b[:4], pongSize)
 		return msg
 	}
 	for i := range cap(cl.out) {

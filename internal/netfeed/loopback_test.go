@@ -167,7 +167,12 @@ func TestLoopbackDifferentialClean(t *testing.T) {
 }
 
 // TestLoopbackDifferentialTCP repeats the clean differential over the
-// length-prefixed TCP frame fallback.
+// length-prefixed TCP frame fallback, with two connections querying the
+// same issue slots concurrently: each sealed frame reaches both outboxes
+// from one buffer, while replays of already-aired slots run beside the
+// transmit loop. Every answer must be bit-identical to the in-process
+// twin, and each client must have read exactly its frames, each behind
+// its 4-byte length prefix.
 func TestLoopbackDifferentialTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time loopback broadcast")
@@ -175,23 +180,48 @@ func TestLoopbackDifferentialTCP(t *testing.T) {
 	sp := loopbackSpec(broadcast.SchemePreorder, false)
 	srv := startServer(t, sp, broadcast.FaultModel{})
 
-	rs, err := tnnbcast.Connect(srv.Addr().String(),
-		tnnbcast.WithTCPFrames(), tnnbcast.WithReceiveGrace(5*time.Second))
-	if err != nil {
-		t.Fatalf("Connect: %v", err)
+	var rss [2]*tnnbcast.RemoteSystem
+	for i := range rss {
+		rs, err := tnnbcast.Connect(srv.Addr().String(),
+			tnnbcast.WithTCPFrames(), tnnbcast.WithReceiveGrace(5*time.Second))
+		if err != nil {
+			t.Fatalf("Connect: %v", err)
+		}
+		defer rs.Close()
+		rss[i] = rs
 	}
-	defer rs.Close()
 	twin, err := tnnbcast.New(sp.S, sp.R, twinOptions(sp)...)
 	if err != nil {
 		t.Fatalf("New twin: %v", err)
 	}
 	p := tnnbcast.Pt(30000, 5000)
+	var wg sync.WaitGroup
 	for _, algo := range []tnnbcast.Algorithm{tnnbcast.Double, tnnbcast.Hybrid} {
-		issue := rs.IssueSlot()
-		remote := rs.Query(p, algo, tnnbcast.WithIssue(issue))
+		issue := rss[0].IssueSlot()
 		local := twin.Query(p, algo, tnnbcast.WithIssue(issue))
-		if d := diffResult(remote, local); d != "" {
-			t.Errorf("%v over tcp @issue %d: %s", algo, issue, d)
+		for i, rs := range rss {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				remote := rs.Query(p, algo, tnnbcast.WithIssue(issue))
+				if d := diffResult(remote, local); d != "" {
+					t.Errorf("%v over tcp, connection %d @issue %d: %s", algo, i, issue, d)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	for i, rs := range rss {
+		if err := rs.Err(); err != nil {
+			t.Fatalf("connection %d degraded: %v", i, err)
+		}
+		st := rs.NetStats()
+		if st.FramesRead == 0 {
+			t.Fatalf("connection %d read no frames", i)
+		}
+		if st.BytesRead != st.FramesRead*int64(st.FrameSize+4) {
+			t.Errorf("connection %d: bytes read %d != %d frames × (%dB + 4B prefix)",
+				i, st.BytesRead, st.FramesRead, st.FrameSize)
 		}
 	}
 }

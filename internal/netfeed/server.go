@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tnnbcast/internal/broadcast"
@@ -56,14 +58,29 @@ type wakeKey struct {
 	slot int64
 }
 
+// wireBuf is one length-prefixed control-stream message: a 4-byte
+// big-endian length, then the body (a sealed frame or a PONG). A frame's
+// UDP datagram is the body alone. wireBufs are recycled through the
+// server's pool: refs counts the holders — the sealer until its fan-out
+// ends, plus every TCP outbox that queued it until clientWriter has
+// written it — and the last release returns the buffer to the pool.
+type wireBuf struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+// body returns the message after its length prefix: the frame itself,
+// as a UDP datagram carries it.
+func (m *wireBuf) body() []byte { return m.b[4:] }
+
 // serverClient is one connected listener. Every client — UDP or TCP
 // transport — owns a TCP control outbox: frames ride it for TCP clients,
 // and PONG echoes plus the GOODBYE drain notice ride it for everyone.
 type serverClient struct {
 	transport Transport
-	udpAddr   *net.UDPAddr
+	udpAddr   netip.AddrPort
 	tcp       net.Conn
-	out       chan []byte // length-prefixed control-stream messages
+	out       chan *wireBuf
 	closed    chan struct{}
 	closeOnce sync.Once
 	draining  chan struct{}
@@ -103,9 +120,18 @@ type Server struct {
 
 	mu          sync.Mutex
 	wakes       map[wakeKey][]*serverClient
+	freeSubs    [][]*serverClient // emptied wakes lists, kept for their capacity
 	clients     map[*serverClient]struct{}
 	pending     map[net.Conn]struct{} // conns still in the HELLO handshake
 	sentThrough int64
+
+	subs [][]*serverClient // transmitSlot's per-channel subscribers (transmit loop only)
+
+	poolMu sync.Mutex
+	pool   []*wireBuf
+
+	// outboxDrops counts messages a full control outbox refused.
+	outboxDrops atomic.Int64
 
 	done      chan struct{}
 	txDone    chan struct{}
@@ -133,6 +159,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:     cfg,
 		air:     air,
 		wakes:   make(map[wakeKey][]*serverClient),
+		subs:    make([][]*serverClient, air.Channels()),
 		clients: make(map[*serverClient]struct{}),
 		pending: make(map[net.Conn]struct{}),
 		done:    make(chan struct{}),
@@ -268,17 +295,17 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	cl := &serverClient{
 		transport: transport, tcp: conn,
-		out:      make(chan []byte, 256),
+		out:      make(chan *wireBuf, 256),
 		closed:   make(chan struct{}),
 		draining: make(chan struct{}),
 	}
 	if transport == TransportUDP {
-		host, _, err := net.SplitHostPort(conn.RemoteAddr().String())
+		remote, err := netip.ParseAddrPort(conn.RemoteAddr().String())
 		if err != nil {
 			conn.Close()
 			return
 		}
-		cl.udpAddr = &net.UDPAddr{IP: net.ParseIP(host), Port: udpPort}
+		cl.udpAddr = netip.AddrPortFrom(remote.Addr().Unmap(), uint16(udpPort))
 	}
 
 	s.mu.Lock()
@@ -334,8 +361,9 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.dropClient(cl)
 				return
 			}
-			pong := appendPong(make([]byte, 4, 4+pongSize), binary.BigEndian.Uint64(buf[1:pingSize]))
-			binary.BigEndian.PutUint32(pong[:4], pongSize)
+			pong := s.getBuf()
+			pong.b = appendPong(pong.b[:4], binary.BigEndian.Uint64(buf[1:pingSize]))
+			binary.BigEndian.PutUint32(pong.b[:4], pongSize)
 			s.enqueue(cl, pong)
 		default:
 			s.dropClient(cl)
@@ -346,13 +374,20 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // handleWake registers one doze/wake schedule entry, or replays the frame
-// immediately when the slot already went on air.
+// immediately when the slot already went on air. A slot's first entry
+// takes a subscriber list transmitSlot emptied earlier, so registration
+// allocates nothing once the lists have grown to the fan-out.
 func (s *Server) handleWake(cl *serverClient, ch uint8, slot int64) {
 	s.mu.Lock()
 	sent := s.sentThrough
 	if slot > sent {
 		key := wakeKey{ch: ch, slot: slot}
-		s.wakes[key] = append(s.wakes[key], cl)
+		subs, ok := s.wakes[key]
+		if !ok && len(s.freeSubs) > 0 {
+			subs = s.freeSubs[len(s.freeSubs)-1]
+			s.freeSubs = s.freeSubs[:len(s.freeSubs)-1]
+		}
+		s.wakes[key] = append(subs, cl)
 	}
 	s.mu.Unlock()
 	if slot <= sent {
@@ -365,24 +400,30 @@ func (s *Server) handleWake(cl *serverClient, ch uint8, slot int64) {
 		// (config, channel, slot), so the server replays it from the
 		// modeled reception buffer; the client still reads only the
 		// frames it subscribed to, and injected faults still apply — a
-		// lost slot stays lost no matter when it is asked for.
+		// lost slot stays lost no matter when it is asked for. The
+		// replay runs on this client's goroutine, so it seals its own
+		// buffer rather than the transmit loop's.
 		if frame := s.frameFor(int(ch), slot); frame != nil {
 			s.sendTo(cl, frame)
+			s.release(frame)
 		}
 	}
 }
 
-// clientWriter drains one client's control-stream outbox. A slow client's
-// overflow is dropped at enqueue time (loss, like any radio shadow); a
-// write error ends the client. On drain it flushes everything queued,
-// writes the GOODBYE last, and then closes the stream.
+// clientWriter drains one client's control-stream outbox, releasing each
+// message once it is written. A slow client's overflow is dropped at
+// enqueue time (loss, like any radio shadow); a write error ends the
+// client. On drain it flushes everything queued, writes the GOODBYE last,
+// and then closes the stream.
 func (s *Server) clientWriter(cl *serverClient) {
 	defer s.wg.Done()
 	defer cl.close()
 	for {
 		select {
-		case b := <-cl.out:
-			if _, err := cl.tcp.Write(b); err != nil {
+		case m := <-cl.out:
+			_, err := cl.tcp.Write(m.b)
+			s.release(m)
+			if err != nil {
 				return
 			}
 		case <-cl.closed:
@@ -390,8 +431,10 @@ func (s *Server) clientWriter(cl *serverClient) {
 		case <-cl.draining:
 			for {
 				select {
-				case b := <-cl.out:
-					if _, err := cl.tcp.Write(b); err != nil {
+				case m := <-cl.out:
+					_, err := cl.tcp.Write(m.b)
+					s.release(m)
+					if err != nil {
 						return
 					}
 				default:
@@ -403,14 +446,60 @@ func (s *Server) clientWriter(cl *serverClient) {
 	}
 }
 
-// enqueue queues one length-prefixed message on a client's control
-// outbox; a full outbox drops it (backpressure is loss).
-func (s *Server) enqueue(cl *serverClient, msg []byte) {
+// enqueue hands one reference to msg to a client's control outbox. A full
+// outbox drops it (backpressure is loss) and counts the drop in
+// OutboxDrops: to the client it looks the same as loss on the air.
+//
+//tnn:noalloc
+func (s *Server) enqueue(cl *serverClient, msg *wireBuf) {
 	select {
 	case <-cl.closed:
+		s.release(msg)
 	case cl.out <- msg:
 	default:
+		s.outboxDrops.Add(1)
+		s.release(msg)
 	}
+}
+
+// OutboxDrops returns how many control-stream messages (TCP frames and
+// PONGs) were dropped because a client's outbox was full.
+func (s *Server) OutboxDrops() int64 { return s.outboxDrops.Load() }
+
+// getBuf takes a message buffer from the pool, holding one reference.
+//
+//tnn:noalloc
+func (s *Server) getBuf() *wireBuf {
+	s.poolMu.Lock()
+	var m *wireBuf
+	if n := len(s.pool); n > 0 {
+		m = s.pool[n-1]
+		s.pool[n-1] = nil
+		s.pool = s.pool[:n-1]
+	}
+	s.poolMu.Unlock()
+	if m == nil {
+		m = s.newBuf()
+	}
+	m.refs.Store(1)
+	return m
+}
+
+// newBuf allocates a message buffer large enough for one framed slot.
+func (s *Server) newBuf() *wireBuf {
+	return &wireBuf{b: make([]byte, 0, 4+FrameSize(s.cfg.Spec.Params))}
+}
+
+// release drops one reference to m; the last one returns it to the pool.
+//
+//tnn:noalloc
+func (s *Server) release(m *wireBuf) {
+	if m.refs.Add(-1) != 0 {
+		return
+	}
+	s.poolMu.Lock()
+	s.pool = append(s.pool, m)
+	s.poolMu.Unlock()
 }
 
 func (s *Server) dropClient(cl *serverClient) {
@@ -454,67 +543,83 @@ func (s *Server) catchUp(now time.Time) {
 // transmitSlot sends slot t's frame on every physical channel to the
 // clients awake for it. The slot is marked sent BEFORE fan-out, so a WAKE
 // racing the transmission is dropped (the client missed the slot) rather
-// than parked forever.
+// than parked forever. Each channel's frame is sealed once and reaches
+// every subscriber from the same buffer; the emptied subscriber lists go
+// back to handleWake for later slots.
+//
+//tnn:noalloc
 func (s *Server) transmitSlot(t int64) {
 	s.mu.Lock()
 	s.sentThrough = t
-	var subs [][]*serverClient
-	for c := range s.air.Channels() {
+	for c := range s.subs {
 		key := wakeKey{ch: uint8(c), slot: t}
-		subs = append(subs, s.wakes[key])
+		s.subs[c] = s.wakes[key]
 		delete(s.wakes, key)
 	}
 	s.mu.Unlock()
 
-	for c, clients := range subs {
+	for c, clients := range s.subs {
 		if len(clients) == 0 {
 			continue
 		}
-		frame := s.frameFor(c, t)
-		if frame == nil {
-			continue // injected loss: never sent; subscribers time out
+		if frame := s.frameFor(c, t); frame != nil {
+			for _, cl := range clients {
+				s.sendTo(cl, frame)
+			}
+			s.release(frame)
 		}
-		for _, cl := range clients {
-			s.sendTo(cl, frame)
-		}
+		// A lost slot is never sent: its subscribers time out.
+		clear(clients)
+		s.mu.Lock()
+		s.freeSubs = append(s.freeSubs, clients[:0])
+		s.mu.Unlock()
+		s.subs[c] = nil
 	}
 }
 
-// frameFor builds the sealed frame of (channel c, absolute slot t),
-// applying the injected fault pattern: nil for a lost slot, a frame with a
-// damaged payload (so the receiver's CRC check fails) for a corrupt one.
-// It is a pure function of (config, c, t) — which is what allows late
-// WAKEs to be answered after the slot's transmission.
-func (s *Server) frameFor(c int, t int64) []byte {
+// frameFor seals the frame of (channel c, absolute slot t) into a pooled
+// buffer behind a reserved TCP length prefix, applying the injected fault
+// pattern: nil for a lost slot, a frame with a damaged payload (so the
+// receiver's CRC check fails) for a corrupt one. The caller holds the one
+// reference and releases it when its fan-out ends. The frame is a pure
+// function of (config, c, t) — which is what allows late WAKEs to be
+// answered after the slot's transmission.
+//
+//tnn:noalloc
+func (s *Server) frameFor(c int, t int64) *wireBuf {
 	fault := s.air.Fault(c, t)
 	if fault != nil && fault.Kind == broadcast.FaultLost {
 		return nil
 	}
 	pi := s.images[c][s.air.CyclePos(c, t)]
-	frame := AppendFrame(make([]byte, 0, FrameHeaderSize+len(pi.img)+FrameTrailerSize), Frame{
+	m := s.getBuf()
+	m.b = AppendFrame(m.b[:4], Frame{
 		Channel: uint8(c), Kind: pi.kind, Slot: t, Ref: pi.ref, Seq: pi.seq, Payload: pi.img,
 	})
+	binary.BigEndian.PutUint32(m.b[:4], uint32(len(m.b)-4))
 	if fault != nil && fault.Kind == broadcast.FaultCorrupt {
-		frame[FrameHeaderSize] ^= 0x01
+		m.b[4+FrameHeaderSize] ^= 0x01
 	}
-	return frame
+	return m
 }
 
-// sendTo delivers one sealed frame to one client over its transport. A
-// full TCP outbox drops the frame — backpressure is loss, like any radio
-// shadow.
-func (s *Server) sendTo(cl *serverClient, frame []byte) {
+// sendTo delivers one sealed frame to one client over its transport: a
+// UDP client gets the frame as one datagram; a TCP client's outbox takes
+// its own reference to the whole buffer, length prefix included, so one
+// sealed frame can wait in many outboxes. A full TCP outbox drops the
+// frame — backpressure is loss, like any radio shadow.
+//
+//tnn:noalloc
+func (s *Server) sendTo(cl *serverClient, frame *wireBuf) {
 	select {
 	case <-cl.closed:
 		return
 	default:
 	}
 	if cl.transport == TransportUDP {
-		s.udp.WriteToUDP(frame, cl.udpAddr)
+		s.udp.WriteToUDPAddrPort(frame.body(), cl.udpAddr)
 		return
 	}
-	tcpFrame := make([]byte, 4, 4+len(frame))
-	binary.BigEndian.PutUint32(tcpFrame[:4], uint32(len(frame)))
-	tcpFrame = append(tcpFrame, frame...)
-	s.enqueue(cl, tcpFrame)
+	frame.refs.Add(1)
+	s.enqueue(cl, frame)
 }

@@ -75,6 +75,7 @@ calib_before=$(calib_nsop)
 	min_nsop '^BenchmarkBroadcastProgramBuild$' '2000x' .
 	min_nsop '^BenchmarkWireEncodeCycleIndex$' '100x' .
 	min_nsop '^BenchmarkFrameCodec$' '200000x' ./internal/netfeed
+	min_nsop '^Benchmark(TransmitSlot|WakeReplay)$' '2000x' ./internal/netfeed
 } >"$measured"
 calib_after=$(calib_nsop)
 
