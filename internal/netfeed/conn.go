@@ -842,7 +842,7 @@ func (c *Conn) settle(st *slotState, fault *broadcast.PageFault) {
 	st.resolved, st.fault = true, fault
 	for i, w := range st.waiters {
 		w.done, w.fault, w.st = true, fault, nil
-		w.wake <- struct{}{}
+		w.wake <- struct{}{} // the use's one token: never blocks
 		st.waiters[i] = nil
 	}
 	st.waiters = st.waiters[:0]
@@ -1069,7 +1069,7 @@ func (c *Conn) expire(now time.Time) {
 			}
 		}
 		w.done, w.lost, w.st = true, true, nil
-		w.wake <- struct{}{}
+		w.wake <- struct{}{} // the use's one token: never blocks
 	}
 }
 

@@ -466,9 +466,8 @@ func (s *Server) enqueue(cl *serverClient, msg *wireBuf) {
 // PONGs) were dropped because a client's outbox was full.
 func (s *Server) OutboxDrops() int64 { return s.outboxDrops.Load() }
 
-// getBuf takes a message buffer from the pool, holding one reference.
-//
-//tnn:noalloc
+// getBuf takes a message buffer from the pool, holding one reference; an
+// empty pool allocates one large enough for a framed slot.
 func (s *Server) getBuf() *wireBuf {
 	s.poolMu.Lock()
 	var m *wireBuf
@@ -479,15 +478,10 @@ func (s *Server) getBuf() *wireBuf {
 	}
 	s.poolMu.Unlock()
 	if m == nil {
-		m = s.newBuf()
+		m = &wireBuf{b: make([]byte, 0, 4+FrameSize(s.cfg.Spec.Params))}
 	}
 	m.refs.Store(1)
 	return m
-}
-
-// newBuf allocates a message buffer large enough for one framed slot.
-func (s *Server) newBuf() *wireBuf {
-	return &wireBuf{b: make([]byte, 0, 4+FrameSize(s.cfg.Spec.Params))}
 }
 
 // release drops one reference to m; the last one returns it to the pool.
@@ -562,13 +556,14 @@ func (s *Server) transmitSlot(t int64) {
 		if len(clients) == 0 {
 			continue
 		}
+		// A lost slot has no frame and is never sent: its subscribers
+		// time out.
 		if frame := s.frameFor(c, t); frame != nil {
 			for _, cl := range clients {
 				s.sendTo(cl, frame)
 			}
 			s.release(frame)
 		}
-		// A lost slot is never sent: its subscribers time out.
 		clear(clients)
 		s.mu.Lock()
 		s.freeSubs = append(s.freeSubs, clients[:0])
