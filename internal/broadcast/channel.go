@@ -44,14 +44,7 @@ func (ch *Channel) Reset(idx AirIndex, offset int64) {
 func (ch *Channel) Index() AirIndex { return ch.idx }
 
 // rel converts channel slot t to a cycle-relative slot.
-func (ch *Channel) rel(t int64) int64 {
-	c := ch.idx.CycleLen()
-	r := (t - ch.offset) % c
-	if r < 0 {
-		r += c
-	}
-	return r
-}
+func (ch *Channel) rel(t int64) int64 { return floorMod(t-ch.offset, ch.idx.CycleLen()) }
 
 // PageAt returns the page on air at channel slot t.
 func (ch *Channel) PageAt(t int64) Page { return ch.idx.PageAt(ch.rel(t)) }

@@ -111,14 +111,7 @@ func (f *dualFeed) segStart() int64 {
 func (f *dualFeed) Index() AirIndex { return f.idx() }
 
 // rel converts a channel slot to a combined-cycle-relative slot.
-func (f *dualFeed) rel(t int64) int64 {
-	l := f.d.CycleLen()
-	r := (t - f.d.offset) % l
-	if r < 0 {
-		r += l
-	}
-	return r
-}
+func (f *dualFeed) rel(t int64) int64 { return floorMod(t-f.d.offset, f.d.CycleLen()) }
 
 // PageAt implements Feed.
 func (f *dualFeed) PageAt(t int64) Page {

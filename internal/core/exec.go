@@ -340,13 +340,7 @@ func (ex *QueryExec) Radius() (r float64, ok bool) {
 // which client-local transitions (phase sync, join) conceptually happen.
 //
 //tnn:noalloc
-func (ex *QueryExec) Now() int64 { return ex.clockMax() }
-
-// clockMax returns the latest of the receivers' local clocks — the slot
-// at which client-local work (phase sync, join) conceptually happens.
-//
-//tnn:noalloc
-func (ex *QueryExec) clockMax() int64 {
+func (ex *QueryExec) Now() int64 {
 	t := ex.rxs[0].Now()
 	for _, rx := range ex.rxs[1:] {
 		t = max(t, rx.Now())
@@ -365,7 +359,7 @@ func (ex *QueryExec) Peek() (int64, bool) {
 		_, slot := earliest(ex.walks)
 		return slot, false
 	case phJoin:
-		return ex.clockMax(), false
+		return ex.Now(), false
 	default:
 		return 0, true
 	}
@@ -536,7 +530,7 @@ func (ex *QueryExec) advance() {
 // synchronize the channels (the radius depends on every estimate result),
 // and create one circular range search per channel.
 func (ex *QueryExec) startFilter() {
-	t := ex.clockMax()
+	t := ex.Now()
 	w := geom.Circle{Center: ex.p, R: ex.radius}
 	for i, rx := range ex.rxs {
 		ex.estimate += rx.Pages()
@@ -611,7 +605,7 @@ func (ex *QueryExec) joinAndRetrieve() {
 			pairStops := [2]rtree.Entry{pair.S, pair.R}
 			stops = pairStops[:]
 		}
-		t := ex.clockMax()
+		t := ex.Now()
 		for _, rx := range ex.rxs {
 			rx.WaitUntil(t)
 		}

@@ -25,10 +25,6 @@ type DialConfig struct {
 	// latency and scheduler jitter; larger values trade recovery latency
 	// on a truly lost packet for fewer spurious losses.
 	Grace time.Duration
-	// IssueMargin is how many slots past the live slot NextIssueSlot
-	// schedules new queries, covering clock skew between client and
-	// server plus WAKE propagation (default 3).
-	IssueMargin int64
 	// ConnectTimeout bounds each dial + handshake attempt — the TCP
 	// connect, the HELLO write, and the full preamble read together. A
 	// black-holed address fails within it instead of hanging (default
@@ -58,6 +54,11 @@ type DialConfig struct {
 
 // DefaultGrace is the default per-slot reception grace.
 const DefaultGrace = time.Second
+
+// issueMargin is how many slots past the live slot NextIssueSlot
+// schedules new queries, covering clock skew between client and server
+// plus WAKE propagation.
+const issueMargin = 3
 
 // DesyncError reports a broadcast that contradicts the client's locally
 // reconstructed schedule: a structurally valid frame arrived for a slot,
@@ -171,6 +172,11 @@ const sweepEvery = time.Second
 // connect, killed by the first error (socket, heartbeat, GOODBYE), and
 // replaced by the supervisor. The UDP socket outlives sessions — it is
 // bound once per Conn and its announced port travels in every HELLO.
+//
+// A session is its context: derived from the Conn's, so Close ends it
+// too, and cancelled by die with the terminal cause, the first of which
+// sticks (context.Cause reads it). The stream's socket is closed the
+// moment the context ends, which unblocks every read on it.
 type session struct {
 	c       *Conn
 	gen     uint64
@@ -178,22 +184,10 @@ type session struct {
 	writeMu sync.Mutex
 	wbuf    [wakeSize]byte // the WAKE or PING being written, under writeMu
 
-	dead     chan struct{}
-	dieOnce  sync.Once
-	err      error
+	ctx      context.Context
+	die      context.CancelCauseFunc
 	lastPong atomic.Int64 // UnixNano of the last PONG (or session start)
 	wg       sync.WaitGroup
-}
-
-// die records the session's terminal cause and tears the stream down;
-// the first cause sticks. The supervisor observes dead and decides
-// whether to reconnect.
-func (s *session) die(err error) {
-	s.dieOnce.Do(func() {
-		s.err = err
-		close(s.dead)
-		s.tcp.Close()
-	})
 }
 
 // writeWake sends one WAKE on the session's TCP stream, encoded into the
@@ -228,14 +222,23 @@ type Conn struct {
 	frameSize int
 	air       *broadcast.Air // built once, at Dial
 
-	clockMu sync.Mutex
-	clock   slotClock
+	// ctx is the Conn's lifetime: Close cancels it, which ends every
+	// session, every dial + handshake in flight, and every goroutine.
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	state atomic.Int32
-
-	sessMu sync.Mutex
-	sess   *session
-	gen    uint64
+	// lc is the lifecycle lock. It guards the whole marking of the state
+	// machine — the slot clock, the live session and its generation, the
+	// state, the outage bookkeeping and the terminal error — so one
+	// acquisition reads a consistent lifecycle.
+	lc          sync.Mutex
+	clock       slotClock
+	sess        *session
+	gen         uint64
+	state       State
+	degradedErr error
+	attempt     int
+	fatalErr    error
 
 	udp *net.UDPConn
 
@@ -257,19 +260,9 @@ type Conn struct {
 	resumedWarm   atomic.Int64
 	hbRTT         atomic.Int64
 
-	degradedMu  sync.Mutex
-	degradedErr error
-	attempt     int
+	rng uint64 // backoff jitter state: only supervise touches it after Dial
 
-	fatalMu  sync.Mutex
-	fatalErr error
-
-	rngMu sync.Mutex
-	rng   uint64
-
-	closed    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // Dial connects to a tnnserve service, performs the HELLO/PREAMBLE
@@ -279,9 +272,6 @@ type Conn struct {
 func Dial(addr string, cfg DialConfig) (*Conn, error) {
 	if cfg.Grace <= 0 {
 		cfg.Grace = DefaultGrace
-	}
-	if cfg.IssueMargin <= 0 {
-		cfg.IssueMargin = 3
 	}
 	if cfg.ConnectTimeout <= 0 {
 		cfg.ConnectTimeout = DefaultConnectTimeout
@@ -302,26 +292,27 @@ func Dial(addr string, cfg DialConfig) (*Conn, error) {
 		cfg.BackoffMax = DefaultBackoffMax
 	}
 	c := &Conn{
-		cfg:    cfg,
-		addr:   addr,
-		slots:  make(map[slotKey]*slotState),
-		kick:   make(chan struct{}, 1),
-		closed: make(chan struct{}),
-		rng:    cfg.JitterSeed,
+		cfg:   cfg,
+		addr:  addr,
+		slots: make(map[slotKey]*slotState),
+		kick:  make(chan struct{}, 1),
+		rng:   cfg.JitterSeed,
 	}
 	if c.rng == 0 {
 		c.rng = uint64(time.Now().UnixNano())
 	}
-	c.state.Store(int32(StateConnecting))
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	if cfg.Transport == TransportUDP {
 		udp, err := net.ListenUDP("udp", nil)
 		if err != nil {
+			c.cancel()
 			return nil, err
 		}
 		c.udp = udp
 	}
 	sess, err := c.connect(false)
 	if err != nil {
+		c.cancel()
 		if c.udp != nil {
 			c.udp.Close()
 		}
@@ -345,51 +336,24 @@ func Dial(addr string, cfg DialConfig) (*Conn, error) {
 // still names the live broadcast, or the full preamble otherwise — and a
 // full preamble whose digest differs from the cache is a terminal
 // *SpecChangeError, because the client's trees and in-flight queries are
-// bound to the old spec.
+// bound to the old spec. The attempt runs under the session's context
+// from the start, so Close cancels an in-flight dial and closes the
+// handshake socket under a blocked read.
 func (c *Conn) connect(resume bool) (*session, error) {
+	ctx, die := context.WithCancelCause(c.ctx)
 	deadline := time.Now().Add(c.cfg.ConnectTimeout)
-	// Close-during-handshake must not leave this attempt blocked: a
-	// watchdog cancels an in-flight dial and slams the handshake socket
-	// the moment the Conn closes.
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	var hsMu sync.Mutex
-	var hsTCP net.Conn
-	var hsKilled bool
-	hsDone := make(chan struct{})
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		defer cancel()
-		select {
-		case <-c.closed:
-			hsMu.Lock()
-			hsKilled = true
-			t := hsTCP
-			hsMu.Unlock()
-			cancel()
-			if t != nil {
-				t.Close()
-			}
-		case <-hsDone:
-		}
-	}()
+	dialCtx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
 	var d net.Dialer
-	tcp, err := d.DialContext(ctx, "tcp", c.addr)
+	tcp, err := d.DialContext(dialCtx, "tcp", c.addr)
 	if err != nil {
-		close(hsDone)
-		return nil, err
+		die(err)
+		return nil, c.closedOr(err)
 	}
-	hsMu.Lock()
-	killed := hsKilled
-	hsTCP = tcp
-	hsMu.Unlock()
+	context.AfterFunc(ctx, func() { tcp.Close() })
 	fail := func(err error) (*session, error) {
-		close(hsDone)
-		tcp.Close()
-		return nil, err
-	}
-	if killed {
-		return fail(errConnClosed)
+		die(err)
+		return nil, c.closedOr(err)
 	}
 
 	var udpPort int
@@ -448,16 +412,13 @@ func (c *Conn) connect(resume bool) (*session, error) {
 	// deadline lands after the server's real transmission, so latency can
 	// only add grace, never manufacture a spurious loss. A resume
 	// re-anchors against the (possibly restarted) server's live slot.
-	c.clockMu.Lock()
+	c.lc.Lock()
 	c.clock = slotClock{epoch: recv.Add(-time.Duration(liveSlot) * slotDur), dur: slotDur}
-	c.clockMu.Unlock()
-
-	close(hsDone)
-	c.sessMu.Lock()
 	c.gen++
 	gen := c.gen
-	c.sessMu.Unlock()
-	sess := &session{c: c, gen: gen, tcp: tcp, dead: make(chan struct{})}
+	c.lc.Unlock()
+
+	sess := &session{c: c, gen: gen, tcp: tcp, ctx: ctx, die: die}
 	sess.lastPong.Store(recv.UnixNano())
 	sess.wg.Add(1)
 	go sess.readLoop()
@@ -471,88 +432,73 @@ func (c *Conn) connect(resume bool) (*session, error) {
 // installSession publishes a freshly handshaken session as the live one
 // and clears the outage bookkeeping.
 func (c *Conn) installSession(sess *session) {
-	c.sessMu.Lock()
+	c.lc.Lock()
 	c.sess = sess
-	c.sessMu.Unlock()
-	c.degradedMu.Lock()
-	c.degradedErr = nil
-	c.attempt = 0
-	c.degradedMu.Unlock()
-	c.state.Store(int32(StateLive))
+	c.degradedErr, c.attempt = nil, 0
+	c.state = StateLive
+	c.lc.Unlock()
 }
 
 // curSession returns the most recently installed session (possibly
-// already dead) and its generation.
-func (c *Conn) curSession() (*session, uint64) {
-	c.sessMu.Lock()
-	defer c.sessMu.Unlock()
-	if c.sess == nil {
-		return nil, 0
+// already dead).
+func (c *Conn) curSession() *session {
+	c.lc.Lock()
+	defer c.lc.Unlock()
+	return c.sess
+}
+
+// closedOr maps a failure to the Close sentinel once the Conn's context
+// is cancelled: whatever a closing socket reports, the cause is Close.
+func (c *Conn) closedOr(err error) error {
+	if c.ctx.Err() != nil {
+		return errConnClosed
 	}
-	return c.sess, c.sess.gen
+	return err
 }
 
 // supervise is the lifecycle driver: it watches the live session, and on
 // session death either finalizes (terminal cause, reconnect disabled, or
 // budget exhausted) or cycles DEGRADED → RESUMING → LIVE under backoff.
+// Every return finalizes, so when Close's wait ends the Conn is CLOSED.
 func (c *Conn) supervise() {
 	defer c.wg.Done()
 	for {
-		sess, _ := c.curSession()
-		select {
-		case <-c.closed:
-			c.finalize(sess, errConnClosed)
-			return
-		case <-sess.dead:
-		}
+		sess := c.curSession()
+		<-sess.ctx.Done() // the session died, or Close cancelled its parent
 		sess.wg.Wait()
-		err := sess.err
-		select {
-		case <-c.closed:
-			c.finalize(nil, errConnClosed)
-			return
-		default:
-		}
+		err := c.closedOr(context.Cause(sess.ctx))
 		if terminalErr(err) || c.cfg.MaxReconnects < 0 {
-			c.finalize(nil, err)
+			c.finalize(err)
 			return
 		}
 		c.noteOutage(err, 0)
-		attempt := 0
-		for {
-			c.rngMu.Lock()
-			delay := backoffDelay(c.cfg.BackoffBase, c.cfg.BackoffMax, attempt, &c.rng)
-			c.rngMu.Unlock()
-			timer := time.NewTimer(delay)
+		for attempt := 0; ; {
+			timer := time.NewTimer(backoffDelay(c.cfg.BackoffBase, c.cfg.BackoffMax, attempt, &c.rng))
 			select {
-			case <-c.closed:
+			case <-c.ctx.Done():
 				timer.Stop()
-				c.finalize(nil, errConnClosed)
+				c.finalize(errConnClosed)
 				return
 			case <-timer.C:
 			}
-			c.state.Store(int32(StateResuming))
-			next, cerr := c.connect(true)
-			if cerr == nil {
+			c.lc.Lock()
+			c.state = StateResuming
+			c.lc.Unlock()
+			next, err := c.connect(true)
+			if err == nil {
 				c.reconnects.Add(1)
 				c.installSession(next)
 				c.rearmWakes(next)
 				break
 			}
-			select {
-			case <-c.closed:
-				c.finalize(nil, errConnClosed)
-				return
-			default:
-			}
-			if terminalErr(cerr) {
-				c.finalize(nil, cerr)
+			if terminalErr(err) {
+				c.finalize(err)
 				return
 			}
 			attempt++
-			c.noteOutage(cerr, attempt)
+			c.noteOutage(err, attempt)
 			if attempt >= c.cfg.MaxReconnects {
-				c.finalize(nil, &DegradedError{State: StateClosed, Attempt: attempt, Err: cerr})
+				c.finalize(&DegradedError{State: StateClosed, Attempt: attempt, Err: err})
 				return
 			}
 		}
@@ -561,29 +507,27 @@ func (c *Conn) supervise() {
 
 // noteOutage records the latest transient cause and enters DEGRADED.
 func (c *Conn) noteOutage(err error, attempt int) {
-	c.degradedMu.Lock()
-	c.degradedErr = err
-	c.attempt = attempt
-	c.degradedMu.Unlock()
-	c.state.Store(int32(StateDegraded))
+	c.lc.Lock()
+	c.degradedErr, c.attempt = err, attempt
+	c.state = StateDegraded
+	c.lc.Unlock()
 }
 
 // finalize poisons the connection terminally: the fatal error sticks,
-// every pending reception resolves as lost, the current session (if any)
-// dies, and the state machine parks in CLOSED.
-func (c *Conn) finalize(sess *session, err error) {
-	c.fatalMu.Lock()
+// the state machine parks in CLOSED, the current session dies, the UDP
+// socket closes, and every pending reception resolves as lost.
+func (c *Conn) finalize(err error) {
+	c.lc.Lock()
 	if c.fatalErr == nil {
 		c.fatalErr = err
 	}
-	c.fatalMu.Unlock()
-	c.state.Store(int32(StateClosed))
-	if sess == nil {
-		sess, _ = c.curSession()
-	}
-	if sess != nil {
-		sess.die(err)
-		sess.wg.Wait()
+	c.state = StateClosed
+	sess := c.sess
+	c.lc.Unlock()
+	sess.die(err)
+	sess.wg.Wait()
+	if c.udp != nil {
+		c.udp.Close()
 	}
 	c.mu.Lock()
 	c.final = true
@@ -620,26 +564,12 @@ func (c *Conn) rearmWakes(sess *session) {
 
 // Close disconnects, stops the supervisor, and releases every blocked
 // reception. It is idempotent and safe to call at any point of the
-// lifecycle, including mid-handshake.
+// lifecycle, including mid-handshake: cancelling the Conn's context ends
+// the live session or the handshake in flight, and the supervisor
+// finalizes before the wait returns.
 func (c *Conn) Close() error {
-	c.closeOnce.Do(func() {
-		close(c.closed)
-		if sess, _ := c.curSession(); sess != nil {
-			sess.die(errConnClosed)
-		}
-		if c.udp != nil {
-			c.udp.Close()
-		}
-	})
+	c.cancel()
 	c.wg.Wait()
-	// The supervisor has finalized by now; make the poisoning visible
-	// even if Close raced a concurrent finalize.
-	c.fatalMu.Lock()
-	if c.fatalErr == nil {
-		c.fatalErr = errConnClosed
-	}
-	c.fatalMu.Unlock()
-	c.state.Store(int32(StateClosed))
 	return nil
 }
 
@@ -648,13 +578,17 @@ func (c *Conn) Spec() Spec { return c.spec }
 
 // SlotDur returns the service's real-time slot duration.
 func (c *Conn) SlotDur() time.Duration {
-	c.clockMu.Lock()
-	defer c.clockMu.Unlock()
+	c.lc.Lock()
+	defer c.lc.Unlock()
 	return c.clock.dur
 }
 
 // State returns the connection's current lifecycle state.
-func (c *Conn) State() State { return State(c.state.Load()) }
+func (c *Conn) State() State {
+	c.lc.Lock()
+	defer c.lc.Unlock()
+	return c.state
+}
 
 // Air returns the locally rebuilt broadcast: the trees, the air indexes,
 // and the perfect feeds that answer schedule questions.
@@ -672,15 +606,15 @@ func (c *Conn) feed(d int) broadcast.Feed {
 
 // LiveSlot returns the slot currently on air by the client's clock.
 func (c *Conn) LiveSlot() int64 {
-	c.clockMu.Lock()
-	defer c.clockMu.Unlock()
+	c.lc.Lock()
+	defer c.lc.Unlock()
 	return c.clock.slotAt(time.Now())
 }
 
 // NextIssueSlot returns a safe slot to issue a new query at: far enough
 // past the live slot that every first WAKE reaches the server before the
 // slot is transmitted.
-func (c *Conn) NextIssueSlot() int64 { return c.LiveSlot() + c.cfg.IssueMargin }
+func (c *Conn) NextIssueSlot() int64 { return c.LiveSlot() + issueMargin }
 
 // Stats snapshots the reception counters.
 func (c *Conn) Stats() NetStats {
@@ -696,27 +630,19 @@ func (c *Conn) Stats() NetStats {
 	}
 }
 
-// terminal returns the connection's terminal error (nil unless the
-// lifecycle has parked in CLOSED).
-func (c *Conn) terminal() error {
-	c.fatalMu.Lock()
-	defer c.fatalMu.Unlock()
-	return c.fatalErr
-}
-
 // Err reports the connection's health: nil while LIVE, a transient
 // *DegradedError while an outage is being reconnected, and the sticking
 // terminal error (a *DesyncError, *SpecChangeError, exhausted-reconnect
 // *DegradedError, ErrServerClosed, or the Close sentinel) once CLOSED.
 func (c *Conn) Err() error {
-	if err := c.terminal(); err != nil {
-		return err
+	c.lc.Lock()
+	defer c.lc.Unlock()
+	if c.fatalErr != nil {
+		return c.fatalErr
 	}
-	switch c.State() {
+	switch c.state {
 	case StateDegraded, StateResuming:
-		c.degradedMu.Lock()
-		defer c.degradedMu.Unlock()
-		return &DegradedError{State: c.State(), Attempt: c.attempt, Err: c.degradedErr}
+		return &DegradedError{State: c.state, Attempt: c.attempt, Err: c.degradedErr}
 	}
 	return nil
 }
@@ -726,15 +652,17 @@ func (c *Conn) Err() error {
 // the wall-time past (the query's virtual timeline lags real time and
 // the server replays the frame from its reception buffer), grace past
 // now, so a replayed reception gets a full round trip instead of timing
-// out instantly.
-func (c *Conn) slotDeadline(t int64) time.Time {
-	c.clockMu.Lock()
+// out instantly. It also returns the live session, read in the same
+// lifecycle-lock acquisition as the clock.
+func (c *Conn) slotDeadline(t int64) (time.Time, *session) {
+	c.lc.Lock()
 	deadline := c.clock.at(t + 1).Add(c.cfg.Grace)
-	c.clockMu.Unlock()
+	sess := c.sess
+	c.lc.Unlock()
 	if now := time.Now(); deadline.Before(now) {
 		deadline = now.Add(c.cfg.Grace)
 	}
-	return deadline
+	return deadline, sess
 }
 
 // receive blocks until slot t of physical channel ch resolves: the frame
@@ -748,9 +676,8 @@ func (c *Conn) slotDeadline(t int64) time.Time {
 // the outage simply times out into FaultLost and re-enters the recovery
 // protocol. In steady state a reception allocates nothing.
 func (c *Conn) receive(ch uint8, t int64) *broadcast.PageFault {
-	deadline := c.slotDeadline(t)
+	deadline, sess := c.slotDeadline(t)
 	key := slotKey{ch: ch, slot: t}
-	sess, gen := c.curSession()
 	c.mu.Lock()
 	if c.final {
 		c.mu.Unlock()
@@ -771,9 +698,9 @@ func (c *Conn) receive(ch uint8, t int64) *broadcast.PageFault {
 	if st.deadline.Before(deadline) {
 		st.deadline = deadline
 	}
-	needWake := sess != nil && st.wakeGen != gen
+	needWake := st.wakeGen != sess.gen
 	if needWake {
-		st.wakeGen = gen
+		st.wakeGen = sess.gen
 	}
 	w := c.park(st, deadline)
 	c.mu.Unlock()
@@ -896,7 +823,7 @@ func (c *Conn) deliver(buf []byte) {
 			}
 			// Terminal: kill the session with the desync so the
 			// supervisor finalizes (resolving all pending receptions).
-			if sess, _ := c.curSession(); sess != nil {
+			if sess := c.curSession(); sess != nil {
 				sess.die(desync)
 			}
 			return
@@ -905,9 +832,9 @@ func (c *Conn) deliver(buf []byte) {
 	c.resolve(slotKey{ch: f.Channel, slot: f.Slot}, fault)
 }
 
-// udpReader drains the UDP socket for the Conn's whole lifetime (the
-// socket and its announced port survive reconnects); its byte counter is
-// the real-wire tune-in measurement.
+// udpReader drains the UDP socket until finalize closes it (the socket
+// and its announced port survive reconnects); its byte counter is the
+// real-wire tune-in measurement.
 func (c *Conn) udpReader() {
 	defer c.wg.Done()
 	buf := make([]byte, c.frameSize+256)
@@ -918,7 +845,7 @@ func (c *Conn) udpReader() {
 			c.deliver(buf[:n])
 		}
 		if err != nil {
-			// The UDP socket only dies on Close.
+			// The UDP socket only dies in finalize.
 			return
 		}
 	}
@@ -987,7 +914,7 @@ func (s *session) heartbeat(interval time.Duration, miss int) {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.dead:
+		case <-s.ctx.Done():
 			return
 		case now := <-ticker.C:
 			if age := now.UnixNano() - s.lastPong.Load(); age > int64(interval)*int64(miss) {
@@ -1016,7 +943,7 @@ func (c *Conn) keepTime() {
 	nextSweep := time.Now().Add(sweepEvery)
 	for {
 		select {
-		case <-c.closed:
+		case <-c.ctx.Done():
 			return
 		case <-timer.C:
 		case <-c.kick:
@@ -1025,9 +952,9 @@ func (c *Conn) keepTime() {
 		sweep := !now.Before(nextSweep)
 		var horizon int64
 		if sweep {
-			c.clockMu.Lock()
+			c.lc.Lock()
 			horizon = c.clock.slotAt(now.Add(-4*c.cfg.Grace)) - 1
-			c.clockMu.Unlock()
+			c.lc.Unlock()
 			nextSweep = now.Add(sweepEvery)
 		}
 		c.mu.Lock()

@@ -1,6 +1,7 @@
 package netfeed
 
 import (
+	"context"
 	"errors"
 	"net"
 	"testing"
@@ -11,7 +12,8 @@ import (
 // TestDeliverDesyncNamesDataset feeds deliver a frame that contradicts
 // the local schedule on one multiplexed channel, once in the S share of
 // the cycle and once in the R share. Both arrive on physical channel 0;
-// the desync must name the dataset whose page was due.
+// the desync must name the dataset whose page was due, and must stay the
+// session's cause when a later death (here a Close) follows it.
 func TestDeliverDesyncNamesDataset(t *testing.T) {
 	sp := testSpec(50)
 	sp.Single = true
@@ -26,7 +28,8 @@ func TestDeliverDesyncNamesDataset(t *testing.T) {
 	} {
 		tcp, peer := net.Pipe()
 		c := &Conn{air: air, slots: make(map[slotKey]*slotState)}
-		sess := &session{c: c, tcp: tcp, dead: make(chan struct{})}
+		ctx, die := context.WithCancelCause(context.Background())
+		sess := &session{c: c, tcp: tcp, ctx: ctx, die: die}
 		c.sess = sess
 		pg, owner := air.PageOn(0, tc.slot)
 		if owner != int(tc.want) {
@@ -36,14 +39,13 @@ func TestDeliverDesyncNamesDataset(t *testing.T) {
 			Channel: 0, Kind: pg.Kind, Slot: tc.slot,
 			Ref: uint32(pg.NodeID) + 1, Payload: make([]byte, 8),
 		}))
-		select {
-		case <-sess.dead:
-		default:
+		if ctx.Err() == nil {
 			t.Fatalf("slot %d: contradicting frame did not kill the session", tc.slot)
 		}
+		sess.die(errConnClosed) // the first cause sticks
 		var de *DesyncError
-		if !errors.As(sess.err, &de) {
-			t.Fatalf("slot %d: session died with %T %v, want *DesyncError", tc.slot, sess.err, sess.err)
+		if cause := context.Cause(ctx); !errors.As(cause, &de) {
+			t.Fatalf("slot %d: session died with %T %v, want *DesyncError", tc.slot, cause, cause)
 		}
 		if de.Channel != tc.want || de.Physical != 0 || de.Slot != tc.slot {
 			t.Errorf("slot %d: desync %+v, want Channel=%d Physical=0", tc.slot, de, tc.want)

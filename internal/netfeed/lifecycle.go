@@ -20,6 +20,12 @@ import (
 // (desync, spec change, version skew, server shutdown without restart
 // hint), or by exhausting the reconnect budget.
 //
+// The marking — state, slot clock, live session, outage cause, terminal
+// error — is one value under Conn.lc. Cancellation is context-shaped:
+// Close cancels the Conn's context, each session (dial included) is a
+// child that dies with its first cause, and supervise, the only writer of
+// transitions after Dial, finalizes on every exit.
+//
 // Queries never observe the transitions directly: a reception that
 // straddles an outage resolves as FaultLost when its deadline passes and
 // re-enters the recovery protocol (re-derive next arrival, retry), so a

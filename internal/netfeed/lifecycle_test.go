@@ -459,3 +459,50 @@ func TestCloseDuringResumeHandshake(t *testing.T) {
 	fake.Close()
 	waitGoroutines(t, base)
 }
+
+// TestCloseDuringBackoff kills the live session of a connection whose
+// reconnect backoff lasts seconds, waits until the supervisor sleeps in
+// DEGRADED, and closes: Close must end the backoff wait at once, leave
+// the close sentinel as the terminal error, and leak no goroutine.
+func TestCloseDuringBackoff(t *testing.T) {
+	base := snapGoroutines()
+	fake := newFakeServer(t)
+	conn, err := Dial(fake.ln.Addr().String(), DialConfig{
+		Transport:   TransportTCP,
+		Heartbeat:   -1, // only the socket drop signals death
+		BackoffBase: 5 * time.Second,
+		BackoffMax:  10 * time.Second,
+		JitterSeed:  1,
+	})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+
+	fake.mu.Lock()
+	fake.conns[0].Close()
+	fake.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for conn.State() != StateDegraded {
+		if time.Now().After(deadline) {
+			t.Fatalf("session drop never degraded the connection: state %v", conn.State())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	done := make(chan struct{})
+	start := time.Now()
+	go func() { conn.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close blocked behind the reconnect backoff")
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("Close took %v inside a backoff of seconds, want prompt", elapsed)
+	}
+	if err := conn.Err(); !errors.Is(err, errConnClosed) {
+		t.Errorf("Err after Close: %v, want conn-closed sentinel", err)
+	}
+	fake.Close()
+	waitGoroutines(t, base)
+}

@@ -1,6 +1,7 @@
 package netfeed
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -122,7 +123,6 @@ type Server struct {
 	wakes       map[wakeKey][]*serverClient
 	freeSubs    [][]*serverClient // emptied wakes lists, kept for their capacity
 	clients     map[*serverClient]struct{}
-	pending     map[net.Conn]struct{} // conns still in the HELLO handshake
 	sentThrough int64
 
 	subs [][]*serverClient // transmitSlot's per-channel subscribers (transmit loop only)
@@ -133,7 +133,10 @@ type Server struct {
 	// outboxDrops counts messages a full control outbox refused.
 	outboxDrops atomic.Int64
 
-	done      chan struct{}
+	// ctx is the service's lifetime: Close cancels it, which stops the
+	// pacer and aborts every HELLO still in flight.
+	ctx       context.Context
+	cancel    context.CancelFunc
 	txDone    chan struct{}
 	closeOnce sync.Once
 	started   bool
@@ -161,10 +164,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		wakes:   make(map[wakeKey][]*serverClient),
 		subs:    make([][]*serverClient, air.Channels()),
 		clients: make(map[*serverClient]struct{}),
-		pending: make(map[net.Conn]struct{}),
-		done:    make(chan struct{}),
 		txDone:  make(chan struct{}),
 	}
+	srv.ctx, srv.cancel = context.WithCancel(context.Background())
 	srv.specBody = appendSpecBody(nil, cfg.Spec)
 	srv.digest = specDigest(srv.specBody)
 	pageImage := broadcast.PageImageSize(cfg.Spec.Params)
@@ -227,18 +229,11 @@ func (s *Server) Digest() uint64 { return s.digest }
 // shutdown.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
-		close(s.done)
+		s.cancel() // also aborts every HELLO in flight (see handleConn)
 		if !s.started {
 			return
 		}
 		s.ln.Close()
-		// Abort handshakes in flight: a client blocked mid-HELLO must not
-		// hold the shutdown hostage for the handshake deadline.
-		s.mu.Lock()
-		for conn := range s.pending {
-			conn.Close()
-		}
-		s.mu.Unlock()
 		// Let the pacer flush every slot already due, so subscribers of
 		// the current slot get their frames instead of a cliff.
 		<-s.txDone
@@ -262,9 +257,6 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		s.mu.Lock()
-		s.pending[conn] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.handleConn(conn)
 	}
@@ -277,12 +269,12 @@ func (s *Server) acceptLoop() {
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	hello := make([]byte, HelloSize)
+	// A client blocked mid-HELLO must not hold Close hostage for the
+	// handshake deadline: the server's cancellation closes the socket.
+	stop := context.AfterFunc(s.ctx, func() { conn.Close() })
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	_, err := io.ReadFull(conn, hello)
-	s.mu.Lock()
-	delete(s.pending, conn)
-	s.mu.Unlock()
-	if err != nil {
+	if !stop() || err != nil {
 		conn.Close()
 		return
 	}
@@ -309,11 +301,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	s.mu.Lock()
-	draining := false
-	select {
-	case <-s.done:
-		draining = true
-	default:
+	draining := s.ctx.Err() != nil
+	if !draining {
 		s.clients[cl] = struct{}{}
 	}
 	live := s.clock.slotAt(time.Now())
@@ -514,7 +503,7 @@ func (s *Server) transmitLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.done:
+		case <-s.ctx.Done():
 			s.catchUp(time.Now())
 			return
 		case now := <-ticker.C:

@@ -17,7 +17,8 @@
 #     answer)
 #
 # plus the netfeed lifecycle unit tests (Close idempotency and goroutine
-# leak checks, heartbeat death detection, drain semantics). Everything
+# leak checks, Close during a handshake and during backoff, heartbeat
+# death detection, drain semantics). Everything
 # runs under -race: the reconnect path is exactly where session-swap
 # races would live.
 #
@@ -30,7 +31,7 @@ go test ./internal/netchaos/ -race -timeout 600s
 
 echo "chaossmoke: netfeed lifecycle suite under -race"
 go test ./internal/netfeed/ -race -run \
-  'TestConnCloseIdempotent|TestServerCloseIdempotent|TestServerClosePendingHandshake|TestGoodbyeTerminal|TestHeartbeatDetectsSilentPeer|TestCloseDuringResumeHandshake' \
+  'TestConnCloseIdempotent|TestServerCloseIdempotent|TestServerClosePendingHandshake|TestGoodbyeTerminal|TestHeartbeatDetectsSilentPeer|TestCloseDuringResumeHandshake|TestCloseDuringBackoff' \
   -timeout 300s
 
 echo "chaossmoke: OK"
