@@ -301,15 +301,14 @@ func Dial(addr string, cfg DialConfig) (*Conn, error) {
 	if c.rng == 0 {
 		c.rng = uint64(time.Now().UnixNano())
 	}
-	c.ctx, c.cancel = context.WithCancel(context.Background())
 	if cfg.Transport == TransportUDP {
 		udp, err := net.ListenUDP("udp", nil)
 		if err != nil {
-			c.cancel()
 			return nil, err
 		}
 		c.udp = udp
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	sess, err := c.connect(false)
 	if err != nil {
 		c.cancel()
@@ -341,20 +340,19 @@ func Dial(addr string, cfg DialConfig) (*Conn, error) {
 // handshake socket under a blocked read.
 func (c *Conn) connect(resume bool) (*session, error) {
 	ctx, die := context.WithCancelCause(c.ctx)
+	fail := func(err error) (*session, error) {
+		die(err)
+		return nil, c.closedOr(err)
+	}
 	deadline := time.Now().Add(c.cfg.ConnectTimeout)
 	dialCtx, cancel := context.WithDeadline(ctx, deadline)
 	defer cancel()
 	var d net.Dialer
 	tcp, err := d.DialContext(dialCtx, "tcp", c.addr)
 	if err != nil {
-		die(err)
-		return nil, c.closedOr(err)
+		return fail(err)
 	}
 	context.AfterFunc(ctx, func() { tcp.Close() })
-	fail := func(err error) (*session, error) {
-		die(err)
-		return nil, c.closedOr(err)
-	}
 
 	var udpPort int
 	if c.udp != nil {
