@@ -58,7 +58,7 @@ func (ch *Channel) ReadNode(t int64) (*rtree.Node, *PageFault) {
 	if p.Kind != IndexPage {
 		panic(fmt.Sprintf("broadcast: slot %d carries %v, not an index page", t, p.Kind))
 	}
-	return ch.idx.Tree().Nodes[p.NodeID], nil
+	return ch.idx.Tree().Nodes()[p.NodeID], nil
 }
 
 // Fault implements Feed: a bare Channel never faults.

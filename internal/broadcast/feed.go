@@ -24,7 +24,8 @@ type Feed interface {
 	// ReadNode returns the R-tree node on air at slot t, or the PageFault
 	// that prevented its reception (lossy feeds only; perfect feeds always
 	// return a nil fault). It panics if the slot does not carry one of
-	// this feed's index pages.
+	// this feed's index pages. The node comes from the tree's pointer
+	// view, which the first call rebuilds (rtree.Tree.Nodes).
 	ReadNode(t int64) (*rtree.Node, *PageFault)
 	// Fault reports the reception fault injected at slot t, nil for a
 	// clean reception. Unlike ReadNode it applies to ANY slot kind —
@@ -125,7 +126,7 @@ func (f *dualFeed) ReadNode(t int64) (*rtree.Node, *PageFault) {
 	if p.Kind != IndexPage {
 		panic("broadcast: slot carries a data page, not an index page")
 	}
-	return f.idx().Tree().Nodes[p.NodeID], nil
+	return f.idx().Tree().Nodes()[p.NodeID], nil
 }
 
 // Fault implements Feed: a bare dualFeed is a perfect channel share.

@@ -80,13 +80,12 @@ func BuildProgram(tree *rtree.Tree, p Params) *Program {
 	pr := &Program{
 		tree:       tree,
 		params:     p,
-		indexPages: len(tree.Nodes),
+		indexPages: tree.NumNodes(),
 		ppo:        p.PagesPerObject(),
 	}
 
-	// Objects in preorder leaf-walk order — which is exactly the Flat SoA
-	// image's leaf ID array, so page construction reads the flat layout
-	// instead of re-walking the pointer tree.
+	// Objects in preorder leaf-walk order: the Flat SoA image's leaf ID
+	// array.
 	pr.objOrder = make([]int, 0, tree.Count)
 	for _, id := range tree.Flat().ID {
 		pr.objOrder = append(pr.objOrder, int(id))

@@ -11,7 +11,7 @@ import (
 // SegmentedIndex is the general segment-based AirIndex implementation: a
 // cycle is a sequence of segments, each an explicit run of index pages
 // followed by an explicit run of data pages. Arrival queries are answered
-// from precomputed per-node and per-object occurrence lists, so any page
+// from precomputed per-node and per-object occurrence arrays, so any page
 // may appear any number of times per cycle — which is what the
 // distributed index (replicated upper levels) and the skewed
 // broadcast-disks scheduler (repeated hot objects) need. The preorder
@@ -22,13 +22,18 @@ type SegmentedIndex struct {
 	scheme string
 	ppo    int
 
-	segStart []int64 // segStart[i] = cycle slot where segment i begins; len = len(segIndex)+1
-	segIndex [][]int // node IDs of segment i's index run, in transmission order
-	segData  [][]int // object IDs of segment i's data run (repeats allowed)
+	segStart []int64   // segStart[i] = cycle slot where segment i begins; len = len(segIndex)+1
+	segIndex [][]int32 // node IDs of segment i's index run, in transmission order
+	segData  [][]int32 // object IDs of segment i's data run (repeats allowed); a flat run aliases Flat.ID
 
-	nodeSlots [][]int64 // per node: ascending cycle slots where its page airs
-	objSlots  [][]int64 // per object: ascending cycle slots of its first data page
-	delays    []int32   // pointer table, per Flat child entry (ChildDelays)
+	// Occurrences in CSR form: node id airs at the ascending cycle slots
+	// nodeOcc[nodeOff[id]:nodeOff[id+1]], and object id's first data page
+	// at objOcc[objOff[id]:objOff[id+1]].
+	nodeOff []int32
+	nodeOcc []int64
+	objOff  []int32
+	objOcc  []int64
+	delays  []int32 // pointer table, per Flat child entry (ChildDelays)
 
 	dataPages int
 }
@@ -37,9 +42,9 @@ type SegmentedIndex struct {
 var _ AirIndex = (*SegmentedIndex)(nil)
 
 // newSegmented lays out the given segments and builds the occurrence
-// lists. Every tree node and every object must appear in at least one
+// arrays. Every tree node and every object must appear in at least one
 // segment.
-func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [][]int) *SegmentedIndex {
+func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [][]int32) *SegmentedIndex {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
@@ -48,53 +53,88 @@ func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [
 			tree.NodeCap, tree.LeafCap, p.NodeCap(), p.LeafCap()))
 	}
 	si := &SegmentedIndex{
-		tree:      tree,
-		params:    p,
-		scheme:    scheme,
-		ppo:       p.PagesPerObject(),
-		segIndex:  segIndex,
-		segData:   segData,
-		nodeSlots: make([][]int64, len(tree.Nodes)),
-		objSlots:  make([][]int64, tree.Count),
+		tree:     tree,
+		params:   p,
+		scheme:   scheme,
+		ppo:      p.PagesPerObject(),
+		segIndex: segIndex,
+		segData:  segData,
 	}
+	si.nodeOff, si.nodeOcc = occurrences(segIndex, tree.NumNodes(), "node", scheme)
+	si.objOff, si.objOcc = occurrences(segData, tree.Count, "object", scheme)
+
+	// Fill both arrays in one pass over the cycle, in slot order, so every
+	// page's slots come out ascending.
+	nodeNext := append([]int32(nil), si.nodeOff[:len(si.nodeOff)-1]...)
+	objNext := append([]int32(nil), si.objOff[:len(si.objOff)-1]...)
 	si.segStart = make([]int64, len(segIndex)+1)
 	slot := int64(0)
 	for i := range segIndex {
 		si.segStart[i] = slot
 		for _, id := range segIndex[i] {
-			si.nodeSlots[id] = append(si.nodeSlots[id], slot)
+			si.nodeOcc[nodeNext[id]] = slot
+			nodeNext[id]++
 			slot++
 		}
 		for _, obj := range segData[i] {
-			si.objSlots[obj] = append(si.objSlots[obj], slot)
+			si.objOcc[objNext[obj]] = slot
+			objNext[obj]++
 			slot += int64(si.ppo)
 			si.dataPages += si.ppo
 		}
 	}
 	si.segStart[len(segIndex)] = slot
-	for id, occ := range si.nodeSlots {
-		if len(occ) == 0 {
-			panic(fmt.Sprintf("broadcast: node %d never on air in %s layout", id, scheme))
-		}
-	}
-	for obj, occ := range si.objSlots {
-		if len(occ) == 0 {
-			panic(fmt.Sprintf("broadcast: object %d never on air in %s layout", obj, scheme))
-		}
-	}
 	si.delays = si.childDelays()
 	return si
 }
 
-// childDelays builds the pointer table from the occurrence lists, one
+// occurrences counts how often each of n pages airs across runs and
+// returns the CSR offsets and an occurrence array of matching length. It
+// panics if a page never airs.
+func occurrences(runs [][]int32, n int, what, scheme string) ([]int32, []int64) {
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+	}
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("broadcast: %d %s occurrences per cycle in %s layout", total, what, scheme))
+	}
+	off := make([]int32, n+1)
+	for _, run := range runs {
+		for _, id := range run {
+			off[id+1]++
+		}
+	}
+	for id := 0; id < n; id++ {
+		if off[id+1] == 0 {
+			panic(fmt.Sprintf("broadcast: %s %d never on air in %s layout", what, id, scheme))
+		}
+		off[id+1] += off[id]
+	}
+	return off, make([]int64, total)
+}
+
+// nodeSlots returns the ascending cycle slots where node id's page airs.
+func (si *SegmentedIndex) nodeSlots(id int) []int64 {
+	return si.nodeOcc[si.nodeOff[id]:si.nodeOff[id+1]]
+}
+
+// objSlots returns the ascending cycle slots of object id's first data
+// page.
+func (si *SegmentedIndex) objSlots(id int) []int64 {
+	return si.objOcc[si.objOff[id]:si.objOff[id+1]]
+}
+
+// childDelays builds the pointer table from the occurrence arrays, one
 // merge pass over a parent's and a child's slots per child entry.
 func (si *SegmentedIndex) childDelays() []int32 {
 	f := si.tree.Flat()
 	d := make([]int32, len(f.Key))
-	for p, occ := range si.nodeSlots {
+	for p := range si.tree.NumNodes() {
+		occ := si.nodeSlots(p)
 		first, end := f.EntRange(int32(p))
 		for e := first; e < end; e++ {
-			d[e] = commonDelay(occ, si.nodeSlots[f.Key[e]])
+			d[e] = commonDelay(occ, si.nodeSlots(int(f.Key[e])))
 		}
 	}
 	return d
@@ -138,7 +178,7 @@ func (si *SegmentedIndex) Params() Params { return si.params }
 func (si *SegmentedIndex) CycleLen() int64 { return si.segStart[len(si.segIndex)] }
 
 // NumIndexPages implements AirIndex: distinct index pages, one per node.
-func (si *SegmentedIndex) NumIndexPages() int { return len(si.tree.Nodes) }
+func (si *SegmentedIndex) NumIndexPages() int { return si.tree.NumNodes() }
 
 // NumDataPages implements AirIndex: data-page slots per cycle, counting
 // repetitions.
@@ -148,7 +188,7 @@ func (si *SegmentedIndex) NumDataPages() int { return si.dataPages }
 func (si *SegmentedIndex) PagesPerObject() int { return si.ppo }
 
 // Replication implements AirIndex: how often the root airs per cycle.
-func (si *SegmentedIndex) Replication() int { return len(si.nodeSlots[0]) }
+func (si *SegmentedIndex) Replication() int { return len(si.nodeSlots(0)) }
 
 // NumSegments returns the number of segments per cycle.
 func (si *SegmentedIndex) NumSegments() int { return len(si.segIndex) }
@@ -162,12 +202,12 @@ func (si *SegmentedIndex) PageAt(s int64) Page {
 	i := sort.Search(len(si.segIndex), func(i int) bool { return si.segStart[i+1] > s })
 	off := s - si.segStart[i]
 	if off < int64(len(si.segIndex[i])) {
-		return Page{Kind: IndexPage, NodeID: si.segIndex[i][off]}
+		return Page{Kind: IndexPage, NodeID: int(si.segIndex[i][off])}
 	}
 	dataOff := off - int64(len(si.segIndex[i]))
 	return Page{
 		Kind:     DataPage,
-		ObjectID: si.segData[i][dataOff/int64(si.ppo)],
+		ObjectID: int(si.segData[i][dataOff/int64(si.ppo)]),
 		Seq:      int(dataOff % int64(si.ppo)),
 	}
 }
@@ -184,10 +224,10 @@ func (si *SegmentedIndex) nextOcc(occ []int64, rel int64) int64 {
 
 // NextNodeSlot implements AirIndex.
 func (si *SegmentedIndex) NextNodeSlot(nodeID int, rel int64) int64 {
-	if nodeID < 0 || nodeID >= len(si.nodeSlots) {
-		panic(fmt.Sprintf("broadcast: node %d out of range [0,%d)", nodeID, len(si.nodeSlots)))
+	if nodeID < 0 || nodeID >= si.tree.NumNodes() {
+		panic(fmt.Sprintf("broadcast: node %d out of range [0,%d)", nodeID, si.tree.NumNodes()))
 	}
-	return si.nextOcc(si.nodeSlots[nodeID], rel)
+	return si.nextOcc(si.nodeSlots(nodeID), rel)
 }
 
 // ChildDelays implements AirIndex.
@@ -195,10 +235,10 @@ func (si *SegmentedIndex) ChildDelays() []int32 { return si.delays }
 
 // NextObjectSlot implements AirIndex.
 func (si *SegmentedIndex) NextObjectSlot(objectID int, rel int64) int64 {
-	if objectID < 0 || objectID >= len(si.objSlots) {
-		panic(fmt.Sprintf("broadcast: object %d out of range [0,%d)", objectID, len(si.objSlots)))
+	if objectID < 0 || objectID >= si.tree.Count {
+		panic(fmt.Sprintf("broadcast: object %d out of range [0,%d)", objectID, si.tree.Count))
 	}
-	return si.nextOcc(si.objSlots[objectID], rel)
+	return si.nextOcc(si.objSlots(objectID), rel)
 }
 
 // checkWeights validates an optional per-object weight vector.
@@ -216,16 +256,23 @@ func checkWeights(tree *rtree.Tree, weights []float64) {
 	}
 }
 
-// leafWalkObjects returns the object IDs under the preorder node range
-// [lo, hi) in leaf-walk order — the broadcast data order of every scheme.
-func leafWalkObjects(tree *rtree.Tree, lo, hi int) []int {
-	var objs []int
-	for _, n := range tree.Nodes[lo:hi] {
-		for _, e := range n.Entries {
-			objs = append(objs, e.ID)
-		}
+// dataRun schedules one data partition, given as a run of Flat.ID (leaf-
+// walk order). A flat schedule airs the run itself, sharing the tree's
+// array; any other scheduler's sequence is copied out as int32.
+func dataRun(sched Scheduler, part []int32, weights []float64) []int32 {
+	if _, ok := sched.(FlatScheduler); ok {
+		return part
 	}
-	return objs
+	ids := make([]int, len(part))
+	for i, id := range part {
+		ids[i] = int(id)
+	}
+	seq := sched.Sequence(ids, weights)
+	run := make([]int32, len(seq))
+	for i, id := range seq {
+		run[i] = int32(id)
+	}
+	return run
 }
 
 // BuildDistributed serializes tree as a classic distributed air index
@@ -267,21 +314,25 @@ func BuildDistributed(tree *rtree.Tree, p Params, cut int, sched Scheduler, weig
 	if cut < 1 {
 		// A single-level tree (root leaf, possibly empty) has no branches:
 		// one segment carries the root and all data.
-		segIndex := [][]int{{0}}
-		segData := [][]int{sched.Sequence(leafWalkObjects(tree, 0, len(tree.Nodes)), weights)}
+		segIndex := [][]int32{{0}}
+		segData := [][]int32{dataRun(sched, tree.Flat().ID, weights)}
 		return newSegmented(tree, p, scheme, segIndex, segData)
 	}
 
-	var segIndex, segData [][]int
-	for _, b := range tree.NodesAtDepth(cut) {
-		path := tree.PathTo(b.ID) // root … branch, inclusive
-		idx := make([]int, 0, cut+tree.SubtreeEnd(b.ID)-b.ID)
-		idx = append(idx, path[:cut]...) // the replicated upper levels
-		for id := b.ID; id < tree.SubtreeEnd(b.ID); id++ {
-			idx = append(idx, id) // the branch subtree, preorder
+	branches := tree.NodesAtDepth(cut)
+	segIndex := make([][]int32, 0, len(branches))
+	segData := make([][]int32, 0, len(branches))
+	for _, b := range branches {
+		end := tree.SubtreeEnd(b)
+		idx := make([]int32, 0, cut+end-b)
+		for _, id := range tree.PathTo(b)[:cut] {
+			idx = append(idx, int32(id)) // the replicated upper levels
+		}
+		for id := b; id < end; id++ {
+			idx = append(idx, int32(id)) // the branch subtree, preorder
 		}
 		segIndex = append(segIndex, idx)
-		segData = append(segData, sched.Sequence(leafWalkObjects(tree, b.ID, tree.SubtreeEnd(b.ID)), weights))
+		segData = append(segData, dataRun(sched, tree.Flat().SubtreeIDs(int32(b)), weights))
 	}
 	return newSegmented(tree, p, scheme, segIndex, segData)
 }
@@ -305,19 +356,20 @@ func BuildScheduled(tree *rtree.Tree, p Params, sched Scheduler, weights []float
 	}
 
 	// Resolve m exactly as BuildProgram does (shared helper).
-	objOrder := leafWalkObjects(tree, 0, len(tree.Nodes))
+	objOrder := tree.Flat().ID
 	n := len(objOrder)
-	m := resolveM(p, len(tree.Nodes), n)
+	m := resolveM(p, tree.NumNodes(), n)
 	base, rem := 0, 0
 	if m > 0 {
 		base, rem = n/m, n%m
 	}
 
-	allNodes := make([]int, len(tree.Nodes))
+	allNodes := make([]int32, tree.NumNodes())
 	for i := range allNodes {
-		allNodes[i] = i
+		allNodes[i] = int32(i)
 	}
-	var segIndex, segData [][]int
+	segIndex := make([][]int32, 0, m)
+	segData := make([][]int32, 0, m)
 	pos := 0
 	for f := 0; f < m; f++ {
 		sz := base
@@ -325,7 +377,7 @@ func BuildScheduled(tree *rtree.Tree, p Params, sched Scheduler, weights []float
 			sz++
 		}
 		segIndex = append(segIndex, allNodes)
-		segData = append(segData, sched.Sequence(objOrder[pos:pos+sz], weights))
+		segData = append(segData, dataRun(sched, objOrder[pos:pos+sz:pos+sz], weights))
 		pos += sz
 	}
 	return newSegmented(tree, p, scheme, segIndex, segData)

@@ -40,7 +40,7 @@ func checkArrivalContract(t *testing.T, idx AirIndex, seed int64) {
 	tree := idx.Tree()
 	for trial := 0; trial < 200; trial++ {
 		rel := rng.Int63n(c)
-		id := rng.Intn(len(tree.Nodes))
+		id := rng.Intn(tree.NumNodes())
 		got := idx.NextNodeSlot(id, rel)
 		if got < rel || got >= rel+c {
 			t.Fatalf("NextNodeSlot(%d, %d) = %d outside [rel, rel+cycle)", id, rel, got)
@@ -86,7 +86,7 @@ func TestScheduledFlatMatchesProgram(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(n) + 42))
 		for trial := 0; trial < 300; trial++ {
 			rel := rng.Int63n(prog.CycleLen())
-			id := rng.Intn(len(tree.Nodes))
+			id := rng.Intn(tree.NumNodes())
 			if a, b := prog.NextNodeSlot(id, rel), seg.NextNodeSlot(id, rel); a != b {
 				t.Fatalf("n=%d: NextNodeSlot(%d,%d) = %d vs %d", n, id, rel, a, b)
 			}
@@ -129,7 +129,7 @@ func TestDistributedStructure(t *testing.T) {
 		// Scan the cycle: node at depth d < cut airs once per branch below
 		// it; deeper nodes air exactly once; every object airs exactly once
 		// with complete consecutive fragments.
-		nodeCount := make([]int, len(tree.Nodes))
+		nodeCount := make([]int, tree.NumNodes())
 		objCount := make([]int, tree.Count)
 		for s := int64(0); s < di.CycleLen(); s++ {
 			pg := di.PageAt(s)
@@ -139,13 +139,13 @@ func TestDistributedStructure(t *testing.T) {
 				objCount[pg.ObjectID]++
 			}
 		}
-		for id, node := range tree.Nodes {
+		for id, node := range tree.Nodes() {
 			want := 1
 			if node.Depth < cut {
 				// One occurrence per branch in the node's subtree.
 				want = 0
 				for _, b := range tree.NodesAtDepth(cut) {
-					if b.ID >= id && b.ID < tree.SubtreeEnd(id) {
+					if b >= id && b < tree.SubtreeEnd(id) {
 						want++
 					}
 				}
@@ -165,12 +165,12 @@ func TestDistributedStructure(t *testing.T) {
 		// above it air only inside the per-branch paths (cut pages per
 		// branch).
 		above := 0
-		for _, node := range tree.Nodes {
+		for _, node := range tree.Nodes() {
 			if node.Depth < cut {
 				above++
 			}
 		}
-		wantCycle := int64(len(tree.Nodes)-above) + int64(tree.Count)*int64(p.PagesPerObject())
+		wantCycle := int64(tree.NumNodes()-above) + int64(tree.Count)*int64(p.PagesPerObject())
 		if cut >= 1 {
 			wantCycle += int64(branches * cut)
 		}
@@ -326,7 +326,7 @@ func TestChannelOverDistributed(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		after := rng.Int63n(3 * di.CycleLen())
-		id := rng.Intn(len(tree.Nodes))
+		id := rng.Intn(tree.NumNodes())
 		got := ch.NextNodeArrival(id, after)
 		if got < after {
 			t.Fatalf("arrival %d before after %d", got, after)
@@ -355,7 +355,7 @@ func TestDualChannelOverDistributed(t *testing.T) {
 		tree := f.Index().Tree()
 		for trial := 0; trial < 150; trial++ {
 			after := rng.Int63n(2 * dual.CycleLen())
-			id := rng.Intn(len(tree.Nodes))
+			id := rng.Intn(tree.NumNodes())
 			got := f.NextNodeArrival(id, after)
 			if got < after || got >= after+dual.CycleLen() {
 				t.Fatalf("arrival %d outside [after, after+cycle)", got)

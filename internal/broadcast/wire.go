@@ -71,7 +71,7 @@ func (a *Air) EncodeCycle(c int) ([][]byte, error) {
 		if pg.Kind != IndexPage {
 			continue
 		}
-		img, err := encodeNode(a.Feeds[d], a.Trees[d].Nodes[pg.NodeID], abs, a.Indexes[d].Params(), cycle)
+		img, err := encodeNode(a.Feeds[d], a.Trees[d].Flat(), int32(pg.NodeID), abs, a.Indexes[d].Params(), cycle)
 		if err != nil {
 			return nil, fmt.Errorf("slot %d (node %d): %w", rel, pg.NodeID, err)
 		}
@@ -80,12 +80,12 @@ func (a *Air) EncodeCycle(c int) ([][]byte, error) {
 	return out, nil
 }
 
-// encodeNode serializes node n, broadcast at slot carrySlot on feed f,
-// into a page image of PageImageSize(params) bytes. Child and data
-// pointers are relative to carrySlot, in units fixed by the physical
-// channel's cycle length cycleLen: a multiplexed feed's arrival delays
-// span the combined cycle.
-func encodeNode(f Feed, n *rtree.Node, carrySlot int64, params Params, cycleLen int64) ([]byte, error) {
+// encodeNode serializes node id of the tree image f, broadcast at slot
+// carrySlot on feed f, into a page image of PageImageSize(params) bytes.
+// Child and data pointers are relative to carrySlot, in units fixed by
+// the physical channel's cycle length cycleLen: a multiplexed feed's
+// arrival delays span the combined cycle.
+func encodeNode(feed Feed, f *rtree.Flat, id int32, carrySlot int64, params Params, cycleLen int64) ([]byte, error) {
 	buf := make([]byte, 0, PageImageSize(params))
 	unit := pointerUnit(cycleLen)
 
@@ -101,37 +101,35 @@ func encodeNode(f Feed, n *rtree.Node, carrySlot int64, params Params, cycleLen 
 		return uint16(ticks), nil
 	}
 
-	var kind byte
-	if n.Leaf() {
-		kind = 1
-	}
-	buf = append(buf, kind, byte(len(n.Children)+len(n.Entries)))
-
-	if n.Leaf() {
-		if len(n.Entries) > params.LeafCap() {
+	if f.Leaf(id) {
+		first, end := f.LeafRange(id)
+		if int(end-first) > params.LeafCap() {
 			return nil, fmt.Errorf("broadcast: leaf with %d entries exceeds capacity %d",
-				len(n.Entries), params.LeafCap())
+				end-first, params.LeafCap())
 		}
-		for _, e := range n.Entries {
-			buf = f32(buf, e.Point.X)
-			buf = f32(buf, e.Point.Y)
-			p, err := relPtr(f.NextObjectArrival(e.ID, carrySlot))
+		buf = append(buf, 1, byte(end-first))
+		for i := first; i < end; i++ {
+			buf = f32(buf, f.X[i])
+			buf = f32(buf, f.Y[i])
+			p, err := relPtr(feed.NextObjectArrival(int(f.ID[i]), carrySlot))
 			if err != nil {
 				return nil, err
 			}
 			buf = binary.BigEndian.AppendUint16(buf, p)
 		}
 	} else {
-		if len(n.Children) > params.NodeCap() {
+		first, end := f.EntRange(id)
+		if int(end-first) > params.NodeCap() {
 			return nil, fmt.Errorf("broadcast: node with %d children exceeds capacity %d",
-				len(n.Children), params.NodeCap())
+				end-first, params.NodeCap())
 		}
-		for _, c := range n.Children {
-			buf = f32(buf, c.MBR.Lo.X)
-			buf = f32(buf, c.MBR.Lo.Y)
-			buf = f32(buf, c.MBR.Hi.X)
-			buf = f32(buf, c.MBR.Hi.Y)
-			p, err := relPtr(f.NextNodeArrival(c.ID, carrySlot+1))
+		buf = append(buf, 0, byte(end-first))
+		for e := first; e < end; e++ {
+			buf = f32(buf, f.MinX[e])
+			buf = f32(buf, f.MinY[e])
+			buf = f32(buf, f.MaxX[e])
+			buf = f32(buf, f.MaxY[e])
+			p, err := relPtr(feed.NextNodeArrival(int(f.Key[e]), carrySlot+1))
 			if err != nil {
 				return nil, err
 			}

@@ -51,7 +51,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		slot := ch.NextNodeArrival(idx.PageAt(rel).NodeID, 0)
 		node, _ := ch.ReadNode(slot)
 
-		img, err := encodeNode(ch, node, slot, p, idx.CycleLen())
+		img, err := encodeNode(ch, tree.Flat(), int32(node.ID), slot, p, idx.CycleLen())
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}

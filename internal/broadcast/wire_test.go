@@ -150,7 +150,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 	slot := ch.NextRootArrival(0)
 	root, _ := ch.ReadNode(slot)
-	img, err := encodeNode(ch, root, slot, p, prog.CycleLen())
+	img, err := encodeNode(ch, prog.Tree().Flat(), int32(root.ID), slot, p, prog.CycleLen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestEncodeLeafPointers(t *testing.T) {
 	var leafSlot int64 = -1
 	for s := int64(0); s < prog.CycleLen(); s++ {
 		pg := ch.PageAt(s)
-		if pg.Kind == IndexPage && prog.Tree().Nodes[pg.NodeID].Leaf() {
+		if pg.Kind == IndexPage && prog.Tree().Flat().Leaf(int32(pg.NodeID)) {
 			leafSlot = s
 			break
 		}
@@ -178,7 +178,7 @@ func TestEncodeLeafPointers(t *testing.T) {
 		t.Fatal("no leaf page found")
 	}
 	leaf, _ := ch.ReadNode(leafSlot)
-	img, err := encodeNode(ch, leaf, leafSlot, p, prog.CycleLen())
+	img, err := encodeNode(ch, prog.Tree().Flat(), int32(leaf.ID), leafSlot, p, prog.CycleLen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestEncodeCycleMatchesDecoder(t *testing.T) {
 							scheme, single, abs, pg.Kind, img != nil)
 					}
 					if img != nil {
-						checkPage(t, air.Feeds[d], air.Trees[d].Nodes[pg.NodeID], abs, img, p, cycle)
+						checkPage(t, air.Feeds[d], air.Trees[d].Nodes()[pg.NodeID], abs, img, p, cycle)
 					}
 				}
 			}

@@ -144,9 +144,7 @@ func OracleChainTNN(p geom.Point, trees []*rtree.Tree) ([]rtree.Entry, float64, 
 		if t.Count == 0 {
 			return nil, 0, false
 		}
-		var all []rtree.Entry
-		t.Preorder(func(n *rtree.Node) { all = append(all, n.Entries...) })
-		layers[i] = all
+		layers[i] = t.Flat().Entries()
 	}
 	incumbent := make([]rtree.Entry, 0)
 	stops, dist, ok := chainJoin(p, layers, incumbent, math.Inf(1))
@@ -159,9 +157,7 @@ func OracleChainTNN(p geom.Point, trees []*rtree.Tree) ([]rtree.Entry, float64, 
 // OracleRoundTrip computes the exact round-trip answer by exhaustive
 // search (tests only).
 func OracleRoundTrip(p geom.Point, treeS, treeR *rtree.Tree) (Pair, bool) {
-	var ss, rs []rtree.Entry
-	treeS.Preorder(func(n *rtree.Node) { ss = append(ss, n.Entries...) })
-	treeR.Preorder(func(n *rtree.Node) { rs = append(rs, n.Entries...) })
+	ss, rs := treeS.Flat().Entries(), treeR.Flat().Entries()
 	best := Pair{Dist: math.Inf(1)}
 	found := false
 	for _, s := range ss {

@@ -146,9 +146,7 @@ func topKRadius(p geom.Point, ss, rs []rtree.Entry) float64 {
 // OracleTopK computes the exact top-k pairs by exhaustive join (tests
 // only).
 func OracleTopK(p geom.Point, treeS, treeR *rtree.Tree, k int) []Pair {
-	var ss, rs []rtree.Entry
-	treeS.Preorder(func(n *rtree.Node) { ss = append(ss, n.Entries...) })
-	treeR.Preorder(func(n *rtree.Node) { rs = append(rs, n.Entries...) })
+	ss, rs := treeS.Flat().Entries(), treeR.Flat().Entries()
 	var all []Pair
 	for _, s := range ss {
 		for _, r := range rs {

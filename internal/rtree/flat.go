@@ -3,35 +3,41 @@ package rtree
 import "tnnbcast/internal/geom"
 
 // Flat is the structure-of-arrays image of a packed tree, built once at
-// Build time and shared by every reader. It is the data layout of the
-// query hot path: the broadcast program and the core search loops walk
-// these contiguous slices instead of chasing *Node/Entry records, so a
-// node visit is a couple of bounds-checked slice reads over cache-dense,
-// pointer-free memory (the GC never scans the coordinate arrays).
+// Build time and shared by every reader. It is the tree's only resident
+// image: the broadcast layouts, the wire encoder and the core search
+// loops walk these contiguous slices instead of chasing *Node/Entry
+// records, so a node visit is a couple of bounds-checked slice reads over
+// cache-dense, pointer-free memory (the GC never scans the coordinate
+// arrays).
 //
 // Indexing scheme, all derived from the preorder (broadcast) order:
 //
-//   - Per-node arrays (Depth, EntFirst/EntCount, LeafFirst/LeafCount)
-//     are indexed by preorder node ID, matching Tree.Nodes.
+//   - Per-node arrays (Depth, Parent, SubEnd, EntFirst/EntCount,
+//     LeafFirst/LeafCount) are indexed by preorder node ID, matching
+//     Tree.Nodes.
 //   - Node entries — the child references of internal nodes — live in
 //     MinX/MinY/MaxX/MaxY/Key. Node id's children occupy the contiguous
 //     run [EntFirst[id], EntFirst[id]+EntCount[id]); Key[e] is the
 //     child's preorder ID. Every node except the root is referenced by
-//     exactly one entry, so the arrays hold len(Nodes)-1 elements and a
-//     search can carry a node's entry index alongside its ID to re-read
-//     the MBR at pop time without touching the Node.
+//     exactly one entry (RootMBR holds the root's MBR), so the arrays
+//     hold len(Nodes)-1 elements and a search can carry a node's entry
+//     index alongside its ID to re-read the MBR at pop time without
+//     touching the Node.
 //   - Leaf entries — the data points — live in X/Y/ID, grouped per leaf
 //     in preorder walk order: leaf id's points occupy
 //     [LeafFirst[id], LeafFirst[id]+LeafCount[id]), and the whole ID
-//     array is the broadcast object order.
+//     array is the broadcast object order. An internal node's LeafFirst
+//     is where its subtree's points begin, so SubtreeIDs is one slice.
 //
 // A node is a leaf iff EntCount[id] == 0 (internal nodes always have at
 // least one child; the empty tree's root is a leaf with LeafCount 0).
 type Flat struct {
 	Depth     []int32 // per node: depth (root 0)
+	Parent    []int32 // per node: parent's preorder ID (-1 for the root)
+	SubEnd    []int32 // per node: one past the last preorder ID of its subtree
 	EntFirst  []int32 // per node: first index of its child-entry run
 	EntCount  []int32 // per node: number of child entries (0 for leaves)
-	LeafFirst []int32 // per node: first index of its leaf-entry run
+	LeafFirst []int32 // per node: first index of its leaf-entry run (internal: of its subtree's)
 	LeafCount []int32 // per node: number of leaf entries (0 for internal)
 
 	// Node entries (child references), grouped per parent.
@@ -41,6 +47,8 @@ type Flat struct {
 	// Leaf entries (data points), grouped per leaf, preorder walk order.
 	X, Y []float64
 	ID   []int32
+
+	RootMBR geom.Rect // the root's MBR (empty for the empty tree)
 }
 
 // Flat returns the tree's SoA image. It is built eagerly by Build and
@@ -85,22 +93,42 @@ func (f *Flat) LeafEntry(i int32) Entry {
 	return Entry{Point: geom.Point{X: f.X[i], Y: f.Y[i]}, ID: int(f.ID[i])}
 }
 
+// Entries materializes every data point in preorder leaf-walk order, the
+// broadcast object order.
+func (f *Flat) Entries() []Entry {
+	out := make([]Entry, len(f.ID))
+	for i := range out {
+		out[i] = f.LeafEntry(int32(i))
+	}
+	return out
+}
+
+// SubtreeIDs returns the object IDs under node id, in leaf-walk order:
+// a run of f.ID, shared, that callers must not modify.
+func (f *Flat) SubtreeIDs(id int32) []int32 {
+	end := int32(len(f.ID))
+	if next := f.SubEnd[id]; int(next) < len(f.LeafFirst) {
+		end = f.LeafFirst[next]
+	}
+	return f.ID[f.LeafFirst[id]:end:end]
+}
+
 // Leaf reports whether node id is a leaf.
 //
 //tnn:noalloc
 func (f *Flat) Leaf(id int32) bool { return f.EntCount[id] == 0 }
 
-// buildFlat constructs the SoA image from the freshly indexed tree. One
-// preorder pass: each node appends its child MBRs (keeping every
-// parent's run contiguous) or its data points.
-func buildFlat(t *Tree) *Flat {
-	n := len(t.Nodes)
+// buildFlat constructs the SoA image of the packer's nodes, given in
+// preorder with IDs and depths assigned. One preorder pass: each node
+// appends its child MBRs (keeping every parent's run contiguous) or its
+// data points.
+func buildFlat(nodes []*Node, count int) *Flat {
+	n := len(nodes)
 	nEnt := n - 1
-	if nEnt < 0 {
-		nEnt = 0
-	}
 	f := &Flat{
 		Depth:     make([]int32, n),
+		Parent:    make([]int32, n),
+		SubEnd:    make([]int32, n),
 		EntFirst:  make([]int32, n),
 		EntCount:  make([]int32, n),
 		LeafFirst: make([]int32, n),
@@ -110,15 +138,24 @@ func buildFlat(t *Tree) *Flat {
 		MaxX:      make([]float64, 0, nEnt),
 		MaxY:      make([]float64, 0, nEnt),
 		Key:       make([]int32, 0, nEnt),
-		X:         make([]float64, 0, t.Count),
-		Y:         make([]float64, 0, t.Count),
-		ID:        make([]int32, 0, t.Count),
+		X:         make([]float64, 0, count),
+		Y:         make([]float64, 0, count),
+		ID:        make([]int32, 0, count),
+		RootMBR:   nodes[0].MBR,
 	}
-	for _, nd := range t.Nodes { // preorder: parents precede children
+	f.Parent[0] = -1
+	for id := n - 1; id >= 0; id-- { // reverse preorder: children before parents
+		nd := nodes[id]
+		f.SubEnd[id] = int32(id + 1)
+		if k := len(nd.Children); k > 0 {
+			f.SubEnd[id] = f.SubEnd[nd.Children[k-1].ID]
+		}
+	}
+	for _, nd := range nodes { // preorder: parents precede children
 		id := nd.ID
 		f.Depth[id] = int32(nd.Depth)
+		f.LeafFirst[id] = int32(len(f.X))
 		if nd.Leaf() {
-			f.LeafFirst[id] = int32(len(f.X))
 			f.LeafCount[id] = int32(len(nd.Entries))
 			for _, e := range nd.Entries {
 				f.X = append(f.X, e.Point.X)
@@ -130,6 +167,7 @@ func buildFlat(t *Tree) *Flat {
 		f.EntFirst[id] = int32(len(f.Key))
 		f.EntCount[id] = int32(len(nd.Children))
 		for _, c := range nd.Children {
+			f.Parent[c.ID] = int32(id)
 			f.MinX = append(f.MinX, c.MBR.Lo.X)
 			f.MinY = append(f.MinY, c.MBR.Lo.Y)
 			f.MaxX = append(f.MaxX, c.MBR.Hi.X)
@@ -138,4 +176,36 @@ func buildFlat(t *Tree) *Flat {
 		}
 	}
 	return f
+}
+
+// nodeImage rebuilds the pointer image from the SoA arrays: every node's
+// MBR comes from the entry that references it (the root's from RootMBR),
+// its children in entry order and its points in leaf-walk order. Nodes,
+// child lists and points each live in one allocation.
+func (f *Flat) nodeImage() []*Node {
+	nodes := make([]Node, len(f.Depth))
+	ptrs := make([]*Node, len(nodes))
+	kids := make([]*Node, len(f.Key))
+	ents := f.Entries()
+	nodes[0].MBR = f.RootMBR
+	for id := range nodes {
+		nd := &nodes[id]
+		ptrs[id] = nd
+		nd.ID = id
+		nd.Depth = int(f.Depth[id])
+		if f.Leaf(int32(id)) {
+			if first, end := f.LeafRange(int32(id)); end > first {
+				nd.Entries = ents[first:end:end]
+			}
+			continue
+		}
+		first, end := f.EntRange(int32(id))
+		for e := first; e < end; e++ {
+			c := &nodes[f.Key[e]]
+			c.MBR = f.EntRect(e)
+			kids[e] = c
+		}
+		nd.Children = kids[first:end:end]
+	}
+	return ptrs
 }

@@ -83,7 +83,7 @@ func flatKNN(f *Flat, t *Tree, q geom.Point, k int) ([]Entry, int) {
 	if t.Count == 0 || k <= 0 {
 		return nil, 0
 	}
-	pq := []flatBFItem{{dist: t.Root.MBR.MinDist(q), id: 0}}
+	pq := []flatBFItem{{dist: f.RootMBR.MinDist(q), id: 0}}
 	var out []Entry
 	visited := 0
 	for len(pq) > 0 && len(out) < k {
@@ -131,19 +131,19 @@ func idsEqual(a, b []int) bool {
 }
 
 // TestFlatMirrorsTree checks the structural correspondence directly:
-// every pointer-tree node's children and entries must be recoverable,
-// in order, from the SoA arrays.
+// every node of the packer's pointer tree must have its children and
+// entries recoverable, in order, from the SoA arrays.
 func TestFlatMirrorsTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, pk := range allPackings() {
 		for _, n := range []int{0, 1, 2, 6, 7, 50, 500} {
 			pts := randPoints(rng, n, 1000)
-			tr := Build(pts, Config{LeafCap: 6, NodeCap: 3, Packing: pk})
+			tr, packed := build(pts, Config{LeafCap: 6, NodeCap: 3, Packing: pk})
 			f := tr.Flat()
-			if len(f.Depth) != len(tr.Nodes) {
-				t.Fatalf("%v n=%d: %d Depth entries for %d nodes", pk, n, len(f.Depth), len(tr.Nodes))
+			if len(f.Depth) != len(packed) {
+				t.Fatalf("%v n=%d: %d Depth entries for %d nodes", pk, n, len(f.Depth), len(packed))
 			}
-			for _, nd := range tr.Nodes {
+			for _, nd := range packed {
 				id := int32(nd.ID)
 				if int(f.Depth[id]) != nd.Depth {
 					t.Fatalf("%v n=%d node %d: Depth %d want %d", pk, n, id, f.Depth[id], nd.Depth)

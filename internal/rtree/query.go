@@ -34,9 +34,7 @@ func (t *Tree) Window(w geom.Rect) []Entry {
 			walk(c)
 		}
 	}
-	if t.Root != nil {
-		walk(t.Root)
-	}
+	walk(t.Root())
 	return out
 }
 
@@ -61,9 +59,7 @@ func (t *Tree) RangeCircle(c geom.Circle) []Entry {
 			walk(c2)
 		}
 	}
-	if t.Root != nil {
-		walk(t.Root)
-	}
+	walk(t.Root())
 	return out
 }
 
@@ -101,10 +97,11 @@ func (t *Tree) NN(q geom.Point) (e Entry, visited int, ok bool) {
 // KNN returns the k nearest entries to q in ascending distance order,
 // and the number of nodes visited.
 func (t *Tree) KNN(q geom.Point, k int) ([]Entry, int) {
-	if t.Root == nil || t.Count == 0 || k <= 0 {
+	if t.Count == 0 || k <= 0 {
 		return nil, 0
 	}
-	pq := bfQueue{{dist: t.Root.MBR.MinDist(q), node: t.Root}}
+	root := t.Root()
+	pq := bfQueue{{dist: root.MBR.MinDist(q), node: root}}
 	var out []Entry
 	visited := 0
 	for len(pq) > 0 && len(out) < k {
@@ -133,10 +130,11 @@ func (t *Tree) KNN(q geom.Point, k int) ([]Entry, int) {
 // the in-memory analogue of the Hybrid-NN Case-3 search and is used as its
 // oracle in tests.
 func (t *Tree) TransNN(p, r geom.Point) (Entry, bool) {
-	if t.Root == nil || t.Count == 0 {
+	if t.Count == 0 {
 		return Entry{}, false
 	}
-	pq := bfQueue{{dist: geom.MinTransDist(p, t.Root.MBR, r), node: t.Root}}
+	root := t.Root()
+	pq := bfQueue{{dist: geom.MinTransDist(p, root.MBR, r), node: root}}
 	for len(pq) > 0 {
 		it := pq.pop()
 		if it.leafE {
@@ -161,9 +159,6 @@ func (t *Tree) TransNN(p, r geom.Point) (Entry, bool) {
 // union of its children/entries, capacities are respected, all leaves sit
 // at the same depth, and preorder IDs are consistent.
 func (t *Tree) Validate() string {
-	if t.Root == nil {
-		return "nil root"
-	}
 	leafDepth := -1
 	var walk func(n *Node) string
 	walk = func(n *Node) string {
@@ -205,17 +200,17 @@ func (t *Tree) Validate() string {
 		}
 		return ""
 	}
-	if msg := walk(t.Root); msg != "" {
+	if msg := walk(t.Root()); msg != "" {
 		return msg
 	}
-	for i, n := range t.Nodes {
+	for i, n := range t.Nodes() {
 		if n.ID != i {
 			return "preorder ID mismatch"
 		}
 	}
 	// Height must match the max depth + 1.
 	maxDepth := 0
-	for _, n := range t.Nodes {
+	for _, n := range t.Nodes() {
 		if n.Depth > maxDepth {
 			maxDepth = n.Depth
 		}

@@ -14,6 +14,8 @@ package rtree
 
 import (
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"tnnbcast/internal/geom"
 )
@@ -78,37 +80,46 @@ type Config struct {
 	Packing Packing
 }
 
-// Tree is a packed, immutable R-tree.
+// Tree is a packed, immutable R-tree. Its resident image is the SoA Flat
+// (flat.go); the pointer image of *Node/Entry records that the packer
+// builds is released once Flat is built, and Root and Nodes rebuild it
+// from Flat on first use, for the oracles and tests that walk pointers.
 type Tree struct {
-	Root    *Node
-	Nodes   []*Node // all nodes in preorder; Nodes[i].ID == i
-	Height  int     // number of levels (a single leaf root has height 1)
-	Count   int     // number of data points
+	Height  int // number of levels (a single leaf root has height 1)
+	Count   int // number of data points
 	LeafCap int
 	NodeCap int
 	Packing Packing
 
-	parent []int // parent[i] = preorder ID of Nodes[i]'s parent; -1 for root
-	subEnd []int // subEnd[i] = one past the last preorder ID in Nodes[i]'s subtree
-	flat   *Flat // SoA image, built once by index(); see flat.go
+	flat *Flat // SoA image, built once by Build; see flat.go
+
+	image      sync.Once
+	imageBuilt atomic.Bool
+	nodes      []*Node // the pointer image, rebuilt by Nodes; nodes[i].ID == i
 }
 
 // Build bulk-loads a packed R-tree over pts. Entry IDs are the indices into
 // pts. Build panics if the capacities are below 2 (below 1 for LeafCap),
 // since such trees cannot exist.
 func Build(pts []geom.Point, cfg Config) *Tree {
+	t, _ := build(pts, cfg)
+	return t
+}
+
+// build is Build that also returns the packer's node image in preorder,
+// before the tree releases it.
+func build(pts []geom.Point, cfg Config) (*Tree, []*Node) {
 	if cfg.LeafCap < 1 {
 		panic("rtree: LeafCap must be >= 1")
 	}
 	if cfg.NodeCap < 2 {
 		panic("rtree: NodeCap must be >= 2")
 	}
-	t := &Tree{LeafCap: cfg.LeafCap, NodeCap: cfg.NodeCap, Packing: cfg.Packing, Count: len(pts)}
+	t := &Tree{LeafCap: cfg.LeafCap, NodeCap: cfg.NodeCap, Packing: cfg.Packing, Count: len(pts), Height: 1}
 	if len(pts) == 0 {
-		t.Root = &Node{MBR: geom.EmptyRect()}
-		t.Height = 1
-		t.index()
-		return t
+		nodes := index(&Node{MBR: geom.EmptyRect()})
+		t.flat = buildFlat(nodes, 0)
+		return t, nodes
 	}
 
 	entries := make([]Entry, len(pts))
@@ -127,7 +138,6 @@ func Build(pts []geom.Point, cfg Config) *Tree {
 	}
 
 	level := leaves
-	height := 1
 	for len(level) > 1 {
 		switch cfg.Packing {
 		case HilbertSort, NearestX:
@@ -135,50 +145,69 @@ func Build(pts []geom.Point, cfg Config) *Tree {
 		default:
 			level = packNodesSTR(level, cfg.NodeCap)
 		}
-		height++
+		t.Height++
 	}
-	t.Root = level[0]
-	t.Height = height
-	t.index()
-	return t
+	nodes := index(level[0])
+	t.flat = buildFlat(nodes, len(pts))
+	return t, nodes
 }
 
-// index assigns preorder IDs and depths and fills t.Nodes, t.parent, and
-// t.subEnd.
-func (t *Tree) index() {
-	t.Nodes = t.Nodes[:0]
-	t.parent = t.parent[:0]
-	t.subEnd = t.subEnd[:0]
-	var walk func(n *Node, parent, depth int)
-	walk = func(n *Node, parent, depth int) {
-		n.ID = len(t.Nodes)
+// index assigns preorder IDs and depths below root and returns the nodes
+// in preorder.
+func index(root *Node) []*Node {
+	var nodes []*Node
+	var walk func(n *Node, depth int)
+	walk = func(n *Node, depth int) {
+		n.ID = len(nodes)
 		n.Depth = depth
-		t.Nodes = append(t.Nodes, n)
-		t.parent = append(t.parent, parent)
-		t.subEnd = append(t.subEnd, 0)
+		nodes = append(nodes, n)
 		for _, c := range n.Children {
-			walk(c, n.ID, depth+1)
+			walk(c, depth+1)
 		}
-		t.subEnd[n.ID] = len(t.Nodes)
 	}
-	walk(t.Root, -1, 0)
-	t.flat = buildFlat(t)
+	walk(root, 0)
+	return nodes
 }
+
+// Root returns the root of the pointer image, rebuilding the image from
+// Flat on first use (see Nodes).
+func (t *Tree) Root() *Node { return t.Nodes()[0] }
+
+// Nodes returns the pointer image's nodes in preorder; Nodes()[i].ID == i.
+// The image is rebuilt from Flat on the first call, once however many
+// goroutines ask, and is equal node for node to the one the packer built.
+// The query hot path never needs it: only pointer-walking oracles and
+// tests call it.
+func (t *Tree) Nodes() []*Node {
+	t.image.Do(func() {
+		t.nodes = t.flat.nodeImage()
+		t.imageBuilt.Store(true)
+	})
+	return t.nodes
+}
+
+// NodeImageBuilt reports whether Root or Nodes has rebuilt the pointer
+// image. Tests use it to check that a path runs on Flat alone.
+func (t *Tree) NodeImageBuilt() bool { return t.imageBuilt.Load() }
+
+// NumNodes returns the number of nodes, which is also the number of
+// distinct index pages the tree airs as.
+func (t *Tree) NumNodes() int { return len(t.flat.Depth) }
 
 // Parent returns the preorder ID of nodeID's parent, or -1 for the root.
-func (t *Tree) Parent(nodeID int) int { return t.parent[nodeID] }
+func (t *Tree) Parent(nodeID int) int { return int(t.flat.Parent[nodeID]) }
 
 // SubtreeEnd returns one past the largest preorder ID in nodeID's subtree:
-// preorder IDs are contiguous per subtree, so Nodes[nodeID:SubtreeEnd(nodeID)]
+// preorder IDs are contiguous per subtree, so [nodeID, SubtreeEnd(nodeID))
 // is exactly the subtree in broadcast (depth-first) order.
-func (t *Tree) SubtreeEnd(nodeID int) int { return t.subEnd[nodeID] }
+func (t *Tree) SubtreeEnd(nodeID int) int { return int(t.flat.SubEnd[nodeID]) }
 
 // PathTo returns the preorder IDs on the path from the root to nodeID,
 // inclusive, root first. The distributed air index replicates exactly this
 // path (above its cut level) before each branch segment.
 func (t *Tree) PathTo(nodeID int) []int {
 	var path []int
-	for id := nodeID; id >= 0; id = t.parent[id] {
+	for id := nodeID; id >= 0; id = t.Parent(id) {
 		path = append(path, id)
 	}
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
@@ -187,23 +216,23 @@ func (t *Tree) PathTo(nodeID int) []int {
 	return path
 }
 
-// NodesAtDepth returns the nodes at the given depth, in preorder. Depth 0
-// is the root; depths at or beyond the leaf level return leaves that occur
-// that shallow (in a packed tree, all leaves share one depth).
-func (t *Tree) NodesAtDepth(depth int) []*Node {
-	var out []*Node
-	for _, n := range t.Nodes {
-		if n.Depth == depth {
-			out = append(out, n)
+// NodesAtDepth returns the preorder IDs of the nodes at the given depth,
+// ascending. Depth 0 is the root; in a packed tree all leaves share one
+// depth.
+func (t *Tree) NodesAtDepth(depth int) []int {
+	var out []int
+	for id, d := range t.flat.Depth {
+		if int(d) == depth {
+			out = append(out, id)
 		}
 	}
 	return out
 }
 
-// Preorder calls fn for every node in depth-first preorder (the broadcast
-// order the paper uses).
+// Preorder calls fn for every node of the pointer image in depth-first
+// preorder (the broadcast order the paper uses).
 func (t *Tree) Preorder(fn func(n *Node)) {
-	for _, n := range t.Nodes {
+	for _, n := range t.Nodes() {
 		fn(n)
 	}
 }
@@ -211,8 +240,8 @@ func (t *Tree) Preorder(fn func(n *Node)) {
 // NumLeaves returns the number of leaf nodes.
 func (t *Tree) NumLeaves() int {
 	c := 0
-	for _, n := range t.Nodes {
-		if n.Leaf() {
+	for id := range t.flat.EntCount {
+		if t.flat.Leaf(int32(id)) {
 			c++
 		}
 	}

@@ -73,6 +73,7 @@ calib_before=$(calib_nsop)
 	min_nsop '^BenchmarkRectScreen$' '20000x' ./internal/geom
 	min_nsop '^BenchmarkNew$' '20x' .
 	min_nsop '^BenchmarkBroadcastProgramBuild$' '2000x' .
+	min_nsop '^BenchmarkBuildIndexDistributed$' '20x' .
 	min_nsop '^BenchmarkWireEncodeCycleIndex$' '100x' .
 	min_nsop '^BenchmarkFrameCodec$' '200000x' ./internal/netfeed
 	min_nsop '^Benchmark(TransmitSlot|WakeReplay)$' '2000x' ./internal/netfeed
