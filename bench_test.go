@@ -136,6 +136,7 @@ func BenchmarkQueryDoubleANN(b *testing.B) {
 func BenchmarkRTreeBuildSTR(b *testing.B) {
 	pts := dataset.Uniform(5, 15210, dataset.PaperRegion)
 	cfg := rtree.Config{LeafCap: 6, NodeCap: 3, Packing: rtree.STR}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rtree.Build(pts, cfg)
@@ -145,6 +146,7 @@ func BenchmarkRTreeBuildSTR(b *testing.B) {
 func BenchmarkRTreeBuildHilbert(b *testing.B) {
 	pts := dataset.Uniform(5, 15210, dataset.PaperRegion)
 	cfg := rtree.Config{LeafCap: 6, NodeCap: 3, Packing: rtree.HilbertSort}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rtree.Build(pts, cfg)

@@ -54,8 +54,8 @@ type Program struct {
 
 	m          int     // resolved interleaving factor
 	indexPages int     // number of index pages (= number of R-tree nodes)
-	objOrder   []int   // object IDs in broadcast order
-	objPos     []int   // objPos[objectID] = position in objOrder
+	objOrder   []int32 // object IDs in broadcast order: the tree's Flat.ID, shared
+	objPos     []int32 // objPos[objectID] = position in objOrder
 	fracStart  []int   // fracStart[f] = first object position of fraction f; len m+1
 	segStart   []int64 // segStart[f] = cycle slot where replication f's index begins; len m+1 (last = cycle length)
 	ppo        int     // pages per object
@@ -86,13 +86,10 @@ func BuildProgram(tree *rtree.Tree, p Params) *Program {
 
 	// Objects in preorder leaf-walk order: the Flat SoA image's leaf ID
 	// array.
-	pr.objOrder = make([]int, 0, tree.Count)
-	for _, id := range tree.Flat().ID {
-		pr.objOrder = append(pr.objOrder, int(id))
-	}
-	pr.objPos = make([]int, tree.Count)
+	pr.objOrder = tree.Flat().ID
+	pr.objPos = make([]int32, tree.Count)
 	for pos, id := range pr.objOrder {
-		pr.objPos[id] = pos
+		pr.objPos[id] = int32(pos)
 	}
 
 	n := len(pr.objOrder)
@@ -209,7 +206,7 @@ func (pr *Program) PageAt(s int64) Page {
 	objIdx := pr.fracStart[f] + int(dataOff/int64(pr.ppo))
 	return Page{
 		Kind:     DataPage,
-		ObjectID: pr.objOrder[objIdx],
+		ObjectID: int(pr.objOrder[objIdx]),
 		Seq:      int(dataOff % int64(pr.ppo)),
 	}
 }
@@ -242,7 +239,7 @@ func (pr *Program) NextObjectSlot(objectID int, rel int64) int64 {
 	if objectID < 0 || objectID >= len(pr.objPos) {
 		panic(fmt.Sprintf("broadcast: object %d out of range [0,%d)", objectID, len(pr.objPos)))
 	}
-	want := pr.objectSlotInCycle(pr.objPos[objectID])
+	want := pr.objectSlotInCycle(int(pr.objPos[objectID]))
 	if want < rel {
 		want += pr.CycleLen()
 	}

@@ -118,67 +118,7 @@ func (f *Flat) SubtreeIDs(id int32) []int32 {
 //tnn:noalloc
 func (f *Flat) Leaf(id int32) bool { return f.EntCount[id] == 0 }
 
-// buildFlat constructs the SoA image of the packer's nodes, given in
-// preorder with IDs and depths assigned. One preorder pass: each node
-// appends its child MBRs (keeping every parent's run contiguous) or its
-// data points.
-func buildFlat(nodes []*Node, count int) *Flat {
-	n := len(nodes)
-	nEnt := n - 1
-	f := &Flat{
-		Depth:     make([]int32, n),
-		Parent:    make([]int32, n),
-		SubEnd:    make([]int32, n),
-		EntFirst:  make([]int32, n),
-		EntCount:  make([]int32, n),
-		LeafFirst: make([]int32, n),
-		LeafCount: make([]int32, n),
-		MinX:      make([]float64, 0, nEnt),
-		MinY:      make([]float64, 0, nEnt),
-		MaxX:      make([]float64, 0, nEnt),
-		MaxY:      make([]float64, 0, nEnt),
-		Key:       make([]int32, 0, nEnt),
-		X:         make([]float64, 0, count),
-		Y:         make([]float64, 0, count),
-		ID:        make([]int32, 0, count),
-		RootMBR:   nodes[0].MBR,
-	}
-	f.Parent[0] = -1
-	for id := n - 1; id >= 0; id-- { // reverse preorder: children before parents
-		nd := nodes[id]
-		f.SubEnd[id] = int32(id + 1)
-		if k := len(nd.Children); k > 0 {
-			f.SubEnd[id] = f.SubEnd[nd.Children[k-1].ID]
-		}
-	}
-	for _, nd := range nodes { // preorder: parents precede children
-		id := nd.ID
-		f.Depth[id] = int32(nd.Depth)
-		f.LeafFirst[id] = int32(len(f.X))
-		if nd.Leaf() {
-			f.LeafCount[id] = int32(len(nd.Entries))
-			for _, e := range nd.Entries {
-				f.X = append(f.X, e.Point.X)
-				f.Y = append(f.Y, e.Point.Y)
-				f.ID = append(f.ID, int32(e.ID))
-			}
-			continue
-		}
-		f.EntFirst[id] = int32(len(f.Key))
-		f.EntCount[id] = int32(len(nd.Children))
-		for _, c := range nd.Children {
-			f.Parent[c.ID] = int32(id)
-			f.MinX = append(f.MinX, c.MBR.Lo.X)
-			f.MinY = append(f.MinY, c.MBR.Lo.Y)
-			f.MaxX = append(f.MaxX, c.MBR.Hi.X)
-			f.MaxY = append(f.MaxY, c.MBR.Hi.Y)
-			f.Key = append(f.Key, int32(c.ID))
-		}
-	}
-	return f
-}
-
-// nodeImage rebuilds the pointer image from the SoA arrays: every node's
+// nodeImage builds the pointer image from the SoA arrays: every node's
 // MBR comes from the entry that references it (the root's from RootMBR),
 // its children in entry order and its points in leaf-walk order. Nodes,
 // child lists and points each live in one allocation.

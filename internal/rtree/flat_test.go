@@ -1,7 +1,9 @@
 package rtree
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -131,53 +133,66 @@ func idsEqual(a, b []int) bool {
 }
 
 // TestFlatMirrorsTree checks the structural correspondence directly:
-// every node of the packer's pointer tree must have its children and
-// entries recoverable, in order, from the SoA arrays.
+// every node of the reference packer's pointer tree (packRef) must have
+// its children and entries recoverable, in order, from Build's SoA
+// arrays, and every column must equal the one packRef converts, on the
+// uniform and the tie-heavy inputs.
 func TestFlatMirrorsTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, pk := range allPackings() {
 		for _, n := range []int{0, 1, 2, 6, 7, 50, 500} {
-			pts := randPoints(rng, n, 1000)
-			tr, packed := build(pts, Config{LeafCap: 6, NodeCap: 3, Packing: pk})
-			f := tr.Flat()
-			if len(f.Depth) != len(packed) {
-				t.Fatalf("%v n=%d: %d Depth entries for %d nodes", pk, n, len(f.Depth), len(packed))
+			checkFlatMirror(t, fmt.Sprintf("%v n=%d", pk, n), randPoints(rng, n, 1000), Config{LeafCap: 6, NodeCap: 3, Packing: pk})
+		}
+		for _, in := range tieHeavyInputs() {
+			in.cfg.Packing = pk
+			checkFlatMirror(t, fmt.Sprintf("%v %s", pk, in.name), in.pts, in.cfg)
+		}
+	}
+}
+
+func checkFlatMirror(t *testing.T, name string, pts []geom.Point, cfg Config) {
+	t.Helper()
+	ref, packed := packRef(pts, cfg)
+	f := Build(pts, cfg).Flat()
+	if len(f.Depth) != len(packed) {
+		t.Fatalf("%s: %d Depth entries for %d nodes", name, len(f.Depth), len(packed))
+	}
+	for _, nd := range packed {
+		id := int32(nd.ID)
+		if int(f.Depth[id]) != nd.Depth {
+			t.Fatalf("%s node %d: Depth %d want %d", name, id, f.Depth[id], nd.Depth)
+		}
+		if f.Leaf(id) != nd.Leaf() {
+			t.Fatalf("%s node %d: Leaf %v want %v", name, id, f.Leaf(id), nd.Leaf())
+		}
+		if nd.Leaf() {
+			first, end := f.LeafRange(id)
+			if int(end-first) != len(nd.Entries) {
+				t.Fatalf("%s leaf %d: %d flat entries want %d", name, id, end-first, len(nd.Entries))
 			}
-			for _, nd := range packed {
-				id := int32(nd.ID)
-				if int(f.Depth[id]) != nd.Depth {
-					t.Fatalf("%v n=%d node %d: Depth %d want %d", pk, n, id, f.Depth[id], nd.Depth)
+			for i, e := range nd.Entries {
+				if got := f.LeafEntry(first + int32(i)); got != e {
+					t.Fatalf("%s leaf %d entry %d: %+v want %+v", name, id, i, got, e)
 				}
-				if f.Leaf(id) != nd.Leaf() {
-					t.Fatalf("%v n=%d node %d: Leaf %v want %v", pk, n, id, f.Leaf(id), nd.Leaf())
-				}
-				if nd.Leaf() {
-					first, end := f.LeafRange(id)
-					if int(end-first) != len(nd.Entries) {
-						t.Fatalf("%v n=%d leaf %d: %d flat entries want %d", pk, n, id, end-first, len(nd.Entries))
-					}
-					for i, e := range nd.Entries {
-						if got := f.LeafEntry(first + int32(i)); got != e {
-							t.Fatalf("%v n=%d leaf %d entry %d: %+v want %+v", pk, n, id, i, got, e)
-						}
-					}
-					continue
-				}
-				first, end := f.EntRange(id)
-				if int(end-first) != len(nd.Children) {
-					t.Fatalf("%v n=%d node %d: %d flat children want %d", pk, n, id, end-first, len(nd.Children))
-				}
-				for i, c := range nd.Children {
-					e := first + int32(i)
-					if f.Key[e] != int32(c.ID) {
-						t.Fatalf("%v n=%d node %d child %d: Key %d want %d", pk, n, id, i, f.Key[e], c.ID)
-					}
-					if f.EntRect(e) != c.MBR {
-						t.Fatalf("%v n=%d node %d child %d: MBR %+v want %+v", pk, n, id, i, f.EntRect(e), c.MBR)
-					}
-				}
+			}
+			continue
+		}
+		first, end := f.EntRange(id)
+		if int(end-first) != len(nd.Children) {
+			t.Fatalf("%s node %d: %d flat children want %d", name, id, end-first, len(nd.Children))
+		}
+		for i, c := range nd.Children {
+			e := first + int32(i)
+			if f.Key[e] != int32(c.ID) {
+				t.Fatalf("%s node %d child %d: Key %d want %d", name, id, i, f.Key[e], c.ID)
+			}
+			if f.EntRect(e) != c.MBR {
+				t.Fatalf("%s node %d child %d: MBR %+v want %+v", name, id, i, f.EntRect(e), c.MBR)
 			}
 		}
+	}
+	if !reflect.DeepEqual(f, ref.Flat()) {
+		t.Fatalf("%s: Flat columns differ from the reference packer's", name)
 	}
 }
 

@@ -1,156 +1,216 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"tnnbcast/internal/geom"
 )
 
 // This file implements the three bulk-loading (packing) strategies. All of
-// them fill leaves to capacity; they differ only in the ordering that
-// decides which points share a leaf.
+// them fill nodes to capacity; they differ only in the ordering that
+// decides which points share a leaf. Each level sorts an int32
+// permutation of the level below (points, then nodes) and cuts it into
+// runs of the capacity; Build then lays the levels out as Flat in one
+// preorder walk.
 
-// chunkEntries slices es into runs of at most cap entries and wraps each
-// run in a leaf node.
-func chunkEntries(es []Entry, cap int) []*Node {
-	leaves := make([]*Node, 0, (len(es)+cap-1)/cap)
-	for i := 0; i < len(es); i += cap {
-		j := i + cap
-		if j > len(es) {
-			j = len(es)
-		}
-		run := make([]Entry, j-i)
-		copy(run, es[i:j])
-		leaves = append(leaves, &Node{MBR: mbrOfEntries(run), Entries: run})
-	}
-	return leaves
+// A level is one packed layer of the tree, leaves first: node k's
+// children are the run kids[k*cap:(k+1)*cap] (shorter at the end), point
+// indices at the leaf level and node indices of the level below above
+// it, and box[k] is node k's MBR.
+type level struct {
+	kids []int32
+	cap  int
+	box  []geom.Rect
 }
 
-// chunkNodes groups ns into runs of at most cap children under new parents.
-func chunkNodes(ns []*Node, cap int) []*Node {
-	parents := make([]*Node, 0, (len(ns)+cap-1)/cap)
-	for i := 0; i < len(ns); i += cap {
-		j := i + cap
-		if j > len(ns) {
-			j = len(ns)
-		}
-		run := make([]*Node, j-i)
-		copy(run, ns[i:j])
-		parents = append(parents, &Node{MBR: mbrOfNodes(run), Children: run})
-	}
-	return parents
+// run returns node k's children.
+func (l *level) run(k int32) []int32 {
+	i := int(k) * l.cap
+	return l.kids[i:min(i+l.cap, len(l.kids))]
 }
 
-// packLeavesSTR is the leaf step of Sort-Tile-Recursive: sort by x, cut
-// into ⌈sqrt(P)⌉ vertical slabs of ⌈sqrt(P)⌉·cap points, sort each slab by
-// y, and pack runs of cap.
-func packLeavesSTR(es []Entry, cap int) []*Node {
-	n := len(es)
-	p := (n + cap - 1) / cap                   // number of leaves
-	s := int(math.Ceil(math.Sqrt(float64(p)))) // slabs
-	slabSize := s * cap
-
-	sorted := make([]Entry, n)
-	copy(sorted, es)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Point.X != sorted[j].Point.X {
-			return sorted[i].Point.X < sorted[j].Point.X
+// pack sorts and cuts pts into levels, leaves first and the single root
+// last. An empty pts packs into one empty leaf.
+func pack(pts []geom.Point, cfg Config) []level {
+	perm := iota32(len(pts))
+	switch cfg.Packing {
+	case HilbertSort:
+		sortHilbert(perm, pts)
+	case NearestX:
+		slices.SortFunc(perm, func(a, b int32) int { return cmpLex(pts[a].X, pts[a].Y, pts[b].X, pts[b].Y) })
+	default:
+		sortSTR(perm, pts, cfg.LeafCap)
+	}
+	lv := level{kids: perm, cap: cfg.LeafCap, box: make([]geom.Rect, max(1, ceilDiv(len(pts), cfg.LeafCap)))}
+	for k := range lv.box {
+		r := geom.EmptyRect()
+		for _, p := range lv.run(int32(k)) {
+			r = r.Extend(pts[p])
 		}
-		return sorted[i].Point.Y < sorted[j].Point.Y
-	})
-
-	var leaves []*Node
-	for i := 0; i < n; i += slabSize {
-		j := i + slabSize
-		if j > n {
-			j = n
-		}
-		slab := sorted[i:j]
-		sort.Slice(slab, func(a, b int) bool {
-			if slab[a].Point.Y != slab[b].Point.Y {
-				return slab[a].Point.Y < slab[b].Point.Y
+		lv.box[k] = r
+	}
+	levels := []level{lv}
+	for len(lv.box) > 1 {
+		below := lv.box
+		perm = iota32(len(below))
+		if cfg.Packing == STR {
+			centers := make([]geom.Point, len(below))
+			for i, b := range below {
+				centers[i] = b.Center()
 			}
-			return slab[a].Point.X < slab[b].Point.X
-		})
-		leaves = append(leaves, chunkEntries(slab, cap)...)
-	}
-	return leaves
-}
-
-// packNodesSTR applies the same tiling to node centers for the upper
-// levels.
-func packNodesSTR(ns []*Node, cap int) []*Node {
-	n := len(ns)
-	p := (n + cap - 1) / cap
-	s := int(math.Ceil(math.Sqrt(float64(p))))
-	slabSize := s * cap
-
-	sorted := make([]*Node, n)
-	copy(sorted, ns)
-	sort.Slice(sorted, func(i, j int) bool {
-		ci, cj := sorted[i].MBR.Center(), sorted[j].MBR.Center()
-		if ci.X != cj.X {
-			return ci.X < cj.X
+			sortSTR(perm, centers, cfg.NodeCap)
 		}
-		return ci.Y < cj.Y
-	})
-
-	var parents []*Node
-	for i := 0; i < n; i += slabSize {
-		j := i + slabSize
-		if j > n {
-			j = n
-		}
-		slab := sorted[i:j]
-		sort.Slice(slab, func(a, b int) bool {
-			ca, cb := slab[a].MBR.Center(), slab[b].MBR.Center()
-			if ca.Y != cb.Y {
-				return ca.Y < cb.Y
+		lv = level{kids: perm, cap: cfg.NodeCap, box: make([]geom.Rect, ceilDiv(len(below), cfg.NodeCap))}
+		for k := range lv.box {
+			r := geom.EmptyRect()
+			for _, c := range lv.run(int32(k)) {
+				r = r.Union(below[c])
 			}
-			return ca.X < cb.X
-		})
-		parents = append(parents, chunkNodes(slab, cap)...)
-	}
-	return parents
-}
-
-// packLeavesHilbert packs points in Hilbert-curve order of their position
-// within the dataset MBR, quantized to a 2^hilbertOrder grid.
-func packLeavesHilbert(es []Entry, cap int) []*Node {
-	mbr := mbrOfEntries(es)
-	type keyed struct {
-		e Entry
-		k uint64
-	}
-	ks := make([]keyed, len(es))
-	for i, e := range es {
-		ks[i] = keyed{e: e, k: hilbertKey(e.Point, mbr)}
-	}
-	sort.SliceStable(ks, func(i, j int) bool { return ks[i].k < ks[j].k })
-	sorted := make([]Entry, len(es))
-	for i, ke := range ks {
-		sorted[i] = ke.e
-	}
-	return chunkEntries(sorted, cap)
-}
-
-// packLeavesNearestX packs points sorted by x-coordinate only.
-func packLeavesNearestX(es []Entry, cap int) []*Node {
-	sorted := make([]Entry, len(es))
-	copy(sorted, es)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Point.X != sorted[j].Point.X {
-			return sorted[i].Point.X < sorted[j].Point.X
+			lv.box[k] = r
 		}
-		return sorted[i].Point.Y < sorted[j].Point.Y
-	})
-	return chunkEntries(sorted, cap)
+		levels = append(levels, lv)
+	}
+	return levels
 }
 
-// packNodesLinear groups nodes in their existing (curve) order.
-func packNodesLinear(ns []*Node, cap int) []*Node {
-	return chunkNodes(ns, cap)
+// sortSTR puts perm, indices into at, in Sort-Tile-Recursive order for
+// runs of cap: sorted by x, cut into ⌈sqrt(P)⌉ vertical slabs of
+// ⌈sqrt(P)⌉·cap items (P runs in all), and each slab sorted by y. A slab
+// is a whole number of runs, so cutting perm into runs of cap tiles every
+// slab.
+func sortSTR(perm []int32, at []geom.Point, cap int) {
+	slabSize := int(math.Ceil(math.Sqrt(float64(ceilDiv(len(perm), cap))))) * cap
+	slices.SortFunc(perm, func(a, b int32) int { return cmpLex(at[a].X, at[a].Y, at[b].X, at[b].Y) })
+	for i := 0; i < len(perm); i += slabSize {
+		slices.SortFunc(perm[i:min(i+slabSize, len(perm))], func(a, b int32) int {
+			return cmpLex(at[a].Y, at[a].X, at[b].Y, at[b].X)
+		})
+	}
+}
+
+// sortHilbert puts perm, indices into pts, in Hilbert-curve order of the
+// points' positions within their MBR, quantized to a 2^hilbertOrder grid;
+// ties keep index order.
+func sortHilbert(perm []int32, pts []geom.Point) {
+	mbr := geom.EmptyRect()
+	for _, p := range pts {
+		mbr = mbr.Extend(p)
+	}
+	keys := make([]uint64, len(pts))
+	for i, p := range pts {
+		keys[i] = hilbertKey(p, mbr)
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+}
+
+// cmpLex orders (a1, a2) and (b1, b2) lexicographically. It is negative
+// exactly when a1 < b1, or a1 == b1 and a2 < b2 (NaNs included), so a
+// sort by it permutes as one by that less function would, ties included.
+func cmpLex(a1, a2, b1, b2 float64) int {
+	switch {
+	case a1 != b1:
+		if a1 < b1 {
+			return -1
+		}
+		return 1
+	case a2 < b2:
+		return -1
+	case a2 > b2:
+		return 1
+	}
+	return 0
+}
+
+// iota32 returns the identity permutation of n.
+func iota32(n int) []int32 {
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	return perm
+}
+
+func ceilDiv(n, d int) int { return (n + d - 1) / d }
+
+// flatWriter lays packed levels out as a Flat in one preorder walk.
+type flatWriter struct {
+	pts    []geom.Point
+	levels []level
+	f      *Flat
+}
+
+// writeFlat returns the Flat image of levels over pts.
+func writeFlat(pts []geom.Point, levels []level) *Flat {
+	n := 0
+	for _, lv := range levels {
+		n += len(lv.box)
+	}
+	top := len(levels) - 1
+	f := &Flat{
+		Depth:     make([]int32, 0, n),
+		Parent:    make([]int32, 0, n),
+		SubEnd:    make([]int32, 0, n),
+		EntFirst:  make([]int32, 0, n),
+		EntCount:  make([]int32, 0, n),
+		LeafFirst: make([]int32, 0, n),
+		LeafCount: make([]int32, 0, n),
+		MinX:      make([]float64, 0, n-1),
+		MinY:      make([]float64, 0, n-1),
+		MaxX:      make([]float64, 0, n-1),
+		MaxY:      make([]float64, 0, n-1),
+		Key:       make([]int32, 0, n-1),
+		X:         make([]float64, 0, len(pts)),
+		Y:         make([]float64, 0, len(pts)),
+		ID:        make([]int32, 0, len(pts)),
+		RootMBR:   levels[top].box[0],
+	}
+	w := flatWriter{pts: pts, levels: levels, f: f}
+	w.visit(top, 0, -1)
+	return f
+}
+
+// visit appends node k of level lv, whose parent is node parent, and its
+// subtree in preorder, and returns the node's preorder ID. A node's child
+// entries are appended before its children are visited, so every run is
+// contiguous and runs are in the preorder of their parents.
+func (w *flatWriter) visit(lv int, k int32, parent int32) int32 {
+	f := w.f
+	id := int32(len(f.Depth))
+	run := w.levels[lv].run(k)
+	f.Depth = append(f.Depth, int32(len(w.levels)-1-lv))
+	f.Parent = append(f.Parent, parent)
+	f.SubEnd = append(f.SubEnd, 0)
+	f.LeafFirst = append(f.LeafFirst, int32(len(f.ID)))
+	if lv == 0 {
+		f.EntFirst = append(f.EntFirst, 0)
+		f.EntCount = append(f.EntCount, 0)
+		f.LeafCount = append(f.LeafCount, int32(len(run)))
+		for _, p := range run {
+			f.X = append(f.X, w.pts[p].X)
+			f.Y = append(f.Y, w.pts[p].Y)
+			f.ID = append(f.ID, p)
+		}
+	} else {
+		first := int32(len(f.Key))
+		f.EntFirst = append(f.EntFirst, first)
+		f.EntCount = append(f.EntCount, int32(len(run)))
+		f.LeafCount = append(f.LeafCount, 0)
+		below := w.levels[lv-1].box
+		for _, c := range run {
+			f.MinX = append(f.MinX, below[c].Lo.X)
+			f.MinY = append(f.MinY, below[c].Lo.Y)
+			f.MaxX = append(f.MaxX, below[c].Hi.X)
+			f.MaxY = append(f.MaxY, below[c].Hi.Y)
+			f.Key = append(f.Key, 0)
+		}
+		for i, c := range run {
+			f.Key[first+int32(i)] = w.visit(lv-1, c, id)
+		}
+	}
+	f.SubEnd[id] = int32(len(f.Depth))
+	return id
 }
 
 // hilbertOrder is the recursion depth of the Hilbert curve used for

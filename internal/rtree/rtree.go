@@ -3,9 +3,11 @@
 // priori and never updated, so packing algorithms (STR, Hilbert sort,
 // Nearest-X) build a tree with full nodes and near-optimal overlap.
 //
-// The trees here are plain in-memory structures. The broadcast substrate
-// (internal/broadcast) serializes them into fixed-size pages in depth-first
-// order; the query algorithms in internal/core then traverse the *broadcast
+// Build sorts int32 permutations of the points, then of each level's
+// nodes, and writes the tree's only image, the structure-of-arrays Flat,
+// without building a pointer tree. The broadcast substrate
+// (internal/broadcast) serializes a tree into fixed-size pages in
+// depth-first order; the query algorithms in internal/core then traverse the *broadcast
 // image* of the tree under the linear-access constraint. The in-memory
 // query methods in this package (window, circular range, best-first NN) are
 // the disk/memory reference implementations, used as correctness oracles
@@ -81,9 +83,9 @@ type Config struct {
 }
 
 // Tree is a packed, immutable R-tree. Its resident image is the SoA Flat
-// (flat.go); the pointer image of *Node/Entry records that the packer
-// builds is released once Flat is built, and Root and Nodes rebuild it
-// from Flat on first use, for the oracles and tests that walk pointers.
+// (flat.go), which Build writes directly; Root and Nodes build the
+// pointer image of *Node/Entry records from Flat on first use, for the
+// oracles and tests that walk pointers.
 type Tree struct {
 	Height  int // number of levels (a single leaf root has height 1)
 	Count   int // number of data points
@@ -95,89 +97,38 @@ type Tree struct {
 
 	image      sync.Once
 	imageBuilt atomic.Bool
-	nodes      []*Node // the pointer image, rebuilt by Nodes; nodes[i].ID == i
+	nodes      []*Node // the pointer image, built by Nodes; nodes[i].ID == i
 }
 
 // Build bulk-loads a packed R-tree over pts. Entry IDs are the indices into
 // pts. Build panics if the capacities are below 2 (below 1 for LeafCap),
 // since such trees cannot exist.
 func Build(pts []geom.Point, cfg Config) *Tree {
-	t, _ := build(pts, cfg)
-	return t
-}
-
-// build is Build that also returns the packer's node image in preorder,
-// before the tree releases it.
-func build(pts []geom.Point, cfg Config) (*Tree, []*Node) {
 	if cfg.LeafCap < 1 {
 		panic("rtree: LeafCap must be >= 1")
 	}
 	if cfg.NodeCap < 2 {
 		panic("rtree: NodeCap must be >= 2")
 	}
-	t := &Tree{LeafCap: cfg.LeafCap, NodeCap: cfg.NodeCap, Packing: cfg.Packing, Count: len(pts), Height: 1}
-	if len(pts) == 0 {
-		nodes := index(&Node{MBR: geom.EmptyRect()})
-		t.flat = buildFlat(nodes, 0)
-		return t, nodes
+	levels := pack(pts, cfg)
+	return &Tree{
+		Height:  len(levels),
+		Count:   len(pts),
+		LeafCap: cfg.LeafCap,
+		NodeCap: cfg.NodeCap,
+		Packing: cfg.Packing,
+		flat:    writeFlat(pts, levels),
 	}
-
-	entries := make([]Entry, len(pts))
-	for i, p := range pts {
-		entries[i] = Entry{Point: p, ID: i}
-	}
-
-	var leaves []*Node
-	switch cfg.Packing {
-	case HilbertSort:
-		leaves = packLeavesHilbert(entries, cfg.LeafCap)
-	case NearestX:
-		leaves = packLeavesNearestX(entries, cfg.LeafCap)
-	default:
-		leaves = packLeavesSTR(entries, cfg.LeafCap)
-	}
-
-	level := leaves
-	for len(level) > 1 {
-		switch cfg.Packing {
-		case HilbertSort, NearestX:
-			level = packNodesLinear(level, cfg.NodeCap)
-		default:
-			level = packNodesSTR(level, cfg.NodeCap)
-		}
-		t.Height++
-	}
-	nodes := index(level[0])
-	t.flat = buildFlat(nodes, len(pts))
-	return t, nodes
 }
 
-// index assigns preorder IDs and depths below root and returns the nodes
-// in preorder.
-func index(root *Node) []*Node {
-	var nodes []*Node
-	var walk func(n *Node, depth int)
-	walk = func(n *Node, depth int) {
-		n.ID = len(nodes)
-		n.Depth = depth
-		nodes = append(nodes, n)
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(root, 0)
-	return nodes
-}
-
-// Root returns the root of the pointer image, rebuilding the image from
+// Root returns the root of the pointer image, building the image from
 // Flat on first use (see Nodes).
 func (t *Tree) Root() *Node { return t.Nodes()[0] }
 
 // Nodes returns the pointer image's nodes in preorder; Nodes()[i].ID == i.
-// The image is rebuilt from Flat on the first call, once however many
-// goroutines ask, and is equal node for node to the one the packer built.
-// The query hot path never needs it: only pointer-walking oracles and
-// tests call it.
+// The image is built from Flat on the first call, once however many
+// goroutines ask. The query hot path never needs it: only pointer-walking
+// oracles and tests call it.
 func (t *Tree) Nodes() []*Node {
 	t.image.Do(func() {
 		t.nodes = t.flat.nodeImage()
@@ -186,7 +137,7 @@ func (t *Tree) Nodes() []*Node {
 	return t.nodes
 }
 
-// NodeImageBuilt reports whether Root or Nodes has rebuilt the pointer
+// NodeImageBuilt reports whether Root or Nodes has built the pointer
 // image. Tests use it to check that a path runs on Flat alone.
 func (t *Tree) NodeImageBuilt() bool { return t.imageBuilt.Load() }
 
@@ -235,17 +186,6 @@ func (t *Tree) Preorder(fn func(n *Node)) {
 	for _, n := range t.Nodes() {
 		fn(n)
 	}
-}
-
-// NumLeaves returns the number of leaf nodes.
-func (t *Tree) NumLeaves() int {
-	c := 0
-	for id := range t.flat.EntCount {
-		if t.flat.Leaf(int32(id)) {
-			c++
-		}
-	}
-	return c
 }
 
 // mbrOfEntries returns the bounding rectangle of a run of entries.

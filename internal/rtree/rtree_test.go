@@ -254,9 +254,30 @@ func TestPackingString(t *testing.T) {
 func TestNumLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pts := randPoints(rng, 100, 10)
-	tr := Build(pts, Config{LeafCap: 10, NodeCap: 5})
-	if got := tr.NumLeaves(); got != 10 {
-		t.Errorf("NumLeaves = %d, want 10", got)
+	f := Build(pts, Config{LeafCap: 10, NodeCap: 5}).Flat()
+	got := 0
+	for id := range f.Depth {
+		if f.Leaf(int32(id)) {
+			got++
+		}
+	}
+	if got != 10 {
+		t.Errorf("%d leaves, want 10", got)
+	}
+}
+
+// TestBuildAllocs bounds Build's allocations by the tree's height: the
+// packer allocates per level and per Flat column, never per node or per
+// point.
+func TestBuildAllocs(t *testing.T) {
+	pts := randPoints(rand.New(rand.NewSource(9)), 15210, 39000)
+	for _, pk := range allPackings() {
+		cfg := Config{LeafCap: 6, NodeCap: 3, Packing: pk}
+		height := Build(pts, cfg).Height
+		allocs := testing.AllocsPerRun(5, func() { Build(pts, cfg) })
+		if allocs > float64(10*height) {
+			t.Errorf("%v: Build makes %.0f allocations at height %d, want at most %d", pk, allocs, height, 10*height)
+		}
 	}
 }
 

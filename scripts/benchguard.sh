@@ -72,6 +72,7 @@ calib_before=$(calib_nsop)
 	min_nsop '^BenchmarkMinMaxDistBelow$' '200000x' ./internal/geom
 	min_nsop '^BenchmarkRectScreen$' '20000x' ./internal/geom
 	min_nsop '^BenchmarkNew$' '20x' .
+	min_nsop '^BenchmarkRTreeBuild(STR|Hilbert)$' '20x' .
 	min_nsop '^BenchmarkBroadcastProgramBuild$' '2000x' .
 	min_nsop '^BenchmarkBuildIndexDistributed$' '20x' .
 	min_nsop '^BenchmarkWireEncodeCycleIndex$' '100x' .
