@@ -136,10 +136,10 @@ func idsEqual(a, b []int) bool {
 // every node of the reference packer's pointer tree (packRef) must have
 // its children and entries recoverable, in order, from Build's SoA
 // arrays, and every column must equal the one packRef converts, on the
-// uniform and the tie-heavy inputs.
+// uniform and the tie-heavy inputs. An unknown Packing value packs as STR.
 func TestFlatMirrorsTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, pk := range allPackings() {
+	for _, pk := range append(allPackings(), Packing(3)) {
 		for _, n := range []int{0, 1, 2, 6, 7, 50, 500} {
 			checkFlatMirror(t, fmt.Sprintf("%v n=%d", pk, n), randPoints(rng, n, 1000), Config{LeafCap: 6, NodeCap: 3, Packing: pk})
 		}

@@ -55,7 +55,7 @@ func pack(pts []geom.Point, cfg Config) []level {
 	for len(lv.box) > 1 {
 		below := lv.box
 		perm = iota32(len(below))
-		if cfg.Packing == STR {
+		if cfg.Packing != HilbertSort && cfg.Packing != NearestX { // STR, the default
 			centers := make([]geom.Point, len(below))
 			for i, b := range below {
 				centers[i] = b.Center()

@@ -7,11 +7,11 @@
 // nodes, and writes the tree's only image, the structure-of-arrays Flat,
 // without building a pointer tree. The broadcast substrate
 // (internal/broadcast) serializes a tree into fixed-size pages in
-// depth-first order; the query algorithms in internal/core then traverse the *broadcast
-// image* of the tree under the linear-access constraint. The in-memory
-// query methods in this package (window, circular range, best-first NN) are
-// the disk/memory reference implementations, used as correctness oracles
-// and for the client-side join.
+// depth-first order; the query algorithms in internal/core then traverse
+// the *broadcast image* of the tree under the linear-access constraint.
+// The in-memory query methods in this package (window, circular range,
+// best-first NN) are the disk/memory reference implementations, used as
+// correctness oracles and for the client-side join.
 package rtree
 
 import (
