@@ -164,35 +164,51 @@ func BenchmarkRTreeNN(b *testing.B) {
 	}
 }
 
+// retainedPerPoint returns the live heap build's result keeps per point,
+// read after a GC with the result live, less the same reading before the
+// build: the resident set, where perfbench's heap_peak_mb also counts
+// garbage.
+func retainedPerPoint(points int, build func() any) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(v)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(points)
+}
+
+// BenchmarkBroadcastProgramBuild guards the build of the paper's preorder
+// (1,m) air index over a packed 15,210-point tree. Its retained-B/point
+// metric is what the built index keeps beyond the tree.
 func BenchmarkBroadcastProgramBuild(b *testing.B) {
 	pts := dataset.Uniform(5, 15210, dataset.PaperRegion)
 	p := broadcast.DefaultParams()
 	tree := rtree.Build(pts, rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()})
+	retained := retainedPerPoint(len(pts), func() any {
+		return broadcast.BuildIndex(tree, p, broadcast.IndexSpec{})
+	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		broadcast.BuildProgram(tree, p)
+		broadcast.BuildIndex(tree, p, broadcast.IndexSpec{})
 	}
+	b.ReportMetric(retained, "retained-B/point")
 }
 
 // BenchmarkBuildIndexDistributed guards the build layer behind
 // session-lossy's setup: an rtree pack plus a distributed index over
 // 15,210 uniform points. Its retained-B/point metric is the live heap the
-// built index keeps, read after a GC with the index live, less the same
-// reading before the build: the resident set, where perfbench's
-// heap_peak_mb also counts garbage.
+// built tree and index keep.
 func BenchmarkBuildIndexDistributed(b *testing.B) {
 	pts := dataset.Uniform(5, 15210, dataset.PaperRegion)
 	p := broadcast.DefaultParams()
 	cfg := rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()}
 	spec := broadcast.IndexSpec{Scheme: broadcast.SchemeDistributed}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	idx := broadcast.BuildIndex(rtree.Build(pts, cfg), p, spec)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(idx)
-	retained := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(pts))
+	retained := retainedPerPoint(len(pts), func() any {
+		return broadcast.BuildIndex(rtree.Build(pts, cfg), p, spec)
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -219,8 +235,9 @@ func BenchmarkNew(b *testing.B) {
 // arrivalChannels builds one channel per air-index family (the paper's
 // preorder (1,m) program, the distributed index with replicated upper
 // levels, and the preorder layout under a skewed broadcast-disks data
-// schedule — arithmetic replica scan vs. occurrence-list binary search),
-// for the arrival-query microbenchmarks. These queries sit on the query
+// schedule — a node's arrival is a search over its segment range, an
+// object's over its first-page slots, one slot when it airs once), for
+// the arrival-query microbenchmarks. These queries sit on the query
 // hot path — once per enqueued candidate — so each family's cost is
 // guarded separately, plus the session engine's MemoFeed wrapper over the
 // most general one, which must cost no more than its one forwarding call.

@@ -14,10 +14,10 @@ import (
 // only through this interface, so index families can be swapped without
 // touching a single algorithm.
 //
-// Two families ship today: the paper's preorder-(1,m) scheme (*Program)
-// and the distributed index with replicated upper levels
-// (*SegmentedIndex, BuildDistributed). Both can be paired with a data
-// Scheduler (flat or skewed broadcast-disks).
+// BuildIndex builds every family as a *SegmentedIndex: the paper's
+// preorder-(1,m) scheme and the distributed index with replicated upper
+// levels, each paired with a data Scheduler (flat or skewed
+// broadcast-disks).
 //
 // All slot arguments and results are CYCLE-RELATIVE; the Channel layer
 // owns the mapping between absolute channel slots and cycle positions
@@ -67,6 +67,33 @@ type AirIndex interface {
 	// next broadcast falls in the next program cycle. The table is built
 	// with the index and shared; callers must not modify it.
 	ChildDelays() []int32
+}
+
+// PageKind discriminates the two page types of a broadcast program.
+type PageKind int
+
+const (
+	// IndexPage carries one R-tree node (MBRs of the children plus their
+	// arrival-time pointers; for leaves, the point coordinates plus data
+	// pointers).
+	IndexPage PageKind = iota
+	// DataPage carries a fragment of one data object's content.
+	DataPage
+)
+
+func (k PageKind) String() string {
+	if k == IndexPage {
+		return "index"
+	}
+	return "data"
+}
+
+// Page describes what is on air during one slot.
+type Page struct {
+	Kind     PageKind
+	NodeID   int // for IndexPage: preorder ID of the R-tree node
+	ObjectID int // for DataPage: the object whose content this is
+	Seq      int // for DataPage: fragment number within the object
 }
 
 // Scheduler decides the transmission order of one data partition — the
@@ -283,28 +310,24 @@ type IndexSpec struct {
 	Weights []float64
 }
 
-// BuildIndex constructs the broadcast program described by spec. Like
-// BuildProgram it panics on invalid Params and on trees whose fanout
-// exceeds the page capacities. The preorder scheme with a flat schedule
-// returns the arithmetic *Program implementation (the fast path every
-// existing workload uses); everything else returns a *SegmentedIndex.
+// BuildIndex constructs the broadcast program described by spec. It
+// panics on invalid Params (use Params.Validate to check first), on trees
+// whose fanout exceeds the page capacities, and on a weight vector that
+// does not match the tree's objects.
 func BuildIndex(tree *rtree.Tree, p Params, spec IndexSpec) AirIndex {
-	flat := spec.Sched == nil
-	if _, ok := spec.Sched.(FlatScheduler); ok {
-		flat = true
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
+	checkWeights(tree, spec.Weights)
+	sched := spec.Sched
+	if sched == nil {
+		sched = FlatScheduler{}
 	}
 	switch spec.Scheme {
 	case SchemePreorder:
-		if flat {
-			return BuildProgram(tree, p)
-		}
-		return BuildScheduled(tree, p, spec.Sched, spec.Weights)
+		return buildPreorder(tree, p, sched, spec.Weights)
 	case SchemeDistributed:
-		sched := spec.Sched
-		if sched == nil {
-			sched = FlatScheduler{}
-		}
-		return BuildDistributed(tree, p, spec.Cut, sched, spec.Weights)
+		return buildDistributed(tree, p, spec.Cut, sched, spec.Weights)
 	default:
 		panic(fmt.Sprintf("broadcast: unknown index scheme %v", spec.Scheme))
 	}

@@ -93,7 +93,7 @@ func TestNextRootArrival(t *testing.T) {
 		t.Fatalf("NextRootArrival points at %+v", pg)
 	}
 	// Roots appear at most one index-replication period apart.
-	period := prog.CycleLen() / int64(prog.M())
+	period := prog.CycleLen() / int64(prog.Replication())
 	got2 := ch.NextRootArrival(got + 1)
 	if got2-got > period+int64(prog.NumIndexPages()) {
 		t.Errorf("root gap %d too large", got2-got)

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-func buildDual(t *testing.T) (*DualChannel, *Program, *Program) {
+func buildDual(t *testing.T) (*DualChannel, *SegmentedIndex, *SegmentedIndex) {
 	t.Helper()
 	p := DefaultParams()
 	p.M = 2

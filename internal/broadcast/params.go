@@ -64,7 +64,7 @@ func (p Params) Validate() error {
 // data objects, or nil. Beyond Validate, it rejects an explicit (1, m)
 // factor larger than the number of data pages: such a program cannot give
 // every fraction a data page, so the "interleaving" would degenerate into
-// back-to-back index copies. (BuildProgram additionally clamps M to the
+// back-to-back index copies. (BuildIndex additionally clamps M to the
 // object count, which is the stricter bound whenever objects span several
 // pages.)
 func (p Params) ValidateFor(numObjects int) error {

@@ -76,16 +76,16 @@ func TestParamsValidateFor(t *testing.T) {
 	}
 }
 
-// TestBuildProgramClampsEmptyDatasetM is the regression test for the
-// degenerate program BuildProgram used to emit: an empty dataset with an
-// explicit M built M back-to-back index copies per cycle.
+// TestBuildProgramClampsEmptyDatasetM is the regression test for a
+// degenerate preorder program: an empty dataset with an explicit M built
+// M back-to-back index copies per cycle.
 func TestBuildProgramClampsEmptyDatasetM(t *testing.T) {
 	p := DefaultParams()
 	p.M = 7
 	tree := rtree.Build(nil, rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()})
-	prog := BuildProgram(tree, p)
-	if prog.M() != 1 {
-		t.Fatalf("empty dataset: M = %d, want clamp to 1", prog.M())
+	prog := BuildIndex(tree, p, IndexSpec{})
+	if prog.Replication() != 1 {
+		t.Fatalf("empty dataset: M = %d, want clamp to 1", prog.Replication())
 	}
 	if prog.CycleLen() != int64(prog.NumIndexPages()) {
 		t.Fatalf("empty dataset cycle %d, want one index copy (%d pages)",

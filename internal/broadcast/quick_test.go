@@ -29,10 +29,10 @@ func TestQuickProgramInvariants(t *testing.T) {
 		p.PageCap = pageCap
 		p.M = m
 		tree := rtree.Build(pts, rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()})
-		prog := BuildProgram(tree, p)
+		prog := BuildIndex(tree, p, IndexSpec{})
 
 		// Cycle length bookkeeping.
-		if prog.CycleLen() != int64(prog.M()*prog.NumIndexPages()+prog.NumDataPages()) {
+		if prog.CycleLen() != int64(prog.Replication()*prog.NumIndexPages()+prog.NumDataPages()) {
 			return false
 		}
 		// Every slot resolves; index pages appear M times; objects once.
@@ -47,7 +47,7 @@ func TestQuickProgramInvariants(t *testing.T) {
 			}
 		}
 		for id := 0; id < prog.NumIndexPages(); id++ {
-			if nodeCount[id] != prog.M() {
+			if nodeCount[id] != prog.Replication() {
 				return false
 			}
 		}
@@ -80,7 +80,7 @@ func TestQuickArrivalAgreesWithScan(t *testing.T) {
 			p.M = 1
 		}
 		tree := rtree.Build(pts, rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()})
-		prog := BuildProgram(tree, p)
+		prog := BuildIndex(tree, p, IndexSpec{})
 		ch := NewChannel(prog, int64(offRaw))
 		after := int64(afterRaw)
 

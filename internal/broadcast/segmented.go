@@ -3,19 +3,24 @@ package broadcast
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"tnnbcast/internal/rtree"
 )
 
-// SegmentedIndex is the general segment-based AirIndex implementation: a
-// cycle is a sequence of segments, each an explicit run of index pages
-// followed by an explicit run of data pages. Arrival queries are answered
-// from precomputed per-node and per-object occurrence arrays, so any page
-// may appear any number of times per cycle — which is what the
-// distributed index (replicated upper levels) and the skewed
-// broadcast-disks scheduler (repeated hot objects) need. The preorder
-// (1, m) scheme stays on the arithmetic *Program fast path.
+// SegmentedIndex is the AirIndex: a cycle is a sequence of segments,
+// each an explicit run of index pages followed by an explicit run of data
+// pages. The paper's preorder (1, m) layout is m segments that each carry
+// the whole index in preorder before one data fraction; the distributed
+// index is one segment per branch, carrying the replicated root-to-branch
+// path and the branch's subtree before the branch's data; a skewed
+// broadcast-disks scheduler repeats hot objects within a data run.
+//
+// In every such layout a node airs at one offset within each segment of
+// one contiguous segment range, so a node is stored as that range and
+// offset, and its arrivals are a search over the range's segment starts.
+// Objects are stored as the ascending slots of their first data page.
 type SegmentedIndex struct {
 	tree   *rtree.Tree
 	params Params
@@ -26,28 +31,29 @@ type SegmentedIndex struct {
 	segIndex [][]int32 // node IDs of segment i's index run, in transmission order
 	segData  [][]int32 // object IDs of segment i's data run (repeats allowed); a flat run aliases Flat.ID
 
-	// Occurrences in CSR form: node id airs at the ascending cycle slots
-	// nodeOcc[nodeOff[id]:nodeOff[id+1]], and object id's first data page
-	// at objOcc[objOff[id]:objOff[id+1]].
-	nodeOff []int32
-	nodeOcc []int64
-	objOff  []int32
-	objOcc  []int64
-	delays  []int32 // pointer table, per Flat child entry (ChildDelays)
+	nodes []nodeRange // per node: the segments and offset it airs at
+	// Object id's first data page airs at the ascending cycle slots
+	// objOcc[objOff[id]:objOff[id+1]]. When every object airs exactly
+	// once, objOff is nil and the slot is objOcc[id].
+	objOff []int32
+	objOcc []int64
+	delays []int32 // pointer table, per Flat child entry (ChildDelays)
 
 	dataPages int
 }
 
+// nodeRange places one node on air: at cycle slot segStart[s]+off for
+// every segment s in [lo, hi].
+type nodeRange struct{ lo, hi, off int32 }
+
 // SegmentedIndex implements AirIndex.
 var _ AirIndex = (*SegmentedIndex)(nil)
 
-// newSegmented lays out the given segments and builds the occurrence
-// arrays. Every tree node and every object must appear in at least one
-// segment.
+// newSegmented lays out the given segments over valid Params and builds
+// the node ranges and object slots. Every node and every object must air
+// in at least one segment, and every node at one offset of a contiguous
+// segment range.
 func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [][]int32) *SegmentedIndex {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
 	if tree.NodeCap > p.NodeCap() || tree.LeafCap > p.LeafCap() {
 		panic(fmt.Sprintf("broadcast: tree capacities (%d,%d) exceed page capacities (%d,%d)",
 			tree.NodeCap, tree.LeafCap, p.NodeCap(), p.LeafCap()))
@@ -59,46 +65,100 @@ func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [
 		ppo:      p.PagesPerObject(),
 		segIndex: segIndex,
 		segData:  segData,
+		nodes:    placeNodes(segIndex, tree.NumNodes(), scheme),
 	}
-	si.nodeOff, si.nodeOcc = occurrences(segIndex, tree.NumNodes(), "node", scheme)
-	si.objOff, si.objOcc = occurrences(segData, tree.Count, "object", scheme)
 
-	// Fill both arrays in one pass over the cycle, in slot order, so every
-	// page's slots come out ascending.
-	nodeNext := append([]int32(nil), si.nodeOff[:len(si.nodeOff)-1]...)
-	objNext := append([]int32(nil), si.objOff[:len(si.objOff)-1]...)
+	total := 0
+	for _, run := range segData {
+		total += len(run)
+	}
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("broadcast: %d object occurrences per cycle in %s layout", total, scheme))
+	}
+	si.objOcc = make([]int64, total)
+	var next []int32 // CSR fill cursor per object; nil when each airs once
+	if total == tree.Count {
+		for i := range si.objOcc {
+			si.objOcc[i] = -1 // not yet on air
+		}
+	} else {
+		si.objOff = objectOffsets(segData, tree.Count, scheme)
+		next = append([]int32(nil), si.objOff[:tree.Count]...)
+	}
+
+	// Fill the object slots in one pass over the cycle, in slot order, so
+	// every object's slots come out ascending.
 	si.segStart = make([]int64, len(segIndex)+1)
 	slot := int64(0)
 	for i := range segIndex {
 		si.segStart[i] = slot
-		for _, id := range segIndex[i] {
-			si.nodeOcc[nodeNext[id]] = slot
-			nodeNext[id]++
-			slot++
-		}
+		slot += int64(len(segIndex[i]))
 		for _, obj := range segData[i] {
-			si.objOcc[objNext[obj]] = slot
-			objNext[obj]++
+			if next == nil {
+				if si.objOcc[obj] >= 0 {
+					// With one run entry per object, a repeat means
+					// another object never airs.
+					panic(fmt.Sprintf("broadcast: object %d airs twice and another never in %s layout", obj, scheme))
+				}
+				si.objOcc[obj] = slot
+			} else {
+				si.objOcc[next[obj]] = slot
+				next[obj]++
+			}
 			slot += int64(si.ppo)
-			si.dataPages += si.ppo
 		}
 	}
 	si.segStart[len(segIndex)] = slot
+	si.dataPages = total * si.ppo
 	si.delays = si.childDelays()
 	return si
 }
 
-// occurrences counts how often each of n pages airs across runs and
-// returns the CSR offsets and an occurrence array of matching length. It
-// panics if a page never airs.
-func occurrences(runs [][]int32, n int, what, scheme string) ([]int32, []int64) {
-	total := 0
-	for _, run := range runs {
-		total += len(run)
+// placeNodes returns where each of n nodes airs across the segments'
+// index runs. It panics if a node never airs, or airs outside one
+// contiguous segment range or at different offsets.
+func placeNodes(segIndex [][]int32, n int, scheme string) []nodeRange {
+	nodes := make([]nodeRange, n)
+	for i := range nodes {
+		nodes[i].lo = -1
 	}
-	if total > math.MaxInt32 {
-		panic(fmt.Sprintf("broadcast: %d %s occurrences per cycle in %s layout", total, what, scheme))
+	for s := 0; s < len(segIndex); {
+		// Runs that alias the one before them (the preorder layout's m
+		// index copies) extend its nodes' ranges: place the streak at once.
+		run, t := segIndex[s], s+1
+		for t < len(segIndex) && sameRun(segIndex[t], run) {
+			t++
+		}
+		for k, id := range run {
+			r := &nodes[id]
+			switch {
+			case r.lo < 0:
+				*r = nodeRange{lo: int32(s), hi: int32(t - 1), off: int32(k)}
+			case int(r.hi) == s-1 && int(r.off) == k:
+				r.hi = int32(t - 1)
+			default:
+				panic(fmt.Sprintf("broadcast: node %d airs outside one segment range and offset in %s layout", id, scheme))
+			}
+		}
+		s = t
 	}
+	for id, r := range nodes {
+		if r.lo < 0 {
+			panic(fmt.Sprintf("broadcast: node %d never on air in %s layout", id, scheme))
+		}
+	}
+	return nodes
+}
+
+// sameRun reports whether a and b are one slice: the same elements of the
+// same backing array.
+func sameRun(a, b []int32) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// objectOffsets counts how often each of n objects airs across the data
+// runs and returns the CSR offsets. It panics if an object never airs.
+func objectOffsets(runs [][]int32, n int, scheme string) []int32 {
 	off := make([]int32, n+1)
 	for _, run := range runs {
 		for _, id := range run {
@@ -107,62 +167,31 @@ func occurrences(runs [][]int32, n int, what, scheme string) ([]int32, []int64) 
 	}
 	for id := 0; id < n; id++ {
 		if off[id+1] == 0 {
-			panic(fmt.Sprintf("broadcast: %s %d never on air in %s layout", what, id, scheme))
+			panic(fmt.Sprintf("broadcast: object %d never on air in %s layout", id, scheme))
 		}
 		off[id+1] += off[id]
 	}
-	return off, make([]int64, total)
+	return off
 }
 
-// nodeSlots returns the ascending cycle slots where node id's page airs.
-func (si *SegmentedIndex) nodeSlots(id int) []int64 {
-	return si.nodeOcc[si.nodeOff[id]:si.nodeOff[id+1]]
-}
-
-// objSlots returns the ascending cycle slots of object id's first data
-// page.
-func (si *SegmentedIndex) objSlots(id int) []int64 {
-	return si.objOcc[si.objOff[id]:si.objOff[id+1]]
-}
-
-// childDelays builds the pointer table from the occurrence arrays, one
-// merge pass over a parent's and a child's slots per child entry.
+// childDelays builds the pointer table from the node ranges. A child that
+// airs in exactly its parent's segments, later in each, follows every
+// broadcast of the parent by the difference of their offsets. Any other
+// child is 0: it misses some segment of the parent's range, so the
+// delays differ between the parent's broadcasts or the child's next one
+// falls in the next cycle.
 func (si *SegmentedIndex) childDelays() []int32 {
 	f := si.tree.Flat()
 	d := make([]int32, len(f.Key))
-	for p := range si.tree.NumNodes() {
-		occ := si.nodeSlots(p)
+	for p, pr := range si.nodes {
 		first, end := f.EntRange(int32(p))
 		for e := first; e < end; e++ {
-			d[e] = commonDelay(occ, si.nodeSlots(int(f.Key[e])))
+			if c := si.nodes[f.Key[e]]; c.lo == pr.lo && c.hi == pr.hi && c.off > pr.off {
+				d[e] = c.off - pr.off
+			}
 		}
 	}
 	return d
-}
-
-// commonDelay returns the delay from each of the parent's ascending slots
-// to the child's next slot after it, when that delay is the same for all
-// of them and each lies within the cycle; else 0.
-func commonDelay(parent, child []int64) int32 {
-	var want int64
-	j := 0
-	for _, s := range parent {
-		for j < len(child) && child[j] <= s {
-			j++
-		}
-		if j == len(child) {
-			return 0 // the child's next broadcast is in the next cycle
-		}
-		if d := child[j] - s; want == 0 {
-			want = d
-		} else if d != want {
-			return 0
-		}
-	}
-	if want > math.MaxInt32 {
-		return 0
-	}
-	return int32(want)
 }
 
 // Scheme implements AirIndex.
@@ -188,10 +217,10 @@ func (si *SegmentedIndex) NumDataPages() int { return si.dataPages }
 func (si *SegmentedIndex) PagesPerObject() int { return si.ppo }
 
 // Replication implements AirIndex: how often the root airs per cycle.
-func (si *SegmentedIndex) Replication() int { return len(si.nodeSlots(0)) }
-
-// NumSegments returns the number of segments per cycle.
-func (si *SegmentedIndex) NumSegments() int { return len(si.segIndex) }
+func (si *SegmentedIndex) Replication() int {
+	r := si.nodes[0]
+	return int(r.hi-r.lo) + 1
+}
 
 // PageAt implements AirIndex.
 func (si *SegmentedIndex) PageAt(s int64) Page {
@@ -213,21 +242,32 @@ func (si *SegmentedIndex) PageAt(s int64) Page {
 }
 
 // nextOcc returns the smallest t >= rel (t < rel+cycle) such that one of
-// the ascending occurrence slots occ equals t mod cycle.
-func (si *SegmentedIndex) nextOcc(occ []int64, rel int64) int64 {
-	i := sort.Search(len(occ), func(i int) bool { return occ[i] >= rel })
-	if i < len(occ) {
-		return occ[i]
+// the ascending slots occ[i]+off equals t mod cycle. Most lists are a few
+// entries long (a preorder node's m replicas, a branch node's one slot),
+// where a scan beats a binary search's mispredicted branches; a long list
+// is searched first, and the scan then stops at once.
+func (si *SegmentedIndex) nextOcc(occ []int64, off, rel int64) int64 {
+	base, i := rel-off, 0
+	if len(occ) > 64 {
+		i, _ = slices.BinarySearch(occ, base)
 	}
-	return occ[0] + si.CycleLen()
+	for ; i < len(occ); i++ {
+		if occ[i] >= base {
+			return occ[i] + off
+		}
+	}
+	return occ[0] + off + si.CycleLen()
 }
 
-// NextNodeSlot implements AirIndex.
+// NextNodeSlot implements AirIndex: the node's replicas in its segment
+// range air at ascending slots segStart[s]+off. This sits on the query
+// hot path, once per enqueued candidate the pointer table cannot serve.
 func (si *SegmentedIndex) NextNodeSlot(nodeID int, rel int64) int64 {
-	if nodeID < 0 || nodeID >= si.tree.NumNodes() {
-		panic(fmt.Sprintf("broadcast: node %d out of range [0,%d)", nodeID, si.tree.NumNodes()))
+	if nodeID < 0 || nodeID >= len(si.nodes) {
+		panic(fmt.Sprintf("broadcast: node %d out of range [0,%d)", nodeID, len(si.nodes)))
 	}
-	return si.nextOcc(si.nodeSlots(nodeID), rel)
+	r := si.nodes[nodeID]
+	return si.nextOcc(si.segStart[r.lo:r.hi+1], int64(r.off), rel)
 }
 
 // ChildDelays implements AirIndex.
@@ -238,7 +278,14 @@ func (si *SegmentedIndex) NextObjectSlot(objectID int, rel int64) int64 {
 	if objectID < 0 || objectID >= si.tree.Count {
 		panic(fmt.Sprintf("broadcast: object %d out of range [0,%d)", objectID, si.tree.Count))
 	}
-	return si.nextOcc(si.objSlots(objectID), rel)
+	if si.objOff != nil {
+		return si.nextOcc(si.objOcc[si.objOff[objectID]:si.objOff[objectID+1]], 0, rel)
+	}
+	t := si.objOcc[objectID]
+	if t < rel {
+		t += si.CycleLen()
+	}
+	return t
 }
 
 // checkWeights validates an optional per-object weight vector.
@@ -275,7 +322,16 @@ func dataRun(sched Scheduler, part []int32, weights []float64) []int32 {
 	return run
 }
 
-// BuildDistributed serializes tree as a classic distributed air index
+// schemeName names a layout family under sched: the family alone for a
+// flat schedule, else "family+scheduler".
+func schemeName(family string, sched Scheduler) string {
+	if _, ok := sched.(FlatScheduler); ok {
+		return family
+	}
+	return family + "+" + sched.Name()
+}
+
+// buildDistributed serializes tree as a classic distributed air index
 // (Imielinski–Viswanathan–Badrinath): the tree is cut at level cut (in
 // [1, Height-1]; 0 selects half the height), the subtrees rooted there are
 // the branches, and one cycle transmits one segment per branch in preorder
@@ -289,22 +345,8 @@ func dataRun(sched Scheduler, part []int32, weights []float64) []int32 {
 // repeated index pages. Data pages of each branch follow the branch's
 // index directly; sched orders them (FlatScheduler: once each, leaf-walk
 // order).
-//
-// Like BuildProgram it panics on invalid Params, on oversized tree
-// capacities, and on a malformed weight vector.
-func BuildDistributed(tree *rtree.Tree, p Params, cut int, sched Scheduler, weights []float64) *SegmentedIndex {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	checkWeights(tree, weights)
-	if sched == nil {
-		sched = FlatScheduler{}
-	}
-	scheme := "distributed"
-	if sched.Name() != (FlatScheduler{}).Name() {
-		scheme += "+" + sched.Name()
-	}
-
+func buildDistributed(tree *rtree.Tree, p Params, cut int, sched Scheduler, weights []float64) *SegmentedIndex {
+	scheme := schemeName("distributed", sched)
 	if cut <= 0 {
 		cut = tree.Height / 2
 	}
@@ -337,48 +379,61 @@ func BuildDistributed(tree *rtree.Tree, p Params, cut int, sched Scheduler, weig
 	return newSegmented(tree, p, scheme, segIndex, segData)
 }
 
-// BuildScheduled serializes tree with the preorder-(1, m) index layout of
-// BuildProgram but hands each data fraction to sched — the seam that lets
-// a skewed broadcast-disks data organization ride under the paper's index
-// scheme. (With FlatScheduler, prefer BuildProgram: identical layout,
-// arithmetic arrival queries.)
-func BuildScheduled(tree *rtree.Tree, p Params, sched Scheduler, weights []float64) *SegmentedIndex {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	checkWeights(tree, weights)
-	if sched == nil {
-		sched = FlatScheduler{}
-	}
-	scheme := "preorder"
-	if sched.Name() != (FlatScheduler{}).Name() {
-		scheme += "+" + sched.Name()
-	}
-
-	// Resolve m exactly as BuildProgram does (shared helper).
+// buildPreorder serializes tree as the paper's preorder-(1, m) program:
+// the whole index in preorder before each of m data fractions, repeated
+// cyclically.
+//
+//	[index][fraction 0][index][fraction 1]...[index][fraction m-1]
+//
+// Fraction f carries an equal share of the objects in leaf-walk order, so
+// data order follows index order; sched orders each fraction (a skewed
+// scheduler repeats its hot objects).
+func buildPreorder(tree *rtree.Tree, p Params, sched Scheduler, weights []float64) *SegmentedIndex {
 	objOrder := tree.Flat().ID
 	n := len(objOrder)
 	m := resolveM(p, tree.NumNodes(), n)
-	base, rem := 0, 0
-	if m > 0 {
-		base, rem = n/m, n%m
-	}
+	// Balanced object partition: fraction f gets n/m objects plus one of
+	// the first n%m remainders.
+	base, rem := n/m, n%m
 
 	allNodes := make([]int32, tree.NumNodes())
 	for i := range allNodes {
 		allNodes[i] = int32(i)
 	}
-	segIndex := make([][]int32, 0, m)
-	segData := make([][]int32, 0, m)
+	segIndex := make([][]int32, m)
+	segData := make([][]int32, m)
 	pos := 0
-	for f := 0; f < m; f++ {
+	for f := range m {
 		sz := base
 		if f < rem {
 			sz++
 		}
-		segIndex = append(segIndex, allNodes)
-		segData = append(segData, dataRun(sched, objOrder[pos:pos+sz:pos+sz], weights))
+		segIndex[f] = allNodes
+		segData[f] = dataRun(sched, objOrder[pos:pos+sz:pos+sz], weights)
 		pos += sz
 	}
-	return newSegmented(tree, p, scheme, segIndex, segData)
+	return newSegmented(tree, p, schemeName("preorder", sched), segIndex, segData)
+}
+
+// resolveM resolves the (1, m) interleaving factor for a preorder program
+// of indexPages index pages over n objects: the explicit Params.M, or the
+// Imielinski-optimal value, clamped so every fraction holds at least one
+// object (and to 1 for an empty dataset, which needs no replication).
+func resolveM(p Params, indexPages, n int) int {
+	dataPages := n * p.PagesPerObject()
+	m := p.M
+	if m == 0 {
+		// Imielinski-optimal interleaving: m* ≈ sqrt(data/index).
+		m = int(math.Round(math.Sqrt(float64(dataPages) / float64(indexPages))))
+	}
+	if m < 1 {
+		m = 1
+	}
+	if n > 0 && m > n {
+		m = n // at least one object per fraction
+	}
+	if n == 0 {
+		m = 1
+	}
+	return m
 }

@@ -64,52 +64,163 @@ func checkArrivalContract(t *testing.T, idx AirIndex, seed int64) {
 	}
 }
 
-func TestScheduledFlatMatchesProgram(t *testing.T) {
-	p := DefaultParams()
-	for _, n := range []int{0, 1, 7, 150} {
-		tree := buildTestTree(n, p)
-		prog := BuildProgram(tree, p)
-		seg := BuildScheduled(tree, p, FlatScheduler{}, nil)
+// buildTestProgram builds the paper's preorder (1, m) program over n
+// uniform points.
+func buildTestProgram(t *testing.T, n int, params Params) *SegmentedIndex {
+	t.Helper()
+	return BuildIndex(buildTestTree(n, params), params, IndexSpec{}).(*SegmentedIndex)
+}
 
-		if prog.CycleLen() != seg.CycleLen() {
-			t.Fatalf("n=%d: cycle %d vs %d", n, prog.CycleLen(), seg.CycleLen())
+func TestProgramCycleStructure(t *testing.T) {
+	for _, n := range []int{1, 5, 37, 200} {
+		p := DefaultParams()
+		prog := buildTestProgram(t, n, p)
+
+		if prog.NumDataPages() != n*p.PagesPerObject() {
+			t.Fatalf("n=%d: data pages %d, want %d", n, prog.NumDataPages(), n*p.PagesPerObject())
 		}
-		if prog.Replication() != seg.Replication() {
-			t.Fatalf("n=%d: replication %d vs %d", n, prog.Replication(), seg.Replication())
+		wantCycle := int64(prog.Replication()*prog.NumIndexPages() + prog.NumDataPages())
+		if prog.CycleLen() != wantCycle {
+			t.Fatalf("n=%d: cycle %d, want %d", n, prog.CycleLen(), wantCycle)
 		}
+
+		// Scan the entire cycle: every index page appears exactly M times,
+		// every object exactly once with consecutive, complete fragments.
+		nodeCount := make(map[int]int)
+		objStart := make(map[int]int64)
+		objFrags := make(map[int][]int)
 		for s := int64(0); s < prog.CycleLen(); s++ {
-			if prog.PageAt(s) != seg.PageAt(s) {
-				t.Fatalf("n=%d: PageAt(%d) = %+v vs %+v", n, s, prog.PageAt(s), seg.PageAt(s))
+			pg := prog.PageAt(s)
+			switch pg.Kind {
+			case IndexPage:
+				nodeCount[pg.NodeID]++
+			case DataPage:
+				if pg.Seq == 0 {
+					objStart[pg.ObjectID] = s
+				}
+				objFrags[pg.ObjectID] = append(objFrags[pg.ObjectID], pg.Seq)
 			}
 		}
-		// Arrival queries agree everywhere, not just where pages air.
-		rng := rand.New(rand.NewSource(int64(n) + 42))
-		for trial := 0; trial < 300; trial++ {
-			rel := rng.Int63n(prog.CycleLen())
-			id := rng.Intn(tree.NumNodes())
-			if a, b := prog.NextNodeSlot(id, rel), seg.NextNodeSlot(id, rel); a != b {
-				t.Fatalf("n=%d: NextNodeSlot(%d,%d) = %d vs %d", n, id, rel, a, b)
+		for id := 0; id < prog.NumIndexPages(); id++ {
+			if nodeCount[id] != prog.Replication() {
+				t.Fatalf("n=%d: node %d appears %d times, want %d", n, id, nodeCount[id], prog.Replication())
 			}
-			if tree.Count > 0 {
-				obj := rng.Intn(tree.Count)
-				if a, b := prog.NextObjectSlot(obj, rel), seg.NextObjectSlot(obj, rel); a != b {
-					t.Fatalf("n=%d: NextObjectSlot(%d,%d) = %d vs %d", n, obj, rel, a, b)
+		}
+		if len(objFrags) != n {
+			t.Fatalf("n=%d: %d objects on air", n, len(objFrags))
+		}
+		for id, frags := range objFrags {
+			if len(frags) != p.PagesPerObject() {
+				t.Fatalf("n=%d: object %d has %d fragments", n, id, len(frags))
+			}
+			for i, seq := range frags {
+				if seq != i {
+					t.Fatalf("n=%d: object %d fragments out of order", n, id)
 				}
+			}
+			// Fragments consecutive from the start slot.
+			if prog.PageAt(objStart[id]+int64(p.PagesPerObject())-1).ObjectID != id {
+				t.Fatalf("n=%d: object %d run not consecutive", n, id)
 			}
 		}
 	}
 }
 
+func TestProgramExplicitM(t *testing.T) {
+	p := DefaultParams()
+	p.M = 4
+	prog := buildTestProgram(t, 100, p)
+	if prog.Replication() != 4 {
+		t.Fatalf("M = %d, want 4", prog.Replication())
+	}
+	// Fractions balanced: sizes differ by at most one object.
+	min, max := 1<<30, 0
+	for f := 0; f < 4; f++ {
+		sz := len(prog.segData[f])
+		if sz < min {
+			min = sz
+		}
+		if sz > max {
+			max = sz
+		}
+	}
+	if max-min > 1 {
+		t.Errorf("unbalanced fractions: min %d max %d", min, max)
+	}
+}
+
+func TestProgramAutoM(t *testing.T) {
+	p := DefaultParams() // M=0 → auto
+	prog := buildTestProgram(t, 500, p)
+	if prog.Replication() < 1 {
+		t.Fatalf("auto M = %d", prog.Replication())
+	}
+	// With 16 data pages per object and ~3-fanout index, data outnumbers
+	// index pages, so the optimal m should exceed 1.
+	if prog.Replication() == 1 {
+		t.Errorf("auto M stayed 1 for data-heavy program (index=%d data=%d)",
+			prog.NumIndexPages(), prog.NumDataPages())
+	}
+	// M never exceeds the object count.
+	small := buildTestProgram(t, 2, p)
+	if small.Replication() > 2 {
+		t.Errorf("M %d > object count 2", small.Replication())
+	}
+}
+
+func TestProgramPageAtPanics(t *testing.T) {
+	prog := buildTestProgram(t, 10, DefaultParams())
+	for _, s := range []int64{-1, prog.CycleLen()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PageAt(%d) should panic", s)
+				}
+			}()
+			prog.PageAt(s)
+		}()
+	}
+}
+
+func TestBuildProgramRejectsOversizedTree(t *testing.T) {
+	p := DefaultParams()
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(2, 2)}
+	tree := rtree.Build(pts, rtree.Config{LeafCap: 100, NodeCap: 50})
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for tree exceeding page capacity")
+		}
+	}()
+	BuildIndex(tree, p, IndexSpec{})
+}
+
+func TestBuildProgramRejectsInvalidParams(t *testing.T) {
+	pts := []geom.Point{geom.Pt(0, 0)}
+	tree := rtree.Build(pts, rtree.Config{LeafCap: 2, NodeCap: 2})
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for invalid params")
+		}
+	}()
+	BuildIndex(tree, Params{}, IndexSpec{})
+}
+
+func TestPageKindString(t *testing.T) {
+	if IndexPage.String() != "index" || DataPage.String() != "data" {
+		t.Error("PageKind strings wrong")
+	}
+}
+
 func TestProgramArrivalContract(t *testing.T) {
 	p := DefaultParams()
-	checkArrivalContract(t, BuildProgram(buildTestTree(120, p), p), 7)
+	checkArrivalContract(t, BuildIndex(buildTestTree(120, p), p, IndexSpec{}), 7)
 }
 
 func TestDistributedStructure(t *testing.T) {
 	p := DefaultParams()
 	for _, n := range []int{0, 1, 5, 40, 300} {
 		tree := buildTestTree(n, p)
-		di := BuildDistributed(tree, p, 0, FlatScheduler{}, nil)
+		di := BuildIndex(tree, p, IndexSpec{Scheme: SchemeDistributed}).(*SegmentedIndex)
 
 		cut := tree.Height / 2
 		if cut > tree.Height-1 {
@@ -122,8 +233,8 @@ func TestDistributedStructure(t *testing.T) {
 		if di.Replication() != branches {
 			t.Fatalf("n=%d: replication %d, want %d branches", n, di.Replication(), branches)
 		}
-		if di.NumSegments() != branches {
-			t.Fatalf("n=%d: %d segments, want %d", n, di.NumSegments(), branches)
+		if len(di.segIndex) != branches {
+			t.Fatalf("n=%d: %d segments, want %d", n, len(di.segIndex), branches)
 		}
 
 		// Scan the cycle: node at depth d < cut airs once per branch below
@@ -188,7 +299,7 @@ func TestDistributedCutClamping(t *testing.T) {
 	p := DefaultParams()
 	tree := buildTestTree(100, p)
 	// Absurd cut clamps to Height-1; the result still airs everything.
-	di := BuildDistributed(tree, p, 99, FlatScheduler{}, nil)
+	di := BuildIndex(tree, p, IndexSpec{Scheme: SchemeDistributed, Cut: 99})
 	if di.Replication() < 1 {
 		t.Fatal("clamped cut produced no entry points")
 	}
@@ -295,7 +406,7 @@ func TestSkewedSchedulerExtremeConfig(t *testing.T) {
 	// The overflow repro end to end: the build must not panic.
 	p := DefaultParams()
 	tree := buildTestTree(200, p)
-	BuildDistributed(tree, p, 1, SkewedScheduler{Disks: 80, Ratio: 2}, nil)
+	BuildIndex(tree, p, IndexSpec{Scheme: SchemeDistributed, Cut: 1, Sched: SkewedScheduler{Disks: 80, Ratio: 2}})
 }
 
 func TestSkewedIndexArrivals(t *testing.T) {
@@ -308,8 +419,8 @@ func TestSkewedIndexArrivals(t *testing.T) {
 	}
 	sk := SkewedScheduler{Disks: 2, Ratio: 2}
 	for _, idx := range []AirIndex{
-		BuildScheduled(tree, p, sk, weights),
-		BuildDistributed(tree, p, 0, sk, weights),
+		BuildIndex(tree, p, IndexSpec{Sched: sk, Weights: weights}),
+		BuildIndex(tree, p, IndexSpec{Scheme: SchemeDistributed, Sched: sk, Weights: weights}),
 	} {
 		if idx.NumDataPages() <= tree.Count*p.PagesPerObject()-1 {
 			t.Fatalf("%s: no repetitions scheduled", idx.Scheme())
@@ -321,7 +432,7 @@ func TestSkewedIndexArrivals(t *testing.T) {
 func TestChannelOverDistributed(t *testing.T) {
 	p := DefaultParams()
 	tree := buildTestTree(80, p)
-	di := BuildDistributed(tree, p, 0, FlatScheduler{}, nil)
+	di := BuildIndex(tree, p, IndexSpec{Scheme: SchemeDistributed})
 	ch := NewChannel(di, 12345)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -347,8 +458,8 @@ func TestDualChannelOverDistributed(t *testing.T) {
 	p := DefaultParams()
 	treeS := buildTestTree(50, p)
 	treeR := buildTestTree(31, p)
-	diS := BuildDistributed(treeS, p, 0, FlatScheduler{}, nil)
-	diR := BuildDistributed(treeR, p, 0, FlatScheduler{}, nil)
+	diS := BuildIndex(treeS, p, IndexSpec{Scheme: SchemeDistributed})
+	diR := BuildIndex(treeR, p, IndexSpec{Scheme: SchemeDistributed})
 	dual := NewDualChannel(diS, diR, 777)
 	rng := rand.New(rand.NewSource(2))
 	for _, f := range []Feed{dual.FeedS(), dual.FeedR()} {

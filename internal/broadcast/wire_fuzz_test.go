@@ -33,9 +33,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 		tree := rtree.Build(pts, rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()})
 		var idx AirIndex
 		if distributed {
-			idx = BuildDistributed(tree, p, 0, FlatScheduler{}, nil)
+			idx = BuildIndex(tree, p, IndexSpec{Scheme: SchemeDistributed})
 		} else {
-			idx = BuildProgram(tree, p)
+			idx = BuildIndex(tree, p, IndexSpec{})
 		}
 		ch := NewChannel(idx, offset)
 

@@ -19,7 +19,7 @@ func testChannel(t *testing.T, n int, offset int64) *broadcast.Channel {
 	}
 	p := broadcast.DefaultParams()
 	tree := rtree.Build(pts, rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()})
-	return broadcast.NewChannel(broadcast.BuildProgram(tree, p), offset)
+	return broadcast.NewChannel(broadcast.BuildIndex(tree, p, broadcast.IndexSpec{}), offset)
 }
 
 func TestReceiverAccounting(t *testing.T) {

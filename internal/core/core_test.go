@@ -51,8 +51,8 @@ func makeEnv(t *testing.T, ptsS, ptsR []geom.Point, region geom.Rect, offS, offR
 	treeR := rtree.Build(ptsR, cfg)
 	return testEnv{
 		env: Env{
-			ChS:    broadcast.NewChannel(broadcast.BuildProgram(treeS, p), offS),
-			ChR:    broadcast.NewChannel(broadcast.BuildProgram(treeR, p), offR),
+			ChS:    broadcast.NewChannel(broadcast.BuildIndex(treeS, p, broadcast.IndexSpec{}), offS),
+			ChR:    broadcast.NewChannel(broadcast.BuildIndex(treeR, p, broadcast.IndexSpec{}), offR),
 			Region: region,
 		},
 		treeS: treeS, treeR: treeR, ptsS: ptsS, ptsR: ptsR,

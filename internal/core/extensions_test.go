@@ -19,7 +19,7 @@ func makeMultiEnv(t *testing.T, sets [][]geom.Point, region geom.Rect, rng *rand
 	trees := make([]*rtree.Tree, len(sets))
 	for i, pts := range sets {
 		trees[i] = rtree.Build(pts, cfg)
-		prog := broadcast.BuildProgram(trees[i], p)
+		prog := broadcast.BuildIndex(trees[i], p, broadcast.IndexSpec{})
 		env.Chs = append(env.Chs, broadcast.NewChannel(prog, rng.Int63n(10000)))
 	}
 	return env, trees

@@ -387,8 +387,8 @@ func sessionJoinInputs() []joinInput {
 		p := broadcast.DefaultParams()
 		cfg := rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()}
 		env := Env{
-			ChS:    broadcast.NewChannel(broadcast.BuildProgram(rtree.Build(city, cfg), p), 7919),
-			ChR:    broadcast.NewChannel(broadcast.BuildProgram(rtree.Build(post, cfg), p), 104729),
+			ChS:    broadcast.NewChannel(broadcast.BuildIndex(rtree.Build(city, cfg), p, broadcast.IndexSpec{}), 7919),
+			ChR:    broadcast.NewChannel(broadcast.BuildIndex(rtree.Build(post, cfg), p, broadcast.IndexSpec{}), 104729),
 			Region: dataset.PaperRegion,
 		}
 		rng := rand.New(rand.NewSource(5))

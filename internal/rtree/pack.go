@@ -102,7 +102,9 @@ func sortHilbert(perm []int32, pts []geom.Point) {
 	for i, p := range pts {
 		keys[i] = hilbertKey(p, mbr)
 	}
-	slices.SortStableFunc(perm, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	// perm arrives in index order, so breaking key ties by index gives the
+	// stable order without SortStableFunc's O(n log² n) merge.
+	slices.SortFunc(perm, func(a, b int32) int { return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b)) })
 }
 
 // cmpLex orders (a1, a2) and (b1, b2) lexicographically. It is negative

@@ -24,8 +24,8 @@ func makeEnv(t testing.TB, nS, nR int, offS, offR int64) core.Env {
 	treeS := rtree.Build(dataset.Uniform(31, nS, region), cfg)
 	treeR := rtree.Build(dataset.Uniform(32, nR, region), cfg)
 	return core.Env{
-		ChS:    broadcast.NewChannel(broadcast.BuildProgram(treeS, p), offS),
-		ChR:    broadcast.NewChannel(broadcast.BuildProgram(treeR, p), offR),
+		ChS:    broadcast.NewChannel(broadcast.BuildIndex(treeS, p, broadcast.IndexSpec{}), offS),
+		ChR:    broadcast.NewChannel(broadcast.BuildIndex(treeR, p, broadcast.IndexSpec{}), offR),
 		Region: region,
 	}
 }
