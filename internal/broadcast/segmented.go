@@ -38,8 +38,6 @@ type SegmentedIndex struct {
 	objOff []int32
 	objOcc []int64
 	delays []int32 // pointer table, per Flat child entry (ChildDelays)
-
-	dataPages int
 }
 
 // nodeRange places one node on air: at cycle slot segStart[s]+off for
@@ -109,7 +107,6 @@ func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [
 		}
 	}
 	si.segStart[len(segIndex)] = slot
-	si.dataPages = total * si.ppo
 	si.delays = si.childDelays()
 	return si
 }
@@ -211,7 +208,7 @@ func (si *SegmentedIndex) NumIndexPages() int { return si.tree.NumNodes() }
 
 // NumDataPages implements AirIndex: data-page slots per cycle, counting
 // repetitions.
-func (si *SegmentedIndex) NumDataPages() int { return si.dataPages }
+func (si *SegmentedIndex) NumDataPages() int { return len(si.objOcc) * si.ppo }
 
 // PagesPerObject implements AirIndex.
 func (si *SegmentedIndex) PagesPerObject() int { return si.ppo }
@@ -242,19 +239,10 @@ func (si *SegmentedIndex) PageAt(s int64) Page {
 }
 
 // nextOcc returns the smallest t >= rel (t < rel+cycle) such that one of
-// the ascending slots occ[i]+off equals t mod cycle. Most lists are a few
-// entries long (a preorder node's m replicas, a branch node's one slot),
-// where a scan beats a binary search's mispredicted branches; a long list
-// is searched first, and the scan then stops at once.
+// the ascending slots occ[i]+off equals t mod cycle.
 func (si *SegmentedIndex) nextOcc(occ []int64, off, rel int64) int64 {
-	base, i := rel-off, 0
-	if len(occ) > 64 {
-		i, _ = slices.BinarySearch(occ, base)
-	}
-	for ; i < len(occ); i++ {
-		if occ[i] >= base {
-			return occ[i] + off
-		}
+	if i, _ := slices.BinarySearch(occ, rel-off); i < len(occ) {
+		return occ[i] + off
 	}
 	return occ[0] + off + si.CycleLen()
 }
@@ -262,12 +250,24 @@ func (si *SegmentedIndex) nextOcc(occ []int64, off, rel int64) int64 {
 // NextNodeSlot implements AirIndex: the node's replicas in its segment
 // range air at ascending slots segStart[s]+off. This sits on the query
 // hot path, once per enqueued candidate the pointer table cannot serve.
+// Most ranges are short (the preorder layout's m replicas, one segment
+// below a distributed cut), and a scan of them in line beats a call and
+// a binary search's mispredicted branches; a long range, or a short one
+// whose next replica is in the next cycle, is searched.
 func (si *SegmentedIndex) NextNodeSlot(nodeID int, rel int64) int64 {
 	if nodeID < 0 || nodeID >= len(si.nodes) {
 		panic(fmt.Sprintf("broadcast: node %d out of range [0,%d)", nodeID, len(si.nodes)))
 	}
 	r := si.nodes[nodeID]
-	return si.nextOcc(si.segStart[r.lo:r.hi+1], int64(r.off), rel)
+	starts, off := si.segStart[r.lo:r.hi+1], int64(r.off)
+	if len(starts) <= 64 {
+		for _, s := range starts {
+			if s >= rel-off {
+				return s + off
+			}
+		}
+	}
+	return si.nextOcc(starts, off, rel)
 }
 
 // ChildDelays implements AirIndex.
