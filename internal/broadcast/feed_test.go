@@ -46,46 +46,64 @@ func TestDualFeedsPartitionSlots(t *testing.T) {
 	}()
 }
 
+// TestDualFeedArrivalsAgreeWithScan checks both shares of a multiplexed
+// channel, over every index family, against a scan of the slots the share
+// owns: the root, node and object arrivals after every fifth slot of
+// three periods, so inside and outside the share and across every wrap.
 func TestDualFeedArrivalsAgreeWithScan(t *testing.T) {
-	d, ps, pr := buildDual(t)
-	fs, fr := d.FeedS(), d.FeedR()
-	l := d.CycleLen()
-
-	inSSegment := func(t64 int64) bool {
-		r := (t64 - 11) % l
-		if r < 0 {
-			r += l
-		}
-		return r < ps.CycleLen()
-	}
-
-	scanNext := func(feed Feed, sSide bool, nodeID int, after int64) int64 {
-		for s := after; s < after+2*l; s++ {
-			if inSSegment(s) != sSide {
-				continue
+	p := DefaultParams()
+	p.M = 2
+	treeS, treeR := buildTestTree(30, p), buildTestTree(45, p)
+	sk := SkewedScheduler{Disks: 3, Ratio: 2}
+	for _, spec := range []IndexSpec{
+		{},
+		{Sched: sk},
+		{Scheme: SchemeDistributed},
+		{Scheme: SchemeDistributed, Sched: sk},
+	} {
+		idxS, idxR := BuildIndex(treeS, p, spec), BuildIndex(treeR, p, spec)
+		d := NewDualChannel(idxS, idxR, 11)
+		l, lenS := d.CycleLen(), idxS.CycleLen()
+		for half, f := range []Feed{d.FeedS(), d.FeedR()} {
+			// The share's page at each position of the period, or nil.
+			pages := make([]*Page, l)
+			for s := int64(11); s < 11+l; s++ {
+				if pos := floorMod(s-11, l); pos >= lenS == (half == 1) {
+					pg := f.PageAt(s)
+					pages[pos] = &pg
+				}
 			}
-			pg := feed.PageAt(s)
-			if pg.Kind == IndexPage && pg.NodeID == nodeID {
-				return s
+			scan := func(after int64, match func(Page) bool) int64 {
+				for s := after; s < after+2*l; s++ {
+					if pg := pages[floorMod(s-11, l)]; pg != nil && match(*pg) {
+						return s
+					}
+				}
+				t.Fatalf("%s half %d: nothing airs after %d", idxS.Scheme(), half, after)
+				return -1
 			}
-		}
-		t.Fatalf("node %d not found", nodeID)
-		return -1
-	}
-
-	for _, after := range []int64{0, 7, 500, l - 1, l + 13} {
-		for nodeID := 0; nodeID < ps.NumIndexPages(); nodeID += 5 {
-			got := fs.NextNodeArrival(nodeID, after)
-			want := scanNext(fs, true, nodeID, after)
-			if got != want {
-				t.Fatalf("S node %d after %d: got %d, want %d", nodeID, after, got, want)
-			}
-		}
-		for nodeID := 0; nodeID < pr.NumIndexPages(); nodeID += 7 {
-			got := fr.NextNodeArrival(nodeID, after)
-			want := scanNext(fr, false, nodeID, after)
-			if got != want {
-				t.Fatalf("R node %d after %d: got %d, want %d", nodeID, after, got, want)
+			nodes, objs := f.Index().NumIndexPages(), f.Index().Tree().Count
+			for after := -l; after < 2*l; after += 5 {
+				id, obj := int(floorMod(after*7, int64(nodes))), int(floorMod(after*5, int64(objs)))
+				for _, c := range []struct {
+					kind      string
+					got, want int64
+				}{
+					{"root", f.NextRootArrival(after), scan(after, func(pg Page) bool {
+						return pg.Kind == IndexPage && pg.NodeID == 0
+					})},
+					{"node", f.NextNodeArrival(id, after), scan(after, func(pg Page) bool {
+						return pg.Kind == IndexPage && pg.NodeID == id
+					})},
+					{"object", f.NextObjectArrival(obj, after), scan(after, func(pg Page) bool {
+						return pg.Kind == DataPage && pg.ObjectID == obj && pg.Seq == 0
+					})},
+				} {
+					if c.got != c.want {
+						t.Fatalf("%s half %d: %s after %d at %d, want %d",
+							idxS.Scheme(), half, c.kind, after, c.got, c.want)
+					}
+				}
 			}
 		}
 	}
