@@ -29,9 +29,9 @@ type AirSpec struct {
 	// i%2, so a chain of more than two datasets alternates them.
 	Phases  [2]int64
 	Weights [2][]float64
-	// Single multiplexes two datasets on ONE physical channel: each
-	// combined cycle carries the first dataset's cycle, then the
-	// second's. Only Phases[0] applies, modulo the combined cycle.
+	// Single multiplexes two datasets on ONE physical channel (Multiplex):
+	// each period of it carries the first dataset's cycle, then the
+	// second's. Only Phases[0] applies, modulo the period.
 	Single bool
 	// Faults is the fault model of the air. Physical channel c faults
 	// with the model reseeded by DeriveFaultSeed(Faults.Seed, c); the
@@ -49,19 +49,18 @@ func (s *AirSpec) indexSpec(weights []float64) IndexSpec {
 	return spec
 }
 
-// Air is a built broadcast: one packed R-tree, air index and feed per
-// dataset, plus the physical channels that carry them. Dataset i rides
-// physical channel i, or channel 0 under AirSpec.Single.
+// Air is a built broadcast: one packed R-tree, air index, Channel and
+// feed per dataset. Dataset i's Channel is all of physical channel i, or
+// under AirSpec.Single its share of physical channel 0.
 type Air struct {
 	Trees   []*rtree.Tree
 	Indexes []AirIndex
-	// Feeds are the datasets' channels as a receiver sees them: a
-	// *Channel or a DualChannel share, wrapped in a *FaultFeed when the
-	// fault model is enabled.
+	// Feeds are the datasets' channels as a receiver sees them: the
+	// *Channel, wrapped in a *FaultFeed when the fault model is enabled.
 	Feeds []Feed
 
-	chans  []*Channel   // dedicated channels; nil under Single
-	dual   *DualChannel // the multiplexed channel under Single
+	chans  []*Channel // per dataset
+	single bool       // both datasets share physical channel 0
 	faults FaultModel
 }
 
@@ -78,14 +77,15 @@ func BuildAir(sets [][]geom.Point, spec AirSpec) *Air {
 		NodeCap: spec.Params.NodeCap(),
 		Packing: spec.Packing,
 	}
-	a := &Air{faults: spec.Faults}
+	a := &Air{single: spec.Single, faults: spec.Faults}
 	for i, set := range sets {
 		tree := rtree.Build(set, rcfg)
 		a.Trees = append(a.Trees, tree)
 		a.Indexes = append(a.Indexes, BuildIndex(tree, spec.Params, spec.indexSpec(spec.Weights[i%2])))
 	}
 	if spec.Single {
-		a.dual = NewDualChannel(a.Indexes[0], a.Indexes[1], spec.Phases[0])
+		s, r := Multiplex(a.Indexes[0], a.Indexes[1], spec.Phases[0])
+		a.chans = []*Channel{s, r}
 	} else {
 		for i, idx := range a.Indexes {
 			a.chans = append(a.chans, NewChannel(idx, spec.Phases[i%2]))
@@ -97,12 +97,8 @@ func BuildAir(sets [][]geom.Point, spec AirSpec) *Air {
 
 // mountFeeds builds the datasets' feeds over the air's channels.
 func (a *Air) mountFeeds() {
-	if a.dual != nil {
-		a.Feeds = []Feed{a.dual.FeedS(), a.dual.FeedR()}
-	} else {
-		for _, ch := range a.chans {
-			a.Feeds = append(a.Feeds, ch)
-		}
+	for _, ch := range a.chans {
+		a.Feeds = append(a.Feeds, ch)
 	}
 	if a.faults.Enabled() {
 		for i, f := range a.Feeds {
@@ -117,12 +113,10 @@ func (a *Air) mountFeeds() {
 // owns fresh channels and feeds at the same phases, so one goroutine can
 // Rephase it while others query the original.
 func (a *Air) Clone() *Air {
-	c := &Air{Trees: a.Trees, Indexes: a.Indexes, faults: a.faults}
-	if a.dual != nil {
-		c.dual = NewDualChannel(a.dual.idxS, a.dual.idxR, a.dual.offset)
-	}
+	c := &Air{Trees: a.Trees, Indexes: a.Indexes, single: a.single, faults: a.faults}
 	for _, ch := range a.chans {
-		c.chans = append(c.chans, NewChannel(ch.idx, ch.offset))
+		cp := *ch
+		c.chans = append(c.chans, &cp)
 	}
 	c.mountFeeds()
 	return c
@@ -134,17 +128,14 @@ func (a *Air) Clone() *Air {
 //
 //tnn:noalloc
 func (a *Air) Rephase(phases [2]int64) {
-	if a.dual != nil {
-		a.dual.offset = floorMod(phases[0], a.dual.CycleLen())
-	}
 	for i, ch := range a.chans {
-		ch.Reset(ch.idx, phases[i%2])
+		ch.offset = floorMod(phases[a.ChannelOf(i)%2], ch.period)
 	}
 }
 
 // Channels returns the number of physical channels.
 func (a *Air) Channels() int {
-	if a.dual != nil {
+	if a.single {
 		return 1
 	}
 	return len(a.chans)
@@ -152,28 +143,18 @@ func (a *Air) Channels() int {
 
 // ChannelOf returns the physical channel that carries dataset d.
 func (a *Air) ChannelOf(d int) int {
-	if a.dual != nil {
+	if a.single {
 		return 0
 	}
 	return d
 }
 
 // CycleLen returns the cycle length of physical channel c.
-func (a *Air) CycleLen(c int) int64 {
-	if a.dual != nil {
-		return a.dual.CycleLen()
-	}
-	return a.chans[c].idx.CycleLen()
-}
+func (a *Air) CycleLen(c int) int64 { return a.chans[c].period }
 
 // Phase returns physical channel c's phase offset, normalized into
 // [0, CycleLen(c)): the slot at which its cycle starts.
-func (a *Air) Phase(c int) int64 {
-	if a.dual != nil {
-		return a.dual.offset
-	}
-	return a.chans[c].offset
-}
+func (a *Air) Phase(c int) int64 { return a.chans[c].offset }
 
 // CyclePos returns the position of slot t in physical channel c's cycle,
 // in [0, CycleLen(c)).
@@ -184,10 +165,11 @@ func (a *Air) CyclePos(c int, t int64) int64 {
 // PageOn returns the page on air on physical channel c at slot t and the
 // dataset that owns it.
 func (a *Air) PageOn(c int, t int64) (Page, int) {
-	if a.dual != nil {
-		return a.dual.pageAt(t)
+	d := c
+	if a.single && a.chans[0].rel(t) >= a.chans[0].length {
+		d = 1 // past the first share
 	}
-	return a.chans[c].PageAt(t), c
+	return a.chans[d].PageAt(t), d
 }
 
 // Fault reports the fault of physical channel c at slot t. The first

@@ -4,25 +4,27 @@ import (
 	"testing"
 )
 
-func buildDual(t *testing.T) (*DualChannel, *SegmentedIndex, *SegmentedIndex) {
+func buildDual(t *testing.T) (fs, fr *Channel, progS, progR *SegmentedIndex) {
 	t.Helper()
 	p := DefaultParams()
 	p.M = 2
-	progS := buildTestProgram(t, 30, p)
-	progR := buildTestProgram(t, 45, p)
-	return NewDualChannel(progS, progR, 11), progS, progR
+	progS = buildTestProgram(t, 30, p)
+	progR = buildTestProgram(t, 45, p)
+	fs, fr = Multiplex(progS, progR, 11)
+	return fs, fr, progS, progR
 }
 
 func TestDualChannelCycleLen(t *testing.T) {
-	d, ps, pr := buildDual(t)
-	if d.CycleLen() != ps.CycleLen()+pr.CycleLen() {
-		t.Fatalf("cycle %d, want %d", d.CycleLen(), ps.CycleLen()+pr.CycleLen())
+	fs, fr, ps, pr := buildDual(t)
+	for _, f := range []*Channel{fs, fr} {
+		if f.period != ps.CycleLen()+pr.CycleLen() {
+			t.Fatalf("cycle %d, want %d", f.period, ps.CycleLen()+pr.CycleLen())
+		}
 	}
 }
 
 func TestDualFeedsPartitionSlots(t *testing.T) {
-	d, ps, _ := buildDual(t)
-	fs, fr := d.FeedS(), d.FeedR()
+	fs, fr, ps, _ := buildDual(t)
 
 	// Within one combined cycle starting at the offset, the first lenS
 	// slots belong to S and the rest to R; reading across the boundary
@@ -62,9 +64,9 @@ func TestDualFeedArrivalsAgreeWithScan(t *testing.T) {
 		{Scheme: SchemeDistributed, Sched: sk},
 	} {
 		idxS, idxR := BuildIndex(treeS, p, spec), BuildIndex(treeR, p, spec)
-		d := NewDualChannel(idxS, idxR, 11)
-		l, lenS := d.CycleLen(), idxS.CycleLen()
-		for half, f := range []Feed{d.FeedS(), d.FeedR()} {
+		fs, fr := Multiplex(idxS, idxR, 11)
+		l, lenS := fs.period, idxS.CycleLen()
+		for half, f := range []Feed{fs, fr} {
 			// The share's page at each position of the period, or nil.
 			pages := make([]*Page, l)
 			for s := int64(11); s < 11+l; s++ {
@@ -110,8 +112,7 @@ func TestDualFeedArrivalsAgreeWithScan(t *testing.T) {
 }
 
 func TestDualFeedObjectRunsConsecutive(t *testing.T) {
-	d, _, _ := buildDual(t)
-	fs := d.FeedS()
+	fs, _, _, _ := buildDual(t)
 	ppo := int64(fs.Index().PagesPerObject())
 	for obj := 0; obj < 30; obj += 6 {
 		start := fs.NextObjectArrival(obj, 3)
@@ -125,8 +126,8 @@ func TestDualFeedObjectRunsConsecutive(t *testing.T) {
 }
 
 func TestDualFeedRootArrival(t *testing.T) {
-	d, _, _ := buildDual(t)
-	for _, f := range []Feed{d.FeedS(), d.FeedR()} {
+	fs, fr, _, _ := buildDual(t)
+	for _, f := range []Feed{fs, fr} {
 		got := f.NextRootArrival(123)
 		if got < 123 {
 			t.Fatal("root arrival before 'after'")
@@ -138,8 +139,7 @@ func TestDualFeedRootArrival(t *testing.T) {
 }
 
 func TestDualFeedPanicsOutOfRange(t *testing.T) {
-	d, _, _ := buildDual(t)
-	fs := d.FeedS()
+	fs, _, _, _ := buildDual(t)
 	for _, fn := range []func(){
 		func() { fs.NextNodeArrival(-1, 0) },
 		func() { fs.NextNodeArrival(1<<20, 0) },

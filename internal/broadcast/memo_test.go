@@ -88,9 +88,9 @@ func TestMemoFeedEquivalence(t *testing.T) {
 		})
 	}
 	t.Run("dualchannel", func(t *testing.T) {
-		dc := NewDualChannel(indexes["preorder"], BuildIndex(treeB, p, IndexSpec{}), 77)
-		check(t, "dualS", dc.FeedS())
-		check(t, "dualR", dc.FeedR())
+		s, r := Multiplex(indexes["preorder"], BuildIndex(treeB, p, IndexSpec{}), 77)
+		check(t, "dualS", s)
+		check(t, "dualR", r)
 	})
 }
 

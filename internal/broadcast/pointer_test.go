@@ -151,13 +151,10 @@ func TestChildDelays(t *testing.T) {
 				{tc.idx, BuildIndex(other, p, IndexSpec{})},
 				{BuildIndex(other, p, IndexSpec{Scheme: SchemeDistributed}), tc.idx},
 			} {
-				dual := NewDualChannel(pair[0], pair[1], 777)
-				feed := dual.FeedS()
-				if i == 1 {
-					feed = dual.FeedR()
-				}
-				owns := func(s int64) bool { _, half := dual.pageAt(s); return half == i }
-				if checkChildDelays(t, tc.name, feed, 3*dual.CycleLen(), dual.CycleLen(), owns) == 0 {
+				s, r := Multiplex(pair[0], pair[1], 777)
+				feed := []*Channel{s, r}[i]
+				owns := func(slot int64) bool { pos := feed.rel(slot); return pos >= 0 && pos < feed.length }
+				if checkChildDelays(t, tc.name, feed, 3*feed.period, feed.period, owns) == 0 {
 					t.Fatalf("dual half %d: no table entry checked", i)
 				}
 			}

@@ -460,15 +460,16 @@ func TestDualChannelOverDistributed(t *testing.T) {
 	treeR := buildTestTree(31, p)
 	diS := BuildIndex(treeS, p, IndexSpec{Scheme: SchemeDistributed})
 	diR := BuildIndex(treeR, p, IndexSpec{Scheme: SchemeDistributed})
-	dual := NewDualChannel(diS, diR, 777)
+	s, r := Multiplex(diS, diR, 777)
+	period := s.period
 	rng := rand.New(rand.NewSource(2))
-	for _, f := range []Feed{dual.FeedS(), dual.FeedR()} {
+	for _, f := range []Feed{s, r} {
 		tree := f.Index().Tree()
 		for trial := 0; trial < 150; trial++ {
-			after := rng.Int63n(2 * dual.CycleLen())
+			after := rng.Int63n(2 * period)
 			id := rng.Intn(tree.NumNodes())
 			got := f.NextNodeArrival(id, after)
-			if got < after || got >= after+dual.CycleLen() {
+			if got < after || got >= after+period {
 				t.Fatalf("arrival %d outside [after, after+cycle)", got)
 			}
 			if n, _ := f.ReadNode(got); n.ID != id {

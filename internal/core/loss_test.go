@@ -13,10 +13,9 @@ import (
 
 // lossEnvPair builds a clean environment and a lossy twin over the SAME
 // broadcast programs and phases, mirroring how the public API wires
-// FaultFeeds: dedicated channels get per-channel derived seeds; a
-// multiplexed DualChannel wraps both dataset feeds with one physical-
-// channel seed (a slot dies once, for whichever dataset's page it
-// carried).
+// FaultFeeds: dedicated channels get per-channel derived seeds; both
+// shares of a multiplexed channel take one physical-channel seed (a slot
+// dies once, for whichever dataset's page it carried).
 func lossEnvPair(t *testing.T, ptsS, ptsR []geom.Point, spec broadcast.IndexSpec,
 	dual bool, offS, offR int64, fm broadcast.FaultModel) (clean, lossy Env) {
 	t.Helper()
@@ -25,13 +24,13 @@ func lossEnvPair(t *testing.T, ptsS, ptsR []geom.Point, spec broadcast.IndexSpec
 	idxS := broadcast.BuildIndex(rtree.Build(ptsS, cfg), p, spec)
 	idxR := broadcast.BuildIndex(rtree.Build(ptsR, cfg), p, spec)
 	if dual {
-		dc1 := broadcast.NewDualChannel(idxS, idxR, offS)
-		dc2 := broadcast.NewDualChannel(idxS, idxR, offS)
+		s1, r1 := broadcast.Multiplex(idxS, idxR, offS)
+		s2, r2 := broadcast.Multiplex(idxS, idxR, offS)
 		phys := fm.WithSeed(broadcast.DeriveFaultSeed(fm.Seed, 0))
-		clean = Env{ChS: dc1.FeedS(), ChR: dc1.FeedR(), Region: testRegion}
+		clean = Env{ChS: s1, ChR: r1, Region: testRegion}
 		lossy = Env{
-			ChS:    broadcast.NewFaultFeed(dc2.FeedS(), phys),
-			ChR:    broadcast.NewFaultFeed(dc2.FeedR(), phys),
+			ChS:    broadcast.NewFaultFeed(s2, phys),
+			ChR:    broadcast.NewFaultFeed(r2, phys),
 			Region: testRegion,
 		}
 		return clean, lossy
@@ -63,7 +62,7 @@ var lossFaultLadder = []struct {
 
 // TestLossDifferential is the acceptance suite for the recovery protocol:
 // for all four algorithms, on both index families and on a multiplexed
-// DualChannel, at every fault point the answer is bit-identical to the
+// channel, at every fault point the answer is bit-identical to the
 // lossless run — loss only spends time (access) and energy (tune-in).
 func TestLossDifferential(t *testing.T) {
 	algos := []struct {

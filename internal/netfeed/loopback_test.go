@@ -106,7 +106,7 @@ func diffResult(remote, local tnnbcast.Result) string {
 
 // TestLoopbackDifferentialClean drives all four algorithms over both index
 // families against a live loss-free server and requires bit-identical
-// metrics to the in-process DualChannel/Channel feeds.
+// metrics to the in-process Channel feeds, dedicated or multiplexed.
 func TestLoopbackDifferentialClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time loopback broadcast")

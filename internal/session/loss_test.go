@@ -15,8 +15,8 @@ import (
 
 // makeLossyEnv builds an environment whose feeds inject the seeded fault
 // model, wired exactly like the public API: dedicated channels get
-// per-channel derived seeds, a multiplexed DualChannel wraps both dataset
-// feeds with one physical-channel seed.
+// per-channel derived seeds, both shares of a multiplexed channel take
+// one physical-channel seed.
 func makeLossyEnv(t testing.TB, spec broadcast.IndexSpec, dual bool, fm broadcast.FaultModel) core.Env {
 	t.Helper()
 	region := geom.RectOf(geom.Pt(0, 0), geom.Pt(1000, 1000))
@@ -25,11 +25,11 @@ func makeLossyEnv(t testing.TB, spec broadcast.IndexSpec, dual bool, fm broadcas
 	idxS := broadcast.BuildIndex(rtree.Build(dataset.Uniform(31, 600, region), cfg), p, spec)
 	idxR := broadcast.BuildIndex(rtree.Build(dataset.Uniform(32, 500, region), cfg), p, spec)
 	if dual {
-		dc := broadcast.NewDualChannel(idxS, idxR, 3)
+		s, r := broadcast.Multiplex(idxS, idxR, 3)
 		phys := fm.WithSeed(broadcast.DeriveFaultSeed(fm.Seed, 0))
 		return core.Env{
-			ChS:    broadcast.NewFaultFeed(dc.FeedS(), phys),
-			ChR:    broadcast.NewFaultFeed(dc.FeedR(), phys),
+			ChS:    broadcast.NewFaultFeed(s, phys),
+			ChR:    broadcast.NewFaultFeed(r, phys),
 			Region: region,
 		}
 	}
@@ -46,7 +46,7 @@ func makeLossyEnv(t testing.TB, spec broadcast.IndexSpec, dual bool, fm broadcas
 // same fault seed and dataset must produce bit-identical per-client
 // Results and Stats (PeakLive excepted — it counts the workers that ran a
 // client) across workers = 1, 4, 16, for both index families and the
-// DualChannel layout. Faults are a pure function of (seed, slot), so no
+// multiplexed layout. Faults are a pure function of (seed, slot), so no
 // worker count may see a different air.
 func TestSessionLossWorkerInvariance(t *testing.T) {
 	fm := broadcast.FaultModel{Loss: 0.02, Burst: 4, Corrupt: 0.005, Seed: 67}

@@ -97,7 +97,7 @@ var digestLosses = []digestLoss{
 }
 
 // shareChain re-broadcasts a chain's datasets two per physical channel —
-// a DualChannel for each pair, a dedicated channel for an odd last one —
+// a multiplexed channel for each pair, a dedicated one for an odd last —
 // with both halves of a physical channel under one fault pattern, as
 // WithSingleChannel does for a System. cs must be lossless.
 func shareChain(cs *ChainSystem, off int64, fm broadcast.FaultModel) {
@@ -106,8 +106,8 @@ func shareChain(cs *ChainSystem, off int64, fm broadcast.FaultModel) {
 	for i := 0; i < len(chs); i += 2 {
 		var feeds []broadcast.Feed
 		if i+1 < len(chs) {
-			d := broadcast.NewDualChannel(chs[i].Index(), chs[i+1].Index(), off)
-			feeds = []broadcast.Feed{d.FeedS(), d.FeedR()}
+			s, r := broadcast.Multiplex(chs[i].Index(), chs[i+1].Index(), off)
+			feeds = []broadcast.Feed{s, r}
 		} else {
 			feeds = []broadcast.Feed{broadcast.NewChannel(chs[i].Index(), off)}
 		}
