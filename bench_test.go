@@ -240,7 +240,9 @@ func BenchmarkNew(b *testing.B) {
 // the arrival-query microbenchmarks. These queries sit on the query
 // hot path — once per enqueued candidate — so each family's cost is
 // guarded separately, plus the session engine's MemoFeed wrapper over the
-// most general one, which must cost no more than its one forwarding call.
+// most general one, which must cost no more than its one forwarding call,
+// and the preorder program's share of a channel it multiplexes with the
+// distributed one, whose arrivals also wait out the other share.
 func arrivalChannels(b *testing.B) map[string]broadcast.Feed {
 	b.Helper()
 	pts := dataset.Uniform(5, 15210, dataset.PaperRegion)
@@ -258,12 +260,13 @@ func arrivalChannels(b *testing.B) map[string]broadcast.Feed {
 			broadcast.IndexSpec{Sched: broadcast.SkewedScheduler{Disks: 2, Ratio: 2}, Weights: weights}), 12345),
 	}
 	feeds["distributed+memo"] = broadcast.NewMemoFeed(feeds["distributed"])
+	feeds["multiplexed"], _ = broadcast.Multiplex(feeds["preorder"].Index(), feeds["distributed"].Index(), 12345)
 	return feeds
 }
 
 func BenchmarkNextNodeArrival(b *testing.B) {
 	feeds := arrivalChannels(b)
-	for _, name := range []string{"preorder", "distributed", "skewed", "distributed+memo"} {
+	for _, name := range []string{"preorder", "distributed", "skewed", "distributed+memo", "multiplexed"} {
 		b.Run(name, func(b *testing.B) {
 			ch := feeds[name]
 			n := ch.Index().NumIndexPages()
@@ -319,7 +322,7 @@ func BenchmarkChildArrival(b *testing.B) {
 
 func BenchmarkNextObjectArrival(b *testing.B) {
 	feeds := arrivalChannels(b)
-	for _, name := range []string{"preorder", "distributed", "skewed", "distributed+memo"} {
+	for _, name := range []string{"preorder", "distributed", "skewed", "distributed+memo", "multiplexed"} {
 		b.Run(name, func(b *testing.B) {
 			ch := feeds[name]
 			n := ch.Index().Tree().Count
