@@ -27,16 +27,17 @@ type SegmentedIndex struct {
 	scheme string
 	ppo    int
 
-	segStart []int64   // segStart[i] = cycle slot where segment i begins; len = len(segIndex)+1
+	segStart []int32   // segStart[i] = cycle slot where segment i begins; len = len(segIndex)+1
 	segIndex [][]int32 // node IDs of segment i's index run, in transmission order
 	segData  [][]int32 // object IDs of segment i's data run (repeats allowed); a flat run aliases Flat.ID
 
 	nodes []nodeRange // per node: the segments and offset it airs at
 	// Object id's first data page airs at the ascending cycle slots
 	// objOcc[objOff[id]:objOff[id+1]]. When every object airs exactly
-	// once, objOff is nil and the slot is objOcc[id].
+	// once, objOff is nil and the slot is objOcc[id]. A cycle is below
+	// 2³¹ slots (newSegmented panics otherwise), so a slot fits an int32.
 	objOff []int32
-	objOcc []int64
+	objOcc []int32
 	delays []int32 // pointer table, per Flat child entry (ChildDelays)
 }
 
@@ -66,14 +67,15 @@ func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [
 		nodes:    placeNodes(segIndex, tree.NumNodes(), scheme),
 	}
 
-	total := 0
-	for _, run := range segData {
+	total, cycle := 0, 0
+	for i, run := range segData {
 		total += len(run)
+		cycle += len(segIndex[i]) + len(run)*si.ppo
 	}
-	if total > math.MaxInt32 {
-		panic(fmt.Sprintf("broadcast: %d object occurrences per cycle in %s layout", total, scheme))
+	if cycle > math.MaxInt32 {
+		panic(fmt.Sprintf("broadcast: %d slots per cycle in %s layout", cycle, scheme))
 	}
-	si.objOcc = make([]int64, total)
+	si.objOcc = make([]int32, total)
 	var next []int32 // CSR fill cursor per object; nil when each airs once
 	if total == tree.Count {
 		for i := range si.objOcc {
@@ -86,11 +88,11 @@ func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [
 
 	// Fill the object slots in one pass over the cycle, in slot order, so
 	// every object's slots come out ascending.
-	si.segStart = make([]int64, len(segIndex)+1)
-	slot := int64(0)
+	si.segStart = make([]int32, len(segIndex)+1)
+	slot := int32(0)
 	for i := range segIndex {
 		si.segStart[i] = slot
-		slot += int64(len(segIndex[i]))
+		slot += int32(len(segIndex[i]))
 		for _, obj := range segData[i] {
 			if next == nil {
 				if si.objOcc[obj] >= 0 {
@@ -103,7 +105,7 @@ func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [
 				si.objOcc[next[obj]] = slot
 				next[obj]++
 			}
-			slot += int64(si.ppo)
+			slot += int32(si.ppo)
 		}
 	}
 	si.segStart[len(segIndex)] = slot
@@ -201,7 +203,7 @@ func (si *SegmentedIndex) Tree() *rtree.Tree { return si.tree }
 func (si *SegmentedIndex) Params() Params { return si.params }
 
 // CycleLen implements AirIndex.
-func (si *SegmentedIndex) CycleLen() int64 { return si.segStart[len(si.segIndex)] }
+func (si *SegmentedIndex) CycleLen() int64 { return int64(si.segStart[len(si.segIndex)]) }
 
 // NumIndexPages implements AirIndex: distinct index pages, one per node.
 func (si *SegmentedIndex) NumIndexPages() int { return si.tree.NumNodes() }
@@ -225,8 +227,8 @@ func (si *SegmentedIndex) PageAt(s int64) Page {
 		panic(fmt.Sprintf("broadcast: slot %d outside cycle [0,%d)", s, si.CycleLen()))
 	}
 	// Find the segment: the last segStart <= s.
-	i := sort.Search(len(si.segIndex), func(i int) bool { return si.segStart[i+1] > s })
-	off := s - si.segStart[i]
+	i := sort.Search(len(si.segIndex), func(i int) bool { return int64(si.segStart[i+1]) > s })
+	off := s - int64(si.segStart[i])
 	if off < int64(len(si.segIndex[i])) {
 		return Page{Kind: IndexPage, NodeID: int(si.segIndex[i][off])}
 	}
@@ -240,11 +242,11 @@ func (si *SegmentedIndex) PageAt(s int64) Page {
 
 // nextOcc returns the smallest t >= rel (t < rel+cycle) such that one of
 // the ascending slots occ[i]+off equals t mod cycle.
-func (si *SegmentedIndex) nextOcc(occ []int64, off, rel int64) int64 {
-	if i, _ := slices.BinarySearch(occ, rel-off); i < len(occ) {
-		return occ[i] + off
+func (si *SegmentedIndex) nextOcc(occ []int32, off, rel int64) int64 {
+	if i, _ := slices.BinarySearch(occ, int32(rel-off)); i < len(occ) {
+		return int64(occ[i]) + off
 	}
-	return occ[0] + off + si.CycleLen()
+	return int64(occ[0]) + off + si.CycleLen()
 }
 
 // NextNodeSlot implements AirIndex: the node's replicas in its segment
@@ -262,8 +264,8 @@ func (si *SegmentedIndex) NextNodeSlot(nodeID int, rel int64) int64 {
 	starts, off := si.segStart[r.lo:r.hi+1], int64(r.off)
 	if len(starts) <= 64 {
 		for _, s := range starts {
-			if s >= rel-off {
-				return s + off
+			if int64(s) >= rel-off {
+				return int64(s) + off
 			}
 		}
 	}
@@ -281,7 +283,7 @@ func (si *SegmentedIndex) NextObjectSlot(objectID int, rel int64) int64 {
 	if si.objOff != nil {
 		return si.nextOcc(si.objOcc[si.objOff[objectID]:si.objOff[objectID+1]], 0, rel)
 	}
-	t := si.objOcc[objectID]
+	t := int64(si.objOcc[objectID])
 	if t < rel {
 		t += si.CycleLen()
 	}

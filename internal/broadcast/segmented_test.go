@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -189,6 +190,33 @@ func TestBuildProgramRejectsOversizedTree(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for tree exceeding page capacity")
+		}
+	}()
+	BuildIndex(tree, p, IndexSpec{})
+}
+
+// TestBuildRejectsCycleOverInt32 builds the largest cycle a slot stored
+// as an int32 can address, 2³¹-1 slots (one object whose pages fill all
+// but the root's slot), and requires a panic one slot beyond it.
+func TestBuildRejectsCycleOverInt32(t *testing.T) {
+	p := DefaultParams()
+	tree := rtree.Build([]geom.Point{geom.Pt(0, 0)}, rtree.Config{LeafCap: p.LeafCap(), NodeCap: p.NodeCap()})
+	p.DataSize = p.PageCap * (math.MaxInt32 - 1)
+	idx := BuildIndex(tree, p, IndexSpec{})
+	if c := idx.CycleLen(); c != math.MaxInt32 {
+		t.Fatalf("cycle %d, want %d", c, math.MaxInt32)
+	}
+	last := Page{Kind: DataPage, Seq: math.MaxInt32 - 2}
+	if pg := idx.PageAt(math.MaxInt32 - 1); pg != last {
+		t.Fatalf("last slot carries %+v, want %+v", pg, last)
+	}
+	if got := idx.NextObjectSlot(0, math.MaxInt32-1); got != 1+math.MaxInt32 {
+		t.Fatalf("object after the last slot at %d, want %d", got, 1+math.MaxInt32)
+	}
+	p.DataSize += p.PageCap
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for a cycle of 2³¹ slots")
 		}
 	}()
 	BuildIndex(tree, p, IndexSpec{})
