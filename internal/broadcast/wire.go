@@ -83,8 +83,8 @@ func (a *Air) EncodeCycle(c int) ([][]byte, error) {
 // encodeNode serializes node id of the tree image f, broadcast at slot
 // carrySlot on feed f, into a page image of PageImageSize(params) bytes.
 // Child and data pointers are relative to carrySlot, in units fixed by
-// the physical channel's cycle length cycleLen: a multiplexed feed's
-// arrival delays span the combined cycle.
+// the physical channel's cycle length cycleLen: a multiplexed share's
+// arrival delays can span its channel's whole period.
 func encodeNode(feed Feed, f *rtree.Flat, id int32, carrySlot int64, params Params, cycleLen int64) ([]byte, error) {
 	buf := make([]byte, 0, PageImageSize(params))
 	unit := pointerUnit(cycleLen)

@@ -59,9 +59,9 @@ func (r *Receiver) SetFaultTrace(fn func(slot int64)) {
 	r.traceFault = fn
 }
 
-// NewReceiver creates a receiver for a broadcast feed (a dedicated channel
-// or one dataset's share of a multiplexed channel) with the query issued
-// at slot issue. The receiver may tune in from slot issue onward.
+// NewReceiver creates a receiver for a broadcast feed (a broadcast.Channel,
+// dedicated or one dataset's share of a multiplexed channel, or a wrapper
+// of one) with the query issued at slot issue. The receiver may tune in from slot issue onward.
 func NewReceiver(ch broadcast.Feed, issue int64) *Receiver {
 	return &Receiver{ch: ch, issue: issue, now: issue, last: issue - 1}
 }
