@@ -88,9 +88,9 @@ func (ch *Channel) enter(after int64) (r, wait int64) {
 	return r, 0
 }
 
-// lift converts a program slot the index found from a share position,
-// in [0, 2*length), to that position's distance on the channel: a slot
-// in the next program cycle airs in the next period's share.
+// lift converts a program slot the index found from a share position, in
+// [0, 2*length), to share time: a slot of the next program cycle airs in
+// the next period's share, period - length slots later.
 func (ch *Channel) lift(s int64) int64 {
 	if s >= ch.length {
 		s += ch.period - ch.length
