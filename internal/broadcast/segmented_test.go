@@ -3,6 +3,7 @@ package broadcast
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tnnbcast/internal/geom"
@@ -372,6 +373,13 @@ func TestSkewedSchedulerSequence(t *testing.T) {
 	for i := range seq {
 		if seq[i] != again[i] {
 			t.Fatal("nondeterministic sequence")
+		}
+	}
+	// A ratio below 2 is clamped to 2.
+	for _, ratio := range []int{0, 1} {
+		low := SkewedScheduler{Disks: 3, Ratio: ratio}.Sequence(part, weights)
+		if !slices.Equal(low, seq) {
+			t.Errorf("Ratio %d: sequence differs from Ratio 2", ratio)
 		}
 	}
 }
