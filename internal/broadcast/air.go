@@ -42,11 +42,8 @@ type AirSpec struct {
 // indexSpec translates the scheme, cut and skew into one dataset's
 // index build specification.
 func (s *AirSpec) indexSpec(weights []float64) IndexSpec {
-	spec := IndexSpec{Scheme: s.Scheme, Cut: s.Cut, Weights: weights}
-	if s.SkewDisks > 0 {
-		spec.Sched = SkewedScheduler{Disks: s.SkewDisks, Ratio: s.SkewRatio}
-	}
-	return spec
+	sched := SkewedScheduler{Disks: s.SkewDisks, Ratio: s.SkewRatio}
+	return IndexSpec{Scheme: s.Scheme, Cut: s.Cut, Sched: sched, Weights: weights}
 }
 
 // Air is a built broadcast: one packed R-tree, air index, Channel and

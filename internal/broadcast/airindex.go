@@ -8,66 +8,17 @@ import (
 )
 
 // AirIndex is a broadcast program: one dataset's packed R-tree and data
-// objects organized into a cyclic sequence of fixed-size pages. It is the
-// pluggable "air organization" layer — everything above it (channels,
-// receivers, the TNN algorithms, the session engine) consults the program
-// only through this interface, so index families can be swapped without
-// touching a single algorithm.
-//
-// BuildIndex builds every family as a *SegmentedIndex: the paper's
-// preorder-(1,m) scheme and the distributed index with replicated upper
-// levels, each paired with a data Scheduler (flat or skewed
-// broadcast-disks).
+// objects organized into a cyclic sequence of fixed-size pages. Channels,
+// receivers, the TNN algorithms and the session engine all consult the
+// program through it. BuildIndex builds every family as a
+// *SegmentedIndex: the paper's preorder-(1,m) scheme and the distributed
+// index with replicated upper levels, each with a flat or skewed
+// broadcast-disks data schedule.
 //
 // All slot arguments and results are CYCLE-RELATIVE; the Channel layer
 // owns the mapping between absolute channel slots and cycle positions
 // (phase offsets, time multiplexing).
-type AirIndex interface {
-	// Scheme names the index family, e.g. "preorder" or "distributed".
-	Scheme() string
-	// Tree returns the packed R-tree the index serializes. The tree is
-	// shared and immutable.
-	Tree() *rtree.Tree
-	// Params returns the physical page parameters the program was built
-	// with.
-	Params() Params
-	// CycleLen returns the number of slots in one broadcast cycle.
-	CycleLen() int64
-	// NumIndexPages returns the number of DISTINCT index pages (one per
-	// R-tree node); replicated schemes put some of them on air several
-	// times per cycle.
-	NumIndexPages() int
-	// NumDataPages returns the number of data-page slots per cycle
-	// (objects repeated by a skewed scheduler count every repetition).
-	NumDataPages() int
-	// PagesPerObject returns how many consecutive pages one object's
-	// content occupies.
-	PagesPerObject() int
-	// Replication returns how many times the index root is on air per
-	// cycle: the number of points at which a search can enter the index.
-	// For the (1,m) scheme this is m; for the distributed index it is the
-	// number of data partitions.
-	Replication() int
-	// PageAt returns the page on air at cycle-relative slot s ∈
-	// [0, CycleLen); it panics outside that range.
-	PageAt(s int64) Page
-	// NextNodeSlot returns the smallest t >= rel with t < rel+CycleLen
-	// such that index page nodeID is on air at cycle-relative slot
-	// t mod CycleLen. rel must lie in [0, CycleLen). A result >= CycleLen
-	// therefore means "first occurrence of the next cycle".
-	NextNodeSlot(nodeID int, rel int64) int64
-	// NextObjectSlot is NextNodeSlot for the first data page of objectID.
-	NextObjectSlot(objectID int, rel int64) int64
-	// ChildDelays returns the index's pointer table, indexed like the
-	// child entries of Tree().Flat(): entry e holds the delay in slots
-	// from a broadcast of e's parent to the next broadcast of child
-	// Key[e] — the arrival-time pointer the parent's page carries. It
-	// holds 0 where no one delay serves every broadcast of the parent:
-	// the delay differs between the parent's occurrences, or the child's
-	// next broadcast falls in the next program cycle. The table is built
-	// with the index and shared; callers must not modify it.
-	ChildDelays() []int32
-}
+type AirIndex = *SegmentedIndex
 
 // PageKind discriminates the two page types of a broadcast program.
 type PageKind int
@@ -96,47 +47,27 @@ type Page struct {
 	Seq      int // for DataPage: fragment number within the object
 }
 
-// Scheduler decides the transmission order of one data partition — the
-// seam between the index family (which partitions objects and interleaves
-// index pages) and the data organization (which may repeat hot objects).
-// The (1,m) scheme hands the scheduler each of its m fractions; the
-// distributed index hands it each branch's objects.
-type Scheduler interface {
-	// Name identifies the scheduler, e.g. "flat" or "skewed".
-	Name() string
-	// Sequence returns the object IDs of one partition in transmission
-	// order for one cycle. Every input ID must appear at least once; hot
-	// objects may appear several times. weights[id] >= 0 is the relative
-	// access frequency of object id over the WHOLE dataset (nil = uniform).
-	// The input slice must not be mutated.
-	Sequence(partition []int, weights []float64) []int
-}
-
-// FlatScheduler broadcasts every object exactly once per cycle, in
-// partition order — the paper's data organization.
-type FlatScheduler struct{}
-
-// Name implements Scheduler.
-func (FlatScheduler) Name() string { return "flat" }
-
-// Sequence implements Scheduler: the identity schedule.
-func (FlatScheduler) Sequence(partition []int, _ []float64) []int { return partition }
-
 // SkewedScheduler is a broadcast-disks data organization (Acharya et al.,
 // SIGMOD 1995): the partition's objects are ranked by access weight and
 // assigned to Disks "disks" spinning at geometrically decreasing speeds —
 // disk d is broadcast Ratio^(Disks-1-d) times per cycle — so hot objects
 // recur with proportionally shorter periods at the cost of a longer cycle.
+//
+// The zero value (Disks == 0) is the flat schedule, the paper's data
+// organization: every object once per cycle, in partition order.
 type SkewedScheduler struct {
-	// Disks is the number of frequency classes (>= 1; 1 degenerates to
-	// flat).
+	// Disks is the number of frequency classes (0 = flat; 1 broadcasts
+	// every object once, ranked by weight).
 	Disks int
 	// Ratio is the integer frequency ratio between adjacent disks (>= 2).
 	Ratio int
 }
 
-// Name implements Scheduler.
-func (s SkewedScheduler) Name() string { return "skewed" }
+// MaxSkewClasses bounds a skewed schedule's disks and ratio wherever a
+// configuration is admitted: the hot disk repeats Ratio^(Disks-1) times
+// per cycle, so anything beyond a handful of classes only stretches the
+// cycle (Sequence additionally saturates repetitions at 1024 per cycle).
+const MaxSkewClasses = 16
 
 // maxDiskRepetitions bounds how often the hottest disk may repeat per
 // cycle: repetitions grow as Ratio^(Disks-1), so an unbounded
@@ -144,28 +75,19 @@ func (s SkewedScheduler) Name() string { return "skewed" }
 // itself) long before producing a useful schedule.
 const maxDiskRepetitions = 1024
 
-// normalized clamps the configuration to sane values.
-func (s SkewedScheduler) normalized() (disks, ratio int) {
-	disks, ratio = s.Disks, s.Ratio
-	if disks < 1 {
-		disks = 2
-	}
-	if ratio < 2 {
-		ratio = 2
-	}
-	return disks, ratio
-}
-
-// Sequence implements Scheduler with the classic broadcast-disks program:
-// rank objects by weight (stable, so equal weights keep partition order),
-// split the ranking into Disks groups of roughly equal TOTAL weight
-// (hottest first — under real skew the hot disk is small, so its frequent
-// repetition costs little cycle length), chunk disk d into Ratio^d chunks,
-// and emit Ratio^(Disks-1) minor cycles, minor cycle i carrying chunk
-// i mod Ratio^d of every disk d. Each object of disk d then appears
-// exactly Ratio^(Disks-1-d) times per cycle.
+// Sequence returns one partition's object IDs in transmission order for
+// one cycle, each at least once; weights[id] >= 0 is object id's access
+// frequency over the WHOLE dataset (nil = uniform). Disks must be at least
+// 1; a Ratio below 2 counts as 2. It is the classic broadcast-disks
+// program: rank objects by weight (stable, so equal weights keep partition
+// order), split the ranking into Disks groups of roughly equal TOTAL
+// weight (hottest first — under real skew the hot disk is small, so its
+// frequent repetition costs little cycle length), chunk disk d into
+// Ratio^d chunks, and emit Ratio^(Disks-1) minor cycles, minor cycle i
+// carrying chunk i mod Ratio^d of every disk d. Each object of disk d then
+// appears exactly Ratio^(Disks-1-d) times per cycle.
 func (s SkewedScheduler) Sequence(partition []int, weights []float64) []int {
-	disks, ratio := s.normalized()
+	disks, ratio := s.Disks, max(s.Ratio, 2)
 	n := len(partition)
 	if n == 0 {
 		return nil
@@ -303,10 +225,10 @@ type IndexSpec struct {
 	// Cut is the number of replicated upper levels of the distributed
 	// index (0 = auto: half the tree height). Ignored by SchemePreorder.
 	Cut int
-	// Sched organizes each data partition (nil = FlatScheduler).
-	Sched Scheduler
+	// Sched organizes each data partition; the zero value is flat.
+	Sched SkewedScheduler
 	// Weights are per-object access weights for skewed scheduling,
-	// indexed by object ID; nil = uniform. Ignored by FlatScheduler.
+	// indexed by object ID; nil = uniform. Ignored by the flat schedule.
 	Weights []float64
 }
 
@@ -319,15 +241,11 @@ func BuildIndex(tree *rtree.Tree, p Params, spec IndexSpec) AirIndex {
 		panic(err)
 	}
 	checkWeights(tree, spec.Weights)
-	sched := spec.Sched
-	if sched == nil {
-		sched = FlatScheduler{}
-	}
 	switch spec.Scheme {
 	case SchemePreorder:
-		return buildPreorder(tree, p, sched, spec.Weights)
+		return buildPreorder(tree, p, spec.Sched, spec.Weights)
 	case SchemeDistributed:
-		return buildDistributed(tree, p, spec.Cut, sched, spec.Weights)
+		return buildDistributed(tree, p, spec.Cut, spec.Sched, spec.Weights)
 	default:
 		panic(fmt.Sprintf("broadcast: unknown index scheme %v", spec.Scheme))
 	}

@@ -9,9 +9,9 @@ import (
 	"tnnbcast/internal/rtree"
 )
 
-// SegmentedIndex is the AirIndex: a cycle is a sequence of segments,
-// each an explicit run of index pages followed by an explicit run of data
-// pages. The paper's preorder (1, m) layout is m segments that each carry
+// SegmentedIndex is the broadcast program (AirIndex): a cycle is a
+// sequence of segments, each an explicit run of index pages followed by an
+// explicit run of data pages. The paper's preorder (1, m) layout is m segments that each carry
 // the whole index in preorder before one data fraction; the distributed
 // index is one segment per branch, carrying the replicated root-to-branch
 // path and the branch's subtree before the branch's data; a skewed
@@ -44,9 +44,6 @@ type SegmentedIndex struct {
 // nodeRange places one node on air: at cycle slot segStart[s]+off for
 // every segment s in [lo, hi].
 type nodeRange struct{ lo, hi, off int32 }
-
-// SegmentedIndex implements AirIndex.
-var _ AirIndex = (*SegmentedIndex)(nil)
 
 // newSegmented lays out the given segments over valid Params and builds
 // the node ranges and object slots. Every node and every object must air
@@ -193,35 +190,45 @@ func (si *SegmentedIndex) childDelays() []int32 {
 	return d
 }
 
-// Scheme implements AirIndex.
+// Scheme names the index family, e.g. "preorder" or "distributed", with
+// "+skewed" under a skewed data schedule.
 func (si *SegmentedIndex) Scheme() string { return si.scheme }
 
-// Tree implements AirIndex.
+// Tree returns the packed R-tree the index serializes. The tree is
+// shared and immutable.
 func (si *SegmentedIndex) Tree() *rtree.Tree { return si.tree }
 
-// Params implements AirIndex.
+// Params returns the physical page parameters the program was built
+// with.
 func (si *SegmentedIndex) Params() Params { return si.params }
 
-// CycleLen implements AirIndex.
+// CycleLen returns the number of slots in one broadcast cycle.
 func (si *SegmentedIndex) CycleLen() int64 { return int64(si.segStart[len(si.segIndex)]) }
 
-// NumIndexPages implements AirIndex: distinct index pages, one per node.
+// NumIndexPages returns the number of DISTINCT index pages (one per
+// R-tree node); replicated schemes put some of them on air several times
+// per cycle.
 func (si *SegmentedIndex) NumIndexPages() int { return si.tree.NumNodes() }
 
-// NumDataPages implements AirIndex: data-page slots per cycle, counting
-// repetitions.
+// NumDataPages returns the number of data-page slots per cycle (objects
+// repeated by a skewed schedule count every repetition).
 func (si *SegmentedIndex) NumDataPages() int { return len(si.objOcc) * si.ppo }
 
-// PagesPerObject implements AirIndex.
+// PagesPerObject returns how many consecutive pages one object's content
+// occupies.
 func (si *SegmentedIndex) PagesPerObject() int { return si.ppo }
 
-// Replication implements AirIndex: how often the root airs per cycle.
+// Replication returns how many times the index root is on air per cycle:
+// the number of points at which a search can enter the index. For the
+// (1,m) scheme this is m; for the distributed index it is the number of
+// data partitions.
 func (si *SegmentedIndex) Replication() int {
 	r := si.nodes[0]
 	return int(r.hi-r.lo) + 1
 }
 
-// PageAt implements AirIndex.
+// PageAt returns the page on air at cycle-relative slot s ∈
+// [0, CycleLen); it panics outside that range.
 func (si *SegmentedIndex) PageAt(s int64) Page {
 	if s < 0 || s >= si.CycleLen() {
 		panic(fmt.Sprintf("broadcast: slot %d outside cycle [0,%d)", s, si.CycleLen()))
@@ -249,8 +256,13 @@ func (si *SegmentedIndex) nextOcc(occ []int32, off, rel int64) int64 {
 	return int64(occ[0]) + off + si.CycleLen()
 }
 
-// NextNodeSlot implements AirIndex: the node's replicas in its segment
-// range air at ascending slots segStart[s]+off. This sits on the query
+// NextNodeSlot returns the smallest t >= rel with t < rel+CycleLen such
+// that index page nodeID is on air at cycle-relative slot t mod CycleLen.
+// rel must lie in [0, CycleLen). A result >= CycleLen therefore means
+// "first occurrence of the next cycle".
+//
+// The node's replicas in its segment range air at ascending slots
+// segStart[s]+off. This sits on the query
 // hot path, once per enqueued candidate the pointer table cannot serve.
 // Most ranges are short (the preorder layout's m replicas, one segment
 // below a distributed cut), and a scan of them in line beats a call and
@@ -272,10 +284,17 @@ func (si *SegmentedIndex) NextNodeSlot(nodeID int, rel int64) int64 {
 	return si.nextOcc(starts, off, rel)
 }
 
-// ChildDelays implements AirIndex.
+// ChildDelays returns the index's pointer table, indexed like the child
+// entries of Tree().Flat(): entry e holds the delay in slots from a
+// broadcast of e's parent to the next broadcast of child Key[e] — the
+// arrival-time pointer the parent's page carries. It holds 0 where no one
+// delay serves every broadcast of the parent: the delay differs between
+// the parent's occurrences, or the child's next broadcast falls in the
+// next program cycle. The table is built with the index and shared;
+// callers must not modify it.
 func (si *SegmentedIndex) ChildDelays() []int32 { return si.delays }
 
-// NextObjectSlot implements AirIndex.
+// NextObjectSlot is NextNodeSlot for the first data page of objectID.
 func (si *SegmentedIndex) NextObjectSlot(objectID int, rel int64) int64 {
 	if objectID < 0 || objectID >= si.tree.Count {
 		panic(fmt.Sprintf("broadcast: object %d out of range [0,%d)", objectID, si.tree.Count))
@@ -307,9 +326,9 @@ func checkWeights(tree *rtree.Tree, weights []float64) {
 
 // dataRun schedules one data partition, given as a run of Flat.ID (leaf-
 // walk order). A flat schedule airs the run itself, sharing the tree's
-// array; any other scheduler's sequence is copied out as int32.
-func dataRun(sched Scheduler, part []int32, weights []float64) []int32 {
-	if _, ok := sched.(FlatScheduler); ok {
+// array; a skewed schedule's sequence is copied out as int32.
+func dataRun(sched SkewedScheduler, part []int32, weights []float64) []int32 {
+	if sched.Disks == 0 {
 		return part
 	}
 	ids := make([]int, len(part))
@@ -325,12 +344,12 @@ func dataRun(sched Scheduler, part []int32, weights []float64) []int32 {
 }
 
 // schemeName names a layout family under sched: the family alone for a
-// flat schedule, else "family+scheduler".
-func schemeName(family string, sched Scheduler) string {
-	if _, ok := sched.(FlatScheduler); ok {
+// flat schedule, else "family+skewed".
+func schemeName(family string, sched SkewedScheduler) string {
+	if sched.Disks == 0 {
 		return family
 	}
-	return family + "+" + sched.Name()
+	return family + "+skewed"
 }
 
 // buildDistributed serializes tree as a classic distributed air index
@@ -345,9 +364,8 @@ func schemeName(family string, sched Scheduler) string {
 // root-to-branch path — so a client reaches a descent entry point about as
 // often as under (1, m) replication while the cycle carries far fewer
 // repeated index pages. Data pages of each branch follow the branch's
-// index directly; sched orders them (FlatScheduler: once each, leaf-walk
-// order).
-func buildDistributed(tree *rtree.Tree, p Params, cut int, sched Scheduler, weights []float64) *SegmentedIndex {
+// index directly; sched orders them (flat: once each, leaf-walk order).
+func buildDistributed(tree *rtree.Tree, p Params, cut int, sched SkewedScheduler, weights []float64) *SegmentedIndex {
 	scheme := schemeName("distributed", sched)
 	if cut <= 0 {
 		cut = tree.Height / 2
@@ -389,8 +407,8 @@ func buildDistributed(tree *rtree.Tree, p Params, cut int, sched Scheduler, weig
 //
 // Fraction f carries an equal share of the objects in leaf-walk order, so
 // data order follows index order; sched orders each fraction (a skewed
-// scheduler repeats its hot objects).
-func buildPreorder(tree *rtree.Tree, p Params, sched Scheduler, weights []float64) *SegmentedIndex {
+// schedule repeats its hot objects).
+func buildPreorder(tree *rtree.Tree, p Params, sched SkewedScheduler, weights []float64) *SegmentedIndex {
 	objOrder := tree.Flat().ID
 	n := len(objOrder)
 	m := resolveM(p, tree.NumNodes(), n)

@@ -70,7 +70,7 @@ func checkArrivalContract(t *testing.T, idx AirIndex, seed int64) {
 // uniform points.
 func buildTestProgram(t *testing.T, n int, params Params) *SegmentedIndex {
 	t.Helper()
-	return BuildIndex(buildTestTree(n, params), params, IndexSpec{}).(*SegmentedIndex)
+	return BuildIndex(buildTestTree(n, params), params, IndexSpec{})
 }
 
 func TestProgramCycleStructure(t *testing.T) {
@@ -249,7 +249,7 @@ func TestDistributedStructure(t *testing.T) {
 	p := DefaultParams()
 	for _, n := range []int{0, 1, 5, 40, 300} {
 		tree := buildTestTree(n, p)
-		di := BuildIndex(tree, p, IndexSpec{Scheme: SchemeDistributed}).(*SegmentedIndex)
+		di := BuildIndex(tree, p, IndexSpec{Scheme: SchemeDistributed})
 
 		cut := tree.Height / 2
 		if cut > tree.Height-1 {
@@ -462,6 +462,21 @@ func TestSkewedIndexArrivals(t *testing.T) {
 			t.Fatalf("%s: no repetitions scheduled", idx.Scheme())
 		}
 		checkArrivalContract(t, idx, 3)
+	}
+	// The zero schedule is flat: it builds the default layout, weights
+	// or not.
+	for _, scheme := range []SchemeID{SchemePreorder, SchemeDistributed} {
+		flat := BuildIndex(tree, p, IndexSpec{Scheme: scheme})
+		zero := BuildIndex(tree, p, IndexSpec{Scheme: scheme, Sched: SkewedScheduler{}, Weights: weights})
+		if zero.Scheme() != flat.Scheme() || zero.CycleLen() != flat.CycleLen() {
+			t.Fatalf("%v: zero schedule builds %s/%d, flat %s/%d",
+				scheme, zero.Scheme(), zero.CycleLen(), flat.Scheme(), flat.CycleLen())
+		}
+		for s := int64(0); s < flat.CycleLen(); s++ {
+			if zero.PageAt(s) != flat.PageAt(s) {
+				t.Fatalf("%v: slot %d carries %+v, flat %+v", scheme, s, zero.PageAt(s), flat.PageAt(s))
+			}
+		}
 	}
 }
 
