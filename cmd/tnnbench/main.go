@@ -120,12 +120,12 @@ func main() {
 	case "flat":
 	case "skewed":
 		// The same bounds the public API enforces (tnnbcast.WithSkewedSchedule).
-		if *disks < 1 || *disks > 16 {
-			fmt.Fprintf(os.Stderr, "tnnbench: -disks must be in 1..16, got %d\n", *disks)
+		if *disks < 1 || *disks > broadcast.MaxSkewClasses {
+			fmt.Fprintf(os.Stderr, "tnnbench: -disks must be in 1..%d, got %d\n", broadcast.MaxSkewClasses, *disks)
 			os.Exit(2)
 		}
-		if *ratio < 2 || *ratio > 16 {
-			fmt.Fprintf(os.Stderr, "tnnbench: -ratio must be in 2..16, got %d\n", *ratio)
+		if *ratio < 2 || *ratio > broadcast.MaxSkewClasses {
+			fmt.Fprintf(os.Stderr, "tnnbench: -ratio must be in 2..%d, got %d\n", broadcast.MaxSkewClasses, *ratio)
 			os.Exit(2)
 		}
 		cfg.Air.SkewDisks, cfg.Air.SkewRatio = *disks, *ratio

@@ -311,7 +311,7 @@ func (e *UnknownIndexSchemeError) Error() string {
 }
 
 // InvalidScheduleError reports a WithSkewedSchedule configuration whose
-// disk count or frequency ratio is out of range (see maxSkewClasses):
+// disk count or frequency ratio is out of range (see broadcast.MaxSkewClasses):
 // beyond a handful of frequency classes the cycle only stretches.
 type InvalidScheduleError struct {
 	// Disks is the configured disk count.
@@ -321,12 +321,12 @@ type InvalidScheduleError struct {
 }
 
 func (e *InvalidScheduleError) Error() string {
-	if e.Disks < 1 || e.Disks > maxSkewClasses {
+	if e.Disks < 1 || e.Disks > broadcast.MaxSkewClasses {
 		return fmt.Sprintf("tnnbcast: skewed schedule needs 1..%d disks, got %d",
-			maxSkewClasses, e.Disks)
+			broadcast.MaxSkewClasses, e.Disks)
 	}
 	return fmt.Sprintf("tnnbcast: skewed schedule needs a frequency ratio in 2..%d, got %d",
-		maxSkewClasses, e.Ratio)
+		broadcast.MaxSkewClasses, e.Ratio)
 }
 
 // InvalidRegionError reports a WithRegion rectangle with NaN or infinite

@@ -384,7 +384,8 @@ func (sp Spec) validate() error {
 	if sp.Cut < 0 {
 		return &FrameError{Part: "preamble", Reason: FrameBadField, Got: sp.Cut, Want: 0}
 	}
-	if sp.SkewDisks < 0 || sp.SkewDisks > 16 || sp.SkewRatio < 0 || sp.SkewRatio > 16 ||
+	if sp.SkewDisks < 0 || sp.SkewDisks > broadcast.MaxSkewClasses ||
+		sp.SkewRatio < 0 || sp.SkewRatio > broadcast.MaxSkewClasses ||
 		(sp.SkewDisks > 0 && sp.SkewRatio < 2) {
 		return &FrameError{Part: "preamble", Reason: FrameBadField, Got: sp.SkewDisks, Want: 2}
 	}

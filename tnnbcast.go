@@ -160,12 +160,6 @@ type config struct {
 	skewSet bool
 }
 
-// maxSkewClasses bounds WithSkewedSchedule's disks and ratio: the hot
-// disk repeats ratio^(disks-1) times per cycle, so anything beyond a
-// handful of classes only stretches the cycle (the broadcast layer
-// additionally saturates repetitions at 1024 per cycle).
-const maxSkewClasses = 16
-
 // validate runs the admission checks New and NewChain share over the
 // named datasets, in this order: the index scheme and schedule, the page
 // parameters, the points, the access weights, the region and the fault
@@ -180,7 +174,7 @@ func (c *config) validate(names []string, sets [][]Point) (Rect, error) {
 		return Rect{}, &UnknownIndexSchemeError{Scheme: IndexScheme(c.air.Scheme)}
 	}
 	if d, r := c.air.SkewDisks, c.air.SkewRatio; c.skewSet &&
-		(d < 1 || d > maxSkewClasses || r < 2 || r > maxSkewClasses) {
+		(d < 1 || d > broadcast.MaxSkewClasses || r < 2 || r > broadcast.MaxSkewClasses) {
 		return Rect{}, &InvalidScheduleError{Disks: d, Ratio: r}
 	}
 	if err := c.air.Params.Validate(); err != nil {
