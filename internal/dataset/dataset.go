@@ -83,12 +83,6 @@ func Clustered(seed int64, n, clusters int, sigmaFrac float64, region geom.Rect)
 	return pts
 }
 
-// QueryPoints returns n independent uniform query locations over region —
-// the paper issues 1,000 random query points per experiment.
-func QueryPoints(seed int64, n int, region geom.Rect) []geom.Point {
-	return Uniform(seed, n, region)
-}
-
 // Scale maps points affinely from one region onto another. The paper
 // rescales datasets to a common area when they were extracted from regions
 // of different sizes ("when datasets with different areas are used, they

@@ -176,15 +176,3 @@ func TestScale(t *testing.T) {
 		}
 	}
 }
-
-func TestQueryPointsInRegion(t *testing.T) {
-	qs := QueryPoints(99, 1000, PaperRegion)
-	if len(qs) != 1000 {
-		t.Fatalf("len = %d", len(qs))
-	}
-	for _, q := range qs {
-		if !PaperRegion.Contains(q) {
-			t.Fatal("query point outside region")
-		}
-	}
-}

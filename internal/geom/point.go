@@ -132,19 +132,3 @@ func SameStrictSide(p, q, a, b Point) bool {
 	oq := orient(a, b, q)
 	return op != 0 && op == oq
 }
-
-// PointSegDist returns the distance from p to the closed segment ab.
-func PointSegDist(p, a, b Point) float64 {
-	ab := b.Sub(a)
-	n2 := ab.Dot(ab)
-	if n2 == 0 {
-		return Dist(p, a)
-	}
-	t := p.Sub(a).Dot(ab) / n2
-	if t < 0 {
-		t = 0
-	} else if t > 1 {
-		t = 1
-	}
-	return Dist(p, a.Add(ab.Scale(t)))
-}

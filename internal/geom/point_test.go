@@ -168,26 +168,3 @@ func TestSameStrictSide(t *testing.T) {
 		t.Error("point on line is on neither side")
 	}
 }
-
-func TestPointSegDist(t *testing.T) {
-	a, b := Pt(0, 0), Pt(10, 0)
-	cases := []struct {
-		p    Point
-		want float64
-	}{
-		{Pt(5, 3), 3},
-		{Pt(-4, 3), 5},
-		{Pt(14, -3), 5},
-		{Pt(5, 0), 0},
-		{Pt(0, 0), 0},
-	}
-	for _, c := range cases {
-		if got := PointSegDist(c.p, a, b); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("PointSegDist(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Degenerate segment behaves like a point.
-	if got := PointSegDist(Pt(3, 4), Pt(0, 0), Pt(0, 0)); !almostEq(got, 5, 1e-12) {
-		t.Errorf("degenerate segment = %v", got)
-	}
-}

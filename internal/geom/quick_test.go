@@ -57,21 +57,6 @@ func TestQuickUnionContains(t *testing.T) {
 	}
 }
 
-func TestQuickIntersectWithin(t *testing.T) {
-	f := func(a, b, c, d, e, g, h, i float64) bool {
-		r1 := mkRect(a, b, c, d)
-		r2 := mkRect(e, g, h, i)
-		x := r1.Intersect(r2)
-		if x.IsEmpty() {
-			return true
-		}
-		return r1.ContainsRect(x) && r2.ContainsRect(x)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickMinTransDistLowerBounds(t *testing.T) {
 	// MinTransDist dominates both obvious lower bounds: the straight-line
 	// distance dis(p,r) and MinDist(p,M) + MinDist(r,M).

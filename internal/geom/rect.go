@@ -192,16 +192,3 @@ func (r Rect) ClosestPoint(p Point) Point {
 	y := math.Min(math.Max(p.Y, r.Lo.Y), r.Hi.Y)
 	return Point{x, y}
 }
-
-// Intersect returns the overlap of r and s, or an empty rectangle when they
-// are disjoint.
-func (r Rect) Intersect(s Rect) Rect {
-	out := Rect{
-		Lo: Point{math.Max(r.Lo.X, s.Lo.X), math.Max(r.Lo.Y, s.Lo.Y)},
-		Hi: Point{math.Min(r.Hi.X, s.Hi.X), math.Min(r.Hi.Y, s.Hi.Y)},
-	}
-	if out.IsEmpty() {
-		return EmptyRect()
-	}
-	return out
-}

@@ -91,13 +91,6 @@ func TestRectUnionIntersect(t *testing.T) {
 	if u != RectOf(Pt(0, 0), Pt(6, 4)) {
 		t.Errorf("union = %+v", u)
 	}
-	x := a.Intersect(b)
-	if x != RectOf(Pt(2, 1), Pt(4, 3)) {
-		t.Errorf("intersect = %+v", x)
-	}
-	if got := a.Intersect(RectOf(Pt(10, 10), Pt(11, 11))); !got.IsEmpty() {
-		t.Errorf("disjoint intersect should be empty: %+v", got)
-	}
 }
 
 func TestRectExtend(t *testing.T) {
