@@ -1,9 +1,9 @@
 package core
 
-// The algorithm registry opens the query layer the same way the AirIndex
-// seam opened the broadcast layer: an algorithm is a named factory for
-// resumable query executions, the four paper algorithms are registered
-// built-ins backed by QueryExec, and new strategies register at runtime.
+// The algorithm registry opens the query layer: an algorithm is a named
+// factory for resumable query executions, the four paper algorithms are
+// registered built-ins backed by QueryExec, and new strategies register
+// at runtime.
 // Everything above this package — the public Query/Do pipeline, the
 // session engine, the experiment harness, the CLI tools — selects
 // algorithms exclusively through Algo values resolved here, so a

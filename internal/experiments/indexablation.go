@@ -9,8 +9,8 @@ import (
 	"tnnbcast/internal/geom"
 )
 
-// This file adds the air-index ablations enabled by the pluggable
-// AirIndex architecture:
+// This file adds the air-index ablations over broadcast.IndexSpec's
+// scheme, cut and data schedule:
 //
 //   - ablation-index: preorder-(1,m) vs the distributed index (replicated
 //     upper levels before each branch segment) on the default workload,
