@@ -311,8 +311,9 @@ func (e *UnknownIndexSchemeError) Error() string {
 }
 
 // InvalidScheduleError reports a WithSkewedSchedule configuration whose
-// disk count or frequency ratio is out of range (see broadcast.MaxSkewClasses):
-// beyond a handful of frequency classes the cycle only stretches.
+// disk count or frequency ratio is out of range (see
+// broadcast.MaxSkewClasses): beyond a handful of frequency classes the
+// cycle only stretches.
 type InvalidScheduleError struct {
 	// Disks is the configured disk count.
 	Disks int
