@@ -10,10 +10,10 @@ import (
 
 // This file implements the three bulk-loading (packing) strategies. All of
 // them fill nodes to capacity; they differ only in the ordering that
-// decides which points share a leaf. Each level sorts an int32
-// permutation of the level below (points, then nodes) and cuts it into
-// runs of the capacity; Build then lays the levels out as Flat in one
-// preorder walk.
+// decides which points share a leaf. Each level orders the level below
+// (points, then nodes) into an int32 permutation and cuts it into runs of
+// the capacity; Build then lays the levels out as Flat in one preorder
+// walk.
 
 // A level is one packed layer of the tree, leaves first: node k's
 // children are the run kids[k*cap:(k+1)*cap] (shorter at the end), point
@@ -34,14 +34,26 @@ func (l *level) run(k int32) []int32 {
 // pack sorts and cuts pts into levels, leaves first and the single root
 // last. An empty pts packs into one empty leaf.
 func pack(pts []geom.Point, cfg Config) []level {
-	perm := iota32(len(pts))
-	switch cfg.Packing {
-	case HilbertSort:
-		sortHilbert(perm, pts)
-	case NearestX:
-		slices.SortFunc(perm, func(a, b int32) int { return cmpLex(pts[a].X, pts[a].Y, pts[b].X, pts[b].Y) })
+	str := cfg.Packing != HilbertSort && cfg.Packing != NearestX // STR, the default
+	// STR and NearestX sort keys, one buffer for every level: the points,
+	// then each upper level's box centres.
+	var keys []sortKey
+	if cfg.Packing != HilbertSort {
+		keys = make([]sortKey, len(pts))
+		for i, p := range pts {
+			keys[i] = sortKey{p.X, p.Y, int32(i)}
+		}
+	}
+	var perm []int32
+	switch {
+	case str:
+		perm = sortSTR(keys, cfg.LeafCap)
+	case cfg.Packing == NearestX:
+		slices.SortFunc(keys, cmpXY)
+		perm = keyIndices(keys)
 	default:
-		sortSTR(perm, pts, cfg.LeafCap)
+		perm = iota32(len(pts))
+		sortHilbert(perm, pts)
 	}
 	lv := level{kids: perm, cap: cfg.LeafCap, box: make([]geom.Rect, max(1, ceilDiv(len(pts), cfg.LeafCap)))}
 	for k := range lv.box {
@@ -54,13 +66,15 @@ func pack(pts []geom.Point, cfg Config) []level {
 	levels := []level{lv}
 	for len(lv.box) > 1 {
 		below := lv.box
-		perm = iota32(len(below))
-		if cfg.Packing != HilbertSort && cfg.Packing != NearestX { // STR, the default
-			centers := make([]geom.Point, len(below))
+		if str {
+			centers := keys[:len(below)]
 			for i, b := range below {
-				centers[i] = b.Center()
+				c := b.Center()
+				centers[i] = sortKey{c.X, c.Y, int32(i)}
 			}
-			sortSTR(perm, centers, cfg.NodeCap)
+			perm = sortSTR(centers, cfg.NodeCap)
+		} else {
+			perm = iota32(len(below))
 		}
 		lv = level{kids: perm, cap: cfg.NodeCap, box: make([]geom.Rect, ceilDiv(len(below), cfg.NodeCap))}
 		for k := range lv.box {
@@ -75,19 +89,44 @@ func pack(pts []geom.Point, cfg Config) []level {
 	return levels
 }
 
-// sortSTR puts perm, indices into at, in Sort-Tile-Recursive order for
-// runs of cap: sorted by x, cut into ⌈sqrt(P)⌉ vertical slabs of
-// ⌈sqrt(P)⌉·cap items (P runs in all), and each slab sorted by y. A slab
-// is a whole number of runs, so cutting perm into runs of cap tiles every
-// slab.
-func sortSTR(perm []int32, at []geom.Point, cap int) {
-	slabSize := int(math.Ceil(math.Sqrt(float64(ceilDiv(len(perm), cap))))) * cap
-	slices.SortFunc(perm, func(a, b int32) int { return cmpLex(at[a].X, at[a].Y, at[b].X, at[b].Y) })
-	for i := 0; i < len(perm); i += slabSize {
-		slices.SortFunc(perm[i:min(i+slabSize, len(perm))], func(a, b int32) int {
-			return cmpLex(at[a].Y, at[a].X, at[b].Y, at[b].X)
-		})
+// A sortKey is one item of a level being sorted: its position and its
+// index in the level.
+type sortKey struct {
+	x, y float64
+	i    int32
+}
+
+func cmpXY(a, b sortKey) int { return cmpLex(a.x, a.y, b.x, b.y) }
+func cmpYX(a, b sortKey) int { return cmpLex(a.y, a.x, b.y, b.x) }
+
+// sortSTR puts keys in Sort-Tile-Recursive order for runs of cap and
+// returns their indices in that order: sorted by x, cut into ⌈sqrt(P)⌉
+// vertical slabs of ⌈sqrt(P)⌉·cap items (P runs in all), and each slab
+// sorted by y. A slab is a whole number of runs, so cutting the order
+// into runs of cap tiles every slab.
+//
+// The keys carry their coordinates, so a comparison reads two adjacent
+// records instead of two random points. The order is the one a sort of
+// an index permutation by the same comparator gives, exact ties
+// included: slices.SortFunc's pdqsort moves items by the comparisons'
+// outcomes and the slice length alone, never by the items' contents, so
+// sorting the records or their indices makes the same moves.
+func sortSTR(keys []sortKey, cap int) []int32 {
+	slabSize := int(math.Ceil(math.Sqrt(float64(ceilDiv(len(keys), cap))))) * cap
+	slices.SortFunc(keys, cmpXY)
+	for i := 0; i < len(keys); i += slabSize {
+		slices.SortFunc(keys[i:min(i+slabSize, len(keys))], cmpYX)
 	}
+	return keyIndices(keys)
+}
+
+// keyIndices returns the indices of keys in their order.
+func keyIndices(keys []sortKey) []int32 {
+	perm := make([]int32, len(keys))
+	for j, k := range keys {
+		perm[j] = k.i
+	}
+	return perm
 }
 
 // sortHilbert puts perm, indices into pts, in Hilbert-curve order of the
