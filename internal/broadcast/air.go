@@ -1,6 +1,8 @@
 package broadcast
 
 import (
+	"sync"
+
 	"tnnbcast/internal/geom"
 	"tnnbcast/internal/rtree"
 )
@@ -65,6 +67,13 @@ type Air struct {
 // panics on input the callers' admission checks reject: invalid Params
 // or fault model, a weight vector that does not match its dataset, or
 // Single with other than two datasets.
+//
+// The datasets share no page, so each one's tree and index are built on
+// a goroutine of its own, and BuildAir returns once all are done. Trees
+// and Indexes keep the order of sets, and every result is the one a
+// serial build gives. A panic in a build is re-raised on the caller's
+// goroutine after the wait, with the same value; when several builds
+// panic, the first dataset's is re-raised, as a serial build would.
 func BuildAir(sets [][]geom.Point, spec AirSpec) *Air {
 	if spec.Single && len(sets) != 2 {
 		panic("broadcast: a multiplexed channel carries exactly two datasets")
@@ -74,11 +83,28 @@ func BuildAir(sets [][]geom.Point, spec AirSpec) *Air {
 		NodeCap: spec.Params.NodeCap(),
 		Packing: spec.Packing,
 	}
-	a := &Air{single: spec.Single, faults: spec.Faults}
+	a := &Air{
+		Trees:   make([]*rtree.Tree, len(sets)),
+		Indexes: make([]AirIndex, len(sets)),
+		single:  spec.Single,
+		faults:  spec.Faults,
+	}
+	panics := make([]any, len(sets))
+	var wg sync.WaitGroup
 	for i, set := range sets {
-		tree := rtree.Build(set, rcfg)
-		a.Trees = append(a.Trees, tree)
-		a.Indexes = append(a.Indexes, BuildIndex(tree, spec.Params, spec.indexSpec(spec.Weights[i%2])))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			a.Trees[i] = rtree.Build(set, rcfg)
+			a.Indexes[i] = BuildIndex(a.Trees[i], spec.Params, spec.indexSpec(spec.Weights[i%2]))
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
 	}
 	if spec.Single {
 		s, r := Multiplex(a.Indexes[0], a.Indexes[1], spec.Phases[0])
