@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"fmt"
+	"math"
 
 	"tnnbcast/internal/rtree"
 )
@@ -163,6 +164,9 @@ type FaultFeed struct {
 	// Gilbert–Elliott transition probabilities, precomputed:
 	// pBG leaves the bad (lossy) state, pGB enters it.
 	pBG, pGB float64
+	// The draws' thresholds (see below): hash h's draw falls under the
+	// loss rate exactly when h>>11 < loss, and likewise for the others.
+	loss, corrupt, gb, bg uint64
 }
 
 // NewFaultFeed wraps f with the model's fault pattern. The model must
@@ -178,7 +182,18 @@ func NewFaultFeed(f Feed, m FaultModel) *FaultFeed {
 		ff.pBG = 1 / m.Burst
 		ff.pGB = ff.pBG * m.Loss / (1 - m.Loss)
 	}
+	ff.loss, ff.corrupt = below(m.Loss), below(m.Corrupt)
+	ff.gb, ff.bg = below(ff.pGB), below(ff.pBG)
 	return ff
+}
+
+// below returns the threshold of probability p: u01(h) < p exactly when
+// h>>11 < below(p). u01(h) is the integer h>>11 times 2⁻⁵³, and p·2⁵³ is
+// exact, so the draw is under p exactly when h>>11 < p·2⁵³, that is when
+// h>>11 < ⌈p·2⁵³⌉. Every h>>11 is below 2⁵³, so the threshold is clamped
+// there: pGB exceeds 1 when Loss >= 0.5.
+func below(p float64) uint64 {
+	return uint64(min(math.Ceil(p*0x1p53), 0x1p53))
 }
 
 // FaultFeed implements Feed.
@@ -230,7 +245,7 @@ func (ff *FaultFeed) fault(t int64, mk *lossMark) *PageFault {
 	if m.Loss > 0 && ff.lostMarked(t, mk) {
 		return &PageFault{Slot: t, Kind: FaultLost}
 	}
-	if m.Corrupt > 0 && u01(ff.hash(t, saltCorrupt)) < m.Corrupt {
+	if m.Corrupt > 0 && ff.hash(t, saltCorrupt)>>11 < ff.corrupt {
 		return &PageFault{Slot: t, Kind: FaultCorrupt}
 	}
 	return nil
@@ -252,7 +267,7 @@ type lossMark struct {
 // slot), so the answer is the same whatever order the calls come in.
 func (ff *FaultFeed) lostMarked(t int64, mk *lossMark) bool {
 	if ff.model.Burst <= 1 {
-		return u01(ff.hash(t, saltLoss)) < ff.model.Loss
+		return ff.hash(t, saltLoss)>>11 < ff.loss
 	}
 	// Gilbert–Elliott with block renewal: the state at the block boundary
 	// b is drawn from the stationary distribution, and the transition at
@@ -272,8 +287,8 @@ func (ff *FaultFeed) lostMarked(t int64, mk *lossMark) bool {
 	}
 	flip := false
 	for s := t; s > stop; s-- {
-		u := u01(ff.hash(s, saltGEStep))
-		fromGood, fromBad := u < ff.pGB, u >= ff.pBG
+		u := ff.hash(s, saltGEStep) >> 11
+		fromGood, fromBad := u < ff.gb, u >= ff.bg
 		if fromGood == fromBad {
 			return mk.move(t, fromGood != flip)
 		}
@@ -282,7 +297,7 @@ func (ff *FaultFeed) lostMarked(t int64, mk *lossMark) bool {
 	if marked {
 		return mk.move(t, mk.bad != flip)
 	}
-	return mk.move(t, (u01(ff.hash(b, saltGEInit)) < ff.model.Loss) != flip)
+	return mk.move(t, (ff.hash(b, saltGEInit)>>11 < ff.loss) != flip)
 }
 
 // move sets the mark to state bad at slot t and returns bad.
@@ -313,7 +328,9 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// u01 maps a 64-bit hash to a uniform float64 in [0, 1).
+// u01 maps a 64-bit hash to a uniform float64 in [0, 1). The feed itself
+// compares h>>11 against thresholds (below), which decides every draw as
+// u01(h) < p would; the tests' float references draw with u01.
 func u01(h uint64) float64 {
 	return float64(h>>11) * 0x1p-53
 }
