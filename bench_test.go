@@ -232,6 +232,24 @@ func BenchmarkNew(b *testing.B) {
 	}
 }
 
+// BenchmarkNewCityPost times New at session-lossy's sizes: the CITY
+// substitute (about 6,000 points) and the POST substitute (about 100,000)
+// on a distributed index. The sizes are unequal, so building the two
+// datasets at once saves little here and the packer's sort is most of the
+// time.
+func BenchmarkNewCityPost(b *testing.B) {
+	s := tnnbcast.CityDataset(2)
+	r := tnnbcast.PostDataset(2, tnnbcast.PaperRegion)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tnnbcast.New(s, r, tnnbcast.WithRegion(tnnbcast.PaperRegion),
+			tnnbcast.WithIndexScheme(tnnbcast.DistributedIndex)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // arrivalChannels builds one channel per air-index family (the paper's
 // preorder (1,m) program, the distributed index with replicated upper
 // levels, and the preorder layout under a skewed broadcast-disks data
