@@ -164,8 +164,9 @@ type FaultFeed struct {
 	// Gilbert–Elliott transition probabilities, precomputed:
 	// pBG leaves the bad (lossy) state, pGB enters it.
 	pBG, pGB float64
-	// The draws' thresholds (see below): hash h's draw falls under the
-	// loss rate exactly when h>>11 < loss, and likewise for the others.
+	// The draws' thresholds, from func below: hash h's draw falls under
+	// the loss rate exactly when h>>11 < loss, and likewise for the
+	// corruption rate, pGB and pBG.
 	loss, corrupt, gb, bg uint64
 }
 
