@@ -457,8 +457,11 @@ func BenchmarkSingleChannelVsMulti(b *testing.B) {
 }
 
 func BenchmarkWireEncodeCycleIndex(b *testing.B) {
-	air := broadcast.BuildAir([][]geom.Point{dataset.Uniform(5, 2411, dataset.PaperRegion)},
+	air, err := broadcast.BuildAir([][]geom.Point{dataset.Uniform(5, 2411, dataset.PaperRegion)},
 		broadcast.AirSpec{Params: broadcast.DefaultParams(), Phases: [2]int64{9}})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := air.EncodeCycle(0); err != nil {

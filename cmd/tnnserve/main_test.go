@@ -33,6 +33,7 @@ func TestRejectsInvalidInput(t *testing.T) {
 		"-s 100 -r -1",
 		"-s 100 -r 100 -slot -1ms",
 		"-s 100 -r 100 -slot 0",
+		"-s 100 -r 100 -data 2147483647",
 	} {
 		// A command that accepts the flags serves until signalled; the
 		// deadline turns that into a failure instead of a hung test.

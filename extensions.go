@@ -39,7 +39,10 @@ func NewChain(datasets [][]Point, opts ...Option) (*ChainSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	air := broadcast.BuildAir(datasets, cfg.air)
+	air, err := broadcast.BuildAir(datasets, cfg.air)
+	if err != nil {
+		return nil, err
+	}
 	return &ChainSystem{env: core.MultiEnv{Chs: air.Feeds, Region: region}, trees: air.Trees}, nil
 }
 

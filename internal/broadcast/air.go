@@ -64,17 +64,19 @@ type Air struct {
 }
 
 // BuildAir builds the broadcast of sets under spec. Like BuildIndex it
-// panics on input the callers' admission checks reject: invalid Params
-// or fault model, a weight vector that does not match its dataset, or
-// Single with other than two datasets.
+// panics on input the callers' admission checks reject: invalid Params or
+// fault model, a weight vector that does not match its dataset; and on
+// Single with other than two datasets. Those checks cannot see the cycle
+// length, which only the layout knows: BuildAir returns an error when a
+// dataset's cycle would run over 2³¹-1 slots.
 //
 // The datasets share no page, so each one's tree and index are built on
 // a goroutine of its own, and BuildAir returns once all are done. Trees
 // and Indexes keep the order of sets, and every result is the one a
 // serial build gives. A panic in a build is re-raised on the caller's
 // goroutine after the wait, with the same value; when several builds
-// panic, the first dataset's is re-raised, as a serial build would.
-func BuildAir(sets [][]geom.Point, spec AirSpec) *Air {
+// fail, the first dataset's panic or error wins, as in a serial build.
+func BuildAir(sets [][]geom.Point, spec AirSpec) (*Air, error) {
 	if spec.Single && len(sets) != 2 {
 		panic("broadcast: a multiplexed channel carries exactly two datasets")
 	}
@@ -90,6 +92,7 @@ func BuildAir(sets [][]geom.Point, spec AirSpec) *Air {
 		faults:  spec.Faults,
 	}
 	panics := make([]any, len(sets))
+	errs := make([]error, len(sets))
 	var wg sync.WaitGroup
 	for i, set := range sets {
 		wg.Add(1)
@@ -97,13 +100,16 @@ func BuildAir(sets [][]geom.Point, spec AirSpec) *Air {
 			defer wg.Done()
 			defer func() { panics[i] = recover() }()
 			a.Trees[i] = rtree.Build(set, rcfg)
-			a.Indexes[i] = BuildIndex(a.Trees[i], spec.Params, spec.indexSpec(spec.Weights[i%2]))
+			a.Indexes[i], errs[i] = buildIndex(a.Trees[i], spec.Params, spec.indexSpec(spec.Weights[i%2]))
 		}()
 	}
 	wg.Wait()
-	for _, p := range panics {
+	for i, p := range panics {
 		if p != nil {
 			panic(p)
+		}
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
 	}
 	if spec.Single {
@@ -115,7 +121,7 @@ func BuildAir(sets [][]geom.Point, spec AirSpec) *Air {
 		}
 	}
 	a.mountFeeds()
-	return a
+	return a, nil
 }
 
 // mountFeeds builds the datasets' feeds over the air's channels.

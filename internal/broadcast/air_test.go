@@ -14,6 +14,17 @@ import (
 	"tnnbcast/internal/rtree"
 )
 
+// mustAir is BuildAir on inputs whose cycles fit in 2³¹-1 slots: an
+// error fails the test.
+func mustAir(t testing.TB, sets [][]geom.Point, spec AirSpec) *Air {
+	t.Helper()
+	air, err := BuildAir(sets, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return air
+}
+
 // TestBuildAirLayout checks the air's physical channels against its own
 // feeds: on every slot of every physical channel, PageOn names a page and
 // an owning dataset whose feed agrees, phases are normalized, and a
@@ -32,7 +43,7 @@ func TestBuildAirLayout(t *testing.T) {
 			Single: single,
 			Faults: faults,
 		}
-		air := BuildAir(sets, spec)
+		air := mustAir(t, sets, spec)
 		wantChans := 2
 		if single {
 			wantChans = 1
@@ -68,7 +79,7 @@ func TestBuildAirLayout(t *testing.T) {
 
 	t.Run("packing", func(t *testing.T) {
 		spec := AirSpec{Params: DefaultParams(), Packing: rtree.HilbertSort}
-		air := BuildAir(sets, spec)
+		air := mustAir(t, sets, spec)
 		for i, set := range sets {
 			rcfg := rtree.Config{LeafCap: spec.Params.LeafCap(), NodeCap: spec.Params.NodeCap()}
 			if reflect.DeepEqual(air.Trees[i], rtree.Build(set, rcfg)) {
@@ -85,14 +96,14 @@ func TestBuildAirLayout(t *testing.T) {
 		orig := AirSpec{Params: DefaultParams(), Phases: [2]int64{-3, 1 << 40}, Single: single, Faults: faults}
 		moved := orig
 		moved.Phases = [2]int64{12345, -77}
-		ref := BuildAir(sets, moved)
+		ref := mustAir(t, sets, moved)
 		t.Run("rephase/"+layout, func(t *testing.T) {
-			air := BuildAir(sets, orig)
+			air := mustAir(t, sets, orig)
 			air.Rephase(moved.Phases)
 			sameAir(t, air, ref)
 		})
 		t.Run("clone/"+layout, func(t *testing.T) {
-			air := BuildAir(sets, orig)
+			air := mustAir(t, sets, orig)
 			c := air.Clone()
 			for i := range sets {
 				if c.Trees[i] != air.Trees[i] || c.Indexes[i] != air.Indexes[i] {
@@ -101,10 +112,10 @@ func TestBuildAirLayout(t *testing.T) {
 			}
 			c.Rephase(moved.Phases)
 			sameAir(t, c, ref)
-			sameAir(t, air, BuildAir(sets, orig)) // the original keeps its phases
+			sameAir(t, air, mustAir(t, sets, orig)) // the original keeps its phases
 		})
 		t.Run("allocs/"+layout, func(t *testing.T) {
-			air := BuildAir(sets, orig)
+			air := mustAir(t, sets, orig)
 			if n := testing.AllocsPerRun(100, func() { air.Rephase(moved.Phases) }); n != 0 {
 				t.Errorf("Rephase allocates %v times", n)
 			}
@@ -209,7 +220,7 @@ func TestBuildAirMatchesSerialBuild(t *testing.T) {
 			name := dname + "/" + c.name
 			sets := data[dname][:c.sets]
 			spec := c.spec(sets)
-			air := BuildAir(sets, spec)
+			air := mustAir(t, sets, spec)
 			rcfg := rtree.Config{LeafCap: spec.Params.LeafCap(), NodeCap: spec.Params.NodeCap(), Packing: spec.Packing}
 			var cycles []int64
 			for i, set := range sets {

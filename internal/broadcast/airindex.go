@@ -234,9 +234,19 @@ type IndexSpec struct {
 
 // BuildIndex constructs the broadcast program described by spec. It
 // panics on invalid Params (use Params.Validate to check first), on trees
-// whose fanout exceeds the page capacities, and on a weight vector that
-// does not match the tree's objects.
+// whose fanout exceeds the page capacities, on a weight vector that
+// does not match the tree's objects, and on a cycle of more than 2³¹-1
+// slots.
 func BuildIndex(tree *rtree.Tree, p Params, spec IndexSpec) AirIndex {
+	idx, err := buildIndex(tree, p, spec)
+	if err != nil {
+		panic(err)
+	}
+	return idx
+}
+
+// buildIndex is BuildIndex with the cycle bound as an error.
+func buildIndex(tree *rtree.Tree, p Params, spec IndexSpec) (AirIndex, error) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}

@@ -104,7 +104,7 @@ func TestChannelArrivalDigest(t *testing.T) {
 				Weights:   weights,
 				Single:    single,
 			}
-			air := BuildAir(sets, spec)
+			air := mustAir(t, sets, spec)
 			period := air.CycleLen(0)
 			for _, off := range []struct {
 				name string

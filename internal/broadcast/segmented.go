@@ -35,7 +35,7 @@ type SegmentedIndex struct {
 	// Object id's first data page airs at the ascending cycle slots
 	// objOcc[objOff[id]:objOff[id+1]]. When every object airs exactly
 	// once, objOff is nil and the slot is objOcc[id]. A cycle is below
-	// 2³¹ slots (newSegmented panics otherwise), so a slot fits an int32.
+	// 2³¹ slots (newSegmented refuses a longer one), so a slot fits an int32.
 	objOff []int32
 	objOcc []int32
 	delays []int32 // pointer table, per Flat child entry (ChildDelays)
@@ -48,29 +48,29 @@ type nodeRange struct{ lo, hi, off int32 }
 // newSegmented lays out the given segments over valid Params and builds
 // the node ranges and object slots. Every node and every object must air
 // in at least one segment, and every node at one offset of a contiguous
-// segment range.
-func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [][]int32) *SegmentedIndex {
+// segment range. A cycle longer than 2³¹-1 slots is an error.
+func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [][]int32) (*SegmentedIndex, error) {
 	if tree.NodeCap > p.NodeCap() || tree.LeafCap > p.LeafCap() {
 		panic(fmt.Sprintf("broadcast: tree capacities (%d,%d) exceed page capacities (%d,%d)",
 			tree.NodeCap, tree.LeafCap, p.NodeCap(), p.LeafCap()))
+	}
+	ppo := p.PagesPerObject()
+	total, cycle := 0, 0
+	for i, run := range segData {
+		total += len(run)
+		cycle += len(segIndex[i]) + len(run)*ppo
+	}
+	if cycle > math.MaxInt32 {
+		return nil, fmt.Errorf("broadcast: %d slots per cycle in %s layout exceed 2³¹-1", cycle, scheme)
 	}
 	si := &SegmentedIndex{
 		tree:     tree,
 		params:   p,
 		scheme:   scheme,
-		ppo:      p.PagesPerObject(),
+		ppo:      ppo,
 		segIndex: segIndex,
 		segData:  segData,
 		nodes:    placeNodes(segIndex, tree.NumNodes(), scheme),
-	}
-
-	total, cycle := 0, 0
-	for i, run := range segData {
-		total += len(run)
-		cycle += len(segIndex[i]) + len(run)*si.ppo
-	}
-	if cycle > math.MaxInt32 {
-		panic(fmt.Sprintf("broadcast: %d slots per cycle in %s layout", cycle, scheme))
 	}
 	si.objOcc = make([]int32, total)
 	var next []int32 // CSR fill cursor per object; nil when each airs once
@@ -107,7 +107,7 @@ func newSegmented(tree *rtree.Tree, p Params, scheme string, segIndex, segData [
 	}
 	si.segStart[len(segIndex)] = slot
 	si.delays = si.childDelays()
-	return si
+	return si, nil
 }
 
 // placeNodes returns where each of n nodes airs across the segments'
@@ -365,7 +365,7 @@ func schemeName(family string, sched SkewedScheduler) string {
 // often as under (1, m) replication while the cycle carries far fewer
 // repeated index pages. Data pages of each branch follow the branch's
 // index directly; sched orders them (flat: once each, leaf-walk order).
-func buildDistributed(tree *rtree.Tree, p Params, cut int, sched SkewedScheduler, weights []float64) *SegmentedIndex {
+func buildDistributed(tree *rtree.Tree, p Params, cut int, sched SkewedScheduler, weights []float64) (*SegmentedIndex, error) {
 	scheme := schemeName("distributed", sched)
 	if cut <= 0 {
 		cut = tree.Height / 2
@@ -408,7 +408,7 @@ func buildDistributed(tree *rtree.Tree, p Params, cut int, sched SkewedScheduler
 // Fraction f carries an equal share of the objects in leaf-walk order, so
 // data order follows index order; sched orders each fraction (a skewed
 // schedule repeats its hot objects).
-func buildPreorder(tree *rtree.Tree, p Params, sched SkewedScheduler, weights []float64) *SegmentedIndex {
+func buildPreorder(tree *rtree.Tree, p Params, sched SkewedScheduler, weights []float64) (*SegmentedIndex, error) {
 	objOrder := tree.Flat().ID
 	n := len(objOrder)
 	m := resolveM(p, tree.NumNodes(), n)

@@ -61,7 +61,7 @@ func TestEncodeCycleDigest(t *testing.T) {
 			spec.Params = DefaultParams()
 			spec.Phases = [2]int64{7, -3}
 			spec.Single = single
-			air := BuildAir(sets, spec)
+			air := mustAir(t, sets, spec)
 			h := fnv.New64a()
 			var word [8]byte
 			for c := range air.Channels() {

@@ -192,7 +192,7 @@ func TestEncodeCycleIndexAllFit(t *testing.T) {
 	for _, pageCap := range []int{64, 128, 256, 512} {
 		p := DefaultParams()
 		p.PageCap = pageCap
-		air := BuildAir([][]geom.Point{pts}, AirSpec{Params: p, Phases: [2]int64{3}})
+		air := mustAir(t, [][]geom.Point{pts}, AirSpec{Params: p, Phases: [2]int64{3}})
 		imgs, err := air.EncodeCycle(0)
 		if err != nil {
 			t.Fatalf("pageCap %d: %v", pageCap, err)
@@ -230,7 +230,7 @@ func TestEncodeCycleMatchesDecoder(t *testing.T) {
 	for _, scheme := range []SchemeID{SchemePreorder, SchemeDistributed} {
 		for _, single := range []bool{false, true} {
 			p := DefaultParams()
-			air := BuildAir(sets, AirSpec{
+			air := mustAir(t, sets, AirSpec{
 				Params: p, Scheme: scheme, Single: single,
 				Phases: [2]int64{-5, 1 << 33},
 			})

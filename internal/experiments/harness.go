@@ -199,12 +199,18 @@ type Pairing struct {
 
 // pairAir puts a pairing on the air under cfg.Air with the pairing's
 // access weights, on two dedicated channels or, with single, on one
-// multiplexed channel. Callers Rephase it to the phases they draw.
+// multiplexed channel. Callers Rephase it to the phases they draw. The
+// experiments' datasets and page sizes keep every cycle far below 2³¹
+// slots, so a build error is a bug and panics.
 func pairAir(p Pairing, cfg Config, single bool) *broadcast.Air {
 	spec := cfg.Air
 	spec.Weights = [2][]float64{p.WeightsS, p.WeightsR}
 	spec.Single = single
-	return broadcast.BuildAir([][]geom.Point{p.S, p.R}, spec)
+	air, err := broadcast.BuildAir([][]geom.Point{p.S, p.R}, spec)
+	if err != nil {
+		panic(err)
+	}
+	return air
 }
 
 // QueriesExecuted counts every algorithm execution the harness performs,

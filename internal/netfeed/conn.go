@@ -396,10 +396,16 @@ func (c *Conn) connect(resume bool) (*session, error) {
 			return fail(&SpecChangeError{OldDigest: c.digest, NewDigest: digest})
 		}
 	default:
+		air, err := spec.build(broadcast.FaultModel{})
+		if err != nil {
+			// The spec passed the decoder's checks, but its cycle runs
+			// over 2³¹-1 slots, which only the build can see.
+			return fail(&FrameError{Part: "preamble", Reason: FrameBadField})
+		}
 		c.spec = spec
 		c.digest = digest
 		c.frameSize = FrameSize(spec.Params)
-		c.air = spec.build(broadcast.FaultModel{})
+		c.air = air
 		c.preambleBytes = int64(len(blob) + 4)
 	}
 	if resume {

@@ -18,7 +18,10 @@ func TestDeliverDesyncNamesDataset(t *testing.T) {
 	sp := testSpec(50)
 	sp.Single = true
 	sp.OffS = 5
-	air := sp.build(broadcast.FaultModel{})
+	air, err := sp.build(broadcast.FaultModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		slot int64
 		want uint8

@@ -101,8 +101,9 @@ type Spec struct {
 
 // build puts the spec on the air under the given fault model, through
 // the builder the in-process systems use: server and client rebuild the
-// schedule New would build, page for page.
-func (sp Spec) build(faults broadcast.FaultModel) *broadcast.Air {
+// schedule New would build, page for page. BuildAir refuses a cycle over
+// 2³¹-1 slots.
+func (sp Spec) build(faults broadcast.FaultModel) (*broadcast.Air, error) {
 	return broadcast.BuildAir([][]geom.Point{sp.S, sp.R}, broadcast.AirSpec{
 		Params: sp.Params, Scheme: sp.Scheme, Cut: sp.Cut,
 		SkewDisks: sp.SkewDisks, SkewRatio: sp.SkewRatio,

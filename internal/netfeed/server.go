@@ -157,7 +157,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err
 	}
-	air := cfg.Spec.build(cfg.Faults)
+	air, err := cfg.Spec.build(cfg.Faults)
+	if err != nil {
+		return nil, err
+	}
 	srv := &Server{
 		cfg:     cfg,
 		air:     air,

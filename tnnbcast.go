@@ -338,7 +338,8 @@ func WithSingleChannel() Option {
 // Inputs are validated up front: a point with a NaN or infinite coordinate
 // yields an *InvalidPointError, an explicitly configured non-finite region
 // an *InvalidRegionError. Empty datasets are accepted — queries over them
-// complete normally with Found == false.
+// complete normally with Found == false. A channel cycle of more than
+// 2³¹-1 slots (say, huge WithDataSize objects) is an error too.
 func New(s, r []Point, opts ...Option) (*System, error) {
 	cfg := newConfig(opts)
 	sets := [][]Point{s, r}
@@ -346,7 +347,10 @@ func New(s, r []Point, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	air := broadcast.BuildAir(sets, cfg.air)
+	air, err := broadcast.BuildAir(sets, cfg.air)
+	if err != nil {
+		return nil, err
+	}
 	return newSystem(air, air.Feeds[0], air.Feeds[1], region), nil
 }
 
