@@ -32,7 +32,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -102,8 +101,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tnnbench: -window must be >= 0, got %g\n", *window)
 		os.Exit(2)
 	}
-	if err := errors.Join(cfg.Air.Params.Validate(), cfg.Air.Faults.Validate()); err != nil {
-		fmt.Fprintln(os.Stderr, "tnnbench:", err)
+	switch *sched {
+	case "flat":
+	case "skewed":
+		cfg.Air.SkewDisks, cfg.Air.SkewRatio = *disks, *ratio
+	default:
+		fmt.Fprintf(os.Stderr, "tnnbench: unknown -sched %q (flat or skewed)\n", *sched)
+		os.Exit(2)
+	}
+	// The experiments generate their own datasets: check the air alone.
+	if rej := broadcast.Check(nil, &cfg.Air, nil, *sched == "skewed"); rej != nil {
+		fmt.Fprintln(os.Stderr, "tnnbench:", rej)
 		os.Exit(2)
 	}
 	if *algos != "" {
@@ -115,23 +123,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tnnbench:", err)
 			os.Exit(2)
 		}
-	}
-	switch *sched {
-	case "flat":
-	case "skewed":
-		// The same bounds the public API enforces (tnnbcast.WithSkewedSchedule).
-		if *disks < 1 || *disks > broadcast.MaxSkewClasses {
-			fmt.Fprintf(os.Stderr, "tnnbench: -disks must be in 1..%d, got %d\n", broadcast.MaxSkewClasses, *disks)
-			os.Exit(2)
-		}
-		if *ratio < 2 || *ratio > broadcast.MaxSkewClasses {
-			fmt.Fprintf(os.Stderr, "tnnbench: -ratio must be in 2..%d, got %d\n", broadcast.MaxSkewClasses, *ratio)
-			os.Exit(2)
-		}
-		cfg.Air.SkewDisks, cfg.Air.SkewRatio = *disks, *ratio
-	default:
-		fmt.Fprintf(os.Stderr, "tnnbench: unknown -sched %q (flat or skewed)\n", *sched)
-		os.Exit(2)
 	}
 
 	// -clients is shorthand for the "clients" experiment with an explicit

@@ -30,6 +30,7 @@ func TestRejectsInvalidAir(t *testing.T) {
 		"-exp fig9a -queries 1 -loss 0.01 -burst NaN",
 		"-exp fig9a -queries 1 -loss 0.01 -burst 1e12",
 		"-exp fig9a -queries -5",
+		"-exp fig9a -queries 1 -cut -1",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(), "TNNBENCH_ARGS="+args)

@@ -1,6 +1,6 @@
 // Error taxonomy. Construction-time defects are typed per cause:
 // *InvalidPointError, *InvalidRegionError, *InvalidWeightError (New and
-// NewChain), *UnsupportedOptionError (NewChain), and
+// NewChain), *UnsupportedOptionError (New and NewChain), and
 // *InvalidPointError (a non-finite query point) / *UnknownAlgorithmError /
 // *InvalidIssueError at query admission. Runtime channel failures under
 // WithFaults are typed too: a query that exhausts its retry budget on one
@@ -30,7 +30,6 @@ package tnnbcast
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"tnnbcast/internal/broadcast"
 )
@@ -227,7 +226,8 @@ func (e *InvalidPointError) Error() string {
 
 // UnsupportedOptionError reports an Option that a constructor cannot
 // honour: WithSingleChannel multiplexes exactly two datasets, so NewChain
-// rejects it instead of silently building dedicated channels.
+// rejects it instead of silently building dedicated channels; and New and
+// NewChain reject a negative WithReplicatedLevels.
 type UnsupportedOptionError struct {
 	// Func is the rejecting constructor.
 	Func string
@@ -342,23 +342,6 @@ func (e *InvalidRegionError) Error() string {
 	return fmt.Sprintf("tnnbcast: service region has non-finite or inverted bounds %v", e.Region)
 }
 
-func finite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
-}
-
-func finitePoint(p Point) bool { return finite(p.X) && finite(p.Y) }
-
-// validatePoints returns a typed error for the first non-finite point in
-// pts, or nil.
-func validatePoints(name string, pts []Point) error {
-	for i, p := range pts {
-		if !finitePoint(p) {
-			return &InvalidPointError{Dataset: name, Index: i, Point: p}
-		}
-	}
-	return nil
-}
-
 // InvalidWeightError reports a WithAccessWeights vector that does not
 // match its dataset or contains a negative or non-finite weight.
 type InvalidWeightError struct {
@@ -378,30 +361,4 @@ func (e *InvalidWeightError) Error() string {
 	}
 	return fmt.Sprintf("tnnbcast: access weight %s[%d] = %g is negative or non-finite",
 		e.Dataset, e.Index, e.Weight)
-}
-
-// validateWeights returns a typed error for a malformed access-weight
-// vector, or nil. A nil vector is valid (uniform weights).
-func validateWeights(name string, w []float64, n int) error {
-	if w == nil {
-		return nil
-	}
-	if len(w) != n {
-		return &InvalidWeightError{Dataset: name, Index: -1, Weight: float64(len(w))}
-	}
-	for i, v := range w {
-		if !finite(v) || v < 0 {
-			return &InvalidWeightError{Dataset: name, Index: i, Weight: v}
-		}
-	}
-	return nil
-}
-
-// validateRegion returns a typed error when an explicitly configured
-// service region has non-finite or inverted bounds, or nil.
-func validateRegion(r Rect) error {
-	if !finitePoint(r.Lo) || !finitePoint(r.Hi) || r.Hi.X < r.Lo.X || r.Hi.Y < r.Lo.Y {
-		return &InvalidRegionError{Region: r}
-	}
-	return nil
 }

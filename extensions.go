@@ -5,8 +5,6 @@ package tnnbcast
 // queries, and complete round trips.
 
 import (
-	"fmt"
-
 	"tnnbcast/internal/broadcast"
 	"tnnbcast/internal/core"
 	"tnnbcast/internal/rtree"
@@ -31,11 +29,7 @@ func NewChain(datasets [][]Point, opts ...Option) (*ChainSystem, error) {
 	if cfg.air.Single {
 		return nil, &UnsupportedOptionError{Func: "NewChain", Option: "WithSingleChannel"}
 	}
-	names := make([]string, len(datasets))
-	for i := range names {
-		names[i] = fmt.Sprintf("datasets[%d]", i)
-	}
-	region, err := cfg.validate(names, datasets)
+	region, err := cfg.admit("NewChain", datasets)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +69,7 @@ type ChainResult struct {
 // NaN or infinite coordinate is rejected as Do rejects it: Err is an
 // *InvalidPointError and Found is false.
 func (cs *ChainSystem) Query(p Point, opts ...QueryOption) ChainResult {
-	if !finitePoint(p) {
+	if !p.Finite() {
 		return ChainResult{Err: &InvalidPointError{Dataset: "query", Point: p}}
 	}
 	o := applyOptions(0, opts)

@@ -64,11 +64,11 @@ type Air struct {
 }
 
 // BuildAir builds the broadcast of sets under spec. Like BuildIndex it
-// panics on input the callers' admission checks reject: invalid Params or
-// fault model, a weight vector that does not match its dataset; and on
-// Single with other than two datasets. Those checks cannot see the cycle
-// length, which only the layout knows: BuildAir returns an error when a
-// dataset's cycle would run over 2³¹-1 slots.
+// panics on input Check rejects: invalid Params or fault model, a weight
+// vector that does not match its dataset; and on Single with other than
+// two datasets. Check cannot see the cycle length, which only the layout
+// knows: BuildAir returns an error when a dataset's cycle would run over
+// 2³¹-1 slots.
 //
 // The datasets share no page, so each one's tree and index are built on
 // a goroutine of its own, and BuildAir returns once all are done. Trees

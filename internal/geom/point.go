@@ -24,6 +24,12 @@ type Point struct {
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 
+// Finite reports whether v is neither NaN nor infinite.
+func Finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// Finite reports whether both coordinates are finite.
+func (p Point) Finite() bool { return Finite(p.X) && Finite(p.Y) }
+
 // Add returns p + q componentwise.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 

@@ -78,6 +78,9 @@ func TestAdmissionMatchesNew(t *testing.T) {
 		{name: "interleave beyond data pages", mutate: func(sp *netfeed.Spec) {
 			sp.Params.M = 10_000
 		}},
+		{name: "negative cut", badField: true, mutate: func(sp *netfeed.Spec) {
+			sp.Scheme, sp.Cut = broadcast.SchemeDistributed, -1
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := base()

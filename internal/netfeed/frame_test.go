@@ -429,7 +429,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("accepted preamble with invalid params: %v", err)
 		}
 		for _, p := range append(append([]geom.Point(nil), spec.S...), spec.R...) {
-			if !finite(p.X) || !finite(p.Y) {
+			if !p.Finite() {
 				t.Fatal("accepted preamble with non-finite point")
 			}
 		}

@@ -99,17 +99,36 @@ type Spec struct {
 	WS, WR []float64
 }
 
-// build puts the spec on the air under the given fault model, through
-// the builder the in-process systems use: server and client rebuild the
-// schedule New would build, page for page. BuildAir refuses a cycle over
-// 2³¹-1 slots.
-func (sp Spec) build(faults broadcast.FaultModel) (*broadcast.Air, error) {
-	return broadcast.BuildAir([][]geom.Point{sp.S, sp.R}, broadcast.AirSpec{
+// check runs New's admission check, broadcast.Check, on the spec under the
+// fault model, and returns the AirSpec it admits. A preamble always has a
+// region, and 0 disks mean the flat schedule. A refusal is a FrameBadField,
+// or the page parameters' or fault model's own error.
+func (sp *Spec) check(faults broadcast.FaultModel) (broadcast.AirSpec, error) {
+	air := broadcast.AirSpec{
 		Params: sp.Params, Scheme: sp.Scheme, Cut: sp.Cut,
 		SkewDisks: sp.SkewDisks, SkewRatio: sp.SkewRatio,
 		Phases:  [2]int64{sp.OffS, sp.OffR},
 		Weights: [2][]float64{sp.WS, sp.WR},
 		Single:  sp.Single,
 		Faults:  faults,
-	})
+	}
+	switch rej := broadcast.Check([][]geom.Point{sp.S, sp.R}, &air, &sp.Region, sp.SkewDisks != 0); {
+	case rej == nil:
+		return air, nil
+	case rej.Err != nil:
+		return air, rej.Err
+	default:
+		return air, &FrameError{Part: "preamble", Reason: FrameBadField, Got: int(rej.Value)}
+	}
+}
+
+// build checks the spec and puts it on the air under the fault model,
+// through the builder New uses: server and client rebuild New's schedule
+// page for page. BuildAir also refuses a cycle over 2³¹-1 slots.
+func (sp *Spec) build(faults broadcast.FaultModel) (*broadcast.Air, error) {
+	air, err := sp.check(faults)
+	if err != nil {
+		return nil, err
+	}
+	return broadcast.BuildAir([][]geom.Point{sp.S, sp.R}, air)
 }

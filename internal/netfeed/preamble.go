@@ -265,9 +265,9 @@ func (r *preambleReader) weights(n int) []float64 {
 
 // decodePreamble parses and validates one blob. The input is hostile:
 // every structural defect returns a typed *FrameError, and the decoded
-// spec is re-validated with the same checks New applies (finite points,
-// page-capacity arithmetic, weight shape) before any schedule is built
-// from it. A warm-form blob (flags bit 0) carries no spec body: sp is
+// spec must pass the same checks New applies (Spec.check) before any
+// schedule is built from it; only the cycle bound waits for the build.
+// A warm-form blob (flags bit 0) carries no spec body: sp is
 // returned zero and warm is true — the caller resumes against its cached
 // schedule iff the digest matches the cached one.
 func decodePreamble(buf []byte) (sp Spec, slotDur time.Duration, liveSlot int64, digest uint64, warm bool, err error) {
@@ -332,64 +332,8 @@ func decodePreamble(buf []byte) (sp Spec, slotDur time.Duration, liveSlot int64,
 	if r.off != len(payload) {
 		return Spec{}, 0, 0, 0, false, &FrameError{Part: "preamble", Reason: FrameBadLength, Got: len(payload), Want: r.off}
 	}
-	if err := sp.validate(); err != nil {
+	if _, err := sp.check(broadcast.FaultModel{}); err != nil {
 		return Spec{}, 0, 0, 0, false, err
 	}
 	return sp, slotDur, liveSlot, digest, false, nil
 }
-
-// validate rejects every spec that New would reject for the equivalent
-// options, so no schedule is built from one.
-// TestAdmissionMatchesNew holds the two checks to the same cases.
-func (sp Spec) validate() error {
-	switch sp.Scheme {
-	case broadcast.SchemePreorder, broadcast.SchemeDistributed:
-	default:
-		return &FrameError{Part: "preamble", Reason: FrameBadField, Got: int(sp.Scheme), Want: int(broadcast.SchemeDistributed)}
-	}
-	if err := sp.Params.ValidateFor(len(sp.S)); err != nil {
-		return err
-	}
-	if err := sp.Params.ValidateFor(len(sp.R)); err != nil {
-		return err
-	}
-	for _, pts := range [][]geom.Point{sp.S, sp.R} {
-		for _, p := range pts {
-			if !finite(p.X) || !finite(p.Y) {
-				return &FrameError{Part: "preamble", Reason: FrameBadField, Got: 0, Want: 0}
-			}
-		}
-	}
-	for _, d := range [...]struct {
-		n int
-		w []float64
-	}{{len(sp.S), sp.WS}, {len(sp.R), sp.WR}} {
-		if d.w != nil && len(d.w) != d.n {
-			return &FrameError{Part: "preamble", Reason: FrameBadField, Got: len(d.w), Want: d.n}
-		}
-		for _, v := range d.w {
-			if !finite(v) || v < 0 {
-				return &FrameError{Part: "preamble", Reason: FrameBadField, Got: 0, Want: 0}
-			}
-		}
-	}
-	for _, v := range [...]float64{sp.Region.Lo.X, sp.Region.Lo.Y, sp.Region.Hi.X, sp.Region.Hi.Y} {
-		if !finite(v) {
-			return &FrameError{Part: "preamble", Reason: FrameBadField, Got: 0, Want: 0}
-		}
-	}
-	if sp.Region.Hi.X < sp.Region.Lo.X || sp.Region.Hi.Y < sp.Region.Lo.Y {
-		return &FrameError{Part: "preamble", Reason: FrameBadField, Got: 0, Want: 0}
-	}
-	if sp.Cut < 0 {
-		return &FrameError{Part: "preamble", Reason: FrameBadField, Got: sp.Cut, Want: 0}
-	}
-	if sp.SkewDisks < 0 || sp.SkewDisks > broadcast.MaxSkewClasses ||
-		sp.SkewRatio < 0 || sp.SkewRatio > broadcast.MaxSkewClasses ||
-		(sp.SkewDisks > 0 && sp.SkewRatio < 2) {
-		return &FrameError{Part: "preamble", Reason: FrameBadField, Got: sp.SkewDisks, Want: 2}
-	}
-	return nil
-}
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

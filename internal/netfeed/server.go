@@ -143,19 +143,14 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
-// NewServer validates the spec, rebuilds the broadcast schedule, and
-// precomputes every cycle-relative slot's page image plus the preamble
-// spec body and its warm-resume digest. The returned server is not yet on
-// the air — call Start.
+// NewServer checks and builds the spec as New does (Spec.build returns
+// the check's refusal or BuildAir's cycle error), and precomputes every
+// cycle-relative slot's page image plus the preamble spec body and its
+// warm-resume digest. The returned server is not yet on the air — call
+// Start.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.SlotDur <= 0 {
 		cfg.SlotDur = DefaultSlotDur
-	}
-	if err := cfg.Spec.validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, err
 	}
 	air, err := cfg.Spec.build(cfg.Faults)
 	if err != nil {

@@ -140,7 +140,7 @@ func applyOptions(issue int64, opts []QueryOption) core.Options {
 // to slot 0.
 func (sys *System) prepare(req Request) (core.Options, error) {
 	switch {
-	case !finitePoint(req.Point):
+	case !req.Point.Finite():
 		return core.Options{}, &InvalidPointError{Dataset: "query", Point: req.Point}
 	case req.Variant == Transitive && !validAlgorithm(req.Algo):
 		return core.Options{}, &UnknownAlgorithmError{Algo: req.Algo}

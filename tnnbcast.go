@@ -160,58 +160,46 @@ type config struct {
 	skewSet bool
 }
 
-// validate runs the admission checks New and NewChain share over the
-// named datasets, in this order: the index scheme and schedule, the page
-// parameters, the points, the access weights, the region and the fault
-// model. It returns the service region: the configured one, or else the
-// bounding box of every dataset.
-func (c *config) validate(names []string, sets [][]Point) (Rect, error) {
-	// A typo'd or future IndexScheme fails here as a typed error, not as
-	// a panic in the build.
-	switch IndexScheme(c.air.Scheme) {
-	case PreorderIndex, DistributedIndex:
-	default:
-		return Rect{}, &UnknownIndexSchemeError{Scheme: IndexScheme(c.air.Scheme)}
+// admit runs broadcast.Check, the one admission check of a broadcast, on
+// constructor fn's datasets (on the region only when WithRegion set one)
+// and maps a refusal to fn's typed error. It returns the service region:
+// the configured one, or else the bounding box of every dataset.
+func (c *config) admit(fn string, sets [][]Point) (Rect, error) {
+	region := &c.region
+	if !c.hasReg {
+		region = nil
 	}
-	if d, r := c.air.SkewDisks, c.air.SkewRatio; c.skewSet &&
-		(d < 1 || d > broadcast.MaxSkewClasses || r < 2 || r > broadcast.MaxSkewClasses) {
-		return Rect{}, &InvalidScheduleError{Disks: d, Ratio: r}
-	}
-	if err := c.air.Params.Validate(); err != nil {
-		return Rect{}, err
-	}
-	for _, set := range sets {
-		if err := c.air.Params.ValidateFor(len(set)); err != nil {
-			return Rect{}, err
-		}
-	}
-	for i, set := range sets {
-		if err := validatePoints(names[i], set); err != nil {
-			return Rect{}, err
-		}
-	}
-	for i, set := range sets {
-		if err := validateWeights(names[i], c.air.Weights[i%2], len(set)); err != nil {
-			return Rect{}, err
-		}
-	}
-	region := c.region
-	if c.hasReg {
-		if err := validateRegion(region); err != nil {
-			return Rect{}, err
-		}
-	} else {
-		region = geom.EmptyRect()
+	rej := broadcast.Check(sets, &c.air, region, c.skewSet)
+	if rej == nil && !c.hasReg {
+		box := geom.EmptyRect()
 		for _, set := range sets {
 			for _, p := range set {
-				region = region.Extend(p)
+				box = box.Extend(p)
 			}
 		}
+		return box, nil
+	} else if rej == nil {
+		return c.region, nil
 	}
-	if err := c.air.Faults.Validate(); err != nil {
-		return Rect{}, err
+	name := fmt.Sprintf("datasets[%d]", rej.Set)
+	if fn == "New" && rej.Set >= 0 {
+		name = [...]string{"S", "R"}[rej.Set]
 	}
-	return region, nil
+	switch rej.Field {
+	case broadcast.FieldScheme:
+		return Rect{}, &UnknownIndexSchemeError{Scheme: IndexScheme(c.air.Scheme)}
+	case broadcast.FieldCut:
+		return Rect{}, &UnsupportedOptionError{Func: fn, Option: "WithReplicatedLevels"}
+	case broadcast.FieldSchedule:
+		return Rect{}, &InvalidScheduleError{Disks: c.air.SkewDisks, Ratio: c.air.SkewRatio}
+	case broadcast.FieldPoint:
+		return Rect{}, &InvalidPointError{Dataset: name, Index: rej.Index, Point: sets[rej.Set][rej.Index]}
+	case broadcast.FieldWeight:
+		return Rect{}, &InvalidWeightError{Dataset: name, Index: rej.Index, Weight: rej.Value}
+	case broadcast.FieldRegion:
+		return Rect{}, &InvalidRegionError{Region: c.region}
+	}
+	return Rect{}, rej.Err // the page parameters' or fault model's own error
 }
 
 // WithPageCap sets the broadcast page capacity in bytes (default 64; the
@@ -263,7 +251,8 @@ func WithIndexScheme(s IndexScheme) Option {
 
 // WithReplicatedLevels sets how many upper tree levels the distributed
 // index replicates before each branch segment (the cut level; default 0 =
-// half the tree height). Ignored by PreorderIndex.
+// half the tree height). Ignored by PreorderIndex. New and NewChain
+// reject a negative value with an *UnsupportedOptionError.
 func WithReplicatedLevels(levels int) Option {
 	return func(c *config) { c.air.Cut = levels }
 }
@@ -343,7 +332,7 @@ func WithSingleChannel() Option {
 func New(s, r []Point, opts ...Option) (*System, error) {
 	cfg := newConfig(opts)
 	sets := [][]Point{s, r}
-	region, err := cfg.validate([]string{"S", "R"}, sets)
+	region, err := cfg.admit("New", sets)
 	if err != nil {
 		return nil, err
 	}
