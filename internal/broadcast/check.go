@@ -38,8 +38,11 @@ func (r *Reject) Error() string {
 	if r.Err != nil {
 		return r.Err.Error()
 	}
-	return fmt.Sprintf("broadcast: %s out of domain: %v (dataset %d, index %d)",
-		fieldNames[r.Field], r.Value, r.Set, r.Index)
+	if r.Set < 0 {
+		return fmt.Sprintf("broadcast: %s out of domain: %v", fieldNames[r.Field], r.Value)
+	}
+	return fmt.Sprintf("broadcast: %s %d of dataset %d out of domain: %v",
+		fieldNames[r.Field], r.Index, r.Set, r.Value)
 }
 
 // Check returns nil if sets can go on the air under spec, or else the
