@@ -21,7 +21,7 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRejectsInvalidAir: out-of-range page and fault flags, and a
+// TestRejectsInvalidAir: out-of-range page, fault and cut flags, and a
 // negative query count, are usage errors — a one-line message and exit status 2 — never a panic inside
 // an experiment.
 func TestRejectsInvalidAir(t *testing.T) {

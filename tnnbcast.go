@@ -170,7 +170,9 @@ func (c *config) admit(fn string, sets [][]Point) (Rect, error) {
 		region = nil
 	}
 	rej := broadcast.Check(sets, &c.air, region, c.skewSet)
-	if rej == nil && !c.hasReg {
+	if rej == nil && c.hasReg {
+		return c.region, nil
+	} else if rej == nil {
 		box := geom.EmptyRect()
 		for _, set := range sets {
 			for _, p := range set {
@@ -178,8 +180,6 @@ func (c *config) admit(fn string, sets [][]Point) (Rect, error) {
 			}
 		}
 		return box, nil
-	} else if rej == nil {
-		return c.region, nil
 	}
 	name := fmt.Sprintf("datasets[%d]", rej.Set)
 	if fn == "New" && rej.Set >= 0 {
